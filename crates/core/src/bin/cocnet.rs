@@ -6,14 +6,14 @@
 //! cocnet sim      [spec flags] --rate 2e-4 [--seed N] discrete-event run
 //! cocnet saturate [spec flags]                        stability boundary
 //! cocnet sweep    [spec flags] --max-rate 1e-3        latency-vs-load table+plot
-//! cocnet figure   --fig fig3|fig4|fig5|fig6           a paper figure (analysis side)
 //!
 //! cocnet list                                         every registry entry
 //! cocnet describe <name> [--json]                     one entry (+ scenario JSON)
 //! cocnet validate <path>                              check scenario file(s)
 //! cocnet run <name|path> [--quick] [--points N] [--replications N]
-//!                        [--rel-ci X] [--max-replications N]
+//!                        [--rel-ci X] [--max-replications N] [--rate λ]
 //!                        [--scheduler heap|calendar] [--shards off|auto|K]
+//!                        [--fail-links F] [--interning classed|eager]
 //!                        [--serial] [--json] [--no-sim] [--out json|csv]
 //!                                                     run a registry entry or a
 //!                                                     scenario JSON file
@@ -31,18 +31,17 @@
 //!   --org 1120|544          a Table 1 organization (default: 544), or
 //!   --m M --heights 2,2,3,3 a custom system (ICN1/ICN2 = Net.1, ECN1 = Net.2)
 //! workload flags:
-//!   --rate λ  --flits M  --flit-bytes D   (defaults 1e-4, 32, 256)
+//!   --rate λ  --flits M  --flit-bytes D   (defaults 1e-4, 32, 256;
+//!                                          `sim` needs λ > 0)
 //! sim flags:
 //!   --seed S  --measured N  --locality ψ
 //! ```
 
-use cocnet::experiments::{figure_config, run_figure_model, Figure};
 use cocnet::model::{
     evaluate_with_profile, saturation_point, sweep, ModelOptions, OutgoingProfile, Workload,
 };
 use cocnet::presets;
 use cocnet::registry::{self, RunOpts};
-use cocnet::report::render_figure;
 use cocnet::runner::Scenario;
 use cocnet::sim::{run_simulation, SimConfig};
 use cocnet::stats::{scatter, Series, Table};
@@ -54,15 +53,16 @@ use std::process::exit;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: cocnet <model|sim|saturate|sweep|figure> [--org 1120|544] \
+        "usage: cocnet <model|sim|saturate|sweep> [--org 1120|544] \
          [--m M --heights a,b,c] [--rate λ] [--flits M] [--flit-bytes D] \
          [--seed S] [--measured N] [--locality ψ] [--max-rate λ] [--points P]\n\
          \x20      cocnet list\n\
          \x20      cocnet describe <name> [--json]\n\
          \x20      cocnet validate <path>\n\
          \x20      cocnet run <name|path> [--quick] [--points N] [--replications N] \
-         [--rel-ci X] [--max-replications N] [--scheduler heap|calendar] \
-         [--shards off|auto|K] [--serial] [--json] [--no-sim] [--out json|csv]"
+         [--rel-ci X] [--max-replications N] [--rate λ] [--scheduler heap|calendar] \
+         [--shards off|auto|K] [--fail-links F] [--interning classed|eager] \
+         [--serial] [--json] [--no-sim] [--out json|csv]"
     );
     exit(2);
 }
@@ -193,6 +193,13 @@ fn cmd_model(flags: &HashMap<String, String>) {
 }
 
 fn cmd_sim(flags: &HashMap<String, String>) {
+    // The model accepts λ = 0 (zero-load latency); a simulation needs
+    // traffic to generate.
+    let rate: f64 = get(flags, "rate", 1e-4);
+    if !(rate.is_finite() && rate > 0.0) {
+        eprintln!("--rate must be finite and > 0 to simulate (got {rate})");
+        usage();
+    }
     let spec = build_spec(flags);
     let wl = build_workload(flags);
     let pattern = match flags.get("locality") {
@@ -248,24 +255,6 @@ fn cmd_sweep(flags: &HashMap<String, String>) {
     }
     println!("{}", table.render());
     println!("{}", scatter(std::slice::from_ref(&series), 60, 16));
-}
-
-fn cmd_figure(flags: &HashMap<String, String>) {
-    let fig = match flags.get("fig").map(String::as_str) {
-        Some("fig3") => Figure::Fig3,
-        Some("fig4") => Figure::Fig4,
-        Some("fig5") => Figure::Fig5,
-        Some("fig6") => Figure::Fig6,
-        other => {
-            eprintln!("--fig must be one of fig3|fig4|fig5|fig6 (got {other:?})");
-            exit(2);
-        }
-    };
-    let points: usize = get(flags, "points", 10);
-    let cfg = figure_config(fig);
-    let series = run_figure_model(&cfg, &ModelOptions::default(), points);
-    println!("{}", render_figure(&cfg.title, &series));
-    println!("{}", scatter(&series, 60, 16));
 }
 
 /// `cocnet list`: every registry entry, grouped the way the paper groups
@@ -459,7 +448,6 @@ fn main() {
         "sim" => cmd_sim(&flags),
         "saturate" => cmd_saturate(&flags),
         "sweep" => cmd_sweep(&flags),
-        "figure" => cmd_figure(&flags),
         _ => usage(),
     }
 }

@@ -43,7 +43,6 @@
 #![warn(clippy::all)]
 
 pub mod compare;
-pub mod experiments;
 pub mod registry;
 pub mod report;
 pub mod runner;
@@ -57,9 +56,6 @@ pub use cocnet_workloads::presets;
 /// One-stop imports for typical use.
 pub mod prelude {
     pub use crate::compare::{compare_series, ValidationRow};
-    pub use crate::experiments::{
-        figure_config, run_fig7, run_figure_model, run_figure_sim, Figure,
-    };
     pub use crate::registry::RunOpts;
     pub use crate::runner::{PointSim, RateGrid, Scenario, Seeding, WorkloadEntry};
     pub use cocnet_model::{

@@ -2,10 +2,7 @@
 //! experiment of this repository, reified as a named entry behind one
 //! uniform interface.
 //!
-//! Before this module existed each experiment was a hand-coded binary
-//! under `crates/bench/src/bin/`; adding a scenario meant recompiling the
-//! workspace. The registry splits every experiment into its two real
-//! parts:
+//! The registry splits every experiment into its two real parts:
 //!
 //! * **what to run** — a declarative [`Scenario`] (pure data, JSON-round-
 //!   trippable; the committed twins live under `scenarios/`), or, for the
@@ -15,15 +12,13 @@
 //!   [`crate::report`] plus each entry's renderer.
 //!
 //! The `cocnet` CLI exposes the registry as `list` / `describe <name>` /
-//! `run <name|path>`, and every former bench binary is now a one-line
-//! wrapper over [`bin_main`]. Entirely new latency-vs-load scenarios need
-//! no Rust at all: author a JSON file and `cocnet run path/to/file.json`.
+//! `run <name|path>`. Entirely new latency-vs-load scenarios need no Rust
+//! at all: author a JSON file and `cocnet run path/to/file.json`.
 
 pub mod ablations;
 pub mod diagnostics;
 pub mod extensions;
 pub mod figures;
-pub mod perf;
 pub mod scale;
 pub mod tables;
 pub mod validation;
@@ -70,9 +65,9 @@ impl std::fmt::Display for Group {
     }
 }
 
-/// Options shared by `cocnet run` and every thin bench binary. Each flag
-/// is honoured where it makes sense for the entry being run; entries
-/// ignore flags that cannot apply to them (e.g. `--points` on a table).
+/// Options of `cocnet run`. Each flag is honoured where it makes sense
+/// for the entry being run; entries ignore flags that cannot apply to
+/// them (e.g. `--points` on a table).
 #[derive(Debug, Clone, Default)]
 pub struct RunOpts {
     /// Scaled-down simulation populations for a fast smoke run.
@@ -95,12 +90,8 @@ pub struct RunOpts {
     /// Emit *only* machine-readable output in this format.
     pub out: Option<OutputFormat>,
     /// Traffic rate override for single-run diagnostics
-    /// (`hotspots`, `utilization`).
+    /// (`hotspots`, `utilization`); finite and positive.
     pub rate: Option<f64>,
-    /// Wall-clock repetitions per case for `bench_snapshot`.
-    pub reps: Option<usize>,
-    /// Output path override for `bench_snapshot`.
-    pub out_file: Option<String>,
     /// Future-event-list backend override (`--scheduler heap|calendar`):
     /// applied to the simulation config wherever one is run. Never
     /// changes results — both backends pop in the identical order.
@@ -109,15 +100,6 @@ pub struct RunOpts {
     /// the worm event loop by cluster with conservative lookahead sync.
     /// Never changes results — sharded runs are bit-identical to serial.
     pub shards: Option<ShardMode>,
-    /// Baseline trajectory path for `perf_gate` (default `BENCH_sim.json`).
-    pub baseline: Option<String>,
-    /// Relative events/sec regression tolerance for `perf_gate`
-    /// (default 0.30 = fail on >30% slowdown).
-    pub threshold: Option<f64>,
-    /// Measurement date (`YYYY-MM-DD`) stamped into `bench_snapshot`
-    /// entries — pass `--stamp $(date -u +%F)` (or let CI do it) so the
-    /// committed trajectory never records a `null` date.
-    pub stamp: Option<String>,
     /// Static fault injection: fail this fraction of links (drawn
     /// deterministically from the schedule's `fault_seed`) in every
     /// simulation the entry runs (`--fail-links 0.1`).
@@ -161,19 +143,12 @@ impl RunOpts {
                 }
                 "--out" => opts.out = Some(take("--out", &mut it)?.parse()?),
                 "--rate" => opts.rate = Some(parse_num(&take("--rate", &mut it)?, "--rate")?),
-                "--reps" => opts.reps = Some(parse_num(&take("--reps", &mut it)?, "--reps")?),
-                "--out-file" => opts.out_file = Some(take("--out-file", &mut it)?),
                 "--scheduler" => {
                     opts.scheduler = Some(take("--scheduler", &mut it)?.parse()?);
                 }
                 "--shards" => {
                     opts.shards = Some(take("--shards", &mut it)?.parse()?);
                 }
-                "--baseline" => opts.baseline = Some(take("--baseline", &mut it)?),
-                "--threshold" => {
-                    opts.threshold = Some(parse_num(&take("--threshold", &mut it)?, "--threshold")?)
-                }
-                "--stamp" => opts.stamp = Some(take("--stamp", &mut it)?),
                 "--fail-links" => {
                     opts.fail_links =
                         Some(parse_num(&take("--fail-links", &mut it)?, "--fail-links")?)
@@ -185,10 +160,8 @@ impl RunOpts {
                     return Err(format!(
                         "unknown argument {other:?} (flags: --quick --serial --json --no-sim \
                          --points N --replications N --rel-ci X --max-replications N \
-                         --out json|csv --rate λ --reps N --out-file PATH \
-                         --scheduler heap|calendar --shards off|auto|K --baseline PATH \
-                         --threshold X --stamp DATE --fail-links F \
-                         --interning classed|eager)"
+                         --out json|csv --rate λ --scheduler heap|calendar \
+                         --shards off|auto|K --fail-links F --interning classed|eager)"
                     ))
                 }
             }
@@ -210,14 +183,11 @@ impl RunOpts {
         if opts.max_replications == Some(0) {
             return Err("--max-replications must be >= 1".into());
         }
-        if let Some(threshold) = opts.threshold {
-            // A relative slowdown is bounded by -100%, so a threshold of
-            // 1.0 or more can never trip — a silently vacuous gate.
-            if !(threshold.is_finite() && threshold > 0.0 && threshold < 1.0) {
-                return Err(format!(
-                    "--threshold is a regression fraction in (0, 1), e.g. 0.3 \
-                     for 30% (got {threshold})"
-                ));
+        if let Some(rate) = opts.rate {
+            // The simulator cannot run without traffic: reject here rather
+            // than let the engine abort on its positive-rate precondition.
+            if !(rate.is_finite() && rate > 0.0) {
+                return Err(format!("--rate must be finite and > 0 (got {rate})"));
             }
         }
         if let Some(f) = opts.fail_links {
@@ -225,17 +195,6 @@ impl RunOpts {
                 return Err(format!(
                     "--fail-links is a link fraction in [0, 1] (got {f})"
                 ));
-            }
-        }
-        if let Some(stamp) = &opts.stamp {
-            let bytes = stamp.as_bytes();
-            let shaped = bytes.len() == 10
-                && bytes.iter().enumerate().all(|(i, b)| match i {
-                    4 | 7 => *b == b'-',
-                    _ => b.is_ascii_digit(),
-                });
-            if !shaped {
-                return Err(format!("--stamp must be YYYY-MM-DD (got {stamp:?})"));
             }
         }
         Ok(opts)
@@ -322,10 +281,10 @@ pub fn scaled(base: &SimConfig, opts: &RunOpts) -> SimConfig {
     cfg
 }
 
-/// The 48-node benchmark system shared by `engine_agreement`,
-/// `buffer_depth` and `bench_snapshot`: four m=4 clusters (two of 8
-/// nodes, two of 16) on the Table 2 networks — big enough to exercise
-/// every network tier, small enough that a sweep costs seconds.
+/// The 48-node system shared by `engine_agreement`, `buffer_depth` and
+/// `degradation`: four m=4 clusters (two of 8 nodes, two of 16) on the
+/// Table 2 networks — big enough to exercise every network tier, small
+/// enough that a sweep costs seconds.
 pub fn small_spec_48() -> SystemSpec {
     let cluster = |n| ClusterSpec {
         n,
@@ -353,7 +312,7 @@ pub enum Kind {
 
 /// One named experiment.
 pub struct Entry {
-    /// Registry key (`cocnet run <name>`; also the bench binary's name).
+    /// Registry key (`cocnet run <name>`).
     pub name: &'static str,
     /// Grouping for `cocnet list`.
     pub group: Group,
@@ -573,20 +532,6 @@ pub static ENTRIES: &[Entry] = &[
         summary:
             "route-interning scale sweep: build ms / table bytes / events/sec, 1k to 10^6 endpoints",
         kind: Kind::Custom(scale::org_scale),
-    },
-    Entry {
-        name: "bench_snapshot",
-        group: Group::Perf,
-        paper_ref: "-",
-        summary: "events/sec snapshot appended to the BENCH_sim.json trajectory",
-        kind: Kind::Custom(perf::bench_snapshot),
-    },
-    Entry {
-        name: "perf_gate",
-        group: Group::Perf,
-        paper_ref: "-",
-        summary: "CI regression gate: quick snapshot vs the last full BENCH_sim.json entry",
-        kind: Kind::Custom(perf::perf_gate),
     },
 ];
 
@@ -830,22 +775,6 @@ fn run_scenario_adaptive(scenario: &Scenario, opts: &RunOpts) -> Result<(), Stri
     Ok(())
 }
 
-/// The entire `main` of a thin bench binary: parse flags, find the entry,
-/// run it. Exit code 2 for usage errors, 1 for execution failures.
-pub fn bin_main(name: &str) {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = RunOpts::parse(&args).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let entry =
-        find(name).unwrap_or_else(|| panic!("binary {name:?} has no registry entry — fix ENTRIES"));
-    if let Err(e) = run(entry, &opts) {
-        eprintln!("{e}");
-        std::process::exit(1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -938,32 +867,18 @@ mod tests {
     }
 
     #[test]
-    fn gate_flags_validate_at_parse_time() {
-        let ok = RunOpts::parse(&[
-            "--baseline".into(),
-            "BENCH_sim.json".into(),
-            "--threshold".into(),
-            "0.3".into(),
-            "--stamp".into(),
-            "2026-07-30".into(),
-        ])
-        .unwrap();
-        assert_eq!(ok.baseline.as_deref(), Some("BENCH_sim.json"));
-        assert_eq!(ok.threshold, Some(0.3));
-        assert_eq!(ok.stamp.as_deref(), Some("2026-07-30"));
-        assert!(RunOpts::parse(&["--threshold".into(), "0".into()]).is_err());
-        assert!(RunOpts::parse(&["--threshold".into(), "nan".into()]).is_err());
-        // A threshold >= 1.0 could never trip (slowdowns bottom out at
-        // -100%) — reject the vacuous gate instead of running it.
-        assert!(RunOpts::parse(&["--threshold".into(), "1.0".into()]).is_err());
-        assert!(RunOpts::parse(&["--threshold".into(), "30".into()]).is_err());
-        assert!(RunOpts::parse(&["--stamp".into(), "July 30".into()]).is_err());
-        assert!(RunOpts::parse(&["--stamp".into(), "2026-7-30".into()]).is_err());
-    }
-
-    #[test]
     fn zero_overrides_rejected_at_parse_time() {
         assert!(RunOpts::parse(&["--points".into(), "0".into()]).is_err());
         assert!(RunOpts::parse(&["--replications".into(), "0".into()]).is_err());
+    }
+
+    #[test]
+    fn rate_must_be_finite_and_positive() {
+        let ok = RunOpts::parse(&["--rate".into(), "2e-4".into()]).unwrap();
+        assert_eq!(ok.rate, Some(2e-4));
+        for bad in ["0", "-1", "nan", "inf", "-0"] {
+            let err = RunOpts::parse(&["--rate".into(), bad.into()]).unwrap_err();
+            assert!(err.contains("--rate"), "{bad}: {err}");
+        }
     }
 }

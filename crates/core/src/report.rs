@@ -1,7 +1,7 @@
 //! Rendering experiment output: aligned ASCII tables for the terminal and
 //! JSON/CSV for machine consumption (EXPERIMENTS.md records both). This is
-//! the unified output writer behind `cocnet run … --out json|csv` and the
-//! figure binaries' `--json` flag.
+//! the unified output writer behind `cocnet run … --out json|csv` and
+//! its `--json` flag.
 //!
 //! Two writer families share the layout: the plain one over [`Series`]
 //! (fixed-replication scenarios, unchanged output since the registry
@@ -120,7 +120,7 @@ pub fn render_machine(series: &[Series], format: OutputFormat) -> String {
     }
 }
 
-/// Serialises series to pretty JSON (the figure binaries' `--json` output).
+/// Serialises series to pretty JSON (the `--json` output of `cocnet run`).
 pub fn to_json(series: &[Series]) -> String {
     serde_json::to_string_pretty(series).expect("series are serialisable")
 }

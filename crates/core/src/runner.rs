@@ -1,14 +1,11 @@
 //! The unified experiment runner: one [`Scenario`] abstraction executed
-//! over a rayon pool with deterministic seeding, shared by the figure
-//! harness, the CLI, and every bench binary that sweeps load.
+//! over a rayon pool with deterministic seeding, shared by every registry
+//! entry that sweeps load and by the CLI.
 //!
-//! Before this module existed, each figure/table/ablation binary hand-rolled
-//! its own serial sweep loop; a full-methodology figure regeneration kept
-//! one core busy for minutes while the rest idled. A `Scenario` names the
-//! whole experiment — system spec, workloads, traffic pattern, sweep grid,
-//! replication count, model options, simulation config — and the runner
-//! fans every (workload × rate × replication) simulation out over the
-//! thread pool.
+//! A `Scenario` names the whole experiment — system spec, workloads,
+//! traffic pattern, sweep grid, replication count, model options,
+//! simulation config — and the runner fans every (workload × rate ×
+//! replication) simulation out over the thread pool.
 //!
 //! # Determinism
 //!
@@ -329,7 +326,7 @@ pub struct Scenario {
 }
 
 /// One sweep point's simulation outcome: the raw per-replication results
-/// plus the rate they were run at. Detailed enough for binaries that
+/// plus the rate they were run at. Detailed enough for entries that
 /// report more than the mean (intra/inter splits, channel utilisation).
 #[derive(Debug, Clone)]
 pub struct PointSim {
@@ -360,7 +357,7 @@ impl PointSim {
     }
 
     /// Total engine events across the point's replications — the
-    /// numerator of the events/sec throughput metric (`bench_snapshot`).
+    /// numerator of an events/sec throughput figure.
     pub fn events_total(&self) -> u64 {
         self.runs.iter().map(|r| r.events_processed).sum()
     }
@@ -650,8 +647,8 @@ impl Scenario {
     }
 
     /// Full per-point results (per workload, in grid order), run in
-    /// parallel. Use this instead of [`Scenario::run_sim`] when a binary needs more
-    /// than the latency mean.
+    /// parallel. Use this instead of [`Scenario::run_sim`] when an entry needs
+    /// more than the latency mean.
     pub fn run_sim_detailed(&self) -> Vec<Vec<PointSim>> {
         let rates = self.rates.values();
         let jobs = self.jobs(&rates);
@@ -944,7 +941,7 @@ impl Scenario {
 }
 
 /// Order-preserving parallel map over arbitrary experiment jobs — for
-/// binaries whose sweep axis is not a rate grid (locality, duty cycle,
+/// entries whose sweep axis is not a rate grid (locality, duty cycle,
 /// buffer depth…). Results arrive in input order; panics propagate.
 pub fn par_map<J: Sync, R: Send>(jobs: &[J], f: impl Fn(&J) -> R + Sync) -> Vec<R> {
     jobs.par_iter().map(f).collect()

@@ -1269,7 +1269,7 @@ impl RouteTable {
     }
 
     /// Estimated resident bytes of the table's storage — the scale metric
-    /// `org_scale` and `bench_snapshot` report.
+    /// `org_scale` and the benchmark's `build.table_bytes` report.
     pub fn resident_bytes(&self) -> usize {
         match self {
             RouteTable::Eager(t) => t.resident_bytes(),

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// makes every stage's service in Eqs. (29)–(30) use the *local* network's
 /// flit time, so the default mode preserves it; the alternatives trade it
 /// against serialization delay and are kept as ablations (see the
-/// `coupling_modes` bench).
+/// `coupling_modes` entry).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum Coupling {
     /// Virtual cut-through with rate conversion (default): the buffer

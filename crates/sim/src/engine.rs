@@ -29,6 +29,9 @@
 //!   [`SimResults::peak_live_msgs`]), not by the run length;
 //! * the event heap, per-channel FIFOs and arena buffers all retain their
 //!   capacity, so a warmed-up loop performs no allocator calls at all;
+//! * recorded deliveries wait in a buffer only until the clock next
+//!   advances (same-instant ties are reordered canonically before the
+//!   sinks see them), so the buffer holds one instant's ties, not the run;
 //! * tracing is compiled out of the hot path via the `TRACE` const
 //!   generic — with `trace_messages == 0` the per-event trace branches
 //!   do not exist in the monomorphised engine.
@@ -182,7 +185,9 @@ struct Simulator<'a, S: Scheduler<EventKind>, const TRACE: bool> {
     /// Message slab; `free` holds the slots of delivered messages.
     msgs: Vec<Msg>,
     free: Vec<u32>,
-    /// Adaptive route arena, parallel to `msgs`.
+    /// Adaptive route arena, parallel to `msgs` under adaptive routing and
+    /// empty otherwise: interned routes never read it, and a slot's worth
+    /// of idle buffers per live message would outweigh the slab itself.
     dyn_routes: Vec<DynRoute>,
     scratch: AdaptiveScratch,
     /// Memoized adaptive routes: repeated (pair, digits) draws reuse the
@@ -216,12 +221,14 @@ struct Simulator<'a, S: Scheduler<EventKind>, const TRACE: bool> {
     /// Delivery-ordered latencies of the warm-up + measured populations,
     /// for the MSER-5 warm-up audit (when enabled).
     audit: Option<Vec<f64>>,
-    /// Recorded/audited deliveries, buffered so the statistic sinks can
-    /// be replayed in the canonical (pop time, src, gen_time) order at
-    /// the end of the run — see [`crate::shard::delivery_order`]. Stop
-    /// decisions still use the immediate counters; only the f64
-    /// accumulation order is deferred, so event execution is untouched
-    /// and non-tied runs keep their exact bits.
+    /// Recorded/audited deliveries of the current instant, buffered so
+    /// the statistic sinks see same-instant ties in the canonical
+    /// (pop time, src, gen_time) order — see
+    /// [`crate::shard::delivery_order`]. Flushed whenever the clock
+    /// strictly advances, so it holds only ties. Stop decisions still use
+    /// the immediate counters; only the f64 accumulation order is
+    /// deferred, so event execution is untouched and non-tied runs keep
+    /// their exact bits.
     deliveries: Vec<DeliveryRec>,
 }
 
@@ -373,6 +380,14 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
     }
 
     fn run(mut self) -> SimResults {
+        let (completed, stop) = self.simulate();
+        self.results(completed, stop)
+    }
+
+    /// Runs the event loop to its stop condition and feeds every buffered
+    /// delivery to the sinks; returns whether the measured population
+    /// completed, and why the loop stopped.
+    fn simulate(&mut self) -> (bool, StopReason) {
         self.prime();
         let mut completed = false;
         // If the loop exits any other way, the queue ran dry: every
@@ -386,6 +401,11 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
                 break;
             }
             debug_assert!(ev.time >= self.now - 1e-9, "time must not run backwards");
+            // Every buffered delivery popped before this instant: no later
+            // delivery can tie with them, so their order is final.
+            if self.deliveries.last().is_some_and(|d| ev.time > d.t) {
+                self.flush_deliveries();
+            }
             self.now = ev.time;
             match ev.kind {
                 EventKind::Generate { node } => self.on_generate(node, ev.time),
@@ -410,6 +430,11 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
             }
         }
         self.flush_deliveries();
+        (completed, stop)
+    }
+
+    /// The run's results, once [`Self::simulate`] has returned.
+    fn results(mut self, completed: bool, stop: StopReason) -> SimResults {
         SimResults::collect(
             &self.latency,
             &self.intra_lat,
@@ -439,14 +464,18 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
     }
 
     /// Replay the buffered deliveries into the statistic sinks in the
-    /// canonical (pop time, src, gen_time) order.
+    /// canonical (pop time, src, gen_time) order, then empty the buffer
+    /// (keeping its capacity).
     ///
     /// The buffer arrives in pop order — already nondecreasing in time —
     /// so the stable sort only rearranges bit-equal-time ties, and it
     /// rearranges them exactly the way the sharded coordinator's merge
-    /// does. Everything the simulation's control flow depends on
-    /// (`recorded_done`, the measured stop, event execution) happened
-    /// immediately; this pass only fixes the f64 accumulation order.
+    /// does. The order sorts on pop time first, so flushing every instant
+    /// as the clock moves past it accumulates exactly what one sort at the
+    /// end of the run would. Everything the simulation's control flow
+    /// depends on (`recorded_done`, the measured stop, event execution)
+    /// happened immediately; this pass only fixes the f64 accumulation
+    /// order.
     fn flush_deliveries(&mut self) {
         self.deliveries.sort_by(|a, b| {
             crate::shard::delivery_order((a.t, a.src, a.gen_time), (b.t, b.src, b.gen_time))
@@ -473,6 +502,7 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
                 }
             }
         }
+        self.deliveries.clear();
     }
 
     /// Whether a channel is currently failed (empty mask = zero-fault
@@ -590,7 +620,9 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
             None => {
                 let s = self.msgs.len() as u32;
                 self.msgs.push(Msg::VACANT);
-                self.dyn_routes.push(DynRoute::default());
+                if self.cfg.adaptive_routing {
+                    self.dyn_routes.push(DynRoute::default());
+                }
                 s
             }
         };
@@ -724,10 +756,10 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
             let latency = finish - m.gen_time;
             self.trace(m.trace_id, finish, TraceEventKind::Delivered { latency });
             if m.audited || m.recorded {
-                // Sink accumulation is deferred to `flush_deliveries` so
-                // same-instant ties land in the canonical order shared
-                // with the sharded engine; only the stop-driving counter
-                // advances here.
+                // Sink accumulation is deferred to `flush_deliveries` (at
+                // the next clock advance) so same-instant ties land in the
+                // canonical order shared with the sharded engine; only the
+                // stop-driving counter advances here.
                 self.deliveries.push(DeliveryRec {
                     t,
                     latency,
@@ -1368,6 +1400,67 @@ mod tests {
             r.peak_live_msgs,
             r.generated
         );
+    }
+
+    #[test]
+    fn delivery_buffer_holds_only_same_instant_ties() {
+        // Recorded deliveries reach the sinks as soon as the clock moves
+        // past their instant, so the buffer's high-water mark is the
+        // largest same-instant tie, not the recorded count. `clear()` keeps
+        // the capacity, which therefore bounds the high-water mark from
+        // above (growth only rounds it up).
+        let built = BuiltSystem::build(&spec(), 256.0);
+        let cfg = SimConfig {
+            measured: 20_000,
+            ..tiny_cfg(23)
+        };
+        let rate = 2e-4;
+        let mut sim = Simulator::<EventQueue<EventKind>, false>::new(
+            &built,
+            &wl(rate),
+            Pattern::Uniform,
+            cfg,
+            ArrivalSpec::Poisson { rate },
+        );
+        let (completed, _) = sim.simulate();
+        assert!(completed);
+        assert_eq!(sim.recorded_done, 20_000);
+        assert!(sim.deliveries.is_empty(), "the final flush empties it");
+        assert!(
+            sim.deliveries.capacity() <= 8,
+            "buffer grew to {} for {} recorded deliveries",
+            sim.deliveries.capacity(),
+            sim.recorded_done
+        );
+    }
+
+    #[test]
+    fn adaptive_arena_grows_only_under_adaptive_routing() {
+        // Interned routes never read the adaptive arena, so deterministic
+        // runs leave it empty; adaptive runs keep it parallel to the slab.
+        let built = BuiltSystem::build(&spec(), 256.0);
+        let rate = 3e-4;
+        for adaptive_routing in [false, true] {
+            let cfg = SimConfig {
+                adaptive_routing,
+                ..tiny_cfg(24)
+            };
+            let mut sim = Simulator::<EventQueue<EventKind>, false>::new(
+                &built,
+                &wl(rate),
+                Pattern::Uniform,
+                cfg,
+                ArrivalSpec::Poisson { rate },
+            );
+            let (completed, _) = sim.simulate();
+            assert!(completed && !sim.msgs.is_empty());
+            let expected = if adaptive_routing { sim.msgs.len() } else { 0 };
+            assert_eq!(
+                sim.dyn_routes.len(),
+                expected,
+                "adaptive: {adaptive_routing}"
+            );
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! reference implementation — at the cost of the boundary serialization
 //! the worm engine's virtual cut-through avoids. Cross-validation against
 //! the worm engine therefore uses `Coupling::StoreAndForward`
-//! (see `tests/engine_agreement.rs` and the `engine_agreement` bench bin).
+//! (see `tests/engine_agreement.rs` and the `engine_agreement` entry).
 //!
 //! Like the worm engine, the event loop is allocation-free in steady
 //! state: messages are small `Copy` slab entries referencing the interned

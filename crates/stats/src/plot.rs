@@ -1,6 +1,6 @@
 //! Terminal scatter plots for sweep series.
 //!
-//! The figure binaries print the paper's plots directly into the terminal:
+//! The figure entries print the paper's plots directly into the terminal:
 //! an axes box, one glyph per series, shared x/y scaling. This is
 //! deliberately simple — no anti-aliasing, no unicode braille — so output
 //! is stable across terminals and suitable for EXPERIMENTS.md.

@@ -3,7 +3,7 @@
 //!
 //! Every figure in the paper is a set of labelled series (e.g. "Analysis
 //! (Lm=256)", "Simulation") plotted against the traffic generation rate, so
-//! this type is what the figure binaries produce.
+//! this type is what the figure entries produce.
 
 use serde::{Deserialize, Serialize};
 

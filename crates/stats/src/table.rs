@@ -1,6 +1,6 @@
-//! Minimal ASCII table renderer for the experiment binaries.
+//! Minimal ASCII table renderer for the experiment reports.
 //!
-//! The figure/table regeneration binaries print paper-style rows to stdout;
+//! The figure and table entries print paper-style rows to stdout;
 //! this renderer keeps the columns aligned without pulling in a formatting
 //! dependency.
 

@@ -15,6 +15,7 @@
 
 use crate::error::TopologyError;
 use crate::labels::{NodeLabel, SwitchLabel};
+use crate::topo::Topology;
 use crate::tree::MPortNTree;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -54,16 +55,6 @@ pub struct ChannelDesc {
     pub to: Endpoint,
     /// Connection kind (service-time class).
     pub kind: ChannelKind,
-}
-
-/// A routed path: the ordered channels a message's header traverses.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Route {
-    /// Channels in traversal order.
-    pub channels: Vec<ChannelId>,
-    /// NCA level of the journey (`h`); `channels.len() == 2h` for
-    /// node-to-node routes.
-    pub nca_level: u32,
 }
 
 /// How the Up*/Down* ascent picks its up-port at each level.
@@ -164,11 +155,27 @@ struct AvoidCtx<'a> {
 
 /// An m-port n-tree with all channels materialised.
 ///
-/// Routing lives on the [`crate::topo::Topology`] trait (and its
-/// consolidated [`crate::topo::RouteQuery`] entrypoint), which this type
-/// implements. The historical inherent `route*` methods remain as
-/// `#[doc(hidden)]` wrappers of the same code paths so downstream callers
-/// and the bit-identity goldens are untouched.
+/// Routing lives on the [`Topology`] trait and its consolidated
+/// [`crate::topo::RouteQuery`] entrypoint, which this type implements:
+///
+/// ```
+/// use cocnet_topology::{AscentPolicy, Graph, MPortNTree, RouteMode, RouteQuery, Topology};
+/// let g = Graph::build(MPortNTree::new(4, 2)?);
+/// // Nodes 0 and 7 share no leaf switch: the route climbs to a root,
+/// // 2h = 4 channels in total.
+/// let q = RouteQuery {
+///     src: 0,
+///     dst: 7,
+///     policy: AscentPolicy::default(),
+///     faults: None,
+///     mode: RouteMode::Deterministic,
+/// };
+/// let mut route = Vec::new();
+/// let nca_level = g.route_query(&q, &mut route)?;
+/// assert_eq!(nca_level, 2);
+/// assert_eq!(route.len(), 4);
+/// # Ok::<(), cocnet_topology::TopologyError>(())
+/// ```
 #[derive(Debug, Clone)]
 pub struct Graph {
     tree: MPortNTree,
@@ -343,538 +350,6 @@ impl Graph {
         }
     }
 
-    /// Deterministic Up*/Down* route between two distinct nodes: `h`
-    /// up-links to the NCA (up-ports chosen from the destination address),
-    /// then `h` down-links following the destination digits.
-    ///
-    /// Returns an empty route when `src == dst`.
-    ///
-    /// ```
-    /// use cocnet_topology::{Graph, MPortNTree};
-    /// let g = Graph::build(MPortNTree::new(4, 2)?);
-    /// // Nodes 0 and 7 share no leaf switch: the route climbs to a root,
-    /// // 2h = 4 channels in total.
-    /// let route = g.route(0, 7)?;
-    /// assert_eq!(route.nca_level, 2);
-    /// assert_eq!(route.channels.len(), 4);
-    /// # Ok::<(), cocnet_topology::TopologyError>(())
-    /// ```
-    #[doc(hidden)]
-    pub fn route(&self, src: usize, dst: usize) -> Result<Route, TopologyError> {
-        self.route_with_policy(src, dst, AscentPolicy::default())
-    }
-
-    /// [`Graph::route`] with an explicit ascent policy.
-    #[doc(hidden)]
-    pub fn route_with_policy(
-        &self,
-        src: usize,
-        dst: usize,
-        policy: AscentPolicy,
-    ) -> Result<Route, TopologyError> {
-        let mut channels = Vec::new();
-        let nca_level = self.route_into(src, dst, policy, &mut channels)?;
-        Ok(Route {
-            channels,
-            nca_level,
-        })
-    }
-
-    /// Allocation-free form of [`Graph::route_with_policy`]: clears `out`
-    /// and writes the route's channels into it, returning the NCA level.
-    /// The buffer's capacity is reused across calls, which is what keeps
-    /// route-table interning and per-message adaptive routing off the
-    /// allocator.
-    #[doc(hidden)]
-    pub fn route_into(
-        &self,
-        src: usize,
-        dst: usize,
-        policy: AscentPolicy,
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        out.clear();
-        let n = self.tree.n();
-        let h = self.tree.nca_level(src, dst)?;
-        if h == 0 {
-            return Ok(0);
-        }
-        let src_label = self.tree.node_label(src)?;
-        let dst_label = self.tree.node_label(dst)?;
-
-        // Ascend: node -> leaf -> ... -> NCA at level h.
-        let mut sw = SwitchLabel::leaf_of(&src_label);
-        let mut cur = Endpoint::Switch(self.switch_index[&sw]);
-        out.push(self.lookup[&(Endpoint::Node(src as u32), cur)]);
-        for l in 1..h {
-            let u = self.up_digit_with(&dst_label, l, policy);
-            let parent = sw.parent(u).expect("ascending below the root");
-            let next = Endpoint::Switch(self.switch_index[&parent]);
-            out.push(self.lookup[&(cur, next)]);
-            sw = parent;
-            cur = next;
-        }
-        // Descend: NCA -> ... -> leaf(dst) -> node.
-        for l in (1..h).rev() {
-            // Down to level l: new fixed digit is dst digit at index n-l-1.
-            let d = dst_label.digits[(n - l - 1) as usize];
-            let child = sw.child(d).expect("descending above the leaves");
-            let next = Endpoint::Switch(self.switch_index[&child]);
-            out.push(self.lookup[&(cur, next)]);
-            sw = child;
-            cur = next;
-        }
-        out.push(self.lookup[&(cur, Endpoint::Node(dst as u32))]);
-        debug_assert_eq!(out.len(), 2 * h as usize);
-        Ok(h)
-    }
-
-    /// Route from a node up to its deterministic exit root (used by
-    /// inter-cluster messages leaving through an ECN1 tree): `n` links.
-    ///
-    /// The root choice is a function of the *source* address, spreading the
-    /// exit traffic of different nodes across the `(m/2)^{n−1}` roots.
-    #[doc(hidden)]
-    pub fn route_to_root(&self, src: usize) -> Result<Route, TopologyError> {
-        self.route_to_root_with_policy(src, AscentPolicy::default())
-    }
-
-    /// [`Graph::route_to_root`] with an explicit ascent policy.
-    #[doc(hidden)]
-    pub fn route_to_root_with_policy(
-        &self,
-        src: usize,
-        policy: AscentPolicy,
-    ) -> Result<Route, TopologyError> {
-        let mut channels = Vec::new();
-        let nca_level = self.route_to_root_into(src, policy, &mut channels)?;
-        Ok(Route {
-            channels,
-            nca_level,
-        })
-    }
-
-    /// Allocation-free form of [`Graph::route_to_root_with_policy`]:
-    /// clears `out`, writes the ascent channels, returns the root level.
-    #[doc(hidden)]
-    pub fn route_to_root_into(
-        &self,
-        src: usize,
-        policy: AscentPolicy,
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        out.clear();
-        let n = self.tree.n();
-        let src_label = self.tree.node_label(src)?;
-        let mut sw = SwitchLabel::leaf_of(&src_label);
-        let mut cur = Endpoint::Switch(self.switch_index[&sw]);
-        out.push(self.lookup[&(Endpoint::Node(src as u32), cur)]);
-        for l in 1..n {
-            let u = self.up_digit_with(&src_label, l, policy);
-            let parent = sw.parent(u).expect("ascending below the root");
-            let next = Endpoint::Switch(self.switch_index[&parent]);
-            out.push(self.lookup[&(cur, next)]);
-            sw = parent;
-            cur = next;
-        }
-        Ok(n)
-    }
-
-    /// Route from the deterministic entry root down to a node (used by
-    /// inter-cluster messages entering through an ECN1 tree): the exact
-    /// reverse of [`Graph::route_to_root`]`(dst)`, `n` links.
-    #[doc(hidden)]
-    pub fn route_from_root(&self, dst: usize) -> Result<Route, TopologyError> {
-        self.route_from_root_with_policy(dst, AscentPolicy::default())
-    }
-
-    /// Adaptive variant of [`Graph::route_to_root`]: ascent digits supplied
-    /// by the caller (missing ones fall back to the deterministic policy).
-    #[doc(hidden)]
-    pub fn route_to_root_adaptive(
-        &self,
-        src: usize,
-        up_digits: &[u32],
-    ) -> Result<Route, TopologyError> {
-        let mut channels = Vec::new();
-        let nca_level = self.route_to_root_adaptive_into(src, up_digits, &mut channels)?;
-        Ok(Route {
-            channels,
-            nca_level,
-        })
-    }
-
-    /// Allocation-free form of [`Graph::route_to_root_adaptive`].
-    #[doc(hidden)]
-    pub fn route_to_root_adaptive_into(
-        &self,
-        src: usize,
-        up_digits: &[u32],
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        out.clear();
-        let n = self.tree.n();
-        let src_label = self.tree.node_label(src)?;
-        let mut sw = SwitchLabel::leaf_of(&src_label);
-        let mut cur = Endpoint::Switch(self.switch_index[&sw]);
-        out.push(self.lookup[&(Endpoint::Node(src as u32), cur)]);
-        for l in 1..n {
-            let u = up_digits
-                .get((l - 1) as usize)
-                .map(|&d| d % self.tree.k())
-                .unwrap_or_else(|| self.up_digit_with(&src_label, l, AscentPolicy::TrailingDigits));
-            let parent = sw.parent(u).expect("ascending below the root");
-            let next = Endpoint::Switch(self.switch_index[&parent]);
-            out.push(self.lookup[&(cur, next)]);
-            sw = parent;
-            cur = next;
-        }
-        Ok(n)
-    }
-
-    /// [`Graph::route_from_root`] with an explicit ascent policy.
-    #[doc(hidden)]
-    pub fn route_from_root_with_policy(
-        &self,
-        dst: usize,
-        policy: AscentPolicy,
-    ) -> Result<Route, TopologyError> {
-        let mut channels = Vec::new();
-        let nca_level = self.route_from_root_into(dst, policy, &mut channels)?;
-        Ok(Route {
-            channels,
-            nca_level,
-        })
-    }
-
-    /// Allocation-free form of [`Graph::route_from_root_with_policy`]:
-    /// the ascent is produced in place, then reversed channel by channel.
-    #[doc(hidden)]
-    pub fn route_from_root_into(
-        &self,
-        dst: usize,
-        policy: AscentPolicy,
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        let nca_level = self.route_to_root_into(dst, policy, out)?;
-        out.reverse();
-        for c in out.iter_mut() {
-            *c = self.reverse(*c);
-        }
-        Ok(nca_level)
-    }
-
-    /// Adaptive Up*/Down* route: like [`Graph::route`] but the ascent
-    /// up-ports are taken from `up_digits` (one digit in `0..m/2` per
-    /// ascent hop, `h−1` of them at most), as supplied by the caller —
-    /// typically sampled uniformly per message, which models the oblivious
-    /// flavour of adaptive wormhole routing (paper ref \[7\]) without
-    /// making this crate depend on an RNG.
-    ///
-    /// Missing digits fall back to the deterministic policy; excess digits
-    /// are ignored. Descent is fixed by the destination as always.
-    #[doc(hidden)]
-    pub fn route_adaptive(
-        &self,
-        src: usize,
-        dst: usize,
-        up_digits: &[u32],
-    ) -> Result<Route, TopologyError> {
-        let mut channels = Vec::new();
-        let nca_level = self.route_adaptive_into(src, dst, up_digits, &mut channels)?;
-        Ok(Route {
-            channels,
-            nca_level,
-        })
-    }
-
-    /// Allocation-free form of [`Graph::route_adaptive`].
-    #[doc(hidden)]
-    pub fn route_adaptive_into(
-        &self,
-        src: usize,
-        dst: usize,
-        up_digits: &[u32],
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        out.clear();
-        let n = self.tree.n();
-        let h = self.tree.nca_level(src, dst)?;
-        if h == 0 {
-            return Ok(0);
-        }
-        let src_label = self.tree.node_label(src)?;
-        let dst_label = self.tree.node_label(dst)?;
-        let mut sw = SwitchLabel::leaf_of(&src_label);
-        let mut cur = Endpoint::Switch(self.switch_index[&sw]);
-        out.push(self.lookup[&(Endpoint::Node(src as u32), cur)]);
-        for l in 1..h {
-            let u = up_digits
-                .get((l - 1) as usize)
-                .map(|&d| d % self.tree.k())
-                .unwrap_or_else(|| self.up_digit_with(&dst_label, l, AscentPolicy::TrailingDigits));
-            let parent = sw.parent(u).expect("ascending below the root");
-            let next = Endpoint::Switch(self.switch_index[&parent]);
-            out.push(self.lookup[&(cur, next)]);
-            sw = parent;
-            cur = next;
-        }
-        for l in (1..h).rev() {
-            let d = dst_label.digits[(n - l - 1) as usize];
-            let child = sw.child(d).expect("descending above the leaves");
-            let next = Endpoint::Switch(self.switch_index[&child]);
-            out.push(self.lookup[&(cur, next)]);
-            sw = child;
-            cur = next;
-        }
-        out.push(self.lookup[&(cur, Endpoint::Node(dst as u32))]);
-        Ok(h)
-    }
-
-    /// Fault-aware form of [`Graph::route_into`]: routes `src → dst`
-    /// avoiding every channel in `faults`.
-    ///
-    /// With an empty fault set this delegates to the deterministic router,
-    /// so the produced route is *byte-identical* to [`Graph::route_into`]
-    /// and the fast path pays nothing. Otherwise a deterministic
-    /// depth-first search explores every alternate ascent — the
-    /// policy-preferred up-port first, then the remaining digits in
-    /// ascending order — covering all `(m/2)^{h−1}` NCA candidates at level
-    /// `h`. That search is *complete* for Up*/Down* in this label algebra:
-    /// a turn above the NCA would descend back through the very switches
-    /// (and tandem-failing links) the ascent used, so it can never rescue a
-    /// pair with no fault-free level-`h` turn. Returns the NCA level, or
-    /// [`TopologyError::Disconnected`] when no fault-free Up*/Down* path
-    /// exists (`out` is left empty in that case).
-    #[doc(hidden)]
-    pub fn route_into_avoiding(
-        &self,
-        src: usize,
-        dst: usize,
-        policy: AscentPolicy,
-        faults: &FaultSet,
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        if faults.is_empty() {
-            return self.route_into(src, dst, policy, out);
-        }
-        out.clear();
-        let n = self.tree.n();
-        let h = self.tree.nca_level(src, dst)?;
-        if h == 0 {
-            return Ok(0);
-        }
-        let disconnected = TopologyError::Disconnected {
-            src,
-            dst: Some(dst),
-        };
-        let src_label = self.tree.node_label(src)?;
-        let dst_label = self.tree.node_label(dst)?;
-        let src_leaf = SwitchLabel::leaf_of(&src_label);
-        let dst_leaf = SwitchLabel::leaf_of(&dst_label);
-        let cur = Endpoint::Switch(self.switch_index[&src_leaf]);
-        let inj = self.lookup[&(Endpoint::Node(src as u32), cur)];
-        let ej = self.lookup[&(
-            Endpoint::Switch(self.switch_index[&dst_leaf]),
-            Endpoint::Node(dst as u32),
-        )];
-        // Injection and ejection channels have no alternative: if either is
-        // down the pair is disconnected regardless of the switch fabric.
-        if faults.is_failed(inj) || faults.is_failed(ej) {
-            return Err(disconnected);
-        }
-        let ctx = AvoidCtx {
-            shape: &dst_label,
-            policy,
-            faults,
-            n,
-            target: h,
-            dst: Some(dst as u32),
-        };
-        out.push(inj);
-        if self.search_avoiding(&src_leaf, cur, 1, &ctx, out) {
-            debug_assert_eq!(out.len(), 2 * h as usize);
-            Ok(h)
-        } else {
-            out.clear();
-            Err(disconnected)
-        }
-    }
-
-    /// The **route tail** of `src → dst`: [`Graph::route_into`] minus its
-    /// injection channel (`2h − 1` channels; empty when `src == dst`).
-    ///
-    /// The tail is a pure function of `src`'s *leaf switch* and `dst`
-    /// ([`crate::MPortNTree::intra_route_class`]): the ascent digits are read
-    /// from the destination label and the walk starts at `leaf(src)`, so
-    /// every `src` under one leaf produces the identical tail. This is the
-    /// primitive class-keyed route interning materializes once per class —
-    /// per-pair state is reduced to the injection channel, which the caller
-    /// reconstructs arithmetically.
-    #[doc(hidden)]
-    pub fn route_tail_into(
-        &self,
-        src: usize,
-        dst: usize,
-        policy: AscentPolicy,
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        out.clear();
-        let n = self.tree.n();
-        let h = self.tree.nca_level(src, dst)?;
-        if h == 0 {
-            return Ok(0);
-        }
-        let src_label = self.tree.node_label(src)?;
-        let dst_label = self.tree.node_label(dst)?;
-
-        let mut sw = SwitchLabel::leaf_of(&src_label);
-        let mut cur = Endpoint::Switch(self.switch_index[&sw]);
-        for l in 1..h {
-            let u = self.up_digit_with(&dst_label, l, policy);
-            let parent = sw.parent(u).expect("ascending below the root");
-            let next = Endpoint::Switch(self.switch_index[&parent]);
-            out.push(self.lookup[&(cur, next)]);
-            sw = parent;
-            cur = next;
-        }
-        for l in (1..h).rev() {
-            let d = dst_label.digits[(n - l - 1) as usize];
-            let child = sw.child(d).expect("descending above the leaves");
-            let next = Endpoint::Switch(self.switch_index[&child]);
-            out.push(self.lookup[&(cur, next)]);
-            sw = child;
-            cur = next;
-        }
-        out.push(self.lookup[&(cur, Endpoint::Node(dst as u32))]);
-        debug_assert_eq!(out.len(), 2 * h as usize - 1);
-        Ok(h)
-    }
-
-    /// Fault-aware form of [`Graph::route_tail_into`]: the avoiding route
-    /// minus its injection channel — and, deliberately, minus the
-    /// injection-failed pre-check. The tail is shared by every node under
-    /// the leaf, whereas an injection fault kills exactly one of them, so
-    /// the caller applies the injection check per pair (demoting single
-    /// pairs, not the whole class). The ejection pre-check stays: it is
-    /// part of the shared tail. Byte-identical to
-    /// [`Graph::route_into_avoiding`]`[1..]` whenever that route exists and
-    /// its injection channel is healthy.
-    #[doc(hidden)]
-    pub fn route_tail_into_avoiding(
-        &self,
-        src: usize,
-        dst: usize,
-        policy: AscentPolicy,
-        faults: &FaultSet,
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        if faults.is_empty() {
-            return self.route_tail_into(src, dst, policy, out);
-        }
-        out.clear();
-        let n = self.tree.n();
-        let h = self.tree.nca_level(src, dst)?;
-        if h == 0 {
-            return Ok(0);
-        }
-        let disconnected = TopologyError::Disconnected {
-            src,
-            dst: Some(dst),
-        };
-        let src_label = self.tree.node_label(src)?;
-        let dst_label = self.tree.node_label(dst)?;
-        let src_leaf = SwitchLabel::leaf_of(&src_label);
-        let dst_leaf = SwitchLabel::leaf_of(&dst_label);
-        let cur = Endpoint::Switch(self.switch_index[&src_leaf]);
-        let ej = self.lookup[&(
-            Endpoint::Switch(self.switch_index[&dst_leaf]),
-            Endpoint::Node(dst as u32),
-        )];
-        if faults.is_failed(ej) {
-            return Err(disconnected);
-        }
-        let ctx = AvoidCtx {
-            shape: &dst_label,
-            policy,
-            faults,
-            n,
-            target: h,
-            dst: Some(dst as u32),
-        };
-        if self.search_avoiding(&src_leaf, cur, 1, &ctx, out) {
-            debug_assert_eq!(out.len(), 2 * h as usize - 1);
-            Ok(h)
-        } else {
-            out.clear();
-            Err(disconnected)
-        }
-    }
-
-    /// Fault-aware form of [`Graph::route_to_root_into`]: ascends from
-    /// `src` to *any* root avoiding failed channels, preferring the
-    /// deterministic exit root's up-ports at every level. Delegates to the
-    /// deterministic router when `faults` is empty (byte-identical route);
-    /// returns [`TopologyError::Disconnected`] with `dst: None` when every
-    /// ascent is cut.
-    #[doc(hidden)]
-    pub fn route_to_root_into_avoiding(
-        &self,
-        src: usize,
-        policy: AscentPolicy,
-        faults: &FaultSet,
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        if faults.is_empty() {
-            return self.route_to_root_into(src, policy, out);
-        }
-        out.clear();
-        let n = self.tree.n();
-        let src_label = self.tree.node_label(src)?;
-        let leaf = SwitchLabel::leaf_of(&src_label);
-        let cur = Endpoint::Switch(self.switch_index[&leaf]);
-        let inj = self.lookup[&(Endpoint::Node(src as u32), cur)];
-        if faults.is_failed(inj) {
-            return Err(TopologyError::Disconnected { src, dst: None });
-        }
-        let ctx = AvoidCtx {
-            shape: &src_label,
-            policy,
-            faults,
-            n,
-            target: n,
-            dst: None,
-        };
-        out.push(inj);
-        if self.search_avoiding(&leaf, cur, 1, &ctx, out) {
-            Ok(n)
-        } else {
-            out.clear();
-            Err(TopologyError::Disconnected { src, dst: None })
-        }
-    }
-
-    /// Fault-aware form of [`Graph::route_from_root_into`]: the avoiding
-    /// ascent toward `dst`'s entry root, reversed channel by channel.
-    /// Because both directions of a link fail in tandem, a fault-free
-    /// ascent reversed is a fault-free descent. The `Disconnected` error
-    /// reports `dst` as its source node (the ascent it mirrors).
-    #[doc(hidden)]
-    pub fn route_from_root_into_avoiding(
-        &self,
-        dst: usize,
-        policy: AscentPolicy,
-        faults: &FaultSet,
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        let nca_level = self.route_to_root_into_avoiding(dst, policy, faults, out)?;
-        out.reverse();
-        for c in out.iter_mut() {
-            *c = self.reverse(*c);
-        }
-        Ok(nca_level)
-    }
-
     /// Depth-first ascent of the avoiding router: from switch `sw` at
     /// level `l` (its channels already in `out`), try every healthy
     /// up-port — preferred digit first — until either the target level is
@@ -1007,12 +482,523 @@ impl Graph {
     }
 }
 
+/// The tree backend: deterministic Up*/Down* routes, their adaptive and
+/// fault-avoiding forms, and the leaf-switch route classes. Every route
+/// clears `out` first and reuses its capacity, which is what keeps
+/// route-table interning and per-message adaptive routing off the
+/// allocator.
+impl Topology for Graph {
+    fn backend_name(&self) -> &'static str {
+        "tree"
+    }
+
+    fn num_nodes(&self) -> usize {
+        self.tree.num_nodes()
+    }
+
+    fn num_channels(&self) -> usize {
+        self.num_channels()
+    }
+
+    fn channel(&self, id: ChannelId) -> &ChannelDesc {
+        self.channel(id)
+    }
+
+    fn validate(&self) -> Result<(), TopologyError> {
+        self.validate()
+    }
+
+    /// Deterministic Up*/Down* route between two distinct nodes: `h`
+    /// up-links to the NCA (up-ports chosen from the destination address),
+    /// then `h` down-links following the destination digits. Returns the
+    /// NCA level `h`; the route is empty when `src == dst`.
+    fn route_into(
+        &self,
+        src: usize,
+        dst: usize,
+        policy: AscentPolicy,
+        out: &mut Vec<ChannelId>,
+    ) -> Result<u32, TopologyError> {
+        out.clear();
+        let n = self.tree.n();
+        let h = self.tree.nca_level(src, dst)?;
+        if h == 0 {
+            return Ok(0);
+        }
+        let src_label = self.tree.node_label(src)?;
+        let dst_label = self.tree.node_label(dst)?;
+
+        // Ascend: node -> leaf -> ... -> NCA at level h.
+        let mut sw = SwitchLabel::leaf_of(&src_label);
+        let mut cur = Endpoint::Switch(self.switch_index[&sw]);
+        out.push(self.lookup[&(Endpoint::Node(src as u32), cur)]);
+        for l in 1..h {
+            let u = self.up_digit_with(&dst_label, l, policy);
+            let parent = sw.parent(u).expect("ascending below the root");
+            let next = Endpoint::Switch(self.switch_index[&parent]);
+            out.push(self.lookup[&(cur, next)]);
+            sw = parent;
+            cur = next;
+        }
+        // Descend: NCA -> ... -> leaf(dst) -> node.
+        for l in (1..h).rev() {
+            // Down to level l: new fixed digit is dst digit at index n-l-1.
+            let d = dst_label.digits[(n - l - 1) as usize];
+            let child = sw.child(d).expect("descending above the leaves");
+            let next = Endpoint::Switch(self.switch_index[&child]);
+            out.push(self.lookup[&(cur, next)]);
+            sw = child;
+            cur = next;
+        }
+        out.push(self.lookup[&(cur, Endpoint::Node(dst as u32))]);
+        debug_assert_eq!(out.len(), 2 * h as usize);
+        Ok(h)
+    }
+
+    /// The **route tail** of `src → dst`: the route minus its injection
+    /// channel (`2h − 1` channels; empty when `src == dst`).
+    ///
+    /// The tail is a pure function of `src`'s *leaf switch* and `dst`
+    /// ([`crate::MPortNTree::intra_route_class`]): the ascent digits are read
+    /// from the destination label and the walk starts at `leaf(src)`, so
+    /// every `src` under one leaf produces the identical tail. This is the
+    /// primitive class-keyed route interning materializes once per class —
+    /// per-pair state is reduced to the injection channel, which the caller
+    /// reconstructs arithmetically.
+    fn route_tail_into(
+        &self,
+        src: usize,
+        dst: usize,
+        policy: AscentPolicy,
+        out: &mut Vec<ChannelId>,
+    ) -> Result<u32, TopologyError> {
+        out.clear();
+        let n = self.tree.n();
+        let h = self.tree.nca_level(src, dst)?;
+        if h == 0 {
+            return Ok(0);
+        }
+        let src_label = self.tree.node_label(src)?;
+        let dst_label = self.tree.node_label(dst)?;
+
+        let mut sw = SwitchLabel::leaf_of(&src_label);
+        let mut cur = Endpoint::Switch(self.switch_index[&sw]);
+        for l in 1..h {
+            let u = self.up_digit_with(&dst_label, l, policy);
+            let parent = sw.parent(u).expect("ascending below the root");
+            let next = Endpoint::Switch(self.switch_index[&parent]);
+            out.push(self.lookup[&(cur, next)]);
+            sw = parent;
+            cur = next;
+        }
+        for l in (1..h).rev() {
+            let d = dst_label.digits[(n - l - 1) as usize];
+            let child = sw.child(d).expect("descending above the leaves");
+            let next = Endpoint::Switch(self.switch_index[&child]);
+            out.push(self.lookup[&(cur, next)]);
+            sw = child;
+            cur = next;
+        }
+        out.push(self.lookup[&(cur, Endpoint::Node(dst as u32))]);
+        debug_assert_eq!(out.len(), 2 * h as usize - 1);
+        Ok(h)
+    }
+
+    /// Route from a node up to its deterministic exit root (used by
+    /// inter-cluster messages leaving through an ECN1 tree): `n` links.
+    ///
+    /// The root choice is a function of the *source* address, spreading the
+    /// exit traffic of different nodes across the `(m/2)^{n−1}` roots.
+    fn route_exit_into(
+        &self,
+        src: usize,
+        policy: AscentPolicy,
+        out: &mut Vec<ChannelId>,
+    ) -> Result<u32, TopologyError> {
+        out.clear();
+        let n = self.tree.n();
+        let src_label = self.tree.node_label(src)?;
+        let mut sw = SwitchLabel::leaf_of(&src_label);
+        let mut cur = Endpoint::Switch(self.switch_index[&sw]);
+        out.push(self.lookup[&(Endpoint::Node(src as u32), cur)]);
+        for l in 1..n {
+            let u = self.up_digit_with(&src_label, l, policy);
+            let parent = sw.parent(u).expect("ascending below the root");
+            let next = Endpoint::Switch(self.switch_index[&parent]);
+            out.push(self.lookup[&(cur, next)]);
+            sw = parent;
+            cur = next;
+        }
+        Ok(n)
+    }
+
+    /// Route from the deterministic entry root down to a node (used by
+    /// inter-cluster messages entering through an ECN1 tree): the exit
+    /// route of `dst`, produced in place and then reversed channel by
+    /// channel, `n` links.
+    fn route_entry_into(
+        &self,
+        dst: usize,
+        policy: AscentPolicy,
+        out: &mut Vec<ChannelId>,
+    ) -> Result<u32, TopologyError> {
+        let nca_level = self.route_exit_into(dst, policy, out)?;
+        out.reverse();
+        for c in out.iter_mut() {
+            *c = self.reverse(*c);
+        }
+        Ok(nca_level)
+    }
+
+    fn free_route_digits(&self) -> u32 {
+        self.tree.n() - 1
+    }
+
+    fn free_exit_digits(&self) -> u32 {
+        self.tree.n() - 1
+    }
+
+    fn digit_radix(&self) -> u32 {
+        self.tree.k()
+    }
+
+    /// Adaptive Up*/Down* route: like [`Topology::route_into`] but the
+    /// ascent up-ports are taken from `digits` (one digit in `0..m/2` per
+    /// ascent hop, `h−1` of them at most), as supplied by the caller —
+    /// typically sampled uniformly per message, which models the oblivious
+    /// flavour of adaptive wormhole routing (paper ref \[7\]) without
+    /// making this crate depend on an RNG.
+    ///
+    /// Missing digits fall back to the deterministic policy; excess digits
+    /// are ignored. Descent is fixed by the destination as always.
+    fn route_adaptive_into(
+        &self,
+        src: usize,
+        dst: usize,
+        digits: &[u32],
+        out: &mut Vec<ChannelId>,
+    ) -> Result<u32, TopologyError> {
+        out.clear();
+        let n = self.tree.n();
+        let h = self.tree.nca_level(src, dst)?;
+        if h == 0 {
+            return Ok(0);
+        }
+        let src_label = self.tree.node_label(src)?;
+        let dst_label = self.tree.node_label(dst)?;
+        let mut sw = SwitchLabel::leaf_of(&src_label);
+        let mut cur = Endpoint::Switch(self.switch_index[&sw]);
+        out.push(self.lookup[&(Endpoint::Node(src as u32), cur)]);
+        for l in 1..h {
+            let u = digits
+                .get((l - 1) as usize)
+                .map(|&d| d % self.tree.k())
+                .unwrap_or_else(|| self.up_digit_with(&dst_label, l, AscentPolicy::TrailingDigits));
+            let parent = sw.parent(u).expect("ascending below the root");
+            let next = Endpoint::Switch(self.switch_index[&parent]);
+            out.push(self.lookup[&(cur, next)]);
+            sw = parent;
+            cur = next;
+        }
+        for l in (1..h).rev() {
+            let d = dst_label.digits[(n - l - 1) as usize];
+            let child = sw.child(d).expect("descending above the leaves");
+            let next = Endpoint::Switch(self.switch_index[&child]);
+            out.push(self.lookup[&(cur, next)]);
+            sw = child;
+            cur = next;
+        }
+        out.push(self.lookup[&(cur, Endpoint::Node(dst as u32))]);
+        Ok(h)
+    }
+
+    /// Adaptive exit route: ascent digits supplied by the caller (missing
+    /// ones fall back to the deterministic policy).
+    fn route_exit_adaptive_into(
+        &self,
+        src: usize,
+        digits: &[u32],
+        out: &mut Vec<ChannelId>,
+    ) -> Result<u32, TopologyError> {
+        out.clear();
+        let n = self.tree.n();
+        let src_label = self.tree.node_label(src)?;
+        let mut sw = SwitchLabel::leaf_of(&src_label);
+        let mut cur = Endpoint::Switch(self.switch_index[&sw]);
+        out.push(self.lookup[&(Endpoint::Node(src as u32), cur)]);
+        for l in 1..n {
+            let u = digits
+                .get((l - 1) as usize)
+                .map(|&d| d % self.tree.k())
+                .unwrap_or_else(|| self.up_digit_with(&src_label, l, AscentPolicy::TrailingDigits));
+            let parent = sw.parent(u).expect("ascending below the root");
+            let next = Endpoint::Switch(self.switch_index[&parent]);
+            out.push(self.lookup[&(cur, next)]);
+            sw = parent;
+            cur = next;
+        }
+        Ok(n)
+    }
+
+    /// Routes `src → dst` avoiding every channel in `faults`.
+    ///
+    /// With an empty fault set this delegates to the deterministic router,
+    /// so the produced route is *byte-identical* to [`Topology::route_into`]
+    /// and the fast path pays nothing. Otherwise a deterministic
+    /// depth-first search explores every alternate ascent — the
+    /// policy-preferred up-port first, then the remaining digits in
+    /// ascending order — covering all `(m/2)^{h−1}` NCA candidates at level
+    /// `h`. That search is *complete* for Up*/Down* in this label algebra:
+    /// a turn above the NCA would descend back through the very switches
+    /// (and tandem-failing links) the ascent used, so it can never rescue a
+    /// pair with no fault-free level-`h` turn. Returns the NCA level, or
+    /// [`TopologyError::Disconnected`] when no fault-free Up*/Down* path
+    /// exists (`out` is left empty in that case).
+    fn route_into_avoiding(
+        &self,
+        src: usize,
+        dst: usize,
+        policy: AscentPolicy,
+        faults: &FaultSet,
+        out: &mut Vec<ChannelId>,
+    ) -> Result<u32, TopologyError> {
+        if faults.is_empty() {
+            return self.route_into(src, dst, policy, out);
+        }
+        out.clear();
+        let n = self.tree.n();
+        let h = self.tree.nca_level(src, dst)?;
+        if h == 0 {
+            return Ok(0);
+        }
+        let disconnected = TopologyError::Disconnected {
+            src,
+            dst: Some(dst),
+        };
+        let src_label = self.tree.node_label(src)?;
+        let dst_label = self.tree.node_label(dst)?;
+        let src_leaf = SwitchLabel::leaf_of(&src_label);
+        let dst_leaf = SwitchLabel::leaf_of(&dst_label);
+        let cur = Endpoint::Switch(self.switch_index[&src_leaf]);
+        let inj = self.lookup[&(Endpoint::Node(src as u32), cur)];
+        let ej = self.lookup[&(
+            Endpoint::Switch(self.switch_index[&dst_leaf]),
+            Endpoint::Node(dst as u32),
+        )];
+        // Injection and ejection channels have no alternative: if either is
+        // down the pair is disconnected regardless of the switch fabric.
+        if faults.is_failed(inj) || faults.is_failed(ej) {
+            return Err(disconnected);
+        }
+        let ctx = AvoidCtx {
+            shape: &dst_label,
+            policy,
+            faults,
+            n,
+            target: h,
+            dst: Some(dst as u32),
+        };
+        out.push(inj);
+        if self.search_avoiding(&src_leaf, cur, 1, &ctx, out) {
+            debug_assert_eq!(out.len(), 2 * h as usize);
+            Ok(h)
+        } else {
+            out.clear();
+            Err(disconnected)
+        }
+    }
+
+    /// The avoiding route minus its injection channel — and, deliberately,
+    /// minus the injection-failed pre-check. The tail is shared by every
+    /// node under the leaf, whereas an injection fault kills exactly one of
+    /// them, so the caller applies the injection check per pair (demoting
+    /// single pairs, not the whole class). The ejection pre-check stays: it
+    /// is part of the shared tail. Byte-identical to
+    /// [`Topology::route_into_avoiding`]`[1..]` whenever that route exists
+    /// and its injection channel is healthy.
+    fn route_tail_into_avoiding(
+        &self,
+        src: usize,
+        dst: usize,
+        policy: AscentPolicy,
+        faults: &FaultSet,
+        out: &mut Vec<ChannelId>,
+    ) -> Result<u32, TopologyError> {
+        if faults.is_empty() {
+            return self.route_tail_into(src, dst, policy, out);
+        }
+        out.clear();
+        let n = self.tree.n();
+        let h = self.tree.nca_level(src, dst)?;
+        if h == 0 {
+            return Ok(0);
+        }
+        let disconnected = TopologyError::Disconnected {
+            src,
+            dst: Some(dst),
+        };
+        let src_label = self.tree.node_label(src)?;
+        let dst_label = self.tree.node_label(dst)?;
+        let src_leaf = SwitchLabel::leaf_of(&src_label);
+        let dst_leaf = SwitchLabel::leaf_of(&dst_label);
+        let cur = Endpoint::Switch(self.switch_index[&src_leaf]);
+        let ej = self.lookup[&(
+            Endpoint::Switch(self.switch_index[&dst_leaf]),
+            Endpoint::Node(dst as u32),
+        )];
+        if faults.is_failed(ej) {
+            return Err(disconnected);
+        }
+        let ctx = AvoidCtx {
+            shape: &dst_label,
+            policy,
+            faults,
+            n,
+            target: h,
+            dst: Some(dst as u32),
+        };
+        if self.search_avoiding(&src_leaf, cur, 1, &ctx, out) {
+            debug_assert_eq!(out.len(), 2 * h as usize - 1);
+            Ok(h)
+        } else {
+            out.clear();
+            Err(disconnected)
+        }
+    }
+
+    /// Ascends from `src` to *any* root avoiding failed channels,
+    /// preferring the deterministic exit root's up-ports at every level.
+    /// Delegates to the deterministic router when `faults` is empty
+    /// (byte-identical route); returns [`TopologyError::Disconnected`] with
+    /// `dst: None` when every ascent is cut.
+    fn route_exit_into_avoiding(
+        &self,
+        src: usize,
+        policy: AscentPolicy,
+        faults: &FaultSet,
+        out: &mut Vec<ChannelId>,
+    ) -> Result<u32, TopologyError> {
+        if faults.is_empty() {
+            return self.route_exit_into(src, policy, out);
+        }
+        out.clear();
+        let n = self.tree.n();
+        let src_label = self.tree.node_label(src)?;
+        let leaf = SwitchLabel::leaf_of(&src_label);
+        let cur = Endpoint::Switch(self.switch_index[&leaf]);
+        let inj = self.lookup[&(Endpoint::Node(src as u32), cur)];
+        if faults.is_failed(inj) {
+            return Err(TopologyError::Disconnected { src, dst: None });
+        }
+        let ctx = AvoidCtx {
+            shape: &src_label,
+            policy,
+            faults,
+            n,
+            target: n,
+            dst: None,
+        };
+        out.push(inj);
+        if self.search_avoiding(&leaf, cur, 1, &ctx, out) {
+            Ok(n)
+        } else {
+            out.clear();
+            Err(TopologyError::Disconnected { src, dst: None })
+        }
+    }
+
+    /// The avoiding ascent toward `dst`'s entry root, reversed channel by
+    /// channel. Because both directions of a link fail in tandem, a
+    /// fault-free ascent reversed is a fault-free descent. The
+    /// `Disconnected` error reports `dst` as its source node (the ascent it
+    /// mirrors).
+    fn route_entry_into_avoiding(
+        &self,
+        dst: usize,
+        policy: AscentPolicy,
+        faults: &FaultSet,
+        out: &mut Vec<ChannelId>,
+    ) -> Result<u32, TopologyError> {
+        let nca_level = self.route_exit_into_avoiding(dst, policy, faults, out)?;
+        out.reverse();
+        for c in out.iter_mut() {
+            *c = self.reverse(*c);
+        }
+        Ok(nca_level)
+    }
+
+    fn num_route_classes(&self) -> usize {
+        self.tree.num_leaf_switches()
+    }
+
+    fn route_class_of(&self, node: usize) -> Result<usize, TopologyError> {
+        self.tree.leaf_index_of(node)
+    }
+
+    fn class_member_of(&self, node: usize) -> Result<usize, TopologyError> {
+        self.tree.leaf_member_of(node)
+    }
+
+    fn class_first_node(&self, class: usize) -> usize {
+        self.tree.node_under_leaf(class, 0)
+    }
+
+    fn max_class_members(&self) -> usize {
+        if self.tree.n() == 1 {
+            self.tree.num_nodes()
+        } else {
+            self.tree.k() as usize
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topo::{RouteMode, RouteQuery};
 
     fn graph(m: u32, n: u32) -> Graph {
         Graph::build(MPortNTree::new(m, n).unwrap())
+    }
+
+    /// The deterministic default-policy route `src → dst` and its NCA level.
+    fn route(g: &Graph, src: usize, dst: usize) -> (Vec<ChannelId>, u32) {
+        let mut out = Vec::new();
+        let h = g
+            .route_into(src, dst, AscentPolicy::default(), &mut out)
+            .unwrap();
+        (out, h)
+    }
+
+    /// The adaptive route `src → dst` shaped by `digits`, and its NCA level.
+    fn adaptive(g: &Graph, src: usize, dst: usize, digits: &[u32]) -> (Vec<ChannelId>, u32) {
+        let q = RouteQuery {
+            src,
+            dst,
+            policy: AscentPolicy::default(),
+            faults: None,
+            mode: RouteMode::Adaptive { digits },
+        };
+        let mut out = Vec::new();
+        let h = g.route_query(&q, &mut out).unwrap();
+        (out, h)
+    }
+
+    /// The deterministic default-policy exit route of `src`, up to a root.
+    fn exit(g: &Graph, src: usize) -> Vec<ChannelId> {
+        let mut out = Vec::new();
+        g.route_exit_into(src, AscentPolicy::default(), &mut out)
+            .unwrap();
+        out
+    }
+
+    /// The deterministic default-policy entry route of `dst`, down from a
+    /// root.
+    fn entry(g: &Graph, dst: usize) -> Vec<ChannelId> {
+        let mut out = Vec::new();
+        g.route_entry_into(dst, AscentPolicy::default(), &mut out)
+            .unwrap();
+        out
     }
 
     #[test]
@@ -1035,10 +1021,10 @@ mod tests {
         let t = g.tree();
         for src in 0..t.num_nodes() {
             for dst in 0..t.num_nodes() {
-                let r = g.route(src, dst).unwrap();
+                let (r, level) = route(&g, src, dst);
                 let h = t.nca_level(src, dst).unwrap();
-                assert_eq!(r.channels.len(), 2 * h as usize, "{src}->{dst}");
-                assert_eq!(r.nca_level, h);
+                assert_eq!(r.len(), 2 * h as usize, "{src}->{dst}");
+                assert_eq!(level, h);
             }
         }
     }
@@ -1051,13 +1037,13 @@ mod tests {
         let t = *g.tree();
         let n = t.num_nodes();
         for (src, dst) in [(0, n - 1), (3, 77), (100, 5), (1, 0), (42, 43)] {
-            let r = g.route(src, dst).unwrap();
-            let first = g.channel(r.channels[0]);
+            let (r, nca_level) = route(&g, src, dst);
+            let first = g.channel(r[0]);
             assert_eq!(first.from, Endpoint::Node(src as u32));
-            let last = g.channel(*r.channels.last().unwrap());
+            let last = g.channel(*r.last().unwrap());
             assert_eq!(last.to, Endpoint::Node(dst as u32));
             let mut levels = Vec::new();
-            for w in r.channels.windows(2) {
+            for w in r.windows(2) {
                 let a = g.channel(w[0]);
                 let b = g.channel(w[1]);
                 assert_eq!(a.to, b.from, "path must chain");
@@ -1066,7 +1052,7 @@ mod tests {
                 }
             }
             // Valley-free: strictly increasing then strictly decreasing.
-            let peak = levels.iter().position(|&l| l == r.nca_level).unwrap();
+            let peak = levels.iter().position(|&l| l == nca_level).unwrap();
             assert!(levels[..peak].windows(2).all(|w| w[1] == w[0] + 1));
             assert!(levels[peak..].windows(2).all(|w| w[1] == w[0] - 1));
         }
@@ -1075,26 +1061,24 @@ mod tests {
     #[test]
     fn route_same_node_is_empty() {
         let g = graph(4, 2);
-        let r = g.route(3, 3).unwrap();
-        assert!(r.channels.is_empty());
-        assert_eq!(r.nca_level, 0);
+        let (r, h) = route(&g, 3, 3);
+        assert!(r.is_empty());
+        assert_eq!(h, 0);
     }
 
     #[test]
     fn route_deterministic() {
         let g = graph(8, 2);
-        let a = g.route(1, 20).unwrap();
-        let b = g.route(1, 20).unwrap();
-        assert_eq!(a, b);
+        assert_eq!(route(&g, 1, 20), route(&g, 1, 20));
     }
 
     #[test]
     fn route_to_root_has_n_links_and_ends_at_root() {
         let g = graph(4, 3);
         for src in 0..g.tree().num_nodes() {
-            let r = g.route_to_root(src).unwrap();
-            assert_eq!(r.channels.len(), 3);
-            let last = g.channel(*r.channels.last().unwrap());
+            let r = exit(&g, src);
+            assert_eq!(r.len(), 3);
+            let last = g.channel(*r.last().unwrap());
             if let Endpoint::Switch(s) = last.to {
                 assert_eq!(g.switch_label(s).level(3), 3, "must end at a root");
             } else {
@@ -1107,16 +1091,16 @@ mod tests {
     fn route_from_root_mirrors_route_to_root() {
         let g = graph(4, 2);
         for dst in 0..g.tree().num_nodes() {
-            let up = g.route_to_root(dst).unwrap();
-            let down = g.route_from_root(dst).unwrap();
-            assert_eq!(down.channels.len(), up.channels.len());
-            let first = g.channel(down.channels[0]);
+            let up = exit(&g, dst);
+            let down = entry(&g, dst);
+            assert_eq!(down.len(), up.len());
+            let first = g.channel(down[0]);
             if let Endpoint::Switch(s) = first.from {
                 assert_eq!(g.switch_label(s).level(2), 2);
             } else {
                 panic!("route_from_root must start at a switch");
             }
-            let last = g.channel(*down.channels.last().unwrap());
+            let last = g.channel(*down.last().unwrap());
             assert_eq!(last.to, Endpoint::Node(dst as u32));
         }
     }
@@ -1128,8 +1112,8 @@ mod tests {
         let g = graph(8, 2);
         let mut seen = std::collections::HashSet::new();
         for src in 0..g.tree().num_nodes() {
-            let r = g.route_to_root(src).unwrap();
-            if let Endpoint::Switch(s) = g.channel(*r.channels.last().unwrap()).to {
+            let r = exit(&g, src);
+            if let Endpoint::Switch(s) = g.channel(*r.last().unwrap()).to {
                 seen.insert(s);
             }
         }
@@ -1158,15 +1142,12 @@ mod tests {
             // Every combination of up digits yields a valid chained route
             // of the same length ending at the destination.
             for digits in [[0u32, 0], [3, 1], [2, 3], [1, 2]] {
-                let r = g.route_adaptive(src, dst, &digits).unwrap();
-                assert_eq!(r.channels.len(), 2 * h as usize);
-                for w in r.channels.windows(2) {
+                let (r, _) = adaptive(&g, src, dst, &digits);
+                assert_eq!(r.len(), 2 * h as usize);
+                for w in r.windows(2) {
                     assert_eq!(g.channel(w[0]).to, g.channel(w[1]).from);
                 }
-                assert_eq!(
-                    g.channel(*r.channels.last().unwrap()).to,
-                    Endpoint::Node(dst as u32)
-                );
+                assert_eq!(g.channel(*r.last().unwrap()).to, Endpoint::Node(dst as u32));
             }
         }
     }
@@ -1175,9 +1156,7 @@ mod tests {
     fn adaptive_with_no_digits_matches_deterministic() {
         let g = graph(4, 3);
         for (src, dst) in [(0usize, 15usize), (3, 12), (7, 8)] {
-            let det = g.route(src, dst).unwrap();
-            let ada = g.route_adaptive(src, dst, &[]).unwrap();
-            assert_eq!(det, ada);
+            assert_eq!(route(&g, src, dst), adaptive(&g, src, dst, &[]));
         }
     }
 
@@ -1188,9 +1167,9 @@ mod tests {
         let g = graph(8, 2);
         let mut roots = std::collections::HashSet::new();
         for u in 0..4u32 {
-            let r = g.route_adaptive(0, 31, &[u]).unwrap();
+            let (r, _) = adaptive(&g, 0, 31, &[u]);
             // The NCA is the endpoint of the last ascent channel.
-            let nca = g.channel(r.channels[1]).to;
+            let nca = g.channel(r[1]).to;
             roots.insert(format!("{nca:?}"));
         }
         assert_eq!(roots.len(), 4);
@@ -1198,38 +1177,28 @@ mod tests {
 
     #[test]
     fn into_variants_match_allocating_routes() {
-        // The `_into` forms exist so hot paths can reuse one buffer; they
-        // must emit exactly what the allocating forms return, including
-        // after the buffer has held a longer previous route.
+        // The `_into` forms exist so hot paths can reuse one buffer: into a
+        // buffer that last held a longer route they must emit exactly what
+        // they emit into a freshly allocated one.
         let g = graph(8, 3);
+        let policy = AscentPolicy::default();
         let mut buf = Vec::new();
+        let mut check = |form: &dyn Fn(&mut Vec<ChannelId>) -> Result<u32, TopologyError>| {
+            let mut fresh = Vec::new();
+            let h = form(&mut fresh).unwrap();
+            assert_eq!(form(&mut buf).unwrap(), h);
+            assert_eq!(buf, fresh);
+        };
         for (src, dst) in [(0usize, 127usize), (5, 9), (64, 1), (3, 3)] {
-            let r = g.route(src, dst).unwrap();
-            let h = g
-                .route_into(src, dst, AscentPolicy::default(), &mut buf)
-                .unwrap();
-            assert_eq!(h, r.nca_level);
-            assert_eq!(buf, r.channels);
+            check(&|out| g.route_into(src, dst, policy, out));
+            check(&|out| g.route_tail_into(src, dst, policy, out));
+            check(&|out| g.route_adaptive_into(src, dst, &[3, 1], out));
         }
         for src in [0usize, 31, 77] {
-            let up = g.route_to_root(src).unwrap();
-            let h = g
-                .route_to_root_into(src, AscentPolicy::default(), &mut buf)
-                .unwrap();
-            assert_eq!(h, up.nca_level);
-            assert_eq!(buf, up.channels);
-            let down = g.route_from_root(src).unwrap();
-            g.route_from_root_into(src, AscentPolicy::default(), &mut buf)
-                .unwrap();
-            assert_eq!(buf, down.channels);
-            let ada = g.route_to_root_adaptive(src, &[1, 2]).unwrap();
-            g.route_to_root_adaptive_into(src, &[1, 2], &mut buf)
-                .unwrap();
-            assert_eq!(buf, ada.channels);
+            check(&|out| g.route_exit_into(src, policy, out));
+            check(&|out| g.route_entry_into(src, policy, out));
+            check(&|out| g.route_exit_adaptive_into(src, &[1, 2], out));
         }
-        let ada = g.route_adaptive(0, 127, &[3, 1]).unwrap();
-        g.route_adaptive_into(0, 127, &[3, 1], &mut buf).unwrap();
-        assert_eq!(buf, ada.channels);
     }
 
     /// Every channel of `route` is healthy, the path chains, and it runs
@@ -1287,13 +1256,13 @@ mod tests {
                     assert_eq!(h1, h2);
                     assert_eq!(a, b, "{src}->{dst}");
                 }
-                let h1 = g.route_to_root_into(src, policy, &mut a).unwrap();
+                let h1 = g.route_exit_into(src, policy, &mut a).unwrap();
                 let h2 = g
-                    .route_to_root_into_avoiding(src, policy, &none, &mut b)
+                    .route_exit_into_avoiding(src, policy, &none, &mut b)
                     .unwrap();
                 assert_eq!((h1, &a), (h2, &b));
-                g.route_from_root_into(src, policy, &mut a).unwrap();
-                g.route_from_root_into_avoiding(src, policy, &none, &mut b)
+                g.route_entry_into(src, policy, &mut a).unwrap();
+                g.route_entry_into_avoiding(src, policy, &none, &mut b)
                     .unwrap();
                 assert_eq!(a, b);
             }
@@ -1340,12 +1309,12 @@ mod tests {
         let g = graph(4, 3);
         let t = *g.tree();
         let (src, dst) = (0usize, 15usize);
-        let base = g.route(src, dst).unwrap();
+        let (base, base_h) = route(&g, src, dst);
         let mut tail = Vec::new();
         let mut full = Vec::new();
         // A failed trunk link reroutes the tail exactly like the full route.
         let mut faults = FaultSet::new();
-        faults.fail_link(base.channels[1]);
+        faults.fail_link(base[1]);
         let h = g
             .route_into_avoiding(src, dst, AscentPolicy::default(), &faults, &mut full)
             .unwrap();
@@ -1357,17 +1326,17 @@ mod tests {
         // class: the tail is still produced, unchanged, so only the one
         // member with the dead injection link is demoted.
         let mut inj_fault = FaultSet::new();
-        inj_fault.fail_link(base.channels[0]);
+        inj_fault.fail_link(base[0]);
         assert!(g
             .route_into_avoiding(src, dst, AscentPolicy::default(), &inj_fault, &mut full)
             .is_err());
         let ht = g
             .route_tail_into_avoiding(src, dst, AscentPolicy::default(), &inj_fault, &mut tail)
             .unwrap();
-        assert_eq!((ht, &tail[..]), (base.nca_level, &base.channels[1..]));
+        assert_eq!((ht, &tail[..]), (base_h, &base[1..]));
         // A failed ejection channel kills the whole class.
         let mut ej_fault = FaultSet::new();
-        ej_fault.fail_link(*base.channels.last().unwrap());
+        ej_fault.fail_link(*base.last().unwrap());
         for s in 0..t.num_nodes() {
             if t.leaf_index_of(s).unwrap() == t.leaf_index_of(src).unwrap() && s != dst {
                 assert!(g
@@ -1381,16 +1350,16 @@ mod tests {
     fn avoiding_reroutes_around_failed_ascent_link() {
         let g = graph(8, 2);
         let (src, dst) = (0usize, 31usize);
-        let base = g.route(src, dst).unwrap();
-        assert_eq!(base.nca_level, 2);
+        let (base, base_h) = route(&g, src, dst);
+        assert_eq!(base_h, 2);
         let mut faults = FaultSet::new();
-        faults.fail_link(base.channels[1]); // the preferred first up-link
+        faults.fail_link(base[1]); // the preferred first up-link
         let mut out = Vec::new();
         let h = g
             .route_into_avoiding(src, dst, AscentPolicy::default(), &faults, &mut out)
             .unwrap();
         assert_eq!(h, 2, "an alternate level-2 ascent must exist");
-        assert_ne!(out, base.channels);
+        assert_ne!(out, base);
         assert_valid_avoiding_route(&g, src, dst, &out, &faults);
     }
 
@@ -1407,20 +1376,20 @@ mod tests {
             .flat_map(|s| (0..t.num_nodes()).map(move |d| (s, d)))
             .find(|&(s, d)| t.nca_level(s, d).unwrap() == 2)
             .unwrap();
-        let via_a = g.route(src, dst).unwrap();
+        let (via_a, _) = route(&g, src, dst);
         let via_b = (0..t.k())
-            .map(|u| g.route_adaptive(src, dst, &[u]).unwrap())
-            .find(|r| r.channels[1] != via_a.channels[1])
+            .map(|u| adaptive(&g, src, dst, &[u]).0)
+            .find(|r| r[1] != via_a[1])
             .expect("k=2 gives a second ascent");
         let mut out = Vec::new();
         let mut faults = FaultSet::new();
-        faults.fail_link(via_a.channels[1]); // ascent into NCA A
+        faults.fail_link(via_a[1]); // ascent into NCA A
         let h = g
             .route_into_avoiding(src, dst, AscentPolicy::default(), &faults, &mut out)
             .unwrap();
         assert_eq!(h, 2, "one cut ascent still leaves NCA B");
         assert_valid_avoiding_route(&g, src, dst, &out, &faults);
-        faults.fail_link(via_b.channels[2]); // descent out of NCA B
+        faults.fail_link(via_b[2]); // descent out of NCA B
         let err = g
             .route_into_avoiding(src, dst, AscentPolicy::default(), &faults, &mut out)
             .unwrap_err();
@@ -1437,9 +1406,9 @@ mod tests {
     fn avoiding_reports_disconnected_when_injection_or_ejection_cut() {
         let g = graph(4, 2);
         let (src, dst) = (0usize, 7usize);
-        let base = g.route(src, dst).unwrap();
+        let (base, _) = route(&g, src, dst);
         let mut out = Vec::new();
-        for cut in [base.channels[0], *base.channels.last().unwrap()] {
+        for cut in [base[0], *base.last().unwrap()] {
             let mut faults = FaultSet::new();
             faults.fail_link(cut);
             let err = g
@@ -1461,7 +1430,7 @@ mod tests {
         let g = graph(4, 2);
         // Kill the leaf switch of node 0: nodes 0/1 become unreachable,
         // pairs avoiding that switch still route.
-        let leaf = match g.channel(g.route(0, 7).unwrap().channels[0]).to {
+        let leaf = match g.channel(route(&g, 0, 7).0[0]).to {
             Endpoint::Switch(s) => s,
             _ => unreachable!(),
         };
@@ -1488,15 +1457,15 @@ mod tests {
     #[test]
     fn avoiding_to_root_reroutes_and_disconnects() {
         let g = graph(8, 2);
-        let base = g.route_to_root(0).unwrap();
+        let base = exit(&g, 0);
         let mut faults = FaultSet::new();
-        faults.fail_link(base.channels[1]);
+        faults.fail_link(base[1]);
         let mut out = Vec::new();
         let n = g
-            .route_to_root_into_avoiding(0, AscentPolicy::default(), &faults, &mut out)
+            .route_exit_into_avoiding(0, AscentPolicy::default(), &faults, &mut out)
             .unwrap();
         assert_eq!(n, 2);
-        assert_ne!(out, base.channels);
+        assert_ne!(out, base);
         for &c in &out {
             assert!(!faults.is_failed(c));
         }
@@ -1505,14 +1474,14 @@ mod tests {
             _ => panic!("must end at a root"),
         }
         // Mirrored entry route also avoids the faults.
-        g.route_from_root_into_avoiding(0, AscentPolicy::default(), &faults, &mut out)
+        g.route_entry_into_avoiding(0, AscentPolicy::default(), &faults, &mut out)
             .unwrap();
         for &c in &out {
             assert!(!faults.is_failed(c));
         }
         assert_eq!(g.channel(*out.last().unwrap()).to, Endpoint::Node(0));
         // Cutting every up-link of the leaf switch strands the node.
-        let leaf = match g.channel(base.channels[0]).to {
+        let leaf = match g.channel(base[0]).to {
             Endpoint::Switch(s) => s,
             _ => unreachable!(),
         };
@@ -1525,7 +1494,7 @@ mod tests {
             );
         }
         let err = g
-            .route_to_root_into_avoiding(0, AscentPolicy::default(), &faults, &mut out)
+            .route_exit_into_avoiding(0, AscentPolicy::default(), &faults, &mut out)
             .unwrap_err();
         assert_eq!(err, TopologyError::Disconnected { src: 0, dst: None });
     }

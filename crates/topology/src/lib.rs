@@ -34,7 +34,7 @@ pub mod torus;
 pub mod tree;
 
 pub use error::TopologyError;
-pub use graph::{AscentPolicy, ChannelId, ChannelKind, Endpoint, FaultSet, Graph, Route};
+pub use graph::{AscentPolicy, ChannelId, ChannelKind, Endpoint, FaultSet, Graph};
 pub use labels::{NodeLabel, SwitchLabel};
 pub use metrics::TreeMetrics;
 pub use netchar::NetworkCharacteristics;

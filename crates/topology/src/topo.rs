@@ -1,18 +1,14 @@
-//! The pluggable [`Topology`] backend abstraction.
-//!
-//! Historically the whole stack routed through `Graph`'s ad-hoc
-//! `route* / route*_into / route*_avoiding` method surface, hard-wiring
-//! the m-port n-tree everywhere. This module makes the de-facto API
-//! explicit:
+//! The pluggable [`Topology`] backend abstraction: the one route API of
+//! the stack.
 //!
 //! * [`Topology`] — the allocation-free routing trait every backend
 //!   implements (deterministic, adaptive and fault-avoiding forms, all
 //!   writing into a caller-supplied `&mut Vec<ChannelId>`), plus the
-//!   route-class algebra the lazy route-interning table relies on.
+//!   route-class algebra the lazy route-interning table relies on. The
+//!   tree backend's implementation lives with [`Graph`], the torus's with
+//!   [`Torus`].
 //! * [`RouteQuery`] / [`RouteMode`] — the single consolidated entrypoint
-//!   that replaces the old method explosion for new callers; the legacy
-//!   `Graph` methods survive as `#[doc(hidden)]` delegating wrappers so
-//!   downstream code and the bit-identity goldens are untouched.
+//!   that dispatches one request to the matching specialised method.
 //! * [`TopoSpec`] / [`TorusShape`] — the serialisable
 //!   `{"kind": "tree" | "torus", ...}` configuration block grown by
 //!   [`crate::ClusterSpec`] / [`crate::SystemSpec`], defaulting to `tree`
@@ -41,9 +37,8 @@ pub enum RouteMode<'a> {
     },
 }
 
-/// One consolidated route request: the single entrypoint that subsumes
-/// the historical `route* / route*_avoiding / route*_adaptive` method
-/// explosion (see [`Topology::route_query`]).
+/// One consolidated route request: deterministic or adaptive, with or
+/// without faults to avoid (see [`Topology::route_query`]).
 #[derive(Debug, Clone, Copy)]
 pub struct RouteQuery<'a> {
     /// Source node id.
@@ -326,163 +321,6 @@ pub trait Topology {
                 backend: self.backend_name(),
                 what: "adaptive routing combined with fault avoidance",
             }),
-        }
-    }
-}
-
-impl Topology for Graph {
-    fn backend_name(&self) -> &'static str {
-        "tree"
-    }
-
-    fn num_nodes(&self) -> usize {
-        self.tree().num_nodes()
-    }
-
-    fn num_channels(&self) -> usize {
-        self.num_channels()
-    }
-
-    fn channel(&self, id: ChannelId) -> &ChannelDesc {
-        self.channel(id)
-    }
-
-    fn validate(&self) -> Result<(), TopologyError> {
-        self.validate()
-    }
-
-    fn route_into(
-        &self,
-        src: usize,
-        dst: usize,
-        policy: AscentPolicy,
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        self.route_into(src, dst, policy, out)
-    }
-
-    fn route_tail_into(
-        &self,
-        src: usize,
-        dst: usize,
-        policy: AscentPolicy,
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        self.route_tail_into(src, dst, policy, out)
-    }
-
-    fn route_exit_into(
-        &self,
-        src: usize,
-        policy: AscentPolicy,
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        self.route_to_root_into(src, policy, out)
-    }
-
-    fn route_entry_into(
-        &self,
-        dst: usize,
-        policy: AscentPolicy,
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        self.route_from_root_into(dst, policy, out)
-    }
-
-    fn free_route_digits(&self) -> u32 {
-        self.tree().n() - 1
-    }
-
-    fn free_exit_digits(&self) -> u32 {
-        self.tree().n() - 1
-    }
-
-    fn digit_radix(&self) -> u32 {
-        self.tree().k()
-    }
-
-    fn route_adaptive_into(
-        &self,
-        src: usize,
-        dst: usize,
-        digits: &[u32],
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        self.route_adaptive_into(src, dst, digits, out)
-    }
-
-    fn route_exit_adaptive_into(
-        &self,
-        src: usize,
-        digits: &[u32],
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        self.route_to_root_adaptive_into(src, digits, out)
-    }
-
-    fn route_into_avoiding(
-        &self,
-        src: usize,
-        dst: usize,
-        policy: AscentPolicy,
-        faults: &FaultSet,
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        self.route_into_avoiding(src, dst, policy, faults, out)
-    }
-
-    fn route_tail_into_avoiding(
-        &self,
-        src: usize,
-        dst: usize,
-        policy: AscentPolicy,
-        faults: &FaultSet,
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        self.route_tail_into_avoiding(src, dst, policy, faults, out)
-    }
-
-    fn route_exit_into_avoiding(
-        &self,
-        src: usize,
-        policy: AscentPolicy,
-        faults: &FaultSet,
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        self.route_to_root_into_avoiding(src, policy, faults, out)
-    }
-
-    fn route_entry_into_avoiding(
-        &self,
-        dst: usize,
-        policy: AscentPolicy,
-        faults: &FaultSet,
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        self.route_from_root_into_avoiding(dst, policy, faults, out)
-    }
-
-    fn num_route_classes(&self) -> usize {
-        self.tree().num_leaf_switches()
-    }
-
-    fn route_class_of(&self, node: usize) -> Result<usize, TopologyError> {
-        self.tree().leaf_index_of(node)
-    }
-
-    fn class_member_of(&self, node: usize) -> Result<usize, TopologyError> {
-        self.tree().leaf_member_of(node)
-    }
-
-    fn class_first_node(&self, class: usize) -> usize {
-        self.tree().node_under_leaf(class, 0)
-    }
-
-    fn max_class_members(&self) -> usize {
-        if self.tree().n() == 1 {
-            self.tree().num_nodes()
-        } else {
-            self.tree().k() as usize
         }
     }
 }
@@ -836,23 +674,6 @@ impl Topology for AnyTopology {
 mod tests {
     use super::*;
     use serde_json;
-
-    #[test]
-    fn trait_routes_match_inherent_graph_routes() {
-        let g = Graph::build(MPortNTree::new(4, 2).unwrap());
-        let mut via_trait = Vec::new();
-        let mut via_inherent = Vec::new();
-        for src in 0..g.tree().num_nodes() {
-            for dst in 0..g.tree().num_nodes() {
-                for policy in [AscentPolicy::TrailingDigits, AscentPolicy::MirrorDescent] {
-                    let a = Topology::route_into(&g, src, dst, policy, &mut via_trait).unwrap();
-                    let b = g.route_into(src, dst, policy, &mut via_inherent).unwrap();
-                    assert_eq!(a, b);
-                    assert_eq!(via_trait, via_inherent, "src={src} dst={dst}");
-                }
-            }
-        }
-    }
 
     #[test]
     fn route_query_dispatches_to_each_form() {

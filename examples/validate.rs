@@ -1,47 +1,47 @@
 //! Full model-vs-simulation validation of one paper figure from the public
-//! API — a scaled-down version of what `cargo run -p cocnet-bench --bin
-//! fig5` does with the paper's full message counts.
+//! API — a scaled-down version of what `cocnet run fig5` does with the
+//! paper's full message counts.
 //!
 //! ```text
 //! cargo run --release --example validate [fig3|fig4|fig5|fig6]
 //! ```
 
 use cocnet::prelude::*;
+use cocnet::registry::figures;
 use cocnet::report::render_figure;
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "fig5".into());
-    let fig = match which.as_str() {
-        "fig3" => Figure::Fig3,
-        "fig4" => Figure::Fig4,
-        "fig5" => Figure::Fig5,
-        "fig6" => Figure::Fig6,
+    let mut scenario = match which.as_str() {
+        "fig3" => figures::fig3(),
+        "fig4" => figures::fig4(),
+        "fig5" => figures::fig5(),
+        "fig6" => figures::fig6(),
         other => {
             eprintln!("unknown figure {other:?}; use fig3|fig4|fig5|fig6");
             std::process::exit(1);
         }
     };
 
-    let cfg = figure_config(fig);
-    println!("reproducing {} …", cfg.title);
+    println!("reproducing {} …", scenario.name);
 
-    let points = 8;
-    let model_series = run_figure_model(&cfg, &ModelOptions::default(), points);
+    scenario.rates = scenario.rates.with_steps(8);
+    let model_series = scenario.run_model();
 
-    // Scaled-down simulation so the example finishes in seconds; the bench
-    // binaries use the paper's full 10k/100k/10k methodology.
-    let sim_cfg = SimConfig {
+    // Scaled-down simulation so the example finishes in seconds; the
+    // registry entries use the paper's full 10k/100k/10k methodology.
+    scenario.sim = SimConfig {
         warmup: 1_000,
         measured: 10_000,
         drain: 1_000,
         seed: 2006,
         ..SimConfig::default()
     };
-    let sim_series = run_figure_sim(&cfg, &sim_cfg, points);
+    let sim_series = scenario.run_sim();
 
     let mut all = model_series.clone();
     all.extend(sim_series.clone());
-    println!("{}", render_figure(&cfg.title, &all));
+    println!("{}", render_figure(&scenario.name, &all));
 
     for (m, s) in model_series.iter().zip(&sim_series) {
         let rows = compare_series(m, s);

@@ -3,6 +3,7 @@
 //! accumulators are order-deterministic.
 
 use cocnet::prelude::*;
+use cocnet::registry::figures::fig5;
 
 fn spec() -> SystemSpec {
     let net1 = NetworkCharacteristics::new(500.0, 0.01, 0.02).unwrap();
@@ -96,7 +97,6 @@ fn coupling_modes_are_ordered_at_light_load() {
 fn parallel_sweep_equals_sequential() {
     // The rayon-parallel figure harness must produce exactly the results of
     // sequential runs (each point is an independent seeded simulation).
-    let cfg = figure_config(Figure::Fig5);
     let sim_cfg = SimConfig {
         warmup: 200,
         measured: 2_000,
@@ -104,11 +104,18 @@ fn parallel_sweep_equals_sequential() {
         seed: 3,
         ..SimConfig::default()
     };
-    let par = run_figure_sim(&cfg, &sim_cfg, 3);
+    let mut scenario = fig5().with_sim(sim_cfg.clone());
+    scenario.rates = scenario.rates.with_steps(3);
+    let par = scenario.run_sim();
     // Sequential reference for the first workload.
-    let (_, wl) = &cfg.workloads[0];
+    let wl = &scenario.workloads[0].workload;
     for p in &par[0].points {
-        let r = run_simulation(&cfg.spec, &wl.with_rate(p.x), Pattern::Uniform, &sim_cfg);
+        let r = run_simulation(
+            &scenario.spec,
+            &wl.with_rate(p.x),
+            Pattern::Uniform,
+            &sim_cfg,
+        );
         assert_eq!(r.latency.mean, p.y, "rate {}", p.x);
     }
 }

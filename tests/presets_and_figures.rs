@@ -3,6 +3,7 @@
 
 use cocnet::prelude::*;
 use cocnet::presets;
+use cocnet::registry::figures::{fig3, fig4, fig5, fig6, fig7_series};
 use cocnet::report::{from_json, render_figure, to_json};
 
 #[test]
@@ -37,13 +38,18 @@ fn table2_network_wiring() {
 
 #[test]
 fn all_four_figures_produce_monotone_analysis_curves() {
-    for fig in [Figure::Fig3, Figure::Fig4, Figure::Fig5, Figure::Fig6] {
-        let cfg = figure_config(fig);
-        let series = run_figure_model(&cfg, &ModelOptions::default(), 10);
-        assert_eq!(series.len(), 2, "{:?}", fig);
+    for (fig, scenario) in [
+        ("fig3", fig3()),
+        ("fig4", fig4()),
+        ("fig5", fig5()),
+        ("fig6", fig6()),
+    ] {
+        assert_eq!(scenario.rates.len(), 10, "{fig}");
+        let series = scenario.run_model();
+        assert_eq!(series.len(), 2, "{fig}");
         for s in &series {
-            assert!(!s.is_empty(), "{:?} {}", fig, s.label);
-            assert!(s.is_monotone_non_decreasing(), "{:?} {}", fig, s.label);
+            assert!(!s.is_empty(), "{fig} {}", s.label);
+            assert!(s.is_monotone_non_decreasing(), "{fig} {}", s.label);
         }
     }
 }
@@ -90,8 +96,7 @@ fn figure_shape_small_system_sustains_higher_per_node_load() {
 fn figure_shape_lm512_curve_sits_roughly_2x_above_lm256() {
     // In every figure the Lm=512 series is about twice the Lm=256 one at
     // light load (service times are dominated by d_m·β).
-    let cfg = figure_config(Figure::Fig3);
-    let series = run_figure_model(&cfg, &ModelOptions::default(), 10);
+    let series = fig3().run_model();
     let x = series[0].points[0].x;
     let y256 = series[0].points[0].y;
     let y512 = series[1].interpolate(x).unwrap();
@@ -101,7 +106,7 @@ fn figure_shape_lm512_curve_sits_roughly_2x_above_lm256() {
 
 #[test]
 fn fig7_series_and_ordering() {
-    let series = cocnet::experiments::run_fig7(&ModelOptions::default(), 6);
+    let series = fig7_series(&ModelOptions::default(), 6);
     assert_eq!(series.len(), 4);
     assert_eq!(series[0].label, "N=544, Base");
     assert_eq!(series[3].label, "N=1120, Increased");
@@ -114,9 +119,10 @@ fn fig7_series_and_ordering() {
 
 #[test]
 fn report_renders_and_round_trips() {
-    let cfg = figure_config(Figure::Fig5);
-    let series = run_figure_model(&cfg, &ModelOptions::default(), 5);
-    let text = render_figure(&cfg.title, &series);
+    let mut scenario = fig5();
+    scenario.rates = scenario.rates.with_steps(5);
+    let series = scenario.run_model();
+    let text = render_figure(&scenario.name, &series);
     assert!(text.contains("N=544"));
     assert!(text.contains("Analysis (Lm=256)"));
     // Title + header + rule + one row per distinct rate.

@@ -4,12 +4,20 @@
 //! reference; and on multicore hosts the parallel sweep is measurably
 //! faster.
 
-use cocnet::experiments::{figure_config, figure_scenario, run_fig7, Figure};
 use cocnet::model::ModelOptions;
 use cocnet::prelude::*;
 use cocnet::presets;
+use cocnet::registry::figures::{fig3, fig4, fig5, fig6, fig7_series};
 
-const ALL_FIGURES: [Figure; 4] = [Figure::Fig3, Figure::Fig4, Figure::Fig5, Figure::Fig6];
+/// The registry's Figs. 3–6 by name.
+fn all_figures() -> [(&'static str, Scenario); 4] {
+    [
+        ("fig3", fig3()),
+        ("fig4", fig4()),
+        ("fig5", fig5()),
+        ("fig6", fig6()),
+    ]
+}
 
 /// A simulation config small enough for a test, quick-mode-shaped
 /// (warmup/measured/drain ratios of the `--quick` flag).
@@ -23,18 +31,23 @@ fn tiny_sim() -> SimConfig {
     }
 }
 
+/// A figure scenario re-gridded to `points` rates under [`tiny_sim`].
+fn tiny(scenario: Scenario, points: usize) -> Scenario {
+    let mut scenario = scenario.with_sim(tiny_sim());
+    scenario.rates = scenario.rates.with_steps(points);
+    scenario
+}
+
 #[test]
 fn every_figure_model_path_through_scenario() {
-    for fig in ALL_FIGURES {
-        let cfg = figure_config(fig);
-        let scenario = figure_scenario(&cfg, &tiny_sim(), 4);
-        let series = scenario.run_model();
-        assert_eq!(series.len(), 2, "{fig:?}: two flit sizes");
+    for (fig, scenario) in all_figures() {
+        let series = tiny(scenario, 4).run_model();
+        assert_eq!(series.len(), 2, "{fig}: two flit sizes");
         for s in &series {
-            assert!(!s.is_empty(), "{fig:?}: {} is empty", s.label);
+            assert!(!s.is_empty(), "{fig}: {} is empty", s.label);
             assert!(
                 s.is_monotone_non_decreasing(),
-                "{fig:?}: {} not monotone under load",
+                "{fig}: {} not monotone under load",
                 s.label
             );
         }
@@ -43,17 +56,16 @@ fn every_figure_model_path_through_scenario() {
 
 #[test]
 fn every_figure_sim_path_through_scenario() {
-    for fig in ALL_FIGURES {
-        let cfg = figure_config(fig);
-        let series = figure_scenario(&cfg, &tiny_sim(), 3).run_sim();
-        assert_eq!(series.len(), 2, "{fig:?}: two flit sizes");
+    for (fig, scenario) in all_figures() {
+        let series = tiny(scenario, 3).run_sim();
+        assert_eq!(series.len(), 2, "{fig}: two flit sizes");
         for s in &series {
-            assert!(!s.is_empty(), "{fig:?}: {} is empty", s.label);
+            assert!(!s.is_empty(), "{fig}: {} is empty", s.label);
             let first = s.points.first().unwrap();
             let last = s.points.last().unwrap();
             assert!(
                 last.y >= first.y - 1e-9,
-                "{fig:?}: {} latency fell under load ({} -> {})",
+                "{fig}: {} latency fell under load ({} -> {})",
                 s.label,
                 first.y,
                 last.y
@@ -64,7 +76,7 @@ fn every_figure_sim_path_through_scenario() {
 
 #[test]
 fn fig7_design_space_series() {
-    let series = run_fig7(&ModelOptions::default(), 6);
+    let series = fig7_series(&ModelOptions::default(), 6);
     assert_eq!(series.len(), 4);
     for s in &series {
         assert!(!s.is_empty(), "{} is empty", s.label);
@@ -98,8 +110,7 @@ fn calendar_scheduler_sweep_bit_identical_to_heap() {
     // The whole scenario path — parallel sweep included — must be
     // backend-invariant: a fig5 sweep under the calendar queue produces
     // the exact series the heap does, point for point.
-    let cfg = figure_config(Figure::Fig5);
-    let heap = figure_scenario(&cfg, &tiny_sim(), 3);
+    let heap = tiny(fig5(), 3);
     let mut calendar = heap.clone();
     calendar.sim.scheduler = cocnet::sim::SchedulerKind::Calendar;
     assert_eq!(heap.run_sim(), calendar.run_sim());
@@ -109,8 +120,7 @@ fn calendar_scheduler_sweep_bit_identical_to_heap() {
 
 #[test]
 fn parallel_sweep_bit_identical_to_serial_reference() {
-    let cfg = figure_config(Figure::Fig5);
-    let scenario = figure_scenario(&cfg, &tiny_sim(), 3).with_replications(2);
+    let scenario = tiny(fig5(), 3).with_replications(2);
     let par = scenario.run_sim();
     let ser = scenario.run_sim_serial();
     assert_eq!(par, ser);
@@ -145,8 +155,7 @@ fn parallel_sweep_faster_on_multicore() {
         return;
     }
     // A sweep with plenty of independent jobs relative to the core count.
-    let cfg = figure_config(Figure::Fig5);
-    let scenario = figure_scenario(&cfg, &tiny_sim(), 8);
+    let scenario = tiny(fig5(), 8);
     let t0 = std::time::Instant::now();
     let ser = scenario.run_sim_serial();
     let serial_time = t0.elapsed();

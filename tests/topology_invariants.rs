@@ -3,8 +3,24 @@
 //! for every parameterisation, not just the paper's.
 
 use cocnet::model::prob::{hop_distribution, mean_distance, mean_distance_closed_form};
-use cocnet::topology::{Endpoint, Graph, MPortNTree};
+use cocnet::topology::{
+    AscentPolicy, ChannelId, Endpoint, Graph, MPortNTree, RouteMode, RouteQuery, Topology,
+};
 use proptest::prelude::*;
+
+/// The deterministic default-policy route `src → dst`.
+fn route(g: &Graph, src: usize, dst: usize) -> Vec<ChannelId> {
+    let q = RouteQuery {
+        src,
+        dst,
+        policy: AscentPolicy::default(),
+        faults: None,
+        mode: RouteMode::Deterministic,
+    };
+    let mut out = Vec::new();
+    g.route_query(&q, &mut out).unwrap();
+    out
+}
 
 /// Strategy over tree parameters kept small enough for exhaustive
 /// brute-force comparison.
@@ -39,14 +55,14 @@ proptest! {
         let nodes = tree.num_nodes();
         for src in 0..nodes {
             for dst in 0..nodes {
-                let r = g.route(src, dst).unwrap();
+                let r = route(&g, src, dst);
                 let h = tree.nca_level(src, dst).unwrap();
-                prop_assert_eq!(r.channels.len(), 2 * h as usize);
+                prop_assert_eq!(r.len(), 2 * h as usize);
                 // Path must chain and terminate at the destination.
-                for w in r.channels.windows(2) {
+                for w in r.windows(2) {
                     prop_assert_eq!(g.channel(w[0]).to, g.channel(w[1]).from);
                 }
-                if let Some(&last) = r.channels.last() {
+                if let Some(&last) = r.last() {
                     prop_assert_eq!(g.channel(last).to, Endpoint::Node(dst as u32));
                 }
             }
@@ -85,13 +101,13 @@ proptest! {
         let pairs = [(0, nodes - 1), (nodes / 2, 0), (1, nodes / 2)];
         for &(a, b) in &pairs {
             if a == b { continue; }
-            let r1 = g.route(a, b).unwrap();
-            let r2 = g.route(a, b).unwrap();
+            let r1 = route(&g, a, b);
+            let r2 = route(&g, a, b);
             prop_assert_eq!(&r1, &r2);
             // Up*/Down* in a fat tree: both directions cross the same
             // number of links (the NCA level is symmetric).
-            let back = g.route(b, a).unwrap();
-            prop_assert_eq!(back.channels.len(), r1.channels.len());
+            let back = route(&g, b, a);
+            prop_assert_eq!(back.len(), r1.len());
         }
     }
 }
@@ -103,9 +119,11 @@ fn exit_roots_cover_all_roots_in_paper_trees() {
     for (m, n) in [(4u32, 2u32), (4, 3), (8, 2), (8, 3)] {
         let g = Graph::build(MPortNTree::new(m, n).unwrap());
         let mut seen = std::collections::HashSet::new();
+        let mut r = Vec::new();
         for src in 0..g.tree().num_nodes() {
-            let r = g.route_to_root(src).unwrap();
-            if let Endpoint::Switch(s) = g.channel(*r.channels.last().unwrap()).to {
+            g.route_exit_into(src, AscentPolicy::default(), &mut r)
+                .unwrap();
+            if let Endpoint::Switch(s) = g.channel(*r.last().unwrap()).to {
                 seen.insert(s);
             }
         }
