@@ -344,8 +344,8 @@ impl PointSim {
         self.runs.iter().all(|r| r.completed)
     }
 
-    /// Cross-replication summary (mean of means, CI), identical to what
-    /// [`cocnet_sim::replicate()`] would report.
+    /// Cross-replication summary (mean of means, CI) over the
+    /// replications in seed order, as [`summarize`] merges them.
     pub fn summary(&self) -> ReplicationSummary {
         summarize(&self.runs, self.runs.len())
     }
@@ -354,27 +354,6 @@ impl PointSim {
     /// `replications == 1`).
     pub fn first(&self) -> &SimResults {
         &self.runs[0]
-    }
-
-    /// Total engine events across the point's replications — the
-    /// numerator of an events/sec throughput figure.
-    pub fn events_total(&self) -> u64 {
-        self.runs.iter().map(|r| r.events_processed).sum()
-    }
-
-    /// Total messages generated across the point's replications.
-    pub fn messages_total(&self) -> u64 {
-        self.runs.iter().map(|r| r.generated).sum()
-    }
-
-    /// Largest message-slab high-water mark across the replications: the
-    /// peak number of concurrently live messages any single run held.
-    pub fn peak_live_msgs(&self) -> u64 {
-        self.runs
-            .iter()
-            .map(|r| r.peak_live_msgs)
-            .max()
-            .unwrap_or(0)
     }
 
     /// Total transmissions dropped at failed channels across replications.
@@ -598,6 +577,14 @@ impl Scenario {
         }
         if self.sim.max_events == 0 {
             return Err("sim: max_events of 0 can never terminate a run".into());
+        }
+        if let Some((hi, bins)) = self.sim.histogram {
+            if bins == 0 || !(hi.is_finite() && hi > 0.0) {
+                return Err(format!(
+                    "sim.histogram: needs at least 1 bin and a finite upper bound > 0 \
+                     (got [{hi}, {bins}])"
+                ));
+            }
         }
         if self.sim.adaptive_routing {
             // Engine-level adaptive routing draws per-hop digits against the
@@ -1054,33 +1041,20 @@ mod tests {
         let s = scenario().with_replications(3);
         let detailed = s.run_sim_detailed();
         let wl = s.workloads[0].workload.with_rate(s.rates.values()[0]);
-        let cfg = SimConfig {
-            seed: s.point_seed(0, 0),
-            ..s.sim
-        };
-        let reference = cocnet_sim::replicate(&s.spec, &wl, Pattern::Uniform, &cfg, 3);
+        let built = BuiltSystem::build(&s.spec, wl.flit_bytes);
+        let runs: Vec<SimResults> = (0..3u64)
+            .map(|r| {
+                let cfg = SimConfig {
+                    seed: s.point_seed(0, 0).wrapping_add(r),
+                    ..s.sim.clone()
+                };
+                run_simulation_built(&built, &wl, Pattern::Uniform, &cfg)
+            })
+            .collect();
+        let reference = summarize(&runs, 3);
         let got = detailed[0][0].summary();
         assert_eq!(got.replication_means, reference.replication_means);
         assert_eq!(got.mean, reference.mean);
-    }
-
-    #[test]
-    fn point_throughput_counters_aggregate_runs() {
-        let s = scenario().with_replications(2);
-        let detailed = s.run_sim_detailed();
-        let point = &detailed[0][0];
-        assert_eq!(
-            point.events_total(),
-            point.runs.iter().map(|r| r.events_processed).sum::<u64>()
-        );
-        assert!(point.events_total() > 0);
-        assert_eq!(
-            point.messages_total(),
-            point.runs.iter().map(|r| r.generated).sum::<u64>()
-        );
-        let peak = point.peak_live_msgs();
-        assert!(peak >= 1);
-        assert!(point.runs.iter().all(|r| r.peak_live_msgs <= peak));
     }
 
     #[test]

@@ -167,8 +167,9 @@ pub struct Segment {
 /// * `10` — classed inter-cluster reference: the raw `(src, dst)` pair,
 ///   resolved through per-node ascent/descent and per-cluster-pair
 ///   crossing records at segment-lookup time;
-/// * `11` — the [`RouteRef::DYNAMIC`] sentinel for per-message adaptive
-///   routes, which live in the simulator's own arena instead of the table.
+/// * `11` — an adaptive route: an index into the run's
+///   [`AdaptiveRouteCache`], which holds adaptive routes instead of the
+///   table (see [`RouteRef::adaptive`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RouteRef(u64);
 
@@ -176,18 +177,25 @@ const REF_TAG_SHIFT: u32 = 62;
 const REF_TAG_EAGER: u64 = 0;
 const REF_TAG_INTRA: u64 = 1;
 const REF_TAG_INTER: u64 = 2;
+const REF_TAG_ADAPTIVE: u64 = 3;
 /// Per-pair demotion flag of an intra reference (bit 61).
 const REF_INTRA_DEAD: u64 = 1 << 61;
 
 impl RouteRef {
-    /// Sentinel for routes that are not interned (adaptive routing); the
-    /// engine resolves these against its per-message route arena.
-    pub const DYNAMIC: RouteRef = RouteRef(u64::MAX);
-
-    /// Whether this reference points at a dynamic (non-interned) route.
+    /// A reference to the adaptive route at index `idx` of the run's
+    /// [`AdaptiveRouteCache`] (as returned by
+    /// [`AdaptiveRouteCache::route_idx`]); the engines resolve it there
+    /// instead of in the table.
     #[inline]
-    pub fn is_dynamic(self) -> bool {
-        self == Self::DYNAMIC
+    pub const fn adaptive(idx: u32) -> RouteRef {
+        RouteRef((REF_TAG_ADAPTIVE << REF_TAG_SHIFT) | idx as u64)
+    }
+
+    /// The [`AdaptiveRouteCache`] index of an adaptive reference; `None`
+    /// for an interned route.
+    #[inline]
+    pub fn adaptive_idx(self) -> Option<u32> {
+        (self.tag() == REF_TAG_ADAPTIVE).then_some(self.0 as u32)
     }
 
     #[inline]
@@ -1741,32 +1749,6 @@ impl BuiltSystem {
 }
 
 impl BuiltSystem {
-    /// Builds one message's adaptive route directly into the caller's
-    /// arena — the allocation-free form of
-    /// [`BuiltSystem::segments_for_adaptive`], used by the worm engine's
-    /// hot path. `out` is cleared and filled with global channel ids; the
-    /// returned metas index into `out` and carry the same precomputed
-    /// `sum_t`/`bottleneck_t` the interned table provides for
-    /// deterministic routes.
-    ///
-    /// Draws exactly the same random digits, in the same order, as
-    /// [`BuiltSystem::segments_for_adaptive`], so simulations are
-    /// bit-identical whichever form builds the route.
-    pub fn adaptive_route_into<R: Rng + ?Sized>(
-        &self,
-        src: usize,
-        dst: usize,
-        rng: &mut R,
-        scratch: &mut AdaptiveScratch,
-        out: &mut Vec<u32>,
-    ) -> ([SegMeta; 3], u8) {
-        self.adaptive_draw_digits(src, dst, rng, &mut scratch.digits);
-        let digits = std::mem::take(&mut scratch.digits);
-        let r = self.adaptive_route_from_digits(src, dst, &digits, scratch, out);
-        scratch.digits = digits;
-        r
-    }
-
     /// How many random ascent digits an adaptive route from `src` to
     /// `dst` consumes: `(up, cross)` — `n_i − 1` free ascent choices in
     /// the first network, plus `n_c − 1` in ICN2 for inter-cluster pairs.
@@ -1783,7 +1765,7 @@ impl BuiltSystem {
     }
 
     /// Draws an adaptive route's ascent digits into `digits` — exactly
-    /// the same count and order [`BuiltSystem::adaptive_route_into`]
+    /// the same count and order [`BuiltSystem::segments_for_adaptive`]
     /// consumes, so separating the draw from the route construction
     /// (e.g. to consult a memo cache between the two) never perturbs the
     /// RNG stream.
@@ -1802,10 +1784,12 @@ impl BuiltSystem {
         }
     }
 
-    /// The deterministic tail of [`BuiltSystem::adaptive_route_into`]:
-    /// materialises the route selected by pre-drawn ascent `digits`
-    /// (`up` digits first, then `cross`, as laid out by
-    /// [`BuiltSystem::adaptive_draw_digits`]). Identical digits produce
+    /// Materialises the adaptive route selected by pre-drawn ascent
+    /// `digits` (`up` digits first, then `cross`, as laid out by
+    /// [`BuiltSystem::adaptive_draw_digits`]). `out` is cleared and filled
+    /// with global channel ids; the returned metas index into `out` and
+    /// carry the same precomputed `sum_t`/`bottleneck_t` the interned
+    /// table provides for deterministic routes. Identical digits produce
     /// bit-identical channel lists and segment metadata.
     pub fn adaptive_route_from_digits(
         &self,
@@ -1939,7 +1923,7 @@ impl BuiltSystem {
 
 /// One materialised adaptive route, shared through
 /// [`AdaptiveRouteCache`]: all segments' global channel ids concatenated,
-/// plus the same precomputed per-segment metadata the per-slot arena
+/// plus the same precomputed per-segment metadata the interned table
 /// carries.
 #[derive(Debug, Clone)]
 pub struct CachedRoute {
@@ -1965,9 +1949,10 @@ pub struct CachedRoute {
 /// run is bounded by (pairs × kᵈⁱᵍⁱᵗˢ) and in practice by the far
 /// smaller set of combinations the traffic pattern actually draws.
 ///
-/// The sharded engine additionally uses the arena as its shared
-/// read-only route store: a message carries a cache index instead of a
-/// per-slot copy, so routes survive cross-shard handoffs.
+/// The cache is also the engines' only adaptive route store: a message
+/// carries its route's index (a [`RouteRef::adaptive`] reference), and
+/// the sharded engine shares one cache read-only across shards, so routes
+/// survive cross-shard handoffs.
 #[derive(Debug, Default)]
 pub struct AdaptiveRouteCache {
     map: std::collections::HashMap<(u64, u64), u32>,
@@ -1992,9 +1977,9 @@ impl AdaptiveRouteCache {
     }
 
     /// Draws the ascent digits for one adaptive message (consuming the
-    /// RNG exactly as [`BuiltSystem::adaptive_route_into`] would) and
-    /// returns the arena index of the selected route, materialising it
-    /// on first use.
+    /// RNG exactly as [`BuiltSystem::segments_for_adaptive`] would) and
+    /// returns the index of the selected route, materialising it on first
+    /// use. Indices stay valid for the cache's lifetime.
     pub fn route_idx<R: Rng + ?Sized>(
         &mut self,
         built: &BuiltSystem,
@@ -2018,7 +2003,7 @@ impl AdaptiveRouteCache {
             Some((src as u64 * built.total_nodes() as u64 + dst as u64, code))
         } else {
             // Unpackable digit strings (absurdly deep trees): build
-            // uncached — still arena-backed so sharding works.
+            // unkeyed, still stored here so the index resolves.
             None
         };
         let idx = match key.and_then(|k| self.map.get(&k).copied()) {
@@ -2176,23 +2161,23 @@ mod tests {
 
     #[test]
     fn adaptive_arena_route_matches_legacy_draws() {
-        // Same seed → the arena builder must consume the RNG identically
+        // Same seed → the route cache must consume the RNG identically
         // and produce the same channels and bitwise segment metrics as the
         // allocating reference.
         use rand::SeedableRng;
         let b = BuiltSystem::build(&spec(), 256.0);
         let mut rng_legacy = rand::rngs::StdRng::seed_from_u64(42);
-        let mut rng_arena = rand::rngs::StdRng::seed_from_u64(42);
+        let mut rng_cache = rand::rngs::StdRng::seed_from_u64(42);
         let mut scratch = AdaptiveScratch::default();
-        let mut arena = Vec::new();
+        let mut cache = AdaptiveRouteCache::default();
         for (src, dst) in [(0usize, 23usize), (8, 9), (4, 12), (23, 0), (10, 11)] {
             let legacy = b.segments_for_adaptive(src, dst, &mut rng_legacy);
-            let (metas, n) =
-                b.adaptive_route_into(src, dst, &mut rng_arena, &mut scratch, &mut arena);
-            assert_eq!(n as usize, legacy.len(), "{src}->{dst}");
+            let idx = cache.route_idx(&b, src, dst, &mut rng_cache, &mut scratch);
+            let route = cache.route(idx);
+            assert_eq!(route.nsegs as usize, legacy.len(), "{src}->{dst}");
             for (k, seg) in legacy.iter().enumerate() {
-                let m = metas[k];
-                let got = &arena[m.start as usize..(m.start + m.len as u64) as usize];
+                let m = route.segs[k];
+                let got = &route.chans[m.start as usize..(m.start + m.len as u64) as usize];
                 assert_eq!(got, seg.chans.as_slice(), "{src}->{dst} segment {k}");
                 let mut sum = 0.0;
                 let mut bot = 0.0f64;

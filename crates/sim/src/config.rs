@@ -1,5 +1,8 @@
-//! Simulation run configuration.
+//! Simulation run configuration, and the live fault mask a run derives
+//! from its fault schedule.
 
+use crate::build::BuiltSystem;
+use crate::events::Scheduler;
 use serde::{Deserialize, Serialize};
 
 /// How the concentrator/dispatcher buffers couple adjacent networks on an
@@ -306,6 +309,62 @@ impl FaultSchedule {
             }
         }
         Ok(())
+    }
+
+    /// Puts every timed event whose link `owns` accepts on `queue`, as
+    /// `event(link, fail)`, in schedule order. Engines call this before
+    /// they seed any traffic, so a `t = 0` failure is in force before
+    /// anything moves.
+    pub(crate) fn schedule_timed<K, S: Scheduler<K>>(
+        &self,
+        queue: &mut S,
+        owns: impl Fn(u32) -> bool,
+        event: impl Fn(u32, bool) -> K,
+    ) {
+        for ev in self.events.iter().filter(|ev| owns(ev.link)) {
+            queue.schedule(
+                ev.time,
+                event(ev.link, matches!(ev.action, FaultAction::Fail)),
+            );
+        }
+    }
+}
+
+/// The live per-channel failure mask of one run: the built system's
+/// static faults, flipped by the timed events as they fire. Empty means
+/// "no faults anywhere": the zero-fault fast path adds a single
+/// `is_empty` branch per check and leaves every run bit-identical to the
+/// pre-fault engine.
+#[derive(Debug, Clone)]
+pub(crate) struct FaultMask(Vec<bool>);
+
+impl FaultMask {
+    /// The mask at `t = 0`. Static faults arrive pre-resolved in `built`;
+    /// timed events need a full-size mask to flip even when no link is
+    /// down at the start.
+    pub(crate) fn new(built: &BuiltSystem, faults: &FaultSchedule) -> Self {
+        let fixed = built.static_failed();
+        if fixed.is_empty() && !faults.events.is_empty() {
+            FaultMask(vec![false; built.num_channels()])
+        } else {
+            FaultMask(fixed.to_vec())
+        }
+    }
+
+    /// Whether `chan` is failed now.
+    #[inline]
+    pub(crate) fn is_failed(&self, chan: u32) -> bool {
+        !self.0.is_empty() && self.0[chan as usize]
+    }
+
+    /// Applies a timed event. The reverse channel (`link ^ 1`) fails and
+    /// recovers in tandem: a dead cable kills both directions. Crossings
+    /// already under way complete, since a fault affects acquisitions,
+    /// not transfers.
+    pub(crate) fn apply(&mut self, link: u32, fail: bool) {
+        debug_assert!(!self.0.is_empty(), "fault events imply a full mask");
+        self.0[link as usize] = fail;
+        self.0[(link ^ 1) as usize] = fail;
     }
 }
 

@@ -11,7 +11,9 @@
 //!   channel to the next queued message, or mark it free.
 //!
 //! Events are processed in `(time, sequence)` order, so runs are exactly
-//! reproducible for a given seed.
+//! reproducible for a given seed. What the engine records (counters,
+//! statistic sinks, busy time, the live fault mask) is the run ledger it
+//! shares with the other engines; the handlers here decide only when.
 //!
 //! # No-allocation invariant
 //!
@@ -21,14 +23,15 @@
 //! * routes are never built per message — deterministic messages carry a
 //!   [`RouteRef`] into the [`BuiltSystem`]'s interned [`RouteTable`]
 //!   (channel ids in one flat array, per-segment `sum_t`/`bottleneck_t`
-//!   precomputed at build time), and adaptive messages write their route
-//!   into a per-slot arena whose buffers are reused when the slot is;
+//!   precomputed at build time), and adaptive messages carry a
+//!   [`RouteRef::adaptive`] index into the run's [`AdaptiveRouteCache`],
+//!   which materialises each distinct route once;
 //! * `Msg` is a small `Copy` record; delivered messages push their slab
 //!   slot onto a free list, so the live-message footprint is bounded by
 //!   the peak in-flight population (reported as
 //!   [`SimResults::peak_live_msgs`]), not by the run length;
-//! * the event heap, per-channel FIFOs and arena buffers all retain their
-//!   capacity, so a warmed-up loop performs no allocator calls at all;
+//! * the event heap and per-channel FIFOs retain their capacity, so a
+//!   warmed-up loop performs no allocator calls at all;
 //! * recorded deliveries wait in a buffer only until the clock next
 //!   advances (same-instant ties are reordered canonically before the
 //!   sinks see them), so the buffer holds one instant's ties, not the run;
@@ -37,18 +40,19 @@
 //!   do not exist in the monomorphised engine.
 //!
 //! [`RouteRef`]: crate::build::RouteRef
+//! [`RouteRef::adaptive`]: crate::build::RouteRef::adaptive
 //! [`RouteTable`]: crate::build::RouteTable
+//! [`AdaptiveRouteCache`]: crate::build::AdaptiveRouteCache
 //! [`SimResults::peak_live_msgs`]: crate::results::SimResults::peak_live_msgs
 
 use crate::build::{
     AdaptiveRouteCache, AdaptiveScratch, BuiltSystem, RouteRef, RouteTable, SegMeta,
 };
-use crate::config::{Coupling, FaultAction, SchedulerKind, SimConfig};
+use crate::config::{Coupling, FaultMask, SchedulerKind, SimConfig};
 use crate::events::{CalendarQueue, EventQueue, Scheduler};
-use crate::results::{exact_percentiles, SimResults, StopReason, WarmupAudit};
+use crate::results::{delivery_order, BusyTime, Counters, Delivery, SimResults, Sinks, StopReason};
 use crate::trace::{MessageTrace, TraceEvent, TraceEventKind};
 use cocnet_model::Workload;
-use cocnet_stats::{Histogram, OnlineStats, Percentiles};
 use cocnet_topology::SystemSpec;
 use cocnet_workloads::{ArrivalProcess, ArrivalSpec, Pattern};
 use rand::rngs::StdRng;
@@ -95,9 +99,9 @@ struct Chan {
 }
 
 /// One in-flight message: a slab slot's worth of `Copy` state. The route
-/// itself lives in the interned table (or the adaptive arena); the current
-/// segment's metadata is cached inline so the per-event path needs no
-/// route resolution at all.
+/// itself lives in the interned table (or the adaptive route cache); the
+/// current segment's metadata is cached inline so the per-event path needs
+/// no route resolution at all.
 #[derive(Debug, Clone, Copy)]
 struct Msg {
     gen_time: f64,
@@ -106,7 +110,7 @@ struct Msg {
     prev_finish: f64,
     /// Cached metadata of the segment under the header.
     cur: SegMeta,
-    /// Interned route, or [`RouteRef::DYNAMIC`] for adaptive messages.
+    /// Interned route, or an adaptive route's cache index.
     route: RouteRef,
     /// Generation index for tracing (`u32::MAX` when untraced).
     trace_id: u32,
@@ -145,7 +149,7 @@ impl Msg {
             sum_t: 0.0,
             bottleneck_t: 0.0,
         },
-        route: RouteRef::DYNAMIC,
+        route: RouteRef::adaptive(0),
         trace_id: UNTRACED,
         seg: 0,
         nsegs: 0,
@@ -158,15 +162,6 @@ impl Msg {
         dst: 0,
         attempt: 0,
     };
-}
-
-/// Per-slot adaptive route storage: channel ids plus the same precomputed
-/// segment metadata the interned table carries. Buffers are reused when
-/// the slab slot is, so steady-state adaptive routing allocates nothing.
-#[derive(Debug, Default)]
-struct DynRoute {
-    chans: Vec<u32>,
-    segs: [SegMeta; 3],
 }
 
 struct Simulator<'a, S: Scheduler<EventKind>, const TRACE: bool> {
@@ -185,65 +180,30 @@ struct Simulator<'a, S: Scheduler<EventKind>, const TRACE: bool> {
     /// Message slab; `free` holds the slots of delivered messages.
     msgs: Vec<Msg>,
     free: Vec<u32>,
-    /// Adaptive route arena, parallel to `msgs` under adaptive routing and
-    /// empty otherwise: interned routes never read it, and a slot's worth
-    /// of idle buffers per live message would outweigh the slab itself.
-    dyn_routes: Vec<DynRoute>,
     scratch: AdaptiveScratch,
-    /// Memoized adaptive routes: repeated (pair, digits) draws reuse the
-    /// materialised channel list instead of re-walking the graph maps.
+    /// The adaptive routes of this run: repeated (pair, digits) draws
+    /// reuse the materialised channel list instead of re-walking the
+    /// graph maps, and messages hold an index into it.
     route_cache: AdaptiveRouteCache,
-    generated: u64,
-    recorded_done: u64,
-    events_processed: u64,
     now: f64,
-    /// Per-channel failure mask. Empty means "no faults anywhere" — the
-    /// zero-fault fast path adds a single `is_empty` branch per check and
-    /// leaves every run bit-identical to the pre-fault engine.
-    failed: Vec<bool>,
-    delivered_total: u64,
-    dropped: u64,
-    retransmits: u64,
-    unreachable: u64,
-    // Sinks.
-    latency: OnlineStats,
-    intra_lat: OnlineStats,
-    inter_lat: OnlineStats,
-    per_cluster: Vec<OnlineStats>,
-    histogram: Option<Histogram>,
-    /// Cumulative busy time per channel (diagnostics; negligible overhead).
-    busy_total: Vec<f64>,
-    busy_since: Vec<f64>,
+    /// Recorded deliveries so far, counted at once (the stop rule reads
+    /// it) while their sink accumulation waits in `deliveries`.
+    recorded_done: u64,
+    counters: Counters,
+    faults: FaultMask,
+    busy: BusyTime,
+    sinks: Sinks,
     /// Traces of the first `cfg.trace_messages` messages.
     traces: Vec<MessageTrace>,
-    /// Raw samples for exact percentiles (when enabled).
-    percentiles: Option<Percentiles>,
-    /// Delivery-ordered latencies of the warm-up + measured populations,
-    /// for the MSER-5 warm-up audit (when enabled).
-    audit: Option<Vec<f64>>,
     /// Recorded/audited deliveries of the current instant, buffered so
     /// the statistic sinks see same-instant ties in the canonical
     /// (pop time, src, gen_time) order — see
-    /// [`crate::shard::delivery_order`]. Flushed whenever the clock
+    /// [`crate::results::delivery_order`]. Flushed whenever the clock
     /// strictly advances, so it holds only ties. Stop decisions still use
     /// the immediate counters; only the f64 accumulation order is
     /// deferred, so event execution is untouched and non-tied runs keep
     /// their exact bits.
-    deliveries: Vec<DeliveryRec>,
-}
-
-/// A buffered delivery awaiting canonical-order sink accumulation.
-#[derive(Debug, Clone, Copy)]
-struct DeliveryRec {
-    /// Pop time of the delivering `Advance`.
-    t: f64,
-    latency: f64,
-    src: u32,
-    gen_time: f64,
-    recorded: bool,
-    audited: bool,
-    intra: bool,
-    src_cluster: u32,
+    deliveries: Vec<Delivery>,
 }
 
 impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
@@ -265,63 +225,28 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
                 queue: VecDeque::new(),
             })
             .collect();
-        let histogram = cfg
-            .histogram
-            .map(|(hi, bins)| Histogram::new(0.0, hi, bins));
-        let percentiles = if cfg.collect_percentiles {
-            Some(Percentiles::with_capacity(cfg.measured as usize))
-        } else {
-            None
-        };
-        let audit = if cfg.audit_warmup {
-            Some(Vec::with_capacity((cfg.warmup + cfg.measured) as usize))
-        } else {
-            None
-        };
-        let rng = StdRng::seed_from_u64(cfg.seed);
-        // Static faults arrive pre-resolved in the built system; timed
-        // fault events need a full-size mask to flip even when no link is
-        // down at t = 0.
-        let failed = if built.static_failed().is_empty() && !cfg.faults.events.is_empty() {
-            vec![false; built.num_channels()]
-        } else {
-            built.static_failed().to_vec()
-        };
         Self {
             built,
             routes: built.route_table(),
-            cfg,
             m_flits: wl.msg_flits as f64,
             arrivals: vec![arrival.build(); built.total_nodes()],
             pattern,
-            rng,
+            rng: StdRng::seed_from_u64(cfg.seed),
             queue: S::new(),
             chans,
             msgs: Vec::new(),
             free: Vec::new(),
-            dyn_routes: Vec::new(),
             scratch: AdaptiveScratch::default(),
             route_cache: AdaptiveRouteCache::default(),
-            generated: 0,
-            recorded_done: 0,
-            events_processed: 0,
             now: 0.0,
-            failed,
-            delivered_total: 0,
-            dropped: 0,
-            retransmits: 0,
-            unreachable: 0,
-            latency: OnlineStats::new(),
-            intra_lat: OnlineStats::new(),
-            inter_lat: OnlineStats::new(),
-            per_cluster: vec![OnlineStats::new(); built.spec().num_clusters()],
-            histogram,
-            busy_total: vec![0.0; built.num_channels()],
-            busy_since: vec![0.0; built.num_channels()],
+            recorded_done: 0,
+            counters: Counters::default(),
+            faults: FaultMask::new(built, &cfg.faults),
+            busy: BusyTime::new(built.num_channels()),
+            sinks: Sinks::new(&cfg, built.spec().num_clusters()),
             traces: Vec::new(),
-            percentiles,
-            audit,
             deliveries: Vec::new(),
+            cfg,
         }
     }
 
@@ -341,37 +266,42 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
     #[inline]
     fn seg_chan(&self, msg_id: u32, k: u32) -> u32 {
         let m = &self.msgs[msg_id as usize];
-        if m.route.is_dynamic() {
-            self.dyn_routes[msg_id as usize].chans[(m.cur.start + k as u64) as usize]
-        } else {
-            self.routes.chan_at(m.cur.start + k as u64)
+        let pos = m.cur.start + k as u64;
+        match m.route.adaptive_idx() {
+            Some(i) => self.route_cache.route(i).chans[pos as usize],
+            None => self.routes.chan_at(pos),
         }
     }
 
     /// Metadata of segment `seg` of the message's route.
     #[inline]
     fn seg_meta(&self, msg_id: u32, seg: u8) -> SegMeta {
-        let m = &self.msgs[msg_id as usize];
-        if m.route.is_dynamic() {
-            self.dyn_routes[msg_id as usize].segs[seg as usize]
-        } else {
-            self.routes.seg_meta(m.route, seg as u32)
+        let route = self.msgs[msg_id as usize].route;
+        match route.adaptive_idx() {
+            Some(i) => self.route_cache.route(i).segs[seg as usize],
+            None => self.routes.seg_meta(route, seg as u32),
         }
+    }
+
+    /// Draws an adaptive route from `src` to `dst`: its reference, first
+    /// segment and segment count.
+    fn draw_adaptive(&mut self, src: usize, dst: usize) -> (RouteRef, SegMeta, u8) {
+        let idx =
+            self.route_cache
+                .route_idx(self.built, src, dst, &mut self.rng, &mut self.scratch);
+        let cr = self.route_cache.route(idx);
+        (RouteRef::adaptive(idx), cr.segs[0], cr.nsegs)
     }
 
     /// Seeds the fault schedule and the initial Generate event of every
     /// node. Faults are scheduled first so a `t = 0` failure is in force
     /// before any traffic moves.
     fn prime(&mut self) {
-        for ev in &self.cfg.faults.events {
-            self.queue.schedule(
-                ev.time,
-                EventKind::Fault {
-                    link: ev.link,
-                    fail: matches!(ev.action, FaultAction::Fail),
-                },
-            );
-        }
+        self.cfg.faults.schedule_timed(
+            &mut self.queue,
+            |_| true,
+            |link, fail| EventKind::Fault { link, fail },
+        );
         for node in 0..self.built.total_nodes() {
             let t = self.arrivals[node].next_arrival(&mut self.rng);
             self.queue
@@ -380,23 +310,21 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
     }
 
     fn run(mut self) -> SimResults {
-        let (completed, stop) = self.simulate();
-        self.results(completed, stop)
+        let stop = self.simulate();
+        self.results(stop)
     }
 
     /// Runs the event loop to its stop condition and feeds every buffered
-    /// delivery to the sinks; returns whether the measured population
-    /// completed, and why the loop stopped.
-    fn simulate(&mut self) -> (bool, StopReason) {
+    /// delivery to the sinks; returns why the loop stopped.
+    fn simulate(&mut self) -> StopReason {
         self.prime();
-        let mut completed = false;
         // If the loop exits any other way, the queue ran dry: every
         // message was delivered or written off — graceful degradation,
         // not a hang.
         let mut stop = StopReason::Drained;
         while let Some(ev) = self.queue.pop() {
-            self.events_processed += 1;
-            if self.events_processed > self.cfg.max_events {
+            self.counters.events_processed += 1;
+            if self.counters.events_processed > self.cfg.max_events {
                 stop = StopReason::EventCap;
                 break;
             }
@@ -412,55 +340,27 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
                 EventKind::Advance { msg } => self.on_advance(msg, ev.time),
                 EventKind::Release { chan } => self.on_release(chan, ev.time),
                 EventKind::Request { msg } => self.request_current(msg, ev.time),
-                EventKind::Fault { link, fail } => self.on_fault(link, fail),
+                EventKind::Fault { link, fail } => self.faults.apply(link, fail),
                 EventKind::Retransmit { msg } => self.on_retransmit(msg, ev.time),
             }
             if self.recorded_done >= self.cfg.measured {
-                completed = true;
                 stop = StopReason::MeasuredComplete;
                 break;
             }
         }
-        // Channels still holding a message when the run ends (event cap or
-        // measured-complete break) have an open busy interval; flush it so
-        // utilisation is not undercounted.
-        for chan in 0..self.chans.len() {
-            if self.chans[chan].busy {
-                self.busy_total[chan] += self.now - self.busy_since[chan];
-            }
-        }
         self.flush_deliveries();
-        (completed, stop)
+        stop
     }
 
     /// The run's results, once [`Self::simulate`] has returned.
-    fn results(mut self, completed: bool, stop: StopReason) -> SimResults {
-        SimResults::collect(
-            &self.latency,
-            &self.intra_lat,
-            &self.inter_lat,
-            &self.per_cluster,
-            self.generated,
-            self.recorded_done,
-            completed,
-            self.now,
-            self.histogram,
-            self.busy_total,
-            self.traces,
-            self.percentiles.as_mut().and_then(exact_percentiles),
-            self.audit
-                .as_deref()
-                .and_then(|stream| WarmupAudit::from_stream(stream, self.cfg.warmup)),
-            crate::results::EngineCounters {
-                events_processed: self.events_processed,
-                peak_live_msgs: self.msgs.len() as u64,
-                delivered_total: self.delivered_total,
-                dropped: self.dropped,
-                retransmits: self.retransmits,
-                unreachable: self.unreachable,
-                stop,
-            },
-        )
+    fn results(self, stop: StopReason) -> SimResults {
+        let chans = &self.chans;
+        let busy = self.busy.finish(self.now, |c| chans[c].busy);
+        let mut r = self
+            .sinks
+            .finish(self.counters, stop, self.now, busy, self.msgs.len() as u64);
+        r.traces = self.traces;
+        r
     }
 
     /// Replay the buffered deliveries into the statistic sinks in the
@@ -476,49 +376,16 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
     /// depends on (`recorded_done`, the measured stop, event execution)
     /// happened immediately; this pass only fixes the f64 accumulation
     /// order.
+    ///
+    /// Kept out of line: it runs at most once per clock advance, and
+    /// inlined, its sort and sink code would sit inside the event loop.
+    #[inline(never)]
     fn flush_deliveries(&mut self) {
-        self.deliveries.sort_by(|a, b| {
-            crate::shard::delivery_order((a.t, a.src, a.gen_time), (b.t, b.src, b.gen_time))
-        });
+        self.deliveries.sort_by(delivery_order);
         for d in &self.deliveries {
-            if d.audited {
-                if let Some(a) = &mut self.audit {
-                    a.push(d.latency);
-                }
-            }
-            if d.recorded {
-                self.latency.push(d.latency);
-                if d.intra {
-                    self.intra_lat.push(d.latency);
-                } else {
-                    self.inter_lat.push(d.latency);
-                }
-                self.per_cluster[d.src_cluster as usize].push(d.latency);
-                if let Some(h) = &mut self.histogram {
-                    h.record(d.latency);
-                }
-                if let Some(p) = &mut self.percentiles {
-                    p.record(d.latency);
-                }
-            }
+            self.sinks.record(d);
         }
         self.deliveries.clear();
-    }
-
-    /// Whether a channel is currently failed (empty mask = zero-fault
-    /// fast path).
-    #[inline]
-    fn is_failed(&self, chan: u32) -> bool {
-        !self.failed.is_empty() && self.failed[chan as usize]
-    }
-
-    /// Applies a timed fault-schedule entry; the reverse channel fails and
-    /// recovers in tandem (a dead cable kills both directions). In-flight
-    /// crossings complete — a fault affects acquisitions, not transfers.
-    fn on_fault(&mut self, link: u32, fail: bool) {
-        debug_assert!(!self.failed.is_empty(), "fault events imply a full mask");
-        self.failed[link as usize] = fail;
-        self.failed[(link ^ 1) as usize] = fail;
     }
 
     /// Drops an in-flight message whose header ran into the failed channel
@@ -528,14 +395,14 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
     /// with the attempt budget exhausted, is written off as unreachable.
     fn drop_msg(&mut self, msg_id: u32, chan: u32, t: f64) {
         let m = self.msgs[msg_id as usize];
-        self.dropped += 1;
+        self.counters.dropped += 1;
         self.trace(m.trace_id, t, TraceEventKind::Dropped { chan });
         for k in 0..m.idx {
             let held = self.seg_chan(msg_id, k as u32);
             self.queue.schedule(t, EventKind::Release { chan: held });
         }
         if m.attempt + 1 >= self.cfg.faults.max_attempts {
-            self.unreachable += 1;
+            self.counters.unreachable += 1;
             self.free.push(msg_id);
         } else {
             let delay = self.cfg.faults.retry_delay(m.attempt);
@@ -549,7 +416,7 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
     /// retry delay). Adaptive messages re-draw their ascent digits, so an
     /// oblivious retry may dodge the fault; interned routes are fixed.
     fn on_retransmit(&mut self, msg_id: u32, t: f64) {
-        self.retransmits += 1;
+        self.counters.retransmits += 1;
         let m = self.msgs[msg_id as usize];
         self.trace(
             m.trace_id,
@@ -558,26 +425,14 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
                 attempt: m.attempt + 1,
             },
         );
-        let cur = if m.route.is_dynamic() {
-            let built = self.built;
-            let idx = self.route_cache.route_idx(
-                built,
-                m.src as usize,
-                m.dst as usize,
-                &mut self.rng,
-                &mut self.scratch,
-            );
-            let cr = self.route_cache.route(idx);
-            let dr = &mut self.dyn_routes[msg_id as usize];
-            dr.chans.clear();
-            dr.chans.extend_from_slice(&cr.chans);
-            dr.segs = cr.segs;
-            self.msgs[msg_id as usize].nsegs = cr.nsegs;
-            cr.segs[0]
+        let (route, cur, nsegs) = if m.route.adaptive_idx().is_some() {
+            self.draw_adaptive(m.src as usize, m.dst as usize)
         } else {
-            self.routes.seg_meta(m.route, 0)
+            (m.route, self.routes.seg_meta(m.route, 0), m.nsegs)
         };
         let mm = &mut self.msgs[msg_id as usize];
+        mm.route = route;
+        mm.nsegs = nsegs;
         mm.attempt += 1;
         mm.seg = 0;
         mm.idx = 0;
@@ -587,7 +442,7 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
     }
 
     fn on_generate(&mut self, node: u32, t: f64) {
-        if self.generated >= self.cfg.total_messages() {
+        if self.counters.generated >= self.cfg.total_messages() {
             return;
         }
         let src = node as usize;
@@ -597,46 +452,35 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
             // message (generated + unreachable, never silently lost)
             // without allocating a slab slot, and keep the arrival stream
             // going so the node's later destinations still get traffic.
-            self.generated += 1;
-            self.unreachable += 1;
-            if self.generated < self.cfg.total_messages() {
+            self.counters.generated += 1;
+            self.counters.unreachable += 1;
+            if self.counters.generated < self.cfg.total_messages() {
                 let next = self.arrivals[node as usize].next_arrival(&mut self.rng);
                 self.queue.schedule(next, EventKind::Generate { node });
             }
             return;
         }
-        let recorded = self.generated >= self.cfg.warmup
-            && self.generated < self.cfg.warmup + self.cfg.measured;
-        let audited = self.audit.is_some() && self.generated < self.cfg.warmup + self.cfg.measured;
-        let trace_id = if TRACE && self.generated < self.cfg.trace_messages.min(UNTRACED as u64) {
-            self.generated as u32
+        let generated = self.counters.generated;
+        let recorded =
+            generated >= self.cfg.warmup && generated < self.cfg.warmup + self.cfg.measured;
+        let audited = self.cfg.audit_warmup && generated < self.cfg.warmup + self.cfg.measured;
+        let trace_id = if TRACE && generated < self.cfg.trace_messages.min(UNTRACED as u64) {
+            generated as u32
         } else {
             UNTRACED
         };
-        self.generated += 1;
+        self.counters.generated += 1;
 
         let slot = match self.free.pop() {
             Some(s) => s,
             None => {
                 let s = self.msgs.len() as u32;
                 self.msgs.push(Msg::VACANT);
-                if self.cfg.adaptive_routing {
-                    self.dyn_routes.push(DynRoute::default());
-                }
                 s
             }
         };
-        let built = self.built;
         let (route, cur, nsegs) = if self.cfg.adaptive_routing {
-            let idx = self
-                .route_cache
-                .route_idx(built, src, dst, &mut self.rng, &mut self.scratch);
-            let cr = self.route_cache.route(idx);
-            let dr = &mut self.dyn_routes[slot as usize];
-            dr.chans.clear();
-            dr.chans.extend_from_slice(&cr.chans);
-            dr.segs = cr.segs;
-            (RouteRef::DYNAMIC, cr.segs[0], cr.nsegs)
+            self.draw_adaptive(src, dst)
         } else {
             let r = self.routes.route_ref(src, dst);
             (
@@ -645,6 +489,7 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
                 self.routes.num_segments(r) as u8,
             )
         };
+        let built = self.built;
         self.msgs[slot as usize] = Msg {
             gen_time: t,
             prev_finish: t,
@@ -672,7 +517,7 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
         );
         self.request_current(slot, t);
         // Keep generating until the population is complete.
-        if self.generated < self.cfg.total_messages() {
+        if self.counters.generated < self.cfg.total_messages() {
             let next = self.arrivals[node as usize].next_arrival(&mut self.rng);
             debug_assert!(next >= t, "arrival streams move forward");
             self.queue.schedule(next, EventKind::Generate { node });
@@ -684,7 +529,7 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
     fn request_current(&mut self, msg_id: u32, t: f64) {
         let idx = self.msgs[msg_id as usize].idx;
         let chan = self.seg_chan(msg_id, idx as u32);
-        if self.is_failed(chan) {
+        if self.faults.is_failed(chan) {
             self.drop_msg(msg_id, chan, t);
             return;
         }
@@ -698,7 +543,7 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
         } else {
             c.busy = true;
             let cross = c.t;
-            self.busy_since[chan as usize] = t;
+            self.busy.grant(chan, t);
             self.queue
                 .schedule(t + cross, EventKind::Advance { msg: msg_id });
             if TRACE {
@@ -752,7 +597,7 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
         );
         let last_segment = m.seg + 1 == m.nsegs;
         if last_segment {
-            self.delivered_total += 1;
+            self.counters.delivered_total += 1;
             let latency = finish - m.gen_time;
             self.trace(m.trace_id, finish, TraceEventKind::Delivered { latency });
             if m.audited || m.recorded {
@@ -760,7 +605,7 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
                 // the next clock advance) so same-instant ties land in the
                 // canonical order shared with the sharded engine; only the
                 // stop-driving counter advances here.
-                self.deliveries.push(DeliveryRec {
+                self.deliveries.push(Delivery {
                     t,
                     latency,
                     src: m.src,
@@ -774,8 +619,8 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
             if m.recorded {
                 self.recorded_done += 1;
             }
-            // Delivery releases the slab slot (and its arena buffers) for
-            // the next generated message.
+            // Delivery releases the slab slot for the next generated
+            // message.
             self.free.push(msg_id);
         } else {
             let next = self.seg_meta(msg_id, m.seg + 1);
@@ -812,14 +657,14 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
     }
 
     fn on_release(&mut self, chan: u32, t: f64) {
-        self.busy_total[chan as usize] += t - self.busy_since[chan as usize];
+        self.busy.accrue(chan, t);
         debug_assert!(self.chans[chan as usize].busy, "releasing a free channel");
         loop {
             let Some(next) = self.chans[chan as usize].queue.pop_front() else {
                 self.chans[chan as usize].busy = false;
                 return;
             };
-            if self.is_failed(chan) {
+            if self.faults.is_failed(chan) {
                 // The link died while this header was queued on it: the
                 // grant would start a crossing on a failed channel, so the
                 // waiter is dropped for retransmission instead.
@@ -828,7 +673,7 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
             }
             // Grant to the next waiting header; channel stays busy.
             let cross = self.chans[chan as usize].t;
-            self.busy_since[chan as usize] = t;
+            self.busy.grant(chan, t);
             self.queue
                 .schedule(t + cross, EventKind::Advance { msg: next });
             if TRACE {
@@ -944,6 +789,7 @@ pub fn run_simulation_arrivals(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::FaultAction;
     use cocnet_topology::{ClusterSpec, NetworkCharacteristics};
 
     fn spec() -> SystemSpec {
@@ -1422,8 +1268,7 @@ mod tests {
             cfg,
             ArrivalSpec::Poisson { rate },
         );
-        let (completed, _) = sim.simulate();
-        assert!(completed);
+        assert_eq!(sim.simulate(), StopReason::MeasuredComplete);
         assert_eq!(sim.recorded_done, 20_000);
         assert!(sim.deliveries.is_empty(), "the final flush empties it");
         assert!(
@@ -1432,35 +1277,6 @@ mod tests {
             sim.deliveries.capacity(),
             sim.recorded_done
         );
-    }
-
-    #[test]
-    fn adaptive_arena_grows_only_under_adaptive_routing() {
-        // Interned routes never read the adaptive arena, so deterministic
-        // runs leave it empty; adaptive runs keep it parallel to the slab.
-        let built = BuiltSystem::build(&spec(), 256.0);
-        let rate = 3e-4;
-        for adaptive_routing in [false, true] {
-            let cfg = SimConfig {
-                adaptive_routing,
-                ..tiny_cfg(24)
-            };
-            let mut sim = Simulator::<EventQueue<EventKind>, false>::new(
-                &built,
-                &wl(rate),
-                Pattern::Uniform,
-                cfg,
-                ArrivalSpec::Poisson { rate },
-            );
-            let (completed, _) = sim.simulate();
-            assert!(completed && !sim.msgs.is_empty());
-            let expected = if adaptive_routing { sim.msgs.len() } else { 0 };
-            assert_eq!(
-                sim.dyn_routes.len(),
-                expected,
-                "adaptive: {adaptive_routing}"
-            );
-        }
     }
 
     #[test]

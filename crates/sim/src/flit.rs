@@ -26,14 +26,15 @@
 //! state: messages are small `Copy` slab entries referencing the interned
 //! [`RouteTable`](`crate::build::RouteTable`) (this engine is always
 //! deterministic, so every route is interned), delivered slots are
-//! recycled through a free list, and the heap/FIFOs retain capacity.
+//! recycled through a free list, and the heap/FIFOs retain capacity. It
+//! records into the same run ledger as the worm engines, each delivery
+//! at once.
 
 use crate::build::{BuiltSystem, RouteRef, RouteTable, SegMeta};
-use crate::config::{FaultAction, SchedulerKind, SimConfig};
+use crate::config::{FaultMask, SchedulerKind, SimConfig};
 use crate::events::{CalendarQueue, EventQueue, Scheduler};
-use crate::results::{exact_percentiles, SimResults, StopReason, WarmupAudit};
+use crate::results::{BusyTime, Counters, Delivery, SimResults, Sinks, StopReason};
 use cocnet_model::Workload;
-use cocnet_stats::{Histogram, OnlineStats, Percentiles};
 use cocnet_topology::SystemSpec;
 use cocnet_workloads::{exponential_sample, Pattern};
 use rand::rngs::StdRng;
@@ -101,6 +102,8 @@ struct MsgF {
     audited: bool,
     intra: bool,
     src_cluster: u32,
+    /// Flat source node id.
+    src: u32,
     /// Completed transmission attempts that hit a failed channel.
     attempt: u32,
 }
@@ -109,7 +112,7 @@ impl MsgF {
     /// Placeholder for freshly grown slab slots (overwritten before use).
     const VACANT: MsgF = MsgF {
         gen_time: 0.0,
-        route: RouteRef::DYNAMIC,
+        route: RouteRef::adaptive(0),
         cur: SegMeta {
             start: 0,
             len: 0,
@@ -123,6 +126,7 @@ impl MsgF {
         audited: false,
         intra: false,
         src_cluster: 0,
+        src: 0,
         attempt: 0,
     };
 }
@@ -141,29 +145,11 @@ struct FlitSimulator<'a, S: Scheduler<EventKind>> {
     chans: Vec<ChanF>,
     msgs: Vec<MsgF>,
     free: Vec<u32>,
-    generated: u64,
-    recorded_done: u64,
-    events_processed: u64,
     now: f64,
-    /// Per-channel failure mask (empty = zero-fault fast path, see the
-    /// worm engine).
-    failed: Vec<bool>,
-    delivered_total: u64,
-    dropped: u64,
-    retransmits: u64,
-    unreachable: u64,
-    latency: OnlineStats,
-    intra_lat: OnlineStats,
-    inter_lat: OnlineStats,
-    per_cluster: Vec<OnlineStats>,
-    histogram: Option<Histogram>,
-    busy_total: Vec<f64>,
-    busy_since: Vec<f64>,
-    /// Raw samples for exact percentiles (when enabled).
-    percentiles: Option<Percentiles>,
-    /// Delivery-ordered latencies of the warm-up + measured populations,
-    /// for the MSER-5 warm-up audit (when enabled).
-    audit: Option<Vec<f64>>,
+    counters: Counters,
+    faults: FaultMask,
+    busy: BusyTime,
+    sinks: Sinks,
 }
 
 impl<'a, S: Scheduler<EventKind>> FlitSimulator<'a, S> {
@@ -178,81 +164,46 @@ impl<'a, S: Scheduler<EventKind>> FlitSimulator<'a, S> {
                 queue: VecDeque::new(),
             })
             .collect();
-        let histogram = cfg
-            .histogram
-            .map(|(hi, bins)| Histogram::new(0.0, hi, bins));
         assert!(cfg.flit_buffer_depth >= 1, "buffers need at least one slot");
-        let percentiles = if cfg.collect_percentiles {
-            Some(Percentiles::with_capacity(cfg.measured as usize))
-        } else {
-            None
-        };
-        let audit = if cfg.audit_warmup {
-            Some(Vec::with_capacity((cfg.warmup + cfg.measured) as usize))
-        } else {
-            None
-        };
-        let rng = StdRng::seed_from_u64(cfg.seed);
-        let failed = if built.static_failed().is_empty() && !cfg.faults.events.is_empty() {
-            vec![false; built.num_channels()]
-        } else {
-            built.static_failed().to_vec()
-        };
         Self {
             built,
             routes: built.route_table(),
             depth: cfg.flit_buffer_depth as usize,
-            cfg,
             m_flits: wl.msg_flits,
             lambda: wl.lambda_g,
             pattern,
-            rng,
+            rng: StdRng::seed_from_u64(cfg.seed),
             queue: S::new(),
             chans,
             msgs: Vec::new(),
             free: Vec::new(),
-            generated: 0,
-            recorded_done: 0,
-            events_processed: 0,
             now: 0.0,
-            failed,
-            delivered_total: 0,
-            dropped: 0,
-            retransmits: 0,
-            unreachable: 0,
-            latency: OnlineStats::new(),
-            intra_lat: OnlineStats::new(),
-            inter_lat: OnlineStats::new(),
-            per_cluster: vec![OnlineStats::new(); built.spec().num_clusters()],
-            histogram,
-            busy_total: vec![0.0; built.num_channels()],
-            busy_since: vec![0.0; built.num_channels()],
-            percentiles,
-            audit,
+            counters: Counters::default(),
+            faults: FaultMask::new(built, &cfg.faults),
+            busy: BusyTime::new(built.num_channels()),
+            sinks: Sinks::new(&cfg, built.spec().num_clusters()),
+            cfg,
         }
     }
 
     fn run(mut self) -> SimResults {
         // Faults first so a t = 0 failure is in force before any traffic.
-        for ev in &self.cfg.faults.events {
-            self.queue.schedule(
-                ev.time,
-                EventKind::Fault {
-                    link: ev.link,
-                    fail: matches!(ev.action, FaultAction::Fail),
-                },
-            );
-        }
+        // They act at segment admission in this engine (`inject_segment`):
+        // flits already streaming through a segment complete it.
+        self.cfg.faults.schedule_timed(
+            &mut self.queue,
+            |_| true,
+            |link, fail| EventKind::Fault { link, fail },
+        );
         for node in 0..self.built.total_nodes() {
             let gap = exponential_sample(&mut self.rng, self.lambda);
             self.queue
                 .schedule(gap, EventKind::Generate { node: node as u32 });
         }
-        let mut completed = false;
         let mut stop = StopReason::Drained;
         while let Some(ev) = self.queue.pop() {
-            self.events_processed += 1;
-            if self.events_processed > self.cfg.max_events {
+            self.counters.events_processed += 1;
+            if self.counters.events_processed > self.cfg.max_events {
                 stop = StopReason::EventCap;
                 break;
             }
@@ -262,61 +213,18 @@ impl<'a, S: Scheduler<EventKind>> FlitSimulator<'a, S> {
                 EventKind::CrossComplete { msg, flit, pos } => {
                     self.on_cross_complete(msg, flit, pos, ev.time)
                 }
-                EventKind::Fault { link, fail } => self.on_fault(link, fail),
+                EventKind::Fault { link, fail } => self.faults.apply(link, fail),
                 EventKind::Retransmit { msg } => self.on_retransmit(msg, ev.time),
             }
-            if self.recorded_done >= self.cfg.measured {
-                completed = true;
+            if self.sinks.recorded() >= self.cfg.measured {
                 stop = StopReason::MeasuredComplete;
                 break;
             }
         }
-        // Flush the open busy interval of channels still allocated when
-        // the run ends, as in the worm engine.
-        for chan in 0..self.chans.len() {
-            if self.chans[chan].owner.is_some() {
-                self.busy_total[chan] += self.now - self.busy_since[chan];
-            }
-        }
-        let percentiles = self.percentiles.as_mut().and_then(exact_percentiles);
-        let audit = self
-            .audit
-            .as_deref()
-            .and_then(|stream| WarmupAudit::from_stream(stream, self.cfg.warmup));
-        SimResults::collect(
-            &self.latency,
-            &self.intra_lat,
-            &self.inter_lat,
-            &self.per_cluster,
-            self.generated,
-            self.recorded_done,
-            completed,
-            self.now,
-            self.histogram,
-            self.busy_total,
-            Vec::new(),
-            percentiles,
-            audit,
-            crate::results::EngineCounters {
-                events_processed: self.events_processed,
-                peak_live_msgs: self.msgs.len() as u64,
-                delivered_total: self.delivered_total,
-                dropped: self.dropped,
-                retransmits: self.retransmits,
-                unreachable: self.unreachable,
-                stop,
-            },
-        )
-    }
-
-    /// Applies a timed fault-schedule entry; the reverse channel fails and
-    /// recovers in tandem. Faults act at segment admission in this engine
-    /// (see [`inject_segment`](Self::inject_segment)): flits already
-    /// streaming through a segment complete it.
-    fn on_fault(&mut self, link: u32, fail: bool) {
-        debug_assert!(!self.failed.is_empty(), "fault events imply a full mask");
-        self.failed[link as usize] = fail;
-        self.failed[(link ^ 1) as usize] = fail;
+        let chans = &self.chans;
+        let busy = self.busy.finish(self.now, |c| chans[c].owner.is_some());
+        self.sinks
+            .finish(self.counters, stop, self.now, busy, self.msgs.len() as u64)
     }
 
     /// Whether any channel of the message's current segment is failed —
@@ -324,21 +232,21 @@ impl<'a, S: Scheduler<EventKind>> FlitSimulator<'a, S> {
     /// mean a message holds no channels at admission time, so a drop here
     /// never strands wormhole state.
     fn segment_blocked(&self, msg_id: u32) -> bool {
-        if self.failed.is_empty() {
-            return false;
-        }
         let m = &self.msgs[msg_id as usize];
-        (0..m.cur.len).any(|k| self.failed[self.routes.chan_at(m.cur.start + k as u64) as usize])
+        (0..m.cur.len).any(|k| {
+            self.faults
+                .is_failed(self.routes.chan_at(m.cur.start + k as u64))
+        })
     }
 
     /// Drops a message refused admission to a faulted segment: retransmit
     /// from source after the retry timeout, or write it off as unreachable
     /// once the attempt budget is exhausted.
     fn drop_msg(&mut self, msg_id: u32, t: f64) {
-        self.dropped += 1;
+        self.counters.dropped += 1;
         let attempt = self.msgs[msg_id as usize].attempt;
         if attempt + 1 >= self.cfg.faults.max_attempts {
-            self.unreachable += 1;
+            self.counters.unreachable += 1;
             self.free.push(msg_id);
         } else {
             let delay = self.cfg.faults.retry_delay(attempt);
@@ -350,7 +258,7 @@ impl<'a, S: Scheduler<EventKind>> FlitSimulator<'a, S> {
     /// Retry timeout expired: re-enter from the source with the original
     /// generation time-stamp (latency includes every retry delay).
     fn on_retransmit(&mut self, msg_id: u32, t: f64) {
-        self.retransmits += 1;
+        self.counters.retransmits += 1;
         let route = self.msgs[msg_id as usize].route;
         let cur = self.routes.seg_meta(route, 0);
         let mm = &mut self.msgs[msg_id as usize];
@@ -362,7 +270,7 @@ impl<'a, S: Scheduler<EventKind>> FlitSimulator<'a, S> {
     }
 
     fn on_generate(&mut self, node: u32, t: f64) {
-        if self.generated >= self.cfg.total_messages() {
+        if self.counters.generated >= self.cfg.total_messages() {
             return;
         }
         let src = node as usize;
@@ -371,18 +279,19 @@ impl<'a, S: Scheduler<EventKind>> FlitSimulator<'a, S> {
             // Statically partitioned destination: account the message
             // without allocating a slab slot, keep the arrival stream
             // going.
-            self.generated += 1;
-            self.unreachable += 1;
-            if self.generated < self.cfg.total_messages() {
+            self.counters.generated += 1;
+            self.counters.unreachable += 1;
+            if self.counters.generated < self.cfg.total_messages() {
                 let gap = exponential_sample(&mut self.rng, self.lambda);
                 self.queue.schedule(t + gap, EventKind::Generate { node });
             }
             return;
         }
-        let recorded = self.generated >= self.cfg.warmup
-            && self.generated < self.cfg.warmup + self.cfg.measured;
-        let audited = self.audit.is_some() && self.generated < self.cfg.warmup + self.cfg.measured;
-        self.generated += 1;
+        let generated = self.counters.generated;
+        let recorded =
+            generated >= self.cfg.warmup && generated < self.cfg.warmup + self.cfg.measured;
+        let audited = self.cfg.audit_warmup && generated < self.cfg.warmup + self.cfg.measured;
+        self.counters.generated += 1;
         let route = self.routes.route_ref(src, dst);
         let slot = match self.free.pop() {
             Some(s) => s,
@@ -403,10 +312,11 @@ impl<'a, S: Scheduler<EventKind>> FlitSimulator<'a, S> {
             audited,
             intra: self.built.cluster_of(src) == self.built.cluster_of(dst),
             src_cluster: self.built.cluster_of(src) as u32,
+            src: src as u32,
             attempt: 0,
         };
         self.inject_segment(slot, t);
-        if self.generated < self.cfg.total_messages() {
+        if self.counters.generated < self.cfg.total_messages() {
             let gap = exponential_sample(&mut self.rng, self.lambda);
             self.queue.schedule(t + gap, EventKind::Generate { node });
         }
@@ -423,7 +333,7 @@ impl<'a, S: Scheduler<EventKind>> FlitSimulator<'a, S> {
         let c = &mut self.chans[chan as usize];
         if c.owner.is_none() {
             c.owner = Some(msg_id);
-            self.busy_since[chan as usize] = t;
+            self.busy.grant(chan, t);
             self.try_move(msg_id, -1, t);
         } else {
             c.queue.push_back((msg_id, -1));
@@ -529,7 +439,7 @@ impl<'a, S: Scheduler<EventKind>> FlitSimulator<'a, S> {
             let c = &mut self.chans[next_chan as usize];
             if c.owner.is_none() {
                 c.owner = Some(msg_id);
-                self.busy_since[next_chan as usize] = t;
+                self.busy.grant(next_chan, t);
             } else if c.owner != Some(msg_id) {
                 c.queue.push_back((msg_id, pos as i32));
             }
@@ -545,12 +455,12 @@ impl<'a, S: Scheduler<EventKind>> FlitSimulator<'a, S> {
     /// Releases a channel: account busy time and grant to the next queued
     /// header (whose message may immediately start moving).
     fn release(&mut self, chan: u32, t: f64) {
-        self.busy_total[chan as usize] += t - self.busy_since[chan as usize];
+        self.busy.accrue(chan, t);
         let next = self.chans[chan as usize].queue.pop_front();
         match next {
             Some((w, wait_pos)) => {
                 self.chans[chan as usize].owner = Some(w);
-                self.busy_since[chan as usize] = t;
+                self.busy.grant(chan, t);
                 self.try_move(w, wait_pos, t);
             }
             None => self.chans[chan as usize].owner = None,
@@ -570,29 +480,17 @@ impl<'a, S: Scheduler<EventKind>> FlitSimulator<'a, S> {
             self.inject_segment(msg_id, t);
             return;
         }
-        self.delivered_total += 1;
-        let latency = t - m.gen_time;
-        if m.audited {
-            if let Some(a) = &mut self.audit {
-                a.push(latency);
-            }
-        }
-        if m.recorded {
-            self.latency.push(latency);
-            if m.intra {
-                self.intra_lat.push(latency);
-            } else {
-                self.inter_lat.push(latency);
-            }
-            self.per_cluster[m.src_cluster as usize].push(latency);
-            if let Some(h) = &mut self.histogram {
-                h.record(latency);
-            }
-            if let Some(p) = &mut self.percentiles {
-                p.record(latency);
-            }
-            self.recorded_done += 1;
-        }
+        self.counters.delivered_total += 1;
+        self.sinks.record(&Delivery {
+            t,
+            latency: t - m.gen_time,
+            src: m.src,
+            gen_time: m.gen_time,
+            recorded: m.recorded,
+            audited: m.audited,
+            intra: m.intra,
+            src_cluster: m.src_cluster,
+        });
         self.free.push(msg_id);
     }
 }
@@ -636,7 +534,7 @@ pub fn run_simulation_flit_built(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Coupling;
+    use crate::config::{Coupling, FaultAction};
     use crate::engine::run_simulation;
     use cocnet_topology::{ClusterSpec, NetworkCharacteristics};
 

@@ -49,8 +49,6 @@ pub use config::{
 pub use engine::{run_simulation, run_simulation_arrivals, run_simulation_built};
 pub use events::{CalendarQueue, EventQueue, Scheduler, Timed};
 pub use flit::{run_simulation_flit, run_simulation_flit_built};
-pub use replicate::{
-    replicate, replicate_parallel, summarize, ReplicationAccumulator, ReplicationSummary,
-};
+pub use replicate::{summarize, ReplicationAccumulator, ReplicationSummary};
 pub use results::{SimResults, StopReason, WarmupAudit};
 pub use trace::{MessageTrace, TraceEvent, TraceEventKind};

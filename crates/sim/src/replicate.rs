@@ -1,20 +1,16 @@
-//! Independent replications: running the same configuration under several
-//! seeds and summarising across runs.
+//! Independent replications: summarising the same configuration run
+//! under several seeds.
 //!
 //! A single simulation's confidence interval understates the truth when
 //! samples are autocorrelated (queueing systems correlate heavily near
 //! saturation). The standard remedy — and what a careful reproduction of
 //! the paper's figures should report — is the mean of independent
-//! replications with a CI over the replication means.
+//! replications with a CI over the replication means. The runs themselves
+//! are scheduled by the caller (the `cocnet` scenario runner runs them in
+//! parallel, seeds `s, s+1, …`); this module merges their results.
 
-use crate::build::BuiltSystem;
-use crate::config::SimConfig;
-use crate::engine::run_simulation_built;
 use crate::results::SimResults;
-use cocnet_model::Workload;
 use cocnet_stats::{mean_confidence_interval, ConfidenceInterval, OnlineStats, Precision};
-use cocnet_topology::SystemSpec;
-use cocnet_workloads::Pattern;
 use serde::{Deserialize, Serialize};
 
 /// Summary over independent replications of one configuration.
@@ -37,57 +33,6 @@ impl ReplicationSummary {
     pub fn all_completed(&self) -> bool {
         self.completed == self.attempted
     }
-}
-
-/// Runs `replications` independent simulations (seeds `cfg.seed`,
-/// `cfg.seed + 1`, …) and summarises the means of those that completed.
-pub fn replicate(
-    spec: &SystemSpec,
-    wl: &Workload,
-    pattern: Pattern,
-    cfg: &SimConfig,
-    replications: usize,
-) -> ReplicationSummary {
-    assert!(replications > 0, "need at least one replication");
-    let built = BuiltSystem::build(spec, wl.flit_bytes);
-    let results: Vec<SimResults> = (0..replications)
-        .map(|r| {
-            let run_cfg = SimConfig {
-                seed: cfg.seed.wrapping_add(r as u64),
-                ..cfg.clone()
-            };
-            run_simulation_built(&built, wl, pattern, &run_cfg)
-        })
-        .collect();
-    summarize(&results, replications)
-}
-
-/// Parallel version of [`replicate`]: the replications run concurrently on
-/// the rayon pool, one independent seeded simulation each. Seeds and the
-/// order of `replication_means` are identical to [`replicate`]'s, so for
-/// the same `cfg` the two produce bit-identical summaries — only the
-/// wall-clock differs.
-pub fn replicate_parallel(
-    spec: &SystemSpec,
-    wl: &Workload,
-    pattern: Pattern,
-    cfg: &SimConfig,
-    replications: usize,
-) -> ReplicationSummary {
-    use rayon::prelude::*;
-    assert!(replications > 0, "need at least one replication");
-    let built = BuiltSystem::build(spec, wl.flit_bytes);
-    let results: Vec<SimResults> = (0..replications)
-        .into_par_iter()
-        .map(|r| {
-            let run_cfg = SimConfig {
-                seed: cfg.seed.wrapping_add(r as u64),
-                ..cfg.clone()
-            };
-            run_simulation_built(&built, wl, pattern, &run_cfg)
-        })
-        .collect();
-    summarize(&results, replications)
 }
 
 /// Incremental replication merging: absorbs per-replication
@@ -183,9 +128,8 @@ impl ReplicationAccumulator {
     }
 }
 
-/// Merges per-replication results into a [`ReplicationSummary`]. Kept
-/// public so harnesses that schedule their own runs (e.g. the `cocnet`
-/// scenario runner) can reuse the exact same summary arithmetic.
+/// Merges per-replication results, in seed order, into a
+/// [`ReplicationSummary`].
 pub fn summarize(results: &[SimResults], attempted: usize) -> ReplicationSummary {
     let mut acc = ReplicationAccumulator::new();
     for r in results {
@@ -199,7 +143,13 @@ pub fn summarize(results: &[SimResults], attempted: usize) -> ReplicationSummary
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cocnet_topology::{ClusterSpec, NetworkCharacteristics};
+    use crate::build::BuiltSystem;
+    use crate::config::SimConfig;
+    use crate::engine::run_simulation_built;
+    use crate::results::{Counters, Delivery, Sinks, StopReason};
+    use cocnet_model::Workload;
+    use cocnet_topology::{ClusterSpec, NetworkCharacteristics, SystemSpec};
+    use cocnet_workloads::Pattern;
 
     fn spec() -> SystemSpec {
         let net = NetworkCharacteristics::new(500.0, 0.01, 0.02).unwrap();
@@ -222,10 +172,33 @@ mod tests {
         }
     }
 
+    /// The runs of `replications` seeds `cfg.seed, cfg.seed + 1, …`, in
+    /// seed order, serially or on the rayon pool.
+    fn runs(wl: &Workload, replications: u64, parallel: bool) -> Vec<SimResults> {
+        use rayon::prelude::*;
+        let built = BuiltSystem::build(&spec(), wl.flit_bytes);
+        let run = |r: u64| {
+            let run_cfg = SimConfig {
+                seed: cfg().seed.wrapping_add(r),
+                ..cfg()
+            };
+            run_simulation_built(&built, wl, Pattern::Uniform, &run_cfg)
+        };
+        if parallel {
+            (0..replications).into_par_iter().map(run).collect()
+        } else {
+            (0..replications).map(run).collect()
+        }
+    }
+
+    fn replicate(wl: &Workload, replications: u64) -> ReplicationSummary {
+        summarize(&runs(wl, replications, false), replications as usize)
+    }
+
     #[test]
     fn replications_complete_and_differ() {
         let wl = Workload::new(2e-4, 16, 256.0).unwrap();
-        let s = replicate(&spec(), &wl, Pattern::Uniform, &cfg(), 4);
+        let s = replicate(&wl, 4);
         assert!(s.all_completed());
         assert_eq!(s.replication_means.len(), 4);
         // Distinct seeds produce distinct means…
@@ -240,8 +213,8 @@ mod tests {
     #[test]
     fn parallel_replications_bit_identical_to_serial() {
         let wl = Workload::new(2e-4, 16, 256.0).unwrap();
-        let serial = replicate(&spec(), &wl, Pattern::Uniform, &cfg(), 6);
-        let parallel = replicate_parallel(&spec(), &wl, Pattern::Uniform, &cfg(), 6);
+        let serial = replicate(&wl, 6);
+        let parallel = summarize(&runs(&wl, 6, true), 6);
         assert_eq!(serial.replication_means, parallel.replication_means);
         assert_eq!(serial.mean, parallel.mean);
         assert_eq!(serial.ci95, parallel.ci95);
@@ -251,38 +224,32 @@ mod tests {
     #[test]
     fn ci_shrinks_with_more_replications() {
         let wl = Workload::new(2e-4, 16, 256.0).unwrap();
-        let small = replicate(&spec(), &wl, Pattern::Uniform, &cfg(), 3);
-        let large = replicate(&spec(), &wl, Pattern::Uniform, &cfg(), 8);
+        let small = replicate(&wl, 3);
+        let large = replicate(&wl, 8);
         assert!(large.ci95.half_width < small.ci95.half_width);
     }
 
     #[test]
     fn summary_counts_incomplete_runs() {
-        let r_ok = SimResults::collect(
-            &{
-                let mut s = OnlineStats::new();
-                s.push(10.0);
-                s.push(12.0);
-                s
-            },
-            &OnlineStats::new(),
-            &OnlineStats::new(),
-            &[],
-            2,
-            2,
-            true,
-            1.0,
-            None,
-            Vec::new(),
-            Vec::new(),
-            None,
-            None,
-            crate::results::EngineCounters {
-                events_processed: 2,
-                peak_live_msgs: 1,
-                ..Default::default()
-            },
-        );
+        let mut sinks = Sinks::new(&cfg(), 1);
+        for latency in [10.0, 12.0] {
+            sinks.record(&Delivery {
+                t: latency,
+                latency,
+                src: 0,
+                gen_time: 0.0,
+                recorded: true,
+                audited: false,
+                intra: true,
+                src_cluster: 0,
+            });
+        }
+        let counters = Counters {
+            generated: 2,
+            events_processed: 2,
+            ..Counters::default()
+        };
+        let r_ok = sinks.finish(counters, StopReason::MeasuredComplete, 1.0, Vec::new(), 1);
         let mut r_bad = r_ok.clone();
         r_bad.completed = false;
         let s = summarize(&[r_ok, r_bad], 2);
@@ -295,16 +262,7 @@ mod tests {
     #[test]
     fn accumulator_matches_batch_summarize_bitwise() {
         let wl = Workload::new(2e-4, 16, 256.0).unwrap();
-        let built = BuiltSystem::build(&spec(), wl.flit_bytes);
-        let results: Vec<SimResults> = (0..5)
-            .map(|r| {
-                let run_cfg = SimConfig {
-                    seed: cfg().seed.wrapping_add(r),
-                    ..cfg()
-                };
-                run_simulation_built(&built, &wl, Pattern::Uniform, &run_cfg)
-            })
-            .collect();
+        let results = runs(&wl, 5, false);
         let batch = summarize(&results, 5);
         let mut acc = ReplicationAccumulator::new();
         for (absorbed, r) in results.iter().enumerate() {

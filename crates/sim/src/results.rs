@@ -1,8 +1,26 @@
-//! Simulation result collection.
+//! What a run reports, and the ledger every engine writes it from.
+//!
+//! The three engines (the worm engine, the flit-level reference and the
+//! sharded engine) each decide *when* things happen. What they record
+//! about it is written once, here:
+//!
+//! * `Counters` — the run's event and message counts, one `Copy` set;
+//! * `Sinks` — the latency statistics (overall, intra, inter, per
+//!   cluster, histogram, percentiles and the warm-up audit), fed one
+//!   `Delivery` at a time and finished into [`SimResults`];
+//! * `delivery_order` — the canonical order in which same-instant
+//!   deliveries reach the sinks;
+//! * `BusyTime` — per-channel busy time, including the end-of-run flush
+//!   of intervals still open.
+//!
+//! The live fault mask, the other piece the engines share, sits beside
+//! the fault schedule in [`crate::config`].
 
+use crate::config::SimConfig;
 use crate::trace::MessageTrace;
 use cocnet_stats::{mser5, Histogram, OnlineStats, Percentiles, Summary};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// Post-hoc check that a run's configured warm-up was long enough.
 ///
@@ -47,12 +65,6 @@ impl WarmupAudit {
             samples: stream.len() as u64,
         })
     }
-}
-
-/// Exact `(p50, p95, p99)` once at least one sample is recorded — the
-/// shared percentile extraction of both engines' sinks.
-pub(crate) fn exact_percentiles(p: &mut Percentiles) -> Option<(f64, f64, f64)> {
-    Some((p.quantile(0.5)?, p.quantile(0.95)?, p.quantile(0.99)?))
 }
 
 /// Why a run's event loop stopped.
@@ -144,70 +156,7 @@ pub struct SimResults {
     pub stop: StopReason,
 }
 
-/// The engine-loop throughput counters threaded into
-/// [`SimResults::collect`] — a named pair so the two `u64`s cannot be
-/// swapped silently at a call site.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct EngineCounters {
-    /// Events processed (one heap pop each).
-    pub events_processed: u64,
-    /// Message-slab high-water mark.
-    pub peak_live_msgs: u64,
-    /// Messages fully delivered (recorded or not).
-    pub delivered_total: u64,
-    /// Transmissions aborted at a failed channel.
-    pub dropped: u64,
-    /// Retransmissions performed.
-    pub retransmits: u64,
-    /// Messages written off as unreachable.
-    pub unreachable: u64,
-    /// Why the event loop stopped.
-    pub stop: StopReason,
-}
-
 impl SimResults {
-    /// Assembles results from the engine's sinks.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn collect(
-        latency: &OnlineStats,
-        intra: &OnlineStats,
-        inter: &OnlineStats,
-        per_cluster: &[OnlineStats],
-        generated: u64,
-        delivered_recorded: u64,
-        completed: bool,
-        sim_time: f64,
-        histogram: Option<Histogram>,
-        channel_busy: Vec<f64>,
-        traces: Vec<MessageTrace>,
-        percentiles: Option<(f64, f64, f64)>,
-        warmup_audit: Option<WarmupAudit>,
-        counters: EngineCounters,
-    ) -> Self {
-        Self {
-            latency: Summary::from_stats(latency),
-            intra: Summary::from_stats(intra),
-            inter: Summary::from_stats(inter),
-            per_cluster: per_cluster.iter().map(Summary::from_stats).collect(),
-            generated,
-            delivered_recorded,
-            completed,
-            sim_time,
-            histogram,
-            channel_busy,
-            traces,
-            percentiles,
-            warmup_audit,
-            events_processed: counters.events_processed,
-            peak_live_msgs: counters.peak_live_msgs,
-            delivered_total: counters.delivered_total,
-            dropped: counters.dropped,
-            retransmits: counters.retransmits,
-            unreachable: counters.unreachable,
-            stop: counters.stop,
-        }
-    }
-
     /// Observed share of inter-cluster messages among recorded ones.
     pub fn inter_fraction(&self) -> f64 {
         let total = self.intra.count + self.inter.count;
@@ -229,65 +178,292 @@ impl SimResults {
     }
 }
 
+/// The run's event and message counts: one `Copy` set for every engine.
+/// The sharded engine keeps one per shard, copies it at each window start
+/// (the rollback baseline) and sums the shards' sets at the end.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Counters {
+    /// Messages generated, warm-up and drain included.
+    pub(crate) generated: u64,
+    /// Events popped from the future-event list.
+    pub(crate) events_processed: u64,
+    /// Messages fully delivered, recorded or not.
+    pub(crate) delivered_total: u64,
+    /// Transmissions aborted at a failed channel.
+    pub(crate) dropped: u64,
+    /// Retransmissions performed after a retry timeout.
+    pub(crate) retransmits: u64,
+    /// Messages written off as unreachable.
+    pub(crate) unreachable: u64,
+}
+
+impl std::ops::AddAssign for Counters {
+    fn add_assign(&mut self, o: Counters) {
+        self.generated += o.generated;
+        self.events_processed += o.events_processed;
+        self.delivered_total += o.delivered_total;
+        self.dropped += o.dropped;
+        self.retransmits += o.retransmits;
+        self.unreachable += o.unreachable;
+    }
+}
+
+/// One delivered message, as the statistic sinks see it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Delivery {
+    /// Pop time of the delivering event.
+    pub(crate) t: f64,
+    /// Generation time-stamp to tail delivery.
+    pub(crate) latency: f64,
+    /// Flat source node id: with `gen_time`, the message's identity, by
+    /// which same-instant ties are ordered.
+    pub(crate) src: u32,
+    /// Generation time-stamp.
+    pub(crate) gen_time: f64,
+    /// Whether the latency counts toward the measured statistics.
+    pub(crate) recorded: bool,
+    /// Whether the latency feeds the warm-up audit stream.
+    pub(crate) audited: bool,
+    /// Whether source and destination share a cluster.
+    pub(crate) intra: bool,
+    /// Source cluster: the per-cluster sink it lands in.
+    pub(crate) src_cluster: u32,
+}
+
+/// Canonical accumulation order for delivered statistics: pop time of
+/// the delivering event, then the message's (source node, generation
+/// time) identity for same-instant ties.
+///
+/// Cross-shard ties are real, not measure-zero: one multi-channel
+/// release can unblock two messages on different shards at the same
+/// instant, and a symmetric topology then finishes both remaining
+/// paths in bit-equal time. The serial engine's natural tie order
+/// (global schedule sequence) is unobservable from inside a shard, so
+/// both worm engines defer their sink pushes and replay them in this
+/// explicitly message-identified order instead, which makes the merged
+/// `Summary` bits independent of the partition by construction.
+pub(crate) fn delivery_order(a: &Delivery, b: &Delivery) -> Ordering {
+    a.t.total_cmp(&b.t)
+        .then_with(|| a.src.cmp(&b.src))
+        .then_with(|| a.gen_time.total_cmp(&b.gen_time))
+}
+
+/// The latency statistic sinks of one run, fed one [`Delivery`] at a
+/// time in the order the engine settles on, then finished into
+/// [`SimResults`].
+#[derive(Debug)]
+pub(crate) struct Sinks {
+    latency: OnlineStats,
+    intra: OnlineStats,
+    inter: OnlineStats,
+    per_cluster: Vec<OnlineStats>,
+    histogram: Option<Histogram>,
+    /// Raw samples for exact percentiles (when enabled).
+    percentiles: Option<Percentiles>,
+    /// Delivery-ordered latencies of the warm-up + measured populations,
+    /// for the MSER-5 warm-up audit (when enabled).
+    audit: Option<Vec<f64>>,
+    /// The configured warm-up the audit is judged against.
+    warmup: u64,
+}
+
+impl Sinks {
+    /// Empty sinks for a run of `cfg` over `clusters` clusters; the
+    /// histogram, percentile and audit sinks exist only when `cfg` asks
+    /// for them.
+    pub(crate) fn new(cfg: &SimConfig, clusters: usize) -> Self {
+        Sinks {
+            latency: OnlineStats::new(),
+            intra: OnlineStats::new(),
+            inter: OnlineStats::new(),
+            per_cluster: vec![OnlineStats::new(); clusters],
+            histogram: cfg
+                .histogram
+                .map(|(hi, bins)| Histogram::new(0.0, hi, bins)),
+            percentiles: cfg
+                .collect_percentiles
+                .then(|| Percentiles::with_capacity(cfg.measured as usize)),
+            audit: cfg
+                .audit_warmup
+                .then(|| Vec::with_capacity((cfg.warmup + cfg.measured) as usize)),
+            warmup: cfg.warmup,
+        }
+    }
+
+    /// Recorded deliveries accumulated so far.
+    pub(crate) fn recorded(&self) -> u64 {
+        self.latency.count()
+    }
+
+    /// Accumulates one delivery: the audit stream first, then the
+    /// recorded sinks.
+    #[inline]
+    pub(crate) fn record(&mut self, d: &Delivery) {
+        if d.audited {
+            if let Some(a) = &mut self.audit {
+                a.push(d.latency);
+            }
+        }
+        if d.recorded {
+            self.latency.push(d.latency);
+            if d.intra {
+                self.intra.push(d.latency);
+            } else {
+                self.inter.push(d.latency);
+            }
+            self.per_cluster[d.src_cluster as usize].push(d.latency);
+            if let Some(h) = &mut self.histogram {
+                h.record(d.latency);
+            }
+            if let Some(p) = &mut self.percentiles {
+                p.record(d.latency);
+            }
+        }
+    }
+
+    /// The run's results. The run completed exactly when it stopped on
+    /// its measured population; it reports no traces.
+    pub(crate) fn finish(
+        mut self,
+        counters: Counters,
+        stop: StopReason,
+        sim_time: f64,
+        channel_busy: Vec<f64>,
+        peak_live_msgs: u64,
+    ) -> SimResults {
+        let percentiles = self
+            .percentiles
+            .as_mut()
+            .and_then(|p| Some((p.quantile(0.5)?, p.quantile(0.95)?, p.quantile(0.99)?)));
+        let warmup_audit = self
+            .audit
+            .as_deref()
+            .and_then(|stream| WarmupAudit::from_stream(stream, self.warmup));
+        SimResults {
+            latency: Summary::from_stats(&self.latency),
+            intra: Summary::from_stats(&self.intra),
+            inter: Summary::from_stats(&self.inter),
+            per_cluster: self.per_cluster.iter().map(Summary::from_stats).collect(),
+            generated: counters.generated,
+            delivered_recorded: self.recorded(),
+            completed: stop == StopReason::MeasuredComplete,
+            sim_time,
+            histogram: self.histogram,
+            channel_busy,
+            traces: Vec::new(),
+            percentiles,
+            warmup_audit,
+            events_processed: counters.events_processed,
+            peak_live_msgs,
+            delivered_total: counters.delivered_total,
+            dropped: counters.dropped,
+            retransmits: counters.retransmits,
+            unreachable: counters.unreachable,
+            stop,
+        }
+    }
+}
+
+/// Cumulative busy time per channel, indexed by global channel id: a
+/// channel is busy from the grant that hands it to a message until the
+/// release that frees it.
+#[derive(Debug, Default)]
+pub(crate) struct BusyTime {
+    total: Vec<f64>,
+    since: Vec<f64>,
+}
+
+impl BusyTime {
+    /// A zeroed account over `channels` channels.
+    pub(crate) fn new(channels: usize) -> Self {
+        BusyTime {
+            total: vec![0.0; channels],
+            since: vec![0.0; channels],
+        }
+    }
+
+    /// `chan` was granted to a message at `t`.
+    #[inline]
+    pub(crate) fn grant(&mut self, chan: u32, t: f64) {
+        self.since[chan as usize] = t;
+    }
+
+    /// `chan` was released at `t`: its busy interval ends.
+    #[inline]
+    pub(crate) fn accrue(&mut self, chan: u32, t: f64) {
+        self.total[chan as usize] += t - self.since[chan as usize];
+    }
+
+    /// One channel's `(total, since)`, saved for a later
+    /// [`BusyTime::restore`].
+    pub(crate) fn save(&self, chan: u32) -> (f64, f64) {
+        (self.total[chan as usize], self.since[chan as usize])
+    }
+
+    /// Puts back a channel's state from [`BusyTime::save`].
+    pub(crate) fn restore(&mut self, chan: u32, (total, since): (f64, f64)) {
+        self.total[chan as usize] = total;
+        self.since[chan as usize] = since;
+    }
+
+    /// The per-channel totals at the end of a run. Channels that `open`
+    /// reports as still held have an open interval; it is closed here at
+    /// `t_end`, so utilisation is not undercounted.
+    pub(crate) fn finish(mut self, t_end: f64, open: impl Fn(usize) -> bool) -> Vec<f64> {
+        for chan in 0..self.total.len() {
+            if open(chan) {
+                self.total[chan] += t_end - self.since[chan];
+            }
+        }
+        self.total
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A recorded delivery of `latency` from cluster 0.
+    fn delivery(latency: f64, intra: bool) -> Delivery {
+        Delivery {
+            t: latency,
+            latency,
+            src: 0,
+            gen_time: 0.0,
+            recorded: true,
+            audited: false,
+            intra,
+            src_cluster: 0,
+        }
+    }
+
     #[test]
     fn inter_fraction_handles_empty() {
-        let empty = OnlineStats::new();
-        let r = SimResults::collect(
-            &empty,
-            &empty,
-            &empty,
-            &[],
-            0,
-            0,
-            false,
+        let r = Sinks::new(&SimConfig::default(), 0).finish(
+            Counters::default(),
+            StopReason::Drained,
             0.0,
-            None,
             Vec::new(),
-            Vec::new(),
-            None,
-            None,
-            EngineCounters::default(),
+            0,
         );
         assert_eq!(r.inter_fraction(), 0.0);
     }
 
     #[test]
     fn inter_fraction_computes_share() {
-        let mut intra = OnlineStats::new();
-        let mut inter = OnlineStats::new();
+        let mut sinks = Sinks::new(&SimConfig::default(), 1);
         for _ in 0..25 {
-            intra.push(1.0);
+            sinks.record(&delivery(1.0, true));
         }
         for _ in 0..75 {
-            inter.push(2.0);
+            sinks.record(&delivery(2.0, false));
         }
-        let mut all = OnlineStats::new();
-        all.merge(&intra);
-        all.merge(&inter);
-        let r = SimResults::collect(
-            &all,
-            &intra,
-            &inter,
-            &[],
-            100,
-            100,
-            true,
-            1.0,
-            None,
-            Vec::new(),
-            Vec::new(),
-            None,
-            None,
-            EngineCounters {
-                events_processed: 100,
-                peak_live_msgs: 4,
-                ..EngineCounters::default()
-            },
-        );
+        let counters = Counters {
+            generated: 100,
+            events_processed: 100,
+            ..Counters::default()
+        };
+        let r = sinks.finish(counters, StopReason::MeasuredComplete, 1.0, Vec::new(), 4);
         assert!((r.inter_fraction() - 0.75).abs() < 1e-12);
     }
 

@@ -45,8 +45,9 @@
 //!   src sequence)` — so barrier exchange is schedule-independent.
 //! * **Statistics** are not accumulated shard-locally: recorded
 //!   deliveries are logged with their delivery times and pushed through
-//!   the online sinks in merged `(time, shard, local order)` order,
-//!   reproducing the serial accumulation order exactly.
+//!   the run's one set of sinks at the coordinator, in the canonical
+//!   `(time, src, gen_time)` delivery order the serial engine also
+//!   follows, reproducing its accumulation order exactly.
 //! * **Stopping** is reconstructed, not approximated: shards overrun the
 //!   stop inside the final window, and a per-window journal (an undo map
 //!   for busy state plus a redo log of counter events) rolls every shard
@@ -72,11 +73,10 @@
 use crate::build::{
     AdaptiveRouteCache, AdaptiveScratch, BuiltSystem, RouteRef, RouteTable, SegMeta,
 };
-use crate::config::{Coupling, FaultAction, SchedulerKind, ShardMode, SimConfig};
+use crate::config::{Coupling, FaultMask, SchedulerKind, ShardMode, SimConfig};
 use crate::events::{CalendarQueue, EventQueue, Scheduler};
-use crate::results::{exact_percentiles, EngineCounters, SimResults, StopReason, WarmupAudit};
+use crate::results::{delivery_order, BusyTime, Counters, Delivery, SimResults, Sinks, StopReason};
 use cocnet_model::Workload;
-use cocnet_stats::{Histogram, OnlineStats, Percentiles};
 use cocnet_workloads::{ArrivalProcess, ArrivalSpec, Pattern};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -111,10 +111,9 @@ struct ArrivalRec {
     unreachable: bool,
     recorded: bool,
     audited: bool,
-    /// Interned route (deterministic routing).
+    /// Interned route, or an index into the oracle's shared adaptive
+    /// route cache.
     route: RouteRef,
-    /// Arena index into the oracle's shared route cache (adaptive).
-    cache_idx: u32,
 }
 
 const NOOP: u32 = u32::MAX;
@@ -165,8 +164,7 @@ fn build_oracle(
                 unreachable: false,
                 recorded: false,
                 audited: false,
-                route: RouteRef::DYNAMIC,
-                cache_idx: 0,
+                route: RouteRef::adaptive(0),
             });
             continue;
         }
@@ -180,8 +178,7 @@ fn build_oracle(
                 unreachable: true,
                 recorded: false,
                 audited: false,
-                route: RouteRef::DYNAMIC,
-                cache_idx: 0,
+                route: RouteRef::adaptive(0),
             });
             if generated < total {
                 let next = arrivals[node].next_arrival(&mut rng);
@@ -191,11 +188,10 @@ fn build_oracle(
         }
         let recorded = gidx >= cfg.warmup && gidx < cfg.warmup + cfg.measured;
         let audited = cfg.audit_warmup && gidx < cfg.warmup + cfg.measured;
-        let (route, cache_idx) = if cfg.adaptive_routing {
-            let idx = cache.route_idx(built, node, dst, &mut rng, &mut scratch);
-            (RouteRef::DYNAMIC, idx)
+        let route = if cfg.adaptive_routing {
+            RouteRef::adaptive(cache.route_idx(built, node, dst, &mut rng, &mut scratch))
         } else {
-            (routes.route_ref(node, dst), 0)
+            routes.route_ref(node, dst)
         };
         generated += 1;
         streams[node].push(ArrivalRec {
@@ -205,7 +201,6 @@ fn build_oracle(
             recorded,
             audited,
             route,
-            cache_idx,
         });
         if generated < total {
             let next = arrivals[node].next_arrival(&mut rng);
@@ -278,7 +273,6 @@ struct XferMsg {
     gen_time: f64,
     prev_finish: f64,
     route: RouteRef,
-    cache_idx: u32,
     seg: u8,
     nsegs: u8,
     recorded: bool,
@@ -331,11 +325,11 @@ enum JOp {
     Dropped,
     Retrans,
     Unreach,
-    /// Channel granted: `busy = true`, `busy_since = t`.
+    /// Channel granted: `busy = true`, and its busy interval opens at `t`.
     Grant {
         chan: u32,
     },
-    /// Release accrual: `busy_total += t - busy_since`.
+    /// Release accrual: the busy interval closes at `t`.
     Accrue {
         chan: u32,
     },
@@ -351,53 +345,15 @@ struct JRec {
     op: JOp,
 }
 
-/// Window-start counter snapshot (the undo baseline).
-#[derive(Debug, Clone, Copy, Default)]
-struct CounterSnap {
-    generated: u64,
-    delivered_total: u64,
-    dropped: u64,
-    retransmits: u64,
-    unreachable: u64,
-    events_processed: u64,
-}
-
 /// A recorded and/or audited delivery, logged for merged-order stat
 /// accumulation at the coordinator.
 #[derive(Debug, Clone, Copy)]
 struct DeliveryEntry {
-    t: f64,
-    latency: f64,
-    /// Flat source node id — with `gen_time`, a canonical identity for
-    /// the message that both engines can order same-instant ties by.
-    src: u32,
-    gen_time: f64,
-    recorded: bool,
-    audited: bool,
-    intra: bool,
-    src_cluster: u32,
+    d: Delivery,
     shard: u32,
     /// Journal length right after this delivery's ops — locates the
     /// delivering pop for exact-stop cuts.
     jcut: u32,
-}
-
-/// Canonical accumulation order for delivered statistics: pop time of
-/// the delivering `Advance`, then the message's (source node,
-/// generation time) identity for same-instant ties.
-///
-/// Cross-shard ties are real, not measure-zero: one multi-channel
-/// release can unblock two messages on different shards at the same
-/// instant, and a symmetric topology then finishes both remaining
-/// paths in bit-equal time. The serial engine's natural tie order
-/// (global schedule sequence) is unobservable from inside a shard, so
-/// both engines defer their sink pushes and replay them in this
-/// explicitly message-identified order instead — making the merged
-/// `Summary` bits independent of the partition by construction.
-pub(crate) fn delivery_order(a: (f64, u32, f64), b: (f64, u32, f64)) -> std::cmp::Ordering {
-    a.0.total_cmp(&b.0)
-        .then_with(|| a.1.cmp(&b.1))
-        .then_with(|| a.2.total_cmp(&b.2))
 }
 
 // ---------------------------------------------------------------------------
@@ -421,15 +377,13 @@ struct Chan {
     queue: VecDeque<u32>,
 }
 
-/// Shard-resident message state — the serial `Msg` plus the shared-arena
-/// route index and the generation index that orders merged deliveries.
+/// Shard-resident message state — the serial `Msg` minus its trace id.
 #[derive(Debug, Clone, Copy)]
 struct SMsg {
     gen_time: f64,
     prev_finish: f64,
     cur: SegMeta,
     route: RouteRef,
-    cache_idx: u32,
     seg: u8,
     nsegs: u8,
     idx: u16,
@@ -452,8 +406,7 @@ impl SMsg {
             sum_t: 0.0,
             bottleneck_t: 0.0,
         },
-        route: RouteRef::DYNAMIC,
-        cache_idx: 0,
+        route: RouteRef::adaptive(0),
         seg: 0,
         nsegs: 0,
         idx: 0,
@@ -470,8 +423,8 @@ impl SMsg {
 /// Saved pre-window busy state of one touched channel.
 #[derive(Debug, Clone, Copy)]
 struct BusyUndo {
-    busy_total: f64,
-    busy_since: f64,
+    /// The channel's busy-time account, from [`BusyTime::save`].
+    account: (f64, f64),
     busy: bool,
 }
 
@@ -490,17 +443,11 @@ struct ShardSim<'a, S> {
     free: Vec<u32>,
     /// Per-owned-node cursor into its oracle stream.
     cursors: Vec<u32>,
-    failed: Vec<bool>,
     now: f64,
     last_pop: f64,
-    events_processed: u64,
-    generated: u64,
-    delivered_total: u64,
-    dropped: u64,
-    retransmits: u64,
-    unreachable: u64,
-    busy_total: Vec<f64>,
-    busy_since: Vec<f64>,
+    counters: Counters,
+    faults: FaultMask,
+    busy: BusyTime,
     // Window machinery.
     /// Pending direct-form transfers, sorted by [`transfer_key`];
     /// `inc_head` marks the executed prefix.
@@ -511,11 +458,11 @@ struct ShardSim<'a, S> {
     entries: Vec<DeliveryEntry>,
     journal: Vec<JRec>,
     undo: std::collections::HashMap<u32, BusyUndo>,
-    snap: CounterSnap,
+    /// The counters at window start: the rollback baseline.
+    snap: Counters,
 }
 
 impl<'a, S: Scheduler<SEvent>> ShardSim<'a, S> {
-    #[allow(clippy::too_many_arguments)]
     fn new(
         id: u32,
         built: &'a BuiltSystem,
@@ -531,11 +478,6 @@ impl<'a, S: Scheduler<SEvent>> ShardSim<'a, S> {
                 queue: VecDeque::new(),
             })
             .collect();
-        let failed = if built.static_failed().is_empty() && !cfg.faults.events.is_empty() {
-            vec![false; built.num_channels()]
-        } else {
-            built.static_failed().to_vec()
-        };
         let nodes = part.shard_nodes[id as usize].clone();
         ShardSim {
             id,
@@ -551,17 +493,11 @@ impl<'a, S: Scheduler<SEvent>> ShardSim<'a, S> {
             msgs: Vec::new(),
             free: Vec::new(),
             cursors: vec![0; nodes.len()],
-            failed,
             now: 0.0,
             last_pop: f64::NEG_INFINITY,
-            events_processed: 0,
-            generated: 0,
-            delivered_total: 0,
-            dropped: 0,
-            retransmits: 0,
-            unreachable: 0,
-            busy_total: vec![0.0; built.num_channels()],
-            busy_since: vec![0.0; built.num_channels()],
+            counters: Counters::default(),
+            faults: FaultMask::new(built, &cfg.faults),
+            busy: BusyTime::new(built.num_channels()),
             incoming: Vec::new(),
             inc_head: 0,
             outgoing: Vec::new(),
@@ -569,24 +505,19 @@ impl<'a, S: Scheduler<SEvent>> ShardSim<'a, S> {
             entries: Vec::new(),
             journal: Vec::new(),
             undo: std::collections::HashMap::new(),
-            snap: CounterSnap::default(),
+            snap: Counters::default(),
         }
     }
 
     /// Seeds owned fault events (first, like the serial prime) and the
     /// initial Generate of every owned node.
     fn prime(&mut self) {
-        for ev in &self.cfg.faults.events {
-            if self.part.chan_shard[ev.link as usize] == self.id {
-                self.queue.schedule(
-                    ev.time,
-                    SEvent::Fault {
-                        link: ev.link,
-                        fail: matches!(ev.action, FaultAction::Fail),
-                    },
-                );
-            }
-        }
+        let (part, id) = (self.part, self.id);
+        self.cfg.faults.schedule_timed(
+            &mut self.queue,
+            |link| part.chan_shard[link as usize] == id,
+            |link, fail| SEvent::Fault { link, fail },
+        );
         for node in self.part.shard_nodes[self.id as usize].clone() {
             if let Some(rec) = self.streams[node as usize].first() {
                 self.queue.schedule(rec.time, SEvent::Generate { node });
@@ -600,37 +531,34 @@ impl<'a, S: Scheduler<SEvent>> ShardSim<'a, S> {
 
     /// Saves a channel's busy state on first touch within the window.
     fn touch(&mut self, chan: u32) {
-        let c = chan as usize;
         self.undo.entry(chan).or_insert(BusyUndo {
-            busy_total: self.busy_total[c],
-            busy_since: self.busy_since[c],
-            busy: self.chans[c].busy,
+            account: self.busy.save(chan),
+            busy: self.chans[chan as usize].busy,
         });
+    }
+
+    /// Channel id at flat position `pos` of `route`.
+    #[inline]
+    fn route_chan(&self, route: RouteRef, pos: u64) -> u32 {
+        match route.adaptive_idx() {
+            Some(i) => self.cache.route(i).chans[pos as usize],
+            None => self.routes.chan_at(pos),
+        }
     }
 
     #[inline]
     fn seg_chan(&self, msg_id: u32, k: u32) -> u32 {
         let m = &self.msgs[msg_id as usize];
-        if m.route.is_dynamic() {
-            self.cache.route(m.cache_idx).chans[(m.cur.start + k as u64) as usize]
-        } else {
-            self.routes.chan_at(m.cur.start + k as u64)
-        }
+        self.route_chan(m.route, m.cur.start + k as u64)
     }
 
     #[inline]
     fn seg_meta(&self, msg_id: u32, seg: u8) -> SegMeta {
-        let m = &self.msgs[msg_id as usize];
-        if m.route.is_dynamic() {
-            self.cache.route(m.cache_idx).segs[seg as usize]
-        } else {
-            self.routes.seg_meta(m.route, seg as u32)
+        let route = self.msgs[msg_id as usize].route;
+        match route.adaptive_idx() {
+            Some(i) => self.cache.route(i).segs[seg as usize],
+            None => self.routes.seg_meta(route, seg as u32),
         }
-    }
-
-    #[inline]
-    fn is_failed(&self, chan: u32) -> bool {
-        !self.failed.is_empty() && self.failed[chan as usize]
     }
 
     fn alloc(&mut self) -> u32 {
@@ -657,14 +585,7 @@ impl<'a, S: Scheduler<SEvent>> ShardSim<'a, S> {
 
     /// Opens a window: snapshot counters, clear the journal/undo state.
     fn begin_window(&mut self) {
-        self.snap = CounterSnap {
-            generated: self.generated,
-            delivered_total: self.delivered_total,
-            dropped: self.dropped,
-            retransmits: self.retransmits,
-            unreachable: self.unreachable,
-            events_processed: self.events_processed,
-        };
+        self.snap = self.counters;
         self.journal.clear();
         self.undo.clear();
         self.entries.clear();
@@ -710,7 +631,7 @@ impl<'a, S: Scheduler<SEvent>> ShardSim<'a, S> {
                 self.request_current(slot, x.time);
             } else {
                 let ev = self.queue.pop().expect("peeked non-empty");
-                self.events_processed += 1;
+                self.counters.events_processed += 1;
                 self.jot(ev.time, JOp::Pop);
                 debug_assert!(ev.time >= self.now - 1e-9, "time must not run backwards");
                 self.now = ev.time;
@@ -720,7 +641,7 @@ impl<'a, S: Scheduler<SEvent>> ShardSim<'a, S> {
                     SEvent::Advance { msg } => self.on_advance(msg, ev.time),
                     SEvent::Release { chan } => self.on_release(chan, ev.time),
                     SEvent::Request { msg } => self.request_current(msg, ev.time),
-                    SEvent::Fault { link, fail } => self.on_fault(link, fail),
+                    SEvent::Fault { link, fail } => self.faults.apply(link, fail),
                     SEvent::Retransmit { msg } => self.on_retransmit(msg, ev.time),
                 }
             }
@@ -740,7 +661,6 @@ impl<'a, S: Scheduler<SEvent>> ShardSim<'a, S> {
                 bottleneck_t: 0.0,
             },
             route: xm.route,
-            cache_idx: xm.cache_idx,
             seg: xm.seg,
             nsegs: xm.nsegs,
             idx: 0,
@@ -790,7 +710,6 @@ impl<'a, S: Scheduler<SEvent>> ShardSim<'a, S> {
             gen_time: m.gen_time,
             prev_finish,
             route: m.route,
-            cache_idx: m.cache_idx,
             seg,
             nsegs: m.nsegs,
             recorded: m.recorded,
@@ -827,11 +746,7 @@ impl<'a, S: Scheduler<SEvent>> ShardSim<'a, S> {
             }
             Coupling::CutThrough => (t_fire, true),
         };
-        let first_chan = if m.route.is_dynamic() {
-            self.cache.route(m.cache_idx).chans[next.start as usize]
-        } else {
-            self.routes.chan_at(next.start)
-        };
+        let first_chan = self.route_chan(m.route, next.start);
         let dst_shard = self.part.chan_shard[first_chan as usize];
         debug_assert_ne!(dst_shard, self.id, "segment boundaries always cross shards");
         let seq = self.xfer_seq;
@@ -847,22 +762,16 @@ impl<'a, S: Scheduler<SEvent>> ShardSim<'a, S> {
         });
     }
 
-    fn on_fault(&mut self, link: u32, fail: bool) {
-        debug_assert!(!self.failed.is_empty(), "fault events imply a full mask");
-        self.failed[link as usize] = fail;
-        self.failed[(link ^ 1) as usize] = fail;
-    }
-
     fn drop_msg(&mut self, msg_id: u32, t: f64) {
         let m = self.msgs[msg_id as usize];
-        self.dropped += 1;
+        self.counters.dropped += 1;
         self.jot(t, JOp::Dropped);
         for k in 0..m.idx {
             let held = self.seg_chan(msg_id, k as u32);
             self.queue.schedule(t, SEvent::Release { chan: held });
         }
         if m.attempt + 1 >= self.cfg.faults.max_attempts {
-            self.unreachable += 1;
+            self.counters.unreachable += 1;
             self.jot(t, JOp::Unreach);
             self.free.push(msg_id);
         } else {
@@ -892,10 +801,10 @@ impl<'a, S: Scheduler<SEvent>> ShardSim<'a, S> {
     }
 
     fn on_retransmit(&mut self, msg_id: u32, t: f64) {
-        self.retransmits += 1;
+        self.counters.retransmits += 1;
         self.jot(t, JOp::Retrans);
         debug_assert!(
-            !self.msgs[msg_id as usize].route.is_dynamic(),
+            self.msgs[msg_id as usize].route.adaptive_idx().is_none(),
             "adaptive + faults falls back to the serial engine"
         );
         let cur = self.seg_meta(msg_id, 0);
@@ -918,10 +827,10 @@ impl<'a, S: Scheduler<SEvent>> ShardSim<'a, S> {
         if rec.dst == NOOP {
             return;
         }
-        self.generated += 1;
+        self.counters.generated += 1;
         self.jot(t, JOp::Gen);
         if rec.unreachable {
-            self.unreachable += 1;
+            self.counters.unreachable += 1;
             self.jot(t, JOp::Unreach);
             if let Some(next) = stream.get(k + 1) {
                 let nt = next.time;
@@ -930,10 +839,9 @@ impl<'a, S: Scheduler<SEvent>> ShardSim<'a, S> {
             return;
         }
         let slot = self.alloc();
-        let nsegs = if rec.route.is_dynamic() {
-            self.cache.route(rec.cache_idx).nsegs
-        } else {
-            self.routes.num_segments(rec.route) as u8
+        let nsegs = match rec.route.adaptive_idx() {
+            Some(i) => self.cache.route(i).nsegs,
+            None => self.routes.num_segments(rec.route) as u8,
         };
         let dst = rec.dst as usize;
         self.msgs[slot as usize] = SMsg {
@@ -946,7 +854,6 @@ impl<'a, S: Scheduler<SEvent>> ShardSim<'a, S> {
                 bottleneck_t: 0.0,
             },
             route: rec.route,
-            cache_idx: rec.cache_idx,
             seg: 0,
             nsegs,
             idx: 0,
@@ -974,7 +881,7 @@ impl<'a, S: Scheduler<SEvent>> ShardSim<'a, S> {
             self.part.chan_shard[chan as usize], self.id,
             "requested a channel outside this shard"
         );
-        if self.is_failed(chan) {
+        if self.faults.is_failed(chan) {
             self.drop_msg(msg_id, t);
             return;
         }
@@ -985,7 +892,7 @@ impl<'a, S: Scheduler<SEvent>> ShardSim<'a, S> {
             self.touch(chan);
             let cross = self.chans[chan as usize].t;
             self.chans[chan as usize].busy = true;
-            self.busy_since[chan as usize] = t;
+            self.busy.grant(chan, t);
             self.jot(t, JOp::Grant { chan });
             self.queue
                 .schedule(t + cross, SEvent::Advance { msg: msg_id });
@@ -1018,19 +925,20 @@ impl<'a, S: Scheduler<SEvent>> ShardSim<'a, S> {
         }
         let last_segment = m.seg + 1 == m.nsegs;
         if last_segment {
-            self.delivered_total += 1;
+            self.counters.delivered_total += 1;
             self.jot(t, JOp::Delivered);
-            let latency = finish - m.gen_time;
             if m.recorded || m.audited {
                 self.entries.push(DeliveryEntry {
-                    t,
-                    latency,
-                    src: m.src,
-                    gen_time: m.gen_time,
-                    recorded: m.recorded,
-                    audited: m.audited,
-                    intra: m.intra,
-                    src_cluster: m.src_cluster,
+                    d: Delivery {
+                        t,
+                        latency: finish - m.gen_time,
+                        src: m.src,
+                        gen_time: m.gen_time,
+                        recorded: m.recorded,
+                        audited: m.audited,
+                        intra: m.intra,
+                        src_cluster: m.src_cluster,
+                    },
                     shard: self.id,
                     jcut: self.journal.len() as u32,
                 });
@@ -1045,7 +953,7 @@ impl<'a, S: Scheduler<SEvent>> ShardSim<'a, S> {
 
     fn on_release(&mut self, chan: u32, t: f64) {
         self.touch(chan);
-        self.busy_total[chan as usize] += t - self.busy_since[chan as usize];
+        self.busy.accrue(chan, t);
         self.jot(t, JOp::Accrue { chan });
         debug_assert!(self.chans[chan as usize].busy, "releasing a free channel");
         loop {
@@ -1054,12 +962,12 @@ impl<'a, S: Scheduler<SEvent>> ShardSim<'a, S> {
                 self.jot(t, JOp::Free { chan });
                 return;
             };
-            if self.is_failed(chan) {
+            if self.faults.is_failed(chan) {
                 self.drop_msg(next, t);
                 continue;
             }
             let cross = self.chans[chan as usize].t;
-            self.busy_since[chan as usize] = t;
+            self.busy.grant(chan, t);
             self.jot(t, JOp::Grant { chan });
             self.queue
                 .schedule(t + cross, SEvent::Advance { msg: next });
@@ -1074,20 +982,15 @@ impl<'a, S: Scheduler<SEvent>> ShardSim<'a, S> {
     // -- stop reconstruction ------------------------------------------------
 
     /// Rolls this shard back to the exact serial stop: restore pre-window
-    /// busy state and counters, replay the journal up to `jcut` (filtered
-    /// to `t ≤ t_sim`), then flush open busy intervals at `t_sim`.
+    /// busy state and counters, then replay the journal up to `jcut`
+    /// (filtered to `t ≤ t_sim`). `events_processed` is left at its
+    /// window-start value: the coordinator reconstructs it globally.
     fn truncate_to(&mut self, jcut: usize, t_sim: f64) {
         for (&chan, u) in &self.undo {
-            let c = chan as usize;
-            self.busy_total[c] = u.busy_total;
-            self.busy_since[c] = u.busy_since;
-            self.chans[c].busy = u.busy;
+            self.busy.restore(chan, u.account);
+            self.chans[chan as usize].busy = u.busy;
         }
-        self.generated = self.snap.generated;
-        self.delivered_total = self.snap.delivered_total;
-        self.dropped = self.snap.dropped;
-        self.retransmits = self.snap.retransmits;
-        self.unreachable = self.snap.unreachable;
+        self.counters = self.snap;
         for i in 0..jcut {
             let r = self.journal[i];
             if r.t > t_sim {
@@ -1095,29 +998,17 @@ impl<'a, S: Scheduler<SEvent>> ShardSim<'a, S> {
             }
             match r.op {
                 JOp::Pop => {}
-                JOp::Gen => self.generated += 1,
-                JOp::Delivered => self.delivered_total += 1,
-                JOp::Dropped => self.dropped += 1,
-                JOp::Retrans => self.retransmits += 1,
-                JOp::Unreach => self.unreachable += 1,
+                JOp::Gen => self.counters.generated += 1,
+                JOp::Delivered => self.counters.delivered_total += 1,
+                JOp::Dropped => self.counters.dropped += 1,
+                JOp::Retrans => self.counters.retransmits += 1,
+                JOp::Unreach => self.counters.unreachable += 1,
                 JOp::Grant { chan } => {
                     self.chans[chan as usize].busy = true;
-                    self.busy_since[chan as usize] = r.t;
+                    self.busy.grant(chan, r.t);
                 }
-                JOp::Accrue { chan } => {
-                    self.busy_total[chan as usize] += r.t - self.busy_since[chan as usize];
-                }
+                JOp::Accrue { chan } => self.busy.accrue(chan, r.t),
                 JOp::Free { chan } => self.chans[chan as usize].busy = false,
-            }
-        }
-    }
-
-    /// Flushes the open busy interval of every still-busy owned channel
-    /// at the run's final clock, exactly like the serial epilogue.
-    fn flush_busy(&mut self, t_sim: f64) {
-        for chan in 0..self.chans.len() {
-            if self.part.chan_shard[chan] == self.id && self.chans[chan].busy {
-                self.busy_total[chan] += t_sim - self.busy_since[chan];
             }
         }
     }
@@ -1160,11 +1051,8 @@ enum FinalizeMode {
 
 /// A shard's final contribution to the merged results.
 struct ShardFinal {
-    generated: u64,
-    delivered_total: u64,
-    dropped: u64,
-    retransmits: u64,
-    unreachable: u64,
+    counters: Counters,
+    /// Busy time per global channel; only the shard's own channels count.
     busy_total: Vec<f64>,
     slab_len: u64,
 }
@@ -1185,7 +1073,7 @@ fn shard_window<S: Scheduler<SEvent>>(
         next_time: s.next_time(),
         outgoing: std::mem::take(&mut s.outgoing),
         entries: std::mem::take(&mut s.entries),
-        window_pops: s.events_processed - s.snap.events_processed,
+        window_pops: s.counters.events_processed - s.snap.events_processed,
         last_pop: s.last_pop,
     }
 }
@@ -1209,21 +1097,22 @@ fn shard_finalize<S: Scheduler<SEvent>>(
     s: &mut ShardSim<'_, S>,
     mode: &FinalizeMode,
 ) -> ShardFinal {
-    match *mode {
+    let t_sim = match *mode {
         FinalizeMode::Exact { ref jcuts, t_sim } => {
             let jc = jcuts[s.id as usize].min(s.journal.len());
             s.truncate_to(jc, t_sim);
-            s.flush_busy(t_sim);
+            t_sim
         }
-        FinalizeMode::Drain { t_sim } => s.flush_busy(t_sim),
-    }
+        FinalizeMode::Drain { t_sim } => t_sim,
+    };
+    // Close the open busy interval of every still-busy owned channel at
+    // the run's final clock, exactly like the serial epilogue.
+    let (part, id, chans) = (s.part, s.id, &s.chans);
+    let busy_total =
+        std::mem::take(&mut s.busy).finish(t_sim, |c| part.chan_shard[c] == id && chans[c].busy);
     ShardFinal {
-        generated: s.generated,
-        delivered_total: s.delivered_total,
-        dropped: s.dropped,
-        retransmits: s.retransmits,
-        unreachable: s.unreachable,
-        busy_total: std::mem::take(&mut s.busy_total),
+        counters: s.counters,
+        busy_total,
         slab_len: s.msgs.len() as u64,
     }
 }
@@ -1376,70 +1265,6 @@ impl<S: Scheduler<SEvent>> Pool<'_, '_, S> {
 // Coordinator
 // ---------------------------------------------------------------------------
 
-/// The statistic sinks, fed in merged `(time, shard, order)` delivery
-/// order — the exact accumulation order of the serial engine.
-struct Sinks {
-    latency: OnlineStats,
-    intra: OnlineStats,
-    inter: OnlineStats,
-    per_cluster: Vec<OnlineStats>,
-    histogram: Option<Histogram>,
-    percentiles: Option<Percentiles>,
-    audit: Option<Vec<f64>>,
-    recorded_done: u64,
-}
-
-impl Sinks {
-    fn new(built: &BuiltSystem, cfg: &SimConfig) -> Self {
-        Sinks {
-            latency: OnlineStats::new(),
-            intra: OnlineStats::new(),
-            inter: OnlineStats::new(),
-            per_cluster: vec![OnlineStats::new(); built.spec().num_clusters()],
-            histogram: cfg
-                .histogram
-                .map(|(hi, bins)| Histogram::new(0.0, hi, bins)),
-            percentiles: if cfg.collect_percentiles {
-                Some(Percentiles::with_capacity(cfg.measured as usize))
-            } else {
-                None
-            },
-            audit: if cfg.audit_warmup {
-                Some(Vec::with_capacity((cfg.warmup + cfg.measured) as usize))
-            } else {
-                None
-            },
-            recorded_done: 0,
-        }
-    }
-
-    /// Mirrors the serial delivery path: audit stream first, then the
-    /// recorded sinks.
-    fn replay(&mut self, e: &DeliveryEntry) {
-        if e.audited {
-            if let Some(a) = &mut self.audit {
-                a.push(e.latency);
-            }
-        }
-        if e.recorded {
-            self.latency.push(e.latency);
-            if e.intra {
-                self.intra.push(e.latency);
-            } else {
-                self.inter.push(e.latency);
-            }
-            self.per_cluster[e.src_cluster as usize].push(e.latency);
-            if let Some(h) = &mut self.histogram {
-                h.record(e.latency);
-            }
-            if let Some(p) = &mut self.percentiles {
-                p.record(e.latency);
-            }
-            self.recorded_done += 1;
-        }
-    }
-}
-
 /// The conservative lookahead Δ: the minimum inter-cluster (ECN1 + ICN2)
 /// crossing time — every cross-shard continuation is announced at the
 /// grant of a crossing taking at least this long. A timed fault schedule
@@ -1454,52 +1279,27 @@ fn lookahead(built: &BuiltSystem, cfg: &SimConfig) -> f64 {
     d
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Merges the shards' final contributions into the run's results.
 fn assemble(
-    built: &BuiltSystem,
-    cfg: &SimConfig,
     part: &Partition,
-    mut sinks: Sinks,
+    sinks: Sinks,
     finals: Vec<ShardFinal>,
     events_processed: u64,
-    completed: bool,
     t_sim: f64,
     stop: StopReason,
 ) -> SimResults {
-    let mut busy = vec![0.0; built.num_channels()];
-    for (c, b) in busy.iter_mut().enumerate() {
-        *b = finals[part.chan_shard[c] as usize].busy_total[c];
+    let busy = (0..part.chan_shard.len())
+        .map(|c| finals[part.chan_shard[c] as usize].busy_total[c])
+        .collect();
+    let mut counters = Counters::default();
+    for f in &finals {
+        counters += f.counters;
     }
-    SimResults::collect(
-        &sinks.latency,
-        &sinks.intra,
-        &sinks.inter,
-        &sinks.per_cluster,
-        finals.iter().map(|f| f.generated).sum(),
-        sinks.recorded_done,
-        completed,
-        t_sim,
-        sinks.histogram.take(),
-        busy,
-        Vec::new(),
-        sinks.percentiles.as_mut().and_then(exact_percentiles),
-        sinks
-            .audit
-            .as_deref()
-            .and_then(|stream| WarmupAudit::from_stream(stream, cfg.warmup)),
-        EngineCounters {
-            events_processed,
-            peak_live_msgs: finals.iter().map(|f| f.slab_len).max().unwrap_or(0),
-            delivered_total: finals.iter().map(|f| f.delivered_total).sum(),
-            dropped: finals.iter().map(|f| f.dropped).sum(),
-            retransmits: finals.iter().map(|f| f.retransmits).sum(),
-            unreachable: finals.iter().map(|f| f.unreachable).sum(),
-            stop,
-        },
-    )
+    counters.events_processed = events_processed;
+    let peak_live_msgs = finals.iter().map(|f| f.slab_len).max().unwrap_or(0);
+    sinks.finish(counters, stop, t_sim, busy, peak_live_msgs)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_loop<S: Scheduler<SEvent>>(
     pool: &mut Pool<'_, '_, S>,
     n_shards: usize,
@@ -1509,7 +1309,7 @@ fn run_loop<S: Scheduler<SEvent>>(
     part: &Partition,
     mut tmin: Option<f64>,
 ) -> SimResults {
-    let mut sinks = Sinks::new(built, cfg);
+    let mut sinks = Sinks::new(cfg, built.spec().num_clusters());
     let mut events_before: u64 = 0;
     // The serial clock starts at 0 and only moves on executed pops.
     let mut last_pop: f64 = 0.0;
@@ -1519,13 +1319,10 @@ fn run_loop<S: Scheduler<SEvent>>(
             // Every queue, pending transfer and inbox is empty: drained.
             let finals = pool.finalize(FinalizeMode::Drain { t_sim: last_pop });
             return assemble(
-                built,
-                cfg,
                 part,
                 sinks,
                 finals,
                 events_before,
-                false,
                 last_pop,
                 StopReason::Drained,
             );
@@ -1546,19 +1343,19 @@ fn run_loop<S: Scheduler<SEvent>>(
             .iter()
             .flat_map(|r| r.entries.iter().copied())
             .collect();
-        entries.sort_by(|a, b| delivery_order((a.t, a.src, a.gen_time), (b.t, b.src, b.gen_time)));
-        let recorded_in_window = entries.iter().filter(|e| e.recorded).count() as u64;
-        let measured_hit = sinks.recorded_done + recorded_in_window >= cfg.measured;
+        entries.sort_by(|a, b| delivery_order(&a.d, &b.d));
+        let recorded_in_window = entries.iter().filter(|e| e.d.recorded).count() as u64;
+        let measured_hit = sinks.recorded() + recorded_in_window >= cfg.measured;
         let cap_hit = events_before + window_pops > cfg.max_events;
         if measured_hit || cap_hit {
             let js = pool.journals();
             if measured_hit {
                 // The serial engine breaks on the pop that delivers the
                 // `measured`-th recorded message — locate it.
-                let need = (cfg.measured - sinks.recorded_done) as usize;
+                let need = (cfg.measured - sinks.recorded()) as usize;
                 let stop_entry = entries
                     .iter()
-                    .filter(|e| e.recorded)
+                    .filter(|e| e.d.recorded)
                     .nth(need - 1)
                     .copied()
                     .expect("measured_hit guarantees the entry exists");
@@ -1566,7 +1363,7 @@ fn run_loop<S: Scheduler<SEvent>>(
                 let jp = &js[s_star];
                 // The delivering pop: last Pop record before the entry.
                 let k_stop = jp.pop_positions.partition_point(|&p| p < stop_entry.jcut) - 1;
-                let t_stop = stop_entry.t;
+                let t_stop = stop_entry.d.t;
                 debug_assert_eq!(jp.pop_times[k_stop].to_bits(), t_stop.to_bits());
                 // Global event number of the stop pop: everything before
                 // it in merged time order, plus itself.
@@ -1585,23 +1382,20 @@ fn run_loop<S: Scheduler<SEvent>>(
                         .map(|&p| p as usize)
                         .unwrap_or(usize::MAX);
                     for e in &entries {
-                        if e.t <= t_stop && (e.jcut as usize) <= jcuts[e.shard as usize] {
-                            sinks.replay(e);
+                        if e.d.t <= t_stop && (e.jcut as usize) <= jcuts[e.shard as usize] {
+                            sinks.record(&e.d);
                         }
                     }
-                    debug_assert_eq!(sinks.recorded_done, cfg.measured);
+                    debug_assert_eq!(sinks.recorded(), cfg.measured);
                     let finals = pool.finalize(FinalizeMode::Exact {
                         jcuts,
                         t_sim: t_stop,
                     });
                     return assemble(
-                        built,
-                        cfg,
                         part,
                         sinks,
                         finals,
                         events_at_stop,
-                        true,
                         t_stop,
                         StopReason::MeasuredComplete,
                     );
@@ -1644,19 +1438,16 @@ fn run_loop<S: Scheduler<SEvent>>(
                 })
                 .collect();
             for e in &entries {
-                if e.t <= t_sim && (e.jcut as usize) <= jcuts[e.shard as usize] {
-                    sinks.replay(e);
+                if e.d.t <= t_sim && (e.jcut as usize) <= jcuts[e.shard as usize] {
+                    sinks.record(&e.d);
                 }
             }
             let finals = pool.finalize(FinalizeMode::Exact { jcuts, t_sim });
             return assemble(
-                built,
-                cfg,
                 part,
                 sinks,
                 finals,
                 cfg.max_events + 1,
-                false,
                 t_sim,
                 StopReason::EventCap,
             );
@@ -1664,7 +1455,7 @@ fn run_loop<S: Scheduler<SEvent>>(
         // No stop in this window: fold its deliveries into the sinks and
         // route its transfers for the next barrier.
         for e in &entries {
-            sinks.replay(e);
+            sinks.record(&e.d);
         }
         events_before += window_pops;
         let mut next: Option<f64> = reps
@@ -1805,6 +1596,7 @@ fn run_sharded_generic<S: Scheduler<SEvent> + Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::FaultAction;
     use crate::engine::run_simulation_built;
     use cocnet_topology::{ClusterSpec, NetworkCharacteristics, SystemSpec};
 

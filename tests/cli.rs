@@ -203,6 +203,28 @@ fn validate_subcommand_accepts_committed_dir_and_rejects_typos() {
 }
 
 #[test]
+fn bad_histograms_are_typed_errors() {
+    // A `sim.histogram` with no bins or an upper bound that is not a
+    // finite positive number fails validation, naming the field, in both
+    // `validate` and `run`, instead of panicking inside the sinks.
+    let text = std::fs::read_to_string(scenarios_dir().join("fig5.json")).unwrap();
+    assert!(text.contains("\"histogram\": null"), "fixture edit failed");
+    for (i, bad) in ["[100.0, 0]", "[-5.0, 10]", "[0.0, 10]"].iter().enumerate() {
+        let path = std::env::temp_dir().join(format!("cocnet_cli_bad_histogram_{i}.json"));
+        let edited = text.replacen("\"histogram\": null", &format!("\"histogram\": {bad}"), 1);
+        std::fs::write(&path, edited).unwrap();
+        let file = path.to_str().unwrap();
+        let (stdout, stderr, code) = run_code(&["validate", file]);
+        assert_eq!(code, Some(1), "validate {bad}: {stdout} {stderr}");
+        assert!(stdout.contains("sim.histogram"), "validate {bad}: {stdout}");
+        let (_, stderr, code) = run_code(&["run", file, "--quick", "--points", "1"]);
+        assert_eq!(code, Some(1), "run {bad}: {stderr}");
+        assert!(stderr.contains("sim.histogram"), "run {bad}: {stderr}");
+        std::fs::remove_file(&path).unwrap();
+    }
+}
+
+#[test]
 fn run_subcommand_executes_a_brand_new_scenario_file() {
     // A scenario that exists nowhere in the registry: custom 48-node
     // system, one workload, explicit rates, test-sized population —

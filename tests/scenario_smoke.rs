@@ -131,16 +131,6 @@ fn parallel_sweep_bit_identical_to_serial_reference() {
 }
 
 #[test]
-fn replicate_parallel_matches_replicate() {
-    let spec = presets::org_544();
-    let wl = presets::wl_m32_l256().with_rate(2e-4);
-    let serial = cocnet::sim::replicate(&spec, &wl, Pattern::Uniform, &tiny_sim(), 3);
-    let parallel = cocnet::sim::replicate_parallel(&spec, &wl, Pattern::Uniform, &tiny_sim(), 3);
-    assert_eq!(serial.replication_means, parallel.replication_means);
-    assert_eq!(serial.mean, parallel.mean);
-}
-
-#[test]
 fn parallel_sweep_faster_on_multicore() {
     // The rayon shim sizes its pool from RAYON_NUM_THREADS when set, so
     // honour that override here too — otherwise the parallel path would run

@@ -3,6 +3,7 @@
 //! conservation, reproducibility, sane latency bounds, busy-time sanity.
 
 use cocnet::prelude::*;
+use cocnet::sim::{run_simulation_flit, ShardMode};
 use proptest::prelude::*;
 
 /// Random small-but-valid system: m ∈ {4, 8}, tree-sized cluster count,
@@ -40,6 +41,36 @@ fn quick_cfg(seed: u64) -> SimConfig {
     }
 }
 
+/// Event budget of a flit-engine run in `conservation_and_bounds`: about
+/// 4x the 272 000 events its largest generated case takes, so a saturated
+/// corner gives up quickly instead of grinding on.
+const FLIT_MAX_EVENTS: u64 = 1_000_000;
+
+/// The conservation and bound checks of one completed run of `quick_cfg`.
+fn check_conservation_and_bounds(spec: &SystemSpec, m_flits: u32, r: &SimResults) {
+    // Conservation: intra + inter recorded == total recorded.
+    prop_assert_eq!(r.intra.count + r.inter.count, r.delivered_recorded);
+    prop_assert_eq!(r.delivered_recorded, 1_000);
+    prop_assert!(r.generated >= r.delivered_recorded);
+    prop_assert!(r.generated <= 1_200);
+
+    // Latency lower bound: no message can beat its serialization time
+    // on the fastest network in the system.
+    let min_t = spec
+        .clusters
+        .iter()
+        .map(|c| c.icn1.t_cn(256.0))
+        .fold(f64::INFINITY, f64::min)
+        .min(spec.icn2.t_cn(256.0));
+    prop_assert!(r.latency.min >= (m_flits as f64 - 1.0) * min_t);
+
+    // Busy fractions within [0, 1].
+    for &b in &r.channel_busy {
+        prop_assert!(b >= 0.0);
+        prop_assert!(b <= r.sim_time * (1.0 + 1e-9));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -52,30 +83,27 @@ proptest! {
     ) {
         let rate = 10f64.powf(rate_exp);
         let wl = Workload::new(rate, m_flits, 256.0).unwrap();
-        let r = run_simulation(&spec, &wl, Pattern::Uniform, &quick_cfg(seed));
-        prop_assume!(r.completed); // extreme corners may saturate; skip
+        // Every engine runs each generated system; extreme corners may
+        // saturate, so each run must complete or the case is skipped.
+        let worm = run_simulation(&spec, &wl, Pattern::Uniform, &quick_cfg(seed));
+        prop_assume!(worm.completed);
+        check_conservation_and_bounds(&spec, m_flits, &worm);
 
-        // Conservation: intra + inter recorded == total recorded.
-        prop_assert_eq!(r.intra.count + r.inter.count, r.delivered_recorded);
-        prop_assert_eq!(r.delivered_recorded, 1_000);
-        prop_assert!(r.generated >= r.delivered_recorded);
-        prop_assert!(r.generated <= 1_200);
+        let sharded = SimConfig {
+            shards: ShardMode::Auto,
+            ..quick_cfg(seed)
+        };
+        let sharded = run_simulation(&spec, &wl, Pattern::Uniform, &sharded);
+        prop_assume!(sharded.completed);
+        check_conservation_and_bounds(&spec, m_flits, &sharded);
 
-        // Latency lower bound: no message can beat its serialization time
-        // on the fastest network in the system.
-        let min_t = spec
-            .clusters
-            .iter()
-            .map(|c| c.icn1.t_cn(256.0))
-            .fold(f64::INFINITY, f64::min)
-            .min(spec.icn2.t_cn(256.0));
-        prop_assert!(r.latency.min >= (m_flits as f64 - 1.0) * min_t);
-
-        // Busy fractions within [0, 1].
-        for &b in &r.channel_busy {
-            prop_assert!(b >= 0.0);
-            prop_assert!(b <= r.sim_time * (1.0 + 1e-9));
-        }
+        let flit = SimConfig {
+            max_events: FLIT_MAX_EVENTS,
+            ..quick_cfg(seed)
+        };
+        let flit = run_simulation_flit(&spec, &wl, Pattern::Uniform, &flit);
+        prop_assume!(flit.completed);
+        check_conservation_and_bounds(&spec, m_flits, &flit);
     }
 
     #[test]
