@@ -26,6 +26,16 @@ use cocnet_workloads::Pattern;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
+/// Largest `sim.histogram` bin count a scenario may ask for: the sinks
+/// allocate every bin up front.
+const MAX_HISTOGRAM_BINS: usize = 1 << 24;
+
+/// Largest number of latency samples a scenario may ask the sinks to
+/// keep (`sim.measured` under `sim.collect_percentiles`, `sim.warmup +
+/// sim.measured` under `sim.audit_warmup`): they reserve room for every
+/// sample, 8 bytes each, before the run starts.
+const MAX_RESERVED_SAMPLES: u64 = 1 << 28;
+
 /// How per-job seeds are derived from `sim.seed`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum Seeding {
@@ -585,6 +595,39 @@ impl Scenario {
                      (got [{hi}, {bins}])"
                 ));
             }
+            if bins > MAX_HISTOGRAM_BINS {
+                return Err(format!(
+                    "sim.histogram: at most {MAX_HISTOGRAM_BINS} bins (got {bins})"
+                ));
+            }
+        }
+        let sim = &self.sim;
+        if sim
+            .warmup
+            .checked_add(sim.measured)
+            .and_then(|n| n.checked_add(sim.drain))
+            .is_none()
+        {
+            return Err(format!(
+                "sim.warmup + sim.measured + sim.drain overflows a 64-bit count \
+                 (got {} + {} + {})",
+                sim.warmup, sim.measured, sim.drain
+            ));
+        }
+        if sim.collect_percentiles && sim.measured > MAX_RESERVED_SAMPLES {
+            return Err(format!(
+                "sim.measured: at most {MAX_RESERVED_SAMPLES} messages with \
+                 sim.collect_percentiles, which keeps one latency per measured message \
+                 (got {})",
+                sim.measured
+            ));
+        }
+        if sim.audit_warmup && sim.warmup + sim.measured > MAX_RESERVED_SAMPLES {
+            return Err(format!(
+                "sim.warmup + sim.measured: at most {MAX_RESERVED_SAMPLES} messages with \
+                 sim.audit_warmup, which keeps one latency per audited message (got {} + {})",
+                sim.warmup, sim.measured
+            ));
         }
         if self.sim.adaptive_routing {
             // Engine-level adaptive routing draws per-hop digits against the

@@ -1646,6 +1646,11 @@ impl BuiltSystem {
         self.chan_time[c as usize]
     }
 
+    /// Per-flit transfer times of every global channel, indexed by id.
+    pub fn chan_times(&self) -> &[f64] {
+        &self.chan_time
+    }
+
     /// Total number of processing nodes (flat indexing).
     pub fn total_nodes(&self) -> usize {
         self.node_cluster.len()

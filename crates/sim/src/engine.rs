@@ -2,18 +2,24 @@
 //!
 //! Three event kinds drive the simulation:
 //!
-//! * `Generate(node)` — a node's Poisson process fires: build the message,
-//!   inject it into its first channel's FIFO, and schedule the next firing;
+//! * a node's arrival — its Poisson process fires: build the message,
+//!   inject it into its first channel's FIFO, and draw the next arrival;
 //! * `Advance(msg)` — the message's header finished crossing a channel:
 //!   request the next channel (possibly across a segment boundary), or
 //!   complete delivery;
 //! * `Release(chan)` — a message's tail fully crossed a channel: hand the
 //!   channel to the next queued message, or mark it free.
 //!
-//! Events are processed in `(time, sequence)` order, so runs are exactly
-//! reproducible for a given seed. What the engine records (counters,
-//! statistic sinks, busy time, the live fault mask) is the run ledger it
-//! shares with the other engines; the handlers here decide only when.
+//! Each node's pending arrival waits in an *arrival band* beside the
+//! future-event list, so the list holds only network events (those of
+//! messages in flight, and timed faults): its size follows the traffic,
+//! not the node count. Both number their events from the list's one
+//! sequence counter, and the loop pops whichever head is earlier, so
+//! events are processed in one `(time, sequence)` order and runs are
+//! exactly reproducible for a given seed. What the engine records
+//! (counters, statistic sinks, busy time, the live fault mask) is the run
+//! ledger it shares with the other engines; the handlers here decide only
+//! when.
 //!
 //! # No-allocation invariant
 //!
@@ -30,8 +36,10 @@
 //!   slot onto a free list, so the live-message footprint is bounded by
 //!   the peak in-flight population (reported as
 //!   [`SimResults::peak_live_msgs`]), not by the run length;
-//! * the event heap and per-channel FIFOs retain their capacity, so a
-//!   warmed-up loop performs no allocator calls at all;
+//! * the event lists retain their capacity, and each channel is an 8-byte
+//!   record whose FIFO of waiting headers links through the message slab
+//!   — no per-channel allocation at all — so a warmed-up loop performs no
+//!   allocator calls;
 //! * recorded deliveries wait in a buffer only until the clock next
 //!   advances (same-instant ties are reordered canonically before the
 //!   sinks see them), so the buffer holds one instant's ties, not the run;
@@ -49,21 +57,19 @@ use crate::build::{
     AdaptiveRouteCache, AdaptiveScratch, BuiltSystem, RouteRef, RouteTable, SegMeta,
 };
 use crate::config::{Coupling, FaultMask, SchedulerKind, SimConfig};
-use crate::events::{CalendarQueue, EventQueue, Scheduler};
+use crate::events::{ArrivalBand, CalendarQueue, EventQueue, Merged, Scheduler};
 use crate::results::{delivery_order, BusyTime, Counters, Delivery, SimResults, Sinks, StopReason};
 use crate::trace::{MessageTrace, TraceEvent, TraceEventKind};
 use cocnet_model::Workload;
 use cocnet_topology::SystemSpec;
-use cocnet_workloads::{ArrivalProcess, ArrivalSpec, Pattern};
+use cocnet_workloads::{cluster_offsets, ArrivalProcess, ArrivalSpec, Pattern};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::VecDeque;
 
+/// What the future-event list holds: the events of messages in flight,
+/// and timed faults. Arrivals wait in the arrival band instead.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum EventKind {
-    Generate {
-        node: u32,
-    },
     Advance {
         msg: u32,
     },
@@ -88,15 +94,26 @@ enum EventKind {
     },
 }
 
-#[derive(Debug)]
-struct Chan {
-    /// Per-flit transfer time.
-    t: f64,
-    /// Whether a message currently holds this channel.
-    busy: bool,
-    /// Messages waiting for the channel, FIFO.
-    queue: VecDeque<u32>,
-}
+/// One channel's arbitration record: `[head, tail]` of its FIFO of
+/// waiting headers. `head` is [`FREE`], [`HELD`] (held, nobody waiting) or
+/// the first waiter's slab slot plus [`WAITER`]; `tail` is the last
+/// waiter's, offset alike and meaningful only while someone waits.
+/// Waiters link through [`Msg::next`] and leave only from the front
+/// (granted, or dropped at the grant when the channel failed meanwhile).
+/// The channel's transfer time is the built system's.
+///
+/// A plain integer array, so the per-run vector of records is allocated
+/// zeroed (all [`FREE`]) and the channels no message touches never become
+/// resident.
+type Chan = [u32; 2];
+
+/// `head` of a channel no message holds.
+const FREE: u32 = 0;
+/// `head` of a held channel nobody waits for; also the [`Msg::next`] of
+/// the last waiter.
+const HELD: u32 = 1;
+/// Offset of a slab slot stored in a FIFO link.
+const WAITER: u32 = 2;
 
 /// One in-flight message: a slab slot's worth of `Copy` state. The route
 /// itself lives in the interned table (or the adaptive route cache); the
@@ -134,6 +151,9 @@ struct Msg {
     dst: u32,
     /// Completed transmission attempts that hit a failed channel.
     attempt: u32,
+    /// While the header waits for a channel: the next waiter's slot plus
+    /// [`WAITER`], or [`HELD`] for the last one (see [`Chan`]).
+    next: u32,
 }
 
 const UNTRACED: u32 = u32::MAX;
@@ -161,6 +181,7 @@ impl Msg {
         src: 0,
         dst: 0,
         attempt: 0,
+        next: HELD,
     };
 }
 
@@ -169,12 +190,19 @@ struct Simulator<'a, S: Scheduler<EventKind>, const TRACE: bool> {
     routes: &'a RouteTable,
     cfg: SimConfig,
     m_flits: f64,
+    /// Per-flit transfer time of every channel.
+    chan_time: &'a [f64],
     /// Per-node arrival streams (independent state per node).
     arrivals: Vec<ArrivalProcess>,
+    /// Each node's pending arrival (the node id), numbered from `queue`'s
+    /// sequence counter.
+    arrival_band: ArrivalBand<u32>,
     pattern: Pattern,
+    /// The node layout destination draws read (see [`cluster_offsets`]).
+    layout: Vec<usize>,
     rng: StdRng,
-    /// The future-event list — monomorphized per backend, no dyn
-    /// dispatch in the hot loop.
+    /// The future-event list: events of messages in flight only.
+    /// Monomorphized per backend, no dyn dispatch in the hot loop.
     queue: S,
     chans: Vec<Chan>,
     /// Message slab; `free` holds the slots of delivered messages.
@@ -218,22 +246,18 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
             arrival.mean_rate() > 0.0,
             "simulation needs a positive generation rate"
         );
-        let chans = (0..built.num_channels())
-            .map(|c| Chan {
-                t: built.chan_time(c as u32),
-                busy: false,
-                queue: VecDeque::new(),
-            })
-            .collect();
         Self {
             built,
             routes: built.route_table(),
             m_flits: wl.msg_flits as f64,
+            chan_time: built.chan_times(),
             arrivals: vec![arrival.build(); built.total_nodes()],
+            arrival_band: ArrivalBand::with_capacity(built.total_nodes()),
             pattern,
+            layout: cluster_offsets(built.spec()),
             rng: StdRng::seed_from_u64(cfg.seed),
             queue: S::new(),
-            chans,
+            chans: vec![[FREE; 2]; built.num_channels()],
             msgs: Vec::new(),
             free: Vec::new(),
             scratch: AdaptiveScratch::default(),
@@ -293,20 +317,25 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
         (RouteRef::adaptive(idx), cr.segs[0], cr.nsegs)
     }
 
-    /// Seeds the fault schedule and the initial Generate event of every
-    /// node. Faults are scheduled first so a `t = 0` failure is in force
-    /// before any traffic moves.
+    /// Seeds the fault schedule and the first arrival of every node.
+    /// Faults are scheduled first so a `t = 0` failure is in force before
+    /// any traffic moves.
     fn prime(&mut self) {
         self.cfg.faults.schedule_timed(
             &mut self.queue,
             |_| true,
             |link, fail| EventKind::Fault { link, fail },
         );
-        for node in 0..self.built.total_nodes() {
-            let t = self.arrivals[node].next_arrival(&mut self.rng);
-            self.queue
-                .schedule(t, EventKind::Generate { node: node as u32 });
+        for node in 0..self.built.total_nodes() as u32 {
+            self.schedule_arrival(node);
         }
+    }
+
+    /// Draws `node`'s next arrival into the arrival band.
+    fn schedule_arrival(&mut self, node: u32) {
+        let time = self.arrivals[node as usize].next_arrival(&mut self.rng);
+        debug_assert!(time >= self.now, "arrival streams move forward");
+        self.arrival_band.schedule(&mut self.queue, time, node);
     }
 
     fn run(mut self) -> SimResults {
@@ -322,26 +351,29 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
         // message was delivered or written off — graceful degradation,
         // not a hang.
         let mut stop = StopReason::Drained;
-        while let Some(ev) = self.queue.pop() {
+        while let Some(next) = self.arrival_band.pop_merged(&mut self.queue) {
+            let t = next.time();
             self.counters.events_processed += 1;
             if self.counters.events_processed > self.cfg.max_events {
                 stop = StopReason::EventCap;
                 break;
             }
-            debug_assert!(ev.time >= self.now - 1e-9, "time must not run backwards");
+            debug_assert!(t >= self.now - 1e-9, "time must not run backwards");
             // Every buffered delivery popped before this instant: no later
             // delivery can tie with them, so their order is final.
-            if self.deliveries.last().is_some_and(|d| ev.time > d.t) {
+            if self.deliveries.last().is_some_and(|d| t > d.t) {
                 self.flush_deliveries();
             }
-            self.now = ev.time;
-            match ev.kind {
-                EventKind::Generate { node } => self.on_generate(node, ev.time),
-                EventKind::Advance { msg } => self.on_advance(msg, ev.time),
-                EventKind::Release { chan } => self.on_release(chan, ev.time),
-                EventKind::Request { msg } => self.request_current(msg, ev.time),
-                EventKind::Fault { link, fail } => self.faults.apply(link, fail),
-                EventKind::Retransmit { msg } => self.on_retransmit(msg, ev.time),
+            self.now = t;
+            match next {
+                Merged::Band(ev) => self.on_generate(ev.kind, t),
+                Merged::Queue(ev) => match ev.kind {
+                    EventKind::Advance { msg } => self.on_advance(msg, t),
+                    EventKind::Release { chan } => self.on_release(chan, t),
+                    EventKind::Request { msg } => self.request_current(msg, t),
+                    EventKind::Fault { link, fail } => self.faults.apply(link, fail),
+                    EventKind::Retransmit { msg } => self.on_retransmit(msg, t),
+                },
             }
             if self.recorded_done >= self.cfg.measured {
                 stop = StopReason::MeasuredComplete;
@@ -355,7 +387,7 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
     /// The run's results, once [`Self::simulate`] has returned.
     fn results(self, stop: StopReason) -> SimResults {
         let chans = &self.chans;
-        let busy = self.busy.finish(self.now, |c| chans[c].busy);
+        let busy = self.busy.finish(self.now, |c| chans[c][0] != FREE);
         let mut r = self
             .sinks
             .finish(self.counters, stop, self.now, busy, self.msgs.len() as u64);
@@ -446,7 +478,7 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
             return;
         }
         let src = node as usize;
-        let dst = self.pattern.sample(self.built.spec(), src, &mut self.rng);
+        let dst = self.pattern.sample_in(&self.layout, src, &mut self.rng);
         if self.routes.is_unreachable(src, dst) {
             // The destination is statically partitioned away: account the
             // message (generated + unreachable, never silently lost)
@@ -455,8 +487,7 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
             self.counters.generated += 1;
             self.counters.unreachable += 1;
             if self.counters.generated < self.cfg.total_messages() {
-                let next = self.arrivals[node as usize].next_arrival(&mut self.rng);
-                self.queue.schedule(next, EventKind::Generate { node });
+                self.schedule_arrival(node);
             }
             return;
         }
@@ -506,6 +537,7 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
             src: src as u32,
             dst: dst as u32,
             attempt: 0,
+            next: HELD,
         };
         self.trace(
             trace_id,
@@ -518,9 +550,7 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
         self.request_current(slot, t);
         // Keep generating until the population is complete.
         if self.counters.generated < self.cfg.total_messages() {
-            let next = self.arrivals[node as usize].next_arrival(&mut self.rng);
-            debug_assert!(next >= t, "arrival streams move forward");
-            self.queue.schedule(next, EventKind::Generate { node });
+            self.schedule_arrival(node);
         }
     }
 
@@ -534,15 +564,23 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
             return;
         }
         let c = &mut self.chans[chan as usize];
-        if c.busy {
-            c.queue.push_back(msg_id);
+        if c[0] != FREE {
+            // Join the FIFO as its last waiter.
+            let link = msg_id + WAITER;
+            self.msgs[msg_id as usize].next = HELD;
+            if c[0] == HELD {
+                *c = [link, link];
+            } else {
+                self.msgs[(c[1] - WAITER) as usize].next = link;
+                c[1] = link;
+            }
             if TRACE {
                 let trace_id = self.msgs[msg_id as usize].trace_id;
                 self.trace(trace_id, t, TraceEventKind::Blocked { chan });
             }
         } else {
-            c.busy = true;
-            let cross = c.t;
+            c[0] = HELD;
+            let cross = self.chan_time[chan as usize];
             self.busy.grant(chan, t);
             self.queue
                 .schedule(t + cross, EventKind::Advance { msg: msg_id });
@@ -584,7 +622,7 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
             let chan = self.seg_chan(msg_id, k);
             let release = (finish - suffix).max(t);
             self.queue.schedule(release, EventKind::Release { chan });
-            suffix += self.chans[chan as usize].t;
+            suffix += self.chan_time[chan as usize];
         }
 
         self.trace(
@@ -658,12 +696,19 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
 
     fn on_release(&mut self, chan: u32, t: f64) {
         self.busy.accrue(chan, t);
-        debug_assert!(self.chans[chan as usize].busy, "releasing a free channel");
+        debug_assert_ne!(
+            self.chans[chan as usize][0], FREE,
+            "releasing a free channel"
+        );
         loop {
-            let Some(next) = self.chans[chan as usize].queue.pop_front() else {
-                self.chans[chan as usize].busy = false;
+            let head = &mut self.chans[chan as usize][0];
+            if *head == HELD {
+                *head = FREE;
                 return;
-            };
+            }
+            // Pop the first waiter: its link is the new head.
+            let next = *head - WAITER;
+            *head = self.msgs[next as usize].next;
             if self.faults.is_failed(chan) {
                 // The link died while this header was queued on it: the
                 // grant would start a crossing on a failed channel, so the
@@ -672,7 +717,7 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
                 continue;
             }
             // Grant to the next waiting header; channel stays busy.
-            let cross = self.chans[chan as usize].t;
+            let cross = self.chan_time[chan as usize];
             self.busy.grant(chan, t);
             self.queue
                 .schedule(t + cross, EventKind::Advance { msg: next });
@@ -1277,6 +1322,15 @@ mod tests {
             sim.deliveries.capacity(),
             sim.recorded_done
         );
+    }
+
+    #[test]
+    fn channel_record_is_eight_bytes_and_msg_stays_small() {
+        // The per-channel state is two FIFO links, and the link each
+        // waiter carries must not grow the message record.
+        assert_eq!(std::mem::size_of::<Chan>(), 8);
+        let msg = std::mem::size_of::<Msg>();
+        assert!(msg <= 88, "Msg grew to {msg} bytes");
     }
 
     #[test]

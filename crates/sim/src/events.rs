@@ -21,6 +21,14 @@
 //! by the cross-backend property tests in `tests/scheduler_order.rs` and
 //! by the seed-pinned golden statistics in `tests/golden_regression.rs`.
 //!
+//! An engine may keep some events beside its scheduler in an
+//! [`ArrivalBand`]: the band numbers them from the scheduler's own
+//! sequence counter and [`ArrivalBand::pop_merged`] pops whichever head
+//! is earlier, so the split pops in exactly the order one scheduler
+//! holding every event would. The worm engine keeps each node's pending
+//! arrival there, which leaves the scheduler holding only the events of
+//! messages in flight.
+//!
 //! The heap backend retains its capacity across pushes and pops, so a
 //! warmed-up loop never touches the allocator; the calendar reuses its
 //! bucket and overflow storage per event and allocates only on resizes
@@ -87,15 +95,25 @@ pub trait Scheduler<K> {
     /// for the same instant.
     fn schedule(&mut self, time: f64, kind: K);
 
+    /// Takes the next insertion sequence number without scheduling
+    /// anything, exactly as [`Scheduler::schedule`] would have taken it.
+    /// An engine that keeps some of its events beside the queue (the worm
+    /// engine's per-node arrival band) numbers them from here, so one
+    /// counter orders every event, queued or not, and merging the two by
+    /// `(time, seq)` reproduces the pop order of a single queue.
+    fn reserve_seq(&mut self) -> u64;
+
     /// Removes and returns the earliest event (insertion order on ties).
     fn pop(&mut self) -> Option<Timed<K>>;
 
-    /// Time of the event the next [`Scheduler::pop`] would return, without
-    /// removing it. Takes `&mut self` so backends may advance internal
-    /// cursors (the calendar's day rotation) exactly as the pop would —
-    /// the pending set and the pop order are unchanged. The windowed
-    /// sharded engine leans on this to find its next sync horizon.
-    fn peek_time(&mut self) -> Option<f64>;
+    /// `(time, seq)` of the event the next [`Scheduler::pop`] would
+    /// return, without removing it. Takes `&mut self` so backends may
+    /// advance internal cursors (the calendar's day rotation) exactly as
+    /// the pop would — the pending set and the pop order are unchanged.
+    /// The worm engine compares it with its arrival band's head to pick
+    /// the next event; the windowed sharded engine finds its next sync
+    /// horizon from the time.
+    fn peek_key(&mut self) -> Option<(f64, u64)>;
 
     /// Number of pending events.
     fn len(&self) -> usize;
@@ -124,9 +142,15 @@ impl<K> Scheduler<K> for EventQueue<K> {
 
     #[inline]
     fn schedule(&mut self, time: f64, kind: K) {
+        let seq = self.reserve_seq();
+        self.heap.push(Timed { time, seq, kind });
+    }
+
+    #[inline]
+    fn reserve_seq(&mut self) -> u64 {
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Timed { time, seq, kind });
+        seq
     }
 
     #[inline]
@@ -135,12 +159,89 @@ impl<K> Scheduler<K> for EventQueue<K> {
     }
 
     #[inline]
-    fn peek_time(&mut self) -> Option<f64> {
-        self.heap.peek().map(|ev| ev.time)
+    fn peek_key(&mut self) -> Option<(f64, u64)> {
+        self.heap.peek().map(|ev| (ev.time, ev.seq))
     }
 
     fn len(&self) -> usize {
         self.heap.len()
+    }
+}
+
+/// Events kept beside a [`Scheduler`] rather than in it, merged back by
+/// `(time, seq)` at pop time.
+///
+/// Every event in the band takes its sequence number from the
+/// scheduler's counter ([`Scheduler::reserve_seq`]), so band and
+/// scheduler share one total order, and [`ArrivalBand::pop_merged`]
+/// returns exactly what a single scheduler holding both would pop —
+/// exact-time ties between the two included. The band is a binary heap;
+/// it suits a population that stays put (one pending arrival per node)
+/// while the scheduler's population follows the traffic.
+#[derive(Debug)]
+pub struct ArrivalBand<A> {
+    heap: BinaryHeap<Timed<A>>,
+}
+
+/// An event popped by [`ArrivalBand::pop_merged`]: from the band, or from
+/// the scheduler beside it.
+#[derive(Debug, Clone, Copy)]
+pub enum Merged<A, K> {
+    /// The band's head was earlier.
+    Band(Timed<A>),
+    /// The scheduler's head was earlier.
+    Queue(Timed<K>),
+}
+
+impl<A, K> Merged<A, K> {
+    /// Time of the popped event.
+    #[inline]
+    pub fn time(&self) -> f64 {
+        match self {
+            Merged::Band(ev) => ev.time,
+            Merged::Queue(ev) => ev.time,
+        }
+    }
+}
+
+impl<A> ArrivalBand<A> {
+    /// An empty band with room for `capacity` pending events.
+    pub fn with_capacity(capacity: usize) -> Self {
+        ArrivalBand {
+            heap: BinaryHeap::with_capacity(capacity),
+        }
+    }
+
+    /// Adds `payload` at `time`, numbered from `queue`'s counter exactly as
+    /// `queue.schedule` would have numbered it.
+    #[inline]
+    pub fn schedule<K, S: Scheduler<K>>(&mut self, queue: &mut S, time: f64, payload: A) {
+        let seq = queue.reserve_seq();
+        self.heap.push(Timed {
+            time,
+            seq,
+            kind: payload,
+        });
+    }
+
+    /// Removes the earlier of the band's head and `queue`'s by
+    /// `(time, seq)`; `None` once both are empty.
+    #[inline]
+    pub fn pop_merged<K, S: Scheduler<K>>(&mut self, queue: &mut S) -> Option<Merged<A, K>> {
+        let band_first = match (self.heap.peek(), queue.peek_key()) {
+            (Some(b), Some((time, seq))) => b.time.total_cmp(&time).then(b.seq.cmp(&seq)).is_lt(),
+            (band, _) => band.is_some(),
+        };
+        if band_first {
+            self.heap.pop().map(Merged::Band)
+        } else {
+            queue.pop().map(Merged::Queue)
+        }
+    }
+
+    /// Whether the band is empty.
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
     }
 }
 
@@ -354,8 +455,7 @@ impl<K> Scheduler<K> for CalendarQueue<K> {
 
     #[inline]
     fn schedule(&mut self, time: f64, kind: K) {
-        let seq = self.seq;
-        self.seq += 1;
+        let seq = self.reserve_seq();
         self.len += 1;
         let day = self.day_of(time);
         if day >= self.year_end {
@@ -379,6 +479,13 @@ impl<K> Scheduler<K> for CalendarQueue<K> {
             let doubled = self.buckets.len() * 2;
             self.resize(doubled);
         }
+    }
+
+    #[inline]
+    fn reserve_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
     }
 
     fn pop(&mut self) -> Option<Timed<K>> {
@@ -431,7 +538,7 @@ impl<K> Scheduler<K> for CalendarQueue<K> {
         }
     }
 
-    fn peek_time(&mut self) -> Option<f64> {
+    fn peek_key(&mut self) -> Option<(f64, u64)> {
         if self.len == 0 {
             return None;
         }
@@ -443,7 +550,7 @@ impl<K> Scheduler<K> for CalendarQueue<K> {
                 let idx = self.bucket_of(self.day);
                 if let Some(ev) = self.buckets[idx].front() {
                     if self.day_of(ev.time) <= self.day {
-                        return Some(ev.time);
+                        return Some((ev.time, ev.seq));
                     }
                 }
                 self.day += 1;
@@ -651,37 +758,53 @@ mod tests {
 
     fn check_peek_matches_pop<S: Scheduler<usize>>() {
         let mut q = S::new();
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.peek_key(), None);
         for i in 0..500usize {
             let t = ((i * 7919) % 251) as f64 * 0.5;
             q.schedule(t, i);
         }
-        // Every peek must equal the following pop's time, and an insert
+        // Every peek must equal the following pop's key, and an insert
         // below the peeked head must rewind the peek to it.
         let mut inserted = false;
         for n in 0..501usize {
-            let peeked = q.peek_time().unwrap();
+            let (peeked, seq) = q.peek_key().unwrap();
             if n == 100 && !inserted {
                 // Head after 100 pops is well above 0; halving it makes
                 // the insert the strict new minimum.
                 assert!(peeked > 0.0);
                 q.schedule(peeked * 0.5, 9_000);
-                assert_eq!(q.peek_time().unwrap(), peeked * 0.5);
+                assert_eq!(q.peek_key().unwrap(), (peeked * 0.5, 500));
                 inserted = true;
                 let ev = q.pop().unwrap();
                 assert_eq!(ev.kind, 9_000);
-                assert_eq!(ev.time, peeked * 0.5);
+                assert_eq!((ev.time, ev.seq), (peeked * 0.5, 500));
                 continue;
             }
             let ev = q.pop().unwrap();
-            assert_eq!(ev.time, peeked);
+            assert_eq!((ev.time, ev.seq), (peeked, seq));
         }
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.peek_key(), None);
         assert!(q.pop().is_none());
     }
 
+    fn check_reserved_seq<S: Scheduler<u8>>() {
+        let mut q = S::new();
+        q.schedule(1.0, 0);
+        assert_eq!(q.reserve_seq(), 1);
+        q.schedule(1.0, 2);
+        assert_eq!(q.len(), 2, "a reservation schedules nothing");
+        assert_eq!(q.pop().unwrap().seq, 0);
+        assert_eq!(q.pop().unwrap().seq, 2);
+    }
+
     #[test]
-    fn peek_time_matches_pop_for_both() {
+    fn reserved_sequence_numbers_are_never_reused() {
+        check_reserved_seq::<EventQueue<u8>>();
+        check_reserved_seq::<CalendarQueue<u8>>();
+    }
+
+    #[test]
+    fn peek_key_matches_pop_for_both() {
         check_peek_matches_pop::<EventQueue<usize>>();
         check_peek_matches_pop::<CalendarQueue<usize>>();
     }

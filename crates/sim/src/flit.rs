@@ -36,7 +36,7 @@ use crate::events::{CalendarQueue, EventQueue, Scheduler};
 use crate::results::{BusyTime, Counters, Delivery, SimResults, Sinks, StopReason};
 use cocnet_model::Workload;
 use cocnet_topology::SystemSpec;
-use cocnet_workloads::{exponential_sample, Pattern};
+use cocnet_workloads::{cluster_offsets, exponential_sample, Pattern};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
@@ -139,6 +139,8 @@ struct FlitSimulator<'a, S: Scheduler<EventKind>> {
     m_flits: u32,
     lambda: f64,
     pattern: Pattern,
+    /// The node layout destination draws read (see [`cluster_offsets`]).
+    layout: Vec<usize>,
     rng: StdRng,
     /// The future-event list — monomorphized per backend.
     queue: S,
@@ -172,6 +174,7 @@ impl<'a, S: Scheduler<EventKind>> FlitSimulator<'a, S> {
             m_flits: wl.msg_flits,
             lambda: wl.lambda_g,
             pattern,
+            layout: cluster_offsets(built.spec()),
             rng: StdRng::seed_from_u64(cfg.seed),
             queue: S::new(),
             chans,
@@ -274,7 +277,7 @@ impl<'a, S: Scheduler<EventKind>> FlitSimulator<'a, S> {
             return;
         }
         let src = node as usize;
-        let dst = self.pattern.sample(self.built.spec(), src, &mut self.rng);
+        let dst = self.pattern.sample_in(&self.layout, src, &mut self.rng);
         if self.routes.is_unreachable(src, dst) {
             // Statically partitioned destination: account the message
             // without allocating a slab slot, keep the arrival stream

@@ -47,7 +47,7 @@ pub use config::{
     SimConfig,
 };
 pub use engine::{run_simulation, run_simulation_arrivals, run_simulation_built};
-pub use events::{CalendarQueue, EventQueue, Scheduler, Timed};
+pub use events::{ArrivalBand, CalendarQueue, EventQueue, Merged, Scheduler, Timed};
 pub use flit::{run_simulation_flit, run_simulation_flit_built};
 pub use replicate::{summarize, ReplicationAccumulator, ReplicationSummary};
 pub use results::{SimResults, StopReason, WarmupAudit};

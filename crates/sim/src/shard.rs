@@ -77,7 +77,7 @@ use crate::config::{Coupling, FaultMask, SchedulerKind, ShardMode, SimConfig};
 use crate::events::{CalendarQueue, EventQueue, Scheduler};
 use crate::results::{delivery_order, BusyTime, Counters, Delivery, SimResults, Sinks, StopReason};
 use cocnet_model::Workload;
-use cocnet_workloads::{ArrivalProcess, ArrivalSpec, Pattern};
+use cocnet_workloads::{cluster_offsets, ArrivalProcess, ArrivalSpec, Pattern};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
@@ -126,7 +126,7 @@ struct Oracle {
 }
 
 /// Replays the serial engine's RNG consumption. Randomness is drawn only
-/// while processing Generate events, which the serial queue pops in
+/// while processing arrivals, which the serial engine pops in
 /// `(time, seq)` order among themselves regardless of interleaved
 /// traffic events (a scheduler seq restriction preserves relative
 /// order), so a plain `(time, seq)` queue over arrivals reproduces the
@@ -139,7 +139,7 @@ fn build_oracle(
     arrival: &ArrivalSpec,
 ) -> Oracle {
     let n = built.total_nodes();
-    let spec = built.spec();
+    let layout = cluster_offsets(built.spec());
     let routes = built.route_table();
     let total = cfg.total_messages();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -168,7 +168,7 @@ fn build_oracle(
             });
             continue;
         }
-        let dst = pattern.sample(spec, node, &mut rng);
+        let dst = pattern.sample_in(&layout, node, &mut rng);
         let gidx = generated;
         if routes.is_unreachable(node, dst) {
             generated += 1;
@@ -575,7 +575,7 @@ impl<'a, S: Scheduler<SEvent>> ShardSim<'a, S> {
     /// Next local activity time: the queue head or the earliest pending
     /// direct transfer.
     fn next_time(&mut self) -> Option<f64> {
-        let tq = self.queue.peek_time();
+        let tq = self.queue.peek_key().map(|k| k.0);
         let tx = self.incoming.get(self.inc_head).map(|x| x.time);
         match (tq, tx) {
             (Some(a), Some(b)) => Some(a.min(b)),
@@ -596,7 +596,7 @@ impl<'a, S: Scheduler<SEvent>> ShardSim<'a, S> {
     /// before `w1`.
     fn run_window(&mut self, w1: f64) {
         loop {
-            let tq = self.queue.peek_time();
+            let tq = self.queue.peek_key().map(|k| k.0);
             let tx = self.incoming.get(self.inc_head).map(|x| x.time);
             let take_x = match (tq, tx) {
                 (None, None) => break,

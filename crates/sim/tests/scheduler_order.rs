@@ -13,8 +13,13 @@
 //! uniform gaps, same-instant ties (simultaneous releases), and bursts
 //! whose offsets *decrease* toward the current time (a release schedule
 //! walks a segment backwards, emitting near-`now` events last).
+//!
+//! A further property pins the worm engine's split event list: a stream
+//! run through one queue, and the same stream split into a queue plus an
+//! [`ArrivalBand`] merged by `(time, seq)`, pop identically on both
+//! backends.
 
-use cocnet_sim::{CalendarQueue, EventQueue, Scheduler, Timed};
+use cocnet_sim::{ArrivalBand, CalendarQueue, EventQueue, Merged, Scheduler, Timed};
 use proptest::prelude::*;
 
 /// One step of a workload: schedule this many events (with the given
@@ -117,6 +122,125 @@ proptest! {
             })
             .collect();
         assert_identical_order(&reversed, |raw| 0.01 + raw * raw * 2.0);
+    }
+}
+
+/// One operation of an event loop over nodes with one pending arrival each.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// Schedule a network event `offset` after `now`.
+    Network(f64),
+    /// Peek the next event, then schedule a network event between `now`
+    /// and the peeked head's time.
+    PeekThenUndercut(f64),
+    /// Pop the next event; an arrival schedules its node's next one.
+    Pop(f64),
+}
+
+fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+    prop::collection::vec(
+        (0u32..3, 0.0f64..1.0).prop_map(|(kind, raw)| match kind {
+            0 => Op::Network(raw),
+            1 => Op::PeekThenUndercut(raw),
+            _ => Op::Pop(raw),
+        }),
+        1..120,
+    )
+}
+
+/// Offsets on a half-unit grid, zero included: arrivals and network
+/// events land on the same instants all the time.
+fn grid(raw: f64) -> f64 {
+    (raw * 6.0).floor() * 0.5
+}
+
+/// Bit that marks an arrival's payload (the rest is the node id).
+const ARRIVAL: u32 = 1 << 31;
+
+/// Runs `ops` twice on backend `S` — every event through one queue, and
+/// arrivals in an [`ArrivalBand`] beside the queue — and asserts that
+/// both pop the same `(time, seq, payload)` stream, bit for bit.
+fn assert_split_matches_single<S: Scheduler<u32>>(nodes: u32, ops: &[Op]) {
+    let mut single = S::new();
+    let mut queue = S::new();
+    let mut band = ArrivalBand::<u32>::with_capacity(nodes as usize);
+    let mut now = 0.0f64;
+    let mut payload = 0u32;
+    for node in 0..nodes {
+        let t = grid(node as f64 / nodes as f64);
+        single.schedule(t, ARRIVAL | node);
+        band.schedule(&mut queue, t, ARRIVAL | node);
+    }
+    let pop_both = |single: &mut S, queue: &mut S, band: &mut ArrivalBand<u32>| {
+        let a = single.pop();
+        let b = band.pop_merged(queue).map(|m| match m {
+            Merged::Band(ev) => {
+                assert_ne!(ev.kind & ARRIVAL, 0, "band popped a network event");
+                ev
+            }
+            Merged::Queue(ev) => {
+                assert_eq!(ev.kind & ARRIVAL, 0, "queue popped an arrival");
+                ev
+            }
+        });
+        match (&a, &b) {
+            (Some(a), Some(b)) => {
+                assert_eq!(a.time.to_bits(), b.time.to_bits(), "time diverged");
+                assert_eq!((a.seq, a.kind), (b.seq, b.kind), "event diverged");
+            }
+            (None, None) => {}
+            _ => panic!("one side empty while the other is not"),
+        }
+        a
+    };
+    for &op in ops {
+        match op {
+            Op::Network(raw) => {
+                single.schedule(now + grid(raw), payload);
+                queue.schedule(now + grid(raw), payload);
+                payload += 1;
+            }
+            Op::PeekThenUndercut(raw) => {
+                // Peeking moves a calendar's cursor up to its head's day;
+                // the insert below the head must pull it back. The split
+                // queue holds a subset of the single one's events, so its
+                // head is never earlier.
+                let head = single.peek_key();
+                if let (Some(h), Some(q)) = (head, queue.peek_key()) {
+                    assert!(h.0.total_cmp(&q.0).then(h.1.cmp(&q.1)).is_le());
+                }
+                if let Some((t, _)) = head {
+                    let below = now + (t - now) * raw.min(0.5);
+                    single.schedule(below, payload);
+                    queue.schedule(below, payload);
+                    payload += 1;
+                }
+            }
+            Op::Pop(raw) => {
+                if let Some(ev) = pop_both(&mut single, &mut queue, &mut band) {
+                    now = ev.time;
+                    if ev.kind & ARRIVAL != 0 {
+                        single.schedule(now + grid(raw), ev.kind);
+                        band.schedule(&mut queue, now + grid(raw), ev.kind);
+                    }
+                }
+            }
+        }
+    }
+    // Drain: arrivals stop being replaced, so both sides run dry.
+    while pop_both(&mut single, &mut queue, &mut band).is_some() {}
+    assert!(single.is_empty() && queue.is_empty() && band.is_empty());
+}
+
+proptest! {
+    #[test]
+    fn arrival_band_merge_pops_like_one_heap(ops in arb_ops()) {
+        assert_split_matches_single::<EventQueue<u32>>(5, &ops);
+    }
+
+    #[test]
+    fn arrival_band_merge_pops_like_one_calendar(ops in arb_ops()) {
+        assert_split_matches_single::<CalendarQueue<u32>>(5, &ops);
     }
 }
 

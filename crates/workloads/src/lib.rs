@@ -18,4 +18,4 @@ pub mod presets;
 pub use arrival::{
     exponential_sample, ArrivalProcess, ArrivalSpec, OnOffArrivals, PoissonArrivals,
 };
-pub use pattern::Pattern;
+pub use pattern::{cluster_offsets, Pattern};

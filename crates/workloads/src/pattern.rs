@@ -52,9 +52,31 @@ pub enum Pattern {
 impl Pattern {
     /// Samples a destination for a message generated at flat node `src`.
     /// Always returns a node different from `src`.
+    ///
+    /// Walks every cluster of `spec` to find the node layout; the engines
+    /// compute the layout once per run with [`cluster_offsets`] and draw
+    /// with [`Pattern::sample_in`] instead.
     pub fn sample<R: Rng + ?Sized>(&self, spec: &SystemSpec, src: usize, rng: &mut R) -> usize {
-        let total = spec.total_nodes();
+        self.sample_in(&cluster_offsets(spec), src, rng)
+    }
+
+    /// Samples a destination for a message generated at flat node `src`
+    /// of the node layout `offsets` (see [`cluster_offsets`]). Always
+    /// returns a node different from `src`.
+    ///
+    /// Draws the same random numbers in the same order, and returns the
+    /// same node, as [`Pattern::sample`] on the spec the layout came from.
+    /// Uniform, hotspot and complement read only the node total; the
+    /// cluster patterns find the source's cluster by binary search, so a
+    /// draw costs O(log C) at most, never a walk over the clusters.
+    pub fn sample_in<R: Rng + ?Sized>(&self, offsets: &[usize], src: usize, rng: &mut R) -> usize {
+        let total = *offsets.last().expect("a layout holds the node total");
         debug_assert!(src < total);
+        // The cluster owning `src`, and its first node.
+        let locate = |src: usize| {
+            let cluster = offsets[1..].partition_point(|&end| end <= src);
+            (cluster, offsets[cluster])
+        };
         match *self {
             Pattern::Uniform => uniform_excluding(total, src, rng),
             Pattern::Hotspot { hotspot, fraction } => {
@@ -67,9 +89,8 @@ impl Pattern {
             }
             Pattern::ClusterLocal { locality } => {
                 debug_assert!((0.0..=1.0).contains(&locality));
-                let (cluster, _) = spec.locate_node(src).expect("src in range");
-                let off = spec.node_offset(cluster);
-                let size = spec.cluster_nodes(cluster);
+                let (cluster, off) = locate(src);
+                let size = offsets[cluster + 1] - off;
                 let stay = size > 1 && rng.random::<f64>() < locality;
                 if stay {
                     off + uniform_excluding(size, src - off, rng)
@@ -86,12 +107,13 @@ impl Pattern {
                 }
             }
             Pattern::ClusterShift { shift } => {
-                let c = spec.num_clusters();
+                let c = offsets.len() - 1;
                 debug_assert!(shift % c != 0, "shift must leave the cluster");
-                let (cluster, local) = spec.locate_node(src).expect("src in range");
+                let (cluster, off) = locate(src);
                 let dest_cluster = (cluster + shift) % c;
-                let dest_size = spec.cluster_nodes(dest_cluster);
-                spec.node_offset(dest_cluster) + local % dest_size
+                let dest_off = offsets[dest_cluster];
+                let dest_size = offsets[dest_cluster + 1] - dest_off;
+                dest_off + (src - off) % dest_size
             }
             Pattern::Complement => {
                 let mirror = total - 1 - src;
@@ -141,6 +163,18 @@ impl Pattern {
             }
         }
     }
+}
+
+/// The node layout of `spec` that [`Pattern::sample_in`] draws on: the
+/// `C + 1` cluster offsets, cluster `i` owning flat nodes
+/// `offsets[i]..offsets[i + 1]`, so the last entry is the node total.
+pub fn cluster_offsets(spec: &SystemSpec) -> Vec<usize> {
+    let mut offsets = Vec::with_capacity(spec.num_clusters() + 1);
+    offsets.push(0);
+    for i in 0..spec.num_clusters() {
+        offsets.push(offsets[i] + spec.cluster_nodes(i));
+    }
+    offsets
 }
 
 /// Uniform sample over `0..n` excluding `excluded`.
@@ -360,6 +394,115 @@ mod tests {
                 (rate - predicted).abs() < 0.02,
                 "{pattern:?}: empirical {rate} vs predicted {predicted}"
             );
+        }
+    }
+
+    /// The spec-walking draw `Pattern::sample` made before the layout
+    /// draw existed: the oracle the layout draw must reproduce.
+    fn spec_walking_sample(p: Pattern, spec: &SystemSpec, src: usize, rng: &mut StdRng) -> usize {
+        let total = spec.total_nodes();
+        match p {
+            Pattern::Uniform => uniform_excluding(total, src, rng),
+            Pattern::Hotspot { hotspot, fraction } => {
+                if hotspot != src && rng.random::<f64>() < fraction {
+                    hotspot
+                } else {
+                    uniform_excluding(total, src, rng)
+                }
+            }
+            Pattern::ClusterLocal { locality } => {
+                let (cluster, _) = spec.locate_node(src).unwrap();
+                let off = spec.node_offset(cluster);
+                let size = spec.cluster_nodes(cluster);
+                if size > 1 && rng.random::<f64>() < locality {
+                    off + uniform_excluding(size, src - off, rng)
+                } else {
+                    let pick = rng.random_range(0..total - size);
+                    if pick < off {
+                        pick
+                    } else {
+                        pick + size
+                    }
+                }
+            }
+            Pattern::ClusterShift { shift } => {
+                let (cluster, local) = spec.locate_node(src).unwrap();
+                let dest = (cluster + shift) % spec.num_clusters();
+                spec.node_offset(dest) + local % spec.cluster_nodes(dest)
+            }
+            Pattern::Complement => {
+                let mirror = total - 1 - src;
+                if mirror == src {
+                    (src + 1) % total
+                } else {
+                    mirror
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn layout_draw_matches_the_spec_walking_draw() {
+        use cocnet_topology::{TopoSpec, TorusShape};
+        let net = NetworkCharacteristics::new(500.0, 0.01, 0.02).unwrap();
+        let tree = |n| ClusterSpec {
+            n,
+            icn1: net,
+            ecn1: net,
+            topology: TopoSpec::Tree,
+        };
+        let torus = |dims: &[u32]| ClusterSpec {
+            n: 0,
+            icn1: net,
+            ecn1: net,
+            topology: TopoSpec::Torus(TorusShape::new(dims).unwrap()),
+        };
+        // Heterogeneous trees (4, 16, 4 and 8 nodes), and torus clusters
+        // of 16, 8, 16 and 12 nodes.
+        let specs = [
+            SystemSpec::new(4, vec![tree(1), tree(3), tree(1), tree(2)], net).unwrap(),
+            SystemSpec::new(
+                4,
+                vec![
+                    torus(&[4, 4]),
+                    torus(&[2, 2, 2]),
+                    torus(&[4, 4]),
+                    torus(&[3, 4]),
+                ],
+                net,
+            )
+            .unwrap(),
+        ];
+        for spec in &specs {
+            let offsets = cluster_offsets(spec);
+            let total = spec.total_nodes();
+            assert_eq!(offsets.len(), spec.num_clusters() + 1);
+            assert_eq!(*offsets.last().unwrap(), total);
+            let patterns = [
+                Pattern::Uniform,
+                Pattern::Hotspot {
+                    hotspot: total / 3,
+                    fraction: 0.4,
+                },
+                Pattern::ClusterLocal { locality: 0.6 },
+                Pattern::ClusterShift { shift: 3 },
+                Pattern::Complement,
+            ];
+            for p in patterns {
+                let mut oracle = StdRng::seed_from_u64(31);
+                let mut layout = oracle.clone();
+                let mut walking = oracle.clone();
+                for round in 0..40 {
+                    for src in 0..total {
+                        let want = spec_walking_sample(p, spec, src, &mut oracle);
+                        let got = p.sample_in(&offsets, src, &mut layout);
+                        assert_eq!(got, want, "{p:?}: src {src}, round {round}");
+                        assert_eq!(layout, oracle, "{p:?}: rng after src {src}");
+                        assert_eq!(p.sample(spec, src, &mut walking), want);
+                    }
+                }
+                assert_eq!(walking, oracle);
+            }
         }
     }
 }

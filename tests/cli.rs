@@ -204,12 +204,19 @@ fn validate_subcommand_accepts_committed_dir_and_rejects_typos() {
 
 #[test]
 fn bad_histograms_are_typed_errors() {
-    // A `sim.histogram` with no bins or an upper bound that is not a
-    // finite positive number fails validation, naming the field, in both
-    // `validate` and `run`, instead of panicking inside the sinks.
+    // A `sim.histogram` with no bins, more bins than the sinks may
+    // allocate, or an upper bound that is not a finite positive number
+    // fails validation, naming the field, in both `validate` and `run`,
+    // instead of panicking (or aborting on allocation) inside the sinks.
     let text = std::fs::read_to_string(scenarios_dir().join("fig5.json")).unwrap();
     assert!(text.contains("\"histogram\": null"), "fixture edit failed");
-    for (i, bad) in ["[100.0, 0]", "[-5.0, 10]", "[0.0, 10]"].iter().enumerate() {
+    let bad_values = [
+        "[100.0, 0]",
+        "[-5.0, 10]",
+        "[0.0, 10]",
+        "[100.0, 1000000000000000]",
+    ];
+    for (i, bad) in bad_values.iter().enumerate() {
         let path = std::env::temp_dir().join(format!("cocnet_cli_bad_histogram_{i}.json"));
         let edited = text.replacen("\"histogram\": null", &format!("\"histogram\": {bad}"), 1);
         std::fs::write(&path, edited).unwrap();
@@ -220,6 +227,56 @@ fn bad_histograms_are_typed_errors() {
         let (_, stderr, code) = run_code(&["run", file, "--quick", "--points", "1"]);
         assert_eq!(code, Some(1), "run {bad}: {stderr}");
         assert!(stderr.contains("sim.histogram"), "run {bad}: {stderr}");
+        std::fs::remove_file(&path).unwrap();
+    }
+}
+
+#[test]
+fn oversized_populations_are_typed_errors() {
+    // Populations whose count overflows, or whose latency samples the
+    // sinks would reserve up front beyond their cap, fail validation
+    // naming the field, in both `validate` and `run`: never a wrapped
+    // count that records nothing, never an aborted allocation.
+    let text = std::fs::read_to_string(scenarios_dir().join("fig5.json")).unwrap();
+    let huge_measured = ("\"measured\": 100000", "\"measured\": 1000000000000000");
+    let cases = [
+        (
+            "sim.warmup",
+            vec![("\"warmup\": 10000", "\"warmup\": 18446744073709551615")],
+        ),
+        (
+            "sim.measured",
+            vec![
+                huge_measured,
+                (
+                    "\"collect_percentiles\": false",
+                    "\"collect_percentiles\": true",
+                ),
+            ],
+        ),
+        (
+            "sim.measured",
+            vec![
+                huge_measured,
+                ("\"audit_warmup\": false", "\"audit_warmup\": true"),
+            ],
+        ),
+    ];
+    for (i, (field, edits)) in cases.iter().enumerate() {
+        let mut edited = text.clone();
+        for (from, to) in edits {
+            assert!(edited.contains(from), "fixture edit failed: {from}");
+            edited = edited.replacen(from, to, 1);
+        }
+        let path = std::env::temp_dir().join(format!("cocnet_cli_oversized_{i}.json"));
+        std::fs::write(&path, edited).unwrap();
+        let file = path.to_str().unwrap();
+        let (stdout, stderr, code) = run_code(&["validate", file]);
+        assert_eq!(code, Some(1), "validate {edits:?}: {stdout} {stderr}");
+        assert!(stdout.contains(field), "validate {edits:?}: {stdout}");
+        let (_, stderr, code) = run_code(&["run", file, "--points", "1", "--serial"]);
+        assert_eq!(code, Some(1), "run {edits:?}: {stderr}");
+        assert!(stderr.contains(field), "run {edits:?}: {stderr}");
         std::fs::remove_file(&path).unwrap();
     }
 }
