@@ -96,7 +96,8 @@ pub fn ablation_relax(opts: &RunOpts) {
 /// traffic across the parallel ancestors. This experiment quantifies what
 /// happens when it doesn't: the `MirrorDescent` policy funnels all traffic
 /// toward the four big clusters of the N=1120 organization through one ICN2
-/// root, saturating it at a quarter of the predicted rate (DESIGN.md §4.2).
+/// root, saturating it at a quarter of the predicted rate; this entry
+/// prints that measurement beside the model.
 ///
 /// The rate points run concurrently via the runner's [`par_map`]; each
 /// job evaluates all three routing configurations for its rate.
@@ -224,8 +225,8 @@ pub fn ablation_variance(_opts: &RunOpts) {
 /// Ablation: the simulator's network-boundary coupling modes.
 ///
 /// The paper's model is ambivalent about what happens at the
-/// concentrator/dispatcher (see DESIGN.md): Eq. (20) merges the three
-/// networks into one wormhole pipe, while Eqs. (36)–(37) assume
+/// concentrator/dispatcher (see [`cocnet_sim::Coupling`]): Eq. (20) merges
+/// the three networks into one wormhole pipe, while Eqs. (36)–(37) assume
 /// full-message buffering. This experiment runs the same workload under
 /// all three couplings the simulator implements and prints them against
 /// the model, making the trade-off measurable.

@@ -9,7 +9,8 @@
 //! follow the traffic, not the topology. Points small enough for the
 //! eager oracle (≤ `EAGER_MAX_NODES` nodes) also build it and report
 //! the speedup; the paper's org_1120 must come out ≥ 10× faster classed,
-//! which the entry asserts.
+//! which the entry asserts. Every build time is the fastest of three
+//! builds.
 //!
 //! Usage: `cocnet run org_scale [--quick] [--json]`. `--quick` scales
 //! the per-point simulation populations 10× down but still sweeps every
@@ -78,6 +79,35 @@ fn human_bytes(b: usize) -> String {
     }
 }
 
+/// Builds per timed build column; the fastest is reported.
+const BUILD_REPS: usize = 3;
+
+/// Builds `spec` in `mode` [`BUILD_REPS`] times and returns the last
+/// system with the fastest build, in ms. The fastest build is the
+/// build's own cost: org_1120's classed build takes a fraction of a
+/// millisecond, so a single timing is at the mercy of one preemption,
+/// and the speed-up check below compares it with the eager build.
+fn timed_build(spec: &SystemSpec, wl: &Workload, mode: InternMode) -> (BuiltSystem, f64) {
+    let mut best = f64::INFINITY;
+    let mut built = None;
+    for _ in 0..BUILD_REPS {
+        // Drop the previous system first, so only one is ever resident.
+        drop(built.take());
+        let start = Instant::now();
+        let b = BuiltSystem::try_build_full(
+            spec,
+            wl.flit_bytes,
+            AscentPolicy::default(),
+            &FaultSchedule::default(),
+            mode,
+        )
+        .expect("scale orgs build");
+        best = best.min(start.elapsed().as_secs_f64() * 1e3);
+        built = Some(b);
+    }
+    (built.expect("at least one build"), best)
+}
+
 /// The `org_scale` registry entry.
 pub fn org_scale(opts: &RunOpts) {
     let wl = Workload::new(2e-4, 32, 256.0).expect("static workload");
@@ -94,30 +124,13 @@ pub fn org_scale(opts: &RunOpts) {
 
     let mut points = Vec::new();
     for (name, spec) in sweep() {
-        let start = Instant::now();
-        let built = BuiltSystem::try_build_full(
-            &spec,
-            wl.flit_bytes,
-            AscentPolicy::default(),
-            &FaultSchedule::default(),
-            InternMode::Classed,
-        )
-        .expect("scale orgs build");
-        let classed_build_ms = start.elapsed().as_secs_f64() * 1e3;
+        let (built, classed_build_ms) = timed_build(&spec, &wl, InternMode::Classed);
         let nodes = built.total_nodes();
 
         let (eager_build_ms, eager_bytes) = if nodes <= EAGER_MAX_NODES {
-            let start = Instant::now();
-            let eager = BuiltSystem::try_build_full(
-                &spec,
-                wl.flit_bytes,
-                AscentPolicy::default(),
-                &FaultSchedule::default(),
-                InternMode::Eager,
-            )
-            .expect("scale orgs build eagerly");
+            let (eager, eager_build_ms) = timed_build(&spec, &wl, InternMode::Eager);
             (
-                Some(start.elapsed().as_secs_f64() * 1e3),
+                Some(eager_build_ms),
                 Some(eager.route_table().resident_bytes()),
             )
         } else {

@@ -1,5 +1,6 @@
 //! Rendering experiment output: aligned ASCII tables for the terminal and
-//! JSON/CSV for machine consumption (EXPERIMENTS.md records both). This is
+//! JSON/CSV for machine consumption (README, "Declarative scenarios", shows
+//! both from the CLI). This is
 //! the unified output writer behind `cocnet run … --out json|csv` and
 //! its `--json` flag.
 //!

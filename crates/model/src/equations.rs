@@ -2,8 +2,9 @@
 //!
 //! One section per equation of Javadi et al. (CLUSTER 2006), each with the
 //! implementing item and an executable example (doctests double as
-//! regression tests for the numeric interpretations documented in
-//! DESIGN.md). Numbers below use the paper's validation parameters
+//! regression tests for the numeric interpretations stated below: the
+//! reconstructed Eq. (23) and the per-node reading of the source-queue
+//! arrival rates). Numbers below use the paper's validation parameters
 //! (Table 2 networks, 32-flit messages of 256-byte flits) unless stated.
 //!
 //! ## Eq. (1) — mixing intra and inter latency
@@ -81,8 +82,9 @@
 //! ## Eqs. (7), (10), (22)–(25) — traffic rates
 //!
 //! Aggregate rates `λ_I1 = N_i λ_g (1−U_i)`,
-//! `λ_E1 = λ_g (N_i U_i + N_j U_j)`, `λ_I2 = λ_E1/2` (reconstructed; see
-//! DESIGN.md) and the per-channel rates `η = λ·D/(4nN)` —
+//! `λ_E1 = λ_g (N_i U_i + N_j U_j)`, `λ_I2 = λ_E1/2` (reconstructed: the
+//! mean of the two clusters' outgoing inter-cluster rates) and the
+//! per-channel rates `η = λ·D/(4nN)` —
 //! [`crate::rates::network_rates`].
 //!
 //! ## Eqs. (11)–(12) — service times
@@ -119,7 +121,8 @@
 //! Pollaczek–Khinchine with the Draper–Ghosh variance surrogate
 //! `σ² = (x̄ − x_min)²` — [`crate::mg1::mg1_wait`] +
 //! [`crate::model::VarianceApprox`]. Arrival rates use the per-node
-//! reading (DESIGN.md choice 3).
+//! reading: a source queue is one node's injection channel, fed only by
+//! that node's own generation (`λ_g(1−U_i)` intra, `λ_g·U_i` inter).
 //!
 //! ```
 //! use cocnet_model::mg1::{mg1_wait, Mg1Wait};

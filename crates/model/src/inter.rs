@@ -102,8 +102,8 @@ pub fn pair_latency_with_u(
     // Eq. (22): traffic carried by the pair's ECN1 networks (outgoing from
     // i plus incoming to i, approximated from the (i, j) viewpoint).
     let lambda_e1 = wl.lambda_g * (big_n_i * u_i + big_n_j * u_j);
-    // Eq. (23) (reconstructed; see DESIGN.md): per-cluster average share of
-    // the ICN2 traffic from the pair's viewpoint.
+    // Eq. (23), reconstructed: the pair's view of the ICN2 traffic is the
+    // mean of the two clusters' outgoing inter-cluster rates, half of λ_E1.
     let lambda_i2 = 0.5 * lambda_e1;
 
     // Eqs. (24)–(25): per-channel rates.
@@ -160,9 +160,10 @@ pub fn pair_latency_with_u(
         }
     }
 
-    // Eq. (31): M/G/1 source queue for outgoing messages; per-node arrival
-    // rate λ_g·U_i (DESIGN.md choice 3), variance via Eq. (17)'s scheme with
-    // minimum service M·t_cn^{ECN1(i)}.
+    // Eq. (31): M/G/1 source queue for outgoing messages. The queue is one
+    // node's ECN1 injection channel, fed only by that node's own
+    // inter-bound generation, so its arrival rate is per node, λ_g·U_i;
+    // variance via Eq. (17)'s scheme with minimum service M·t_cn^{ECN1(i)}.
     let sigma2 = match opts.variance {
         VarianceApprox::DraperGhosh => {
             let d = t_ex - m_flits * t_cn_e1i;

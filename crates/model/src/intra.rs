@@ -99,7 +99,8 @@ pub fn intra_latency_with_u(
 
     // Eq. (18): M/G/1 source queue. The arrival process at one node's
     // intra-cluster injection channel is its own intra-bound generation,
-    // rate λ_g·(1−U_i) (see DESIGN.md on the per-node reading of Eq. (18)).
+    // rate λ_g·(1−U_i): the queue is per node, so the rate is not the
+    // cluster's aggregate N_i·λ_g·(1−U_i).
     let w_in = match mg1_wait(wl.lambda_g * (1.0 - u_i), t_in, sigma2) {
         Mg1Wait::Stable(w) => w,
         Mg1Wait::Saturated(rho) => {

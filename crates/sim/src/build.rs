@@ -75,6 +75,12 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The network owning global channel `chan` among networks laid out at
+/// ascending `offsets`: the last one starting at or below `chan`.
+fn owning_network(offsets: &[u32], chan: u32) -> Option<usize> {
+    offsets.partition_point(|&o| o <= chan).checked_sub(1)
+}
+
 /// Directed channels of one network, from shape arithmetic alone (no
 /// graphs built): `2·n·N` for an m-port n-tree, `2·N·(1 + ndims)` for a
 /// torus (one node link plus one plus-direction ring link per node per
@@ -1553,13 +1559,10 @@ impl BuiltSystem {
             let g32 = g as u32;
             if g32 >= icn2_off {
                 gf.icn2.fail_link(ChannelId(g32 - icn2_off));
-            } else if let Some(i) = (0..c).rev().find(|&i| g32 >= ecn1_off[i]) {
+            } else if let Some(i) = owning_network(&ecn1_off, g32) {
                 gf.ecn1[i].fail_link(ChannelId(g32 - ecn1_off[i]));
             } else {
-                let i = (0..c)
-                    .rev()
-                    .find(|&i| g32 >= icn1_off[i])
-                    .expect("channel below every offset");
+                let i = owning_network(&icn1_off, g32).expect("channel below every offset");
                 gf.icn1[i].fail_link(ChannelId(g32 - icn1_off[i]));
             }
         }
@@ -1672,22 +1675,19 @@ impl BuiltSystem {
     }
 
     /// Which network a global channel belongs to, for diagnostics:
-    /// `("ICN1", i)`, `("ECN1", i)` or `("ICN2", 0)`.
+    /// `("ICN1", i)`, `("ECN1", i)` or `("ICN2", 0)`. A binary search over
+    /// the network offsets, O(log C).
     pub fn network_of(&self, chan: u32) -> (&'static str, usize) {
         if chan >= self.icn2_off {
             return ("ICN2", 0);
         }
-        for i in (0..self.ecn1_off.len()).rev() {
-            if chan >= self.ecn1_off[i] {
-                return ("ECN1", i);
-            }
+        match owning_network(&self.ecn1_off, chan) {
+            Some(i) => ("ECN1", i),
+            None => (
+                "ICN1",
+                owning_network(&self.icn1_off, chan).expect("channel id out of range"),
+            ),
         }
-        for i in (0..self.icn1_off.len()).rev() {
-            if chan >= self.icn1_off[i] {
-                return ("ICN1", i);
-            }
-        }
-        unreachable!("channel id out of range")
     }
 
     /// Human-readable description of a global channel (network, endpoints).
@@ -2348,6 +2348,56 @@ mod tests {
             expected_channels(&s),
             BuiltSystem::build(&s, 256.0).num_channels()
         );
+    }
+
+    /// The linear scan `network_of` replaced: the last ECN1, then ICN1,
+    /// network whose offset is at most `chan`.
+    fn network_of_by_scan(b: &BuiltSystem, chan: u32) -> (&'static str, usize) {
+        if chan >= b.icn2_off {
+            return ("ICN2", 0);
+        }
+        for i in (0..b.ecn1_off.len()).rev() {
+            if chan >= b.ecn1_off[i] {
+                return ("ECN1", i);
+            }
+        }
+        for i in (0..b.icn1_off.len()).rev() {
+            if chan >= b.icn1_off[i] {
+                return ("ICN1", i);
+            }
+        }
+        unreachable!("channel id out of range")
+    }
+
+    #[test]
+    fn network_of_matches_the_linear_scan_at_every_network_edge() {
+        let net = NetworkCharacteristics::new(500.0, 0.01, 0.02).unwrap();
+        let torus = ClusterSpec {
+            n: 0,
+            icn1: net,
+            ecn1: net,
+            topology: TopoSpec::Torus(TorusShape::new(&[2, 3]).unwrap()),
+        };
+        let mut mixed = SystemSpec::new(4, vec![torus; 4], net).unwrap();
+        mixed.clusters[2].topology = TopoSpec::Torus(TorusShape::new(&[4, 4]).unwrap());
+        for spec in [spec(), mixed] {
+            let b = BuiltSystem::build(&spec, 256.0);
+            let c = spec.num_clusters();
+            let starts: Vec<u32> = b.icn1_off.iter().chain(&b.ecn1_off).copied().collect();
+            let ends = starts[1..].iter().copied().chain([b.icn2_off]);
+            for (net, (start, end)) in starts.iter().zip(ends).enumerate() {
+                let want = (["ICN1", "ECN1"][net / c], net % c);
+                for chan in [*start, end - 1] {
+                    assert_eq!(b.network_of(chan), want, "channel {chan}");
+                    assert_eq!(b.network_of(chan), network_of_by_scan(&b, chan));
+                }
+            }
+            let last = b.num_channels() as u32 - 1;
+            for chan in [b.icn2_off, last] {
+                assert_eq!(b.network_of(chan), ("ICN2", 0));
+                assert_eq!(b.network_of(chan), network_of_by_scan(&b, chan));
+            }
+        }
     }
 
     #[test]

@@ -14,12 +14,15 @@
 //! future-event list, so the list holds only network events (those of
 //! messages in flight, and timed faults): its size follows the traffic,
 //! not the node count. Both number their events from the list's one
-//! sequence counter, and the loop pops whichever head is earlier, so
+//! sequence counter, and the loop pops whichever head is earliest, so
 //! events are processed in one `(time, sequence)` order and runs are
-//! exactly reproducible for a given seed. What the engine records
-//! (counters, statistic sinks, busy time, the live fault mask) is the run
-//! ledger it shares with the other engines; the handlers here decide only
-//! when.
+//! exactly reproducible for a given seed. The band streams the first
+//! arrivals — drawn for every node at start-up and sorted once — from a
+//! cursor, and keeps later draws in a heap of the nodes that have
+//! generated, so a pending arrival costs a heap operation only once its
+//! node has sent a message. What the engine records (counters, statistic
+//! sinks, busy time, the live fault mask) is the run ledger it shares
+//! with the other engines; the handlers here decide only when.
 //!
 //! # No-allocation invariant
 //!
@@ -195,7 +198,8 @@ struct Simulator<'a, S: Scheduler<EventKind>, const TRACE: bool> {
     /// Per-node arrival streams (independent state per node).
     arrivals: Vec<ArrivalProcess>,
     /// Each node's pending arrival (the node id), numbered from `queue`'s
-    /// sequence counter.
+    /// sequence counter: the first arrivals in a sorted cursor, later
+    /// draws in a heap.
     arrival_band: ArrivalBand<u32>,
     pattern: Pattern,
     /// The node layout destination draws read (see [`cluster_offsets`]).
@@ -252,7 +256,7 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
             m_flits: wl.msg_flits as f64,
             chan_time: built.chan_times(),
             arrivals: vec![arrival.build(); built.total_nodes()],
-            arrival_band: ArrivalBand::with_capacity(built.total_nodes()),
+            arrival_band: ArrivalBand::default(),
             pattern,
             layout: cluster_offsets(built.spec()),
             rng: StdRng::seed_from_u64(cfg.seed),
@@ -319,16 +323,21 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
 
     /// Seeds the fault schedule and the first arrival of every node.
     /// Faults are scheduled first so a `t = 0` failure is in force before
-    /// any traffic moves.
+    /// any traffic moves. The first arrivals are drawn in node order and
+    /// sorted once into the band's cursor.
     fn prime(&mut self) {
         self.cfg.faults.schedule_timed(
             &mut self.queue,
             |_| true,
             |link, fail| EventKind::Fault { link, fail },
         );
-        for node in 0..self.built.total_nodes() as u32 {
-            self.schedule_arrival(node);
-        }
+        let rng = &mut self.rng;
+        let first = self
+            .arrivals
+            .iter_mut()
+            .zip(0u32..)
+            .map(|(arrivals, node)| (arrivals.next_arrival(rng), node));
+        self.arrival_band.prime(&mut self.queue, first);
     }
 
     /// Draws `node`'s next arrival into the arrival band.

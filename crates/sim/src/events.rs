@@ -73,10 +73,13 @@ impl<K> Ord for Timed<K> {
 /// Whether `a` pops before `b`: earlier time, ties by insertion sequence.
 #[inline]
 fn earlier<K>(a: &Timed<K>, b: &Timed<K>) -> bool {
-    a.time
-        .total_cmp(&b.time)
-        .then_with(|| a.seq.cmp(&b.seq))
-        .is_lt()
+    key_lt((a.time, a.seq), (b.time, b.seq))
+}
+
+/// Whether the `(time, seq)` key `a` pops before `b`.
+#[inline]
+fn key_lt(a: (f64, u64), b: (f64, u64)) -> bool {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).is_lt()
 }
 
 /// The deterministic future-event-list contract shared by both engines.
@@ -175,12 +178,43 @@ impl<K> Scheduler<K> for EventQueue<K> {
 /// scheduler's counter ([`Scheduler::reserve_seq`]), so band and
 /// scheduler share one total order, and [`ArrivalBand::pop_merged`]
 /// returns exactly what a single scheduler holding both would pop —
-/// exact-time ties between the two included. The band is a binary heap;
-/// it suits a population that stays put (one pending arrival per node)
-/// while the scheduler's population follows the traffic.
+/// exact-time ties between the two included.
+///
+/// The band holds one pending arrival per node, in two parts:
+///
+/// * a **sorted cursor** over the primed arrivals (every node's first
+///   arrival, handed to [`ArrivalBand::prime`] in node order; the band
+///   sorts them once by `(time, seq)` and streams them in order), and
+/// * a binary **re-draw heap** for arrivals drawn later
+///   ([`ArrivalBand::schedule`]), so it holds only nodes that have
+///   already generated.
+///
+/// The cursor is sorted, so its head is the earliest primed arrival, and
+/// merging the three heads pops in the order one heap holding every
+/// arrival would. On a large system most primed arrivals fire after
+/// generation has ended; they stream from the cursor instead of costing
+/// a heap pop each. Once the cursor is drained, which a small system does
+/// within its first arrivals, [`ArrivalBand::pop_merged`] is the two-way
+/// merge of the heap and the scheduler behind one predictable branch.
 #[derive(Debug)]
 pub struct ArrivalBand<A> {
+    /// The primed arrivals, sorted by `(time, seq)`; `primed[next..]` are
+    /// pending.
+    primed: Vec<Primed<A>>,
+    next: usize,
+    /// Sequence number of the first primed arrival; the others follow it
+    /// consecutively, so an entry stores its offset from here.
+    base: u64,
     heap: BinaryHeap<Timed<A>>,
+}
+
+/// A primed arrival: 16 bytes for a `u32` payload, the sequence number
+/// kept as its offset from [`ArrivalBand`]'s base.
+#[derive(Debug, Clone, Copy)]
+struct Primed<A> {
+    time: f64,
+    off: u32,
+    payload: A,
 }
 
 /// An event popped by [`ArrivalBand::pop_merged`]: from the band, or from
@@ -204,16 +238,43 @@ impl<A, K> Merged<A, K> {
     }
 }
 
-impl<A> ArrivalBand<A> {
-    /// An empty band with room for `capacity` pending events.
-    pub fn with_capacity(capacity: usize) -> Self {
-        ArrivalBand {
-            heap: BinaryHeap::with_capacity(capacity),
+impl<A: Copy> ArrivalBand<A> {
+    /// Primes the band with `arrivals`, numbered in iteration order from
+    /// `queue`'s counter exactly as `queue.schedule` would have numbered
+    /// them, and sorts them once by `(time, seq)`. Call it once, on an
+    /// empty band, before the first pop.
+    pub fn prime<K, S: Scheduler<K>>(
+        &mut self,
+        queue: &mut S,
+        arrivals: impl IntoIterator<Item = (f64, A)>,
+    ) {
+        debug_assert!(self.is_empty(), "a band is primed once, before any pop");
+        let arrivals = arrivals.into_iter();
+        self.primed = Vec::with_capacity(arrivals.size_hint().0);
+        self.next = 0;
+        for (time, payload) in arrivals {
+            let seq = queue.reserve_seq();
+            if self.primed.is_empty() {
+                self.base = seq;
+            }
+            let off = u32::try_from(seq - self.base).expect("primed sequence offsets fit u32");
+            self.primed.push(Primed { time, off, payload });
         }
+        self.sort_primed();
     }
 
-    /// Adds `payload` at `time`, numbered from `queue`'s counter exactly as
-    /// `queue.schedule` would have numbered it.
+    /// The one sort of the primed arrivals, kept out of line so it stays
+    /// out of any caller's loop. Offsets are unique, so the unstable sort
+    /// is deterministic.
+    #[inline(never)]
+    fn sort_primed(&mut self) {
+        self.primed
+            .sort_unstable_by(|a, b| a.time.total_cmp(&b.time).then(a.off.cmp(&b.off)));
+    }
+
+    /// Adds `payload` at `time` to the re-draw heap, numbered from
+    /// `queue`'s counter exactly as `queue.schedule` would have numbered
+    /// it.
     #[inline]
     pub fn schedule<K, S: Scheduler<K>>(&mut self, queue: &mut S, time: f64, payload: A) {
         let seq = queue.reserve_seq();
@@ -224,12 +285,21 @@ impl<A> ArrivalBand<A> {
         });
     }
 
-    /// Removes the earlier of the band's head and `queue`'s by
+    /// Removes the earliest of the band's head and `queue`'s by
     /// `(time, seq)`; `None` once both are empty.
     #[inline]
     pub fn pop_merged<K, S: Scheduler<K>>(&mut self, queue: &mut S) -> Option<Merged<A, K>> {
+        if self.next < self.primed.len() && self.cursor_first(queue) {
+            let p = self.primed[self.next];
+            self.next += 1;
+            return Some(Merged::Band(Timed {
+                time: p.time,
+                seq: self.base + u64::from(p.off),
+                kind: p.payload,
+            }));
+        }
         let band_first = match (self.heap.peek(), queue.peek_key()) {
-            (Some(b), Some((time, seq))) => b.time.total_cmp(&time).then(b.seq.cmp(&seq)).is_lt(),
+            (Some(b), Some(q)) => key_lt((b.time, b.seq), q),
             (band, _) => band.is_some(),
         };
         if band_first {
@@ -239,9 +309,38 @@ impl<A> ArrivalBand<A> {
         }
     }
 
+    /// Whether the cursor's head pops before the re-draw heap's and
+    /// `queue`'s: the three-way part of [`ArrivalBand::pop_merged`], run
+    /// only while primed arrivals remain. Out of line, so the drained path
+    /// stays the two-way merge inlined in the caller's loop. It answers
+    /// with a `bool` and leaves building the event to the caller: an
+    /// out-of-line merge that returned the event itself cost the
+    /// fig5_sweep benchmark about 3%, on every event.
+    #[inline(never)]
+    fn cursor_first<K, S: Scheduler<K>>(&mut self, queue: &mut S) -> bool {
+        let p = &self.primed[self.next];
+        let cursor = (p.time, self.base + u64::from(p.off));
+        self.heap
+            .peek()
+            .is_none_or(|h| key_lt(cursor, (h.time, h.seq)))
+            && queue.peek_key().is_none_or(|q| key_lt(cursor, q))
+    }
+
     /// Whether the band is empty.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.next == self.primed.len() && self.heap.is_empty()
+    }
+}
+
+/// An empty band.
+impl<A> Default for ArrivalBand<A> {
+    fn default() -> Self {
+        ArrivalBand {
+            primed: Vec::new(),
+            next: 0,
+            base: 0,
+            heap: BinaryHeap::new(),
+        }
     }
 }
 

@@ -23,7 +23,9 @@
 //! channel `k` is released once the tail has fully crossed it. This
 //! message-level treatment is exact when `M ≥` path length (true for all of
 //! the paper's workloads, `M ∈ {32, 64, 128}` vs. paths ≤ 14) and
-//! approximate otherwise; see `DESIGN.md`.
+//! approximate otherwise. The flit engine (`flit.rs`) models every flit and
+//! is the exact reference; `tests/engine_agreement.rs` holds the two
+//! engines to each other.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

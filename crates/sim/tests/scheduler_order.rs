@@ -17,7 +17,9 @@
 //! A further property pins the worm engine's split event list: a stream
 //! run through one queue, and the same stream split into a queue plus an
 //! [`ArrivalBand`] merged by `(time, seq)`, pop identically on both
-//! backends.
+//! backends — with a handful of nodes, where re-drawn arrivals mix with
+//! primed ones from the start, and with a bulk of nodes, where most pops
+//! stream from the band's sorted cursor.
 
 use cocnet_sim::{ArrivalBand, CalendarQueue, EventQueue, Merged, Scheduler, Timed};
 use proptest::prelude::*;
@@ -160,17 +162,26 @@ const ARRIVAL: u32 = 1 << 31;
 /// Runs `ops` twice on backend `S` — every event through one queue, and
 /// arrivals in an [`ArrivalBand`] beside the queue — and asserts that
 /// both pop the same `(time, seq, payload)` stream, bit for bit.
+///
+/// Every node's first arrival is primed in node order (the band sorts
+/// them into its cursor), on the half-unit grid, so with many nodes whole
+/// runs of primed arrivals tie with each other, with re-drawn arrivals in
+/// the band's heap and with network events in the queue.
 fn assert_split_matches_single<S: Scheduler<u32>>(nodes: u32, ops: &[Op]) {
     let mut single = S::new();
     let mut queue = S::new();
-    let mut band = ArrivalBand::<u32>::with_capacity(nodes as usize);
+    let mut band = ArrivalBand::<u32>::default();
     let mut now = 0.0f64;
     let mut payload = 0u32;
+    // Node order is not time order: a stride scatters the first arrivals.
+    let first = |node: u32| grid((node * 7 % nodes) as f64 / nodes as f64);
     for node in 0..nodes {
-        let t = grid(node as f64 / nodes as f64);
-        single.schedule(t, ARRIVAL | node);
-        band.schedule(&mut queue, t, ARRIVAL | node);
+        single.schedule(first(node), ARRIVAL | node);
     }
+    band.prime(
+        &mut queue,
+        (0..nodes).map(|node| (first(node), ARRIVAL | node)),
+    );
     let pop_both = |single: &mut S, queue: &mut S, band: &mut ArrivalBand<u32>| {
         let a = single.pop();
         let b = band.pop_merged(queue).map(|m| match m {
@@ -236,11 +247,13 @@ proptest! {
     #[test]
     fn arrival_band_merge_pops_like_one_heap(ops in arb_ops()) {
         assert_split_matches_single::<EventQueue<u32>>(5, &ops);
+        assert_split_matches_single::<EventQueue<u32>>(257, &ops);
     }
 
     #[test]
     fn arrival_band_merge_pops_like_one_calendar(ops in arb_ops()) {
         assert_split_matches_single::<CalendarQueue<u32>>(5, &ops);
+        assert_split_matches_single::<CalendarQueue<u32>>(257, &ops);
     }
 }
 

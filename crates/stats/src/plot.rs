@@ -3,7 +3,7 @@
 //! The figure entries print the paper's plots directly into the terminal:
 //! an axes box, one glyph per series, shared x/y scaling. This is
 //! deliberately simple — no anti-aliasing, no unicode braille — so output
-//! is stable across terminals and suitable for EXPERIMENTS.md.
+//! is stable across terminals and byte-comparable between runs.
 
 use crate::series::Series;
 use std::fmt::Write as _;

@@ -10,15 +10,26 @@
 //! (source, destination) pair — deterministic routing, as in most cluster
 //! interconnect technologies (paper §2).
 //!
-//! Channels are allocated so that the two directions of one physical link
-//! get consecutive ids; [`Graph::reverse`] is therefore just `id ^ 1`.
+//! Every id is closed-form in Lin's label algebra ([`crate::labels`]), read
+//! as integers. A switch at level `l` is the triple (level, fixed index,
+//! up index): the fixed node digits `p_1 … p_{n−l}` as one mixed-radix
+//! number (for a switch on node `x`'s path, `x / k^l` below the root), and
+//! the up digits `u_1 … u_{l−1}` as another. With `k = m/2` and
+//! `W = 2k^{n−1}` switches per non-root level:
+//!
+//! * switch id: `(l − 1)·W + fixed·k^{l−1} + ups`, levels bottom-up;
+//! * injection and ejection channels of node `x`: `2x` and `2x + 1`;
+//! * up channel of non-root switch `s` through up-port `u`:
+//!   `2N + 2(s·k + u)`, and the down channel of the same link `+1`.
+//!
+//! Routing is therefore integer arithmetic with no map and no allocation.
+//! The two directions of one physical link get consecutive ids;
+//! [`Graph::reverse`] is just `id ^ 1`.
 
 use crate::error::TopologyError;
-use crate::labels::{NodeLabel, SwitchLabel};
 use crate::topo::Topology;
 use crate::tree::MPortNTree;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// One directed channel (graph edge) of the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -42,7 +53,7 @@ pub enum ChannelKind {
 pub enum Endpoint {
     /// Processing node, by node id.
     Node(u32),
-    /// Switch, by dense switch index (see [`Graph::switch_label`]).
+    /// Switch, by dense switch id (see [`Graph::switch_level`]).
     Switch(u32),
 }
 
@@ -61,7 +72,8 @@ pub struct ChannelDesc {
 ///
 /// Both policies are deterministic per (source, destination); they differ
 /// in how traffic toward a *skewed* destination distribution spreads over
-/// the parallel ancestors (see DESIGN.md §4.2).
+/// the parallel ancestors; the `ablation_routing` registry entry measures
+/// the difference on org_1120.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum AscentPolicy {
     /// Read the shaping label's trailing digits (`p_n` first) — Lin's
@@ -76,7 +88,6 @@ pub enum AscentPolicy {
     /// Kept as the `ablation_routing` baseline.
     MirrorDescent,
 }
-
 /// A set of failed channels of one [`Graph`].
 ///
 /// Faults model *physical* link failures: the two directions of a link
@@ -139,18 +150,18 @@ impl FaultSet {
 /// ([`Graph::search_avoiding`] / [`Graph::descend_avoiding`]), bundled so
 /// the recursion carries one reference instead of six arguments.
 struct AvoidCtx<'a> {
-    /// Label shaping the preferred ascent digits — the destination label
-    /// for node-to-node routes, the source label for to-root routes. Also
-    /// supplies the descent digits (node-to-node only).
-    shape: &'a NodeLabel,
+    /// The ascending node: the source of a node-to-node or to-root route.
+    src: usize,
+    /// Node shaping the preferred ascent digits — the destination for
+    /// node-to-node routes, the source for to-root routes.
+    shape: usize,
     policy: AscentPolicy,
     faults: &'a FaultSet,
-    n: u32,
     /// Level the ascent must reach before descending (node-to-node) or
     /// terminating (to-root).
     target: u32,
     /// Destination node of the descent; `None` for to-root routes.
-    dst: Option<u32>,
+    dst: Option<usize>,
 }
 
 /// An m-port n-tree with all channels materialised.
@@ -179,112 +190,72 @@ struct AvoidCtx<'a> {
 #[derive(Debug, Clone)]
 pub struct Graph {
     tree: MPortNTree,
-    switch_labels: Vec<SwitchLabel>,
-    switch_index: HashMap<SwitchLabel, u32>,
     channels: Vec<ChannelDesc>,
-    lookup: HashMap<(Endpoint, Endpoint), ChannelId>,
-    roots: Vec<u32>,
+    /// `k^l` for `l ∈ 0..=n` (so `pow[1]` is `k = m/2`).
+    pow: Vec<usize>,
+    /// Switches per non-root level, `W = 2k^{n−1}`; the level-`l` switches
+    /// hold ids `(l − 1)·W ..`, so the roots start at `(n − 1)·W`.
+    per_level: usize,
+    /// First switch-to-switch channel id, `2N`.
+    fabric: usize,
 }
 
 impl Graph {
     /// Builds the full channel graph of `tree`.
     pub fn build(tree: MPortNTree) -> Self {
-        let n = tree.n();
-        let k = tree.k();
-        let mut switch_labels = Vec::with_capacity(tree.num_switches());
-        let mut switch_index = HashMap::with_capacity(tree.num_switches());
-        let mut roots = Vec::new();
-
-        // Enumerate switches level by level, starting from the leaves (the
-        // leaf switch of every node, deduplicated) and walking parents.
-        // Simpler and robust: enumerate labels directly per level.
-        for level in 1..=n {
-            let fixed_len = (n - level) as usize;
-            let ups_len = (level - 1) as usize;
-            // fixed digits: first digit radix m (if any), rest radix k;
-            // ups digits: radix k.
-            let fixed_count: usize = if fixed_len == 0 {
-                1
-            } else {
-                tree.m() as usize * (k as usize).pow(fixed_len as u32 - 1)
-            };
-            let ups_count = (k as usize).pow(ups_len as u32);
-            for fi in 0..fixed_count {
-                let fixed = crate::labels::mixed_radix_decode(fi, fixed_len, tree.m(), k);
-                for ui in 0..ups_count {
-                    let ups = crate::labels::mixed_radix_decode(ui, ups_len, k, k);
-                    let label = SwitchLabel {
-                        fixed: fixed.clone(),
-                        ups,
-                    };
-                    let idx = switch_labels.len() as u32;
-                    if level == n {
-                        roots.push(idx);
-                    }
-                    switch_index.insert(label.clone(), idx);
-                    switch_labels.push(label);
-                }
-            }
-        }
-        debug_assert_eq!(switch_labels.len(), tree.num_switches());
-
-        let mut channels = Vec::new();
-        let mut lookup = HashMap::new();
+        let n = tree.n() as usize;
+        let k = tree.k() as usize;
+        let nodes = tree.num_nodes();
+        let pow: Vec<usize> = (0..=n as u32).map(|l| k.pow(l)).collect();
+        let per_level = 2 * pow[n - 1];
+        let mut channels = Vec::with_capacity(2 * n * nodes);
         let mut add_link =
             |a: Endpoint, b: Endpoint, kind_ab: ChannelKind, kind_ba: ChannelKind| {
-                let id_ab = ChannelId(channels.len() as u32);
                 channels.push(ChannelDesc {
                     from: a,
                     to: b,
                     kind: kind_ab,
                 });
-                let id_ba = ChannelId(channels.len() as u32);
                 channels.push(ChannelDesc {
                     from: b,
                     to: a,
                     kind: kind_ba,
                 });
-                lookup.insert((a, b), id_ab);
-                lookup.insert((b, a), id_ba);
             };
-
-        // Node <-> leaf-switch links.
-        for node in 0..tree.num_nodes() {
-            let label = NodeLabel::from_id(node, tree.m(), n);
-            let leaf = SwitchLabel::leaf_of(&label);
-            let sw = switch_index[&leaf];
+        // Node <-> leaf-switch links, two channels per node in node order.
+        // A leaf fixes every digit but the node's last one.
+        for node in 0..nodes {
+            let leaf = if n == 1 { 0 } else { node / k };
             add_link(
                 Endpoint::Node(node as u32),
-                Endpoint::Switch(sw),
+                Endpoint::Switch(leaf as u32),
                 ChannelKind::NodeToSwitch,
                 ChannelKind::SwitchToNode,
             );
         }
-
-        // Switch <-> switch links: every non-root switch has k up-ports.
-        for (idx, label) in switch_labels.iter().enumerate() {
-            if label.fixed.is_empty() {
-                continue; // root
-            }
+        // Switch <-> switch links: every non-root switch, in id order, has
+        // k up-ports. The parent through port `u` drops the last fixed
+        // digit (all of them at the root) and appends `u` to the up digits.
+        for s in 0..(n - 1) * per_level {
+            let l = s / per_level + 1;
+            let (fixed, ups) = (s % per_level / pow[l - 1], s % per_level % pow[l - 1]);
+            let parent_fixed = if l + 1 == n { 0 } else { fixed / k };
             for u in 0..k {
-                let parent = label.parent(u).expect("non-root has a parent");
-                let p_idx = switch_index[&parent];
+                let parent = l * per_level + parent_fixed * pow[l] + ups * k + u;
                 add_link(
-                    Endpoint::Switch(idx as u32),
-                    Endpoint::Switch(p_idx),
+                    Endpoint::Switch(s as u32),
+                    Endpoint::Switch(parent as u32),
                     ChannelKind::SwitchToSwitch,
                     ChannelKind::SwitchToSwitch,
                 );
             }
         }
-
         Self {
             tree,
-            switch_labels,
-            switch_index,
             channels,
-            lookup,
-            roots,
+            pow,
+            per_level,
+            fabric: 2 * nodes,
         }
     }
 
@@ -308,23 +279,34 @@ impl Graph {
         ChannelId(id.0 ^ 1)
     }
 
-    /// Label of switch index `idx`.
-    pub fn switch_label(&self, idx: u32) -> &SwitchLabel {
-        &self.switch_labels[idx as usize]
+    /// Level `l ∈ 1..=n` of switch id `idx`.
+    pub fn switch_level(&self, idx: u32) -> u32 {
+        idx / self.per_level as u32 + 1
     }
 
-    /// Switch indices of the root level.
-    pub fn roots(&self) -> &[u32] {
-        &self.roots
+    /// Switch ids of the root level.
+    pub fn roots(&self) -> std::ops::Range<u32> {
+        let first = (self.tree.n() as usize - 1) * self.per_level;
+        first as u32..(first + self.pow[self.tree.n() as usize - 1]) as u32
     }
 
-    /// Channel from endpoint `a` to adjacent endpoint `b`, if the link exists.
-    pub fn channel_between(&self, a: Endpoint, b: Endpoint) -> Option<ChannelId> {
-        self.lookup.get(&(a, b)).copied()
+    /// Id of the level-`l` switch (`l < n`) on node `x`'s side of the
+    /// tree whose up digits encode as `ups`: its fixed index is `x / k^l`.
+    #[inline]
+    fn switch_id(&self, l: u32, x: usize, ups: usize) -> usize {
+        let l = l as usize;
+        (l - 1) * self.per_level + x / self.pow[l] * self.pow[l - 1] + ups
+    }
+
+    /// Up channel of non-root switch `s` through up-port `u`; its reverse
+    /// (`+1`) is the down channel of the same link.
+    #[inline]
+    fn up_channel(&self, s: usize, u: u32) -> ChannelId {
+        ChannelId((self.fabric + 2 * (s * self.pow[1] + u as usize)) as u32)
     }
 
     /// The deterministic up-port digit used when ascending from level `l`
-    /// (1-based) toward a path shaped by `shape` (the destination label for
+    /// (1-based) toward a path shaped by node `shape` (the destination for
     /// node-to-node routes).
     ///
     /// The ascent reads the label's *trailing* digits (`p_n` first), in the
@@ -333,54 +315,79 @@ impl Graph {
     /// across different ancestors, which keeps root load balanced even when
     /// the destination distribution is skewed toward one subtree. Trailing
     /// digits all have radix `m/2`, so the value is always a valid up-port.
-    fn up_digit_with(&self, shape: &NodeLabel, l: u32, policy: AscentPolicy) -> u32 {
-        let n = self.tree.n() as usize;
-        match policy {
-            AscentPolicy::TrailingDigits => {
-                let idx = n - l as usize; // p_n for l=1, p_{n-1} for l=2, ...
-                debug_assert!(idx >= 1, "ascent digits have radix m/2");
-                shape.digits[idx]
-            }
-            AscentPolicy::MirrorDescent => {
-                // The digit the descent will use at this level, folded into
-                // the up-port range (index 0 has radix m).
-                let idx = n - l as usize - 1;
-                shape.digits[idx] % self.tree.k()
-            }
-        }
+    /// The mirror policy reads `p_{n−l}` instead, folded into `m/2`.
+    #[inline]
+    fn up_digit(&self, shape: usize, l: u32, policy: AscentPolicy) -> u32 {
+        let digit = match policy {
+            AscentPolicy::TrailingDigits => shape / self.pow[l as usize - 1],
+            AscentPolicy::MirrorDescent => shape / self.pow[l as usize],
+        };
+        (digit % self.pow[1]) as u32
     }
 
-    /// Depth-first ascent of the avoiding router: from switch `sw` at
-    /// level `l` (its channels already in `out`), try every healthy
-    /// up-port — preferred digit first — until either the target level is
-    /// reached (then descend, for node-to-node routes) or all options are
-    /// exhausted. Leaves `out` exactly as found when returning `false`.
+    /// Pushes the ascent from `src`'s leaf switch up to level `top`, the
+    /// up-port at level `l` being `digit(l)`; returns the up index reached.
+    #[inline]
+    fn ascend(
+        &self,
+        src: usize,
+        top: u32,
+        digit: impl Fn(u32) -> u32,
+        out: &mut Vec<ChannelId>,
+    ) -> usize {
+        let mut ups = 0;
+        for l in 1..top {
+            let u = digit(l);
+            out.push(self.up_channel(self.switch_id(l, src, ups), u));
+            ups = ups * self.pow[1] + u as usize;
+        }
+        ups
+    }
+
+    /// Pushes the descent from the level-`top` switch with up index `ups`
+    /// down to node `dst`: each hop drops the last up digit and fixes the
+    /// next of `dst`'s digits, then the ejection channel.
+    #[inline]
+    fn descend(&self, dst: usize, top: u32, mut ups: usize, out: &mut Vec<ChannelId>) {
+        let k = self.pow[1];
+        for l in (1..top).rev() {
+            let u = (ups % k) as u32;
+            ups /= k;
+            out.push(self.reverse(self.up_channel(self.switch_id(l, dst, ups), u)));
+        }
+        out.push(ChannelId(2 * dst as u32 + 1));
+    }
+
+    /// Depth-first ascent of the avoiding router: from the level-`l`
+    /// switch with up index `ups` (its channels already in `out`), try
+    /// every healthy up-port — preferred digit first — until either the
+    /// target level is reached (then descend, for node-to-node routes) or
+    /// all options are exhausted. Leaves `out` exactly as found when
+    /// returning `false`.
     fn search_avoiding(
         &self,
-        sw: &SwitchLabel,
-        cur: Endpoint,
         l: u32,
+        ups: usize,
         ctx: &AvoidCtx<'_>,
         out: &mut Vec<ChannelId>,
     ) -> bool {
         if l == ctx.target {
             return match ctx.dst {
-                Some(dst) => self.descend_avoiding(sw, cur, dst, ctx, out),
+                Some(dst) => self.descend_avoiding(ups, dst, ctx, out),
                 None => true, // to-root route: any root will do
             };
         }
         let k = self.tree.k();
-        let preferred = self.up_digit_with(ctx.shape, l, ctx.policy);
+        let s = self.switch_id(l, ctx.src, ups);
+        let preferred = self.up_digit(ctx.shape, l, ctx.policy);
         let order = std::iter::once(preferred).chain((0..k).filter(|&u| u != preferred));
         for u in order {
-            let parent = sw.parent(u).expect("ascending below the root");
-            let next = Endpoint::Switch(self.switch_index[&parent]);
-            let ch = self.lookup[&(cur, next)];
+            let ch = self.up_channel(s, u);
             if ctx.faults.is_failed(ch) {
                 continue;
             }
             out.push(ch);
-            if self.search_avoiding(&parent, next, l + 1, ctx, out) {
+            if self.search_avoiding(l + 1, ups * k as usize + u as usize, ctx, out) {
                 return true;
             }
             out.pop();
@@ -389,35 +396,24 @@ impl Graph {
     }
 
     /// The fixed descent of the avoiding router: from the turn switch at
-    /// `ctx.target` down to node `dst` following the destination digits.
-    /// Fails (restoring `out`) as soon as any descent channel is down —
-    /// the caller then backtracks to a different turn switch.
+    /// `ctx.target` (up index `ups`) down to node `dst` following the
+    /// destination digits. Fails (restoring `out`) when any descent channel
+    /// is down — the caller then backtracks to a different turn switch.
     fn descend_avoiding(
         &self,
-        sw: &SwitchLabel,
-        cur: Endpoint,
-        dst: u32,
+        ups: usize,
+        dst: usize,
         ctx: &AvoidCtx<'_>,
         out: &mut Vec<ChannelId>,
     ) -> bool {
         let mark = out.len();
-        let mut sw = sw.clone();
-        let mut cur = cur;
-        for l in (1..ctx.target).rev() {
-            let d = ctx.shape.digits[(ctx.n - l - 1) as usize];
-            let child = sw.child(d).expect("descending above the leaves");
-            let next = Endpoint::Switch(self.switch_index[&child]);
-            let ch = self.lookup[&(cur, next)];
-            if ctx.faults.is_failed(ch) {
-                out.truncate(mark);
-                return false;
-            }
-            out.push(ch);
-            sw = child;
-            cur = next;
+        // The caller pre-checked the ejection channel (it has no
+        // alternative), so only a fabric hop can fail here.
+        self.descend(dst, ctx.target, ups, out);
+        if out[mark..].iter().any(|&ch| ctx.faults.is_failed(ch)) {
+            out.truncate(mark);
+            return false;
         }
-        // Ejection was pre-checked by the caller: it has no alternative.
-        out.push(self.lookup[&(cur, Endpoint::Node(dst))]);
         true
     }
 
@@ -445,13 +441,12 @@ impl Graph {
             }
         }
         // Per-switch port budget: down + up degree <= m (root: == m down).
-        let mut down = vec![0u32; self.switch_labels.len()];
-        let mut up = vec![0u32; self.switch_labels.len()];
+        let switches = self.tree.num_switches();
+        let mut down = vec![0u32; switches];
+        let mut up = vec![0u32; switches];
         for ch in &self.channels {
             if let (Endpoint::Switch(s), Endpoint::Switch(t)) = (ch.from, ch.to) {
-                let ls = self.switch_labels[s as usize].level(self.tree.n());
-                let lt = self.switch_labels[t as usize].level(self.tree.n());
-                if ls < lt {
+                if self.switch_level(s) < self.switch_level(t) {
                     up[s as usize] += 1;
                 } else {
                     down[s as usize] += 1;
@@ -460,8 +455,8 @@ impl Graph {
                 down[s as usize] += 1;
             }
         }
-        for (i, label) in self.switch_labels.iter().enumerate() {
-            let level = label.level(self.tree.n());
+        for i in 0..switches {
+            let level = self.switch_level(i as u32);
             let is_root = level == self.tree.n();
             // Roots use all m ports downward; in a single-level tree the
             // sole switch is both root and leaf, also with m node ports.
@@ -520,37 +515,13 @@ impl Topology for Graph {
         out: &mut Vec<ChannelId>,
     ) -> Result<u32, TopologyError> {
         out.clear();
-        let n = self.tree.n();
         let h = self.tree.nca_level(src, dst)?;
         if h == 0 {
             return Ok(0);
         }
-        let src_label = self.tree.node_label(src)?;
-        let dst_label = self.tree.node_label(dst)?;
-
-        // Ascend: node -> leaf -> ... -> NCA at level h.
-        let mut sw = SwitchLabel::leaf_of(&src_label);
-        let mut cur = Endpoint::Switch(self.switch_index[&sw]);
-        out.push(self.lookup[&(Endpoint::Node(src as u32), cur)]);
-        for l in 1..h {
-            let u = self.up_digit_with(&dst_label, l, policy);
-            let parent = sw.parent(u).expect("ascending below the root");
-            let next = Endpoint::Switch(self.switch_index[&parent]);
-            out.push(self.lookup[&(cur, next)]);
-            sw = parent;
-            cur = next;
-        }
-        // Descend: NCA -> ... -> leaf(dst) -> node.
-        for l in (1..h).rev() {
-            // Down to level l: new fixed digit is dst digit at index n-l-1.
-            let d = dst_label.digits[(n - l - 1) as usize];
-            let child = sw.child(d).expect("descending above the leaves");
-            let next = Endpoint::Switch(self.switch_index[&child]);
-            out.push(self.lookup[&(cur, next)]);
-            sw = child;
-            cur = next;
-        }
-        out.push(self.lookup[&(cur, Endpoint::Node(dst as u32))]);
+        out.push(ChannelId(2 * src as u32));
+        let ups = self.ascend(src, h, |l| self.up_digit(dst, l, policy), out);
+        self.descend(dst, h, ups, out);
         debug_assert_eq!(out.len(), 2 * h as usize);
         Ok(h)
     }
@@ -573,33 +544,12 @@ impl Topology for Graph {
         out: &mut Vec<ChannelId>,
     ) -> Result<u32, TopologyError> {
         out.clear();
-        let n = self.tree.n();
         let h = self.tree.nca_level(src, dst)?;
         if h == 0 {
             return Ok(0);
         }
-        let src_label = self.tree.node_label(src)?;
-        let dst_label = self.tree.node_label(dst)?;
-
-        let mut sw = SwitchLabel::leaf_of(&src_label);
-        let mut cur = Endpoint::Switch(self.switch_index[&sw]);
-        for l in 1..h {
-            let u = self.up_digit_with(&dst_label, l, policy);
-            let parent = sw.parent(u).expect("ascending below the root");
-            let next = Endpoint::Switch(self.switch_index[&parent]);
-            out.push(self.lookup[&(cur, next)]);
-            sw = parent;
-            cur = next;
-        }
-        for l in (1..h).rev() {
-            let d = dst_label.digits[(n - l - 1) as usize];
-            let child = sw.child(d).expect("descending above the leaves");
-            let next = Endpoint::Switch(self.switch_index[&child]);
-            out.push(self.lookup[&(cur, next)]);
-            sw = child;
-            cur = next;
-        }
-        out.push(self.lookup[&(cur, Endpoint::Node(dst as u32))]);
+        let ups = self.ascend(src, h, |l| self.up_digit(dst, l, policy), out);
+        self.descend(dst, h, ups, out);
         debug_assert_eq!(out.len(), 2 * h as usize - 1);
         Ok(h)
     }
@@ -617,18 +567,9 @@ impl Topology for Graph {
     ) -> Result<u32, TopologyError> {
         out.clear();
         let n = self.tree.n();
-        let src_label = self.tree.node_label(src)?;
-        let mut sw = SwitchLabel::leaf_of(&src_label);
-        let mut cur = Endpoint::Switch(self.switch_index[&sw]);
-        out.push(self.lookup[&(Endpoint::Node(src as u32), cur)]);
-        for l in 1..n {
-            let u = self.up_digit_with(&src_label, l, policy);
-            let parent = sw.parent(u).expect("ascending below the root");
-            let next = Endpoint::Switch(self.switch_index[&parent]);
-            out.push(self.lookup[&(cur, next)]);
-            sw = parent;
-            cur = next;
-        }
+        let src = self.tree.check_node(src)?;
+        out.push(ChannelId(2 * src as u32));
+        self.ascend(src, n, |l| self.up_digit(src, l, policy), out);
         Ok(n)
     }
 
@@ -679,36 +620,17 @@ impl Topology for Graph {
         out: &mut Vec<ChannelId>,
     ) -> Result<u32, TopologyError> {
         out.clear();
-        let n = self.tree.n();
         let h = self.tree.nca_level(src, dst)?;
         if h == 0 {
             return Ok(0);
         }
-        let src_label = self.tree.node_label(src)?;
-        let dst_label = self.tree.node_label(dst)?;
-        let mut sw = SwitchLabel::leaf_of(&src_label);
-        let mut cur = Endpoint::Switch(self.switch_index[&sw]);
-        out.push(self.lookup[&(Endpoint::Node(src as u32), cur)]);
-        for l in 1..h {
-            let u = digits
-                .get((l - 1) as usize)
-                .map(|&d| d % self.tree.k())
-                .unwrap_or_else(|| self.up_digit_with(&dst_label, l, AscentPolicy::TrailingDigits));
-            let parent = sw.parent(u).expect("ascending below the root");
-            let next = Endpoint::Switch(self.switch_index[&parent]);
-            out.push(self.lookup[&(cur, next)]);
-            sw = parent;
-            cur = next;
-        }
-        for l in (1..h).rev() {
-            let d = dst_label.digits[(n - l - 1) as usize];
-            let child = sw.child(d).expect("descending above the leaves");
-            let next = Endpoint::Switch(self.switch_index[&child]);
-            out.push(self.lookup[&(cur, next)]);
-            sw = child;
-            cur = next;
-        }
-        out.push(self.lookup[&(cur, Endpoint::Node(dst as u32))]);
+        out.push(ChannelId(2 * src as u32));
+        let digit = |l: u32| match digits.get((l - 1) as usize) {
+            Some(&d) => d % self.tree.k(),
+            None => self.up_digit(dst, l, AscentPolicy::TrailingDigits),
+        };
+        let ups = self.ascend(src, h, digit, out);
+        self.descend(dst, h, ups, out);
         Ok(h)
     }
 
@@ -722,21 +644,13 @@ impl Topology for Graph {
     ) -> Result<u32, TopologyError> {
         out.clear();
         let n = self.tree.n();
-        let src_label = self.tree.node_label(src)?;
-        let mut sw = SwitchLabel::leaf_of(&src_label);
-        let mut cur = Endpoint::Switch(self.switch_index[&sw]);
-        out.push(self.lookup[&(Endpoint::Node(src as u32), cur)]);
-        for l in 1..n {
-            let u = digits
-                .get((l - 1) as usize)
-                .map(|&d| d % self.tree.k())
-                .unwrap_or_else(|| self.up_digit_with(&src_label, l, AscentPolicy::TrailingDigits));
-            let parent = sw.parent(u).expect("ascending below the root");
-            let next = Endpoint::Switch(self.switch_index[&parent]);
-            out.push(self.lookup[&(cur, next)]);
-            sw = parent;
-            cur = next;
-        }
+        let src = self.tree.check_node(src)?;
+        out.push(ChannelId(2 * src as u32));
+        let digit = |l: u32| match digits.get((l - 1) as usize) {
+            Some(&d) => d % self.tree.k(),
+            None => self.up_digit(src, l, AscentPolicy::TrailingDigits),
+        };
+        self.ascend(src, n, digit, out);
         Ok(n)
     }
 
@@ -766,7 +680,6 @@ impl Topology for Graph {
             return self.route_into(src, dst, policy, out);
         }
         out.clear();
-        let n = self.tree.n();
         let h = self.tree.nca_level(src, dst)?;
         if h == 0 {
             return Ok(0);
@@ -775,31 +688,23 @@ impl Topology for Graph {
             src,
             dst: Some(dst),
         };
-        let src_label = self.tree.node_label(src)?;
-        let dst_label = self.tree.node_label(dst)?;
-        let src_leaf = SwitchLabel::leaf_of(&src_label);
-        let dst_leaf = SwitchLabel::leaf_of(&dst_label);
-        let cur = Endpoint::Switch(self.switch_index[&src_leaf]);
-        let inj = self.lookup[&(Endpoint::Node(src as u32), cur)];
-        let ej = self.lookup[&(
-            Endpoint::Switch(self.switch_index[&dst_leaf]),
-            Endpoint::Node(dst as u32),
-        )];
+        let inj = ChannelId(2 * src as u32);
+        let ej = ChannelId(2 * dst as u32 + 1);
         // Injection and ejection channels have no alternative: if either is
         // down the pair is disconnected regardless of the switch fabric.
         if faults.is_failed(inj) || faults.is_failed(ej) {
             return Err(disconnected);
         }
         let ctx = AvoidCtx {
-            shape: &dst_label,
+            src,
+            shape: dst,
             policy,
             faults,
-            n,
             target: h,
-            dst: Some(dst as u32),
+            dst: Some(dst),
         };
         out.push(inj);
-        if self.search_avoiding(&src_leaf, cur, 1, &ctx, out) {
+        if self.search_avoiding(1, 0, &ctx, out) {
             debug_assert_eq!(out.len(), 2 * h as usize);
             Ok(h)
         } else {
@@ -828,7 +733,6 @@ impl Topology for Graph {
             return self.route_tail_into(src, dst, policy, out);
         }
         out.clear();
-        let n = self.tree.n();
         let h = self.tree.nca_level(src, dst)?;
         if h == 0 {
             return Ok(0);
@@ -837,27 +741,18 @@ impl Topology for Graph {
             src,
             dst: Some(dst),
         };
-        let src_label = self.tree.node_label(src)?;
-        let dst_label = self.tree.node_label(dst)?;
-        let src_leaf = SwitchLabel::leaf_of(&src_label);
-        let dst_leaf = SwitchLabel::leaf_of(&dst_label);
-        let cur = Endpoint::Switch(self.switch_index[&src_leaf]);
-        let ej = self.lookup[&(
-            Endpoint::Switch(self.switch_index[&dst_leaf]),
-            Endpoint::Node(dst as u32),
-        )];
-        if faults.is_failed(ej) {
+        if faults.is_failed(ChannelId(2 * dst as u32 + 1)) {
             return Err(disconnected);
         }
         let ctx = AvoidCtx {
-            shape: &dst_label,
+            src,
+            shape: dst,
             policy,
             faults,
-            n,
             target: h,
-            dst: Some(dst as u32),
+            dst: Some(dst),
         };
-        if self.search_avoiding(&src_leaf, cur, 1, &ctx, out) {
+        if self.search_avoiding(1, 0, &ctx, out) {
             debug_assert_eq!(out.len(), 2 * h as usize - 1);
             Ok(h)
         } else {
@@ -883,23 +778,21 @@ impl Topology for Graph {
         }
         out.clear();
         let n = self.tree.n();
-        let src_label = self.tree.node_label(src)?;
-        let leaf = SwitchLabel::leaf_of(&src_label);
-        let cur = Endpoint::Switch(self.switch_index[&leaf]);
-        let inj = self.lookup[&(Endpoint::Node(src as u32), cur)];
+        let src = self.tree.check_node(src)?;
+        let inj = ChannelId(2 * src as u32);
         if faults.is_failed(inj) {
             return Err(TopologyError::Disconnected { src, dst: None });
         }
         let ctx = AvoidCtx {
-            shape: &src_label,
+            src,
+            shape: src,
             policy,
             faults,
-            n,
             target: n,
             dst: None,
         };
         out.push(inj);
-        if self.search_avoiding(&leaf, cur, 1, &ctx, out) {
+        if self.search_avoiding(1, 0, &ctx, out) {
             Ok(n)
         } else {
             out.clear();
@@ -1048,7 +941,7 @@ mod tests {
                 let b = g.channel(w[1]);
                 assert_eq!(a.to, b.from, "path must chain");
                 if let Endpoint::Switch(s) = a.to {
-                    levels.push(g.switch_label(s).level(t.n()));
+                    levels.push(g.switch_level(s));
                 }
             }
             // Valley-free: strictly increasing then strictly decreasing.
@@ -1080,7 +973,7 @@ mod tests {
             assert_eq!(r.len(), 3);
             let last = g.channel(*r.last().unwrap());
             if let Endpoint::Switch(s) = last.to {
-                assert_eq!(g.switch_label(s).level(3), 3, "must end at a root");
+                assert_eq!(g.switch_level(s), 3, "must end at a root");
             } else {
                 panic!("route_to_root must end at a switch");
             }
@@ -1096,7 +989,7 @@ mod tests {
             assert_eq!(down.len(), up.len());
             let first = g.channel(down[0]);
             if let Endpoint::Switch(s) = first.from {
-                assert_eq!(g.switch_label(s).level(2), 2);
+                assert_eq!(g.switch_level(s), 2);
             } else {
                 panic!("route_from_root must start at a switch");
             }
@@ -1220,12 +1113,11 @@ mod tests {
             g.channel(*route.last().unwrap()).to,
             Endpoint::Node(dst as u32)
         );
-        let n = g.tree().n();
         let mut levels = Vec::new();
         for w in route.windows(2) {
             assert_eq!(g.channel(w[0]).to, g.channel(w[1]).from, "path must chain");
             if let Endpoint::Switch(s) = g.channel(w[0]).to {
-                levels.push(g.switch_label(s).level(n));
+                levels.push(g.switch_level(s));
             }
         }
         let peak = levels.iter().position(|&l| Some(&l) == levels.iter().max());
@@ -1470,7 +1362,7 @@ mod tests {
             assert!(!faults.is_failed(c));
         }
         match g.channel(*out.last().unwrap()).to {
-            Endpoint::Switch(s) => assert_eq!(g.switch_label(s).level(2), 2),
+            Endpoint::Switch(s) => assert_eq!(g.switch_level(s), 2),
             _ => panic!("must end at a root"),
         }
         // Mirrored entry route also avoids the faults.
@@ -1485,13 +1377,11 @@ mod tests {
             Endpoint::Switch(s) => s,
             _ => unreachable!(),
         };
-        for u in 0..g.tree().k() {
-            let parent = g.switch_label(leaf).parent(u).unwrap();
-            let p = g.switch_index[&parent];
-            faults.fail_link(
-                g.channel_between(Endpoint::Switch(leaf), Endpoint::Switch(p))
-                    .unwrap(),
-            );
+        for i in 0..g.num_channels() {
+            let ch = g.channel(ChannelId(i as u32));
+            if ch.from == Endpoint::Switch(leaf) && matches!(ch.to, Endpoint::Switch(_)) {
+                faults.fail_link(ChannelId(i as u32));
+            }
         }
         let err = g
             .route_exit_into_avoiding(0, AscentPolicy::default(), &faults, &mut out)

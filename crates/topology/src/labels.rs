@@ -19,6 +19,10 @@
 //! `n−1` up digits, giving `(m/2)^{n−1}` roots; non-root levels have
 //! `m·(m/2)^{n−2}` switches each, for the paper's total
 //! `N_sw = (2n−1)(m/2)^{n−1}`.
+//!
+//! These types are the readable form of the algebra. The router in
+//! [`crate::graph`] reads the same digits as integers — a switch is
+//! (level, fixed index, up index) — so it routes without building a label.
 
 use serde::{Deserialize, Serialize};
 
@@ -131,49 +135,6 @@ impl SwitchLabel {
     }
 }
 
-/// Enumerates a mixed-radix label space: the first digit has radix
-/// `first_radix`, the remaining `len−1` digits radix `rest_radix`.
-/// Returns the total count. Used to size switch levels.
-pub fn mixed_radix_count(len: usize, first_radix: u32, rest_radix: u32) -> usize {
-    if len == 0 {
-        return 1;
-    }
-    first_radix as usize * (rest_radix as usize).pow(len as u32 - 1)
-}
-
-/// Encodes a mixed-radix digit string (first digit radix `first_radix`,
-/// remainder `rest_radix`) as an index in lexicographic order.
-pub fn mixed_radix_encode(digits: &[u32], first_radix: u32, rest_radix: u32) -> usize {
-    let _ = first_radix;
-    if digits.is_empty() {
-        return 0;
-    }
-    let mut id = digits[0] as usize;
-    for &d in &digits[1..] {
-        id = id * rest_radix as usize + d as usize;
-    }
-    id
-}
-
-/// Inverse of [`mixed_radix_encode`].
-pub fn mixed_radix_decode(
-    mut id: usize,
-    len: usize,
-    first_radix: u32,
-    rest_radix: u32,
-) -> Vec<u32> {
-    let _ = first_radix;
-    let mut digits = vec![0u32; len];
-    for i in (1..len).rev() {
-        digits[i] = (id % rest_radix as usize) as u32;
-        id /= rest_radix as usize;
-    }
-    if len > 0 {
-        digits[0] = id as u32;
-    }
-    digits
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,23 +213,5 @@ mod tests {
         assert_eq!(back.fixed, vec![5, 1]);
         assert_eq!(back.ups, vec![]);
         assert!(leaf.child(0).is_none());
-    }
-
-    #[test]
-    fn mixed_radix_round_trip() {
-        let (first, rest, len) = (8u32, 4u32, 3usize);
-        let count = mixed_radix_count(len, first, rest);
-        assert_eq!(count, 8 * 16);
-        for id in 0..count {
-            let digits = mixed_radix_decode(id, len, first, rest);
-            assert_eq!(mixed_radix_encode(&digits, first, rest), id);
-        }
-    }
-
-    #[test]
-    fn mixed_radix_empty() {
-        assert_eq!(mixed_radix_count(0, 8, 4), 1);
-        assert_eq!(mixed_radix_encode(&[], 8, 4), 0);
-        assert_eq!(mixed_radix_decode(0, 0, 8, 4), Vec::<u32>::new());
     }
 }

@@ -97,6 +97,18 @@ impl MPortNTree {
         }
     }
 
+    /// `id` itself when it names a node of this tree, else
+    /// [`TopologyError::NodeOutOfRange`].
+    pub(crate) fn check_node(&self, id: usize) -> Result<usize, TopologyError> {
+        if id >= self.num_nodes() {
+            return Err(TopologyError::NodeOutOfRange {
+                node: id,
+                num_nodes: self.num_nodes(),
+            });
+        }
+        Ok(id)
+    }
+
     /// Index of the leaf switch node `id` attaches to, in `0..num_leaf_switches()`.
     ///
     /// Node ids are the lexicographic encoding of the label with `p_n`
@@ -104,12 +116,7 @@ impl MPortNTree {
     /// the leaf index is simply `id / k` (`0` for the single-switch `n = 1`
     /// tree, where all `m` nodes share the one switch).
     pub fn leaf_index_of(&self, id: usize) -> Result<usize, TopologyError> {
-        if id >= self.num_nodes() {
-            return Err(TopologyError::NodeOutOfRange {
-                node: id,
-                num_nodes: self.num_nodes(),
-            });
-        }
+        self.check_node(id)?;
         Ok(if self.n == 1 {
             0
         } else {
@@ -122,12 +129,7 @@ impl MPortNTree {
     /// Together with [`MPortNTree::leaf_index_of`] this inverts to the node
     /// id via [`MPortNTree::node_under_leaf`].
     pub fn leaf_member_of(&self, id: usize) -> Result<usize, TopologyError> {
-        if id >= self.num_nodes() {
-            return Err(TopologyError::NodeOutOfRange {
-                node: id,
-                num_nodes: self.num_nodes(),
-            });
-        }
+        self.check_node(id)?;
         Ok(if self.n == 1 {
             id
         } else {
@@ -167,12 +169,7 @@ impl MPortNTree {
 
     /// Decodes a node id into its mixed-radix label.
     pub fn node_label(&self, id: usize) -> Result<NodeLabel, TopologyError> {
-        if id >= self.num_nodes() {
-            return Err(TopologyError::NodeOutOfRange {
-                node: id,
-                num_nodes: self.num_nodes(),
-            });
-        }
+        self.check_node(id)?;
         Ok(NodeLabel::from_id(id, self.m, self.n))
     }
 
@@ -184,13 +181,24 @@ impl MPortNTree {
     /// The NCA level `h ∈ 0..=n` of two nodes: `0` iff `a == b`, else
     /// `n − common_prefix_len(a, b)`. A message between distinct nodes
     /// crosses `2h` links.
+    ///
+    /// Closed-form on the ids: below the root, the nodes under a level-`l`
+    /// switch share the digits `p_1 … p_{n−l}`, which read as the number
+    /// `id / (m/2)^l`, so `h` is the lowest level where those agree.
     pub fn nca_level(&self, a: usize, b: usize) -> Result<u32, TopologyError> {
-        let la = self.node_label(a)?;
-        let lb = self.node_label(b)?;
+        let k = self.k() as usize;
+        let (mut a, mut b) = (self.check_node(a)?, self.check_node(b)?);
         if a == b {
             return Ok(0);
         }
-        Ok(self.n - la.common_prefix_len(&lb) as u32)
+        let mut h = 1;
+        loop {
+            (a, b) = (a / k, b / k);
+            if a == b || h == self.n {
+                return Ok(h);
+            }
+            h += 1;
+        }
     }
 
     /// Brute-force histogram of NCA levels over all ordered pairs of

@@ -1,11 +1,12 @@
 //! End-to-end validation: the analytical model against the discrete-event
 //! simulator, the heart of the paper's §4.
 //!
-//! Tolerances reflect what the reproduction actually achieves (see
-//! EXPERIMENTS.md): intra-cluster latency matches to well under 5 %;
-//! inter-cluster latency carries a documented rate-conversion offset, so
-//! the whole-system comparison is held to a looser bound; the qualitative
-//! shape (monotonicity, saturation ordering) must match exactly.
+//! Tolerances reflect what the reproduction actually achieves, as
+//! `cocnet run validation` prints it: intra-cluster latency matches to
+//! well under 5 %; inter-cluster latency carries a documented
+//! rate-conversion offset, so the whole-system comparison is held to a
+//! looser bound; the qualitative shape (monotonicity, saturation
+//! ordering) must match exactly.
 
 use cocnet::prelude::*;
 

@@ -115,7 +115,8 @@ proptest! {
 #[test]
 fn exit_roots_cover_all_roots_in_paper_trees() {
     // The deterministic exit-root choice must spread sources over every
-    // root, otherwise concentrator traffic would hot-spot (see DESIGN.md).
+    // root, otherwise concentrator traffic would hot-spot: every
+    // inter-cluster message leaves through its source's exit root.
     for (m, n) in [(4u32, 2u32), (4, 3), (8, 2), (8, 3)] {
         let g = Graph::build(MPortNTree::new(m, n).unwrap());
         let mut seen = std::collections::HashSet::new();
