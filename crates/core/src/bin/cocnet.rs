@@ -12,16 +12,14 @@
 //! cocnet validate <path>                              check scenario file(s)
 //! cocnet run <name|path> [--quick] [--points N] [--replications N]
 //!                        [--rel-ci X] [--max-replications N] [--rate λ]
-//!                        [--scheduler heap|calendar] [--shards off|auto|K]
-//!                        [--fail-links F] [--interning classed|eager]
+//!                        [--shards off|auto|K] [--fail-links F]
+//!                        [--interning classed|eager]
 //!                        [--serial] [--json] [--no-sim] [--out json|csv]
 //!                                                     run a registry entry or a
 //!                                                     scenario JSON file
 //!                                                     (--rel-ci X replicates each
 //!                                                     point adaptively until the
 //!                                                     latency CI is within X;
-//!                                                     --scheduler picks the
-//!                                                     future-event-list backend,
 //!                                                     --shards runs the cluster-
 //!                                                     sharded parallel engine —
 //!                                                     results are bit-identical,
@@ -33,9 +31,12 @@
 //! workload flags:
 //!   --rate λ  --flits M  --flit-bytes D   (defaults 1e-4, 32, 256;
 //!                                          `sim` needs λ > 0)
-//! sim flags:
-//!   --seed S  --measured N  --locality ψ
+//! model flags:  --locality ψ
+//! sim flags:    --seed S  --measured N  --locality ψ
+//! sweep flags:  --max-rate λ  --points P
 //! ```
+//!
+//! Every subcommand rejects a flag it does not read (exit 2).
 
 use cocnet::model::{
     evaluate_with_profile, saturation_point, sweep, ModelOptions, OutgoingProfile, Workload,
@@ -60,27 +61,48 @@ fn usage() -> ! {
          \x20      cocnet describe <name> [--json]\n\
          \x20      cocnet validate <path>\n\
          \x20      cocnet run <name|path> [--quick] [--points N] [--replications N] \
-         [--rel-ci X] [--max-replications N] [--rate λ] [--scheduler heap|calendar] \
-         [--shards off|auto|K] [--fail-links F] [--interning classed|eager] \
-         [--serial] [--json] [--no-sim] [--out json|csv]"
+         [--rel-ci X] [--max-replications N] [--rate λ] [--shards off|auto|K] \
+         [--fail-links F] [--interning classed|eager] [--serial] [--json] [--no-sim] \
+         [--out json|csv]"
     );
     exit(2);
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// A classic subcommand's `--name value` pairs, keyed by name.
+type Flags = HashMap<String, String>;
+
+/// The spec and workload flags every classic subcommand reads.
+const SPEC_FLAGS: [&str; 6] = ["org", "m", "heights", "rate", "flits", "flit-bytes"];
+
+/// Parses the `--name value` pairs of classic subcommand `cmd`, which
+/// reads [`SPEC_FLAGS`] and `own`. Any other flag exits 2, listing the
+/// valid ones: a misspelt flag silently ignored is a run with the wrong
+/// parameters.
+fn parse_flags(cmd: &str, own: &[&str], args: &[String]) -> Flags {
     let mut flags = HashMap::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        if let Some(name) = a.strip_prefix("--") {
-            let value = it.next().cloned().unwrap_or_else(|| {
-                eprintln!("flag --{name} needs a value");
-                usage()
-            });
-            flags.insert(name.to_string(), value);
-        } else {
+        let Some(name) = a.strip_prefix("--") else {
             eprintln!("unexpected argument {a:?}");
-            usage();
+            usage()
+        };
+        if !SPEC_FLAGS.contains(&name) && !own.contains(&name) {
+            let valid: Vec<String> = SPEC_FLAGS
+                .iter()
+                .chain(own)
+                .map(|f| format!("--{f}"))
+                .collect();
+            eprintln!(
+                "unknown flag --{name} for `cocnet {cmd}` (flags: {})",
+                valid.join(" ")
+            );
+            exit(2);
         }
+        let value = it.next().cloned().unwrap_or_else(|| {
+            eprintln!("flag --{name} needs a value");
+            usage()
+        });
+        flags.insert(name.to_string(), value);
     }
     flags
 }
@@ -442,12 +464,12 @@ fn main() {
         }
         _ => {}
     }
-    let flags = parse_flags(rest);
-    match cmd.as_str() {
-        "model" => cmd_model(&flags),
-        "sim" => cmd_sim(&flags),
-        "saturate" => cmd_saturate(&flags),
-        "sweep" => cmd_sweep(&flags),
+    let (run, own): (fn(&Flags), &[&str]) = match cmd.as_str() {
+        "model" => (cmd_model, &["locality"]),
+        "sim" => (cmd_sim, &["seed", "measured", "locality"]),
+        "saturate" => (cmd_saturate, &[]),
+        "sweep" => (cmd_sweep, &["max-rate", "points"]),
         _ => usage(),
-    }
+    };
+    run(&parse_flags(cmd, own, rest));
 }

@@ -28,7 +28,7 @@ use crate::report::{
     OutputFormat,
 };
 use crate::runner::Scenario;
-use cocnet_sim::{InternMode, SchedulerKind, ShardMode, SimConfig};
+use cocnet_sim::{InternMode, ShardMode, SimConfig};
 use cocnet_topology::{ClusterSpec, SystemSpec};
 use cocnet_workloads::presets;
 
@@ -92,10 +92,6 @@ pub struct RunOpts {
     /// Traffic rate override for single-run diagnostics
     /// (`hotspots`, `utilization`); finite and positive.
     pub rate: Option<f64>,
-    /// Future-event-list backend override (`--scheduler heap|calendar`):
-    /// applied to the simulation config wherever one is run. Never
-    /// changes results — both backends pop in the identical order.
-    pub scheduler: Option<SchedulerKind>,
     /// Intra-run sharding override (`--shards off|auto|<k>`): partitions
     /// the worm event loop by cluster with conservative lookahead sync.
     /// Never changes results — sharded runs are bit-identical to serial.
@@ -143,9 +139,6 @@ impl RunOpts {
                 }
                 "--out" => opts.out = Some(take("--out", &mut it)?.parse()?),
                 "--rate" => opts.rate = Some(parse_num(&take("--rate", &mut it)?, "--rate")?),
-                "--scheduler" => {
-                    opts.scheduler = Some(take("--scheduler", &mut it)?.parse()?);
-                }
                 "--shards" => {
                     opts.shards = Some(take("--shards", &mut it)?.parse()?);
                 }
@@ -160,8 +153,8 @@ impl RunOpts {
                     return Err(format!(
                         "unknown argument {other:?} (flags: --quick --serial --json --no-sim \
                          --points N --replications N --rel-ci X --max-replications N \
-                         --out json|csv --rate λ --scheduler heap|calendar \
-                         --shards off|auto|K --fail-links F --interning classed|eager)"
+                         --out json|csv --rate λ --shards off|auto|K --fail-links F \
+                         --interning classed|eager)"
                     ))
                 }
             }
@@ -201,18 +194,20 @@ impl RunOpts {
     }
 
     /// The flag transformation of a simulation config: `--quick` caps the
-    /// population sizes at the historical 2k/20k/2k smoke values and
-    /// `--scheduler` selects the future-event-list backend; everything
-    /// else (seed, coupling…) stays untouched.
+    /// population sizes at the historical 2k/20k/2k smoke values, then
+    /// `--shards`, `--fail-links` and `--interning` apply; everything else
+    /// (seed, coupling…) stays untouched.
     pub fn sim_config(&self, base: &SimConfig) -> SimConfig {
-        let mut cfg = if self.quick {
+        self.override_engine(if self.quick {
             quick_sim(base)
         } else {
             base.clone()
-        };
-        if let Some(scheduler) = self.scheduler {
-            cfg.scheduler = scheduler;
-        }
+        })
+    }
+
+    /// The overrides every simulation an entry runs honours, on both of
+    /// the config paths ([`RunOpts::sim_config`] and [`scaled`]).
+    fn override_engine(&self, mut cfg: SimConfig) -> SimConfig {
         if let Some(shards) = self.shards {
             cfg.shards = shards;
         }
@@ -253,10 +248,11 @@ pub fn quick_sim(base: &SimConfig) -> SimConfig {
 
 /// Scales a custom experiment's fixed simulation config down 10× under
 /// `--quick` (the custom entries already run reduced populations by
-/// default; `--quick` makes them CI-smoke cheap) and applies the
-/// `--scheduler` backend override.
+/// default; `--quick` makes them CI-smoke cheap) and applies the same
+/// `--shards`, `--fail-links` and `--interning` overrides as
+/// [`RunOpts::sim_config`].
 pub fn scaled(base: &SimConfig, opts: &RunOpts) -> SimConfig {
-    let mut cfg = if opts.quick {
+    opts.override_engine(if opts.quick {
         SimConfig {
             warmup: (base.warmup / 10).max(1),
             measured: (base.measured / 10).max(1),
@@ -265,20 +261,7 @@ pub fn scaled(base: &SimConfig, opts: &RunOpts) -> SimConfig {
         }
     } else {
         base.clone()
-    };
-    if let Some(scheduler) = opts.scheduler {
-        cfg.scheduler = scheduler;
-    }
-    if let Some(shards) = opts.shards {
-        cfg.shards = shards;
-    }
-    if let Some(fraction) = opts.fail_links {
-        cfg.faults.link_fraction = fraction;
-    }
-    if let Some(interning) = opts.interning {
-        cfg.interning = interning;
-    }
-    cfg
+    })
 }
 
 /// The 48-node system shared by `engine_agreement`, `buffer_depth` and
@@ -837,19 +820,24 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_flag_threads_into_sim_configs() {
-        let opts = RunOpts::parse(&["--scheduler".into(), "calendar".into()]).unwrap();
-        assert_eq!(opts.scheduler, Some(SchedulerKind::Calendar));
+    fn engine_flags_thread_into_both_config_paths() {
+        let opts = RunOpts::parse(&[
+            "--fail-links".into(),
+            "0.25".into(),
+            "--interning".into(),
+            "eager".into(),
+        ])
+        .unwrap();
         let base = SimConfig::default();
-        assert_eq!(opts.sim_config(&base).scheduler, SchedulerKind::Calendar);
-        assert_eq!(scaled(&base, &opts).scheduler, SchedulerKind::Calendar);
-        // Everything else stays untouched, and no flag means no override.
-        assert_eq!(opts.sim_config(&base).seed, base.seed);
-        assert_eq!(
-            RunOpts::default().sim_config(&base).scheduler,
-            SchedulerKind::Heap
-        );
-        assert!(RunOpts::parse(&["--scheduler".into(), "ladder".into()]).is_err());
+        for cfg in [opts.sim_config(&base), scaled(&base, &opts)] {
+            assert_eq!(cfg.faults.link_fraction, 0.25);
+            assert_eq!(cfg.interning, InternMode::Eager);
+            // Everything else stays untouched.
+            assert_eq!(cfg.seed, base.seed);
+        }
+        // No flag means no override.
+        assert_eq!(RunOpts::default().sim_config(&base), base);
+        assert!(RunOpts::parse(&["--interning".into(), "lazy".into()]).is_err());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! from its fault schedule.
 
 use crate::build::BuiltSystem;
-use crate::events::Scheduler;
+use crate::events::{EventQueue, Scheduler};
 use serde::{Deserialize, Serialize};
 
 /// How the concentrator/dispatcher buffers couple adjacent networks on an
@@ -38,47 +38,6 @@ pub enum Coupling {
     CutThrough,
 }
 
-/// Which future-event-list backend the engines run on.
-///
-/// Both backends pop events in the identical `(time, seq)` earliest-first
-/// order (see [`crate::events`]), so the choice never changes a seeded
-/// run's results — only its wall-clock cost. Selectable per scenario
-/// (`"sim": {"scheduler": "Calendar"}`) or from the CLI
-/// (`cocnet run … --scheduler calendar`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum SchedulerKind {
-    /// Binary-heap future-event list: O(log n) push/pop (default, the
-    /// historical backend).
-    #[default]
-    Heap,
-    /// Self-resizing calendar queue: amortized O(1) push/pop on banded
-    /// timestamp distributions.
-    Calendar,
-}
-
-impl std::str::FromStr for SchedulerKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "heap" => Ok(SchedulerKind::Heap),
-            "calendar" => Ok(SchedulerKind::Calendar),
-            other => Err(format!(
-                "unknown scheduler {other:?} (use \"heap\" or \"calendar\")"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for SchedulerKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SchedulerKind::Heap => "heap",
-            SchedulerKind::Calendar => "calendar",
-        })
-    }
-}
-
 /// Intra-run sharding of the worm engine's event loop.
 ///
 /// `Off` (the default) runs the classic serial loop — the golden oracle.
@@ -86,7 +45,7 @@ impl std::fmt::Display for SchedulerKind {
 /// ICN2 hub shard, synchronized conservatively on the inter-cluster
 /// channel crossing time (see the README's "Intra-run sharding" section).
 /// Sharded runs are bit-identical to the serial engine; the mode only
-/// changes wall-clock cost, like [`SchedulerKind`]. Scenario files select
+/// changes wall-clock cost, like [`InternMode`]. Scenario files select
 /// it with `"sim": {"shards": "Auto"}` or `{"shards": {"N": 4}}`; the CLI
 /// with `--shards off|auto|<k>`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -315,9 +274,9 @@ impl FaultSchedule {
     /// `event(link, fail)`, in schedule order. Engines call this before
     /// they seed any traffic, so a `t = 0` failure is in force before
     /// anything moves.
-    pub(crate) fn schedule_timed<K, S: Scheduler<K>>(
+    pub(crate) fn schedule_timed<K>(
         &self,
-        queue: &mut S,
+        queue: &mut EventQueue<K>,
         owns: impl Fn(u32) -> bool,
         event: impl Fn(u32, bool) -> K,
     ) {
@@ -412,9 +371,6 @@ pub struct SimConfig {
     /// truncation point exceeds the configured `warmup`. Costs one `f64`
     /// per audited message; never perturbs the simulation itself.
     pub audit_warmup: bool,
-    /// Future-event-list backend (see [`SchedulerKind`]). Never changes
-    /// results — both backends pop in the identical order — only speed.
-    pub scheduler: SchedulerKind,
     /// Fault injection (see [`FaultSchedule`]); inert by default.
     pub faults: FaultSchedule,
     /// Intra-run sharding of the worm engine (see [`ShardMode`]). Never
@@ -442,7 +398,6 @@ impl Default for SimConfig {
             adaptive_routing: false,
             collect_percentiles: false,
             audit_warmup: false,
-            scheduler: SchedulerKind::default(),
             faults: FaultSchedule::default(),
             shards: ShardMode::default(),
             interning: InternMode::default(),
@@ -467,7 +422,6 @@ impl SimConfig {
             adaptive_routing: false,
             collect_percentiles: false,
             audit_warmup: false,
-            scheduler: SchedulerKind::default(),
             faults: FaultSchedule::default(),
             shards: ShardMode::default(),
             interning: InternMode::default(),
@@ -491,19 +445,6 @@ mod tests {
         assert_eq!(c.measured, 100_000);
         assert_eq!(c.drain, 10_000);
         assert_eq!(c.total_messages(), 120_000);
-    }
-
-    #[test]
-    fn scheduler_kind_parses_cli_names() {
-        assert_eq!("heap".parse::<SchedulerKind>(), Ok(SchedulerKind::Heap));
-        assert_eq!(
-            "calendar".parse::<SchedulerKind>(),
-            Ok(SchedulerKind::Calendar)
-        );
-        assert!("Heap".parse::<SchedulerKind>().is_err());
-        assert!("ladder".parse::<SchedulerKind>().is_err());
-        assert_eq!(SchedulerKind::Calendar.to_string(), "calendar");
-        assert_eq!(SimConfig::default().scheduler, SchedulerKind::Heap);
     }
 
     #[test]

@@ -24,6 +24,9 @@
 //! sinks, busy time, the live fault mask) is the run ledger it shares
 //! with the other engines; the handlers here decide only when.
 //!
+//! The future-event list is a binary heap ([`EventQueue`]); see
+//! [`crate::events`] for why no other list is offered.
+//!
 //! # No-allocation invariant
 //!
 //! The event loop is **allocation-free in steady state**, and every change
@@ -59,8 +62,8 @@
 use crate::build::{
     AdaptiveRouteCache, AdaptiveScratch, BuiltSystem, RouteRef, RouteTable, SegMeta,
 };
-use crate::config::{Coupling, FaultMask, SchedulerKind, SimConfig};
-use crate::events::{ArrivalBand, CalendarQueue, EventQueue, Merged, Scheduler};
+use crate::config::{Coupling, FaultMask, SimConfig};
+use crate::events::{ArrivalBand, EventQueue, Merged, Scheduler};
 use crate::results::{delivery_order, BusyTime, Counters, Delivery, SimResults, Sinks, StopReason};
 use crate::trace::{MessageTrace, TraceEvent, TraceEventKind};
 use cocnet_model::Workload;
@@ -188,7 +191,7 @@ impl Msg {
     };
 }
 
-struct Simulator<'a, S: Scheduler<EventKind>, const TRACE: bool> {
+struct Simulator<'a, const TRACE: bool> {
     built: &'a BuiltSystem,
     routes: &'a RouteTable,
     cfg: SimConfig,
@@ -206,8 +209,7 @@ struct Simulator<'a, S: Scheduler<EventKind>, const TRACE: bool> {
     layout: Vec<usize>,
     rng: StdRng,
     /// The future-event list: events of messages in flight only.
-    /// Monomorphized per backend, no dyn dispatch in the hot loop.
-    queue: S,
+    queue: EventQueue<EventKind>,
     chans: Vec<Chan>,
     /// Message slab; `free` holds the slots of delivered messages.
     msgs: Vec<Msg>,
@@ -238,7 +240,7 @@ struct Simulator<'a, S: Scheduler<EventKind>, const TRACE: bool> {
     deliveries: Vec<Delivery>,
 }
 
-impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
+impl<'a, const TRACE: bool> Simulator<'a, TRACE> {
     fn new(
         built: &'a BuiltSystem,
         wl: &Workload,
@@ -260,7 +262,7 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
             pattern,
             layout: cluster_offsets(built.spec()),
             rng: StdRng::seed_from_u64(cfg.seed),
-            queue: S::new(),
+            queue: EventQueue::new(),
             chans: vec![[FREE; 2]; built.num_channels()],
             msgs: Vec::new(),
             free: Vec::new(),
@@ -776,10 +778,8 @@ pub fn run_simulation(
     run_simulation_built(&built, wl, pattern, cfg)
 }
 
-/// Dispatches over the `TRACE` and scheduler monomorphisations: tracing
-/// code is compiled in only when the configuration asks for traces, and
-/// the selected future-event-list backend is a concrete type in the hot
-/// loop (no dyn dispatch).
+/// Dispatches over the `TRACE` monomorphisations: tracing code is
+/// compiled in only when the configuration asks for traces.
 fn dispatch(
     built: &BuiltSystem,
     wl: &Workload,
@@ -790,21 +790,10 @@ fn dispatch(
     if crate::shard::sharding_eligible(built, &cfg) {
         return crate::shard::run_sharded(built, wl, pattern, &cfg, &arrival);
     }
-    type Heap = EventQueue<EventKind>;
-    type Calendar = CalendarQueue<EventKind>;
-    match (cfg.scheduler, cfg.trace_messages > 0) {
-        (SchedulerKind::Heap, true) => {
-            Simulator::<Heap, true>::new(built, wl, pattern, cfg, arrival).run()
-        }
-        (SchedulerKind::Heap, false) => {
-            Simulator::<Heap, false>::new(built, wl, pattern, cfg, arrival).run()
-        }
-        (SchedulerKind::Calendar, true) => {
-            Simulator::<Calendar, true>::new(built, wl, pattern, cfg, arrival).run()
-        }
-        (SchedulerKind::Calendar, false) => {
-            Simulator::<Calendar, false>::new(built, wl, pattern, cfg, arrival).run()
-        }
+    if cfg.trace_messages > 0 {
+        Simulator::<true>::new(built, wl, pattern, cfg, arrival).run()
+    } else {
+        Simulator::<false>::new(built, wl, pattern, cfg, arrival).run()
     }
 }
 
@@ -876,7 +865,6 @@ mod tests {
             adaptive_routing: false,
             collect_percentiles: false,
             audit_warmup: false,
-            scheduler: SchedulerKind::default(),
             faults: crate::config::FaultSchedule::default(),
             shards: crate::config::ShardMode::Off,
             interning: crate::config::InternMode::default(),
@@ -906,41 +894,6 @@ mod tests {
             .t_cn(256.0);
         assert!(r.latency.mean > (m - 1.0) * t_fast);
         assert!(r.latency.mean < 150.0, "mean {} too high", r.latency.mean);
-    }
-
-    #[test]
-    fn calendar_scheduler_bit_identical_to_heap() {
-        // The scheduler backend must never change results: same seed,
-        // both couplings, adaptive routing, traced and untraced — every
-        // statistic f64-bit-equal between the heap and the calendar.
-        for adaptive in [false, true] {
-            for coupling in [
-                Coupling::VirtualCutThrough,
-                Coupling::StoreAndForward,
-                Coupling::CutThrough,
-            ] {
-                let base = SimConfig {
-                    coupling,
-                    adaptive_routing: adaptive,
-                    ..tiny_cfg(23)
-                };
-                let heap = run_simulation(&spec(), &wl(6e-4), Pattern::Uniform, &base);
-                let cal = run_simulation(
-                    &spec(),
-                    &wl(6e-4),
-                    Pattern::Uniform,
-                    &SimConfig {
-                        scheduler: SchedulerKind::Calendar,
-                        ..base
-                    },
-                );
-                assert!(heap.completed && cal.completed);
-                assert_eq!(heap.latency, cal.latency, "{coupling:?}/{adaptive}");
-                assert_eq!(heap.sim_time.to_bits(), cal.sim_time.to_bits());
-                assert_eq!(heap.events_processed, cal.events_processed);
-                assert_eq!(heap.channel_busy, cal.channel_busy);
-            }
-        }
     }
 
     #[test]
@@ -1315,7 +1268,7 @@ mod tests {
             ..tiny_cfg(23)
         };
         let rate = 2e-4;
-        let mut sim = Simulator::<EventQueue<EventKind>, false>::new(
+        let mut sim = Simulator::<false>::new(
             &built,
             &wl(rate),
             Pattern::Uniform,
@@ -1467,9 +1420,9 @@ mod tests {
     }
 
     #[test]
-    fn faulted_runs_are_deterministic_across_schedulers() {
+    fn faulted_runs_are_deterministic() {
         // A mixed static + timed fault schedule must give bit-identical
-        // results under both future-event-list backends.
+        // results run after run.
         let spec = spec();
         let wl = wl(3e-4);
         let mut base = tiny_cfg(6);
@@ -1498,15 +1451,8 @@ mod tests {
             link: dead,
             action: FaultAction::Fail,
         }];
-        let mut results = Vec::new();
-        for scheduler in [SchedulerKind::Heap, SchedulerKind::Calendar] {
-            let cfg = SimConfig {
-                scheduler,
-                ..base.clone()
-            };
-            results.push(run_simulation_built(&built, &wl, Pattern::Uniform, &cfg));
-        }
-        let (a, b) = (&results[0], &results[1]);
+        let a = run_simulation_built(&built, &wl, Pattern::Uniform, &base);
+        let b = run_simulation_built(&built, &wl, Pattern::Uniform, &base);
         assert_eq!(a.latency.mean.to_bits(), b.latency.mean.to_bits());
         assert_eq!(a.sim_time.to_bits(), b.sim_time.to_bits());
         assert_eq!(a.generated, b.generated);

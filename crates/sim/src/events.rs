@@ -1,25 +1,25 @@
-//! Pluggable future-event lists: the `(time, sequence)`-ordered scheduler
-//! both engines run on.
+//! The future-event list: the `(time, sequence)`-ordered queue the
+//! engines run on.
 //!
 //! Events are processed earliest-first; ties break on insertion sequence,
 //! so a run's event order is a pure function of the simulation — the
 //! backbone of the bit-identical-per-seed guarantee. The [`Scheduler`]
-//! trait captures exactly that contract, and two backends implement it:
+//! trait captures exactly that contract, and two lists implement it:
 //!
 //! * [`EventQueue`] — a classic `BinaryHeap` future-event list, O(log n)
-//!   push/pop. Simple, cache-friendly at small pending populations, and
-//!   the historical reference backend.
+//!   push/pop. Every engine runs on it.
 //! * [`CalendarQueue`] — a self-resizing calendar queue (R. Brown, CACM
 //!   1988): events hash into time-bucketed "days" of a rotating "year",
 //!   giving amortized O(1) enqueue/dequeue on the banded timestamp
-//!   distributions a transfer-time model produces. Bucket count and width
-//!   adapt to the pending population.
+//!   distributions a transfer-time model produces. No engine runs on it:
+//!   with the arrivals kept beside it, the list holds tens to a few
+//!   hundred events, and the heap won the paired benchmark runs on both
+//!   workloads (README, "Future-event list"). It stays for the pop-order
+//!   property tests and the benchmark's hold-time replay.
 //!
-//! Both backends pop in the **identical** total order — `(time, seq)`
-//! earliest-first — so every seed stays bit-identical regardless of which
-//! one a run selects ([`crate::SchedulerKind`]). The equivalence is pinned
-//! by the cross-backend property tests in `tests/scheduler_order.rs` and
-//! by the seed-pinned golden statistics in `tests/golden_regression.rs`.
+//! Both pop in the **identical** total order — `(time, seq)`
+//! earliest-first — which the cross-backend property tests in
+//! `tests/scheduler_order.rs` pin.
 //!
 //! An engine may keep some events beside its scheduler in an
 //! [`ArrivalBand`]: the band numbers them from the scheduler's own
@@ -82,14 +82,15 @@ fn key_lt(a: (f64, u64), b: (f64, u64)) -> bool {
     a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).is_lt()
 }
 
-/// The deterministic future-event-list contract shared by both engines.
+/// The deterministic future-event-list contract.
 ///
 /// Implementations must pop events in strict `(time, seq)` order, where
 /// `seq` is the insertion sequence the scheduler assigns itself — i.e.
 /// earliest time first, ties broken by insertion order. Two conforming
 /// backends are therefore interchangeable without perturbing a single
-/// event of a seeded run. Engines are generic over this trait and
-/// monomorphized per backend, so the hot loop pays no dynamic dispatch.
+/// event of a seeded run. The engines run on [`EventQueue`] itself; the
+/// pop-order property tests and perfbench's hold-time replay drive both
+/// lists through this trait.
 pub trait Scheduler<K> {
     /// An empty scheduler.
     fn new() -> Self;
@@ -128,7 +129,7 @@ pub trait Scheduler<K> {
 }
 
 /// A deterministic binary-heap future-event list with automatic sequence
-/// numbering — the O(log n) reference backend.
+/// numbering — the list every engine runs on.
 #[derive(Debug)]
 pub struct EventQueue<K> {
     heap: BinaryHeap<Timed<K>>,
@@ -171,14 +172,14 @@ impl<K> Scheduler<K> for EventQueue<K> {
     }
 }
 
-/// Events kept beside a [`Scheduler`] rather than in it, merged back by
+/// Events kept beside an [`EventQueue`] rather than in it, merged back by
 /// `(time, seq)` at pop time.
 ///
-/// Every event in the band takes its sequence number from the
-/// scheduler's counter ([`Scheduler::reserve_seq`]), so band and
-/// scheduler share one total order, and [`ArrivalBand::pop_merged`]
-/// returns exactly what a single scheduler holding both would pop —
-/// exact-time ties between the two included.
+/// Every event in the band takes its sequence number from the queue's
+/// counter ([`Scheduler::reserve_seq`]), so band and queue share one
+/// total order, and [`ArrivalBand::pop_merged`] returns exactly what a
+/// single queue holding both would pop — exact-time ties between the two
+/// included.
 ///
 /// The band holds one pending arrival per node, in two parts:
 ///
@@ -195,7 +196,7 @@ impl<K> Scheduler<K> for EventQueue<K> {
 /// generation has ended; they stream from the cursor instead of costing
 /// a heap pop each. Once the cursor is drained, which a small system does
 /// within its first arrivals, [`ArrivalBand::pop_merged`] is the two-way
-/// merge of the heap and the scheduler behind one predictable branch.
+/// merge of the re-draw heap and the queue behind one predictable branch.
 #[derive(Debug)]
 pub struct ArrivalBand<A> {
     /// The primed arrivals, sorted by `(time, seq)`; `primed[next..]` are
@@ -218,12 +219,12 @@ struct Primed<A> {
 }
 
 /// An event popped by [`ArrivalBand::pop_merged`]: from the band, or from
-/// the scheduler beside it.
+/// the queue beside it.
 #[derive(Debug, Clone, Copy)]
 pub enum Merged<A, K> {
     /// The band's head was earlier.
     Band(Timed<A>),
-    /// The scheduler's head was earlier.
+    /// The queue's head was earlier.
     Queue(Timed<K>),
 }
 
@@ -243,9 +244,9 @@ impl<A: Copy> ArrivalBand<A> {
     /// `queue`'s counter exactly as `queue.schedule` would have numbered
     /// them, and sorts them once by `(time, seq)`. Call it once, on an
     /// empty band, before the first pop.
-    pub fn prime<K, S: Scheduler<K>>(
+    pub fn prime<K>(
         &mut self,
-        queue: &mut S,
+        queue: &mut EventQueue<K>,
         arrivals: impl IntoIterator<Item = (f64, A)>,
     ) {
         debug_assert!(self.is_empty(), "a band is primed once, before any pop");
@@ -276,7 +277,7 @@ impl<A: Copy> ArrivalBand<A> {
     /// `queue`'s counter exactly as `queue.schedule` would have numbered
     /// it.
     #[inline]
-    pub fn schedule<K, S: Scheduler<K>>(&mut self, queue: &mut S, time: f64, payload: A) {
+    pub fn schedule<K>(&mut self, queue: &mut EventQueue<K>, time: f64, payload: A) {
         let seq = queue.reserve_seq();
         self.heap.push(Timed {
             time,
@@ -288,7 +289,7 @@ impl<A: Copy> ArrivalBand<A> {
     /// Removes the earliest of the band's head and `queue`'s by
     /// `(time, seq)`; `None` once both are empty.
     #[inline]
-    pub fn pop_merged<K, S: Scheduler<K>>(&mut self, queue: &mut S) -> Option<Merged<A, K>> {
+    pub fn pop_merged<K>(&mut self, queue: &mut EventQueue<K>) -> Option<Merged<A, K>> {
         if self.next < self.primed.len() && self.cursor_first(queue) {
             let p = self.primed[self.next];
             self.next += 1;
@@ -317,7 +318,7 @@ impl<A: Copy> ArrivalBand<A> {
     /// out-of-line merge that returned the event itself cost the
     /// fig5_sweep benchmark about 3%, on every event.
     #[inline(never)]
-    fn cursor_first<K, S: Scheduler<K>>(&mut self, queue: &mut S) -> bool {
+    fn cursor_first<K>(&mut self, queue: &mut EventQueue<K>) -> bool {
         let p = &self.primed[self.next];
         let cursor = (p.time, self.base + u64::from(p.off));
         self.heap

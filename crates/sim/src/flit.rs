@@ -31,8 +31,8 @@
 //! at once.
 
 use crate::build::{BuiltSystem, RouteRef, RouteTable, SegMeta};
-use crate::config::{FaultMask, SchedulerKind, SimConfig};
-use crate::events::{CalendarQueue, EventQueue, Scheduler};
+use crate::config::{FaultMask, SimConfig};
+use crate::events::{EventQueue, Scheduler};
 use crate::results::{BusyTime, Counters, Delivery, SimResults, Sinks, StopReason};
 use cocnet_model::Workload;
 use cocnet_topology::SystemSpec;
@@ -131,7 +131,7 @@ impl MsgF {
     };
 }
 
-struct FlitSimulator<'a, S: Scheduler<EventKind>> {
+struct FlitSimulator<'a> {
     built: &'a BuiltSystem,
     routes: &'a RouteTable,
     cfg: SimConfig,
@@ -142,8 +142,8 @@ struct FlitSimulator<'a, S: Scheduler<EventKind>> {
     /// The node layout destination draws read (see [`cluster_offsets`]).
     layout: Vec<usize>,
     rng: StdRng,
-    /// The future-event list — monomorphized per backend.
-    queue: S,
+    /// The future-event list.
+    queue: EventQueue<EventKind>,
     chans: Vec<ChanF>,
     msgs: Vec<MsgF>,
     free: Vec<u32>,
@@ -154,7 +154,7 @@ struct FlitSimulator<'a, S: Scheduler<EventKind>> {
     sinks: Sinks,
 }
 
-impl<'a, S: Scheduler<EventKind>> FlitSimulator<'a, S> {
+impl<'a> FlitSimulator<'a> {
     fn new(built: &'a BuiltSystem, wl: &Workload, pattern: Pattern, cfg: SimConfig) -> Self {
         assert!(wl.lambda_g > 0.0, "simulation needs a positive rate");
         let chans = (0..built.num_channels())
@@ -176,7 +176,7 @@ impl<'a, S: Scheduler<EventKind>> FlitSimulator<'a, S> {
             pattern,
             layout: cluster_offsets(built.spec()),
             rng: StdRng::seed_from_u64(cfg.seed),
-            queue: S::new(),
+            queue: EventQueue::new(),
             chans,
             msgs: Vec::new(),
             free: Vec::new(),
@@ -525,14 +525,7 @@ pub fn run_simulation_flit_built(
     pattern: Pattern,
     cfg: &SimConfig,
 ) -> SimResults {
-    match cfg.scheduler {
-        SchedulerKind::Heap => {
-            FlitSimulator::<EventQueue<EventKind>>::new(built, wl, pattern, cfg.clone()).run()
-        }
-        SchedulerKind::Calendar => {
-            FlitSimulator::<CalendarQueue<EventKind>>::new(built, wl, pattern, cfg.clone()).run()
-        }
-    }
+    FlitSimulator::new(built, wl, pattern, cfg.clone()).run()
 }
 #[cfg(test)]
 mod tests {
@@ -572,25 +565,6 @@ mod tests {
         assert!(a.completed);
         assert_eq!(a.latency, b.latency);
         assert_eq!(a.delivered_recorded, 3_000);
-    }
-
-    #[test]
-    fn calendar_scheduler_bit_identical_to_heap() {
-        let wl = Workload::new(4e-4, 8, 256.0).unwrap();
-        let heap = run_simulation_flit(&spec(), &wl, Pattern::Uniform, &cfg(2));
-        let cal = run_simulation_flit(
-            &spec(),
-            &wl,
-            Pattern::Uniform,
-            &SimConfig {
-                scheduler: SchedulerKind::Calendar,
-                ..cfg(2)
-            },
-        );
-        assert!(heap.completed && cal.completed);
-        assert_eq!(heap.latency, cal.latency);
-        assert_eq!(heap.sim_time.to_bits(), cal.sim_time.to_bits());
-        assert_eq!(heap.events_processed, cal.events_processed);
     }
 
     #[test]
@@ -765,27 +739,18 @@ mod tests {
     }
 
     #[test]
-    fn faulted_runs_bit_identical_across_schedulers() {
-        // Static faults plus retries must stay deterministic under both
-        // future-event-list backends.
+    fn faulted_runs_bit_identical_run_to_run() {
+        // Static faults plus retries must stay deterministic.
         let wl = Workload::new(3e-4, 8, 256.0).unwrap();
         let mut base = cfg(13);
         base.faults.link_fraction = 0.1;
         base.faults.fault_seed = 7;
-        let heap = run_simulation_flit(&spec(), &wl, Pattern::Uniform, &base);
-        let cal = run_simulation_flit(
-            &spec(),
-            &wl,
-            Pattern::Uniform,
-            &SimConfig {
-                scheduler: SchedulerKind::Calendar,
-                ..base.clone()
-            },
-        );
-        assert_eq!(heap.latency, cal.latency);
-        assert_eq!(heap.sim_time.to_bits(), cal.sim_time.to_bits());
-        assert_eq!(heap.generated, cal.generated);
-        assert_eq!(heap.unreachable, cal.unreachable);
-        assert_eq!(heap.delivered_total, cal.delivered_total);
+        let a = run_simulation_flit(&spec(), &wl, Pattern::Uniform, &base);
+        let b = run_simulation_flit(&spec(), &wl, Pattern::Uniform, &base);
+        assert_eq!(a.latency, b.latency);
+        assert_eq!(a.sim_time.to_bits(), b.sim_time.to_bits());
+        assert_eq!(a.generated, b.generated);
+        assert_eq!(a.unreachable, b.unreachable);
+        assert_eq!(a.delivered_total, b.delivered_total);
     }
 }

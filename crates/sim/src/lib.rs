@@ -45,8 +45,7 @@ pub use build::{
     RouteRef, RouteTable, SegMeta, Segment,
 };
 pub use config::{
-    Coupling, FaultAction, FaultEvent, FaultSchedule, InternMode, SchedulerKind, ShardMode,
-    SimConfig,
+    Coupling, FaultAction, FaultEvent, FaultSchedule, InternMode, ShardMode, SimConfig,
 };
 pub use engine::{run_simulation, run_simulation_arrivals, run_simulation_built};
 pub use events::{ArrivalBand, CalendarQueue, EventQueue, Merged, Scheduler, Timed};

@@ -7,8 +7,8 @@
 //! The paper's two-level structure gives a natural cut: every ICN1 and
 //! ECN1 channel belongs to exactly one cluster, and the ICN2 fabric joins
 //! them. Clusters are grouped into contiguous *shards* (plus one *hub*
-//! shard owning ICN2), each running its own [`Scheduler`] instance over
-//! its own channels and nodes. Intra-cluster messages never leave their
+//! shard owning ICN2), each running its own future-event list over its
+//! own channels and nodes. Intra-cluster messages never leave their
 //! shard; an inter-cluster message hops shard → hub → shard at its
 //! segment boundaries.
 //!
@@ -73,8 +73,8 @@
 use crate::build::{
     AdaptiveRouteCache, AdaptiveScratch, BuiltSystem, RouteRef, RouteTable, SegMeta,
 };
-use crate::config::{Coupling, FaultMask, SchedulerKind, ShardMode, SimConfig};
-use crate::events::{CalendarQueue, EventQueue, Scheduler};
+use crate::config::{Coupling, FaultMask, ShardMode, SimConfig};
+use crate::events::{EventQueue, Scheduler};
 use crate::results::{delivery_order, BusyTime, Counters, Delivery, SimResults, Sinks, StopReason};
 use cocnet_model::Workload;
 use cocnet_workloads::{cluster_offsets, ArrivalProcess, ArrivalSpec, Pattern};
@@ -428,7 +428,7 @@ struct BusyUndo {
     busy: bool,
 }
 
-struct ShardSim<'a, S> {
+struct ShardSim<'a> {
     id: u32,
     built: &'a BuiltSystem,
     routes: &'a RouteTable,
@@ -437,7 +437,7 @@ struct ShardSim<'a, S> {
     streams: &'a [Vec<ArrivalRec>],
     cfg: &'a SimConfig,
     m_flits: f64,
-    queue: S,
+    queue: EventQueue<SEvent>,
     chans: Vec<Chan>,
     msgs: Vec<SMsg>,
     free: Vec<u32>,
@@ -462,7 +462,7 @@ struct ShardSim<'a, S> {
     snap: Counters,
 }
 
-impl<'a, S: Scheduler<SEvent>> ShardSim<'a, S> {
+impl<'a> ShardSim<'a> {
     fn new(
         id: u32,
         built: &'a BuiltSystem,
@@ -488,7 +488,7 @@ impl<'a, S: Scheduler<SEvent>> ShardSim<'a, S> {
             streams: &oracle.streams,
             cfg,
             m_flits: wl.msg_flits as f64,
-            queue: S::new(),
+            queue: EventQueue::new(),
             chans,
             msgs: Vec::new(),
             free: Vec::new(),
@@ -1057,11 +1057,7 @@ struct ShardFinal {
     slab_len: u64,
 }
 
-fn shard_window<S: Scheduler<SEvent>>(
-    s: &mut ShardSim<'_, S>,
-    w1: f64,
-    inbox: Vec<Transfer>,
-) -> WindowRep {
+fn shard_window(s: &mut ShardSim<'_>, w1: f64, inbox: Vec<Transfer>) -> WindowRep {
     s.begin_window();
     for x in inbox {
         s.deliver(x);
@@ -1078,7 +1074,7 @@ fn shard_window<S: Scheduler<SEvent>>(
     }
 }
 
-fn shard_journal<S: Scheduler<SEvent>>(s: &ShardSim<'_, S>) -> JournalRep {
+fn shard_journal(s: &ShardSim<'_>) -> JournalRep {
     let mut pop_positions = Vec::new();
     let mut pop_times = Vec::new();
     for (i, r) in s.journal.iter().enumerate() {
@@ -1093,10 +1089,7 @@ fn shard_journal<S: Scheduler<SEvent>>(s: &ShardSim<'_, S>) -> JournalRep {
     }
 }
 
-fn shard_finalize<S: Scheduler<SEvent>>(
-    s: &mut ShardSim<'_, S>,
-    mode: &FinalizeMode,
-) -> ShardFinal {
+fn shard_finalize(s: &mut ShardSim<'_>, mode: &FinalizeMode) -> ShardFinal {
     let t_sim = match *mode {
         FinalizeMode::Exact { ref jcuts, t_sim } => {
             let jc = jcuts[s.id as usize].min(s.journal.len());
@@ -1132,8 +1125,8 @@ enum Rep {
     Final(Vec<(u32, ShardFinal)>),
 }
 
-fn worker_loop<S: Scheduler<SEvent>>(
-    shards: &mut [ShardSim<'_, S>],
+fn worker_loop(
+    shards: &mut [ShardSim<'_>],
     rx: std::sync::mpsc::Receiver<Cmd>,
     tx: std::sync::mpsc::Sender<Rep>,
 ) {
@@ -1171,8 +1164,8 @@ fn worker_loop<S: Scheduler<SEvent>>(
 /// or over channels to scoped worker threads. Results are identical by
 /// construction — every merge the coordinator performs is ordered by
 /// shard id, never by arrival.
-enum Pool<'p, 'a, S> {
-    Inline(&'p mut Vec<ShardSim<'a, S>>),
+enum Pool<'p, 'a> {
+    Inline(&'p mut Vec<ShardSim<'a>>),
     Threads {
         txs: Vec<std::sync::mpsc::Sender<Cmd>>,
         rxs: Vec<std::sync::mpsc::Receiver<Rep>>,
@@ -1181,7 +1174,7 @@ enum Pool<'p, 'a, S> {
     },
 }
 
-impl<S: Scheduler<SEvent>> Pool<'_, '_, S> {
+impl Pool<'_, '_> {
     /// Runs one window on every shard; `pending[shard]` is consumed as
     /// each shard's transfer inbox. Replies come back in shard-id order.
     fn window(&mut self, w1: f64, pending: &mut [Vec<Transfer>]) -> Vec<WindowRep> {
@@ -1300,8 +1293,8 @@ fn assemble(
     sinks.finish(counters, stop, t_sim, busy, peak_live_msgs)
 }
 
-fn run_loop<S: Scheduler<SEvent>>(
-    pool: &mut Pool<'_, '_, S>,
+fn run_loop(
+    pool: &mut Pool<'_, '_>,
     n_shards: usize,
     delta: f64,
     built: &BuiltSystem,
@@ -1519,24 +1512,6 @@ pub fn run_sharded_workers(
         "configuration cannot run sharded (shards off, traced, adaptive + faults, \
          single cluster, or empty measured population)"
     );
-    match cfg.scheduler {
-        SchedulerKind::Heap => {
-            run_sharded_generic::<EventQueue<SEvent>>(built, wl, pattern, cfg, arrival, workers)
-        }
-        SchedulerKind::Calendar => {
-            run_sharded_generic::<CalendarQueue<SEvent>>(built, wl, pattern, cfg, arrival, workers)
-        }
-    }
-}
-
-fn run_sharded_generic<S: Scheduler<SEvent> + Send>(
-    built: &BuiltSystem,
-    wl: &Workload,
-    pattern: Pattern,
-    cfg: &SimConfig,
-    arrival: &ArrivalSpec,
-    workers: usize,
-) -> SimResults {
     assert!(
         arrival.mean_rate() > 0.0,
         "simulation needs a positive generation rate"
@@ -1545,7 +1520,7 @@ fn run_sharded_generic<S: Scheduler<SEvent> + Send>(
     let part = Partition::new(built, cfg.shards);
     let n = part.n_shards();
     let delta = lookahead(built, cfg);
-    let mut shards: Vec<ShardSim<'_, S>> = (0..n)
+    let mut shards: Vec<ShardSim<'_>> = (0..n)
         .map(|i| ShardSim::new(i as u32, built, &oracle, &part, cfg, wl))
         .collect();
     let mut tmin: Option<f64> = None;
@@ -1580,7 +1555,7 @@ fn run_sharded_generic<S: Scheduler<SEvent> + Send>(
                 txs.push(ctx);
                 rxs.push(wrx);
             }
-            run_loop::<S>(
+            run_loop(
                 &mut Pool::Threads { txs, rxs, owners },
                 n,
                 delta,
@@ -1711,7 +1686,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_bit_identical_across_couplings_schedulers_and_shard_counts() {
+    fn sharded_bit_identical_across_couplings_and_shard_counts() {
         let spec = spec();
         let wl = wl(6e-4);
         let built = BuiltSystem::build(&spec, wl.flit_bytes);
@@ -1720,29 +1695,22 @@ mod tests {
             Coupling::StoreAndForward,
             Coupling::CutThrough,
         ] {
-            for scheduler in [SchedulerKind::Heap, SchedulerKind::Calendar] {
-                let base = SimConfig {
-                    coupling,
-                    scheduler,
-                    ..cfg(23)
-                };
-                let serial = run_simulation_built(&built, &wl, Pattern::Uniform, &base);
-                for shards in [ShardMode::N(1), ShardMode::N(2), ShardMode::Auto] {
-                    let sharded = run_simulation_built(
-                        &built,
-                        &wl,
-                        Pattern::Uniform,
-                        &SimConfig {
-                            shards,
-                            ..base.clone()
-                        },
-                    );
-                    assert_bit_identical(
-                        &serial,
-                        &sharded,
-                        &format!("{coupling:?}/{scheduler:?}/{shards:?}"),
-                    );
-                }
+            let base = SimConfig {
+                coupling,
+                ..cfg(23)
+            };
+            let serial = run_simulation_built(&built, &wl, Pattern::Uniform, &base);
+            for shards in [ShardMode::N(1), ShardMode::N(2), ShardMode::Auto] {
+                let sharded = run_simulation_built(
+                    &built,
+                    &wl,
+                    Pattern::Uniform,
+                    &SimConfig {
+                        shards,
+                        ..base.clone()
+                    },
+                );
+                assert_bit_identical(&serial, &sharded, &format!("{coupling:?}/{shards:?}"));
             }
         }
     }
@@ -1863,29 +1831,19 @@ mod tests {
         base.faults.max_attempts = 64;
         base.faults.retry_timeout = 100.0;
         base.faults.max_timeout = 800.0;
-        for scheduler in [SchedulerKind::Heap, SchedulerKind::Calendar] {
-            let base = SimConfig {
-                scheduler,
-                ..base.clone()
-            };
-            let serial = run_simulation_built(&built, &wl, Pattern::Uniform, &base);
-            assert!(serial.completed && serial.retransmits > 0);
-            for shards in [ShardMode::N(2), ShardMode::Auto] {
-                let sharded = run_simulation_built(
-                    &built,
-                    &wl,
-                    Pattern::Uniform,
-                    &SimConfig {
-                        shards,
-                        ..base.clone()
-                    },
-                );
-                assert_bit_identical(
-                    &serial,
-                    &sharded,
-                    &format!("fail-repair/{scheduler:?}/{shards:?}"),
-                );
-            }
+        let serial = run_simulation_built(&built, &wl, Pattern::Uniform, &base);
+        assert!(serial.completed && serial.retransmits > 0);
+        for shards in [ShardMode::N(2), ShardMode::Auto] {
+            let sharded = run_simulation_built(
+                &built,
+                &wl,
+                Pattern::Uniform,
+                &SimConfig {
+                    shards,
+                    ..base.clone()
+                },
+            );
+            assert_bit_identical(&serial, &sharded, &format!("fail-repair/{shards:?}"));
         }
     }
 

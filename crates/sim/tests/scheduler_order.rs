@@ -15,11 +15,11 @@
 //! walks a segment backwards, emitting near-`now` events last).
 //!
 //! A further property pins the worm engine's split event list: a stream
-//! run through one queue, and the same stream split into a queue plus an
-//! [`ArrivalBand`] merged by `(time, seq)`, pop identically on both
-//! backends — with a handful of nodes, where re-drawn arrivals mix with
-//! primed ones from the start, and with a bulk of nodes, where most pops
-//! stream from the band's sorted cursor.
+//! run through one heap, and the same stream split into a heap plus an
+//! [`ArrivalBand`] merged by `(time, seq)`, pop identically — with a
+//! handful of nodes, where re-drawn arrivals mix with primed ones from
+//! the start, and with a bulk of nodes, where most pops stream from the
+//! band's sorted cursor.
 
 use cocnet_sim::{ArrivalBand, CalendarQueue, EventQueue, Merged, Scheduler, Timed};
 use proptest::prelude::*;
@@ -159,17 +159,18 @@ fn grid(raw: f64) -> f64 {
 /// Bit that marks an arrival's payload (the rest is the node id).
 const ARRIVAL: u32 = 1 << 31;
 
-/// Runs `ops` twice on backend `S` — every event through one queue, and
-/// arrivals in an [`ArrivalBand`] beside the queue — and asserts that
-/// both pop the same `(time, seq, payload)` stream, bit for bit.
+/// Runs `ops` twice — every event through one heap, and arrivals in an
+/// [`ArrivalBand`] beside the heap — and asserts that both pop the same
+/// `(time, seq, payload)` stream, bit for bit.
 ///
 /// Every node's first arrival is primed in node order (the band sorts
 /// them into its cursor), on the half-unit grid, so with many nodes whole
 /// runs of primed arrivals tie with each other, with re-drawn arrivals in
 /// the band's heap and with network events in the queue.
-fn assert_split_matches_single<S: Scheduler<u32>>(nodes: u32, ops: &[Op]) {
-    let mut single = S::new();
-    let mut queue = S::new();
+fn assert_split_matches_single(nodes: u32, ops: &[Op]) {
+    type Heap = EventQueue<u32>;
+    let mut single = Heap::new();
+    let mut queue = Heap::new();
     let mut band = ArrivalBand::<u32>::default();
     let mut now = 0.0f64;
     let mut payload = 0u32;
@@ -182,7 +183,7 @@ fn assert_split_matches_single<S: Scheduler<u32>>(nodes: u32, ops: &[Op]) {
         &mut queue,
         (0..nodes).map(|node| (first(node), ARRIVAL | node)),
     );
-    let pop_both = |single: &mut S, queue: &mut S, band: &mut ArrivalBand<u32>| {
+    let pop_both = |single: &mut Heap, queue: &mut Heap, band: &mut ArrivalBand<u32>| {
         let a = single.pop();
         let b = band.pop_merged(queue).map(|m| match m {
             Merged::Band(ev) => {
@@ -212,10 +213,9 @@ fn assert_split_matches_single<S: Scheduler<u32>>(nodes: u32, ops: &[Op]) {
                 payload += 1;
             }
             Op::PeekThenUndercut(raw) => {
-                // Peeking moves a calendar's cursor up to its head's day;
-                // the insert below the head must pull it back. The split
-                // queue holds a subset of the single one's events, so its
-                // head is never earlier.
+                // An insert below the peeked head must pop before it. The
+                // split queue holds a subset of the single one's events,
+                // so its head is never earlier.
                 let head = single.peek_key();
                 if let (Some(h), Some(q)) = (head, queue.peek_key()) {
                     assert!(h.0.total_cmp(&q.0).then(h.1.cmp(&q.1)).is_le());
@@ -246,14 +246,8 @@ fn assert_split_matches_single<S: Scheduler<u32>>(nodes: u32, ops: &[Op]) {
 proptest! {
     #[test]
     fn arrival_band_merge_pops_like_one_heap(ops in arb_ops()) {
-        assert_split_matches_single::<EventQueue<u32>>(5, &ops);
-        assert_split_matches_single::<EventQueue<u32>>(257, &ops);
-    }
-
-    #[test]
-    fn arrival_band_merge_pops_like_one_calendar(ops in arb_ops()) {
-        assert_split_matches_single::<CalendarQueue<u32>>(5, &ops);
-        assert_split_matches_single::<CalendarQueue<u32>>(257, &ops);
+        assert_split_matches_single(5, &ops);
+        assert_split_matches_single(257, &ops);
     }
 }
 

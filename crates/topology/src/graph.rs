@@ -591,18 +591,6 @@ impl Topology for Graph {
         Ok(nca_level)
     }
 
-    fn free_route_digits(&self) -> u32 {
-        self.tree.n() - 1
-    }
-
-    fn free_exit_digits(&self) -> u32 {
-        self.tree.n() - 1
-    }
-
-    fn digit_radix(&self) -> u32 {
-        self.tree.k()
-    }
-
     /// Adaptive Up*/Down* route: like [`Topology::route_into`] but the
     /// ascent up-ports are taken from `digits` (one digit in `0..m/2` per
     /// ascent hop, `h−1` of them at most), as supplied by the caller —

@@ -153,22 +153,6 @@ pub trait Topology {
 
     // ---- adaptive forms ----------------------------------------------------
 
-    /// Number of free digits an adaptive node-to-node route consumes.
-    fn free_route_digits(&self) -> u32 {
-        0
-    }
-
-    /// Number of free digits an adaptive exit route consumes.
-    fn free_exit_digits(&self) -> u32 {
-        0
-    }
-
-    /// Exclusive upper bound of each free digit (digits are drawn in
-    /// `0..digit_radix()`).
-    fn digit_radix(&self) -> u32 {
-        1
-    }
-
     /// Adaptive route shaped by caller-supplied digits. The default
     /// ignores the digits and routes deterministically, which satisfies
     /// the contract that missing digits fall back to the deterministic
@@ -574,18 +558,6 @@ impl Topology for AnyTopology {
         out: &mut Vec<ChannelId>,
     ) -> Result<u32, TopologyError> {
         dispatch!(self, t => Topology::route_entry_into(t, dst, policy, out))
-    }
-
-    fn free_route_digits(&self) -> u32 {
-        dispatch!(self, t => Topology::free_route_digits(t))
-    }
-
-    fn free_exit_digits(&self) -> u32 {
-        dispatch!(self, t => Topology::free_exit_digits(t))
-    }
-
-    fn digit_radix(&self) -> u32 {
-        dispatch!(self, t => Topology::digit_radix(t))
     }
 
     fn route_adaptive_into(

@@ -305,18 +305,6 @@ impl Topology for Torus {
         Ok(hops)
     }
 
-    fn free_route_digits(&self) -> u32 {
-        1
-    }
-
-    fn free_exit_digits(&self) -> u32 {
-        0
-    }
-
-    fn digit_radix(&self) -> u32 {
-        self.shape.ndims() as u32
-    }
-
     fn route_adaptive_into(
         &self,
         src: usize,

@@ -2,9 +2,9 @@
 //! simulators must be **bit-identical** to the PR-1 seed behaviour. Each
 //! case pins `latency.mean` (as raw f64 bits), the recorded count, the
 //! generated population and the final simulation clock for a fixed seed —
-//! and every case is checked under **both** event-scheduler backends
-//! (binary heap and calendar queue), so a backend can never drift from
-//! the pinned seed behaviour.
+//! and every case is checked on the serial and sharded engines and on both
+//! route-interning modes, so no engine or table can drift from the pinned
+//! seed behaviour.
 //!
 //! If a change legitimately alters simulation semantics (not just its
 //! implementation), regenerate the constants with
@@ -12,7 +12,7 @@
 //! and say so loudly in the PR.
 
 use cocnet::prelude::*;
-use cocnet::sim::{run_simulation_flit, Coupling, InternMode, SchedulerKind, ShardMode};
+use cocnet::sim::{run_simulation_flit, Coupling, InternMode, ShardMode};
 
 fn hetero_spec() -> SystemSpec {
     let net1 = NetworkCharacteristics::new(500.0, 0.01, 0.02).unwrap();
@@ -39,13 +39,12 @@ fn wide_spec() -> SystemSpec {
     SystemSpec::new(8, clusters, net2).unwrap()
 }
 
-fn cfg_with(seed: u64, scheduler: SchedulerKind) -> SimConfig {
+fn cfg_with(seed: u64) -> SimConfig {
     SimConfig {
         warmup: 500,
         measured: 5_000,
         drain: 500,
         seed,
-        scheduler,
         shards: SHARDS.with(|s| s.get()),
         interning: INTERN.with(|i| i.get()),
         ..SimConfig::default()
@@ -71,14 +70,14 @@ struct Golden {
     sim_time_bits: u64,
 }
 
-fn observe(scheduler: SchedulerKind) -> Vec<(&'static str, cocnet::sim::SimResults)> {
+fn observe() -> Vec<(&'static str, cocnet::sim::SimResults)> {
     let wl = Workload::new(2e-4, 32, 256.0).unwrap();
     let hetero = hetero_spec();
     let wide = wide_spec();
     vec![
         (
             "vct_uniform",
-            run_simulation(&hetero, &wl, Pattern::Uniform, &cfg_with(99, scheduler)),
+            run_simulation(&hetero, &wl, Pattern::Uniform, &cfg_with(99)),
         ),
         (
             "saf_uniform",
@@ -88,7 +87,7 @@ fn observe(scheduler: SchedulerKind) -> Vec<(&'static str, cocnet::sim::SimResul
                 Pattern::Uniform,
                 &SimConfig {
                     coupling: Coupling::StoreAndForward,
-                    ..cfg_with(99, scheduler)
+                    ..cfg_with(99)
                 },
             ),
         ),
@@ -100,7 +99,7 @@ fn observe(scheduler: SchedulerKind) -> Vec<(&'static str, cocnet::sim::SimResul
                 Pattern::Uniform,
                 &SimConfig {
                     coupling: Coupling::CutThrough,
-                    ..cfg_with(99, scheduler)
+                    ..cfg_with(99)
                 },
             ),
         ),
@@ -112,7 +111,7 @@ fn observe(scheduler: SchedulerKind) -> Vec<(&'static str, cocnet::sim::SimResul
                 Pattern::Uniform,
                 &SimConfig {
                     adaptive_routing: true,
-                    ..cfg_with(99, scheduler)
+                    ..cfg_with(99)
                 },
             ),
         ),
@@ -124,7 +123,7 @@ fn observe(scheduler: SchedulerKind) -> Vec<(&'static str, cocnet::sim::SimResul
                 Pattern::Uniform,
                 &SimConfig {
                     coupling: Coupling::StoreAndForward,
-                    ..cfg_with(99, scheduler)
+                    ..cfg_with(99)
                 },
             ),
         ),
@@ -134,12 +133,12 @@ fn observe(scheduler: SchedulerKind) -> Vec<(&'static str, cocnet::sim::SimResul
                 &hetero,
                 &wl,
                 Pattern::ClusterLocal { locality: 0.8 },
-                &cfg_with(7, scheduler),
+                &cfg_with(7),
             ),
         ),
         (
             "vct_wide_m8_complement",
-            run_simulation(&wide, &wl, Pattern::Complement, &cfg_with(1234, scheduler)),
+            run_simulation(&wide, &wl, Pattern::Complement, &cfg_with(1234)),
         ),
     ]
 }
@@ -148,7 +147,7 @@ fn observe(scheduler: SchedulerKind) -> Vec<(&'static str, cocnet::sim::SimResul
 #[test]
 #[ignore]
 fn print_golden_values() {
-    for (name, r) in observe(SchedulerKind::Heap) {
+    for (name, r) in observe() {
         println!(
             "    Golden {{ name: \"{name}\", mean_bits: 0x{:016x}, count: {}, generated: {}, sim_time_bits: 0x{:016x} }},",
             r.latency.mean.to_bits(),
@@ -212,36 +211,38 @@ const GOLDEN: &[Golden] = &[
     },
 ];
 
-/// Checks one backend's observations against the pinned constants.
-fn assert_matches_golden(scheduler: SchedulerKind) {
-    let observed = observe(scheduler);
-    check_golden(scheduler, &observed);
-}
-
-fn check_golden(scheduler: SchedulerKind, observed: &[(&'static str, cocnet::sim::SimResults)]) {
+/// Checks the observations under the current engine and interning modes
+/// against the pinned constants.
+fn assert_matches_golden() {
+    let observed = observe();
+    let mode = format!(
+        "shards {}, interning {}",
+        SHARDS.with(|s| s.get()),
+        INTERN.with(|i| i.get())
+    );
     assert_eq!(observed.len(), GOLDEN.len());
-    for (g, (name, r)) in GOLDEN.iter().zip(observed) {
+    for (g, (name, r)) in GOLDEN.iter().zip(&observed) {
         assert_eq!(g.name, *name, "case order changed");
-        assert!(r.completed, "{name} [{scheduler}]: run must complete");
+        assert!(r.completed, "{name} [{mode}]: run must complete");
         assert_eq!(
             g.mean_bits,
             r.latency.mean.to_bits(),
-            "{name} [{scheduler}]: latency.mean drifted ({} vs expected {})",
+            "{name} [{mode}]: latency.mean drifted ({} vs expected {})",
             r.latency.mean,
             f64::from_bits(g.mean_bits),
         );
         assert_eq!(
             g.count, r.latency.count,
-            "{name} [{scheduler}]: latency.count drifted"
+            "{name} [{mode}]: latency.count drifted"
         );
         assert_eq!(
             g.generated, r.generated,
-            "{name} [{scheduler}]: generated drifted"
+            "{name} [{mode}]: generated drifted"
         );
         assert_eq!(
             g.sim_time_bits,
             r.sim_time.to_bits(),
-            "{name} [{scheduler}]: sim_time drifted ({} vs expected {})",
+            "{name} [{mode}]: sim_time drifted ({} vs expected {})",
             r.sim_time,
             f64::from_bits(g.sim_time_bits),
         );
@@ -254,29 +255,18 @@ fn statistics_bit_identical_to_seed_behaviour() {
         !GOLDEN.is_empty(),
         "golden table is empty; regenerate with print_golden_values"
     );
-    assert_matches_golden(SchedulerKind::Heap);
-}
-
-#[test]
-fn calendar_scheduler_matches_the_same_goldens() {
-    // The scheduler backend is pure mechanism: the calendar queue must
-    // reproduce the PR-1 seed statistics f64-bit-exactly, same as the
-    // heap — across couplings, adaptive routing and the flit engine.
-    assert_matches_golden(SchedulerKind::Calendar);
+    assert_matches_golden();
 }
 
 #[test]
 fn sharded_engine_matches_the_same_goldens() {
     // Intra-run sharding is likewise pure mechanism: the cluster-sharded
     // parallel engine must reproduce the PR-1 seed statistics f64-bit-
-    // exactly on every pinned case, under both scheduler backends. (The
-    // flit-level case ignores the mode and runs serial.)
+    // exactly on every pinned case. (The flit-level case ignores the mode
+    // and runs serial.)
     for shards in [ShardMode::Auto, ShardMode::N(2)] {
         SHARDS.with(|s| s.set(shards));
-        for scheduler in [SchedulerKind::Heap, SchedulerKind::Calendar] {
-            let observed = observe(scheduler);
-            check_golden(scheduler, &observed);
-        }
+        assert_matches_golden();
     }
     SHARDS.with(|s| s.set(ShardMode::Off));
 }
@@ -286,15 +276,13 @@ fn eager_interning_oracle_matches_the_same_goldens() {
     // Route interning is pure mechanism too: the class-keyed table (the
     // default every other test in this file now runs on) and the eager
     // all-pairs oracle must reproduce the PR-1 seed statistics f64-bit-
-    // exactly — under both schedulers, and serial as well as sharded.
-    // With the other tests pinning the classed path, this is the end-to-
-    // end classed-vs-eager determinism cross-check.
+    // exactly, serial as well as sharded. With the other tests pinning
+    // the classed path, this is the end-to-end classed-vs-eager
+    // determinism cross-check.
     INTERN.with(|i| i.set(InternMode::Eager));
-    for scheduler in [SchedulerKind::Heap, SchedulerKind::Calendar] {
-        assert_matches_golden(scheduler);
-    }
+    assert_matches_golden();
     SHARDS.with(|s| s.set(ShardMode::N(2)));
-    assert_matches_golden(SchedulerKind::Heap);
+    assert_matches_golden();
     SHARDS.with(|s| s.set(ShardMode::Off));
     INTERN.with(|i| i.set(InternMode::Classed));
 }

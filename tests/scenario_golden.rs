@@ -111,13 +111,13 @@ fn committed_files_run_bit_identical_to_their_twins() {
 /// The committed `degradation.json` is the standalone faulted profile of
 /// the *custom* `degradation` registry entry (its fraction sweep has no
 /// declarative twin). This pins the hard guarantees the twin comparison
-/// cannot: a faulted scenario run is deterministic — serial == parallel
-/// and heap == calendar, f64-bit-identically — degrades delivery without
-/// silently losing a single message, and terminates by draining its event
-/// queue instead of hanging.
+/// cannot: a faulted scenario run is deterministic — serial == parallel,
+/// f64-bit-identically — degrades delivery without silently losing a
+/// single message, and terminates by draining its event queue instead of
+/// hanging.
 #[test]
 fn degradation_file_is_deterministic_and_degrades_gracefully() {
-    use cocnet::sim::{SchedulerKind, StopReason};
+    use cocnet::sim::StopReason;
 
     let path = scenarios_dir().join("degradation.json");
     let mut scenario = load(&path);
@@ -147,14 +147,6 @@ fn degradation_file_is_deterministic_and_degrades_gracefully() {
         "faulted runs must be bit-identical between serial and parallel execution"
     );
 
-    let mut calendar = scenario.clone();
-    calendar.sim.scheduler = SchedulerKind::Calendar;
-    assert_eq!(
-        dump(&parallel),
-        dump(&calendar.run_sim_detailed()),
-        "faulted runs must be bit-identical between heap and calendar schedulers"
-    );
-
     for point in parallel.iter().flatten() {
         for r in &point.runs {
             assert_eq!(r.stop, StopReason::Drained, "faulted run exits by draining");
@@ -174,13 +166,13 @@ fn degradation_file_is_deterministic_and_degrades_gracefully() {
 /// non-tree registry entry: four 4×4 torus clusters under an m=4 ICN2
 /// tree. The twin comparison above already pins file == registry; this
 /// pins the determinism contract of the torus backend itself — the sweep
-/// is f64-bit-identical across the serial and cluster-sharded engines on
-/// both scheduler backends, and (being sim-only) the spec is outside the
-/// analytical model's coverage.
+/// is f64-bit-identical across the serial and cluster-sharded engines,
+/// and (being sim-only) the spec is outside the analytical model's
+/// coverage.
 #[test]
-fn torus_file_is_bit_identical_across_engines_and_schedulers() {
+fn torus_file_is_bit_identical_across_engines() {
     use cocnet::model::{coverage, ModelCoverage};
-    use cocnet::sim::{SchedulerKind, ShardMode};
+    use cocnet::sim::ShardMode;
 
     let path = scenarios_dir().join("torus_sweep.json");
     let mut scenario = load(&path);
@@ -209,29 +201,21 @@ fn torus_file_is_bit_identical_across_engines_and_schedulers() {
             .collect()
     };
 
-    let mut variants = Vec::new();
-    for scheduler in [SchedulerKind::Heap, SchedulerKind::Calendar] {
-        for shards in [ShardMode::Off, ShardMode::Auto] {
-            let mut s = scenario.clone();
-            s.sim.scheduler = scheduler;
-            s.sim.shards = shards;
-            variants.push((
-                format!("{scheduler:?}/{shards:?}"),
-                dump(&s.run_sim_detailed()),
-            ));
-        }
-    }
-    let (base_name, base) = &variants[0];
+    let run = |shards| {
+        let mut s = scenario.clone();
+        s.sim.shards = shards;
+        dump(&s.run_sim_detailed())
+    };
+    let serial = run(ShardMode::Off);
     assert!(
-        base.iter().any(|r| !r.is_empty()),
+        serial.iter().any(|r| !r.is_empty()),
         "tiny torus run produced no points at all"
     );
-    for (name, output) in &variants[1..] {
-        assert_eq!(
-            base, output,
-            "torus sweep must be bit-identical between {base_name} and {name}"
-        );
-    }
+    assert_eq!(
+        serial,
+        run(ShardMode::Auto),
+        "torus sweep must be bit-identical between the serial and sharded engines"
+    );
 }
 
 /// The committed `org_scale.json` is the standalone 2048-endpoint profile

@@ -81,31 +81,19 @@ fn sim_config_round_trip_default_and_unknown() {
 }
 
 #[test]
-fn scheduler_field_round_trips_and_defaults_to_heap() {
-    use cocnet::sim::SchedulerKind;
-    // Files predating the field keep the heap backend.
-    let parsed: SimConfig = serde_json::from_str(r#"{"seed": 9}"#).unwrap();
-    assert_eq!(parsed.scheduler, SchedulerKind::Heap);
-    // The declarable form is the bare variant name.
-    let parsed: SimConfig = serde_json::from_str(r#"{"scheduler": "Calendar"}"#).unwrap();
-    assert_eq!(parsed.scheduler, SchedulerKind::Calendar);
-    let cfg = SimConfig {
-        scheduler: SchedulerKind::Calendar,
-        ..SimConfig::default()
-    };
-    assert_eq!(round_trip(&cfg), cfg);
-    assert!(serde_json::to_string(&cfg)
-        .unwrap()
-        .contains("\"Calendar\""));
-    // An unknown backend fails loudly.
-    assert!(serde_json::from_str::<SimConfig>(r#"{"scheduler": "Ladder"}"#).is_err());
-    // And a scenario threads it through.
-    let mut s = scenario();
-    s.sim.scheduler = SchedulerKind::Calendar;
-    let json = serde_json::to_string_pretty(&s).unwrap();
-    let back: Scenario = serde_json::from_str(&json).unwrap();
-    assert_eq!(back.sim.scheduler, SchedulerKind::Calendar);
-    back.validate().unwrap();
+fn retired_scheduler_field_is_rejected_by_name() {
+    // The engines run on one future-event list, so there is no backend to
+    // pick: a config that still names one fails loudly, naming the field.
+    for json in [r#"{"scheduler": "Heap"}"#, r#"{"scheduler": "Calendar"}"#] {
+        let err = serde_json::from_str::<SimConfig>(json).unwrap_err();
+        assert!(err.to_string().contains("scheduler"), "{json}: {err}");
+    }
+    // So does a whole scenario file that carries the old line.
+    let json = serde_json::to_string_pretty(&scenario()).unwrap();
+    let stale = json.replacen(r#""sim": {"#, r#""sim": {"scheduler": "Heap","#, 1);
+    assert_ne!(stale, json, "the scenario serialises a sim block");
+    let err = serde_json::from_str::<Scenario>(&stale).unwrap_err();
+    assert!(err.to_string().contains("scheduler"), "{err}");
 }
 
 #[test]

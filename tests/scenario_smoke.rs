@@ -106,19 +106,6 @@ fn table_paths_still_hold() {
 }
 
 #[test]
-fn calendar_scheduler_sweep_bit_identical_to_heap() {
-    // The whole scenario path — parallel sweep included — must be
-    // backend-invariant: a fig5 sweep under the calendar queue produces
-    // the exact series the heap does, point for point.
-    let heap = tiny(fig5(), 3);
-    let mut calendar = heap.clone();
-    calendar.sim.scheduler = cocnet::sim::SchedulerKind::Calendar;
-    assert_eq!(heap.run_sim(), calendar.run_sim());
-    // And the serial reference agrees too, closing the square.
-    assert_eq!(calendar.run_sim(), calendar.run_sim_serial());
-}
-
-#[test]
 fn parallel_sweep_bit_identical_to_serial_reference() {
     let scenario = tiny(fig5(), 3).with_replications(2);
     let par = scenario.run_sim();
