@@ -222,7 +222,6 @@ fn cmd_sim(flags: &HashMap<String, String>) {
         eprintln!("--rate must be finite and > 0 to simulate (got {rate})");
         usage();
     }
-    let spec = build_spec(flags);
     let wl = build_workload(flags);
     let pattern = match flags.get("locality") {
         None => Pattern::Uniform,
@@ -230,14 +229,29 @@ fn cmd_sim(flags: &HashMap<String, String>) {
             locality: v.parse().unwrap_or_else(|_| usage()),
         },
     };
+    let measured = get(flags, "measured", 20_000u64);
     let cfg = SimConfig {
-        warmup: get(flags, "measured", 20_000u64) / 10,
-        measured: get(flags, "measured", 20_000u64),
-        drain: get(flags, "measured", 20_000u64) / 10,
+        warmup: measured / 10,
+        measured,
+        drain: measured / 10,
         seed: get(flags, "seed", 1u64),
         ..SimConfig::default()
     };
-    let r = run_simulation(&spec, &wl, pattern, &cfg);
+    // The run is one rate of a scenario, held to the check `cocnet run`
+    // applies: an empty measured population or a locality outside [0, 1]
+    // is a usage error, not a run.
+    let run = Scenario {
+        sim: cfg,
+        ..Scenario::new("sim", build_spec(flags))
+            .with_workload("", wl)
+            .with_rates(vec![rate])
+            .with_pattern(pattern)
+    };
+    if let Err(e) = run.validate() {
+        eprintln!("{e}");
+        exit(2);
+    }
+    let r = run_simulation(&run.spec, &wl, run.pattern, &run.sim);
     println!(
         "completed={}  generated={}  sim_time={:.1}",
         r.completed, r.generated, r.sim_time
@@ -267,6 +281,14 @@ fn cmd_sweep(flags: &HashMap<String, String>) {
     let wl = build_workload(flags);
     let max: f64 = get(flags, "max-rate", 1e-3);
     let points: usize = get(flags, "points", 12);
+    if !(max.is_finite() && max > 0.0) {
+        eprintln!("--max-rate must be finite and > 0 (got {max})");
+        exit(2);
+    }
+    if points == 0 {
+        eprintln!("--points must be >= 1");
+        exit(2);
+    }
     let rates: Vec<f64> = (1..=points)
         .map(|i| max * i as f64 / points as f64)
         .collect();

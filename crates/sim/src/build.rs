@@ -149,6 +149,323 @@ impl GraphFaults {
     }
 }
 
+/// One wormhole segment of a deterministic route, as the route stores
+/// intern it.
+#[derive(Debug, Clone, Copy)]
+enum Leg {
+    /// ECN1 ascent of a flat source node to its exit root.
+    Up(usize),
+    /// ICN2 crossing from one cluster to another.
+    Cross(usize, usize),
+    /// ECN1 descent from the entry root to a flat destination node.
+    Down(usize),
+    /// ICN1 route between local nodes `li → lj` of cluster `ci`: the
+    /// whole route, or only its class-shared tail when `tail`.
+    Intra {
+        ci: usize,
+        li: usize,
+        lj: usize,
+        tail: bool,
+    },
+}
+
+/// The networks of a built system and everything a route store reads
+/// about them: the channel graphs and their global offsets, the per-flit
+/// channel times, the node maps, the ascent policy and the static faults.
+/// Built once per system; [`BuiltSystem`] owns it and the
+/// [`ClassedTable`] shares it.
+#[derive(Debug)]
+struct NetLayout {
+    /// One graph per network; clusters with the same backend shape share
+    /// one (a million-endpoint org has thousands of identical clusters
+    /// but only a handful of distinct trees).
+    icn1: Vec<Arc<AnyTopology>>,
+    ecn1: Vec<Arc<AnyTopology>>,
+    icn2: Arc<AnyTopology>,
+    /// Global id of each network's first channel.
+    icn1_off: Vec<u32>,
+    ecn1_off: Vec<u32>,
+    icn2_off: u32,
+    /// Per-flit transfer time of every global channel.
+    chan_time: Vec<f64>,
+    /// Flat-node → (cluster, local) lookup.
+    node_cluster: Vec<u32>,
+    node_local: Vec<u32>,
+    /// Up*/Down* ascent policy of every deterministic route.
+    policy: AscentPolicy,
+    /// Static (build-time) fault mask: one bool per global channel, both
+    /// directions of a failed link set. Empty for zero-fault builds.
+    failed: Vec<bool>,
+    /// The same mask projected onto each graph, for fault-aware routing.
+    faults: GraphFaults,
+}
+
+impl NetLayout {
+    /// Builds every network graph, the global channel table and the
+    /// static fault mask of `spec` (see [`BuiltSystem::try_build_full`]).
+    fn build(
+        spec: &SystemSpec,
+        flit_bytes: f64,
+        policy: AscentPolicy,
+        faults: &FaultSchedule,
+    ) -> Result<Self, BuildError> {
+        let c = spec.num_clusters();
+        let mut icn1 = Vec::with_capacity(c);
+        let mut ecn1 = Vec::with_capacity(c);
+        let mut icn1_off = Vec::with_capacity(c);
+        let mut ecn1_off = Vec::with_capacity(c);
+        let mut chan_time: Vec<f64> = Vec::new();
+
+        let push_graph = |graph: &AnyTopology, t_cn: f64, t_cs: f64, chan_time: &mut Vec<f64>| {
+            let off = chan_time.len() as u32;
+            for i in 0..graph.num_channels() {
+                let kind = graph.channel(ChannelId(i as u32)).kind;
+                chan_time.push(match kind {
+                    ChannelKind::NodeToSwitch | ChannelKind::SwitchToNode => t_cn,
+                    ChannelKind::SwitchToSwitch => t_cs,
+                });
+            }
+            off
+        };
+
+        // One channel graph per distinct shape — clusters with the same
+        // backend shape (tree `(m, n)` or torus dims) share the structure
+        // (channel ids, routes) even though their channel *times* differ,
+        // which the per-network offsets into `chan_time` already express.
+        #[derive(PartialEq, Eq, Hash)]
+        enum TopoKey {
+            Tree(u32, u32),
+            Torus(TorusShape),
+        }
+        let m = spec.m;
+        let mut graph_cache: HashMap<TopoKey, Arc<AnyTopology>> = HashMap::new();
+        let mut get_graph = |topo: &TopoSpec, tree_height: u32| -> Arc<AnyTopology> {
+            let key = match topo {
+                TopoSpec::Tree => TopoKey::Tree(m, tree_height),
+                TopoSpec::Torus(s) => TopoKey::Torus(*s),
+            };
+            graph_cache
+                .entry(key)
+                .or_insert_with(|| {
+                    Arc::new(
+                        AnyTopology::build(m, tree_height, topo)
+                            .expect("validated spec builds its channel graph"),
+                    )
+                })
+                .clone()
+        };
+
+        for i in 0..c {
+            let g = get_graph(&spec.clusters[i].topology, spec.clusters[i].n);
+            let net = &spec.clusters[i].icn1;
+            icn1_off.push(push_graph(
+                &g,
+                net.t_cn(flit_bytes),
+                net.t_cs(flit_bytes),
+                &mut chan_time,
+            ));
+            icn1.push(g);
+        }
+        for i in 0..c {
+            let g = get_graph(&spec.clusters[i].topology, spec.clusters[i].n);
+            let net = &spec.clusters[i].ecn1;
+            ecn1_off.push(push_graph(
+                &g,
+                net.t_cn(flit_bytes),
+                net.t_cs(flit_bytes),
+                &mut chan_time,
+            ));
+            ecn1.push(g);
+        }
+        let icn2_height = if spec.topology.is_tree() {
+            spec.icn2_height().expect("validated")
+        } else {
+            0
+        };
+        let icn2 = get_graph(&spec.topology, icn2_height);
+        let icn2_off = push_graph(
+            &icn2,
+            spec.icn2.t_cn(flit_bytes),
+            spec.icn2.t_cs(flit_bytes),
+            &mut chan_time,
+        );
+
+        let total = spec.total_nodes();
+        let mut node_cluster = Vec::with_capacity(total);
+        let mut node_local = Vec::with_capacity(total);
+        for i in 0..c {
+            for l in 0..spec.cluster_nodes(i) {
+                node_cluster.push(i as u32);
+                node_local.push(l as u32);
+            }
+        }
+
+        // Every backend holds an even channel count (2·n·N for a tree,
+        // 2·N·(1 + ndims) for a torus), so every network offset is even
+        // and the global reverse of channel `g` is `g ^ 1`, exactly as
+        // within one graph. The fault mask relies on it.
+        debug_assert!(
+            icn1_off.iter().chain(ecn1_off.iter()).all(|&o| o % 2 == 0) && icn2_off % 2 == 0,
+            "network offsets must be even for global reverse = id ^ 1"
+        );
+
+        let num_channels = chan_time.len();
+        if !(faults.link_fraction.is_finite() && (0.0..=1.0).contains(&faults.link_fraction)) {
+            return Err(BuildError::BadFaultFraction {
+                fraction: faults.link_fraction,
+            });
+        }
+        for &l in &faults.links {
+            if l as usize >= num_channels {
+                return Err(BuildError::FaultLinkOutOfRange {
+                    link: l,
+                    num_channels,
+                });
+            }
+        }
+        for e in &faults.events {
+            if e.link as usize >= num_channels {
+                return Err(BuildError::FaultLinkOutOfRange {
+                    link: e.link,
+                    num_channels,
+                });
+            }
+        }
+
+        // Static fault mask: explicit links plus the first ⌊fraction·L⌋
+        // links of one fixed SplitMix64 Fisher–Yates permutation — nested
+        // across fractions, so degradation sweeps decline monotonically.
+        let mut failed: Vec<bool> = Vec::new();
+        if !faults.links.is_empty() || faults.link_fraction > 0.0 {
+            failed = vec![false; num_channels];
+            for &l in &faults.links {
+                failed[l as usize] = true;
+                failed[(l ^ 1) as usize] = true;
+            }
+            if faults.link_fraction > 0.0 {
+                let nlinks = num_channels / 2;
+                let mut perm: Vec<u32> = (0..nlinks as u32).collect();
+                let mut state = faults.fault_seed;
+                for i in (1..nlinks).rev() {
+                    let j = (splitmix64(&mut state) % (i as u64 + 1)) as usize;
+                    perm.swap(i, j);
+                }
+                let take = ((faults.link_fraction * nlinks as f64).floor() as usize).min(nlinks);
+                for &l in &perm[..take] {
+                    failed[2 * l as usize] = true;
+                    failed[2 * l as usize + 1] = true;
+                }
+            }
+        }
+
+        // Project the global mask into per-graph fault sets for the
+        // fault-aware route interning.
+        let mut gf = GraphFaults::empty(c);
+        for g in (0..failed.len()).step_by(2) {
+            if !failed[g] {
+                continue;
+            }
+            let g32 = g as u32;
+            if g32 >= icn2_off {
+                gf.icn2.fail_link(ChannelId(g32 - icn2_off));
+            } else if let Some(i) = owning_network(&ecn1_off, g32) {
+                gf.ecn1[i].fail_link(ChannelId(g32 - ecn1_off[i]));
+            } else {
+                let i = owning_network(&icn1_off, g32).expect("channel below every offset");
+                gf.icn1[i].fail_link(ChannelId(g32 - icn1_off[i]));
+            }
+        }
+
+        Ok(Self {
+            icn1,
+            ecn1,
+            icn2,
+            icn1_off,
+            ecn1_off,
+            icn2_off,
+            chan_time,
+            node_cluster,
+            node_local,
+            policy,
+            failed,
+            faults: gf,
+        })
+    }
+
+    /// `(cluster, local id)` of flat node `f`.
+    #[inline]
+    fn locate(&self, f: usize) -> (usize, usize) {
+        (self.node_cluster[f] as usize, self.node_local[f] as usize)
+    }
+
+    /// Routes `leg` around the static faults into `out`: the global offset
+    /// of its network's channels, or `None` when the faults disconnect it.
+    /// Disconnection is not an error — the stores intern the segment
+    /// empty, and the engines account its messages as unreachable — but
+    /// any other route failure is.
+    fn route_leg(&self, leg: Leg, out: &mut Vec<ChannelId>) -> Result<Option<u32>, BuildError> {
+        let p = self.policy;
+        let f = &self.faults;
+        let (r, off, context) = match leg {
+            Leg::Up(src) => {
+                let (ci, li) = self.locate(src);
+                let r = self.ecn1[ci].route_exit_into(li, p, Some(&f.ecn1[ci]), out);
+                (r, self.ecn1_off[ci], "ECN1 ascent")
+            }
+            Leg::Cross(ci, cj) => {
+                let r = self.icn2.route_into(ci, cj, p, Some(&f.icn2), out);
+                (r, self.icn2_off, "ICN2 crossing")
+            }
+            Leg::Down(dst) => {
+                let (cj, lj) = self.locate(dst);
+                let r = self.ecn1[cj].route_entry_into(lj, p, Some(&f.ecn1[cj]), out);
+                (r, self.ecn1_off[cj], "ECN1 descent")
+            }
+            Leg::Intra { ci, li, lj, tail } => {
+                let (g, faults) = (&self.icn1[ci], Some(&f.icn1[ci]));
+                let r = if tail {
+                    g.route_tail_into(li, lj, p, faults, out)
+                } else {
+                    g.route_into(li, lj, p, faults, out)
+                };
+                (r, self.icn1_off[ci], "ICN1 intra")
+            }
+        };
+        match r {
+            Ok(_) => Ok(Some(off)),
+            Err(TopologyError::Disconnected { .. }) => Ok(None),
+            Err(err) => Err(BuildError::Route { context, err }),
+        }
+    }
+
+    /// The one segment fold, shared by the eager segments, the classed
+    /// records and the adaptive routes: shifts each local channel of
+    /// `route` by its network's offset `off`, hands the global id to
+    /// `emit`, and folds it onto `acc` — one more channel in `len`, its
+    /// per-flit time into `sum_t` (Σ) and `bottleneck_t` (max), in
+    /// traversal order over the same values the engines' channel table
+    /// holds, so the closed-form finish times computed from them are
+    /// bit-identical to a per-event rescan.
+    #[inline]
+    fn fold_seg(
+        &self,
+        mut acc: SegMeta,
+        route: &[ChannelId],
+        off: u32,
+        mut emit: impl FnMut(u32),
+    ) -> SegMeta {
+        for c in route {
+            let g = off + c.0;
+            let t = self.chan_time[g as usize];
+            acc.sum_t += t;
+            acc.bottleneck_t = acc.bottleneck_t.max(t);
+            acc.len += 1;
+            emit(g);
+        }
+        acc
+    }
+}
+
 /// One wormhole segment: a maximal run of channels between rate-decoupling
 /// buffers (source, concentrator, dispatcher, sink).
 ///
@@ -173,9 +490,9 @@ pub struct Segment {
 /// * `10` — classed inter-cluster reference: the raw `(src, dst)` pair,
 ///   resolved through per-node ascent/descent and per-cluster-pair
 ///   crossing records at segment-lookup time;
-/// * `11` — an adaptive route: an index into the run's
-///   [`AdaptiveRouteCache`], which holds adaptive routes instead of the
-///   table (see [`RouteRef::adaptive`]).
+/// * `11` — an adaptive route: the index of the message's entry in the
+///   run's [`AdaptiveRouteCache`], which holds adaptive routes instead of
+///   the table (see [`RouteRef::adaptive`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RouteRef(u64);
 
@@ -188,10 +505,9 @@ const REF_TAG_ADAPTIVE: u64 = 3;
 const REF_INTRA_DEAD: u64 = 1 << 61;
 
 impl RouteRef {
-    /// A reference to the adaptive route at index `idx` of the run's
-    /// [`AdaptiveRouteCache`] (as returned by
-    /// [`AdaptiveRouteCache::route_idx`]); the engines resolve it there
-    /// instead of in the table.
+    /// A reference to the adaptive route in entry `idx` of the run's
+    /// [`AdaptiveRouteCache`] (filled by [`AdaptiveRouteCache::draw`]);
+    /// the engines resolve it there instead of in the table.
     #[inline]
     pub const fn adaptive(idx: u32) -> RouteRef {
         RouteRef((REF_TAG_ADAPTIVE << REF_TAG_SHIFT) | idx as u64)
@@ -319,6 +635,9 @@ struct TableBuilder {
     seg_off: Vec<u32>,
     seg_sum: Vec<f64>,
     seg_bot: Vec<f64>,
+    /// Per segment: whether static faults disconnected it.
+    dead: Vec<bool>,
+    scratch: Vec<ChannelId>,
 }
 
 impl TableBuilder {
@@ -341,166 +660,79 @@ impl TableBuilder {
         id as u32
     }
 
-    /// Interns one segment: local channel ids shifted by the network's
-    /// global offset, with `sum`/`bottleneck` accumulated in traversal
-    /// order over the same values the engine's channel table will hold.
-    fn push_seg(&mut self, route: &[ChannelId], off: u32, chan_time: &[f64]) -> u32 {
+    /// Routes `leg` around the static faults and interns it through the
+    /// segment fold. A leg the faults disconnect interns empty and marked
+    /// dead; `None` interns an empty placeholder (the unreachable
+    /// `li == lj` diagonal of an intra block, kept so block indexing stays
+    /// a multiplication).
+    fn intern(&mut self, net: &NetLayout, leg: Option<Leg>) -> Result<u32, BuildError> {
         let id = self.next_id();
-        let mut sum = 0.0;
-        let mut bot = 0.0f64;
-        for c in route {
-            let g = off + c.0;
-            let t = chan_time[g as usize];
-            sum += t;
-            bot = bot.max(t);
-            self.chans.push(g);
+        let mut m = SegMeta::default();
+        let mut dead = false;
+        if let Some(leg) = leg {
+            match net.route_leg(leg, &mut self.scratch)? {
+                Some(off) => m = net.fold_seg(m, &self.scratch, off, |g| self.chans.push(g)),
+                None => dead = true,
+            }
         }
         assert!(
             self.chans.len() <= u32::MAX as usize,
             "route table exceeds u32 offset space (clusters too large to intern)"
         );
         self.seg_off.push(self.chans.len() as u32);
-        self.seg_sum.push(sum);
-        self.seg_bot.push(bot);
-        id
-    }
-
-    /// Interns an empty placeholder (the unreachable `li == lj` diagonal of
-    /// an intra block, kept so block indexing stays a multiplication).
-    fn push_empty(&mut self) -> u32 {
-        let id = self.next_id();
-        self.seg_off.push(self.chans.len() as u32);
-        self.seg_sum.push(0.0);
-        self.seg_bot.push(0.0);
-        id
+        self.seg_sum.push(m.sum_t);
+        self.seg_bot.push(m.bottleneck_t);
+        self.dead.push(dead);
+        Ok(id)
     }
 }
 
 impl EagerTable {
-    #[allow(clippy::too_many_arguments)]
-    fn build(
-        icn1: &[Arc<AnyTopology>],
-        ecn1: &[Arc<AnyTopology>],
-        icn2: &AnyTopology,
-        icn1_off: &[u32],
-        ecn1_off: &[u32],
-        icn2_off: u32,
-        chan_time: &[f64],
-        node_cluster: &[u32],
-        node_local: &[u32],
-        cluster_nodes: &[u32],
-        policy: AscentPolicy,
-        faults: &GraphFaults,
-    ) -> Result<Self, BuildError> {
-        let total_nodes = node_cluster.len();
+    fn build(net: &NetLayout) -> Result<Self, BuildError> {
+        let total_nodes = net.node_cluster.len();
         assert!(
             total_nodes <= u16::MAX as usize,
             "eager route interning is all-pairs and capped at 65535 nodes; \
              use classed interning (`\"interning\": \"Classed\"` / `--interning classed`, \
              the default) for larger systems"
         );
-        let c = cluster_nodes.len();
+        let c = net.icn1.len();
+        let cluster_nodes: Vec<u32> = net.icn1.iter().map(|g| g.num_nodes() as u32).collect();
         let mut b = TableBuilder::new();
-        let mut scratch: Vec<ChannelId> = Vec::new();
-        let mut dead_flags: Vec<bool> = Vec::new();
-
-        // Disconnection under static faults is not a build error: the
-        // segment is interned empty, marked dead, and the engines account
-        // the affected messages as unreachable. Any other route failure is.
-        fn routed(
-            r: Result<u32, TopologyError>,
-            context: &'static str,
-        ) -> Result<bool, BuildError> {
-            match r {
-                Ok(_) => Ok(true),
-                Err(TopologyError::Disconnected { .. }) => Ok(false),
-                Err(err) => Err(BuildError::Route { context, err }),
-            }
-        }
 
         let mut up_seg = Vec::with_capacity(total_nodes);
         let mut down_seg = Vec::with_capacity(total_nodes);
         for f in 0..total_nodes {
-            let ci = node_cluster[f] as usize;
-            let li = node_local[f] as usize;
-            let fs = &faults.ecn1[ci];
-            let ok = routed(
-                ecn1[ci].route_exit_into_avoiding(li, policy, fs, &mut scratch),
-                "ECN1 ascent",
-            )?;
-            up_seg.push(if ok {
-                b.push_seg(&scratch, ecn1_off[ci], chan_time)
-            } else {
-                b.push_empty()
-            });
-            dead_flags.push(!ok);
-            let ok = routed(
-                ecn1[ci].route_entry_into_avoiding(li, policy, fs, &mut scratch),
-                "ECN1 descent",
-            )?;
-            down_seg.push(if ok {
-                b.push_seg(&scratch, ecn1_off[ci], chan_time)
-            } else {
-                b.push_empty()
-            });
-            dead_flags.push(!ok);
+            up_seg.push(b.intern(net, Some(Leg::Up(f)))?);
+            down_seg.push(b.intern(net, Some(Leg::Down(f)))?);
         }
 
         let mut cross_seg = Vec::with_capacity(c * c);
         for ci in 0..c {
             for cj in 0..c {
-                if ci == cj {
-                    cross_seg.push(u32::MAX);
-                    continue;
-                }
-                let ok = routed(
-                    icn2.route_into_avoiding(ci, cj, policy, &faults.icn2, &mut scratch),
-                    "ICN2 crossing",
-                )?;
-                cross_seg.push(if ok {
-                    b.push_seg(&scratch, icn2_off, chan_time)
+                cross_seg.push(if ci == cj {
+                    u32::MAX
                 } else {
-                    b.push_empty()
+                    b.intern(net, Some(Leg::Cross(ci, cj)))?
                 });
-                dead_flags.push(!ok);
             }
         }
 
         let mut intra_base = Vec::with_capacity(c);
-        for ci in 0..c {
-            intra_base.push((b.seg_off.len() - 1) as u32);
-            let ni = cluster_nodes[ci] as usize;
-            for li in 0..ni {
-                for lj in 0..ni {
-                    if li == lj {
-                        b.push_empty();
-                        dead_flags.push(false);
-                        continue;
-                    }
-                    let ok = routed(
-                        icn1[ci].route_into_avoiding(
-                            li,
-                            lj,
-                            policy,
-                            &faults.icn1[ci],
-                            &mut scratch,
-                        ),
-                        "ICN1 intra",
-                    )?;
-                    if ok {
-                        b.push_seg(&scratch, icn1_off[ci], chan_time);
-                    } else {
-                        b.push_empty();
-                    }
-                    dead_flags.push(!ok);
+        for (ci, &ni) in cluster_nodes.iter().enumerate() {
+            intra_base.push(b.next_id());
+            for li in 0..ni as usize {
+                for lj in 0..ni as usize {
+                    let tail = false;
+                    b.intern(net, (li != lj).then_some(Leg::Intra { ci, li, lj, tail }))?;
                 }
             }
         }
 
         // Keep the flags only when something actually died: the empty vec
         // is the zero-fault fast path of `is_unreachable`.
-        let dead_segs = if dead_flags.contains(&true) {
-            dead_flags
+        let dead_segs = if b.dead.contains(&true) {
+            b.dead
         } else {
             Vec::new()
         };
@@ -515,9 +747,9 @@ impl EagerTable {
             cross_seg,
             intra_base,
             dead_segs,
-            node_cluster: node_cluster.to_vec(),
-            node_local: node_local.to_vec(),
-            cluster_nodes: cluster_nodes.to_vec(),
+            node_cluster: net.node_cluster.clone(),
+            node_local: net.node_local.clone(),
+            cluster_nodes,
             total_nodes: total_nodes as u32,
             num_clusters: c as u32,
         })
@@ -741,36 +973,21 @@ struct LazyState {
 ///   same sharing the eager table exploits, minus the quadratic intra
 ///   blocks and the all-pairs build sweep.
 ///
-/// Static faults are applied per class on the shared trunk
-/// ([`Topology::route_tail_into_avoiding`] reroutes or marks the class
-/// dead);
-/// an injection-link fault demotes only the affected pair via the dead
-/// flag carried in its [`RouteRef`].
+/// Static faults are applied per class on the shared trunk (the tail,
+/// routed by [`Topology::route_tail_into`] around the static fault set,
+/// reroutes or marks the class dead); an injection-link fault demotes
+/// only the affected pair via the dead flag carried in its [`RouteRef`].
 ///
 /// Reads after materialization are lock-free: record ids live in dense
 /// atomic arrays (or travel inside `RouteRef`s), and record/channel words
 /// live in append-only chunked arenas. First-touch materialization is
 /// serialized by one write lock with a double-check, so engines sharing
 /// the table across threads (the sharded engine, parallel replications)
-/// materialize each class exactly once.
+/// materialize each class exactly once. The networks, channel times, node
+/// maps and static faults it routes over are the built system's, shared.
 #[derive(Debug)]
 pub struct ClassedTable {
-    icn1: Vec<Arc<AnyTopology>>,
-    ecn1: Vec<Arc<AnyTopology>>,
-    icn2: Arc<AnyTopology>,
-    icn1_off: Vec<u32>,
-    ecn1_off: Vec<u32>,
-    icn2_off: u32,
-    chan_time: Arc<Vec<f64>>,
-    /// Static global fault mask (empty for zero-fault builds).
-    failed: Arc<Vec<bool>>,
-    faults: GraphFaults,
-    faulted: bool,
-    policy: AscentPolicy,
-    node_cluster: Arc<Vec<u32>>,
-    node_local: Arc<Vec<u32>>,
-    num_clusters: u32,
-    total_nodes: u64,
+    net: Arc<NetLayout>,
     /// Per flat node: ECN1 ascent record offset, [`UNSET`] until touched.
     up_ids: Vec<AtomicU32>,
     /// Per flat node: ECN1 descent record offset.
@@ -792,51 +1009,22 @@ pub struct ClassedTable {
 }
 
 impl ClassedTable {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        icn1: Vec<Arc<AnyTopology>>,
-        ecn1: Vec<Arc<AnyTopology>>,
-        icn2: Arc<AnyTopology>,
-        icn1_off: Vec<u32>,
-        ecn1_off: Vec<u32>,
-        icn2_off: u32,
-        chan_time: Arc<Vec<f64>>,
-        failed: Arc<Vec<bool>>,
-        faults: GraphFaults,
-        policy: AscentPolicy,
-        node_cluster: Arc<Vec<u32>>,
-        node_local: Arc<Vec<u32>>,
-    ) -> Self {
-        let total = node_cluster.len();
-        let c = icn1.len();
+    fn new(net: Arc<NetLayout>) -> Self {
+        let total = net.node_cluster.len();
+        let c = net.icn1.len();
         assert!(
             total < 1 << 31,
             "classed route refs encode flat node ids in 31 bits"
         );
-        for g in &icn1 {
+        for g in &net.icn1 {
             assert!(
                 g.max_class_members() <= 1 << 20,
                 "classed route refs encode the class position in 20 bits"
             );
         }
         let unset = |n: usize| (0..n).map(|_| AtomicU32::new(UNSET)).collect();
-        let faulted = !failed.is_empty();
         Self {
-            icn1,
-            ecn1,
-            icn2,
-            icn1_off,
-            ecn1_off,
-            icn2_off,
-            chan_time,
-            failed,
-            faults,
-            faulted,
-            policy,
-            node_cluster,
-            node_local,
-            num_clusters: c as u32,
-            total_nodes: total as u64,
+            net,
             up_ids: unset(total),
             down_ids: unset(total),
             cross_ids: unset(c * c),
@@ -846,39 +1034,18 @@ impl ClassedTable {
         }
     }
 
-    /// Maps a route result to "segment exists": fault disconnection is a
-    /// dead (empty) record, any other error is a structural bug — the
-    /// lazy analogue of the eager builder's [`BuildError::Route`], which
-    /// a spec that passed validation can never hit.
-    fn seg_ok(r: Result<u32, TopologyError>, context: &'static str) -> bool {
-        match r {
-            Ok(_) => true,
-            Err(TopologyError::Disconnected { .. }) => false,
-            Err(err) => panic!("building {context} route failed: {err}"),
-        }
-    }
-
-    /// Appends one 4-word inter record (with its channels when `ok`),
-    /// returning the record offset. Caller holds the write lock.
-    fn push_inter_rec(&self, st: &mut LazyState, ok: bool, route: &[ChannelId], off: u32) -> u32 {
-        let chans_off = st.chan_len;
-        let mut sum = 0.0f64;
-        let mut bot = 0.0f64;
-        let mut len = 0u64;
-        if ok {
-            for c in route {
-                let g = off + c.0;
-                let t = self.chan_time[g as usize];
-                sum += t;
-                bot = bot.max(t);
-                self.chans.set(st.chan_len, g);
-                st.chan_len += 1;
-                len += 1;
-            }
-        }
+    /// Appends the record of segment `m`, whose channels were appended
+    /// from `m.start` on (none when `m.len == 0`, a fault-disconnected
+    /// segment), returning the record offset. Caller holds the write lock.
+    fn push_rec(&self, st: &mut LazyState, m: SegMeta) -> u32 {
         let rec = st.rec_len;
         assert!(rec < 1 << 31, "route-record arena exceeds the id budget");
-        for w in [chans_off, sum.to_bits(), bot.to_bits(), len] {
+        for w in [
+            m.start,
+            m.sum_t.to_bits(),
+            m.bottleneck_t.to_bits(),
+            m.len as u64,
+        ] {
             self.recs.set(st.rec_len, w);
             st.rec_len += 1;
         }
@@ -886,86 +1053,52 @@ impl ClassedTable {
         rec as u32
     }
 
-    /// Record offset of `src`'s ECN1 ascent, materializing on first touch.
-    fn up_rec(&self, src: usize) -> u32 {
-        let id = self.up_ids[src].load(Ordering::Acquire);
-        if id != UNSET {
-            return id;
+    /// Record offset of segment `k` of the inter pair `(src, dst)`: `src`'s
+    /// ECN1 ascent (`k = 0`), its cluster pair's ICN2 crossing (1) or
+    /// `dst`'s ECN1 descent (2), materialized on first touch.
+    #[inline]
+    fn inter_rec(&self, src: usize, dst: usize, k: u32) -> u32 {
+        let (slot, leg) = match k {
+            0 => (&self.up_ids[src], Leg::Up(src)),
+            1 => {
+                let ci = self.net.node_cluster[src] as usize;
+                let cj = self.net.node_cluster[dst] as usize;
+                let slot = &self.cross_ids[ci * self.net.icn1.len() + cj];
+                (slot, Leg::Cross(ci, cj))
+            }
+            _ => (&self.down_ids[dst], Leg::Down(dst)),
+        };
+        match slot.load(Ordering::Acquire) {
+            UNSET => self.materialize(slot, leg),
+            id => id,
         }
-        let mut st = self.lazy.write().expect("route table lock");
-        let id = self.up_ids[src].load(Ordering::Acquire);
-        if id != UNSET {
-            return id;
-        }
-        let ci = self.node_cluster[src] as usize;
-        let li = self.node_local[src] as usize;
-        let mut scratch = std::mem::take(&mut st.scratch);
-        let ok = Self::seg_ok(
-            self.ecn1[ci].route_exit_into_avoiding(
-                li,
-                self.policy,
-                &self.faults.ecn1[ci],
-                &mut scratch,
-            ),
-            "ECN1 ascent",
-        );
-        let rec = self.push_inter_rec(&mut st, ok, &scratch, self.ecn1_off[ci]);
-        st.scratch = scratch;
-        self.up_ids[src].store(rec, Ordering::Release);
-        rec
     }
 
-    /// Record offset of `dst`'s ECN1 descent, materializing on first touch.
-    fn down_rec(&self, dst: usize) -> u32 {
-        let id = self.down_ids[dst].load(Ordering::Acquire);
-        if id != UNSET {
-            return id;
-        }
+    /// Materializes the inter record of `leg` into `slot` under the write
+    /// lock, double-checked so that concurrent first touches intern it
+    /// once.
+    fn materialize(&self, slot: &AtomicU32, leg: Leg) -> u32 {
         let mut st = self.lazy.write().expect("route table lock");
-        let id = self.down_ids[dst].load(Ordering::Acquire);
-        if id != UNSET {
-            return id;
-        }
-        let cj = self.node_cluster[dst] as usize;
-        let lj = self.node_local[dst] as usize;
-        let mut scratch = std::mem::take(&mut st.scratch);
-        let ok = Self::seg_ok(
-            self.ecn1[cj].route_entry_into_avoiding(
-                lj,
-                self.policy,
-                &self.faults.ecn1[cj],
-                &mut scratch,
-            ),
-            "ECN1 descent",
-        );
-        let rec = self.push_inter_rec(&mut st, ok, &scratch, self.ecn1_off[cj]);
-        st.scratch = scratch;
-        self.down_ids[dst].store(rec, Ordering::Release);
-        rec
-    }
-
-    /// Record offset of the `ci → cj` ICN2 crossing, materializing on
-    /// first touch.
-    fn cross_rec(&self, ci: usize, cj: usize) -> u32 {
-        let idx = ci * self.num_clusters as usize + cj;
-        let id = self.cross_ids[idx].load(Ordering::Acquire);
-        if id != UNSET {
-            return id;
-        }
-        let mut st = self.lazy.write().expect("route table lock");
-        let id = self.cross_ids[idx].load(Ordering::Acquire);
+        let id = slot.load(Ordering::Acquire);
         if id != UNSET {
             return id;
         }
         let mut scratch = std::mem::take(&mut st.scratch);
-        let ok = Self::seg_ok(
-            self.icn2
-                .route_into_avoiding(ci, cj, self.policy, &self.faults.icn2, &mut scratch),
-            "ICN2 crossing",
-        );
-        let rec = self.push_inter_rec(&mut st, ok, &scratch, self.icn2_off);
+        let mut m = SegMeta {
+            start: st.chan_len,
+            ..SegMeta::default()
+        };
+        // A validated spec fails a route only by fault disconnection.
+        let off = self.net.route_leg(leg, &mut scratch);
+        if let Some(off) = off.unwrap_or_else(|e| panic!("{e}")) {
+            m = self.net.fold_seg(m, &scratch, off, |g| {
+                self.chans.set(st.chan_len, g);
+                st.chan_len += 1;
+            });
+        }
+        let rec = self.push_rec(&mut st, m);
         st.scratch = scratch;
-        self.cross_ids[idx].store(rec, Ordering::Release);
+        slot.store(rec, Ordering::Release);
         rec
     }
 
@@ -974,20 +1107,19 @@ impl ClassedTable {
     /// in node order, so injection is `2·li` locally.
     #[inline]
     fn intra_inj(&self, ci: usize, li: usize) -> u32 {
-        self.icn1_off[ci] + 2 * li as u32
+        self.net.icn1_off[ci] + 2 * li as u32
     }
 
     /// Class record of the intra pair `(src, dst)`, materializing the
     /// class — keyed `(cluster, route_class(src), dst)` — on first touch
     /// by any member pair.
     fn intra_cls(&self, src: usize, dst: usize) -> u32 {
-        let ci = self.node_cluster[src];
-        let li = self.node_local[src] as usize;
-        let lj = self.node_local[dst];
-        let leaf = self.icn1[ci as usize]
-            .route_class_of(li)
-            .expect("valid local id") as u32;
-        let key = (ci, leaf, lj);
+        let net = &*self.net;
+        let (ci, li) = net.locate(src);
+        let lj = net.node_local[dst] as usize;
+        let graph = &net.icn1[ci];
+        let leaf = graph.route_class_of(li).expect("valid local id");
+        let key = (ci as u32, leaf as u32, lj as u32);
         if let Some(&cls) = self.lazy.read().expect("route table lock").intra.get(&key) {
             return cls;
         }
@@ -995,82 +1127,56 @@ impl ClassedTable {
         if let Some(&cls) = st.intra.get(&key) {
             return cls;
         }
-        let graph = &self.icn1[ci as usize];
         let mut scratch = std::mem::take(&mut st.scratch);
-        let ok = Self::seg_ok(
-            graph.route_tail_into_avoiding(
-                li,
-                lj as usize,
-                self.policy,
-                &self.faults.icn1[ci as usize],
-                &mut scratch,
-            ),
-            "ICN1 intra",
-        );
-        let off = self.icn1_off[ci as usize];
-        let chans_off = st.chan_len;
-        let mut sum = 0.0f64;
-        let mut bot = 0.0f64;
-        let mut len = 0u64;
-        if ok {
+        let mut m = SegMeta {
+            start: st.chan_len,
+            ..SegMeta::default()
+        };
+        let tail = true;
+        let off = net.route_leg(Leg::Intra { ci, li, lj, tail }, &mut scratch);
+        if let Some(off) = off.unwrap_or_else(|e| panic!("{e}")) {
             assert!(
-                chans_off < 1 << 31,
+                m.start < 1 << 31,
                 "channel arena exceeds the virtual-window offset budget"
             );
             // Fold exactly as the eager builder does, injection first. The
             // materializing pair's injection time stands in for every
             // member's: all ICN1 injection channels share one t_cn, so the
             // folded sum/bottleneck are class-uniform bit for bit.
-            let t = self.chan_time[self.intra_inj(ci as usize, li) as usize];
-            sum += t;
-            bot = bot.max(t);
-            len = 1;
+            m = net.fold_seg(m, &[ChannelId(2 * li as u32)], off, |_| {});
+            let mut emit = |g| {
+                self.chans.set(st.chan_len, g);
+                st.chan_len += 1;
+            };
             // Head slot: the injection channel of the class's first member.
             // Member `j`'s is `head + 2·j` (class members are consecutive
             // node ids and node↔switch links come two per node in node
             // order), which is what lets `chan_at` resolve a pair's
             // injection with the same single arena read as a tail channel.
-            let base = self.intra_inj(ci as usize, graph.class_first_node(leaf as usize));
-            self.chans.set(st.chan_len, base);
-            st.chan_len += 1;
-            for c in &scratch {
-                let g = off + c.0;
-                let t = self.chan_time[g as usize];
-                sum += t;
-                bot = bot.max(t);
-                self.chans.set(st.chan_len, g);
-                st.chan_len += 1;
-                len += 1;
-            }
+            emit(self.intra_inj(ci, graph.class_first_node(leaf)));
+            m = net.fold_seg(m, &scratch, off, emit);
             assert!(
-                len < 1 << VSTART_POS_BITS,
+                m.len < 1 << VSTART_POS_BITS,
                 "segment too long for the virtual channel window"
             );
         }
-        let rec = st.rec_len;
-        assert!(rec < 1 << 31, "route-record arena exceeds the id budget");
-        for w in [chans_off, sum.to_bits(), bot.to_bits(), len] {
-            self.recs.set(st.rec_len, w);
-            st.rec_len += 1;
-        }
-        st.segs += 1;
+        let rec = self.push_rec(&mut st, m);
         st.scratch = scratch;
-        st.intra.insert(key, rec as u32);
-        rec as u32
+        st.intra.insert(key, rec);
+        rec
     }
 
     #[inline]
     fn route_ref(&self, src: usize, dst: usize) -> RouteRef {
+        let net = &*self.net;
         debug_assert_ne!(src, dst, "self-traffic is excluded by assumption 2");
-        debug_assert!(src < self.total_nodes as usize && dst < self.total_nodes as usize);
-        let ci = self.node_cluster[src];
-        if ci == self.node_cluster[dst] {
+        debug_assert!(src < net.node_cluster.len() && dst < net.node_cluster.len());
+        let ci = net.node_cluster[src] as usize;
+        if ci == net.node_cluster[dst] as usize {
             let cls = self.intra_cls(src, dst);
-            let li = self.node_local[src] as usize;
-            let j = self.icn1[ci as usize]
-                .class_member_of(li)
-                .expect("valid local id") as u32;
-            let dead = self.faulted && self.failed[self.intra_inj(ci as usize, li) as usize];
+            let li = net.node_local[src] as usize;
+            let j = net.icn1[ci].class_member_of(li).expect("valid local id") as u32;
+            let dead = !net.failed.is_empty() && net.failed[self.intra_inj(ci, li) as usize];
             RouteRef::intra(cls, j, dead)
         } else {
             RouteRef::inter(src as u64, dst as u64)
@@ -1110,14 +1216,7 @@ impl ClassedTable {
             }
         } else {
             let (src, dst) = r.inter_parts();
-            let rec = match k {
-                0 => self.up_rec(src),
-                1 => self.cross_rec(
-                    self.node_cluster[src] as usize,
-                    self.node_cluster[dst] as usize,
-                ),
-                _ => self.down_rec(dst),
-            } as u64;
+            let rec = self.inter_rec(src, dst, k) as u64;
             SegMeta {
                 start: self.recs.get(rec),
                 len: self.recs.get(rec + 3) as u32,
@@ -1144,24 +1243,16 @@ impl ClassedTable {
 
     #[inline]
     fn is_unreachable(&self, src: usize, dst: usize) -> bool {
-        if !self.faulted {
+        if self.net.failed.is_empty() {
             return false;
         }
-        let ci = self.node_cluster[src] as usize;
-        let cj = self.node_cluster[dst] as usize;
-        if ci == cj {
+        let (ci, li) = self.net.locate(src);
+        if ci == self.net.node_cluster[dst] as usize {
             let cls = self.intra_cls(src, dst);
-            if self.recs.get(cls as u64 + 3) as u32 == 0 {
-                return true;
-            }
-            self.failed[self.intra_inj(ci, self.node_local[src] as usize) as usize]
+            self.recs.get(cls as u64 + 3) == 0 || self.net.failed[self.intra_inj(ci, li) as usize]
         } else {
-            let up = self.up_rec(src) as u64;
-            let cross = self.cross_rec(ci, cj) as u64;
-            let down = self.down_rec(dst) as u64;
-            self.recs.get(up + 3) == 0
-                || self.recs.get(cross + 3) == 0
-                || self.recs.get(down + 3) == 0
+            let recs = [0, 1, 2].map(|k| self.inter_rec(src, dst, k) as u64);
+            recs.iter().any(|&rec| self.recs.get(rec + 3) == 0)
         }
     }
 
@@ -1300,43 +1391,15 @@ impl RouteTable {
     }
 }
 
-/// Reusable buffers for building one message's adaptive route without
-/// allocating: the worm engine owns one per simulator and the capacity is
-/// retained across messages.
-#[derive(Debug, Default)]
-pub struct AdaptiveScratch {
-    digits: Vec<u32>,
-    route: Vec<ChannelId>,
-}
-
-/// A [`SystemSpec`] materialised for simulation.
-///
-/// Graphs and lookup tables live behind `Arc`s: clusters with the same
-/// `(m, n)` share one graph (a million-endpoint org has thousands of
-/// identical clusters but only a handful of distinct trees), and the
-/// [`ClassedTable`] holds the same `Arc`s instead of copies.
+/// A [`SystemSpec`] materialised for simulation: its networks (see
+/// [`ClassedTable`], which shares them) and its route table.
 #[derive(Debug)]
 pub struct BuiltSystem {
     spec: SystemSpec,
-    icn1: Vec<Arc<AnyTopology>>,
-    ecn1: Vec<Arc<AnyTopology>>,
-    icn2: Arc<AnyTopology>,
-    icn1_off: Vec<u32>,
-    ecn1_off: Vec<u32>,
-    icn2_off: u32,
-    /// Per-flit transfer time of every global channel.
-    chan_time: Arc<Vec<f64>>,
-    /// Flat-node → (cluster, local) lookup.
-    node_cluster: Arc<Vec<u32>>,
-    node_local: Arc<Vec<u32>>,
-    /// Up*/Down* ascent policy used for every route.
-    policy: AscentPolicy,
+    net: Arc<NetLayout>,
     /// Every deterministic route, interned per class or per pair (see
     /// [`RouteTable`]).
     routes: RouteTable,
-    /// Static (build-time) fault mask: one bool per global channel, both
-    /// directions of a failed link set. Empty for zero-fault builds.
-    failed: Arc<Vec<bool>>,
 }
 
 impl BuiltSystem {
@@ -1356,17 +1419,6 @@ impl BuiltSystem {
     pub fn build_with_policy(spec: &SystemSpec, flit_bytes: f64, policy: AscentPolicy) -> Self {
         Self::try_build_with(spec, flit_bytes, policy, &FaultSchedule::default())
             .unwrap_or_else(|e| panic!("zero-fault build of a validated spec failed: {e}"))
-    }
-
-    /// Fallible form of [`BuiltSystem::build`] with the default policy and
-    /// no faults.
-    pub fn try_build(spec: &SystemSpec, flit_bytes: f64) -> Result<Self, BuildError> {
-        Self::try_build_with(
-            spec,
-            flit_bytes,
-            AscentPolicy::default(),
-            &FaultSchedule::default(),
-        )
     }
 
     /// The full build: explicit ascent policy plus a fault schedule whose
@@ -1400,223 +1452,15 @@ impl BuiltSystem {
         faults: &FaultSchedule,
         interning: InternMode,
     ) -> Result<Self, BuildError> {
-        let c = spec.num_clusters();
-        let mut icn1 = Vec::with_capacity(c);
-        let mut ecn1 = Vec::with_capacity(c);
-        let mut icn1_off = Vec::with_capacity(c);
-        let mut ecn1_off = Vec::with_capacity(c);
-        let mut chan_time: Vec<f64> = Vec::new();
-
-        let push_graph = |graph: &AnyTopology, t_cn: f64, t_cs: f64, chan_time: &mut Vec<f64>| {
-            let off = chan_time.len() as u32;
-            for i in 0..graph.num_channels() {
-                let kind = graph.channel(cocnet_topology::ChannelId(i as u32)).kind;
-                chan_time.push(match kind {
-                    ChannelKind::NodeToSwitch | ChannelKind::SwitchToNode => t_cn,
-                    ChannelKind::SwitchToSwitch => t_cs,
-                });
-            }
-            off
-        };
-
-        // One channel graph per distinct shape — clusters with the same
-        // backend shape (tree `(m, n)` or torus dims) share the structure
-        // (channel ids, routes) even though their channel *times* differ,
-        // which the per-network offsets into `chan_time` already express.
-        #[derive(PartialEq, Eq, Hash)]
-        enum TopoKey {
-            Tree(u32, u32),
-            Torus(TorusShape),
-        }
-        let m = spec.m;
-        let mut graph_cache: HashMap<TopoKey, Arc<AnyTopology>> = HashMap::new();
-        let mut get_graph = |topo: &TopoSpec, tree_height: u32| -> Arc<AnyTopology> {
-            let key = match topo {
-                TopoSpec::Tree => TopoKey::Tree(m, tree_height),
-                TopoSpec::Torus(s) => TopoKey::Torus(*s),
-            };
-            graph_cache
-                .entry(key)
-                .or_insert_with(|| {
-                    Arc::new(
-                        AnyTopology::build(m, tree_height, topo)
-                            .expect("validated spec builds its channel graph"),
-                    )
-                })
-                .clone()
-        };
-
-        for i in 0..c {
-            let g = get_graph(&spec.clusters[i].topology, spec.clusters[i].n);
-            let net = &spec.clusters[i].icn1;
-            icn1_off.push(push_graph(
-                &g,
-                net.t_cn(flit_bytes),
-                net.t_cs(flit_bytes),
-                &mut chan_time,
-            ));
-            icn1.push(g);
-        }
-        for i in 0..c {
-            let g = get_graph(&spec.clusters[i].topology, spec.clusters[i].n);
-            let net = &spec.clusters[i].ecn1;
-            ecn1_off.push(push_graph(
-                &g,
-                net.t_cn(flit_bytes),
-                net.t_cs(flit_bytes),
-                &mut chan_time,
-            ));
-            ecn1.push(g);
-        }
-        let icn2_height = if spec.topology.is_tree() {
-            spec.icn2_height().expect("validated")
-        } else {
-            0
-        };
-        let icn2 = get_graph(&spec.topology, icn2_height);
-        let icn2_off = push_graph(
-            &icn2,
-            spec.icn2.t_cn(flit_bytes),
-            spec.icn2.t_cs(flit_bytes),
-            &mut chan_time,
-        );
-
-        let total = spec.total_nodes();
-        let mut node_cluster = Vec::with_capacity(total);
-        let mut node_local = Vec::with_capacity(total);
-        for i in 0..c {
-            for l in 0..spec.cluster_nodes(i) {
-                node_cluster.push(i as u32);
-                node_local.push(l as u32);
-            }
-        }
-
-        // Every backend holds an even channel count (2·n·N for a tree,
-        // 2·N·(1 + ndims) for a torus), so every network offset is even
-        // and the global reverse of channel `g` is `g ^ 1`, exactly as
-        // within one graph. The fault mask relies on it.
-        debug_assert!(
-            icn1_off.iter().chain(ecn1_off.iter()).all(|&o| o % 2 == 0) && icn2_off % 2 == 0,
-            "network offsets must be even for global reverse = id ^ 1"
-        );
-
-        let num_channels = chan_time.len();
-        if !(faults.link_fraction.is_finite() && (0.0..=1.0).contains(&faults.link_fraction)) {
-            return Err(BuildError::BadFaultFraction {
-                fraction: faults.link_fraction,
-            });
-        }
-        for &l in &faults.links {
-            if l as usize >= num_channels {
-                return Err(BuildError::FaultLinkOutOfRange {
-                    link: l,
-                    num_channels,
-                });
-            }
-        }
-        for e in &faults.events {
-            if e.link as usize >= num_channels {
-                return Err(BuildError::FaultLinkOutOfRange {
-                    link: e.link,
-                    num_channels,
-                });
-            }
-        }
-
-        // Static fault mask: explicit links plus the first ⌊fraction·L⌋
-        // links of one fixed SplitMix64 Fisher–Yates permutation — nested
-        // across fractions, so degradation sweeps decline monotonically.
-        let mut failed: Vec<bool> = Vec::new();
-        if !faults.links.is_empty() || faults.link_fraction > 0.0 {
-            failed = vec![false; num_channels];
-            for &l in &faults.links {
-                failed[l as usize] = true;
-                failed[(l ^ 1) as usize] = true;
-            }
-            if faults.link_fraction > 0.0 {
-                let nlinks = num_channels / 2;
-                let mut perm: Vec<u32> = (0..nlinks as u32).collect();
-                let mut state = faults.fault_seed;
-                for i in (1..nlinks).rev() {
-                    let j = (splitmix64(&mut state) % (i as u64 + 1)) as usize;
-                    perm.swap(i, j);
-                }
-                let take = ((faults.link_fraction * nlinks as f64).floor() as usize).min(nlinks);
-                for &l in &perm[..take] {
-                    failed[2 * l as usize] = true;
-                    failed[2 * l as usize + 1] = true;
-                }
-            }
-        }
-
-        // Project the global mask into per-graph fault sets for the
-        // fault-aware route interning.
-        let mut gf = GraphFaults::empty(c);
-        for g in (0..failed.len()).step_by(2) {
-            if !failed[g] {
-                continue;
-            }
-            let g32 = g as u32;
-            if g32 >= icn2_off {
-                gf.icn2.fail_link(ChannelId(g32 - icn2_off));
-            } else if let Some(i) = owning_network(&ecn1_off, g32) {
-                gf.ecn1[i].fail_link(ChannelId(g32 - ecn1_off[i]));
-            } else {
-                let i = owning_network(&icn1_off, g32).expect("channel below every offset");
-                gf.icn1[i].fail_link(ChannelId(g32 - icn1_off[i]));
-            }
-        }
-
-        let cluster_nodes: Vec<u32> = (0..c).map(|i| spec.cluster_nodes(i) as u32).collect();
-        let chan_time = Arc::new(chan_time);
-        let node_cluster = Arc::new(node_cluster);
-        let node_local = Arc::new(node_local);
-        let failed = Arc::new(failed);
+        let net = Arc::new(NetLayout::build(spec, flit_bytes, policy, faults)?);
         let routes = match interning {
-            InternMode::Eager => RouteTable::Eager(EagerTable::build(
-                &icn1,
-                &ecn1,
-                &icn2,
-                &icn1_off,
-                &ecn1_off,
-                icn2_off,
-                &chan_time,
-                &node_cluster,
-                &node_local,
-                &cluster_nodes,
-                policy,
-                &gf,
-            )?),
-            InternMode::Classed => RouteTable::Classed(ClassedTable::new(
-                icn1.clone(),
-                ecn1.clone(),
-                icn2.clone(),
-                icn1_off.clone(),
-                ecn1_off.clone(),
-                icn2_off,
-                chan_time.clone(),
-                failed.clone(),
-                gf,
-                policy,
-                node_cluster.clone(),
-                node_local.clone(),
-            )),
+            InternMode::Eager => RouteTable::Eager(EagerTable::build(&net)?),
+            InternMode::Classed => RouteTable::Classed(ClassedTable::new(net.clone())),
         };
-
         Ok(Self {
             spec: spec.clone(),
-            icn1,
-            ecn1,
-            icn2,
-            icn1_off,
-            ecn1_off,
-            icn2_off,
-            chan_time,
-            node_cluster,
-            node_local,
-            policy,
+            net,
             routes,
-            failed,
         })
     }
 
@@ -1625,7 +1469,7 @@ impl BuiltSystem {
     /// all — for zero-fault builds; the engines seed their live fault
     /// state from it.
     pub fn static_failed(&self) -> &[bool] {
-        &self.failed
+        &self.net.failed
     }
 
     /// The underlying system specification.
@@ -1641,27 +1485,27 @@ impl BuiltSystem {
 
     /// Total number of global channels.
     pub fn num_channels(&self) -> usize {
-        self.chan_time.len()
+        self.net.chan_time.len()
     }
 
     /// Per-flit transfer time of global channel `c`.
     pub fn chan_time(&self, c: u32) -> f64 {
-        self.chan_time[c as usize]
+        self.net.chan_time[c as usize]
     }
 
     /// Per-flit transfer times of every global channel, indexed by id.
     pub fn chan_times(&self) -> &[f64] {
-        &self.chan_time
+        &self.net.chan_time
     }
 
     /// Total number of processing nodes (flat indexing).
     pub fn total_nodes(&self) -> usize {
-        self.node_cluster.len()
+        self.net.node_cluster.len()
     }
 
     /// Cluster owning flat node `f`.
     pub fn cluster_of(&self, f: usize) -> usize {
-        self.node_cluster[f] as usize
+        self.net.node_cluster[f] as usize
     }
 
     /// Cluster owning a global channel (`None` for ICN2 fabric channels).
@@ -1678,14 +1522,14 @@ impl BuiltSystem {
     /// `("ICN1", i)`, `("ECN1", i)` or `("ICN2", 0)`. A binary search over
     /// the network offsets, O(log C).
     pub fn network_of(&self, chan: u32) -> (&'static str, usize) {
-        if chan >= self.icn2_off {
+        if chan >= self.net.icn2_off {
             return ("ICN2", 0);
         }
-        match owning_network(&self.ecn1_off, chan) {
+        match owning_network(&self.net.ecn1_off, chan) {
             Some(i) => ("ECN1", i),
             None => (
                 "ICN1",
-                owning_network(&self.icn1_off, chan).expect("channel id out of range"),
+                owning_network(&self.net.icn1_off, chan).expect("channel id out of range"),
             ),
         }
     }
@@ -1694,9 +1538,9 @@ impl BuiltSystem {
     pub fn describe_channel(&self, chan: u32) -> String {
         let (net, i) = self.network_of(chan);
         let (graph, off) = match net {
-            "ICN1" => (&self.icn1[i], self.icn1_off[i]),
-            "ECN1" => (&self.ecn1[i], self.ecn1_off[i]),
-            _ => (&self.icn2, self.icn2_off),
+            "ICN1" => (&self.net.icn1[i], self.net.icn1_off[i]),
+            "ECN1" => (&self.net.ecn1[i], self.net.ecn1_off[i]),
+            _ => (&self.net.icn2, self.net.icn2_off),
         };
         let desc = graph.channel(cocnet_topology::ChannelId(chan - off));
         match net {
@@ -1720,142 +1564,41 @@ impl BuiltSystem {
     pub fn segments_for(&self, src: usize, dst: usize) -> Vec<Segment> {
         assert_ne!(src, dst, "self-traffic is excluded by assumption 2");
         let (ci, li) = (
-            self.node_cluster[src] as usize,
-            self.node_local[src] as usize,
+            self.net.node_cluster[src] as usize,
+            self.net.node_local[src] as usize,
         );
         let (cj, lj) = (
-            self.node_cluster[dst] as usize,
-            self.node_local[dst] as usize,
+            self.net.node_cluster[dst] as usize,
+            self.net.node_local[dst] as usize,
         );
         let seg = |route: &[ChannelId], off: u32| Segment {
             chans: route.iter().map(|c| off + c.0).collect(),
         };
         let mut scratch: Vec<ChannelId> = Vec::new();
         if ci == cj {
-            self.icn1[ci]
-                .route_into(li, lj, self.policy, &mut scratch)
+            self.net.icn1[ci]
+                .route_into(li, lj, self.net.policy, None, &mut scratch)
                 .expect("valid local ids");
-            return vec![seg(&scratch, self.icn1_off[ci])];
+            return vec![seg(&scratch, self.net.icn1_off[ci])];
         }
-        self.ecn1[ci]
-            .route_exit_into(li, self.policy, &mut scratch)
+        self.net.ecn1[ci]
+            .route_exit_into(li, self.net.policy, None, &mut scratch)
             .expect("valid local id");
-        let up = seg(&scratch, self.ecn1_off[ci]);
-        self.icn2
-            .route_into(ci, cj, self.policy, &mut scratch)
+        let up = seg(&scratch, self.net.ecn1_off[ci]);
+        self.net
+            .icn2
+            .route_into(ci, cj, self.net.policy, None, &mut scratch)
             .expect("valid cluster ids");
-        let cross = seg(&scratch, self.icn2_off);
-        self.ecn1[cj]
-            .route_entry_into(lj, self.policy, &mut scratch)
+        let cross = seg(&scratch, self.net.icn2_off);
+        self.net.ecn1[cj]
+            .route_entry_into(lj, self.net.policy, None, &mut scratch)
             .expect("valid local id");
-        let down = seg(&scratch, self.ecn1_off[cj]);
+        let down = seg(&scratch, self.net.ecn1_off[cj]);
         vec![up, cross, down]
     }
 }
 
 impl BuiltSystem {
-    /// How many random ascent digits an adaptive route from `src` to
-    /// `dst` consumes: `(up, cross)` — `n_i − 1` free ascent choices in
-    /// the first network, plus `n_c − 1` in ICN2 for inter-cluster pairs.
-    pub fn adaptive_digit_counts(&self, src: usize, dst: usize) -> (u32, u32) {
-        let ci = self.node_cluster[src] as usize;
-        let cj = self.node_cluster[dst] as usize;
-        let n_i = self.spec.clusters[ci].n.saturating_sub(1);
-        if ci == cj {
-            (n_i, 0)
-        } else {
-            let n_c = self.spec.icn2_height().expect("validated");
-            (n_i, n_c.saturating_sub(1))
-        }
-    }
-
-    /// Draws an adaptive route's ascent digits into `digits` — exactly
-    /// the same count and order [`BuiltSystem::segments_for_adaptive`]
-    /// consumes, so separating the draw from the route construction
-    /// (e.g. to consult a memo cache between the two) never perturbs the
-    /// RNG stream.
-    pub fn adaptive_draw_digits<R: Rng + ?Sized>(
-        &self,
-        src: usize,
-        dst: usize,
-        rng: &mut R,
-        digits: &mut Vec<u32>,
-    ) {
-        let k = self.spec.m / 2;
-        let (up, cross) = self.adaptive_digit_counts(src, dst);
-        digits.clear();
-        for _ in 0..up + cross {
-            digits.push(rng.random_range(0..k));
-        }
-    }
-
-    /// Materialises the adaptive route selected by pre-drawn ascent
-    /// `digits` (`up` digits first, then `cross`, as laid out by
-    /// [`BuiltSystem::adaptive_draw_digits`]). `out` is cleared and filled
-    /// with global channel ids; the returned metas index into `out` and
-    /// carry the same precomputed `sum_t`/`bottleneck_t` the interned
-    /// table provides for deterministic routes. Identical digits produce
-    /// bit-identical channel lists and segment metadata.
-    pub fn adaptive_route_from_digits(
-        &self,
-        src: usize,
-        dst: usize,
-        digits: &[u32],
-        scratch: &mut AdaptiveScratch,
-        out: &mut Vec<u32>,
-    ) -> ([SegMeta; 3], u8) {
-        assert_ne!(src, dst, "self-traffic is excluded by assumption 2");
-        out.clear();
-        let (ci, li) = (
-            self.node_cluster[src] as usize,
-            self.node_local[src] as usize,
-        );
-        let (cj, lj) = (
-            self.node_cluster[dst] as usize,
-            self.node_local[dst] as usize,
-        );
-        let mut metas = [SegMeta::default(); 3];
-        let append = |route: &[ChannelId], off: u32, out: &mut Vec<u32>| -> SegMeta {
-            let start = out.len() as u32;
-            let mut sum = 0.0;
-            let mut bot = 0.0f64;
-            for c in route {
-                let g = off + c.0;
-                let t = self.chan_time[g as usize];
-                sum += t;
-                bot = bot.max(t);
-                out.push(g);
-            }
-            SegMeta {
-                start: start as u64,
-                len: out.len() as u32 - start,
-                sum_t: sum,
-                bottleneck_t: bot,
-            }
-        };
-        if ci == cj {
-            self.icn1[ci]
-                .route_adaptive_into(li, lj, digits, &mut scratch.route)
-                .expect("valid local ids");
-            metas[0] = append(&scratch.route, self.icn1_off[ci], out);
-            return (metas, 1);
-        }
-        let n_up = self.spec.clusters[ci].n.saturating_sub(1) as usize;
-        self.ecn1[ci]
-            .route_exit_adaptive_into(li, &digits[..n_up], &mut scratch.route)
-            .expect("valid local id");
-        metas[0] = append(&scratch.route, self.ecn1_off[ci], out);
-        self.icn2
-            .route_adaptive_into(ci, cj, &digits[n_up..], &mut scratch.route)
-            .expect("valid cluster ids");
-        metas[1] = append(&scratch.route, self.icn2_off, out);
-        self.ecn1[cj]
-            .route_entry_into(lj, self.policy, &mut scratch.route)
-            .expect("valid local id");
-        metas[2] = append(&scratch.route, self.ecn1_off[cj], out);
-        (metas, 3)
-    }
-
     /// The smallest single-channel crossing time on the inter-cluster
     /// fabric (every ECN1 and ICN2 channel) — the concrete-channel form
     /// of [`SystemSpec::intercluster_lookahead`], taken over the built
@@ -1865,8 +1608,13 @@ impl BuiltSystem {
     pub fn min_intercluster_channel_time(&self) -> f64 {
         // Channel numbering is all ICN1s, then all ECN1s, then ICN2, so
         // everything at or past the first ECN1 offset is boundary fabric.
-        let from = self.ecn1_off.first().copied().unwrap_or(self.icn2_off) as usize;
-        self.chan_time[from..]
+        let from = self
+            .net
+            .ecn1_off
+            .first()
+            .copied()
+            .unwrap_or(self.net.icn2_off) as usize;
+        self.net.chan_time[from..]
             .iter()
             .copied()
             .fold(f64::INFINITY, f64::min)
@@ -1887,12 +1635,12 @@ impl BuiltSystem {
         let mut digits =
             |len: u32| -> Vec<u32> { (0..len).map(|_| rng.random_range(0..k)).collect() };
         let (ci, li) = (
-            self.node_cluster[src] as usize,
-            self.node_local[src] as usize,
+            self.net.node_cluster[src] as usize,
+            self.net.node_local[src] as usize,
         );
         let (cj, lj) = (
-            self.node_cluster[dst] as usize,
-            self.node_local[dst] as usize,
+            self.net.node_cluster[dst] as usize,
+            self.net.node_local[dst] as usize,
         );
         let seg = |route: &[ChannelId], off: u32| Segment {
             chans: route.iter().map(|c| off + c.0).collect(),
@@ -1901,36 +1649,36 @@ impl BuiltSystem {
         if ci == cj {
             let n = self.spec.clusters[ci].n;
             let d = digits(n.saturating_sub(1));
-            self.icn1[ci]
+            self.net.icn1[ci]
                 .route_adaptive_into(li, lj, &d, &mut scratch)
                 .expect("valid local ids");
-            return vec![seg(&scratch, self.icn1_off[ci])];
+            return vec![seg(&scratch, self.net.icn1_off[ci])];
         }
         let n_i = self.spec.clusters[ci].n;
         let n_c = self.spec.icn2_height().expect("validated");
         let d_up = digits(n_i.saturating_sub(1));
-        self.ecn1[ci]
+        self.net.ecn1[ci]
             .route_exit_adaptive_into(li, &d_up, &mut scratch)
             .expect("valid local id");
-        let up = seg(&scratch, self.ecn1_off[ci]);
+        let up = seg(&scratch, self.net.ecn1_off[ci]);
         let d_cross = digits(n_c.saturating_sub(1));
-        self.icn2
+        self.net
+            .icn2
             .route_adaptive_into(ci, cj, &d_cross, &mut scratch)
             .expect("valid cluster ids");
-        let cross = seg(&scratch, self.icn2_off);
-        self.ecn1[cj]
-            .route_entry_into(lj, self.policy, &mut scratch)
+        let cross = seg(&scratch, self.net.icn2_off);
+        self.net.ecn1[cj]
+            .route_entry_into(lj, self.net.policy, None, &mut scratch)
             .expect("valid local id");
-        let down = seg(&scratch, self.ecn1_off[cj]);
+        let down = seg(&scratch, self.net.ecn1_off[cj]);
         vec![up, cross, down]
     }
 }
 
-/// One materialised adaptive route, shared through
-/// [`AdaptiveRouteCache`]: all segments' global channel ids concatenated,
-/// plus the same precomputed per-segment metadata the interned table
-/// carries.
-#[derive(Debug, Clone)]
+/// One message's adaptive route, held in its [`AdaptiveRouteCache`]
+/// entry: all segments' global channel ids concatenated, plus the same
+/// precomputed per-segment metadata the interned table carries.
+#[derive(Debug, Clone, Default)]
 pub struct CachedRoute {
     /// Global channel ids, segments concatenated ([`SegMeta::start`]
     /// indexes into this).
@@ -1941,92 +1689,112 @@ pub struct CachedRoute {
     pub nsegs: u8,
 }
 
-/// Memoized adaptive routes, keyed by `(src·N + dst, packed ascent
-/// digits)`.
+/// The adaptive routes of a run, one entry per message, at the index the
+/// caller names.
 ///
 /// Adaptive routing is fully determined by the source, the destination
-/// and the random ascent digits — the descent is destination-determined —
-/// so repeated (pair, digits) combinations need not re-walk the graph's
-/// per-hop switch maps. The cache draws exactly the digits the uncached
-/// path would ([`BuiltSystem::adaptive_draw_digits`]), so cached and
-/// uncached runs consume the identical RNG stream and produce
-/// bit-identical routes. Entries are never evicted: the key space per
-/// run is bounded by (pairs × kᵈⁱᵍⁱᵗˢ) and in practice by the far
-/// smaller set of combinations the traffic pattern actually draws.
-///
-/// The cache is also the engines' only adaptive route store: a message
-/// carries its route's index (a [`RouteRef::adaptive`] reference), and
-/// the sharded engine shares one cache read-only across shards, so routes
-/// survive cross-shard handoffs.
+/// and the random ascent digits (the descent is destination-determined),
+/// and a (pair, digits) draw almost never recurs, so each message's route
+/// is built afresh into its entry, reusing that entry's buffers. The worm
+/// engine names the message's slab slot, so the store never holds more
+/// entries than the slab has slots: its size follows the live message
+/// population, not the run length. The sharded engine's generation oracle
+/// appends one entry per generated message and shares the store
+/// read-only across shards, so routes survive cross-shard handoffs. A
+/// message carries its entry's index as a [`RouteRef::adaptive`]
+/// reference.
 #[derive(Debug, Default)]
 pub struct AdaptiveRouteCache {
-    map: std::collections::HashMap<(u64, u64), u32>,
     routes: Vec<CachedRoute>,
+    /// Buffers of one draw: the ascent digits, and one network's route in
+    /// local channel ids.
+    digits: Vec<u32>,
+    local: Vec<ChannelId>,
 }
 
 impl AdaptiveRouteCache {
-    /// Number of distinct routes materialised so far.
+    /// Number of entries.
     pub fn len(&self) -> usize {
         self.routes.len()
     }
 
-    /// Whether no route has been materialised yet.
+    /// Whether the store has no entry yet.
     pub fn is_empty(&self) -> bool {
         self.routes.is_empty()
     }
 
-    /// The route behind an index returned by
-    /// [`AdaptiveRouteCache::route_idx`].
+    /// The route in entry `idx`.
     pub fn route(&self, idx: u32) -> &CachedRoute {
         &self.routes[idx as usize]
     }
 
-    /// Draws the ascent digits for one adaptive message (consuming the
-    /// RNG exactly as [`BuiltSystem::segments_for_adaptive`] would) and
-    /// returns the index of the selected route, materialising it on first
-    /// use. Indices stay valid for the cache's lifetime.
-    pub fn route_idx<R: Rng + ?Sized>(
+    /// Draws the ascent digits of one adaptive message from `src` to `dst`
+    /// and builds its route into entry `idx` (growing the store to reach
+    /// it), reusing that entry's buffers. The draws are exactly those of
+    /// [`BuiltSystem::segments_for_adaptive`] — `n_i − 1` digits for the
+    /// source network's ascent, then `n_c − 1` for the ICN2 crossing of an
+    /// inter-cluster pair — and so are the channels; each segment's
+    /// metadata comes from the same fold as the interned table's.
+    pub fn draw<R: Rng + ?Sized>(
         &mut self,
         built: &BuiltSystem,
+        idx: u32,
         src: usize,
         dst: usize,
         rng: &mut R,
-        scratch: &mut AdaptiveScratch,
-    ) -> u32 {
-        built.adaptive_draw_digits(src, dst, rng, &mut scratch.digits);
-        let digits = std::mem::take(&mut scratch.digits);
-        // Pack the digits into one base-2^bits key. Every digit is < k,
-        // so ceil(log2 k) bits each are injective; k = 1 packs to the
-        // single code 0, which is exact (all-zero digits, one route).
-        let k = built.spec().m / 2;
-        let bits = 32 - (k.max(1) - 1).leading_zeros();
-        let key = if digits.len() as u32 * bits <= 64 {
-            let mut code = 0u64;
-            for &d in &digits {
-                code = (code << bits) | d as u64;
-            }
-            Some((src as u64 * built.total_nodes() as u64 + dst as u64, code))
+    ) {
+        assert_ne!(src, dst, "self-traffic is excluded by assumption 2");
+        let (spec, net) = (built.spec(), &*built.net);
+        let (ci, li) = net.locate(src);
+        let (cj, lj) = net.locate(dst);
+        let up = spec.clusters[ci].n.saturating_sub(1);
+        let cross = if ci == cj {
+            0
         } else {
-            // Unpackable digit strings (absurdly deep trees): build
-            // unkeyed, still stored here so the index resolves.
-            None
+            spec.icn2_height().expect("validated").saturating_sub(1)
         };
-        let idx = match key.and_then(|k| self.map.get(&k).copied()) {
-            Some(idx) => idx,
-            None => {
-                let mut chans = Vec::new();
-                let (segs, nsegs) =
-                    built.adaptive_route_from_digits(src, dst, &digits, scratch, &mut chans);
-                let idx = self.routes.len() as u32;
-                self.routes.push(CachedRoute { chans, segs, nsegs });
-                if let Some(k) = key {
-                    self.map.insert(k, idx);
-                }
-                idx
-            }
+        let k = spec.m / 2;
+        self.digits.clear();
+        self.digits
+            .extend((0..up + cross).map(|_| rng.random_range(0..k)));
+        let (d_up, d_cross) = self.digits.split_at(up as usize);
+
+        let idx = idx as usize;
+        if idx >= self.routes.len() {
+            self.routes.resize_with(idx + 1, CachedRoute::default);
+        }
+        let route = &mut self.routes[idx];
+        route.chans.clear();
+        route.segs = [SegMeta::default(); 3];
+        let out = &mut self.local;
+        let mut append = |k: usize, off: u32, out: &[ChannelId]| {
+            let start = SegMeta {
+                start: route.chans.len() as u64,
+                ..SegMeta::default()
+            };
+            route.segs[k] = net.fold_seg(start, out, off, |g| route.chans.push(g));
         };
-        scratch.digits = digits;
-        idx
+        if ci == cj {
+            net.icn1[ci]
+                .route_adaptive_into(li, lj, d_up, out)
+                .expect("valid local ids");
+            append(0, net.icn1_off[ci], out);
+            route.nsegs = 1;
+            return;
+        }
+        net.ecn1[ci]
+            .route_exit_adaptive_into(li, d_up, out)
+            .expect("valid local id");
+        append(0, net.ecn1_off[ci], out);
+        net.icn2
+            .route_adaptive_into(ci, cj, d_cross, out)
+            .expect("valid cluster ids");
+        append(1, net.icn2_off, out);
+        net.ecn1[cj]
+            .route_entry_into(lj, net.policy, None, out)
+            .expect("valid local id");
+        append(2, net.ecn1_off[cj], out);
+        route.nsegs = 3;
     }
 }
 
@@ -2166,20 +1934,25 @@ mod tests {
 
     #[test]
     fn adaptive_arena_route_matches_legacy_draws() {
-        // Same seed → the route cache must consume the RNG identically
+        // Same seed → the route store must consume the RNG identically
         // and produce the same channels and bitwise segment metrics as the
         // allocating reference.
         use rand::SeedableRng;
         let b = BuiltSystem::build(&spec(), 256.0);
         let mut rng_legacy = rand::rngs::StdRng::seed_from_u64(42);
         let mut rng_cache = rand::rngs::StdRng::seed_from_u64(42);
-        let mut scratch = AdaptiveScratch::default();
         let mut cache = AdaptiveRouteCache::default();
-        for (src, dst) in [(0usize, 23usize), (8, 9), (4, 12), (23, 0), (10, 11)] {
+        // Entries are named out of order and reused, an inter route over an
+        // intra one and back, so stale buffers would show.
+        let draws = [(0usize, 23usize), (8, 9), (4, 12), (23, 0), (10, 11)];
+        for ((src, dst), idx) in draws.into_iter().zip([2u32, 0, 2, 0, 2]) {
             let legacy = b.segments_for_adaptive(src, dst, &mut rng_legacy);
-            let idx = cache.route_idx(&b, src, dst, &mut rng_cache, &mut scratch);
+            cache.draw(&b, idx, src, dst, &mut rng_cache);
             let route = cache.route(idx);
             assert_eq!(route.nsegs as usize, legacy.len(), "{src}->{dst}");
+            assert!(route.segs[legacy.len()..]
+                .iter()
+                .all(|m| *m == SegMeta::default()));
             for (k, seg) in legacy.iter().enumerate() {
                 let m = route.segs[k];
                 let got = &route.chans[m.start as usize..(m.start + m.len as u64) as usize];
@@ -2353,16 +2126,16 @@ mod tests {
     /// The linear scan `network_of` replaced: the last ECN1, then ICN1,
     /// network whose offset is at most `chan`.
     fn network_of_by_scan(b: &BuiltSystem, chan: u32) -> (&'static str, usize) {
-        if chan >= b.icn2_off {
+        if chan >= b.net.icn2_off {
             return ("ICN2", 0);
         }
-        for i in (0..b.ecn1_off.len()).rev() {
-            if chan >= b.ecn1_off[i] {
+        for i in (0..b.net.ecn1_off.len()).rev() {
+            if chan >= b.net.ecn1_off[i] {
                 return ("ECN1", i);
             }
         }
-        for i in (0..b.icn1_off.len()).rev() {
-            if chan >= b.icn1_off[i] {
+        for i in (0..b.net.icn1_off.len()).rev() {
+            if chan >= b.net.icn1_off[i] {
                 return ("ICN1", i);
             }
         }
@@ -2383,8 +2156,14 @@ mod tests {
         for spec in [spec(), mixed] {
             let b = BuiltSystem::build(&spec, 256.0);
             let c = spec.num_clusters();
-            let starts: Vec<u32> = b.icn1_off.iter().chain(&b.ecn1_off).copied().collect();
-            let ends = starts[1..].iter().copied().chain([b.icn2_off]);
+            let starts: Vec<u32> = b
+                .net
+                .icn1_off
+                .iter()
+                .chain(&b.net.ecn1_off)
+                .copied()
+                .collect();
+            let ends = starts[1..].iter().copied().chain([b.net.icn2_off]);
             for (net, (start, end)) in starts.iter().zip(ends).enumerate() {
                 let want = (["ICN1", "ECN1"][net / c], net % c);
                 for chan in [*start, end - 1] {
@@ -2393,7 +2172,7 @@ mod tests {
                 }
             }
             let last = b.num_channels() as u32 - 1;
-            for chan in [b.icn2_off, last] {
+            for chan in [b.net.icn2_off, last] {
                 assert_eq!(b.network_of(chan), ("ICN2", 0));
                 assert_eq!(b.network_of(chan), network_of_by_scan(&b, chan));
             }

@@ -32,12 +32,13 @@
 //! The event loop is **allocation-free in steady state**, and every change
 //! to it must keep it that way:
 //!
-//! * routes are never built per message — deterministic messages carry a
+//! * deterministic routes are never built per message — messages carry a
 //!   [`RouteRef`] into the [`BuiltSystem`]'s interned [`RouteTable`]
 //!   (channel ids in one flat array, per-segment `sum_t`/`bottleneck_t`
-//!   precomputed at build time), and adaptive messages carry a
-//!   [`RouteRef::adaptive`] index into the run's [`AdaptiveRouteCache`],
-//!   which materialises each distinct route once;
+//!   precomputed at build time); an adaptive message's route is built
+//!   into the [`AdaptiveRouteCache`] entry of its slab slot (a
+//!   [`RouteRef::adaptive`] reference), reusing that entry's buffers, so
+//!   the store holds no more routes than the slab has slots;
 //! * `Msg` is a small `Copy` record; delivered messages push their slab
 //!   slot onto a free list, so the live-message footprint is bounded by
 //!   the peak in-flight population (reported as
@@ -59,9 +60,7 @@
 //! [`AdaptiveRouteCache`]: crate::build::AdaptiveRouteCache
 //! [`SimResults::peak_live_msgs`]: crate::results::SimResults::peak_live_msgs
 
-use crate::build::{
-    AdaptiveRouteCache, AdaptiveScratch, BuiltSystem, RouteRef, RouteTable, SegMeta,
-};
+use crate::build::{AdaptiveRouteCache, BuiltSystem, RouteRef, RouteTable, SegMeta};
 use crate::config::{Coupling, FaultMask, SimConfig};
 use crate::events::{ArrivalBand, EventQueue, Merged, Scheduler};
 use crate::results::{delivery_order, BusyTime, Counters, Delivery, SimResults, Sinks, StopReason};
@@ -122,7 +121,7 @@ const HELD: u32 = 1;
 const WAITER: u32 = 2;
 
 /// One in-flight message: a slab slot's worth of `Copy` state. The route
-/// itself lives in the interned table (or the adaptive route cache); the
+/// itself lives in the interned table (or the adaptive route store); the
 /// current segment's metadata is cached inline so the per-event path needs
 /// no route resolution at all.
 #[derive(Debug, Clone, Copy)]
@@ -133,7 +132,7 @@ struct Msg {
     prev_finish: f64,
     /// Cached metadata of the segment under the header.
     cur: SegMeta,
-    /// Interned route, or an adaptive route's cache index.
+    /// Interned route, or the adaptive route in this slot's store entry.
     route: RouteRef,
     /// Generation index for tracing (`u32::MAX` when untraced).
     trace_id: u32,
@@ -214,10 +213,8 @@ struct Simulator<'a, const TRACE: bool> {
     /// Message slab; `free` holds the slots of delivered messages.
     msgs: Vec<Msg>,
     free: Vec<u32>,
-    scratch: AdaptiveScratch,
-    /// The adaptive routes of this run: repeated (pair, digits) draws
-    /// reuse the materialised channel list instead of re-walking the
-    /// graph maps, and messages hold an index into it.
+    /// The adaptive routes of this run, one per slab slot: a message's
+    /// route lives in its slot's entry.
     route_cache: AdaptiveRouteCache,
     now: f64,
     /// Recorded deliveries so far, counted at once (the stop rule reads
@@ -266,7 +263,6 @@ impl<'a, const TRACE: bool> Simulator<'a, TRACE> {
             chans: vec![[FREE; 2]; built.num_channels()],
             msgs: Vec::new(),
             free: Vec::new(),
-            scratch: AdaptiveScratch::default(),
             route_cache: AdaptiveRouteCache::default(),
             now: 0.0,
             recorded_done: 0,
@@ -313,14 +309,14 @@ impl<'a, const TRACE: bool> Simulator<'a, TRACE> {
         }
     }
 
-    /// Draws an adaptive route from `src` to `dst`: its reference, first
-    /// segment and segment count.
-    fn draw_adaptive(&mut self, src: usize, dst: usize) -> (RouteRef, SegMeta, u8) {
-        let idx =
-            self.route_cache
-                .route_idx(self.built, src, dst, &mut self.rng, &mut self.scratch);
-        let cr = self.route_cache.route(idx);
-        (RouteRef::adaptive(idx), cr.segs[0], cr.nsegs)
+    /// Draws an adaptive route from `src` to `dst` into the route-store
+    /// entry of slab slot `slot`: its reference, first segment and segment
+    /// count.
+    fn draw_adaptive(&mut self, slot: u32, src: usize, dst: usize) -> (RouteRef, SegMeta, u8) {
+        let store = &mut self.route_cache;
+        store.draw(self.built, slot, src, dst, &mut self.rng);
+        let route = store.route(slot);
+        (RouteRef::adaptive(slot), route.segs[0], route.nsegs)
     }
 
     /// Seeds the fault schedule and the first arrival of every node.
@@ -469,7 +465,7 @@ impl<'a, const TRACE: bool> Simulator<'a, TRACE> {
             },
         );
         let (route, cur, nsegs) = if m.route.adaptive_idx().is_some() {
-            self.draw_adaptive(m.src as usize, m.dst as usize)
+            self.draw_adaptive(msg_id, m.src as usize, m.dst as usize)
         } else {
             (m.route, self.routes.seg_meta(m.route, 0), m.nsegs)
         };
@@ -522,7 +518,7 @@ impl<'a, const TRACE: bool> Simulator<'a, TRACE> {
             }
         };
         let (route, cur, nsegs) = if self.cfg.adaptive_routing {
-            self.draw_adaptive(src, dst)
+            self.draw_adaptive(slot, src, dst)
         } else {
             let r = self.routes.route_ref(src, dst);
             (
@@ -1253,6 +1249,29 @@ mod tests {
             r.peak_live_msgs,
             r.generated
         );
+    }
+
+    #[test]
+    fn adaptive_route_store_is_bounded_by_the_slab() {
+        // An adaptive message's route lives in its slab slot's entry, so
+        // the store follows the live population, not the generated one.
+        let built = BuiltSystem::build(&cocnet_workloads::presets::org_544(), 256.0);
+        let rate = 2e-4;
+        let cfg = SimConfig {
+            adaptive_routing: true,
+            ..tiny_cfg(14)
+        };
+        let mut sim = Simulator::<false>::new(
+            &built,
+            &wl(rate),
+            Pattern::Uniform,
+            cfg,
+            ArrivalSpec::Poisson { rate },
+        );
+        assert_eq!(sim.simulate(), StopReason::MeasuredComplete);
+        let (routes, slots) = (sim.route_cache.len(), sim.msgs.len());
+        assert!(routes <= slots, "{routes} routes for {slots} slab slots");
+        assert!(sim.counters.generated > 10 * slots as u64);
     }
 
     #[test]

@@ -70,9 +70,7 @@
 //! state-dependent order no oracle can pre-play), and degenerate
 //! configurations (a single cluster, an empty measured population).
 
-use crate::build::{
-    AdaptiveRouteCache, AdaptiveScratch, BuiltSystem, RouteRef, RouteTable, SegMeta,
-};
+use crate::build::{AdaptiveRouteCache, BuiltSystem, RouteRef, RouteTable, SegMeta};
 use crate::config::{Coupling, FaultMask, ShardMode, SimConfig};
 use crate::events::{EventQueue, Scheduler};
 use crate::results::{delivery_order, BusyTime, Counters, Delivery, SimResults, Sinks, StopReason};
@@ -111,15 +109,16 @@ struct ArrivalRec {
     unreachable: bool,
     recorded: bool,
     audited: bool,
-    /// Interned route, or an index into the oracle's shared adaptive
-    /// route cache.
+    /// Interned route, or its entry in the oracle's shared adaptive
+    /// route store.
     route: RouteRef,
 }
 
 const NOOP: u32 = u32::MAX;
 
 /// The serial generation pre-pass: per-node arrival streams plus the
-/// shared read-only adaptive route arena.
+/// shared read-only adaptive route store, one entry per generated
+/// adaptive message.
 struct Oracle {
     streams: Vec<Vec<ArrivalRec>>,
     cache: AdaptiveRouteCache,
@@ -146,7 +145,6 @@ fn build_oracle(
     let mut arrivals: Vec<ArrivalProcess> = vec![arrival.build(); n];
     let mut streams: Vec<Vec<ArrivalRec>> = vec![Vec::new(); n];
     let mut cache = AdaptiveRouteCache::default();
-    let mut scratch = AdaptiveScratch::default();
     let mut q = EventQueue::<u32>::new();
     // Initial arrivals draw in node order, exactly as `prime` does.
     for (node, a) in arrivals.iter_mut().enumerate() {
@@ -189,7 +187,9 @@ fn build_oracle(
         let recorded = gidx >= cfg.warmup && gidx < cfg.warmup + cfg.measured;
         let audited = cfg.audit_warmup && gidx < cfg.warmup + cfg.measured;
         let route = if cfg.adaptive_routing {
-            RouteRef::adaptive(cache.route_idx(built, node, dst, &mut rng, &mut scratch))
+            let idx = cache.len() as u32;
+            cache.draw(built, idx, node, dst, &mut rng);
+            RouteRef::adaptive(idx)
         } else {
             routes.route_ref(node, dst)
         };

@@ -166,11 +166,15 @@ struct AvoidCtx<'a> {
 
 /// An m-port n-tree with all channels materialised.
 ///
-/// Routing lives on the [`Topology`] trait and its consolidated
-/// [`crate::topo::RouteQuery`] entrypoint, which this type implements:
+/// Routing lives on the [`Topology`] trait, which this type implements:
+/// one method per route form, each deterministic one taking the failed
+/// links to route around, and the consolidated
+/// [`crate::topo::RouteQuery`] entrypoint:
 ///
 /// ```
-/// use cocnet_topology::{AscentPolicy, Graph, MPortNTree, RouteMode, RouteQuery, Topology};
+/// use cocnet_topology::{
+///     AscentPolicy, FaultSet, Graph, MPortNTree, RouteMode, RouteQuery, Topology,
+/// };
 /// let g = Graph::build(MPortNTree::new(4, 2)?);
 /// // Nodes 0 and 7 share no leaf switch: the route climbs to a root,
 /// // 2h = 4 channels in total.
@@ -185,6 +189,13 @@ struct AvoidCtx<'a> {
 /// let nca_level = g.route_query(&q, &mut route)?;
 /// assert_eq!(nca_level, 2);
 /// assert_eq!(route.len(), 4);
+/// // With its first up-link failed, the route climbs through another root.
+/// let mut faults = FaultSet::new();
+/// faults.fail_link(route[1]);
+/// let mut detour = Vec::new();
+/// g.route_into(0, 7, AscentPolicy::default(), Some(&faults), &mut detour)?;
+/// assert_eq!(detour.len(), 4);
+/// assert_ne!(detour[1], route[1]);
 /// # Ok::<(), cocnet_topology::TopologyError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -417,6 +428,55 @@ impl Graph {
         true
     }
 
+    /// The Up*/Down* route `src → dst` avoiding `faults`, with its
+    /// injection channel when `inject` (the full route) or without it (the
+    /// class-shared tail, whose caller checks the injection per source).
+    /// Injection and ejection have no alternative, so a failed one
+    /// disconnects the pair regardless of the switch fabric.
+    fn up_down(
+        &self,
+        src: usize,
+        dst: usize,
+        policy: AscentPolicy,
+        faults: Option<&FaultSet>,
+        inject: bool,
+        out: &mut Vec<ChannelId>,
+    ) -> Result<u32, TopologyError> {
+        out.clear();
+        let h = self.tree.nca_level(src, dst)?;
+        if h == 0 {
+            return Ok(0);
+        }
+        let inj = ChannelId(2 * src as u32);
+        if inject {
+            out.push(inj);
+        }
+        let Some(faults) = faults.filter(|f| !f.is_empty()) else {
+            let ups = self.ascend(src, h, |l| self.up_digit(dst, l, policy), out);
+            self.descend(dst, h, ups, out);
+            debug_assert_eq!(out.len(), 2 * h as usize - !inject as usize);
+            return Ok(h);
+        };
+        let ctx = AvoidCtx {
+            src,
+            shape: dst,
+            policy,
+            faults,
+            target: h,
+            dst: Some(dst),
+        };
+        let cut =
+            (inject && faults.is_failed(inj)) || faults.is_failed(ChannelId(2 * dst as u32 + 1));
+        if !cut && self.search_avoiding(1, 0, &ctx, out) {
+            return Ok(h);
+        }
+        out.clear();
+        Err(TopologyError::Disconnected {
+            src,
+            dst: Some(dst),
+        })
+    }
+
     /// Structural self-check: channel count, port budgets, reverse pairing.
     /// Cheap enough to run in tests on every topology used.
     pub fn validate(&self) -> Result<(), TopologyError> {
@@ -477,11 +537,11 @@ impl Graph {
     }
 }
 
-/// The tree backend: deterministic Up*/Down* routes, their adaptive and
-/// fault-avoiding forms, and the leaf-switch route classes. Every route
-/// clears `out` first and reuses its capacity, which is what keeps
-/// route-table interning and per-message adaptive routing off the
-/// allocator.
+/// The tree backend: deterministic Up*/Down* routes (fault-avoiding when
+/// given faults), their adaptive forms, and the leaf-switch route
+/// classes. Every route clears `out` first and reuses its capacity, which
+/// is what keeps route-table interning and per-message adaptive routing
+/// off the allocator.
 impl Topology for Graph {
     fn backend_name(&self) -> &'static str {
         "tree"
@@ -507,23 +567,24 @@ impl Topology for Graph {
     /// up-links to the NCA (up-ports chosen from the destination address),
     /// then `h` down-links following the destination digits. Returns the
     /// NCA level `h`; the route is empty when `src == dst`.
+    ///
+    /// Under a non-empty fault set a deterministic depth-first search
+    /// explores every alternate ascent — the policy-preferred up-port
+    /// first, then the remaining digits in ascending order — covering all
+    /// `(m/2)^{h−1}` NCA candidates at level `h`. That search is
+    /// *complete* for Up*/Down* in this label algebra: a turn above the
+    /// NCA would descend back through the very switches (and
+    /// tandem-failing links) the ascent used, so it can never rescue a
+    /// pair with no fault-free level-`h` turn.
     fn route_into(
         &self,
         src: usize,
         dst: usize,
         policy: AscentPolicy,
+        faults: Option<&FaultSet>,
         out: &mut Vec<ChannelId>,
     ) -> Result<u32, TopologyError> {
-        out.clear();
-        let h = self.tree.nca_level(src, dst)?;
-        if h == 0 {
-            return Ok(0);
-        }
-        out.push(ChannelId(2 * src as u32));
-        let ups = self.ascend(src, h, |l| self.up_digit(dst, l, policy), out);
-        self.descend(dst, h, ups, out);
-        debug_assert_eq!(out.len(), 2 * h as usize);
-        Ok(h)
+        self.up_down(src, dst, policy, faults, true, out)
     }
 
     /// The **route tail** of `src → dst`: the route minus its injection
@@ -535,23 +596,17 @@ impl Topology for Graph {
     /// every `src` under one leaf produces the identical tail. This is the
     /// primitive class-keyed route interning materializes once per class —
     /// per-pair state is reduced to the injection channel, which the caller
-    /// reconstructs arithmetically.
+    /// reconstructs arithmetically. A failed ejection channel, by
+    /// contrast, is part of the shared tail and disconnects the class.
     fn route_tail_into(
         &self,
         src: usize,
         dst: usize,
         policy: AscentPolicy,
+        faults: Option<&FaultSet>,
         out: &mut Vec<ChannelId>,
     ) -> Result<u32, TopologyError> {
-        out.clear();
-        let h = self.tree.nca_level(src, dst)?;
-        if h == 0 {
-            return Ok(0);
-        }
-        let ups = self.ascend(src, h, |l| self.up_digit(dst, l, policy), out);
-        self.descend(dst, h, ups, out);
-        debug_assert_eq!(out.len(), 2 * h as usize - 1);
-        Ok(h)
+        self.up_down(src, dst, policy, faults, false, out)
     }
 
     /// Route from a node up to its deterministic exit root (used by
@@ -559,36 +614,38 @@ impl Topology for Graph {
     ///
     /// The root choice is a function of the *source* address, spreading the
     /// exit traffic of different nodes across the `(m/2)^{n−1}` roots.
+    /// Under faults the ascent may end at *any* root, preferring the
+    /// deterministic exit root's up-ports at every level; a node every
+    /// ascent of which is cut reports `Disconnected` with `dst: None`.
     fn route_exit_into(
         &self,
         src: usize,
         policy: AscentPolicy,
+        faults: Option<&FaultSet>,
         out: &mut Vec<ChannelId>,
     ) -> Result<u32, TopologyError> {
         out.clear();
         let n = self.tree.n();
         let src = self.tree.check_node(src)?;
-        out.push(ChannelId(2 * src as u32));
-        self.ascend(src, n, |l| self.up_digit(src, l, policy), out);
-        Ok(n)
-    }
-
-    /// Route from the deterministic entry root down to a node (used by
-    /// inter-cluster messages entering through an ECN1 tree): the exit
-    /// route of `dst`, produced in place and then reversed channel by
-    /// channel, `n` links.
-    fn route_entry_into(
-        &self,
-        dst: usize,
-        policy: AscentPolicy,
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        let nca_level = self.route_exit_into(dst, policy, out)?;
-        out.reverse();
-        for c in out.iter_mut() {
-            *c = self.reverse(*c);
+        let inj = ChannelId(2 * src as u32);
+        out.push(inj);
+        let Some(faults) = faults.filter(|f| !f.is_empty()) else {
+            self.ascend(src, n, |l| self.up_digit(src, l, policy), out);
+            return Ok(n);
+        };
+        let ctx = AvoidCtx {
+            src,
+            shape: src,
+            policy,
+            faults,
+            target: n,
+            dst: None,
+        };
+        if !faults.is_failed(inj) && self.search_avoiding(1, 0, &ctx, out) {
+            return Ok(n);
         }
-        Ok(nca_level)
+        out.clear();
+        Err(TopologyError::Disconnected { src, dst: None })
     }
 
     /// Adaptive Up*/Down* route: like [`Topology::route_into`] but the
@@ -642,172 +699,6 @@ impl Topology for Graph {
         Ok(n)
     }
 
-    /// Routes `src → dst` avoiding every channel in `faults`.
-    ///
-    /// With an empty fault set this delegates to the deterministic router,
-    /// so the produced route is *byte-identical* to [`Topology::route_into`]
-    /// and the fast path pays nothing. Otherwise a deterministic
-    /// depth-first search explores every alternate ascent — the
-    /// policy-preferred up-port first, then the remaining digits in
-    /// ascending order — covering all `(m/2)^{h−1}` NCA candidates at level
-    /// `h`. That search is *complete* for Up*/Down* in this label algebra:
-    /// a turn above the NCA would descend back through the very switches
-    /// (and tandem-failing links) the ascent used, so it can never rescue a
-    /// pair with no fault-free level-`h` turn. Returns the NCA level, or
-    /// [`TopologyError::Disconnected`] when no fault-free Up*/Down* path
-    /// exists (`out` is left empty in that case).
-    fn route_into_avoiding(
-        &self,
-        src: usize,
-        dst: usize,
-        policy: AscentPolicy,
-        faults: &FaultSet,
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        if faults.is_empty() {
-            return self.route_into(src, dst, policy, out);
-        }
-        out.clear();
-        let h = self.tree.nca_level(src, dst)?;
-        if h == 0 {
-            return Ok(0);
-        }
-        let disconnected = TopologyError::Disconnected {
-            src,
-            dst: Some(dst),
-        };
-        let inj = ChannelId(2 * src as u32);
-        let ej = ChannelId(2 * dst as u32 + 1);
-        // Injection and ejection channels have no alternative: if either is
-        // down the pair is disconnected regardless of the switch fabric.
-        if faults.is_failed(inj) || faults.is_failed(ej) {
-            return Err(disconnected);
-        }
-        let ctx = AvoidCtx {
-            src,
-            shape: dst,
-            policy,
-            faults,
-            target: h,
-            dst: Some(dst),
-        };
-        out.push(inj);
-        if self.search_avoiding(1, 0, &ctx, out) {
-            debug_assert_eq!(out.len(), 2 * h as usize);
-            Ok(h)
-        } else {
-            out.clear();
-            Err(disconnected)
-        }
-    }
-
-    /// The avoiding route minus its injection channel — and, deliberately,
-    /// minus the injection-failed pre-check. The tail is shared by every
-    /// node under the leaf, whereas an injection fault kills exactly one of
-    /// them, so the caller applies the injection check per pair (demoting
-    /// single pairs, not the whole class). The ejection pre-check stays: it
-    /// is part of the shared tail. Byte-identical to
-    /// [`Topology::route_into_avoiding`]`[1..]` whenever that route exists
-    /// and its injection channel is healthy.
-    fn route_tail_into_avoiding(
-        &self,
-        src: usize,
-        dst: usize,
-        policy: AscentPolicy,
-        faults: &FaultSet,
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        if faults.is_empty() {
-            return self.route_tail_into(src, dst, policy, out);
-        }
-        out.clear();
-        let h = self.tree.nca_level(src, dst)?;
-        if h == 0 {
-            return Ok(0);
-        }
-        let disconnected = TopologyError::Disconnected {
-            src,
-            dst: Some(dst),
-        };
-        if faults.is_failed(ChannelId(2 * dst as u32 + 1)) {
-            return Err(disconnected);
-        }
-        let ctx = AvoidCtx {
-            src,
-            shape: dst,
-            policy,
-            faults,
-            target: h,
-            dst: Some(dst),
-        };
-        if self.search_avoiding(1, 0, &ctx, out) {
-            debug_assert_eq!(out.len(), 2 * h as usize - 1);
-            Ok(h)
-        } else {
-            out.clear();
-            Err(disconnected)
-        }
-    }
-
-    /// Ascends from `src` to *any* root avoiding failed channels,
-    /// preferring the deterministic exit root's up-ports at every level.
-    /// Delegates to the deterministic router when `faults` is empty
-    /// (byte-identical route); returns [`TopologyError::Disconnected`] with
-    /// `dst: None` when every ascent is cut.
-    fn route_exit_into_avoiding(
-        &self,
-        src: usize,
-        policy: AscentPolicy,
-        faults: &FaultSet,
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        if faults.is_empty() {
-            return self.route_exit_into(src, policy, out);
-        }
-        out.clear();
-        let n = self.tree.n();
-        let src = self.tree.check_node(src)?;
-        let inj = ChannelId(2 * src as u32);
-        if faults.is_failed(inj) {
-            return Err(TopologyError::Disconnected { src, dst: None });
-        }
-        let ctx = AvoidCtx {
-            src,
-            shape: src,
-            policy,
-            faults,
-            target: n,
-            dst: None,
-        };
-        out.push(inj);
-        if self.search_avoiding(1, 0, &ctx, out) {
-            Ok(n)
-        } else {
-            out.clear();
-            Err(TopologyError::Disconnected { src, dst: None })
-        }
-    }
-
-    /// The avoiding ascent toward `dst`'s entry root, reversed channel by
-    /// channel. Because both directions of a link fail in tandem, a
-    /// fault-free ascent reversed is a fault-free descent. The
-    /// `Disconnected` error reports `dst` as its source node (the ascent it
-    /// mirrors).
-    fn route_entry_into_avoiding(
-        &self,
-        dst: usize,
-        policy: AscentPolicy,
-        faults: &FaultSet,
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        let nca_level = self.route_exit_into_avoiding(dst, policy, faults, out)?;
-        out.reverse();
-        for c in out.iter_mut() {
-            *c = self.reverse(*c);
-        }
-        Ok(nca_level)
-    }
-
     fn num_route_classes(&self) -> usize {
         self.tree.num_leaf_switches()
     }
@@ -834,7 +725,7 @@ impl Topology for Graph {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::topo::{RouteMode, RouteQuery};
 
@@ -846,7 +737,7 @@ mod tests {
     fn route(g: &Graph, src: usize, dst: usize) -> (Vec<ChannelId>, u32) {
         let mut out = Vec::new();
         let h = g
-            .route_into(src, dst, AscentPolicy::default(), &mut out)
+            .route_into(src, dst, AscentPolicy::default(), None, &mut out)
             .unwrap();
         (out, h)
     }
@@ -868,7 +759,7 @@ mod tests {
     /// The deterministic default-policy exit route of `src`, up to a root.
     fn exit(g: &Graph, src: usize) -> Vec<ChannelId> {
         let mut out = Vec::new();
-        g.route_exit_into(src, AscentPolicy::default(), &mut out)
+        g.route_exit_into(src, AscentPolicy::default(), None, &mut out)
             .unwrap();
         out
     }
@@ -877,7 +768,7 @@ mod tests {
     /// root.
     fn entry(g: &Graph, dst: usize) -> Vec<ChannelId> {
         let mut out = Vec::new();
-        g.route_entry_into(dst, AscentPolicy::default(), &mut out)
+        g.route_entry_into(dst, AscentPolicy::default(), None, &mut out)
             .unwrap();
         out
     }
@@ -1060,9 +951,13 @@ mod tests {
     fn into_variants_match_allocating_routes() {
         // The `_into` forms exist so hot paths can reuse one buffer: into a
         // buffer that last held a longer route they must emit exactly what
-        // they emit into a freshly allocated one.
+        // they emit into a freshly allocated one — fault-free, and under a
+        // fault set that reroutes both the node-to-node and the exit forms.
         let g = graph(8, 3);
         let policy = AscentPolicy::default();
+        let mut faults = FaultSet::new();
+        faults.fail_link(route(&g, 0, 127).0[1]);
+        faults.fail_link(exit(&g, 0)[1]);
         let mut buf = Vec::new();
         let mut check = |form: &dyn Fn(&mut Vec<ChannelId>) -> Result<u32, TopologyError>| {
             let mut fresh = Vec::new();
@@ -1071,15 +966,25 @@ mod tests {
             assert_eq!(buf, fresh);
         };
         for (src, dst) in [(0usize, 127usize), (5, 9), (64, 1), (3, 3)] {
-            check(&|out| g.route_into(src, dst, policy, out));
-            check(&|out| g.route_tail_into(src, dst, policy, out));
+            for f in [None, Some(&faults)] {
+                check(&|out| g.route_into(src, dst, policy, f, out));
+                check(&|out| g.route_tail_into(src, dst, policy, f, out));
+            }
             check(&|out| g.route_adaptive_into(src, dst, &[3, 1], out));
         }
         for src in [0usize, 31, 77] {
-            check(&|out| g.route_exit_into(src, policy, out));
-            check(&|out| g.route_entry_into(src, policy, out));
+            for f in [None, Some(&faults)] {
+                check(&|out| g.route_exit_into(src, policy, f, out));
+                check(&|out| g.route_entry_into(src, policy, f, out));
+            }
             check(&|out| g.route_exit_adaptive_into(src, &[1, 2], out));
         }
+        g.route_into(0, 127, policy, Some(&faults), &mut buf)
+            .unwrap();
+        assert_ne!(buf, route(&g, 0, 127).0, "the fault set reroutes 0 -> 127");
+        g.route_exit_into(0, policy, Some(&faults), &mut buf)
+            .unwrap();
+        assert_ne!(buf, exit(&g, 0), "the fault set reroutes 0's exit");
     }
 
     /// Every channel of `route` is healthy, the path chains, and it runs
@@ -1120,31 +1025,28 @@ mod tests {
         );
     }
 
+    /// Runs one fault-taking route form under `None` and under an empty
+    /// fault set, and asserts both give the same level and channels.
+    pub(crate) fn assert_empty_is_none(
+        form: impl Fn(Option<&FaultSet>, &mut Vec<ChannelId>) -> Result<u32, TopologyError>,
+    ) {
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        assert_eq!(form(None, &mut a), form(Some(&FaultSet::new()), &mut b));
+        assert_eq!(a, b);
+    }
+
     #[test]
     fn avoiding_with_empty_faults_is_byte_identical() {
         let g = graph(4, 3);
-        let none = FaultSet::new();
-        let mut a = Vec::new();
-        let mut b = Vec::new();
+        let nodes = g.tree().num_nodes();
         for policy in [AscentPolicy::TrailingDigits, AscentPolicy::MirrorDescent] {
-            for src in 0..g.tree().num_nodes() {
-                for dst in 0..g.tree().num_nodes() {
-                    let h1 = g.route_into(src, dst, policy, &mut a).unwrap();
-                    let h2 = g
-                        .route_into_avoiding(src, dst, policy, &none, &mut b)
-                        .unwrap();
-                    assert_eq!(h1, h2);
-                    assert_eq!(a, b, "{src}->{dst}");
+            for src in 0..nodes {
+                for dst in 0..nodes {
+                    assert_empty_is_none(|f, out| g.route_into(src, dst, policy, f, out));
+                    assert_empty_is_none(|f, out| g.route_tail_into(src, dst, policy, f, out));
                 }
-                let h1 = g.route_exit_into(src, policy, &mut a).unwrap();
-                let h2 = g
-                    .route_exit_into_avoiding(src, policy, &none, &mut b)
-                    .unwrap();
-                assert_eq!((h1, &a), (h2, &b));
-                g.route_entry_into(src, policy, &mut a).unwrap();
-                g.route_entry_into_avoiding(src, policy, &none, &mut b)
-                    .unwrap();
-                assert_eq!(a, b);
+                assert_empty_is_none(|f, out| g.route_exit_into(src, policy, f, out));
+                assert_empty_is_none(|f, out| g.route_entry_into(src, policy, f, out));
             }
         }
     }
@@ -1163,8 +1065,10 @@ mod tests {
                 let mut rep_tail = Vec::new();
                 for src in 0..t.num_nodes() {
                     for dst in 0..t.num_nodes() {
-                        let h1 = g.route_into(src, dst, policy, &mut full).unwrap();
-                        let h2 = g.route_tail_into(src, dst, policy, &mut tail).unwrap();
+                        let h1 = g.route_into(src, dst, policy, None, &mut full).unwrap();
+                        let h2 = g
+                            .route_tail_into(src, dst, policy, None, &mut tail)
+                            .unwrap();
                         assert_eq!(h1, h2, "m={m} n={n} {src}->{dst}");
                         assert_eq!(&full[!full.is_empty() as usize..], &tail[..]);
                         if src == dst {
@@ -1175,7 +1079,8 @@ mod tests {
                         if let Some(rep) = (0..t.num_nodes())
                             .find(|&s| s != src && s != dst && t.leaf_index_of(s).unwrap() == leaf)
                         {
-                            g.route_tail_into(rep, dst, policy, &mut rep_tail).unwrap();
+                            g.route_tail_into(rep, dst, policy, None, &mut rep_tail)
+                                .unwrap();
                             assert_eq!(tail, rep_tail, "m={m} n={n} leaf={leaf} dst={dst}");
                         }
                     }
@@ -1185,7 +1090,7 @@ mod tests {
     }
 
     #[test]
-    fn route_tail_avoiding_ignores_injection_faults_only() {
+    fn route_tail_under_faults_ignores_injection_faults_only() {
         let g = graph(4, 3);
         let t = *g.tree();
         let (src, dst) = (0usize, 15usize);
@@ -1196,10 +1101,10 @@ mod tests {
         let mut faults = FaultSet::new();
         faults.fail_link(base[1]);
         let h = g
-            .route_into_avoiding(src, dst, AscentPolicy::default(), &faults, &mut full)
+            .route_into(src, dst, AscentPolicy::default(), Some(&faults), &mut full)
             .unwrap();
         let ht = g
-            .route_tail_into_avoiding(src, dst, AscentPolicy::default(), &faults, &mut tail)
+            .route_tail_into(src, dst, AscentPolicy::default(), Some(&faults), &mut tail)
             .unwrap();
         assert_eq!((h, &full[1..]), (ht, &tail[..]));
         // A failed *injection* channel disconnects the pair but not the
@@ -1208,10 +1113,22 @@ mod tests {
         let mut inj_fault = FaultSet::new();
         inj_fault.fail_link(base[0]);
         assert!(g
-            .route_into_avoiding(src, dst, AscentPolicy::default(), &inj_fault, &mut full)
+            .route_into(
+                src,
+                dst,
+                AscentPolicy::default(),
+                Some(&inj_fault),
+                &mut full
+            )
             .is_err());
         let ht = g
-            .route_tail_into_avoiding(src, dst, AscentPolicy::default(), &inj_fault, &mut tail)
+            .route_tail_into(
+                src,
+                dst,
+                AscentPolicy::default(),
+                Some(&inj_fault),
+                &mut tail,
+            )
             .unwrap();
         assert_eq!((ht, &tail[..]), (base_h, &base[1..]));
         // A failed ejection channel kills the whole class.
@@ -1220,7 +1137,7 @@ mod tests {
         for s in 0..t.num_nodes() {
             if t.leaf_index_of(s).unwrap() == t.leaf_index_of(src).unwrap() && s != dst {
                 assert!(g
-                    .route_tail_into_avoiding(s, dst, AscentPolicy::default(), &ej_fault, &mut tail)
+                    .route_tail_into(s, dst, AscentPolicy::default(), Some(&ej_fault), &mut tail)
                     .is_err());
             }
         }
@@ -1236,7 +1153,7 @@ mod tests {
         faults.fail_link(base[1]); // the preferred first up-link
         let mut out = Vec::new();
         let h = g
-            .route_into_avoiding(src, dst, AscentPolicy::default(), &faults, &mut out)
+            .route_into(src, dst, AscentPolicy::default(), Some(&faults), &mut out)
             .unwrap();
         assert_eq!(h, 2, "an alternate level-2 ascent must exist");
         assert_ne!(out, base);
@@ -1265,13 +1182,13 @@ mod tests {
         let mut faults = FaultSet::new();
         faults.fail_link(via_a[1]); // ascent into NCA A
         let h = g
-            .route_into_avoiding(src, dst, AscentPolicy::default(), &faults, &mut out)
+            .route_into(src, dst, AscentPolicy::default(), Some(&faults), &mut out)
             .unwrap();
         assert_eq!(h, 2, "one cut ascent still leaves NCA B");
         assert_valid_avoiding_route(&g, src, dst, &out, &faults);
         faults.fail_link(via_b[2]); // descent out of NCA B
         let err = g
-            .route_into_avoiding(src, dst, AscentPolicy::default(), &faults, &mut out)
+            .route_into(src, dst, AscentPolicy::default(), Some(&faults), &mut out)
             .unwrap_err();
         assert_eq!(
             err,
@@ -1292,7 +1209,7 @@ mod tests {
             let mut faults = FaultSet::new();
             faults.fail_link(cut);
             let err = g
-                .route_into_avoiding(src, dst, AscentPolicy::default(), &faults, &mut out)
+                .route_into(src, dst, AscentPolicy::default(), Some(&faults), &mut out)
                 .unwrap_err();
             assert_eq!(
                 err,
@@ -1318,7 +1235,7 @@ mod tests {
         faults.fail_switch(&g, leaf);
         let mut out = Vec::new();
         let err = g
-            .route_into_avoiding(0, 7, AscentPolicy::default(), &faults, &mut out)
+            .route_into(0, 7, AscentPolicy::default(), Some(&faults), &mut out)
             .unwrap_err();
         assert_eq!(
             err,
@@ -1328,7 +1245,7 @@ mod tests {
             }
         );
         let h = g
-            .route_into_avoiding(4, 7, AscentPolicy::default(), &faults, &mut out)
+            .route_into(4, 7, AscentPolicy::default(), Some(&faults), &mut out)
             .unwrap();
         assert!(h > 0);
         assert_valid_avoiding_route(&g, 4, 7, &out, &faults);
@@ -1342,7 +1259,7 @@ mod tests {
         faults.fail_link(base[1]);
         let mut out = Vec::new();
         let n = g
-            .route_exit_into_avoiding(0, AscentPolicy::default(), &faults, &mut out)
+            .route_exit_into(0, AscentPolicy::default(), Some(&faults), &mut out)
             .unwrap();
         assert_eq!(n, 2);
         assert_ne!(out, base);
@@ -1354,7 +1271,7 @@ mod tests {
             _ => panic!("must end at a root"),
         }
         // Mirrored entry route also avoids the faults.
-        g.route_entry_into_avoiding(0, AscentPolicy::default(), &faults, &mut out)
+        g.route_entry_into(0, AscentPolicy::default(), Some(&faults), &mut out)
             .unwrap();
         for &c in &out {
             assert!(!faults.is_failed(c));
@@ -1372,7 +1289,7 @@ mod tests {
             }
         }
         let err = g
-            .route_exit_into_avoiding(0, AscentPolicy::default(), &faults, &mut out)
+            .route_exit_into(0, AscentPolicy::default(), Some(&faults), &mut out)
             .unwrap_err();
         assert_eq!(err, TopologyError::Disconnected { src: 0, dst: None });
     }
@@ -1394,7 +1311,7 @@ mod tests {
                 if src == dst {
                     continue;
                 }
-                match g.route_into_avoiding(src, dst, AscentPolicy::default(), &faults, &mut out) {
+                match g.route_into(src, dst, AscentPolicy::default(), Some(&faults), &mut out) {
                     Ok(_) => {
                         ok += 1;
                         assert_valid_avoiding_route(&g, src, dst, &out, &faults);

@@ -2,13 +2,14 @@
 //! the stack.
 //!
 //! * [`Topology`] — the allocation-free routing trait every backend
-//!   implements (deterministic, adaptive and fault-avoiding forms, all
-//!   writing into a caller-supplied `&mut Vec<ChannelId>`), plus the
-//!   route-class algebra the lazy route-interning table relies on. The
-//!   tree backend's implementation lives with [`Graph`], the torus's with
-//!   [`Torus`].
+//!   implements, writing into a caller-supplied `&mut Vec<ChannelId>`:
+//!   one method per route form (node to node, its class-shared tail, exit,
+//!   entry, and the two adaptive forms), each deterministic form taking
+//!   the faults to avoid as an `Option<&FaultSet>`, plus the route-class
+//!   algebra the lazy route-interning table relies on. The tree backend's
+//!   implementation lives with [`Graph`], the torus's with [`Torus`].
 //! * [`RouteQuery`] / [`RouteMode`] — the single consolidated entrypoint
-//!   that dispatches one request to the matching specialised method.
+//!   that dispatches one request to the matching route form.
 //! * [`TopoSpec`] / [`TorusShape`] — the serialisable
 //!   `{"kind": "tree" | "torus", ...}` configuration block grown by
 //!   [`crate::ClusterSpec`] / [`crate::SystemSpec`], defaulting to `tree`
@@ -57,12 +58,17 @@ pub struct RouteQuery<'a> {
 
 /// A routable interconnection network backend.
 ///
-/// The core methods are allocation-free: they clear and fill a
+/// The route methods are allocation-free: they clear and fill a
 /// caller-supplied `&mut Vec<ChannelId>` and return a backend-specific
 /// route *level* (the NCA level `h` on a tree, where a node-to-node route
-/// has `2h` channels; the switch-hop count on a torus). Fault-avoiding
-/// and adaptive forms come with provided-method defaults so a minimal
-/// backend only implements the deterministic core.
+/// has `2h` channels; the switch-hop count on a torus). Each
+/// deterministic form takes the failed links to route around as
+/// `faults`, as [`RouteQuery::faults`] does: `None` or an empty set gives
+/// the fault-free route, and a pair no fault-free path joins reports
+/// [`TopologyError::Disconnected`] with `out` left empty. The entry route
+/// is provided (the exit route, reversed), and so is
+/// [`Topology::route_query`], the one entrypoint that dispatches a
+/// [`RouteQuery`].
 ///
 /// # Channel-layout contract
 ///
@@ -103,70 +109,77 @@ pub trait Topology {
     /// Checks the structural invariants of the built channel graph.
     fn validate(&self) -> Result<(), TopologyError>;
 
-    // ---- deterministic core ------------------------------------------------
+    // ---- deterministic routes ----------------------------------------------
 
-    /// Deterministic route from `src` to `dst` (empty for `src == dst`);
-    /// returns the route level.
+    /// Deterministic route from `src` to `dst` avoiding `faults` (empty
+    /// for `src == dst`); returns the route level.
     fn route_into(
         &self,
         src: usize,
         dst: usize,
         policy: AscentPolicy,
+        faults: Option<&FaultSet>,
         out: &mut Vec<ChannelId>,
     ) -> Result<u32, TopologyError>;
 
-    /// Deterministic route minus its injection channel — the part shared
-    /// by every source of the same route class (see the trait docs).
+    /// [`Topology::route_into`] minus its injection channel — the part
+    /// shared by every source of the same route class (see the trait
+    /// docs). It ignores faults on the injection channel, which kill one
+    /// source rather than the class, so the caller checks those per
+    /// source.
     fn route_tail_into(
         &self,
         src: usize,
         dst: usize,
         policy: AscentPolicy,
+        faults: Option<&FaultSet>,
         out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        let level = self.route_into(src, dst, policy, out)?;
-        if !out.is_empty() {
-            out.remove(0);
-        }
-        Ok(level)
-    }
+    ) -> Result<u32, TopologyError>;
 
-    /// Deterministic exit route: from node `src` to the backend's egress
-    /// point (a root switch on a tree, the gateway hyperplane on a
-    /// torus), where a concentrator/dispatcher picks the message up.
+    /// Deterministic exit route avoiding `faults`: from node `src` to the
+    /// backend's egress point (a root switch on a tree, the gateway
+    /// hyperplane on a torus), where a concentrator/dispatcher picks the
+    /// message up.
     fn route_exit_into(
         &self,
         src: usize,
         policy: AscentPolicy,
+        faults: Option<&FaultSet>,
         out: &mut Vec<ChannelId>,
     ) -> Result<u32, TopologyError>;
 
-    /// Deterministic entry route: the mirror of
-    /// [`Topology::route_exit_into`], from the egress point down/across to
-    /// node `dst` (reversed channels of the exit route).
+    /// Deterministic entry route: from the egress point down/across to
+    /// node `dst`, the exit route of `dst` reversed channel by channel.
+    /// A fault fails both directions of its link, so a fault-free exit
+    /// reversed is a fault-free entry; a `Disconnected` error reports
+    /// `dst` as the source of the exit it mirrors.
     fn route_entry_into(
         &self,
         dst: usize,
         policy: AscentPolicy,
+        faults: Option<&FaultSet>,
         out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError>;
+    ) -> Result<u32, TopologyError> {
+        let level = self.route_exit_into(dst, policy, faults, out)?;
+        out.reverse();
+        for c in out.iter_mut() {
+            *c = self.reverse(*c);
+        }
+        Ok(level)
+    }
 
-    // ---- adaptive forms ----------------------------------------------------
+    // ---- adaptive routes ---------------------------------------------------
 
-    /// Adaptive route shaped by caller-supplied digits. The default
-    /// ignores the digits and routes deterministically, which satisfies
-    /// the contract that missing digits fall back to the deterministic
-    /// choice.
+    /// Adaptive route shaped by caller-supplied digits (interpreted per
+    /// backend; surplus digits are ignored, missing ones fall back to the
+    /// deterministic choice).
     fn route_adaptive_into(
         &self,
         src: usize,
         dst: usize,
         digits: &[u32],
         out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        let _ = digits;
-        self.route_into(src, dst, AscentPolicy::TrailingDigits, out)
-    }
+    ) -> Result<u32, TopologyError>;
 
     /// Adaptive exit route shaped by caller-supplied digits. Backends
     /// without adaptive exits (the torus) report
@@ -181,82 +194,6 @@ pub trait Topology {
         Err(TopologyError::UnsupportedByBackend {
             backend: self.backend_name(),
             what: "adaptive exit digits",
-        })
-    }
-
-    // ---- fault-avoiding forms ----------------------------------------------
-
-    /// Deterministic route avoiding `faults`. An empty fault set must be
-    /// byte-identical to [`Topology::route_into`]; the default supports
-    /// only that case.
-    fn route_into_avoiding(
-        &self,
-        src: usize,
-        dst: usize,
-        policy: AscentPolicy,
-        faults: &FaultSet,
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        if faults.is_empty() {
-            return self.route_into(src, dst, policy, out);
-        }
-        Err(TopologyError::UnsupportedByBackend {
-            backend: self.backend_name(),
-            what: "fault-avoiding routes",
-        })
-    }
-
-    /// Fault-avoiding form of [`Topology::route_tail_into`]: ignores
-    /// faults on the (class-variant) injection channel, which the caller
-    /// checks per source.
-    fn route_tail_into_avoiding(
-        &self,
-        src: usize,
-        dst: usize,
-        policy: AscentPolicy,
-        faults: &FaultSet,
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        if faults.is_empty() {
-            return self.route_tail_into(src, dst, policy, out);
-        }
-        Err(TopologyError::UnsupportedByBackend {
-            backend: self.backend_name(),
-            what: "fault-avoiding routes",
-        })
-    }
-
-    /// Fault-avoiding form of [`Topology::route_exit_into`].
-    fn route_exit_into_avoiding(
-        &self,
-        src: usize,
-        policy: AscentPolicy,
-        faults: &FaultSet,
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        if faults.is_empty() {
-            return self.route_exit_into(src, policy, out);
-        }
-        Err(TopologyError::UnsupportedByBackend {
-            backend: self.backend_name(),
-            what: "fault-avoiding routes",
-        })
-    }
-
-    /// Fault-avoiding form of [`Topology::route_entry_into`].
-    fn route_entry_into_avoiding(
-        &self,
-        dst: usize,
-        policy: AscentPolicy,
-        faults: &FaultSet,
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        if faults.is_empty() {
-            return self.route_entry_into(dst, policy, out);
-        }
-        Err(TopologyError::UnsupportedByBackend {
-            backend: self.backend_name(),
-            what: "fault-avoiding routes",
         })
     }
 
@@ -282,29 +219,23 @@ pub trait Topology {
     // ---- consolidated entrypoint -------------------------------------------
 
     /// The single route entrypoint: dispatches a [`RouteQuery`] to the
-    /// matching specialised method. Adaptive routing combined with a
-    /// non-empty fault set is not offered by any backend and reports
+    /// matching route form. Adaptive routing combined with a non-empty
+    /// fault set is not offered by any backend and reports
     /// [`TopologyError::UnsupportedByBackend`].
     fn route_query(
         &self,
         q: &RouteQuery<'_>,
         out: &mut Vec<ChannelId>,
     ) -> Result<u32, TopologyError> {
-        match (q.mode, q.faults) {
-            (RouteMode::Deterministic, None) => self.route_into(q.src, q.dst, q.policy, out),
-            (RouteMode::Deterministic, Some(f)) => {
-                self.route_into_avoiding(q.src, q.dst, q.policy, f, out)
+        match q.mode {
+            RouteMode::Deterministic => self.route_into(q.src, q.dst, q.policy, q.faults, out),
+            RouteMode::Adaptive { .. } if q.faults.is_some_and(|f| !f.is_empty()) => {
+                Err(TopologyError::UnsupportedByBackend {
+                    backend: self.backend_name(),
+                    what: "adaptive routing combined with fault avoidance",
+                })
             }
-            (RouteMode::Adaptive { digits }, None) => {
-                self.route_adaptive_into(q.src, q.dst, digits, out)
-            }
-            (RouteMode::Adaptive { digits }, Some(f)) if f.is_empty() => {
-                self.route_adaptive_into(q.src, q.dst, digits, out)
-            }
-            (RouteMode::Adaptive { .. }, Some(_)) => Err(TopologyError::UnsupportedByBackend {
-                backend: self.backend_name(),
-                what: "adaptive routing combined with fault avoidance",
-            }),
+            RouteMode::Adaptive { digits } => self.route_adaptive_into(q.src, q.dst, digits, out),
         }
     }
 }
@@ -464,32 +395,6 @@ impl AnyTopology {
             TopoSpec::Torus(shape) => Ok(AnyTopology::Torus(Torus::build(*shape))),
         }
     }
-
-    /// The tree backend, if that is what this is.
-    pub fn as_tree(&self) -> Option<&Graph> {
-        match self {
-            AnyTopology::Tree(g) => Some(g),
-            AnyTopology::Torus(_) => None,
-        }
-    }
-
-    /// The torus backend, if that is what this is.
-    pub fn as_torus(&self) -> Option<&Torus> {
-        match self {
-            AnyTopology::Tree(_) => None,
-            AnyTopology::Torus(t) => Some(t),
-        }
-    }
-
-    /// The tree backend, or [`TopologyError::UnsupportedByBackend`] with
-    /// the caller-supplied operation name — the checked replacement for
-    /// the old "it must be a tree" unwraps.
-    pub fn expect_tree(&self, what: &'static str) -> Result<&Graph, TopologyError> {
-        self.as_tree().ok_or(TopologyError::UnsupportedByBackend {
-            backend: self.backend_name(),
-            what,
-        })
-    }
 }
 
 macro_rules! dispatch {
@@ -527,9 +432,10 @@ impl Topology for AnyTopology {
         src: usize,
         dst: usize,
         policy: AscentPolicy,
+        faults: Option<&FaultSet>,
         out: &mut Vec<ChannelId>,
     ) -> Result<u32, TopologyError> {
-        dispatch!(self, t => Topology::route_into(t, src, dst, policy, out))
+        dispatch!(self, t => Topology::route_into(t, src, dst, policy, faults, out))
     }
 
     fn route_tail_into(
@@ -537,27 +443,20 @@ impl Topology for AnyTopology {
         src: usize,
         dst: usize,
         policy: AscentPolicy,
+        faults: Option<&FaultSet>,
         out: &mut Vec<ChannelId>,
     ) -> Result<u32, TopologyError> {
-        dispatch!(self, t => Topology::route_tail_into(t, src, dst, policy, out))
+        dispatch!(self, t => Topology::route_tail_into(t, src, dst, policy, faults, out))
     }
 
     fn route_exit_into(
         &self,
         src: usize,
         policy: AscentPolicy,
+        faults: Option<&FaultSet>,
         out: &mut Vec<ChannelId>,
     ) -> Result<u32, TopologyError> {
-        dispatch!(self, t => Topology::route_exit_into(t, src, policy, out))
-    }
-
-    fn route_entry_into(
-        &self,
-        dst: usize,
-        policy: AscentPolicy,
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        dispatch!(self, t => Topology::route_entry_into(t, dst, policy, out))
+        dispatch!(self, t => Topology::route_exit_into(t, src, policy, faults, out))
     }
 
     fn route_adaptive_into(
@@ -577,48 +476,6 @@ impl Topology for AnyTopology {
         out: &mut Vec<ChannelId>,
     ) -> Result<u32, TopologyError> {
         dispatch!(self, t => Topology::route_exit_adaptive_into(t, src, digits, out))
-    }
-
-    fn route_into_avoiding(
-        &self,
-        src: usize,
-        dst: usize,
-        policy: AscentPolicy,
-        faults: &FaultSet,
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        dispatch!(self, t => Topology::route_into_avoiding(t, src, dst, policy, faults, out))
-    }
-
-    fn route_tail_into_avoiding(
-        &self,
-        src: usize,
-        dst: usize,
-        policy: AscentPolicy,
-        faults: &FaultSet,
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        dispatch!(self, t => Topology::route_tail_into_avoiding(t, src, dst, policy, faults, out))
-    }
-
-    fn route_exit_into_avoiding(
-        &self,
-        src: usize,
-        policy: AscentPolicy,
-        faults: &FaultSet,
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        dispatch!(self, t => Topology::route_exit_into_avoiding(t, src, policy, faults, out))
-    }
-
-    fn route_entry_into_avoiding(
-        &self,
-        dst: usize,
-        policy: AscentPolicy,
-        faults: &FaultSet,
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        dispatch!(self, t => Topology::route_entry_into_avoiding(t, dst, policy, faults, out))
     }
 
     fn num_route_classes(&self) -> usize {
@@ -661,7 +518,7 @@ mod tests {
             mode: RouteMode::Deterministic,
         };
         g.route_query(&q, &mut out).unwrap();
-        g.route_into(0, 5, AscentPolicy::TrailingDigits, &mut expect)
+        g.route_into(0, 5, AscentPolicy::TrailingDigits, None, &mut expect)
             .unwrap();
         assert_eq!(out, expect);
 

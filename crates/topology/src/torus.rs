@@ -181,6 +181,54 @@ impl Torus {
         hops
     }
 
+    /// The route `src → dst` avoiding `faults`, with its injection channel
+    /// when `inject` (the full route) or without it (the tail, whose
+    /// caller checks the injection per source). The first candidate is
+    /// the DOR route; under faults the rest of the bounded family
+    /// (dimension rotation × per-dimension direction flip) follows.
+    /// Injection and ejection have no alternative.
+    fn dor_route(
+        &self,
+        src: usize,
+        dst: usize,
+        faults: Option<&FaultSet>,
+        inject: bool,
+        out: &mut Vec<ChannelId>,
+    ) -> Result<u32, TopologyError> {
+        self.check_node(src)?;
+        self.check_node(dst)?;
+        out.clear();
+        if src == dst {
+            return Ok(0);
+        }
+        let faults = faults.filter(|f| !f.is_empty());
+        let cut = |f: &FaultSet| {
+            (inject && f.is_failed(self.inject(src))) || f.is_failed(self.eject(dst))
+        };
+        if !faults.is_some_and(cut) {
+            if inject {
+                out.push(self.inject(src));
+            }
+            let base = out.len();
+            let ndims = self.shape.ndims();
+            for rotation in 0..ndims {
+                for flip_mask in 0..(1u32 << ndims) {
+                    out.truncate(base);
+                    let hops = self.dor_steps(src, dst, rotation, flip_mask, out);
+                    if faults.is_none_or(|f| out[base..].iter().all(|&c| !f.is_failed(c))) {
+                        out.push(self.eject(dst));
+                        return Ok(hops);
+                    }
+                }
+            }
+            out.clear();
+        }
+        Err(TopologyError::Disconnected {
+            src,
+            dst: Some(dst),
+        })
+    }
+
     fn rotation_of(&self, digits: &[u32]) -> usize {
         digits
             .first()
@@ -246,18 +294,10 @@ impl Topology for Torus {
         src: usize,
         dst: usize,
         _policy: AscentPolicy,
+        faults: Option<&FaultSet>,
         out: &mut Vec<ChannelId>,
     ) -> Result<u32, TopologyError> {
-        self.check_node(src)?;
-        self.check_node(dst)?;
-        out.clear();
-        if src == dst {
-            return Ok(0);
-        }
-        out.push(self.inject(src));
-        let hops = self.dor_steps(src, dst, 0, 0, out);
-        out.push(self.eject(dst));
-        Ok(hops)
+        self.dor_route(src, dst, faults, true, out)
     }
 
     fn route_tail_into(
@@ -265,44 +305,37 @@ impl Topology for Torus {
         src: usize,
         dst: usize,
         _policy: AscentPolicy,
+        faults: Option<&FaultSet>,
         out: &mut Vec<ChannelId>,
     ) -> Result<u32, TopologyError> {
-        self.check_node(src)?;
-        self.check_node(dst)?;
-        out.clear();
-        if src == dst {
-            return Ok(0);
-        }
-        let hops = self.dor_steps(src, dst, 0, 0, out);
-        out.push(self.eject(dst));
-        Ok(hops)
+        self.dor_route(src, dst, faults, false, out)
     }
 
     fn route_exit_into(
         &self,
         src: usize,
         _policy: AscentPolicy,
+        faults: Option<&FaultSet>,
         out: &mut Vec<ChannelId>,
     ) -> Result<u32, TopologyError> {
         self.check_node(src)?;
         out.clear();
-        out.push(self.inject(src));
-        let hops = self.dor_steps(src, self.gateway_of(src), 0, 0, out);
-        Ok(hops)
-    }
-
-    fn route_entry_into(
-        &self,
-        dst: usize,
-        policy: AscentPolicy,
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        let hops = self.route_exit_into(dst, policy, out)?;
-        out.reverse();
-        for c in out.iter_mut() {
-            *c = ChannelId(c.0 ^ 1);
+        let faults = faults.filter(|f| !f.is_empty());
+        if !faults.is_some_and(|f| f.is_failed(self.inject(src))) {
+            out.push(self.inject(src));
+            let gateway = self.gateway_of(src);
+            // Only dimension 0 moves toward the gateway plane, so the
+            // candidate family is just the two ring directions.
+            for flip_mask in [0u32, 1] {
+                out.truncate(1);
+                let hops = self.dor_steps(src, gateway, 0, flip_mask, out);
+                if faults.is_none_or(|f| out[1..].iter().all(|&c| !f.is_failed(c))) {
+                    return Ok(hops);
+                }
+            }
+            out.clear();
         }
-        Ok(hops)
+        Err(TopologyError::Disconnected { src, dst: None })
     }
 
     fn route_adaptive_into(
@@ -321,140 +354,6 @@ impl Topology for Torus {
         out.push(self.inject(src));
         let hops = self.dor_steps(src, dst, self.rotation_of(digits), 0, out);
         out.push(self.eject(dst));
-        Ok(hops)
-    }
-
-    fn route_into_avoiding(
-        &self,
-        src: usize,
-        dst: usize,
-        policy: AscentPolicy,
-        faults: &FaultSet,
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        if faults.is_empty() {
-            return self.route_into(src, dst, policy, out);
-        }
-        self.check_node(src)?;
-        self.check_node(dst)?;
-        out.clear();
-        if src == dst {
-            return Ok(0);
-        }
-        // Injection and ejection have no alternative.
-        if faults.is_failed(self.inject(src)) || faults.is_failed(self.eject(dst)) {
-            return Err(TopologyError::Disconnected {
-                src,
-                dst: Some(dst),
-            });
-        }
-        out.push(self.inject(src));
-        let ndims = self.shape.ndims();
-        for rotation in 0..ndims {
-            for flip_mask in 0..(1u32 << ndims) {
-                out.truncate(1);
-                let hops = self.dor_steps(src, dst, rotation, flip_mask, out);
-                if out[1..].iter().all(|&c| !faults.is_failed(c)) {
-                    out.push(self.eject(dst));
-                    return Ok(hops);
-                }
-            }
-        }
-        out.clear();
-        Err(TopologyError::Disconnected {
-            src,
-            dst: Some(dst),
-        })
-    }
-
-    fn route_tail_into_avoiding(
-        &self,
-        src: usize,
-        dst: usize,
-        policy: AscentPolicy,
-        faults: &FaultSet,
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        if faults.is_empty() {
-            return self.route_tail_into(src, dst, policy, out);
-        }
-        self.check_node(src)?;
-        self.check_node(dst)?;
-        out.clear();
-        if src == dst {
-            return Ok(0);
-        }
-        // The (class-variant) injection channel is the caller's problem;
-        // the ejection has no alternative.
-        if faults.is_failed(self.eject(dst)) {
-            return Err(TopologyError::Disconnected {
-                src,
-                dst: Some(dst),
-            });
-        }
-        let ndims = self.shape.ndims();
-        for rotation in 0..ndims {
-            for flip_mask in 0..(1u32 << ndims) {
-                out.clear();
-                let hops = self.dor_steps(src, dst, rotation, flip_mask, out);
-                if out.iter().all(|&c| !faults.is_failed(c)) {
-                    out.push(self.eject(dst));
-                    return Ok(hops);
-                }
-            }
-        }
-        out.clear();
-        Err(TopologyError::Disconnected {
-            src,
-            dst: Some(dst),
-        })
-    }
-
-    fn route_exit_into_avoiding(
-        &self,
-        src: usize,
-        policy: AscentPolicy,
-        faults: &FaultSet,
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        if faults.is_empty() {
-            return self.route_exit_into(src, policy, out);
-        }
-        self.check_node(src)?;
-        out.clear();
-        if faults.is_failed(self.inject(src)) {
-            return Err(TopologyError::Disconnected { src, dst: None });
-        }
-        out.push(self.inject(src));
-        let gateway = self.gateway_of(src);
-        // Only dimension 0 moves toward the gateway plane, so the
-        // candidate family is just the two ring directions.
-        for flip_mask in [0u32, 1] {
-            out.truncate(1);
-            let hops = self.dor_steps(src, gateway, 0, flip_mask, out);
-            if out[1..].iter().all(|&c| !faults.is_failed(c)) {
-                return Ok(hops);
-            }
-        }
-        out.clear();
-        Err(TopologyError::Disconnected { src, dst: None })
-    }
-
-    fn route_entry_into_avoiding(
-        &self,
-        dst: usize,
-        policy: AscentPolicy,
-        faults: &FaultSet,
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        // Faults fail both directions of a link in tandem, so checking
-        // the exit direction checks the entry direction too — mirroring
-        // the tree's from-root = reversed to-root construction.
-        let hops = self.route_exit_into_avoiding(dst, policy, faults, out)?;
-        out.reverse();
-        for c in out.iter_mut() {
-            *c = ChannelId(c.0 ^ 1);
-        }
         Ok(hops)
     }
 
@@ -484,6 +383,7 @@ impl Topology for Torus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::tests::assert_empty_is_none;
 
     fn torus(dims: &[u32]) -> Torus {
         Torus::build(TorusShape::new(dims).unwrap())
@@ -540,12 +440,12 @@ mod tests {
                         continue;
                     }
                     let hops = t
-                        .route_into(src, dst, AscentPolicy::TrailingDigits, &mut out)
+                        .route_into(src, dst, AscentPolicy::TrailingDigits, None, &mut out)
                         .unwrap();
                     assert_eq!(hops, min_hops(&t, src, dst), "{dims:?} {src}->{dst}");
                     assert_eq!(out.len() as u32, hops + 2, "inject + hops + eject");
                     assert_connected(&t, src, dst, &out);
-                    t.route_into(src, dst, AscentPolicy::MirrorDescent, &mut again)
+                    t.route_into(src, dst, AscentPolicy::MirrorDescent, None, &mut again)
                         .unwrap();
                     assert_eq!(out, again, "policy is irrelevant on a torus");
                 }
@@ -558,13 +458,13 @@ mod tests {
         let t = torus(&[4, 4]);
         let mut out = vec![ChannelId(99)];
         assert_eq!(
-            t.route_into(7, 7, AscentPolicy::TrailingDigits, &mut out)
+            t.route_into(7, 7, AscentPolicy::TrailingDigits, None, &mut out)
                 .unwrap(),
             0
         );
         assert!(out.is_empty());
         assert!(t
-            .route_into(0, 16, AscentPolicy::TrailingDigits, &mut out)
+            .route_into(0, 16, AscentPolicy::TrailingDigits, None, &mut out)
             .is_err());
     }
 
@@ -575,21 +475,21 @@ mod tests {
         let t = torus(&[5, 2]);
         let mut out = Vec::new();
         let hops = t
-            .route_into(0, 4, AscentPolicy::TrailingDigits, &mut out)
+            .route_into(0, 4, AscentPolicy::TrailingDigits, None, &mut out)
             .unwrap();
         assert_eq!(hops, 1);
         assert_eq!(t.channel(out[1]).from, Endpoint::Switch(0));
         assert_eq!(t.channel(out[1]).to, Endpoint::Switch(4));
         // 0 -> 2 goes forward: distance 2 beats the 3-hop wrap.
         let hops = t
-            .route_into(0, 2, AscentPolicy::TrailingDigits, &mut out)
+            .route_into(0, 2, AscentPolicy::TrailingDigits, None, &mut out)
             .unwrap();
         assert_eq!(hops, 2);
         assert_eq!(t.channel(out[1]).to, Endpoint::Switch(1));
         // Even extent ties go the positive direction: 0 -> 2 on a 4-ring.
         let t = torus(&[4, 2]);
         let hops = t
-            .route_into(0, 2, AscentPolicy::TrailingDigits, &mut out)
+            .route_into(0, 2, AscentPolicy::TrailingDigits, None, &mut out)
             .unwrap();
         assert_eq!(hops, 2);
         assert_eq!(t.channel(out[1]).to, Endpoint::Switch(1));
@@ -607,7 +507,7 @@ mod tests {
                     continue;
                 }
                 let det_hops = t
-                    .route_into(src, dst, AscentPolicy::TrailingDigits, &mut det)
+                    .route_into(src, dst, AscentPolicy::TrailingDigits, None, &mut det)
                     .unwrap();
                 for digit in 0u32..7 {
                     let hops = t.route_adaptive_into(src, dst, &[digit], &mut adp).unwrap();
@@ -627,28 +527,14 @@ mod tests {
     #[test]
     fn avoiding_with_empty_faults_is_byte_identical() {
         let t = torus(&[4, 3]);
-        let n = Topology::num_nodes(&t);
-        let empty = FaultSet::new();
-        let (mut base, mut avoid) = (Vec::new(), Vec::new());
-        for src in 0..n {
-            for dst in 0..n {
-                let a = t
-                    .route_into(src, dst, AscentPolicy::TrailingDigits, &mut base)
-                    .unwrap();
-                let b = t
-                    .route_into_avoiding(src, dst, AscentPolicy::TrailingDigits, &empty, &mut avoid)
-                    .unwrap();
-                assert_eq!(a, b);
-                assert_eq!(base, avoid);
-                let a = t
-                    .route_exit_into(src, AscentPolicy::TrailingDigits, &mut base)
-                    .unwrap();
-                let b = t
-                    .route_exit_into_avoiding(src, AscentPolicy::TrailingDigits, &empty, &mut avoid)
-                    .unwrap();
-                assert_eq!(a, b);
-                assert_eq!(base, avoid);
+        let policy = AscentPolicy::TrailingDigits;
+        for src in 0..Topology::num_nodes(&t) {
+            for dst in 0..Topology::num_nodes(&t) {
+                assert_empty_is_none(|f, out| t.route_into(src, dst, policy, f, out));
+                assert_empty_is_none(|f, out| t.route_tail_into(src, dst, policy, f, out));
             }
+            assert_empty_is_none(|f, out| t.route_exit_into(src, policy, f, out));
+            assert_empty_is_none(|f, out| t.route_entry_into(src, policy, f, out));
         }
     }
 
@@ -656,13 +542,13 @@ mod tests {
     fn avoiding_reroutes_around_failed_ring_link() {
         let t = torus(&[4, 4]);
         let mut det = Vec::new();
-        t.route_into(0, 2, AscentPolicy::TrailingDigits, &mut det)
+        t.route_into(0, 2, AscentPolicy::TrailingDigits, None, &mut det)
             .unwrap();
         // Fail the first ring link of the deterministic route (det[1]).
         let mut faults = FaultSet::new();
         faults.fail_link(det[1]);
         let mut out = Vec::new();
-        t.route_into_avoiding(0, 2, AscentPolicy::TrailingDigits, &faults, &mut out)
+        t.route_into(0, 2, AscentPolicy::TrailingDigits, Some(&faults), &mut out)
             .unwrap();
         assert_connected(&t, 0, 2, &out);
         assert!(out.iter().all(|&c| !faults.is_failed(c)));
@@ -670,7 +556,7 @@ mod tests {
         let mut faults = FaultSet::new();
         faults.fail_link(ChannelId(0));
         assert!(matches!(
-            t.route_into_avoiding(0, 2, AscentPolicy::TrailingDigits, &faults, &mut out),
+            t.route_into(0, 2, AscentPolicy::TrailingDigits, Some(&faults), &mut out),
             Err(TopologyError::Disconnected {
                 src: 0,
                 dst: Some(2)
@@ -684,10 +570,10 @@ mod tests {
         let (mut exit, mut entry) = (Vec::new(), Vec::new());
         for v in 0..Topology::num_nodes(&t) {
             let a = t
-                .route_exit_into(v, AscentPolicy::TrailingDigits, &mut exit)
+                .route_exit_into(v, AscentPolicy::TrailingDigits, None, &mut exit)
                 .unwrap();
             let b = t
-                .route_entry_into(v, AscentPolicy::TrailingDigits, &mut entry)
+                .route_entry_into(v, AscentPolicy::TrailingDigits, None, &mut entry)
                 .unwrap();
             assert_eq!(a, b);
             let mirrored: Vec<ChannelId> = exit.iter().rev().map(|&c| ChannelId(c.0 ^ 1)).collect();
@@ -715,9 +601,9 @@ mod tests {
         let (mut full, mut tail) = (Vec::new(), Vec::new());
         for src in 0..n {
             for dst in 0..n {
-                t.route_into(src, dst, AscentPolicy::TrailingDigits, &mut full)
+                t.route_into(src, dst, AscentPolicy::TrailingDigits, None, &mut full)
                     .unwrap();
-                t.route_tail_into(src, dst, AscentPolicy::TrailingDigits, &mut tail)
+                t.route_tail_into(src, dst, AscentPolicy::TrailingDigits, None, &mut tail)
                     .unwrap();
                 if src == dst {
                     assert!(tail.is_empty());

@@ -303,7 +303,7 @@ impl LabelRouter {
         true
     }
 
-    /// `route_into_avoiding` (`inject`) or `route_tail_into_avoiding`.
+    /// `route_into` (`inject`) or `route_tail_into` under a non-empty fault set.
     fn route_avoiding(
         &self,
         src: usize,
@@ -484,18 +484,18 @@ fn deterministic_routes_match_on_every_pair() {
                     let tag = (t, policy, src, dst);
                     assert_eq!(t.nca_level(src, dst), o.nca_level(src, dst), "{tag:?}");
                     let want = o.route(src, dst, policy, true, &mut a);
-                    let got = g.route_into(src, dst, policy, &mut b);
+                    let got = g.route_into(src, dst, policy, None, &mut b);
                     same(("full", tag), (want, &a), (got, &b));
                     let want = o.route(src, dst, policy, false, &mut a);
-                    let got = g.route_tail_into(src, dst, policy, &mut b);
+                    let got = g.route_tail_into(src, dst, policy, None, &mut b);
                     same(("tail", tag), (want, &a), (got, &b));
                 }
                 let tag = (t, policy, src);
                 let want = o.exit(src, policy, &mut a);
-                let got = g.route_exit_into(src, policy, &mut b);
+                let got = g.route_exit_into(src, policy, None, &mut b);
                 same(("exit", tag), (want, &a), (got, &b));
                 let want = mirrored(o.exit(src, policy, &mut a), &mut a);
-                let got = g.route_entry_into(src, policy, &mut b);
+                let got = g.route_entry_into(src, policy, None, &mut b);
                 same(("entry", tag), (want, &a), (got, &b));
             }
         }
@@ -554,23 +554,23 @@ fn avoiding_routes_match_under_random_fault_sets() {
                     for dst in 0..nodes {
                         let tag = (t, p, policy, src, dst);
                         let want = o.route_avoiding(src, dst, policy, &faults, true, &mut a);
-                        let got = g.route_into_avoiding(src, dst, policy, &faults, &mut b);
+                        let got = g.route_into(src, dst, policy, Some(&faults), &mut b);
                         match &want {
                             Ok(_) => routed += 1,
                             Err(_) => cut += 1,
                         }
                         same(("avoiding", tag), (want, &a), (got, &b));
                         let want = o.route_avoiding(src, dst, policy, &faults, false, &mut a);
-                        let got = g.route_tail_into_avoiding(src, dst, policy, &faults, &mut b);
+                        let got = g.route_tail_into(src, dst, policy, Some(&faults), &mut b);
                         same(("tail avoiding", tag), (want, &a), (got, &b));
                     }
                     let tag = (t, p, policy, src);
                     let want = o.exit_avoiding(src, policy, &faults, &mut a);
-                    let got = g.route_exit_into_avoiding(src, policy, &faults, &mut b);
+                    let got = g.route_exit_into(src, policy, Some(&faults), &mut b);
                     same(("exit avoiding", tag), (want, &a), (got, &b));
                     let want = o.exit_avoiding(src, policy, &faults, &mut a);
                     let want = mirrored(want, &mut a);
-                    let got = g.route_entry_into_avoiding(src, policy, &faults, &mut b);
+                    let got = g.route_entry_into(src, policy, Some(&faults), &mut b);
                     same(("entry avoiding", tag), (want, &a), (got, &b));
                 }
             }
@@ -598,22 +598,22 @@ fn out_of_range_ids_return_the_same_errors() {
             same(
                 tag,
                 (want, &a),
-                (g.route_into(src, dst, policy, &mut b), &b),
+                (g.route_into(src, dst, policy, None, &mut b), &b),
             );
             let want = o.route(src, dst, policy, false, &mut a);
             same(
                 tag,
                 (want, &a),
-                (g.route_tail_into(src, dst, policy, &mut b), &b),
+                (g.route_tail_into(src, dst, policy, None, &mut b), &b),
             );
             let want = o.adaptive(src, dst, &[1], &mut a);
             let got = g.route_adaptive_into(src, dst, &[1], &mut b);
             same(tag, (want, &a), (got, &b));
             let want = o.route_avoiding(src, dst, policy, &faults, true, &mut a);
-            let got = g.route_into_avoiding(src, dst, policy, &faults, &mut b);
+            let got = g.route_into(src, dst, policy, Some(&faults), &mut b);
             same(tag, (want, &a), (got, &b));
             let want = o.route_avoiding(src, dst, policy, &faults, false, &mut a);
-            let got = g.route_tail_into_avoiding(src, dst, policy, &faults, &mut b);
+            let got = g.route_tail_into(src, dst, policy, Some(&faults), &mut b);
             same(tag, (want, &a), (got, &b));
         }
         for src in [nodes, usize::MAX] {
@@ -623,22 +623,22 @@ fn out_of_range_ids_return_the_same_errors() {
             same(
                 tag,
                 (want, &a),
-                (g.route_exit_into(src, policy, &mut b), &b),
+                (g.route_exit_into(src, policy, None, &mut b), &b),
             );
             let want = o.exit(src, policy, &mut a);
             same(
                 tag,
                 (want, &a),
-                (g.route_entry_into(src, policy, &mut b), &b),
+                (g.route_entry_into(src, policy, None, &mut b), &b),
             );
             let want = o.exit_adaptive(src, &[0], &mut a);
             let got = g.route_exit_adaptive_into(src, &[0], &mut b);
             same(tag, (want, &a), (got, &b));
             let want = o.exit_avoiding(src, policy, &faults, &mut a);
-            let got = g.route_exit_into_avoiding(src, policy, &faults, &mut b);
+            let got = g.route_exit_into(src, policy, Some(&faults), &mut b);
             same(tag, (want, &a), (got, &b));
             let want = o.exit_avoiding(src, policy, &faults, &mut a);
-            let got = g.route_entry_into_avoiding(src, policy, &faults, &mut b);
+            let got = g.route_entry_into(src, policy, Some(&faults), &mut b);
             same(tag, (want, &a), (got, &b));
         }
     }

@@ -120,6 +120,48 @@ fn model_subcommand_rejects_a_misspelt_flag() {
 }
 
 #[test]
+fn sim_subcommand_validates_its_run_like_a_scenario() {
+    // `cocnet sim` runs one rate of a scenario and takes the check `cocnet
+    // run` applies: no run without a measured population, and a locality
+    // within [0, 1]. Each rejection names the field.
+    for (flag, value, field) in [
+        ("--measured", "0", "measured"),
+        ("--locality", "1.5", "locality"),
+        ("--locality", "-0.5", "locality"),
+    ] {
+        let args = [
+            "sim",
+            "--heights",
+            "1,1,2,2",
+            "--measured",
+            "200",
+            flag,
+            value,
+        ];
+        let (stdout, stderr, code) = run_code(&args);
+        assert_eq!(code, Some(2), "{flag} {value}: {stderr}");
+        assert!(stdout.is_empty(), "{flag} {value}: {stdout}");
+        assert!(stderr.contains(field), "{flag} {value}: {stderr}");
+    }
+}
+
+#[test]
+fn sweep_subcommand_rejects_an_empty_or_invalid_grid() {
+    for grid in [
+        &["--points", "0"][..],
+        &["--max-rate", "-1", "--points", "3"],
+        &["--max-rate", "nan"],
+        &["--max-rate", "inf"],
+    ] {
+        let args = [&["sweep", "--heights", "2,2,2,2"][..], grid].concat();
+        let (stdout, stderr, code) = run_code(&args);
+        assert_eq!(code, Some(2), "{grid:?}: {stderr}");
+        assert!(stdout.is_empty(), "{grid:?}: {stdout}");
+        assert!(stderr.contains(grid[0]), "{grid:?}: {stderr}");
+    }
+}
+
+#[test]
 fn sweep_subcommand_rejects_a_misspelt_flag() {
     let (stdout, stderr, code) = run_code(&["sweep", "--max-rat", "5e-4"]);
     assert_eq!(code, Some(2), "{stderr}");
