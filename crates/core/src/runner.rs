@@ -17,7 +17,7 @@
 
 use cocnet_model::{sweep, ModelOptions, Workload};
 use cocnet_sim::{
-    run_simulation_built, summarize, validate_faults, BuiltSystem, FaultSchedule,
+    run_simulation_built, summarize, validate_budgets, validate_faults, BuiltSystem, FaultSchedule,
     ReplicationAccumulator, ReplicationSummary, SimConfig, SimResults,
 };
 use cocnet_stats::{CiPoint, CiSeries, ConfidenceInterval, Precision, Series};
@@ -518,6 +518,9 @@ impl Scenario {
     /// validate` and `cocnet run <file>` call this on every loaded file.
     pub fn validate(&self) -> Result<(), String> {
         self.spec.validate().map_err(|e| format!("spec: {e}"))?;
+        // Before anything sized by the system: a spec over an id budget is
+        // rejected from its arithmetic alone.
+        validate_budgets(&self.spec, self.sim.interning).map_err(|e| e.to_string())?;
         if self.workloads.is_empty() {
             return Err("scenario needs at least one workload".into());
         }
@@ -734,7 +737,7 @@ impl Scenario {
                     self.sim.interning,
                 )
                 .unwrap_or_else(|e| {
-                    panic!("scenario fault schedule invalid (validate() catches this): {e}")
+                    panic!("scenario does not build (validate() catches this): {e}")
                 })
             })
             .collect()

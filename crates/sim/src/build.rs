@@ -1,15 +1,22 @@
-//! Materialising a [`SystemSpec`] into simulator state: channel tables for
-//! every network and path construction for intra- and inter-cluster
-//! messages.
+//! Materialising a [`SystemSpec`] into simulator state: the channel
+//! graph and channel times of every network, and path construction for
+//! intra- and inter-cluster messages.
 //!
 //! Global channel numbering concatenates, in order: each cluster's ICN1,
 //! each cluster's ECN1, then the ICN2 network. The ICN2 tree's "processing
 //! nodes" are the `C` concentrator/dispatcher devices, one per cluster.
+//! Within a network, both backends number the `2N` node↔switch channels
+//! first, so a network's channel times are two numbers (Table 2's `t_cn`
+//! and `t_cs`) and the split point between them: the build keeps one such
+//! entry per network ([`BuiltSystem::chan_time`]) and no table the size of
+//! the channel count. Every interned segment records its network
+//! ([`SegMeta::net`]), which is how the engines read a channel's time in
+//! O(1).
 
 use crate::config::{FaultSchedule, InternMode};
 use cocnet_topology::{
-    AnyTopology, AscentPolicy, ChannelId, ChannelKind, FaultSet, SystemSpec, TopoSpec, Topology,
-    TopologyError, TorusShape,
+    AnyTopology, AscentPolicy, ChannelId, FaultSet, NetworkCharacteristics, SystemSpec, TopoSpec,
+    Topology, TopologyError, TorusShape,
 };
 use rand::Rng;
 use std::collections::HashMap;
@@ -43,6 +50,14 @@ pub enum BuildError {
         /// The offending fraction.
         fraction: f64,
     },
+    /// The system exceeds an id space the build encodes in a fixed width
+    /// (see [`validate_budgets`]).
+    OverBudget {
+        /// The scenario field to change: `spec` or `sim.interning`.
+        field: &'static str,
+        /// Which budget, and by how much.
+        what: String,
+    },
 }
 
 impl std::fmt::Display for BuildError {
@@ -58,6 +73,7 @@ impl std::fmt::Display for BuildError {
             Self::BadFaultFraction { fraction } => {
                 write!(f, "fault link_fraction {fraction} must be in [0, 1]")
             }
+            Self::OverBudget { field, what } => write!(f, "{field}: {what}"),
         }
     }
 }
@@ -75,30 +91,25 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The network owning global channel `chan` among networks laid out at
-/// ascending `offsets`: the last one starting at or below `chan`.
-fn owning_network(offsets: &[u32], chan: u32) -> Option<usize> {
-    offsets.partition_point(|&o| o <= chan).checked_sub(1)
-}
-
 /// Directed channels of one network, from shape arithmetic alone (no
 /// graphs built): `2·n·N` for an m-port n-tree, `2·N·(1 + ndims)` for a
 /// torus (one node link plus one plus-direction ring link per node per
-/// dimension, each with its tandem reverse).
-fn network_channels(topo: &TopoSpec, tree: impl FnOnce() -> cocnet_topology::MPortNTree) -> usize {
+/// dimension, each with its tandem reverse). In `u128`, so that no shape
+/// the topology accepts can overflow it.
+fn network_channels(topo: &TopoSpec, tree: impl FnOnce() -> cocnet_topology::MPortNTree) -> u128 {
     match topo {
         TopoSpec::Tree => {
             let t = tree();
-            2 * t.n() as usize * t.num_nodes()
+            2 * u128::from(t.n()) * t.num_nodes() as u128
         }
-        TopoSpec::Torus(s) => 2 * s.num_nodes() * (1 + s.ndims()),
+        TopoSpec::Torus(s) => 2 * s.num_nodes() as u128 * (1 + s.ndims()) as u128,
     }
 }
 
 /// Total global channels the built system of `spec` will have: each
 /// cluster contributes an ICN1 and an ECN1 network, plus the global ICN2.
-fn expected_channels(spec: &SystemSpec) -> usize {
-    let mut total = 0usize;
+fn expected_channels(spec: &SystemSpec) -> u128 {
+    let mut total = 0;
     for i in 0..spec.num_clusters() {
         total += 2 * network_channels(&spec.clusters[i].topology, || spec.cluster_tree(i));
     }
@@ -113,19 +124,90 @@ pub fn validate_faults(spec: &SystemSpec, faults: &FaultSchedule) -> Result<(), 
     faults.validate()?;
     let total = expected_channels(spec);
     for &l in &faults.links {
-        if l as usize >= total {
+        if u128::from(l) >= total {
             return Err(format!(
                 "faults.links: channel id {l} out of range (system has {total} channels)"
             ));
         }
     }
     for (i, e) in faults.events.iter().enumerate() {
-        if e.link as usize >= total {
+        if u128::from(e.link) >= total {
             return Err(format!(
                 "faults.events[{i}]: channel id {} out of range (system has {total} channels)",
                 e.link
             ));
         }
+    }
+    Ok(())
+}
+
+/// Largest system the eager all-pairs table interns: its references encode
+/// `src · N + dst`, and its build is quadratic in cluster size.
+pub const EAGER_MAX_NODES: usize = u16::MAX as usize;
+
+/// Flat node ids of a classed route reference take 31 bits.
+const NODE_ID_BITS: u32 = 31;
+
+/// A classed intra reference holds the source's position in its route
+/// class in 20 bits.
+const CLASS_POS_BITS: u32 = 20;
+
+/// Spec-level check of the id spaces a build encodes in a fixed width:
+/// global channel ids are `u32`, a classed route reference holds flat node
+/// ids in 31 bits and a class position in 20, and the eager table
+/// ([`InternMode::Eager`]) stops at [`EAGER_MAX_NODES`]. Computed from the
+/// spec's arithmetic without building anything, like [`validate_faults`],
+/// so `Scenario::validate()` can reject a system too large to build before
+/// anything is allocated; [`BuiltSystem::try_build_full`] runs the same
+/// check. The error names the field to change.
+pub fn validate_budgets(spec: &SystemSpec, interning: InternMode) -> Result<(), BuildError> {
+    let over = |field, what| Err(BuildError::OverBudget { field, what });
+    let channels = expected_channels(spec);
+    // u128, so that no spec the topology accepts can overflow the sums.
+    let mut nodes = 0u128;
+    let mut class = 1u128;
+    for i in 0..spec.num_clusters() {
+        let n = spec.cluster_nodes(i) as u128;
+        nodes += n;
+        if spec.clusters[i].topology.is_tree() {
+            // A route class is a leaf switch's nodes, or the whole
+            // cluster of a one-level tree; a torus class is one node.
+            class = class.max(if spec.clusters[i].n == 1 {
+                n
+            } else {
+                u128::from(spec.m / 2)
+            });
+        }
+    }
+    if channels > u128::from(u32::MAX) || nodes >= 1 << NODE_ID_BITS {
+        return over(
+            "spec",
+            format!(
+                "{nodes} nodes and {channels} channels exceed a build's budgets: at most {} \
+                 nodes ({NODE_ID_BITS}-bit node ids) and {} channels (u32 channel ids)",
+                (1u64 << NODE_ID_BITS) - 1,
+                u32::MAX
+            ),
+        );
+    }
+    if class > 1 << CLASS_POS_BITS {
+        return over(
+            "spec",
+            format!(
+                "a route class of {class} nodes exceeds the 2^{CLASS_POS_BITS}-member budget \
+                 of route references"
+            ),
+        );
+    }
+    if interning == InternMode::Eager && nodes > EAGER_MAX_NODES as u128 {
+        return over(
+            "sim.interning",
+            format!(
+                "eager route interning is all-pairs and capped at {EAGER_MAX_NODES} nodes \
+                 (this system has {nodes}); use classed interning (`\"interning\": \
+                 \"Classed\"` / `--interning classed`, the default)"
+            ),
+        );
     }
     Ok(())
 }
@@ -169,8 +251,38 @@ enum Leg {
     },
 }
 
+/// One network's place in the global channel numbering and its two
+/// per-flit channel times. Both backends number a network's `2N`
+/// node↔switch channels first, so the channels from `first` up to
+/// `switch` cross in `t_cn` and the rest, up to the next network's
+/// `first`, in `t_cs`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct NetTimes {
+    /// Global id of the network's first channel.
+    first: u32,
+    /// Global id of its first switch↔switch channel (the next network's
+    /// `first` when it has none, as a one-level tree).
+    switch: u32,
+    /// Node↔switch flit time, Eq. (11).
+    t_cn: f64,
+    /// Switch↔switch flit time, Eq. (12).
+    t_cs: f64,
+}
+
+impl NetTimes {
+    /// Per-flit transfer time of global channel `chan` of this network.
+    #[inline]
+    pub(crate) fn time(&self, chan: u32) -> f64 {
+        if chan < self.switch {
+            self.t_cn
+        } else {
+            self.t_cs
+        }
+    }
+}
+
 /// The networks of a built system and everything a route store reads
-/// about them: the channel graphs and their global offsets, the per-flit
+/// about them: the channel graphs, each network's channel range and
 /// channel times, the node maps, the ascent policy and the static faults.
 /// Built once per system; [`BuiltSystem`] owns it and the
 /// [`ClassedTable`] shares it.
@@ -182,12 +294,12 @@ struct NetLayout {
     icn1: Vec<Arc<AnyTopology>>,
     ecn1: Vec<Arc<AnyTopology>>,
     icn2: Arc<AnyTopology>,
-    /// Global id of each network's first channel.
-    icn1_off: Vec<u32>,
-    ecn1_off: Vec<u32>,
-    icn2_off: u32,
-    /// Per-flit transfer time of every global channel.
-    chan_time: Vec<f64>,
+    /// The `2C + 1` networks in channel order: cluster `i`'s ICN1 at
+    /// index `i`, its ECN1 at `C + i`, ICN2 at `2C` (the index a
+    /// [`SegMeta::net`] holds).
+    nets: Vec<NetTimes>,
+    /// Number of global channels.
+    num_channels: usize,
     /// Flat-node → (cluster, local) lookup.
     node_cluster: Vec<u32>,
     node_local: Vec<u32>,
@@ -201,8 +313,9 @@ struct NetLayout {
 }
 
 impl NetLayout {
-    /// Builds every network graph, the global channel table and the
-    /// static fault mask of `spec` (see [`BuiltSystem::try_build_full`]).
+    /// Builds every network graph, the per-network channel times and the
+    /// static fault mask of `spec`, whose id budgets the caller has
+    /// checked ([`validate_budgets`]; see [`BuiltSystem::try_build_full`]).
     fn build(
         spec: &SystemSpec,
         flit_bytes: f64,
@@ -212,26 +325,25 @@ impl NetLayout {
         let c = spec.num_clusters();
         let mut icn1 = Vec::with_capacity(c);
         let mut ecn1 = Vec::with_capacity(c);
-        let mut icn1_off = Vec::with_capacity(c);
-        let mut ecn1_off = Vec::with_capacity(c);
-        let mut chan_time: Vec<f64> = Vec::new();
+        let mut nets = Vec::with_capacity(2 * c + 1);
+        let mut num_channels = 0usize;
 
-        let push_graph = |graph: &AnyTopology, t_cn: f64, t_cs: f64, chan_time: &mut Vec<f64>| {
-            let off = chan_time.len() as u32;
-            for i in 0..graph.num_channels() {
-                let kind = graph.channel(ChannelId(i as u32)).kind;
-                chan_time.push(match kind {
-                    ChannelKind::NodeToSwitch | ChannelKind::SwitchToNode => t_cn,
-                    ChannelKind::SwitchToSwitch => t_cs,
-                });
-            }
-            off
+        // The caller checked the channel budget, so every id fits u32.
+        let id = |c: usize| u32::try_from(c).expect("channel ids within the checked budget");
+        let mut push_net = |graph: &AnyTopology, net: &NetworkCharacteristics| {
+            nets.push(NetTimes {
+                first: id(num_channels),
+                switch: id(num_channels + 2 * graph.num_nodes()),
+                t_cn: net.t_cn(flit_bytes),
+                t_cs: net.t_cs(flit_bytes),
+            });
+            num_channels += graph.num_channels();
         };
 
         // One channel graph per distinct shape — clusters with the same
         // backend shape (tree `(m, n)` or torus dims) share the structure
         // (channel ids, routes) even though their channel *times* differ,
-        // which the per-network offsets into `chan_time` already express.
+        // which the per-network entries of `nets` express.
         #[derive(PartialEq, Eq, Hash)]
         enum TopoKey {
             Tree(u32, u32),
@@ -257,24 +369,12 @@ impl NetLayout {
 
         for i in 0..c {
             let g = get_graph(&spec.clusters[i].topology, spec.clusters[i].n);
-            let net = &spec.clusters[i].icn1;
-            icn1_off.push(push_graph(
-                &g,
-                net.t_cn(flit_bytes),
-                net.t_cs(flit_bytes),
-                &mut chan_time,
-            ));
+            push_net(&g, &spec.clusters[i].icn1);
             icn1.push(g);
         }
         for i in 0..c {
             let g = get_graph(&spec.clusters[i].topology, spec.clusters[i].n);
-            let net = &spec.clusters[i].ecn1;
-            ecn1_off.push(push_graph(
-                &g,
-                net.t_cn(flit_bytes),
-                net.t_cs(flit_bytes),
-                &mut chan_time,
-            ));
+            push_net(&g, &spec.clusters[i].ecn1);
             ecn1.push(g);
         }
         let icn2_height = if spec.topology.is_tree() {
@@ -283,12 +383,7 @@ impl NetLayout {
             0
         };
         let icn2 = get_graph(&spec.topology, icn2_height);
-        let icn2_off = push_graph(
-            &icn2,
-            spec.icn2.t_cn(flit_bytes),
-            spec.icn2.t_cs(flit_bytes),
-            &mut chan_time,
-        );
+        push_net(&icn2, &spec.icn2);
 
         let total = spec.total_nodes();
         let mut node_cluster = Vec::with_capacity(total);
@@ -305,11 +400,10 @@ impl NetLayout {
         // and the global reverse of channel `g` is `g ^ 1`, exactly as
         // within one graph. The fault mask relies on it.
         debug_assert!(
-            icn1_off.iter().chain(ecn1_off.iter()).all(|&o| o % 2 == 0) && icn2_off % 2 == 0,
+            nets.iter().all(|n| n.first % 2 == 0),
             "network offsets must be even for global reverse = id ^ 1"
         );
 
-        let num_channels = chan_time.len();
         if !(faults.link_fraction.is_finite() && (0.0..=1.0).contains(&faults.link_fraction)) {
             return Err(BuildError::BadFaultFraction {
                 fraction: faults.link_fraction,
@@ -360,36 +454,68 @@ impl NetLayout {
 
         // Project the global mask into per-graph fault sets for the
         // fault-aware route interning.
-        let mut gf = GraphFaults::empty(c);
-        for g in (0..failed.len()).step_by(2) {
-            if !failed[g] {
-                continue;
-            }
-            let g32 = g as u32;
-            if g32 >= icn2_off {
-                gf.icn2.fail_link(ChannelId(g32 - icn2_off));
-            } else if let Some(i) = owning_network(&ecn1_off, g32) {
-                gf.ecn1[i].fail_link(ChannelId(g32 - ecn1_off[i]));
-            } else {
-                let i = owning_network(&icn1_off, g32).expect("channel below every offset");
-                gf.icn1[i].fail_link(ChannelId(g32 - icn1_off[i]));
-            }
-        }
-
-        Ok(Self {
+        let mut layout = Self {
             icn1,
             ecn1,
             icn2,
-            icn1_off,
-            ecn1_off,
-            icn2_off,
-            chan_time,
+            nets,
+            num_channels,
             node_cluster,
             node_local,
             policy,
             failed,
-            faults: gf,
-        })
+            faults: GraphFaults::empty(c),
+        };
+        for g in (0..layout.failed.len()).step_by(2) {
+            if !layout.failed[g] {
+                continue;
+            }
+            let g = g as u32;
+            let net = layout.net_of(g);
+            let local = ChannelId(g - layout.nets[net].first);
+            let gf = &mut layout.faults;
+            match net.checked_sub(c) {
+                None => gf.icn1[net].fail_link(local),
+                Some(i) if i < c => gf.ecn1[i].fail_link(local),
+                Some(_) => gf.icn2.fail_link(local),
+            }
+        }
+        Ok(layout)
+    }
+
+    /// Index in [`NetLayout::nets`] of cluster `i`'s ECN1.
+    #[inline]
+    fn ecn1_net(&self, i: usize) -> u32 {
+        (self.icn1.len() + i) as u32
+    }
+
+    /// Index in [`NetLayout::nets`] of ICN2.
+    #[inline]
+    fn icn2_net(&self) -> u32 {
+        2 * self.icn1.len() as u32
+    }
+
+    /// Global id of network `net`'s first channel.
+    #[inline]
+    fn first(&self, net: u32) -> u32 {
+        self.nets[net as usize].first
+    }
+
+    /// The network owning global channel `chan`: the last one starting at
+    /// or below it, by binary search, O(log C).
+    fn net_of(&self, chan: u32) -> usize {
+        debug_assert!(
+            (chan as usize) < self.num_channels,
+            "channel id out of range"
+        );
+        self.nets.partition_point(|n| n.first <= chan) - 1
+    }
+
+    /// One past the last global channel of network `net`.
+    fn end(&self, net: usize) -> u32 {
+        self.nets
+            .get(net + 1)
+            .map_or(self.num_channels as u32, |n| n.first)
     }
 
     /// `(cluster, local id)` of flat node `f`.
@@ -398,28 +524,29 @@ impl NetLayout {
         (self.node_cluster[f] as usize, self.node_local[f] as usize)
     }
 
-    /// Routes `leg` around the static faults into `out`: the global offset
-    /// of its network's channels, or `None` when the faults disconnect it.
-    /// Disconnection is not an error — the stores intern the segment
-    /// empty, and the engines account its messages as unreachable — but
-    /// any other route failure is.
-    fn route_leg(&self, leg: Leg, out: &mut Vec<ChannelId>) -> Result<Option<u32>, BuildError> {
+    /// Routes `leg` around the static faults into `out` and returns the
+    /// index of its network. A leg the faults disconnect leaves `out`
+    /// empty (every route has at least one channel, so an empty segment
+    /// means a dead one). Disconnection is not an error — the stores
+    /// intern the segment empty, and the engines account its messages as
+    /// unreachable — but any other route failure is.
+    fn route_leg(&self, leg: Leg, out: &mut Vec<ChannelId>) -> Result<u32, BuildError> {
         let p = self.policy;
         let f = &self.faults;
-        let (r, off, context) = match leg {
+        let (r, net, context) = match leg {
             Leg::Up(src) => {
                 let (ci, li) = self.locate(src);
                 let r = self.ecn1[ci].route_exit_into(li, p, Some(&f.ecn1[ci]), out);
-                (r, self.ecn1_off[ci], "ECN1 ascent")
+                (r, self.ecn1_net(ci), "ECN1 ascent")
             }
             Leg::Cross(ci, cj) => {
                 let r = self.icn2.route_into(ci, cj, p, Some(&f.icn2), out);
-                (r, self.icn2_off, "ICN2 crossing")
+                (r, self.icn2_net(), "ICN2 crossing")
             }
             Leg::Down(dst) => {
                 let (cj, lj) = self.locate(dst);
                 let r = self.ecn1[cj].route_entry_into(lj, p, Some(&f.ecn1[cj]), out);
-                (r, self.ecn1_off[cj], "ECN1 descent")
+                (r, self.ecn1_net(cj), "ECN1 descent")
             }
             Leg::Intra { ci, li, lj, tail } => {
                 let (g, faults) = (&self.icn1[ci], Some(&f.icn1[ci]));
@@ -428,35 +555,40 @@ impl NetLayout {
                 } else {
                     g.route_into(li, lj, p, faults, out)
                 };
-                (r, self.icn1_off[ci], "ICN1 intra")
+                (r, ci as u32, "ICN1 intra")
             }
         };
         match r {
-            Ok(_) => Ok(Some(off)),
-            Err(TopologyError::Disconnected { .. }) => Ok(None),
+            Ok(_) => Ok(net),
+            Err(TopologyError::Disconnected { .. }) => {
+                out.clear();
+                Ok(net)
+            }
             Err(err) => Err(BuildError::Route { context, err }),
         }
     }
 
     /// The one segment fold, shared by the eager segments, the classed
-    /// records and the adaptive routes: shifts each local channel of
-    /// `route` by its network's offset `off`, hands the global id to
-    /// `emit`, and folds it onto `acc` — one more channel in `len`, its
-    /// per-flit time into `sum_t` (Σ) and `bottleneck_t` (max), in
-    /// traversal order over the same values the engines' channel table
-    /// holds, so the closed-form finish times computed from them are
-    /// bit-identical to a per-event rescan.
+    /// records and the adaptive routes: records network `net` as the
+    /// segment's, shifts each local channel of `route` by the network's
+    /// first id, hands the global id to `emit`, and folds it onto `acc` —
+    /// one more channel in `len`, its per-flit time into `sum_t` (Σ) and
+    /// `bottleneck_t` (max), in traversal order over the same values the
+    /// engines read per channel, so the closed-form finish times computed
+    /// from them are bit-identical to a per-event rescan.
     #[inline]
     fn fold_seg(
         &self,
         mut acc: SegMeta,
         route: &[ChannelId],
-        off: u32,
+        net: u32,
         mut emit: impl FnMut(u32),
     ) -> SegMeta {
+        let times = self.nets[net as usize];
+        acc.net = net;
         for c in route {
-            let g = off + c.0;
-            let t = self.chan_time[g as usize];
+            let g = times.first + c.0;
+            let t = times.time(g);
             acc.sum_t += t;
             acc.bottleneck_t = acc.bottleneck_t.max(t);
             acc.len += 1;
@@ -527,7 +659,7 @@ impl RouteRef {
 
     #[inline]
     fn intra(cls: u32, j: u32, dead: bool) -> Self {
-        debug_assert!(j < 1 << 20 && cls < 1 << 31);
+        debug_assert!(j < 1 << CLASS_POS_BITS && cls < 1 << 31);
         RouteRef(
             (REF_TAG_INTRA << REF_TAG_SHIFT)
                 | if dead { REF_INTRA_DEAD } else { 0 }
@@ -548,7 +680,7 @@ impl RouteRef {
 
     #[inline]
     fn inter(src: u64, dst: u64) -> Self {
-        debug_assert!(src < 1 << 31 && dst < 1 << 31);
+        debug_assert!(src < 1 << NODE_ID_BITS && dst < 1 << NODE_ID_BITS);
         RouteRef((REF_TAG_INTER << REF_TAG_SHIFT) | (src << 31) | dst)
     }
 
@@ -562,13 +694,14 @@ impl RouteRef {
 }
 
 /// Precomputed view of one interned segment: where its channels live in
-/// the route table's flat channel array, plus the two per-segment numbers
-/// the wormhole drain model needs on every segment completion.
+/// the route table's flat channel array, which network they belong to,
+/// plus the two per-segment numbers the wormhole drain model needs on
+/// every segment completion.
 ///
 /// `sum_t` and `bottleneck_t` are accumulated in traversal order over the
-/// exact same `f64` channel times the engine's channel table holds, so the
-/// closed-form finish times computed from them are bit-identical to the
-/// legacy per-event rescan.
+/// exact same `f64` channel times the engines read per channel through
+/// `net`, so the closed-form finish times computed from them are
+/// bit-identical to the legacy per-event rescan.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SegMeta {
     /// Where the segment's channels live, resolved by
@@ -581,10 +714,28 @@ pub struct SegMeta {
     pub start: u64,
     /// Number of channels in the segment.
     pub len: u32,
+    /// The network every channel of the segment belongs to, in the built
+    /// system's network order: cluster `i`'s ICN1 is `i`, its ECN1
+    /// `C + i`, and ICN2 `2C` (see [`BuiltSystem::network_index`]). It
+    /// is what lets the engines read a channel's time from two numbers
+    /// per network. Fills what would otherwise be padding.
+    pub net: u32,
     /// Σ of the per-flit channel times, in traversal order.
     pub sum_t: f64,
     /// Max of the per-flit channel times (the segment's drain bottleneck).
     pub bottleneck_t: f64,
+}
+
+impl SegMeta {
+    /// The empty segment, [`SegMeta::default`] in a constant: the
+    /// placeholder of a message slot not yet filled.
+    pub const EMPTY: SegMeta = SegMeta {
+        start: 0,
+        len: 0,
+        net: 0,
+        sum_t: 0.0,
+        bottleneck_t: 0.0,
+    };
 }
 
 /// The eager all-pairs route store: every deterministic (src, dst) route
@@ -670,10 +821,9 @@ impl TableBuilder {
         let mut m = SegMeta::default();
         let mut dead = false;
         if let Some(leg) = leg {
-            match net.route_leg(leg, &mut self.scratch)? {
-                Some(off) => m = net.fold_seg(m, &self.scratch, off, |g| self.chans.push(g)),
-                None => dead = true,
-            }
+            let id = net.route_leg(leg, &mut self.scratch)?;
+            dead = self.scratch.is_empty();
+            m = net.fold_seg(m, &self.scratch, id, |g| self.chans.push(g));
         }
         assert!(
             self.chans.len() <= u32::MAX as usize,
@@ -688,14 +838,11 @@ impl TableBuilder {
 }
 
 impl EagerTable {
+    /// Interns every route of `net`, whose node count the caller has
+    /// checked against [`EAGER_MAX_NODES`] ([`validate_budgets`]).
     fn build(net: &NetLayout) -> Result<Self, BuildError> {
         let total_nodes = net.node_cluster.len();
-        assert!(
-            total_nodes <= u16::MAX as usize,
-            "eager route interning is all-pairs and capped at 65535 nodes; \
-             use classed interning (`\"interning\": \"Classed\"` / `--interning classed`, \
-             the default) for larger systems"
-        );
+        debug_assert!(total_nodes <= EAGER_MAX_NODES, "over the eager budget");
         let c = net.icn1.len();
         let cluster_nodes: Vec<u32> = net.icn1.iter().map(|g| g.num_nodes() as u32).collect();
         let mut b = TableBuilder::new();
@@ -781,19 +928,22 @@ impl EagerTable {
         }
     }
 
+    /// Segment `k` of route `r`, and its network (see [`SegMeta::net`]).
     #[inline]
-    fn seg_id(&self, r: RouteRef, k: u32) -> u32 {
+    fn seg_id(&self, r: RouteRef, k: u32) -> (u32, u32) {
         let (src, dst) = self.decode(r);
         let ci = self.node_cluster[src] as usize;
         let cj = self.node_cluster[dst] as usize;
+        let c = self.num_clusters;
         if ci == cj {
             let ni = self.cluster_nodes[ci];
-            self.intra_base[ci] + self.node_local[src] * ni + self.node_local[dst]
+            let seg = self.intra_base[ci] + self.node_local[src] * ni + self.node_local[dst];
+            (seg, ci as u32)
         } else {
             match k {
-                0 => self.up_seg[src],
-                1 => self.cross_seg[ci * self.num_clusters as usize + cj],
-                _ => self.down_seg[dst],
+                0 => (self.up_seg[src], c + ci as u32),
+                1 => (self.cross_seg[ci * c as usize + cj], 2 * c),
+                _ => (self.down_seg[dst], c + cj as u32),
             }
         }
     }
@@ -805,19 +955,18 @@ impl EagerTable {
         }
         let r = self.route_ref(src, dst);
         let n = self.num_segments(r);
-        (0..n).any(|k| {
-            let s = self.seg_id(r, k);
-            self.dead_segs[s as usize]
-        })
+        (0..n).any(|k| self.dead_segs[self.seg_id(r, k).0 as usize])
     }
 
     #[inline]
     fn seg_meta(&self, r: RouteRef, k: u32) -> SegMeta {
-        let s = self.seg_id(r, k) as usize;
+        let (s, net) = self.seg_id(r, k);
+        let s = s as usize;
         let start = self.seg_off[s];
         SegMeta {
             start: start as u64,
             len: self.seg_off[s + 1] - start,
+            net,
             sum_t: self.seg_sum[s],
             bottleneck_t: self.seg_bot[s],
         }
@@ -966,7 +1115,7 @@ struct LazyState {
 ///   [`Topology::route_tail_into`]) plus the left-folded `sum_t` /
 ///   `bottleneck_t`, which are class-uniform because all injection
 ///   channels of one ICN1 share `t_cn`. The per-pair injection channel is
-///   recovered arithmetically (`icn1_off + 2·local`) through the virtual
+///   recovered arithmetically (ICN1's first channel `+ 2·local`) through the virtual
 ///   [`SegMeta::start`] window, so per-pair storage is zero.
 /// * inter-cluster: one ascent record per source node, one descent record
 ///   per destination node, one crossing record per cluster pair — the
@@ -997,9 +1146,10 @@ pub struct ClassedTable {
     /// Flat channel-id storage of every materialized segment.
     chans: ChunkedU32,
     /// Record words: every record is 4 words `[chans_off, sum_t bits,
-    /// bottleneck_t bits, len]`. `len` counts the whole segment
-    /// (injection included for intra); `len == 0` marks a
-    /// fault-disconnected record. An intra class's channel window starts
+    /// bottleneck_t bits, len | net << 32]`. `len` counts the whole
+    /// segment (injection included for intra); `len == 0` marks a
+    /// fault-disconnected record. `net` is the segment's network
+    /// ([`SegMeta::net`]), in the high half of the word `len` leaves free. An intra class's channel window starts
     /// with a head slot — the injection channel of the leaf's *first*
     /// member, from which member `j`'s is `head + 2·j` — followed by the
     /// shared route tail, so [`ClassedTable::chan_at`] resolves any
@@ -1009,19 +1159,19 @@ pub struct ClassedTable {
 }
 
 impl ClassedTable {
+    /// An empty table over `net`, whose node ids and route classes the
+    /// caller has checked against the reference budgets
+    /// ([`validate_budgets`]).
     fn new(net: Arc<NetLayout>) -> Self {
         let total = net.node_cluster.len();
         let c = net.icn1.len();
-        assert!(
-            total < 1 << 31,
-            "classed route refs encode flat node ids in 31 bits"
+        debug_assert!(total < 1 << NODE_ID_BITS, "over the node-id budget");
+        debug_assert!(
+            net.icn1
+                .iter()
+                .all(|g| g.max_class_members() <= 1 << CLASS_POS_BITS),
+            "over the class-position budget"
         );
-        for g in &net.icn1 {
-            assert!(
-                g.max_class_members() <= 1 << 20,
-                "classed route refs encode the class position in 20 bits"
-            );
-        }
         let unset = |n: usize| (0..n).map(|_| AtomicU32::new(UNSET)).collect();
         Self {
             net,
@@ -1044,7 +1194,7 @@ impl ClassedTable {
             m.start,
             m.sum_t.to_bits(),
             m.bottleneck_t.to_bits(),
-            m.len as u64,
+            u64::from(m.len) | u64::from(m.net) << 32,
         ] {
             self.recs.set(st.rec_len, w);
             st.rec_len += 1;
@@ -1088,14 +1238,14 @@ impl ClassedTable {
             start: st.chan_len,
             ..SegMeta::default()
         };
-        // A validated spec fails a route only by fault disconnection.
-        let off = self.net.route_leg(leg, &mut scratch);
-        if let Some(off) = off.unwrap_or_else(|e| panic!("{e}")) {
-            m = self.net.fold_seg(m, &scratch, off, |g| {
-                self.chans.set(st.chan_len, g);
-                st.chan_len += 1;
-            });
-        }
+        // A validated spec fails a route only by fault disconnection,
+        // which leaves the route empty and the record dead.
+        let net = self.net.route_leg(leg, &mut scratch);
+        let net = net.unwrap_or_else(|e| panic!("{e}"));
+        m = self.net.fold_seg(m, &scratch, net, |g| {
+            self.chans.set(st.chan_len, g);
+            st.chan_len += 1;
+        });
         let rec = self.push_rec(&mut st, m);
         st.scratch = scratch;
         slot.store(rec, Ordering::Release);
@@ -1107,7 +1257,14 @@ impl ClassedTable {
     /// in node order, so injection is `2·li` locally.
     #[inline]
     fn intra_inj(&self, ci: usize, li: usize) -> u32 {
-        self.net.icn1_off[ci] + 2 * li as u32
+        self.net.first(ci as u32) + 2 * li as u32
+    }
+
+    /// `(len, net)` of the record at `rec` (see [`ClassedTable::recs`]).
+    #[inline]
+    fn rec_len_net(&self, rec: u64) -> (u32, u32) {
+        let w = self.recs.get(rec + 3);
+        (w as u32, (w >> 32) as u32)
     }
 
     /// Class record of the intra pair `(src, dst)`, materializing the
@@ -1133,8 +1290,9 @@ impl ClassedTable {
             ..SegMeta::default()
         };
         let tail = true;
-        let off = net.route_leg(Leg::Intra { ci, li, lj, tail }, &mut scratch);
-        if let Some(off) = off.unwrap_or_else(|e| panic!("{e}")) {
+        let icn1 = net.route_leg(Leg::Intra { ci, li, lj, tail }, &mut scratch);
+        m.net = icn1.unwrap_or_else(|e| panic!("{e}"));
+        if !scratch.is_empty() {
             assert!(
                 m.start < 1 << 31,
                 "channel arena exceeds the virtual-window offset budget"
@@ -1143,7 +1301,7 @@ impl ClassedTable {
             // materializing pair's injection time stands in for every
             // member's: all ICN1 injection channels share one t_cn, so the
             // folded sum/bottleneck are class-uniform bit for bit.
-            m = net.fold_seg(m, &[ChannelId(2 * li as u32)], off, |_| {});
+            m = net.fold_seg(m, &[ChannelId(2 * li as u32)], m.net, |_| {});
             let mut emit = |g| {
                 self.chans.set(st.chan_len, g);
                 st.chan_len += 1;
@@ -1154,7 +1312,7 @@ impl ClassedTable {
             // order), which is what lets `chan_at` resolve a pair's
             // injection with the same single arena read as a tail channel.
             emit(self.intra_inj(ci, graph.class_first_node(leaf)));
-            m = net.fold_seg(m, &scratch, off, emit);
+            m = net.fold_seg(m, &scratch, m.net, emit);
             assert!(
                 m.len < 1 << VSTART_POS_BITS,
                 "segment too long for the virtual channel window"
@@ -1196,7 +1354,7 @@ impl ClassedTable {
     fn seg_meta(&self, r: RouteRef, k: u32) -> SegMeta {
         if r.tag() == REF_TAG_INTRA {
             let (cls, j, dead) = r.intra_parts();
-            let len = self.recs.get(cls as u64 + 3) as u32;
+            let (len, net) = self.rec_len_net(cls as u64);
             let start = vstart(self.recs.get(cls as u64), j);
             if dead || len == 0 {
                 // Same shape the eager table's empty placeholder yields.
@@ -1204,6 +1362,7 @@ impl ClassedTable {
                 return SegMeta {
                     start,
                     len: 0,
+                    net,
                     sum_t: 0.0,
                     bottleneck_t: 0.0,
                 };
@@ -1211,15 +1370,18 @@ impl ClassedTable {
             SegMeta {
                 start,
                 len,
+                net,
                 sum_t: f64::from_bits(self.recs.get(cls as u64 + 1)),
                 bottleneck_t: f64::from_bits(self.recs.get(cls as u64 + 2)),
             }
         } else {
             let (src, dst) = r.inter_parts();
             let rec = self.inter_rec(src, dst, k) as u64;
+            let (len, net) = self.rec_len_net(rec);
             SegMeta {
                 start: self.recs.get(rec),
-                len: self.recs.get(rec + 3) as u32,
+                len,
+                net,
                 sum_t: f64::from_bits(self.recs.get(rec + 1)),
                 bottleneck_t: f64::from_bits(self.recs.get(rec + 2)),
             }
@@ -1249,10 +1411,10 @@ impl ClassedTable {
         let (ci, li) = self.net.locate(src);
         if ci == self.net.node_cluster[dst] as usize {
             let cls = self.intra_cls(src, dst);
-            self.recs.get(cls as u64 + 3) == 0 || self.net.failed[self.intra_inj(ci, li) as usize]
+            self.rec_len_net(cls as u64).0 == 0 || self.net.failed[self.intra_inj(ci, li) as usize]
         } else {
             let recs = [0, 1, 2].map(|k| self.inter_rec(src, dst, k) as u64);
-            recs.iter().any(|&rec| self.recs.get(rec + 3) == 0)
+            recs.iter().any(|&rec| self.rec_len_net(rec).0 == 0)
         }
     }
 
@@ -1403,7 +1565,7 @@ pub struct BuiltSystem {
 }
 
 impl BuiltSystem {
-    /// Builds all network graphs and the global channel table for messages
+    /// Builds all network graphs and their channel times for messages
     /// whose flits are `flit_bytes` long, using the default (balanced)
     /// ascent policy.
     pub fn build(spec: &SystemSpec, flit_bytes: f64) -> Self {
@@ -1444,7 +1606,8 @@ impl BuiltSystem {
     /// lazily per equivalence class and scales to millions of endpoints;
     /// [`InternMode::Eager`] pre-interns all pairs (the golden oracle,
     /// ≤ 65 535 nodes). The two are bit-identical in every simulation
-    /// result.
+    /// result. A system over an id budget ([`validate_budgets`]) fails
+    /// before anything is built.
     pub fn try_build_full(
         spec: &SystemSpec,
         flit_bytes: f64,
@@ -1452,6 +1615,7 @@ impl BuiltSystem {
         faults: &FaultSchedule,
         interning: InternMode,
     ) -> Result<Self, BuildError> {
+        validate_budgets(spec, interning)?;
         let net = Arc::new(NetLayout::build(spec, flit_bytes, policy, faults)?);
         let routes = match interning {
             InternMode::Eager => RouteTable::Eager(EagerTable::build(&net)?),
@@ -1485,17 +1649,41 @@ impl BuiltSystem {
 
     /// Total number of global channels.
     pub fn num_channels(&self) -> usize {
-        self.net.chan_time.len()
+        self.net.num_channels
     }
 
-    /// Per-flit transfer time of global channel `c`.
+    /// Per-flit transfer time of global channel `c`: its network's `t_cn`
+    /// or `t_cs`, found by a binary search over the networks, O(log C).
+    /// For cold callers (set-up, tests, diagnostics); the engines read a
+    /// channel's time in O(1) through its segment's [`SegMeta::net`].
+    ///
+    /// # Panics
+    /// Panics if `c` is not a channel of the system.
     pub fn chan_time(&self, c: u32) -> f64 {
-        self.net.chan_time[c as usize]
+        assert!(
+            (c as usize) < self.num_channels(),
+            "channel {c} out of range"
+        );
+        self.net.nets[self.net.net_of(c)].time(c)
     }
 
-    /// Per-flit transfer times of every global channel, indexed by id.
-    pub fn chan_times(&self) -> &[f64] {
-        &self.net.chan_time
+    /// The per-network channel times, indexed by [`SegMeta::net`].
+    pub(crate) fn net_times(&self) -> &[NetTimes] {
+        &self.net.nets
+    }
+
+    /// The network owning global channel `chan`, as the index a
+    /// [`SegMeta::net`] holds: cluster `i`'s ICN1 is `i`, its ECN1
+    /// `C + i`, ICN2 `2C`. O(log C).
+    ///
+    /// # Panics
+    /// Panics if `chan` is not a channel of the system.
+    pub fn network_index(&self, chan: u32) -> u32 {
+        assert!(
+            (chan as usize) < self.num_channels(),
+            "channel {chan} out of range"
+        );
+        self.net.net_of(chan) as u32
     }
 
     /// Total number of processing nodes (flat indexing).
@@ -1520,29 +1708,26 @@ impl BuiltSystem {
 
     /// Which network a global channel belongs to, for diagnostics:
     /// `("ICN1", i)`, `("ECN1", i)` or `("ICN2", 0)`. A binary search over
-    /// the network offsets, O(log C).
+    /// the networks, O(log C).
     pub fn network_of(&self, chan: u32) -> (&'static str, usize) {
-        if chan >= self.net.icn2_off {
-            return ("ICN2", 0);
-        }
-        match owning_network(&self.net.ecn1_off, chan) {
-            Some(i) => ("ECN1", i),
-            None => (
-                "ICN1",
-                owning_network(&self.net.icn1_off, chan).expect("channel id out of range"),
-            ),
+        let c = self.net.icn1.len();
+        match self.network_index(chan) as usize {
+            i if i < c => ("ICN1", i),
+            i if i < 2 * c => ("ECN1", i - c),
+            _ => ("ICN2", 0),
         }
     }
 
     /// Human-readable description of a global channel (network, endpoints).
     pub fn describe_channel(&self, chan: u32) -> String {
         let (net, i) = self.network_of(chan);
-        let (graph, off) = match net {
-            "ICN1" => (&self.net.icn1[i], self.net.icn1_off[i]),
-            "ECN1" => (&self.net.ecn1[i], self.net.ecn1_off[i]),
-            _ => (&self.net.icn2, self.net.icn2_off),
+        let graph = match net {
+            "ICN1" => &self.net.icn1[i],
+            "ECN1" => &self.net.ecn1[i],
+            _ => &self.net.icn2,
         };
-        let desc = graph.channel(cocnet_topology::ChannelId(chan - off));
+        let first = self.net.first(self.network_index(chan));
+        let desc = graph.channel(cocnet_topology::ChannelId(chan - first));
         match net {
             "ICN2" => format!("ICN2 {:?} -> {:?}", desc.from, desc.to),
             _ => format!("{net}({i}) {:?} -> {:?}", desc.from, desc.to),
@@ -1574,26 +1759,26 @@ impl BuiltSystem {
         let seg = |route: &[ChannelId], off: u32| Segment {
             chans: route.iter().map(|c| off + c.0).collect(),
         };
+        let net = &*self.net;
         let mut scratch: Vec<ChannelId> = Vec::new();
         if ci == cj {
-            self.net.icn1[ci]
-                .route_into(li, lj, self.net.policy, None, &mut scratch)
+            net.icn1[ci]
+                .route_into(li, lj, net.policy, None, &mut scratch)
                 .expect("valid local ids");
-            return vec![seg(&scratch, self.net.icn1_off[ci])];
+            return vec![seg(&scratch, net.first(ci as u32))];
         }
-        self.net.ecn1[ci]
-            .route_exit_into(li, self.net.policy, None, &mut scratch)
+        net.ecn1[ci]
+            .route_exit_into(li, net.policy, None, &mut scratch)
             .expect("valid local id");
-        let up = seg(&scratch, self.net.ecn1_off[ci]);
-        self.net
-            .icn2
-            .route_into(ci, cj, self.net.policy, None, &mut scratch)
+        let up = seg(&scratch, net.first(net.ecn1_net(ci)));
+        net.icn2
+            .route_into(ci, cj, net.policy, None, &mut scratch)
             .expect("valid cluster ids");
-        let cross = seg(&scratch, self.net.icn2_off);
-        self.net.ecn1[cj]
-            .route_entry_into(lj, self.net.policy, None, &mut scratch)
+        let cross = seg(&scratch, net.first(net.icn2_net()));
+        net.ecn1[cj]
+            .route_entry_into(lj, net.policy, None, &mut scratch)
             .expect("valid local id");
-        let down = seg(&scratch, self.net.ecn1_off[cj]);
+        let down = seg(&scratch, net.first(net.ecn1_net(cj)));
         vec![up, cross, down]
     }
 }
@@ -1602,21 +1787,20 @@ impl BuiltSystem {
     /// The smallest single-channel crossing time on the inter-cluster
     /// fabric (every ECN1 and ICN2 channel) — the concrete-channel form
     /// of [`SystemSpec::intercluster_lookahead`], taken over the built
-    /// channel table. This is the sharded engine's conservative sync
+    /// networks. This is the sharded engine's conservative sync
     /// lookahead: a message emitted into the inter-cluster fabric at `t`
     /// cannot request a channel on another shard before `t + Δ`.
     pub fn min_intercluster_channel_time(&self) -> f64 {
-        // Channel numbering is all ICN1s, then all ECN1s, then ICN2, so
-        // everything at or past the first ECN1 offset is boundary fabric.
-        let from = self
-            .net
-            .ecn1_off
-            .first()
-            .copied()
-            .unwrap_or(self.net.icn2_off) as usize;
-        self.net.chan_time[from..]
-            .iter()
-            .copied()
+        // Networks are numbered all ICN1s, then all ECN1s, then ICN2, so
+        // every network from the first ECN1 on is boundary fabric. Each
+        // has node channels; only one with switch channels offers `t_cs`.
+        let net = &*self.net;
+        (net.ecn1_net(0) as usize..net.nets.len())
+            .flat_map(|i| {
+                let n = net.nets[i];
+                [Some(n.t_cn), (n.switch < net.end(i)).then_some(n.t_cs)]
+            })
+            .flatten()
             .fold(f64::INFINITY, f64::min)
     }
 
@@ -1645,32 +1829,32 @@ impl BuiltSystem {
         let seg = |route: &[ChannelId], off: u32| Segment {
             chans: route.iter().map(|c| off + c.0).collect(),
         };
+        let net = &*self.net;
         let mut scratch: Vec<ChannelId> = Vec::new();
         if ci == cj {
             let n = self.spec.clusters[ci].n;
             let d = digits(n.saturating_sub(1));
-            self.net.icn1[ci]
+            net.icn1[ci]
                 .route_adaptive_into(li, lj, &d, &mut scratch)
                 .expect("valid local ids");
-            return vec![seg(&scratch, self.net.icn1_off[ci])];
+            return vec![seg(&scratch, net.first(ci as u32))];
         }
         let n_i = self.spec.clusters[ci].n;
         let n_c = self.spec.icn2_height().expect("validated");
         let d_up = digits(n_i.saturating_sub(1));
-        self.net.ecn1[ci]
+        net.ecn1[ci]
             .route_exit_adaptive_into(li, &d_up, &mut scratch)
             .expect("valid local id");
-        let up = seg(&scratch, self.net.ecn1_off[ci]);
+        let up = seg(&scratch, net.first(net.ecn1_net(ci)));
         let d_cross = digits(n_c.saturating_sub(1));
-        self.net
-            .icn2
+        net.icn2
             .route_adaptive_into(ci, cj, &d_cross, &mut scratch)
             .expect("valid cluster ids");
-        let cross = seg(&scratch, self.net.icn2_off);
-        self.net.ecn1[cj]
-            .route_entry_into(lj, self.net.policy, None, &mut scratch)
+        let cross = seg(&scratch, net.first(net.icn2_net()));
+        net.ecn1[cj]
+            .route_entry_into(lj, net.policy, None, &mut scratch)
             .expect("valid local id");
-        let down = seg(&scratch, self.net.ecn1_off[cj]);
+        let down = seg(&scratch, net.first(net.ecn1_net(cj)));
         vec![up, cross, down]
     }
 }
@@ -1767,33 +1951,33 @@ impl AdaptiveRouteCache {
         route.chans.clear();
         route.segs = [SegMeta::default(); 3];
         let out = &mut self.local;
-        let mut append = |k: usize, off: u32, out: &[ChannelId]| {
+        let mut append = |k: usize, id: u32, out: &[ChannelId]| {
             let start = SegMeta {
                 start: route.chans.len() as u64,
                 ..SegMeta::default()
             };
-            route.segs[k] = net.fold_seg(start, out, off, |g| route.chans.push(g));
+            route.segs[k] = net.fold_seg(start, out, id, |g| route.chans.push(g));
         };
         if ci == cj {
             net.icn1[ci]
                 .route_adaptive_into(li, lj, d_up, out)
                 .expect("valid local ids");
-            append(0, net.icn1_off[ci], out);
+            append(0, ci as u32, out);
             route.nsegs = 1;
             return;
         }
         net.ecn1[ci]
             .route_exit_adaptive_into(li, d_up, out)
             .expect("valid local id");
-        append(0, net.ecn1_off[ci], out);
+        append(0, net.ecn1_net(ci), out);
         net.icn2
             .route_adaptive_into(ci, cj, d_cross, out)
             .expect("valid cluster ids");
-        append(1, net.icn2_off, out);
+        append(1, net.icn2_net(), out);
         net.ecn1[cj]
             .route_entry_into(lj, net.policy, None, out)
             .expect("valid local id");
-        append(2, net.ecn1_off[cj], out);
+        append(2, net.ecn1_net(cj), out);
         route.nsegs = 3;
     }
 }
@@ -1957,6 +2141,7 @@ mod tests {
                 let m = route.segs[k];
                 let got = &route.chans[m.start as usize..(m.start + m.len as u64) as usize];
                 assert_eq!(got, seg.chans.as_slice(), "{src}->{dst} segment {k}");
+                assert!(got.iter().all(|&c| b.network_index(c) == m.net));
                 let mut sum = 0.0;
                 let mut bot = 0.0f64;
                 for &c in &seg.chans {
@@ -2119,23 +2304,25 @@ mod tests {
         let s = spec();
         assert_eq!(
             expected_channels(&s),
-            BuiltSystem::build(&s, 256.0).num_channels()
+            BuiltSystem::build(&s, 256.0).num_channels() as u128
         );
     }
 
     /// The linear scan `network_of` replaced: the last ECN1, then ICN1,
-    /// network whose offset is at most `chan`.
+    /// network whose first channel is at most `chan`.
     fn network_of_by_scan(b: &BuiltSystem, chan: u32) -> (&'static str, usize) {
-        if chan >= b.net.icn2_off {
+        let c = b.spec.num_clusters();
+        let first = |i: usize| b.net.nets[i].first;
+        if chan >= first(2 * c) {
             return ("ICN2", 0);
         }
-        for i in (0..b.net.ecn1_off.len()).rev() {
-            if chan >= b.net.ecn1_off[i] {
+        for i in (0..c).rev() {
+            if chan >= first(c + i) {
                 return ("ECN1", i);
             }
         }
-        for i in (0..b.net.icn1_off.len()).rev() {
-            if chan >= b.net.icn1_off[i] {
+        for i in (0..c).rev() {
+            if chan >= first(i) {
                 return ("ICN1", i);
             }
         }
@@ -2156,14 +2343,9 @@ mod tests {
         for spec in [spec(), mixed] {
             let b = BuiltSystem::build(&spec, 256.0);
             let c = spec.num_clusters();
-            let starts: Vec<u32> = b
-                .net
-                .icn1_off
-                .iter()
-                .chain(&b.net.ecn1_off)
-                .copied()
-                .collect();
-            let ends = starts[1..].iter().copied().chain([b.net.icn2_off]);
+            let starts: Vec<u32> = b.net.nets[..2 * c].iter().map(|n| n.first).collect();
+            let icn2_first = b.net.nets[2 * c].first;
+            let ends = starts[1..].iter().copied().chain([icn2_first]);
             for (net, (start, end)) in starts.iter().zip(ends).enumerate() {
                 let want = (["ICN1", "ECN1"][net / c], net % c);
                 for chan in [*start, end - 1] {
@@ -2172,11 +2354,162 @@ mod tests {
                 }
             }
             let last = b.num_channels() as u32 - 1;
-            for chan in [b.net.icn2_off, last] {
+            for chan in [icn2_first, last] {
                 assert_eq!(b.network_of(chan), ("ICN2", 0));
                 assert_eq!(b.network_of(chan), network_of_by_scan(&b, chan));
             }
         }
+    }
+
+    /// The per-channel fill the per-network entries replaced: every
+    /// channel of every network in global order, its time chosen by the
+    /// channel's kind.
+    fn chan_times_by_kind(b: &BuiltSystem, flit_bytes: f64) -> Vec<f64> {
+        use cocnet_topology::ChannelKind;
+        let spec = b.spec();
+        let mut fill = Vec::new();
+        let mut push = |graph: &AnyTopology, net: &NetworkCharacteristics| {
+            for i in 0..graph.num_channels() {
+                fill.push(match graph.channel(ChannelId(i as u32)).kind {
+                    ChannelKind::NodeToSwitch | ChannelKind::SwitchToNode => net.t_cn(flit_bytes),
+                    ChannelKind::SwitchToSwitch => net.t_cs(flit_bytes),
+                });
+            }
+        };
+        for (g, cluster) in b.net.icn1.iter().zip(&spec.clusters) {
+            push(g, &cluster.icn1);
+        }
+        for (g, cluster) in b.net.ecn1.iter().zip(&spec.clusters) {
+            push(g, &cluster.ecn1);
+        }
+        push(&b.net.icn2, &spec.icn2);
+        fill
+    }
+
+    #[test]
+    fn per_network_times_match_the_per_channel_fill_on_every_channel() {
+        let flit = 256.0;
+        let nc = |bw, nl, sl| NetworkCharacteristics::new(bw, nl, sl).unwrap();
+        // A trap for a minimum taken over both times of every network: a
+        // one-level tree's ECN1 has node channels only, and its `t_cs`
+        // undercuts every time the inter-cluster fabric really has.
+        let trap = nc(1000.0, 0.2, 0.001);
+        let cluster = |n, icn1, ecn1| ClusterSpec {
+            n,
+            icn1,
+            ecn1,
+            topology: Default::default(),
+        };
+        let tree = SystemSpec::new(
+            4,
+            vec![
+                cluster(1, nc(500.0, 0.01, 0.02), trap),
+                cluster(2, nc(400.0, 0.03, 0.01), nc(250.0, 0.05, 0.01)),
+                cluster(3, nc(800.0, 0.02, 0.04), nc(300.0, 0.01, 0.06)),
+                cluster(2, nc(450.0, 0.06, 0.02), nc(350.0, 0.02, 0.02)),
+            ],
+            nc(480.0, 0.04, 0.03),
+        )
+        .unwrap();
+        let torus_cluster = |dims: &[u32], icn1, ecn1| ClusterSpec {
+            n: 0,
+            icn1,
+            ecn1,
+            topology: TopoSpec::Torus(TorusShape::new(dims).unwrap()),
+        };
+        let mut torus = SystemSpec::new(
+            4,
+            vec![
+                torus_cluster(&[2, 3], nc(500.0, 0.01, 0.02), nc(250.0, 0.05, 0.01)),
+                torus_cluster(&[4, 4], nc(400.0, 0.03, 0.01), nc(300.0, 0.01, 0.06)),
+                torus_cluster(&[3, 2], nc(800.0, 0.02, 0.04), nc(350.0, 0.02, 0.02)),
+                torus_cluster(&[2, 2, 2], nc(450.0, 0.06, 0.02), nc(250.0, 0.05, 0.01)),
+            ],
+            nc(480.0, 0.04, 0.03),
+        )
+        .unwrap();
+        torus.topology = TopoSpec::Torus(TorusShape::new(&[2, 2]).unwrap());
+        torus.validate().unwrap();
+        for spec in [tree, torus] {
+            let b = BuiltSystem::build(&spec, flit);
+            let fill = chan_times_by_kind(&b, flit);
+            assert_eq!(fill.len(), b.num_channels());
+            for (c, want) in fill.iter().enumerate() {
+                let c = c as u32;
+                assert_eq!(b.chan_time(c).to_bits(), want.to_bits(), "channel {c}");
+                let net = b.network_index(c);
+                let times = b.net_times()[net as usize];
+                assert_eq!(times.time(c).to_bits(), want.to_bits(), "channel {c}");
+                assert!(times.first <= c && c < b.net.end(net as usize));
+            }
+            let from = b.net.first(b.net.ecn1_net(0)) as usize;
+            let scan = fill[from..].iter().copied().fold(f64::INFINITY, f64::min);
+            let min = b.min_intercluster_channel_time();
+            assert_eq!(min.to_bits(), scan.to_bits());
+            if spec.topology.is_tree() {
+                assert!(trap.t_cs(flit) < min, "the trap is armed");
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_systems_fail_the_build_with_a_typed_error() {
+        // Checked before anything is built: neither system is ever
+        // allocated.
+        let net = NetworkCharacteristics::new(500.0, 0.01, 0.02).unwrap();
+        let org = |m, n, clusters| {
+            let cluster = ClusterSpec {
+                n,
+                icn1: net,
+                ecn1: net,
+                topology: Default::default(),
+            };
+            SystemSpec::new(m, vec![cluster; clusters], net).unwrap()
+        };
+        let build = |spec: &SystemSpec, mode| {
+            BuiltSystem::try_build_full(
+                spec,
+                256.0,
+                AscentPolicy::default(),
+                &FaultSchedule::default(),
+                mode,
+            )
+        };
+        let eager_big = org(16, 3, 128);
+        assert_eq!(eager_big.total_nodes(), 131_072);
+        assert!(validate_budgets(&eager_big, InternMode::Classed).is_ok());
+        let Err(BuildError::OverBudget { field, what }) = build(&eager_big, InternMode::Eager)
+        else {
+            panic!("eager build over its cap");
+        };
+        assert_eq!(field, "sim.interning");
+        assert!(what.contains("65535"), "{what}");
+        let huge = org(64, 5, 64);
+        assert_eq!(huge.total_nodes(), 1 << 32);
+        for mode in [InternMode::Classed, InternMode::Eager] {
+            let Err(BuildError::OverBudget { field, what }) = build(&huge, mode) else {
+                panic!("build over the id budgets");
+            };
+            assert_eq!(field, "spec", "{what}");
+            assert!(
+                what.contains("u32 channel ids") && what.contains("2147483647"),
+                "{what}"
+            );
+        }
+        // A one-level tree's route class is the whole cluster: with a
+        // torus ICN2 few clusters of 2^21 + 2 nodes stay inside the node
+        // budget but not inside the class-position one.
+        let mut wide = org(4, 1, 4);
+        wide.m = (1 << 21) + 2;
+        wide.topology = TopoSpec::Torus(TorusShape::new(&[2, 2]).unwrap());
+        wide.validate().unwrap();
+        let Err(BuildError::OverBudget { field, what }) = build(&wide, InternMode::Classed) else {
+            panic!("build over the class-position budget");
+        };
+        assert_eq!(field, "spec");
+        assert!(what.contains("2^20-member"), "{what}");
+        // Just inside the eager cap: the channel and node budgets hold.
+        assert!(validate_budgets(&org(4, 3, 4), InternMode::Eager).is_ok());
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! Three event kinds drive the simulation:
 //!
 //! * a node's arrival — its Poisson process fires: build the message,
-//!   inject it into its first channel's FIFO, and draw the next arrival;
+//!   inject it into its first channel's FIFO, and draw the next arrival
+//!   one step after this one;
 //! * `Advance(msg)` — the message's header finished crossing a channel:
 //!   request the next channel (possibly across a segment boundary), or
 //!   complete delivery;
@@ -47,6 +48,13 @@
 //!   record whose FIFO of waiting headers links through the message slab
 //!   — no per-channel allocation at all — so a warmed-up loop performs no
 //!   allocator calls;
+//! * a channel's transfer time is read from its network's two times
+//!   (`t_cn`, `t_cs`), through the network its message's current segment
+//!   records ([`SegMeta::net`]): O(1), and no per-channel table of times
+//!   exists at all;
+//! * a node's next arrival is drawn one step after the band time it pops
+//!   at ([`ArrivalStreams`]), so a Poisson run holds no per-node arrival
+//!   state, and an on/off run only each node's ON/OFF phase;
 //! * recorded deliveries wait in a buffer only until the clock next
 //!   advances (same-instant ties are reordered canonically before the
 //!   sinks see them), so the buffer holds one instant's ties, not the run;
@@ -59,15 +67,16 @@
 //! [`RouteTable`]: crate::build::RouteTable
 //! [`AdaptiveRouteCache`]: crate::build::AdaptiveRouteCache
 //! [`SimResults::peak_live_msgs`]: crate::results::SimResults::peak_live_msgs
+//! [`SegMeta::net`]: crate::build::SegMeta::net
 
-use crate::build::{AdaptiveRouteCache, BuiltSystem, RouteRef, RouteTable, SegMeta};
+use crate::build::{AdaptiveRouteCache, BuiltSystem, NetTimes, RouteRef, RouteTable, SegMeta};
 use crate::config::{Coupling, FaultMask, SimConfig};
 use crate::events::{ArrivalBand, EventQueue, Merged, Scheduler};
 use crate::results::{delivery_order, BusyTime, Counters, Delivery, SimResults, Sinks, StopReason};
 use crate::trace::{MessageTrace, TraceEvent, TraceEventKind};
 use cocnet_model::Workload;
 use cocnet_topology::SystemSpec;
-use cocnet_workloads::{cluster_offsets, ArrivalProcess, ArrivalSpec, Pattern};
+use cocnet_workloads::{cluster_offsets, ArrivalSpec, ArrivalStreams, Pattern};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -105,7 +114,8 @@ enum EventKind {
 /// waiter's, offset alike and meaningful only while someone waits.
 /// Waiters link through [`Msg::next`] and leave only from the front
 /// (granted, or dropped at the grant when the channel failed meanwhile).
-/// The channel's transfer time is the built system's.
+/// The channel's transfer time is its network's, read through the
+/// current segment of the message crossing it.
 ///
 /// A plain integer array, so the per-run vector of records is allocated
 /// zeroed (all [`FREE`]) and the channels no message touches never become
@@ -168,12 +178,7 @@ impl Msg {
     const VACANT: Msg = Msg {
         gen_time: 0.0,
         prev_finish: 0.0,
-        cur: SegMeta {
-            start: 0,
-            len: 0,
-            sum_t: 0.0,
-            bottleneck_t: 0.0,
-        },
+        cur: SegMeta::EMPTY,
         route: RouteRef::adaptive(0),
         trace_id: UNTRACED,
         seg: 0,
@@ -195,10 +200,12 @@ struct Simulator<'a, const TRACE: bool> {
     routes: &'a RouteTable,
     cfg: SimConfig,
     m_flits: f64,
-    /// Per-flit transfer time of every channel.
-    chan_time: &'a [f64],
-    /// Per-node arrival streams (independent state per node).
-    arrivals: Vec<ArrivalProcess>,
+    /// Per-flit channel times of every network, indexed by
+    /// [`SegMeta::net`].
+    nets: &'a [NetTimes],
+    /// The nodes' arrival streams: each steps from the band time it popped
+    /// at, so they hold nothing per node under Poisson traffic.
+    arrivals: ArrivalStreams,
     /// Each node's pending arrival (the node id), numbered from `queue`'s
     /// sequence counter: the first arrivals in a sorted cursor, later
     /// draws in a heap.
@@ -253,8 +260,8 @@ impl<'a, const TRACE: bool> Simulator<'a, TRACE> {
             built,
             routes: built.route_table(),
             m_flits: wl.msg_flits as f64,
-            chan_time: built.chan_times(),
-            arrivals: vec![arrival.build(); built.total_nodes()],
+            nets: built.net_times(),
+            arrivals: ArrivalStreams::new(arrival, built.total_nodes()),
             arrival_band: ArrivalBand::default(),
             pattern,
             layout: cluster_offsets(built.spec()),
@@ -321,27 +328,25 @@ impl<'a, const TRACE: bool> Simulator<'a, TRACE> {
 
     /// Seeds the fault schedule and the first arrival of every node.
     /// Faults are scheduled first so a `t = 0` failure is in force before
-    /// any traffic moves. The first arrivals are drawn in node order and
-    /// sorted once into the band's cursor.
+    /// any traffic moves. The first arrivals are drawn in node order, one
+    /// step after `t = 0`, and sorted once into the band's cursor.
     fn prime(&mut self) {
         self.cfg.faults.schedule_timed(
             &mut self.queue,
             |_| true,
             |link, fail| EventKind::Fault { link, fail },
         );
-        let rng = &mut self.rng;
-        let first = self
-            .arrivals
-            .iter_mut()
-            .zip(0u32..)
-            .map(|(arrivals, node)| (arrivals.next_arrival(rng), node));
+        let (arrivals, rng) = (&mut self.arrivals, &mut self.rng);
+        let first = (0..self.built.total_nodes() as u32)
+            .map(|node| (arrivals.next_after(node as usize, 0.0, rng), node));
         self.arrival_band.prime(&mut self.queue, first);
     }
 
-    /// Draws `node`'s next arrival into the arrival band.
-    fn schedule_arrival(&mut self, node: u32) {
-        let time = self.arrivals[node as usize].next_arrival(&mut self.rng);
-        debug_assert!(time >= self.now, "arrival streams move forward");
+    /// Draws `node`'s next arrival, one step after its arrival at `t`,
+    /// into the arrival band.
+    fn schedule_arrival(&mut self, node: u32, t: f64) {
+        let time = self.arrivals.next_after(node as usize, t, &mut self.rng);
+        debug_assert!(time >= t, "arrival streams move forward");
         self.arrival_band.schedule(&mut self.queue, time, node);
     }
 
@@ -494,7 +499,7 @@ impl<'a, const TRACE: bool> Simulator<'a, TRACE> {
             self.counters.generated += 1;
             self.counters.unreachable += 1;
             if self.counters.generated < self.cfg.total_messages() {
-                self.schedule_arrival(node);
+                self.schedule_arrival(node, t);
             }
             return;
         }
@@ -557,8 +562,15 @@ impl<'a, const TRACE: bool> Simulator<'a, TRACE> {
         self.request_current(slot, t);
         // Keep generating until the population is complete.
         if self.counters.generated < self.cfg.total_messages() {
-            self.schedule_arrival(node);
+            self.schedule_arrival(node, t);
         }
+    }
+
+    /// Per-flit time of channel `chan` under the header of message
+    /// `msg_id`: its current segment's network's.
+    #[inline]
+    fn cross_time(&self, msg_id: u32, chan: u32) -> f64 {
+        self.nets[self.msgs[msg_id as usize].cur.net as usize].time(chan)
     }
 
     /// Requests the channel under the message's header cursor; either
@@ -587,7 +599,7 @@ impl<'a, const TRACE: bool> Simulator<'a, TRACE> {
             }
         } else {
             c[0] = HELD;
-            let cross = self.chan_time[chan as usize];
+            let cross = self.cross_time(msg_id, chan);
             self.busy.grant(chan, t);
             self.queue
                 .schedule(t + cross, EventKind::Advance { msg: msg_id });
@@ -624,12 +636,13 @@ impl<'a, const TRACE: bool> Simulator<'a, TRACE> {
         };
         // Release channel k once the tail has crossed it: the tail still has
         // to cross the suffix after leaving k, so release_k = finish − Σ_{s>k} t_s.
+        let times = self.nets[m.cur.net as usize];
         let mut suffix = 0.0;
         for k in (0..m.cur.len).rev() {
             let chan = self.seg_chan(msg_id, k);
             let release = (finish - suffix).max(t);
             self.queue.schedule(release, EventKind::Release { chan });
-            suffix += self.chan_time[chan as usize];
+            suffix += times.time(chan);
         }
 
         self.trace(
@@ -723,8 +736,9 @@ impl<'a, const TRACE: bool> Simulator<'a, TRACE> {
                 self.drop_msg(next, chan, t);
                 continue;
             }
-            // Grant to the next waiting header; channel stays busy.
-            let cross = self.chan_time[chan as usize];
+            // Grant to the next waiting header, which waits in its current
+            // segment; the channel stays busy.
+            let cross = self.cross_time(next, chan);
             self.busy.grant(chan, t);
             self.queue
                 .schedule(t + cross, EventKind::Advance { msg: next });
@@ -1308,8 +1322,10 @@ mod tests {
     #[test]
     fn channel_record_is_eight_bytes_and_msg_stays_small() {
         // The per-channel state is two FIFO links, and the link each
-        // waiter carries must not grow the message record.
+        // waiter carries must not grow the message record; the network a
+        // segment records sits in what was `SegMeta`'s padding.
         assert_eq!(std::mem::size_of::<Chan>(), 8);
+        assert_eq!(std::mem::size_of::<SegMeta>(), 32);
         let msg = std::mem::size_of::<Msg>();
         assert!(msg <= 88, "Msg grew to {msg} bytes");
     }

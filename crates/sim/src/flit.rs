@@ -113,12 +113,7 @@ impl MsgF {
     const VACANT: MsgF = MsgF {
         gen_time: 0.0,
         route: RouteRef::adaptive(0),
-        cur: SegMeta {
-            start: 0,
-            len: 0,
-            sum_t: 0.0,
-            bottleneck_t: 0.0,
-        },
+        cur: SegMeta::EMPTY,
         seg: 0,
         nsegs: 0,
         injected: 0,

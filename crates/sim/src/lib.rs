@@ -41,8 +41,8 @@ pub mod shard;
 pub mod trace;
 
 pub use build::{
-    validate_faults, AdaptiveRouteCache, BuildError, BuiltSystem, CachedRoute, RouteRef,
-    RouteTable, SegMeta, Segment,
+    validate_budgets, validate_faults, AdaptiveRouteCache, BuildError, BuiltSystem, CachedRoute,
+    RouteRef, RouteTable, SegMeta, Segment,
 };
 pub use config::{
     Coupling, FaultAction, FaultEvent, FaultSchedule, InternMode, ShardMode, SimConfig,

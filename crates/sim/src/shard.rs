@@ -75,7 +75,7 @@ use crate::config::{Coupling, FaultMask, ShardMode, SimConfig};
 use crate::events::{EventQueue, Scheduler};
 use crate::results::{delivery_order, BusyTime, Counters, Delivery, SimResults, Sinks, StopReason};
 use cocnet_model::Workload;
-use cocnet_workloads::{cluster_offsets, ArrivalProcess, ArrivalSpec, Pattern};
+use cocnet_workloads::{cluster_offsets, ArrivalSpec, ArrivalStreams, Pattern};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
@@ -142,13 +142,13 @@ fn build_oracle(
     let routes = built.route_table();
     let total = cfg.total_messages();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut arrivals: Vec<ArrivalProcess> = vec![arrival.build(); n];
+    let mut arrivals = ArrivalStreams::new(*arrival, n);
     let mut streams: Vec<Vec<ArrivalRec>> = vec![Vec::new(); n];
     let mut cache = AdaptiveRouteCache::default();
     let mut q = EventQueue::<u32>::new();
     // Initial arrivals draw in node order, exactly as `prime` does.
-    for (node, a) in arrivals.iter_mut().enumerate() {
-        let t = a.next_arrival(&mut rng);
+    for node in 0..n {
+        let t = arrivals.next_after(node, 0.0, &mut rng);
         q.schedule(t, node as u32);
     }
     let mut generated = 0u64;
@@ -179,7 +179,7 @@ fn build_oracle(
                 route: RouteRef::adaptive(0),
             });
             if generated < total {
-                let next = arrivals[node].next_arrival(&mut rng);
+                let next = arrivals.next_after(node, t, &mut rng);
                 q.schedule(next, node as u32);
             }
             continue;
@@ -203,7 +203,7 @@ fn build_oracle(
             route,
         });
         if generated < total {
-            let next = arrivals[node].next_arrival(&mut rng);
+            let next = arrivals.next_after(node, t, &mut rng);
             q.schedule(next, node as u32);
         }
     }
@@ -400,12 +400,7 @@ impl SMsg {
     const VACANT: SMsg = SMsg {
         gen_time: 0.0,
         prev_finish: 0.0,
-        cur: SegMeta {
-            start: 0,
-            len: 0,
-            sum_t: 0.0,
-            bottleneck_t: 0.0,
-        },
+        cur: SegMeta::EMPTY,
         route: RouteRef::adaptive(0),
         seg: 0,
         nsegs: 0,
@@ -654,12 +649,7 @@ impl<'a> ShardSim<'a> {
         self.msgs[slot as usize] = SMsg {
             gen_time: xm.gen_time,
             prev_finish: xm.prev_finish,
-            cur: SegMeta {
-                start: 0,
-                len: 0,
-                sum_t: 0.0,
-                bottleneck_t: 0.0,
-            },
+            cur: SegMeta::EMPTY,
             route: xm.route,
             seg: xm.seg,
             nsegs: xm.nsegs,
@@ -847,12 +837,7 @@ impl<'a> ShardSim<'a> {
         self.msgs[slot as usize] = SMsg {
             gen_time: t,
             prev_finish: t,
-            cur: SegMeta {
-                start: 0,
-                len: 0,
-                sum_t: 0.0,
-                bottleneck_t: 0.0,
-            },
+            cur: SegMeta::EMPTY,
             route: rec.route,
             seg: 0,
             nsegs,

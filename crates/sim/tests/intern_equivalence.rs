@@ -2,7 +2,9 @@
 //! eager all-pairs oracle: for small heterogeneous organizations, both
 //! ascent policies and with/without static faults, **every** (src, dst)
 //! pair must agree on reachability, segment count, per-segment channel
-//! ids in traversal order, and f64-**bitwise** `sum_t`/`bottleneck_t`.
+//! ids in traversal order, the network each segment records, and
+//! f64-**bitwise** `sum_t`/`bottleneck_t`. The recorded network must own
+//! every channel of its segment: it is how the engines read channel times.
 //!
 //! This is the contract the classed table's lazy materialization and
 //! arithmetic injection recovery are held to — the goldens then pin the
@@ -72,6 +74,7 @@ fn assert_modes_agree(spec: &SystemSpec, policy: AscentPolicy, faults: &FaultSch
             for k in 0..et.num_segments(er) {
                 let (em, cm) = (et.seg_meta(er, k), ct.seg_meta(cr, k));
                 assert_eq!(em.len, cm.len, "{ctx} seg {k}: len");
+                assert_eq!(em.net, cm.net, "{ctx} seg {k}: network");
                 assert_eq!(
                     em.sum_t.to_bits(),
                     cm.sum_t.to_bits(),
@@ -86,11 +89,15 @@ fn assert_modes_agree(spec: &SystemSpec, policy: AscentPolicy, faults: &FaultSch
                     em.bottleneck_t,
                     cm.bottleneck_t
                 );
-                assert_eq!(
-                    et.segment_channels(em),
-                    ct.segment_channels(cm),
-                    "{ctx} seg {k}: channels"
-                );
+                let chans = et.segment_channels(em);
+                assert_eq!(chans, ct.segment_channels(cm), "{ctx} seg {k}: channels");
+                for c in chans {
+                    assert_eq!(
+                        eager.network_index(c),
+                        em.net,
+                        "{ctx} seg {k}: channel {c} outside the segment's network"
+                    );
+                }
             }
         }
     }

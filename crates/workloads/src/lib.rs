@@ -3,7 +3,8 @@
 //! * [`pattern::Pattern`] — destination distributions: the paper's uniform
 //!   pattern (assumption 2) plus the hotspot and cluster-local patterns the
 //!   paper names as future work (§5).
-//! * [`arrival::PoissonArrivals`] — per-node Poisson generation (assumption 1).
+//! * [`arrival::ArrivalSpec`] — per-node Poisson generation (assumption 1)
+//!   and its interrupted (on/off) variant.
 //! * [`presets`] — the exact system organizations of Table 1, the network
 //!   characteristics of Table 2, and the message configurations used by
 //!   Figs. 3–7.
@@ -15,7 +16,5 @@ pub mod arrival;
 pub mod pattern;
 pub mod presets;
 
-pub use arrival::{
-    exponential_sample, ArrivalProcess, ArrivalSpec, OnOffArrivals, PoissonArrivals,
-};
+pub use arrival::{exponential_sample, ArrivalProcess, ArrivalSpec, ArrivalStreams, OnOffPhase};
 pub use pattern::{cluster_offsets, Pattern};

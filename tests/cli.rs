@@ -351,6 +351,54 @@ fn oversized_populations_are_typed_errors() {
 }
 
 #[test]
+fn oversized_systems_are_typed_errors() {
+    // Systems over an id budget the build encodes in a fixed width fail
+    // validation from the spec's arithmetic, naming the field and the
+    // budget, in both `validate` and `run`: never a panic inside the
+    // build. The files are only validated, never built.
+    let net = r#"{"bandwidth": 500.0, "network_latency": 0.01, "switch_latency": 0.02}"#;
+    let scenario = |m: u32, clusters: usize, n: u32, sim: &str| {
+        let cluster = format!(r#"{{"n": {n}, "icn1": {net}, "ecn1": {net}}}"#);
+        format!(
+            r#"{{
+                "name": "oversized",
+                "spec": {{"m": {m}, "clusters": [{}], "icn2": {net}}},
+                "workloads": [
+                    {{"label": "Lm=256", "workload": {{"lambda_g": 0.0, "msg_flits": 32, "flit_bytes": 256.0}}}}
+                ],
+                "rates": {{"start": 0.0, "stop": 1e-4, "steps": 4}},
+                "sim": {{"warmup": 10, "measured": 100, "drain": 10, "seed": 1{sim}}}
+            }}"#,
+            vec![cluster; clusters].join(", ")
+        )
+    };
+    let cases = [
+        // 128 clusters of 2·8³ nodes: 131 072 nodes, twice the eager cap.
+        (
+            scenario(16, 128, 3, r#", "interning": "Eager""#),
+            ["sim.interning", "65535"],
+        ),
+        // 64 clusters of 2·32⁵ nodes: 2³² nodes on ~8.6·10¹⁰ channels.
+        (scenario(64, 64, 5, ""), ["spec", "u32 channel ids"]),
+    ];
+    for (i, (json, needles)) in cases.iter().enumerate() {
+        let path = std::env::temp_dir().join(format!("cocnet_cli_oversized_system_{i}.json"));
+        std::fs::write(&path, json).unwrap();
+        let file = path.to_str().unwrap();
+        let (stdout, stderr, code) = run_code(&["validate", file]);
+        assert_eq!(code, Some(1), "validate case {i}: {stdout} {stderr}");
+        let (_, run_err, run_code_) = run_code(&["run", file, "--quick", "--points", "1"]);
+        assert_eq!(run_code_, Some(1), "run case {i}: {run_err}");
+        for needle in needles {
+            assert!(stdout.contains(needle), "validate case {i}: {stdout}");
+            assert!(run_err.contains(needle), "run case {i}: {run_err}");
+        }
+        assert!(stdout.contains("2147483647 nodes") || i == 0, "{stdout}");
+        std::fs::remove_file(&path).unwrap();
+    }
+}
+
+#[test]
 fn run_subcommand_executes_a_brand_new_scenario_file() {
     // A scenario that exists nowhere in the registry: custom 48-node
     // system, one workload, explicit rates, test-sized population —
