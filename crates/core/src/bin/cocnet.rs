@@ -14,7 +14,7 @@
 //!                        [--rel-ci X] [--max-replications N] [--rate λ]
 //!                        [--shards off|auto|K] [--fail-links F]
 //!                        [--interning classed|eager]
-//!                        [--serial] [--json] [--no-sim] [--out json|csv]
+//!                        [--json] [--no-sim] [--out json|csv]
 //!                                                     run a registry entry or a
 //!                                                     scenario JSON file
 //!                                                     (--rel-ci X replicates each
@@ -42,7 +42,7 @@ use cocnet::model::{
     evaluate_with_profile, saturation_point, sweep, ModelOptions, OutgoingProfile, Workload,
 };
 use cocnet::presets;
-use cocnet::registry::{self, RunOpts};
+use cocnet::registry::{self, RunError, RunOpts};
 use cocnet::runner::Scenario;
 use cocnet::sim::{run_simulation, SimConfig};
 use cocnet::stats::{scatter, Series, Table};
@@ -62,7 +62,7 @@ fn usage() -> ! {
          \x20      cocnet validate <path>\n\
          \x20      cocnet run <name|path> [--quick] [--points N] [--replications N] \
          [--rel-ci X] [--max-replications N] [--rate λ] [--shards off|auto|K] \
-         [--fail-links F] [--interning classed|eager] [--serial] [--json] [--no-sim] \
+         [--fail-links F] [--interning classed|eager] [--json] [--no-sim] \
          [--out json|csv]"
     );
     exit(2);
@@ -319,14 +319,14 @@ fn cmd_list() {
     }
     println!("{}", table.render());
     println!(
-        "run one with `cocnet run <name>`; scenario-kind entries also live as\n\
-         JSON twins under scenarios/ and run via `cocnet run scenarios/<name>.json`."
+        "run one with `cocnet run <name>`; a scenario-kind entry is its file\n\
+         scenarios/<name>.json, which `cocnet run scenarios/<name>.json` runs the same."
     );
 }
 
 /// `cocnet describe <name> [--json]`: one entry's metadata; for
-/// declarative entries also (or, with `--json`, only) the scenario JSON —
-/// the exact content of its committed `scenarios/` twin.
+/// declarative entries also (or, with `--json`, only) the scenario JSON
+/// of its committed `scenarios/` file.
 fn cmd_describe(name: &str, json_only: bool) {
     let Some(entry) = registry::find(name) else {
         eprintln!("unknown registry entry {name:?}; `cocnet list` shows all");
@@ -352,7 +352,7 @@ fn cmd_describe(name: &str, json_only: bool) {
     match &scenario {
         Some(s) => {
             println!(
-                "kind:     declarative scenario (twin: scenarios/{}.json)",
+                "kind:     declarative scenario (file: scenarios/{}.json)",
                 entry.name
             );
             match cocnet::model::coverage(&s.spec) {
@@ -435,7 +435,9 @@ fn cmd_run(target: &str, opt_args: &[String]) {
     let result = if let Some(entry) = registry::find(target) {
         registry::run(entry, &opts)
     } else if Path::new(target).exists() {
-        load_scenario(Path::new(target)).and_then(|s| registry::run_scenario(&s, &opts))
+        load_scenario(Path::new(target))
+            .map_err(RunError::Invalid)
+            .and_then(|s| registry::run_scenario(&s, &opts))
     } else {
         eprintln!(
             "{target:?} is neither a registry entry nor a scenario file; \
@@ -445,7 +447,10 @@ fn cmd_run(target: &str, opt_args: &[String]) {
     };
     if let Err(e) = result {
         eprintln!("{e}");
-        exit(1);
+        exit(match e {
+            RunError::Usage(_) => 2,
+            RunError::Invalid(_) => 1,
+        });
     }
 }
 

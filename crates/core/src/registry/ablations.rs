@@ -142,17 +142,26 @@ pub fn ablation_routing(opts: &RunOpts) {
             cells.push(format!("{:.2}", r.latency.mean));
             cells.push(format!("{max_icn2:.3}"));
         };
-        for policy in [AscentPolicy::TrailingDigits, AscentPolicy::MirrorDescent] {
-            let built = BuiltSystem::build_with_policy(&spec, wl.flit_bytes, policy);
-            push_run(&built, &cfg, &mut cells);
-        }
-        // Oblivious-adaptive: random ascent digits per message.
-        let built = BuiltSystem::build(&spec, wl.flit_bytes);
+        let [trailing, mirror] =
+            [AscentPolicy::TrailingDigits, AscentPolicy::MirrorDescent].map(|policy| {
+                BuiltSystem::try_build_full(
+                    &spec,
+                    wl.flit_bytes,
+                    policy,
+                    &cfg.faults,
+                    cfg.interning,
+                )
+                .unwrap_or_else(|e| panic!("{e}"))
+            });
+        push_run(&trailing, &cfg, &mut cells);
+        push_run(&mirror, &cfg, &mut cells);
+        // Oblivious-adaptive: random ascent digits per message, on the
+        // default (trailing-digits) system.
         let adaptive_cfg = SimConfig {
             adaptive_routing: true,
             ..cfg.clone()
         };
-        push_run(&built, &adaptive_cfg, &mut cells);
+        push_run(&trailing, &adaptive_cfg, &mut cells);
         cells
     });
     for row in rows {

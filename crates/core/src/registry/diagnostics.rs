@@ -30,7 +30,7 @@ pub fn hotspots(opts: &RunOpts) {
         },
         opts,
     );
-    let built = BuiltSystem::build(&spec, wl.flit_bytes);
+    let built = BuiltSystem::for_config(&spec, wl.flit_bytes, &cfg);
     let r = run_simulation_built(&built, &wl, Pattern::Uniform, &cfg);
     println!(
         "rate={rate:.2e}  mean latency={:.2}  completed={}  sim_time={:.1}",
@@ -83,7 +83,7 @@ pub fn utilization(opts: &RunOpts) {
         },
         opts,
     );
-    let built = BuiltSystem::build(&spec, wl.flit_bytes);
+    let built = BuiltSystem::for_config(&spec, wl.flit_bytes, &cfg);
     let sim = run_simulation_built(&built, &wl, Pattern::Uniform, &cfg);
     let predicted = network_rates(&spec, &wl);
 

@@ -3,7 +3,7 @@
 //! scaling.
 
 use super::{scaled, small_spec_48, RunOpts};
-use crate::runner::{par_map, Scenario};
+use crate::runner::par_map;
 use cocnet_model::{
     evaluate, evaluate_with_profile, saturation_point, ModelOptions, OutgoingProfile, Workload,
 };
@@ -12,7 +12,7 @@ use cocnet_sim::{
     Coupling, FaultAction, FaultEvent, FaultSchedule, SimConfig,
 };
 use cocnet_stats::Table;
-use cocnet_topology::{AscentPolicy, ClusterSpec, SystemSpec, TopoSpec, TorusShape};
+use cocnet_topology::{ClusterSpec, SystemSpec};
 use cocnet_workloads::{presets, ArrivalSpec, Pattern};
 
 /// Extension experiment: relaxing assumption 6 (single-flit buffers).
@@ -28,7 +28,6 @@ use cocnet_workloads::{presets, ArrivalSpec, Pattern};
 /// [`par_map`].
 pub fn buffer_depth(opts: &RunOpts) {
     let spec = small_spec_48();
-    let built = BuiltSystem::build(&spec, 256.0);
     let rates = [1e-3, 2e-3, 3e-3, 4e-3];
     let depths = [1u32, 2, 4, 32];
     let jobs: Vec<(f64, u32)> = rates
@@ -46,6 +45,7 @@ pub fn buffer_depth(opts: &RunOpts) {
         },
         opts,
     );
+    let built = BuiltSystem::for_config(&spec, 256.0, &base);
     let results = par_map(&jobs, |&(rate, depth)| {
         let wl = Workload::new(rate, 32, 256.0).unwrap();
         let cfg = SimConfig {
@@ -99,7 +99,6 @@ pub fn bursty(opts: &RunOpts) {
     };
     let model_opts = ModelOptions::default();
     let model = evaluate(&spec, &wl, &model_opts).unwrap().latency;
-    let built = BuiltSystem::build(&spec, wl.flit_bytes);
     let cfg = scaled(
         &SimConfig {
             warmup: 2_000,
@@ -110,6 +109,7 @@ pub fn bursty(opts: &RunOpts) {
         },
         opts,
     );
+    let built = BuiltSystem::for_config(&spec, wl.flit_bytes, &cfg);
     println!(
         "## N=544, M=32, Lm=256, mean rate {rate:.1e} — burstiness sweep\n\
          (burst length 8 messages; duty 1.00 = the paper's Poisson assumption)"
@@ -168,7 +168,7 @@ pub fn nonuniform(opts: &RunOpts) {
         },
         opts,
     );
-    let built = BuiltSystem::build(&spec, wl.flit_bytes);
+    let built = BuiltSystem::for_config(&spec, wl.flit_bytes, &cfg);
     println!("## N=544, M=32, Lm=256, rate={rate:.1e} — locality sweep");
     let localities = [0.0, 0.2, 0.4, 0.6, 0.8, 0.95];
     let sims = par_map(&localities, |&locality| {
@@ -218,6 +218,9 @@ pub fn nonuniform(opts: &RunOpts) {
 /// pulse on a live link mid-run, showing drop → retry-with-backoff →
 /// recovery with nothing silently lost.
 ///
+/// Each run sets its own fault schedule, the failed fraction being the
+/// sweep axis, so `--fail-links` does not apply here; `--interning` does.
+///
 /// The fraction points run concurrently via the runner's [`par_map`].
 pub fn degradation(opts: &RunOpts) {
     let spec = small_spec_48();
@@ -234,17 +237,14 @@ pub fn degradation(opts: &RunOpts) {
     );
     let fractions = [0.0, 0.05, 0.1, 0.2, 0.4, 0.8, 1.0];
     let runs = par_map(&fractions, |&fraction| {
-        let faults = FaultSchedule {
-            link_fraction: fraction,
-            ..FaultSchedule::default()
-        };
-        let built =
-            BuiltSystem::try_build_with(&spec, wl.flit_bytes, AscentPolicy::default(), &faults)
-                .unwrap();
         let cfg = SimConfig {
-            faults,
+            faults: FaultSchedule {
+                link_fraction: fraction,
+                ..FaultSchedule::default()
+            },
             ..base.clone()
         };
+        let built = BuiltSystem::for_config(&spec, wl.flit_bytes, &cfg);
         let failed = built.static_failed().iter().filter(|&&f| f).count();
         (
             failed,
@@ -312,12 +312,11 @@ pub fn degradation(opts: &RunOpts) {
         max_timeout: 800.0,
         ..FaultSchedule::default()
     };
-    let built =
-        BuiltSystem::try_build_with(&spec, wl.flit_bytes, AscentPolicy::default(), &pulse).unwrap();
     let cfg = SimConfig {
         faults: pulse,
         ..base.clone()
     };
+    let built = BuiltSystem::for_config(&spec, wl.flit_bytes, &cfg);
     let r = run_simulation_built(&built, &wl, Pattern::Uniform, &cfg);
     println!("\n## timed fault pulse on node 0's injection link (fail @0, repair @5e4)");
     let mut table = Table::new(["dropped", "retransmits", "unreachable", "delivered frac"]);
@@ -406,32 +405,4 @@ pub fn scaling(_opts: &RunOpts) {
          sublinearly — the fundamental cluster-of-clusters trade-off the\n\
          paper's model makes visible."
     );
-}
-
-/// Extension scenario: the first non-tree backend through the whole
-/// declarative pipeline — four 4×4 torus clusters (64 nodes) under an
-/// m=4 ICN2 tree, dimension-order routing, latency vs load.
-///
-/// The paper's equations model m-port n-trees only, so the entry is
-/// *simulation-only*: the runner reports the coverage gap and skips the
-/// analytical series instead of failing. Its JSON twin is committed under
-/// `scenarios/torus_sweep.json` and the golden test pins the sweep
-/// bit-identical across the serial and cluster-sharded engines.
-pub fn torus_sweep() -> Scenario {
-    let cluster = ClusterSpec {
-        // A torus cluster has no tree height; its shape is `dims`.
-        n: 0,
-        icn1: presets::net1(),
-        ecn1: presets::net2(),
-        topology: TopoSpec::Torus(TorusShape::new(&[4, 4]).expect("static shape is valid")),
-    };
-    let spec = SystemSpec::new(4, vec![cluster; 4], presets::net1()).expect("static spec is valid");
-    let sim = SimConfig {
-        seed: 2006,
-        ..SimConfig::default()
-    };
-    Scenario::new("N=64, 4x 4x4-torus clusters, M=32 (sim only)", spec)
-        .with_workload("Lm=256", Workload::new(0.0, 32, 256.0).unwrap())
-        .with_grid(3.2e-3, 8)
-        .with_sim(sim)
 }

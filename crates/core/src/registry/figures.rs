@@ -1,118 +1,18 @@
-//! The paper's latency-vs-load figures as registry entries.
+//! The paper's latency-vs-load figures.
 //!
-//! Figs. 3–6 are fully declarative: each is a [`Scenario`] whose JSON twin
-//! is committed under `scenarios/` (the golden test pins the two
-//! bit-identical). Fig. 7 compares four *different* system specs in one
-//! chart, which the one-spec scenario shape cannot express, so it stays a
-//! custom entry. Two extension entries demonstrate what the declarative
-//! layer buys: the same figures under non-uniform traffic or replicated
-//! per-point seeding, with no new execution code.
+//! Figs. 3–6 and their three extensions (`fig5_local`, `fig3_perpoint`,
+//! `fig5_precision`) are declarative registry entries: each is its
+//! committed `scenarios/<name>.json`, and the tests below pin those files
+//! to the paper's Table 1 organizations and §4 methodology. Fig. 7
+//! compares four *different* system specs in one chart, which the
+//! one-spec scenario shape cannot express, so it is the custom entry
+//! defined here.
 
 use super::RunOpts;
 use crate::report::{render_figure, to_json};
-use crate::runner::{PrecisionSpec, Scenario, Seeding};
-use cocnet_model::{rate_grid, sweep, ModelOptions, Workload};
-use cocnet_sim::SimConfig;
+use cocnet_model::{rate_grid, sweep, ModelOptions};
 use cocnet_stats::Series;
-use cocnet_topology::SystemSpec;
-use cocnet_workloads::{presets, Pattern};
-
-/// The shared shape of Figs. 3–6: one `Lm=<flit bytes>` series per
-/// workload over a 10-point grid up to `max_rate`, full §4 methodology,
-/// the historical seed 2006.
-fn figure(title: &str, spec: SystemSpec, workloads: [Workload; 2], max_rate: f64) -> Scenario {
-    let sim = SimConfig {
-        seed: 2006,
-        ..SimConfig::default()
-    };
-    let mut scenario = Scenario::new(title, spec)
-        .with_grid(max_rate, 10)
-        .with_sim(sim);
-    for wl in workloads {
-        scenario = scenario.with_workload(format!("Lm={}", wl.flit_bytes as u64), wl);
-    }
-    scenario
-}
-
-/// Fig. 3: N=1120, M=32 flits, λ up to 5·10⁻⁴.
-pub fn fig3() -> Scenario {
-    figure(
-        "N=1120, m=8, M=32",
-        presets::org_1120(),
-        [presets::wl_m32_l256(), presets::wl_m32_l512()],
-        presets::rates::FIG3_MAX,
-    )
-}
-
-/// Fig. 4: N=1120, M=64 flits, λ up to 2.5·10⁻⁴.
-pub fn fig4() -> Scenario {
-    figure(
-        "N=1120, m=8, M=64",
-        presets::org_1120(),
-        [presets::wl_m64_l256(), presets::wl_m64_l512()],
-        presets::rates::FIG4_MAX,
-    )
-}
-
-/// Fig. 5: N=544, M=32 flits, λ up to 1·10⁻³.
-pub fn fig5() -> Scenario {
-    figure(
-        "N=544, m=4, M=32",
-        presets::org_544(),
-        [presets::wl_m32_l256(), presets::wl_m32_l512()],
-        presets::rates::FIG5_MAX,
-    )
-}
-
-/// Fig. 6: N=544, M=64 flits, λ up to 5·10⁻⁴.
-pub fn fig6() -> Scenario {
-    figure(
-        "N=544, m=4, M=64",
-        presets::org_544(),
-        [presets::wl_m64_l256(), presets::wl_m64_l512()],
-        presets::rates::FIG6_MAX,
-    )
-}
-
-/// Extension: Fig. 5 under cluster-local traffic (ψ = 0.8) — most
-/// messages stay on the fast intra-cluster networks, so the simulation
-/// series sits far below Fig. 5's. The analysis series is the *uniform*
-/// model (a scenario's `run_model` is pattern-unaware); the gap between
-/// the two is the point of the entry — the `nonuniform` custom entry
-/// closes it with the generalized outgoing-probability profile.
-pub fn fig5_local() -> Scenario {
-    let mut scenario = fig5().with_pattern(Pattern::ClusterLocal { locality: 0.8 });
-    scenario.name = "N=544, m=4, M=32, psi=0.8".to_string();
-    scenario
-}
-
-/// Extension: Fig. 3 with statistically independent sweep points
-/// ([`Seeding::PerPoint`]) and three replications per point.
-pub fn fig3_perpoint() -> Scenario {
-    let mut scenario = fig3().with_seeding(Seeding::PerPoint).with_replications(3);
-    scenario.name = "N=1120, m=8, M=32 (3 reps, per-point seeds)".to_string();
-    scenario
-}
-
-/// Extension: Fig. 5 under a 5 % relative-CI precision target. Instead of
-/// a fixed replication count, every sweep point spends replications in
-/// deterministic waves until its latency CI half-width is within 5 % of
-/// the mean at 95 % confidence (cap 16), with per-point seeds so the
-/// points are statistically independent and MSER-5 warm-up auditing on
-/// every run. The CLI reports CI bounds and per-point replications spent.
-pub fn fig5_precision() -> Scenario {
-    let mut scenario = fig5()
-        .with_seeding(Seeding::PerPoint)
-        .with_precision(PrecisionSpec {
-            rel_ci: Some(0.05),
-            max_replications: 16,
-            wave: 2,
-            ..PrecisionSpec::default()
-        });
-    scenario.sim.audit_warmup = true;
-    scenario.name = "N=544, m=4, M=32 (5% rel CI)".to_string();
-    scenario
-}
+use cocnet_workloads::presets;
 
 /// Fig. 7's four analysis series over a `points`-rate grid: base and +20 %
 /// ICN2 bandwidth for both Table 1 organizations, with the paper's
@@ -153,34 +53,73 @@ pub fn fig7(opts: &RunOpts) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::RateGrid;
+    use crate::runner::{PrecisionSpec, Scenario, Seeding};
+    use cocnet_sim::SimConfig;
+    use cocnet_workloads::Pattern;
+
+    /// A declarative entry's scenario, parsed from its committed file.
+    fn entry(name: &str) -> Scenario {
+        crate::registry::find(name)
+            .and_then(|e| e.scenario())
+            .unwrap_or_else(|| panic!("{name} is a declarative entry"))
+    }
+
+    /// The scenario as JSON without its title, to compare whole scenarios.
+    fn untitled(s: &Scenario) -> String {
+        let mut s = s.clone();
+        s.name.clear();
+        serde_json::to_string_pretty(&s).unwrap()
+    }
 
     #[test]
     fn figure_configs_match_paper() {
-        let f3 = fig3();
-        assert_eq!(f3.spec.total_nodes(), 1120);
-        assert_eq!(f3.workloads.len(), 2);
-        assert_eq!(f3.workloads[0].workload.msg_flits, 32);
-        assert_eq!(f3.workloads[0].label, "Lm=256");
-        assert_eq!(f3.workloads[1].label, "Lm=512");
-        assert_eq!(
-            f3.rates,
-            RateGrid::Range {
-                start: 0.0,
-                stop: 5e-4,
-                steps: 10
+        use presets::rates::{FIG3_MAX, FIG4_MAX, FIG5_MAX, FIG6_MAX};
+        // Each figure runs a Table 1 organization with its two preset
+        // workloads over a 10-step grid up to the figure's axis, at the
+        // historical seed 2006, with every other setting at its default.
+        let m32 = [presets::wl_m32_l256(), presets::wl_m32_l512()];
+        let m64 = [presets::wl_m64_l256(), presets::wl_m64_l512()];
+        for (name, spec, workloads, max) in [
+            ("fig3", presets::org_1120(), m32, FIG3_MAX),
+            ("fig4", presets::org_1120(), m64, FIG4_MAX),
+            ("fig5", presets::org_544(), m32, FIG5_MAX),
+            ("fig6", presets::org_544(), m64, FIG6_MAX),
+        ] {
+            let mut paper = Scenario::new("", spec)
+                .with_grid(max, 10)
+                .with_sim(SimConfig {
+                    seed: 2006,
+                    ..SimConfig::default()
+                });
+            for wl in workloads {
+                paper = paper.with_workload(format!("Lm={}", wl.flit_bytes as u64), wl);
             }
-        );
+            assert_eq!(untitled(&entry(name)), untitled(&paper), "{name}");
+        }
 
-        let f6 = fig6();
-        assert_eq!(f6.spec.total_nodes(), 544);
-        assert_eq!(f6.workloads[0].workload.msg_flits, 64);
-        assert_eq!(f6.rates.values().last(), Some(&5e-4));
+        // The extensions differ from their figure only where they say so.
+        let mut local = entry("fig5");
+        local.pattern = Pattern::ClusterLocal { locality: 0.8 };
+        assert_eq!(untitled(&entry("fig5_local")), untitled(&local));
+
+        let mut perpoint = entry("fig3");
+        perpoint.seeding = Seeding::PerPoint;
+        perpoint.replications = 3;
+        assert_eq!(untitled(&entry("fig3_perpoint")), untitled(&perpoint));
+
+        let precise = entry("fig5_precision");
+        let target: PrecisionSpec = precise.precision.expect("a precision block");
+        assert_eq!(target.rel_ci, Some(0.05));
+        let mut precision = entry("fig5");
+        precision.seeding = Seeding::PerPoint;
+        precision.precision = Some(target);
+        precision.sim.audit_warmup = true;
+        assert_eq!(untitled(&precise), untitled(&precision));
     }
 
     #[test]
     fn model_series_have_points_and_monotonicity() {
-        let series = fig5().run_model();
+        let series = entry("fig5").run_model();
         assert_eq!(series.len(), 2);
         for s in &series {
             assert!(!s.is_empty());

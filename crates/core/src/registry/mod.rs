@@ -4,10 +4,11 @@
 //!
 //! The registry splits every experiment into its two real parts:
 //!
-//! * **what to run** — a declarative [`Scenario`] (pure data, JSON-round-
-//!   trippable; the committed twins live under `scenarios/`), or, for the
-//!   studies whose sweep axis is not a rate grid (coupling modes, buffer
-//!   depth, burstiness…), a parameterised run function;
+//! * **what to run** — a declarative [`Scenario`], which *is* its
+//!   committed file `scenarios/<name>.json` (compiled in, so `cocnet run
+//!   fig5` and `cocnet run scenarios/fig5.json` read the same bytes), or,
+//!   for the studies whose sweep axis is not a rate grid (coupling modes,
+//!   buffer depth, burstiness…), a parameterised run function;
 //! * **how to present it** — the unified output writer in
 //!   [`crate::report`] plus each entry's renderer.
 //!
@@ -72,8 +73,6 @@ impl std::fmt::Display for Group {
 pub struct RunOpts {
     /// Scaled-down simulation populations for a fast smoke run.
     pub quick: bool,
-    /// Run rate sweeps on the runner's serial reference path.
-    pub serial: bool,
     /// Also print the series as JSON after the human-readable output.
     pub json: bool,
     /// Skip the simulation series (analysis only).
@@ -98,7 +97,9 @@ pub struct RunOpts {
     pub shards: Option<ShardMode>,
     /// Static fault injection: fail this fraction of links (drawn
     /// deterministically from the schedule's `fault_seed`) in every
-    /// simulation the entry runs (`--fail-links 0.1`).
+    /// simulation the entry runs (`--fail-links 0.1`). Two entries keep
+    /// their own schedules: `degradation`, whose sweep axis is the failed
+    /// fraction, and `org_scale`, which times fault-free builds.
     pub fail_links: Option<f64>,
     /// Route-interning mode override (`--interning classed|eager`):
     /// classed (the default) materializes routes lazily per equivalence
@@ -116,7 +117,6 @@ impl RunOpts {
         while let Some(arg) = it.next() {
             match arg.as_str() {
                 "--quick" => opts.quick = true,
-                "--serial" => opts.serial = true,
                 "--json" => opts.json = true,
                 "--no-sim" => opts.no_sim = true,
                 "--points" => {
@@ -151,7 +151,7 @@ impl RunOpts {
                 }
                 other => {
                     return Err(format!(
-                        "unknown argument {other:?} (flags: --quick --serial --json --no-sim \
+                        "unknown argument {other:?} (flags: --quick --json --no-sim \
                          --points N --replications N --rel-ci X --max-replications N \
                          --out json|csv --rate λ --shards off|auto|K --fail-links F \
                          --interning classed|eager)"
@@ -286,11 +286,24 @@ pub fn small_spec_48() -> SystemSpec {
 /// How a registry entry executes.
 pub enum Kind {
     /// The entry *is* a [`Scenario`]: pure data run by [`run_scenario`].
-    /// Its JSON twin is committed under `scenarios/<name>.json`.
-    Declarative(fn() -> Scenario),
+    /// The text is the committed `scenarios/<name>.json`, compiled in, so
+    /// the file is the experiment's one definition.
+    Declarative(&'static str),
     /// A code-backed experiment whose sweep axis or report does not fit
     /// the generic latency-vs-load shape.
     Custom(fn(&RunOpts)),
+}
+
+/// The [`Kind::Declarative`] of the committed file `scenarios/<name>.json`;
+/// a missing file fails the build.
+macro_rules! committed {
+    ($name:literal) => {
+        Kind::Declarative(include_str!(concat!(
+            "../../../../scenarios/",
+            $name,
+            ".json"
+        )))
+    };
 }
 
 /// One named experiment.
@@ -308,10 +321,18 @@ pub struct Entry {
 }
 
 impl Entry {
-    /// The declarative scenario behind the entry, if it has one.
+    /// The declarative scenario behind the entry, parsed from its
+    /// committed file, if it has one.
+    ///
+    /// # Panics
+    /// If the committed file does not parse; `every_declarative_entry_validates`
+    /// checks each one.
     pub fn scenario(&self) -> Option<Scenario> {
         match self.kind {
-            Kind::Declarative(build) => Some(build()),
+            Kind::Declarative(text) => Some(
+                serde_json::from_str(text)
+                    .unwrap_or_else(|e| panic!("scenarios/{}.json: {e}", self.name)),
+            ),
             Kind::Custom(_) => None,
         }
     }
@@ -324,28 +345,28 @@ pub static ENTRIES: &[Entry] = &[
         group: Group::Figure,
         paper_ref: "Fig. 3",
         summary: "N=1120, M=32: latency vs load, analysis + simulation, Lm=256/512",
-        kind: Kind::Declarative(figures::fig3),
+        kind: committed!("fig3"),
     },
     Entry {
         name: "fig4",
         group: Group::Figure,
         paper_ref: "Fig. 4",
         summary: "N=1120, M=64: latency vs load, analysis + simulation, Lm=256/512",
-        kind: Kind::Declarative(figures::fig4),
+        kind: committed!("fig4"),
     },
     Entry {
         name: "fig5",
         group: Group::Figure,
         paper_ref: "Fig. 5",
         summary: "N=544, M=32: latency vs load, analysis + simulation, Lm=256/512",
-        kind: Kind::Declarative(figures::fig5),
+        kind: committed!("fig5"),
     },
     Entry {
         name: "fig6",
         group: Group::Figure,
         paper_ref: "Fig. 6",
         summary: "N=544, M=64: latency vs load, analysis + simulation, Lm=256/512",
-        kind: Kind::Declarative(figures::fig6),
+        kind: committed!("fig6"),
     },
     Entry {
         name: "fig7",
@@ -359,21 +380,21 @@ pub static ENTRIES: &[Entry] = &[
         group: Group::Figure,
         paper_ref: "-",
         summary: "Fig. 5 under cluster-local traffic (psi=0.8) — declarative extension",
-        kind: Kind::Declarative(figures::fig5_local),
+        kind: committed!("fig5_local"),
     },
     Entry {
         name: "fig3_perpoint",
         group: Group::Figure,
         paper_ref: "-",
         summary: "Fig. 3 with per-point seeds and 3 replications — declarative extension",
-        kind: Kind::Declarative(figures::fig3_perpoint),
+        kind: committed!("fig3_perpoint"),
     },
     Entry {
         name: "fig5_precision",
         group: Group::Figure,
         paper_ref: "-",
         summary: "Fig. 5 with a 5% relative-CI target — adaptive replications per point",
-        kind: Kind::Declarative(figures::fig5_precision),
+        kind: committed!("fig5_precision"),
     },
     Entry {
         name: "table1",
@@ -478,7 +499,7 @@ pub static ENTRIES: &[Entry] = &[
         group: Group::Extension,
         paper_ref: "-",
         summary: "4x 4x4-torus clusters under an m=4 ICN2 tree: sim-only latency vs load",
-        kind: Kind::Declarative(extensions::torus_sweep),
+        kind: committed!("torus_sweep"),
     },
     Entry {
         name: "hotspots",
@@ -528,29 +549,47 @@ pub fn find(name: &str) -> Option<&'static Entry> {
     ENTRIES.iter().find(|e| e.name == name)
 }
 
+/// Why [`run`] or [`run_scenario`] refused to run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RunError {
+    /// A flag the target does not read, or cannot read with the others
+    /// given: `cocnet run` exits 2, as for an unknown flag.
+    Usage(String),
+    /// The scenario, with the flags applied, fails validation: exit 1.
+    Invalid(String),
+}
+
+impl std::fmt::Display for RunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Usage(e) | Self::Invalid(e) => f.write_str(e),
+        }
+    }
+}
+
 /// Executes one entry under the given options.
-pub fn run(entry: &Entry, opts: &RunOpts) -> Result<(), String> {
+pub fn run(entry: &Entry, opts: &RunOpts) -> Result<(), RunError> {
     match entry.kind {
-        Kind::Declarative(build) => run_scenario(&build(), opts),
+        Kind::Declarative(_) => run_scenario(&entry.scenario().expect("declarative"), opts),
         Kind::Custom(f) => {
             // Machine output is only defined for the generic series shape;
             // succeeding while printing a human table would hand a parser
             // garbage with exit code 0.
             if opts.out.is_some() {
-                return Err(format!(
+                return Err(RunError::Usage(format!(
                     "{} is a custom entry: --out json|csv applies only to declarative \
                      scenarios (use --json where the entry supports it)",
                     entry.name
-                ));
+                )));
             }
             // Likewise adaptive replication control: a silently ignored
             // precision flag is a benchmark run with the wrong statistics.
             if opts.rel_ci.is_some() || opts.max_replications.is_some() {
-                return Err(format!(
+                return Err(RunError::Usage(format!(
                     "{} is a custom entry: --rel-ci/--max-replications apply only to \
                      declarative scenarios",
                     entry.name
-                ));
+                )));
             }
             f(opts);
             Ok(())
@@ -576,8 +615,15 @@ fn model_series(scenario: &Scenario) -> Vec<cocnet_stats::Series> {
 /// series over the rayon pool (unless `--no-sim`), and the unified output
 /// writer. This is the single execution path behind every `Declarative`
 /// entry *and* every user-authored scenario file.
-pub fn run_scenario(scenario: &Scenario, opts: &RunOpts) -> Result<(), String> {
+pub fn run_scenario(scenario: &Scenario, opts: &RunOpts) -> Result<(), RunError> {
     let mut scenario = scenario.clone();
+    if opts.rate.is_some() {
+        return Err(RunError::Usage(format!(
+            "scenario {:?}: --rate sets the one rate of the hotspots and utilization \
+             entries; a scenario sweeps its `rates` grid (use --points to re-grid it)",
+            scenario.name
+        )));
+    }
     if let Some(points) = opts.points {
         match &scenario.rates {
             crate::runner::RateGrid::Range { .. } => {
@@ -586,12 +632,12 @@ pub fn run_scenario(scenario: &Scenario, opts: &RunOpts) -> Result<(), String> {
             // An explicit list has no generating rule — re-gridding it
             // would silently run a different sweep than the file says.
             crate::runner::RateGrid::List(rates) if rates.len() != points => {
-                return Err(format!(
+                return Err(RunError::Usage(format!(
                     "scenario {:?}: --points {points} cannot re-grid an explicit \
                      {}-rate list; edit the file or use a {{start, stop, steps}} range",
                     scenario.name,
                     rates.len()
-                ));
+                )));
             }
             crate::runner::RateGrid::List(_) => {}
         }
@@ -605,20 +651,20 @@ pub fn run_scenario(scenario: &Scenario, opts: &RunOpts) -> Result<(), String> {
         match &mut scenario.precision {
             Some(precision) => precision.max_replications = cap,
             None => {
-                return Err(
+                return Err(RunError::Usage(
                     "--max-replications needs a precision target: pass --rel-ci or declare \
                      a `precision` field in the scenario"
                         .into(),
-                )
+                ))
             }
         }
     }
     if opts.replications.is_some() && scenario.precision.is_some() {
-        return Err(format!(
+        return Err(RunError::Usage(format!(
             "scenario {:?}: --replications fixes the replication count, which conflicts \
              with adaptive precision control; use --max-replications to bound the spend",
             scenario.name
-        ));
+        )));
     }
     if let Some(replications) = opts.replications {
         scenario.replications = replications;
@@ -626,33 +672,26 @@ pub fn run_scenario(scenario: &Scenario, opts: &RunOpts) -> Result<(), String> {
     scenario.sim = opts.sim_config(&scenario.sim);
     scenario
         .validate()
-        .map_err(|e| format!("scenario {:?}: {e}", scenario.name))?;
+        .map_err(|e| RunError::Invalid(format!("scenario {:?}: {e}", scenario.name)))?;
 
     // Precision-driven scenarios take the adaptive path: CI-bearing
     // simulation series and writers. Fixed-replication scenarios keep the
     // historical (byte-identical) output below.
     if scenario.precision.is_some() && !opts.no_sim {
-        return run_scenario_adaptive(&scenario, opts);
+        run_scenario_adaptive(&scenario, opts);
+        return Ok(());
     }
 
     let mut series = model_series(&scenario);
     let mut detailed = Vec::new();
     if !opts.no_sim {
         let start = std::time::Instant::now();
-        detailed = if opts.serial {
-            scenario.run_sim_detailed_serial()
-        } else {
-            scenario.run_sim_detailed()
-        };
+        detailed = scenario.run_sim_detailed();
         let jobs = scenario.workloads.len() * scenario.rates.len() * scenario.replications;
         eprintln!(
-            "[sweep: {jobs} simulations in {:.2?} ({})]",
+            "[sweep: {jobs} simulations in {:.2?} ({} threads)]",
             start.elapsed(),
-            if opts.serial {
-                "serial".to_string()
-            } else {
-                format!("{} threads", rayon::current_num_threads())
-            },
+            rayon::current_num_threads(),
         );
         series.extend(scenario.sim_series(&detailed));
     }
@@ -704,14 +743,10 @@ fn fault_report(scenario: &Scenario, detailed: &[Vec<crate::runner::PointSim>]) 
 
 /// The adaptive arm of [`run_scenario`]: waves of replications per point
 /// until the precision target converges, then the CI-bearing writers.
-fn run_scenario_adaptive(scenario: &Scenario, opts: &RunOpts) -> Result<(), String> {
+fn run_scenario_adaptive(scenario: &Scenario, opts: &RunOpts) {
     let analysis = model_series(scenario);
     let start = std::time::Instant::now();
-    let detailed = if opts.serial {
-        scenario.run_sim_adaptive_serial()
-    } else {
-        scenario.run_sim_adaptive()
-    };
+    let detailed = scenario.run_sim_adaptive();
     let spent: usize = detailed
         .iter()
         .flatten()
@@ -721,13 +756,9 @@ fn run_scenario_adaptive(scenario: &Scenario, opts: &RunOpts) -> Result<(), Stri
     let points = detailed.iter().map(Vec::len).sum::<usize>();
     eprintln!(
         "[adaptive sweep: {spent} simulations over {points} points ({converged} converged) \
-         in {:.2?} ({})]",
+         in {:.2?} ({} threads)]",
         start.elapsed(),
-        if opts.serial {
-            "serial".to_string()
-        } else {
-            format!("{} threads", rayon::current_num_threads())
-        },
+        rayon::current_num_threads(),
     );
     let flagged: usize = detailed
         .iter()
@@ -743,7 +774,7 @@ fn run_scenario_adaptive(scenario: &Scenario, opts: &RunOpts) -> Result<(), Stri
     let simulation = scenario.adaptive_series(&detailed);
     if let Some(format) = opts.out {
         print!("{}", render_machine_ci(&analysis, &simulation, format));
-        return Ok(());
+        return;
     }
     println!(
         "{}",
@@ -755,7 +786,6 @@ fn run_scenario_adaptive(scenario: &Scenario, opts: &RunOpts) -> Result<(), Stri
     if opts.json {
         println!("{}", to_json_ci(&analysis, &simulation));
     }
-    Ok(())
 }
 
 #[cfg(test)]

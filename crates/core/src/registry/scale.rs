@@ -15,7 +15,9 @@
 //! Usage: `cocnet run org_scale [--quick] [--json]`. `--quick` scales
 //! the per-point simulation populations 10× down but still sweeps every
 //! org including the 2^20-endpoint one — that point doubling as the CI
-//! smoke that the lifted 65535-node cap stays lifted.
+//! smoke that the lifted 65535-node cap stays lifted. The entry times
+//! fault-free builds in both interning modes and simulates on the classed
+//! one, so `--fail-links` and `--interning` do not apply to it.
 
 use super::{scaled, RunOpts};
 use cocnet_model::Workload;

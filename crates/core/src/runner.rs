@@ -17,7 +17,7 @@
 
 use cocnet_model::{sweep, ModelOptions, Workload};
 use cocnet_sim::{
-    run_simulation_built, summarize, validate_budgets, validate_faults, BuiltSystem, FaultSchedule,
+    run_simulation_built, summarize, validate_budgets, validate_faults, BuiltSystem,
     ReplicationAccumulator, ReplicationSummary, SimConfig, SimResults,
 };
 use cocnet_stats::{CiPoint, CiSeries, ConfidenceInterval, Precision, Series};
@@ -483,21 +483,9 @@ impl Scenario {
         self
     }
 
-    /// Sets the model options.
-    pub fn with_opts(mut self, opts: ModelOptions) -> Self {
-        self.opts = opts;
-        self
-    }
-
     /// Sets the simulation configuration.
     pub fn with_sim(mut self, sim: SimConfig) -> Self {
         self.sim = sim;
-        self
-    }
-
-    /// Sets the fault-injection schedule (see [`FaultSchedule`]).
-    pub fn with_faults(mut self, faults: FaultSchedule) -> Self {
-        self.sim.faults = faults;
         self
     }
 
@@ -728,18 +716,7 @@ impl Scenario {
     fn build_all(&self) -> Vec<BuiltSystem> {
         self.workloads
             .iter()
-            .map(|entry| {
-                BuiltSystem::try_build_full(
-                    &self.spec,
-                    entry.workload.flit_bytes,
-                    cocnet_topology::AscentPolicy::default(),
-                    &self.sim.faults,
-                    self.sim.interning,
-                )
-                .unwrap_or_else(|e| {
-                    panic!("scenario does not build (validate() catches this): {e}")
-                })
-            })
+            .map(|entry| BuiltSystem::for_config(&self.spec, entry.workload.flit_bytes, &self.sim))
             .collect()
     }
 

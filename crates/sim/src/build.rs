@@ -13,7 +13,7 @@
 //! ([`SegMeta::net`]), which is how the engines read a channel's time in
 //! O(1).
 
-use crate::config::{FaultSchedule, InternMode};
+use crate::config::{FaultSchedule, InternMode, SimConfig};
 use cocnet_topology::{
     AnyTopology, AscentPolicy, ChannelId, FaultSet, NetworkCharacteristics, SystemSpec, TopoSpec,
     Topology, TopologyError, TorusShape,
@@ -1567,20 +1567,39 @@ pub struct BuiltSystem {
 impl BuiltSystem {
     /// Builds all network graphs and their channel times for messages
     /// whose flits are `flit_bytes` long, using the default (balanced)
-    /// ascent policy.
-    pub fn build(spec: &SystemSpec, flit_bytes: f64) -> Self {
-        Self::build_with_policy(spec, flit_bytes, AscentPolicy::default())
-    }
-
-    /// [`BuiltSystem::build`] with an explicit Up*/Down* ascent policy
-    /// (see the `ablation_routing` experiment).
+    /// ascent policy, no faults and classed interning.
     ///
     /// # Panics
     /// A zero-fault build of a spec that passed [`SystemSpec`] validation
     /// cannot fail; any residual error panics with its typed message.
-    pub fn build_with_policy(spec: &SystemSpec, flit_bytes: f64, policy: AscentPolicy) -> Self {
-        Self::try_build_with(spec, flit_bytes, policy, &FaultSchedule::default())
-            .unwrap_or_else(|e| panic!("zero-fault build of a validated spec failed: {e}"))
+    pub fn build(spec: &SystemSpec, flit_bytes: f64) -> Self {
+        Self::try_build_with(
+            spec,
+            flit_bytes,
+            AscentPolicy::default(),
+            &FaultSchedule::default(),
+        )
+        .unwrap_or_else(|e| panic!("zero-fault build of a validated spec failed: {e}"))
+    }
+
+    /// The system `cfg` simulates: `spec` under `cfg`'s static faults and
+    /// route-interning mode, with the default ascent policy. This is the
+    /// build behind [`crate::run_simulation`], [`crate::run_simulation_flit`]
+    /// and every scenario run, so a run simulates what its config says.
+    ///
+    /// # Panics
+    /// If the system does not build. The message is the [`BuildError`],
+    /// which names the field: e.g. `sim.interning` for an eager table past
+    /// [`EAGER_MAX_NODES`]. A validated config always builds.
+    pub fn for_config(spec: &SystemSpec, flit_bytes: f64, cfg: &SimConfig) -> Self {
+        Self::try_build_full(
+            spec,
+            flit_bytes,
+            AscentPolicy::default(),
+            &cfg.faults,
+            cfg.interning,
+        )
+        .unwrap_or_else(|e| panic!("the configured system does not build (validate it first): {e}"))
     }
 
     /// The full build: explicit ascent policy plus a fault schedule whose

@@ -751,10 +751,16 @@ impl<'a, const TRACE: bool> Simulator<'a, TRACE> {
     }
 }
 
-/// Runs one simulation of `spec` under workload `wl` and traffic `pattern`.
+/// Runs one simulation of `spec` under workload `wl` and traffic `pattern`,
+/// on the system `cfg` describes: its static faults and its route-interning
+/// mode.
 ///
 /// Latency is measured from generation time-stamp to complete delivery of
 /// the tail flit at the destination sink, exactly as in the paper's §4.
+///
+/// # Panics
+/// If the system does not build under `cfg`, as
+/// [`BuiltSystem::for_config`] says.
 ///
 /// ```
 /// use cocnet_model::Workload;
@@ -778,13 +784,7 @@ pub fn run_simulation(
     pattern: Pattern,
     cfg: &SimConfig,
 ) -> SimResults {
-    let built = BuiltSystem::try_build_with(
-        spec,
-        wl.flit_bytes,
-        cocnet_topology::AscentPolicy::default(),
-        &cfg.faults,
-    )
-    .unwrap_or_else(|e| panic!("invalid fault schedule (validate it first): {e}"));
+    let built = BuiltSystem::for_config(spec, wl.flit_bytes, cfg);
     run_simulation_built(&built, wl, pattern, cfg)
 }
 
@@ -879,6 +879,29 @@ mod tests {
             shards: crate::config::ShardMode::Off,
             interning: crate::config::InternMode::default(),
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "sim.interning")]
+    fn run_simulation_builds_the_interning_mode_its_config_names() {
+        // 32 clusters of 2048 nodes (m = 8, n = 5): 65 536 nodes, one past
+        // the eager table's budget. A run that asks for the eager table
+        // must get it, so it fails on the budget, naming the field,
+        // before anything is built.
+        let net = NetworkCharacteristics::new(500.0, 0.01, 0.02).unwrap();
+        let cluster = ClusterSpec {
+            n: 5,
+            icn1: net,
+            ecn1: net,
+            topology: Default::default(),
+        };
+        let big = SystemSpec::new(8, vec![cluster; 32], net).unwrap();
+        assert!(big.total_nodes() > crate::build::EAGER_MAX_NODES);
+        let cfg = SimConfig {
+            interning: crate::config::InternMode::Eager,
+            ..tiny_cfg(1)
+        };
+        run_simulation(&big, &wl(1e-4), Pattern::Uniform, &cfg);
     }
 
     #[test]

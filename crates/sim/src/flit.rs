@@ -493,7 +493,9 @@ impl<'a> FlitSimulator<'a> {
     }
 }
 
-/// Runs one simulation with the flit-level reference engine.
+/// Runs one simulation with the flit-level reference engine, on the
+/// system `cfg` describes ([`BuiltSystem::for_config`], which panics if it
+/// does not build).
 ///
 /// Boundaries are store-and-forward regardless of `cfg.coupling`; compare
 /// against the worm engine with `Coupling::StoreAndForward`.
@@ -503,13 +505,7 @@ pub fn run_simulation_flit(
     pattern: Pattern,
     cfg: &SimConfig,
 ) -> SimResults {
-    let built = BuiltSystem::try_build_with(
-        spec,
-        wl.flit_bytes,
-        cocnet_topology::AscentPolicy::default(),
-        &cfg.faults,
-    )
-    .unwrap_or_else(|e| panic!("invalid fault schedule (validate it first): {e}"));
+    let built = BuiltSystem::for_config(spec, wl.flit_bytes, cfg);
     run_simulation_flit_built(&built, wl, pattern, cfg)
 }
 

@@ -4,7 +4,7 @@
 //! ids, traversal order, and bitwise `sum_t`/`bottleneck_t` — for every
 //! (src, dst) pair.
 
-use cocnet_sim::BuiltSystem;
+use cocnet_sim::{BuiltSystem, FaultSchedule};
 use cocnet_topology::{AscentPolicy, ClusterSpec, NetworkCharacteristics, SystemSpec};
 use proptest::prelude::*;
 
@@ -56,7 +56,9 @@ proptest! {
         policy_idx in 0usize..2,
     ) {
         let policy = [AscentPolicy::TrailingDigits, AscentPolicy::MirrorDescent][policy_idx];
-        let built = BuiltSystem::build_with_policy(&spec, flit_bytes, policy);
+        let built =
+            BuiltSystem::try_build_with(&spec, flit_bytes, policy, &FaultSchedule::default())
+                .unwrap();
         let rt = built.route_table();
         for src in 0..built.total_nodes() {
             for dst in 0..built.total_nodes() {

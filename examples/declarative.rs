@@ -12,7 +12,7 @@ use cocnet::report::render_figure;
 use cocnet::sim::SimConfig;
 
 fn main() {
-    // The committed JSON twin of the Fig. 5 registry entry.
+    // The committed file that the Fig. 5 registry entry runs.
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/fig5.json");
     let text = std::fs::read_to_string(&path).expect("committed scenario file");
     let mut scenario: Scenario = serde_json::from_str(&text).expect("scenario parses");

@@ -7,16 +7,15 @@
 //! ```
 
 use cocnet::prelude::*;
-use cocnet::registry::figures;
+use cocnet::registry;
 use cocnet::report::render_figure;
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "fig5".into());
     let mut scenario = match which.as_str() {
-        "fig3" => figures::fig3(),
-        "fig4" => figures::fig4(),
-        "fig5" => figures::fig5(),
-        "fig6" => figures::fig6(),
+        "fig3" | "fig4" | "fig5" | "fig6" => registry::find(&which)
+            .and_then(|e| e.scenario())
+            .expect("a declarative registry entry"),
         other => {
             eprintln!("unknown figure {other:?}; use fig3|fig4|fig5|fig6");
             std::process::exit(1);

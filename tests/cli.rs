@@ -343,7 +343,7 @@ fn oversized_populations_are_typed_errors() {
         let (stdout, stderr, code) = run_code(&["validate", file]);
         assert_eq!(code, Some(1), "validate {edits:?}: {stdout} {stderr}");
         assert!(stdout.contains(field), "validate {edits:?}: {stdout}");
-        let (_, stderr, code) = run_code(&["run", file, "--points", "1", "--serial"]);
+        let (_, stderr, code) = run_code(&["run", file, "--points", "1"]);
         assert_eq!(code, Some(1), "run {edits:?}: {stderr}");
         assert!(stderr.contains(field), "run {edits:?}: {stderr}");
         std::fs::remove_file(&path).unwrap();
@@ -589,11 +589,48 @@ fn run_subcommand_rejects_misused_precision_flags() {
 #[test]
 fn run_subcommand_rejects_the_retired_scheduler_flag() {
     // The engines run on one future-event list, so there is no backend
-    // to pick: the old flag is an unknown argument, named in the error.
-    let (stdout, stderr, code) = run_code(&["run", "fig5", "--scheduler", "heap"]);
-    assert_eq!(code, Some(2), "{stderr}");
-    assert!(stdout.is_empty(), "{stdout}");
-    assert!(stderr.contains("--scheduler"), "{stderr}");
+    // to pick, and the sweep's thread count comes from the pool
+    // (`RAYON_NUM_THREADS=1` runs it as a plain loop): each old flag is an
+    // unknown argument, named in the error.
+    for args in [&["--scheduler", "heap"][..], &["--serial"]] {
+        let (stdout, stderr, code) = run_code(&[&["run", "fig5"][..], args].concat());
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
+        assert!(stderr.contains(args[0]), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn rate_flag_on_a_scenario_is_a_usage_error() {
+    // A scenario sweeps its own rate grid; `--rate` is read only by the
+    // single-run diagnostics, so on a registry scenario or a scenario file
+    // it is refused, naming the flag and the entries that read it.
+    let file = scenarios_dir().join("fig5.json");
+    for target in ["fig5", file.to_str().unwrap()] {
+        let args = ["run", target, "--no-sim", "--points", "3", "--rate", "3e-4"];
+        let (stdout, stderr, code) = run_code(&args);
+        assert_eq!(code, Some(2), "{target}: {stderr}");
+        assert!(stdout.is_empty(), "{target}: {stdout}");
+        for name in ["--rate", "hotspots", "utilization"] {
+            assert!(stderr.contains(name), "{target}: {name}: {stderr}");
+        }
+    }
+}
+
+#[test]
+fn fail_links_reaches_the_custom_entries_runs() {
+    // A custom entry simulates the system its config describes, so the
+    // failed links of `--fail-links` are failed in its run.
+    for entry in ["hotspots", "nonuniform"] {
+        let (healthy, stderr, ok) = run(&["run", entry, "--quick"]);
+        assert!(ok, "{entry}: {stderr}");
+        let (faulted, stderr, ok) = run(&["run", entry, "--quick", "--fail-links", "0.3"]);
+        assert!(ok, "{entry} --fail-links 0.3: {stderr}");
+        assert_ne!(
+            healthy, faulted,
+            "{entry}: --fail-links 0.3 changed nothing"
+        );
+    }
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! accumulators are order-deterministic.
 
 use cocnet::prelude::*;
-use cocnet::registry::figures::fig5;
+use cocnet::registry;
 
 fn spec() -> SystemSpec {
     let net1 = NetworkCharacteristics::new(500.0, 0.01, 0.02).unwrap();
@@ -104,7 +104,10 @@ fn parallel_sweep_equals_sequential() {
         seed: 3,
         ..SimConfig::default()
     };
-    let mut scenario = fig5().with_sim(sim_cfg.clone());
+    let mut scenario = registry::find("fig5")
+        .and_then(|e| e.scenario())
+        .unwrap()
+        .with_sim(sim_cfg.clone());
     scenario.rates = scenario.rates.with_steps(3);
     let par = scenario.run_sim();
     // Sequential reference for the first workload.

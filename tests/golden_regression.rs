@@ -4,7 +4,9 @@
 //! generated population and the final simulation clock for a fixed seed —
 //! and every case is checked on the serial and sharded engines and on both
 //! route-interning modes, so no engine or table can drift from the pinned
-//! seed behaviour.
+//! seed behaviour. `run_simulation` and `run_simulation_flit` build the
+//! route table that `cfg.interning` names, so the eager pass below runs on
+//! the eager table itself.
 //!
 //! If a change legitimately alters simulation semantics (not just its
 //! implementation), regenerate the constants with
@@ -278,7 +280,7 @@ fn eager_interning_oracle_matches_the_same_goldens() {
     // all-pairs oracle must reproduce the PR-1 seed statistics f64-bit-
     // exactly, serial as well as sharded. With the other tests pinning
     // the classed path, this is the end-to-end classed-vs-eager
-    // determinism cross-check.
+    // determinism cross-check: every run here builds the eager table.
     INTERN.with(|i| i.set(InternMode::Eager));
     assert_matches_golden();
     SHARDS.with(|s| s.set(ShardMode::N(2)));

@@ -3,8 +3,14 @@
 
 use cocnet::prelude::*;
 use cocnet::presets;
-use cocnet::registry::figures::{fig3, fig4, fig5, fig6, fig7_series};
+use cocnet::registry::{self, figures::fig7_series};
 use cocnet::report::{from_json, render_figure, to_json};
+use cocnet::runner::Scenario;
+
+/// A figure's registry entry, parsed from its committed scenario file.
+fn fig(name: &str) -> Scenario {
+    registry::find(name).and_then(|e| e.scenario()).unwrap()
+}
 
 #[test]
 fn table1_organizations_are_exact() {
@@ -38,18 +44,14 @@ fn table2_network_wiring() {
 
 #[test]
 fn all_four_figures_produce_monotone_analysis_curves() {
-    for (fig, scenario) in [
-        ("fig3", fig3()),
-        ("fig4", fig4()),
-        ("fig5", fig5()),
-        ("fig6", fig6()),
-    ] {
-        assert_eq!(scenario.rates.len(), 10, "{fig}");
+    for name in ["fig3", "fig4", "fig5", "fig6"] {
+        let scenario = fig(name);
+        assert_eq!(scenario.rates.len(), 10, "{name}");
         let series = scenario.run_model();
-        assert_eq!(series.len(), 2, "{fig}");
+        assert_eq!(series.len(), 2, "{name}");
         for s in &series {
-            assert!(!s.is_empty(), "{fig} {}", s.label);
-            assert!(s.is_monotone_non_decreasing(), "{fig} {}", s.label);
+            assert!(!s.is_empty(), "{name} {}", s.label);
+            assert!(s.is_monotone_non_decreasing(), "{name} {}", s.label);
         }
     }
 }
@@ -96,7 +98,7 @@ fn figure_shape_small_system_sustains_higher_per_node_load() {
 fn figure_shape_lm512_curve_sits_roughly_2x_above_lm256() {
     // In every figure the Lm=512 series is about twice the Lm=256 one at
     // light load (service times are dominated by d_m·β).
-    let series = fig3().run_model();
+    let series = fig("fig3").run_model();
     let x = series[0].points[0].x;
     let y256 = series[0].points[0].y;
     let y512 = series[1].interpolate(x).unwrap();
@@ -119,7 +121,7 @@ fn fig7_series_and_ordering() {
 
 #[test]
 fn report_renders_and_round_trips() {
-    let mut scenario = fig5();
+    let mut scenario = fig("fig5");
     scenario.rates = scenario.rates.with_steps(5);
     let series = scenario.run_model();
     let text = render_figure(&scenario.name, &series);

@@ -1,10 +1,11 @@
-//! Golden equivalence between the committed `scenarios/*.json` files and
-//! their hand-coded registry twins: the files must parse to *exactly* the
-//! scenario the registry builds (pinned via the serialised form) and must
-//! produce bit-identical `run_sim` output — so editing either side without
-//! the other fails loudly.
+//! The committed `scenarios/*.json` files. A declarative registry entry
+//! *is* its file (compiled in with `include_str!`), so there is no second
+//! definition to keep in step; these tests check that every file parses,
+//! validates and belongs to a registry entry, and pin the guarantees of
+//! the files that run the same engines in other modes: faulted runs, the
+//! torus backend and both route-interning modes.
 
-use cocnet::registry;
+use cocnet::registry::{self, Kind};
 use cocnet::runner::Scenario;
 use cocnet::sim::SimConfig;
 use std::path::{Path, PathBuf};
@@ -30,46 +31,28 @@ fn load(path: &Path) -> Scenario {
 }
 
 #[test]
-fn every_committed_file_matches_its_registry_twin() {
+fn every_committed_file_parses_validates_and_names_an_entry() {
     for path in committed_files() {
         let stem = path.file_stem().unwrap().to_str().unwrap().to_string();
         let entry = registry::find(&stem)
             .unwrap_or_else(|| panic!("{}: no registry entry named {stem:?}", path.display()));
-        let loaded = load(&path);
-        loaded.validate().unwrap();
-        // A custom (non-declarative) entry has no scenario twin to compare
-        // against; its committed file is a standalone profile, pinned by a
-        // dedicated test below (e.g. `degradation.json`).
-        let Some(twin) = entry.scenario() else {
-            continue;
-        };
-        assert_eq!(
-            serde_json::to_string_pretty(&loaded).unwrap(),
-            serde_json::to_string_pretty(&twin).unwrap(),
-            "{}: committed file drifted from its registry twin \
-             (regenerate with `cocnet describe {stem} --json`)",
-            path.display()
-        );
-    }
-}
-
-#[test]
-fn every_declarative_entry_has_a_committed_twin() {
-    for entry in registry::all() {
-        if entry.scenario().is_some() {
-            let path = scenarios_dir().join(format!("{}.json", entry.name));
-            assert!(
-                path.exists(),
-                "registry entry {} has no committed twin {}",
-                entry.name,
+        load(&path)
+            .validate()
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        // A declarative entry runs these very bytes; a custom entry's file
+        // is a standalone profile, pinned by its own test below.
+        if let Kind::Declarative(text) = entry.kind {
+            assert_eq!(
+                text,
+                std::fs::read_to_string(&path).unwrap(),
+                "{}: registry entry {stem} compiles in another file",
                 path.display()
             );
         }
     }
 }
 
-/// A test-sized population: small enough to run every committed scenario,
-/// identical between the two sides being compared.
+/// A test-sized population: small enough to run every committed scenario.
 fn tiny(sim: &SimConfig) -> SimConfig {
     SimConfig {
         warmup: 200,
@@ -79,42 +62,12 @@ fn tiny(sim: &SimConfig) -> SimConfig {
     }
 }
 
-#[test]
-fn committed_files_run_bit_identical_to_their_twins() {
-    for path in committed_files() {
-        let stem = path.file_stem().unwrap().to_str().unwrap().to_string();
-        let mut loaded = load(&path);
-        let Some(mut twin) = registry::find(&stem).unwrap().scenario() else {
-            continue; // custom entry: pinned by its dedicated test below
-        };
-        for s in [&mut loaded, &mut twin] {
-            s.sim = tiny(&s.sim);
-            s.rates = s.rates.with_steps(3);
-            s.replications = 1;
-        }
-        let from_file = loaded.run_sim();
-        let from_registry = twin.run_sim();
-        assert_eq!(
-            from_file,
-            from_registry,
-            "{}: run_sim output differs from registry twin",
-            path.display()
-        );
-        assert!(
-            from_file.iter().any(|s| !s.is_empty()),
-            "{}: tiny run produced no points at all",
-            path.display()
-        );
-    }
-}
-
 /// The committed `degradation.json` is the standalone faulted profile of
-/// the *custom* `degradation` registry entry (its fraction sweep has no
-/// declarative twin). This pins the hard guarantees the twin comparison
-/// cannot: a faulted scenario run is deterministic — serial == parallel,
-/// f64-bit-identically — degrades delivery without silently losing a
-/// single message, and terminates by draining its event queue instead of
-/// hanging.
+/// the *custom* `degradation` registry entry (its fraction sweep is not a
+/// rate grid). This pins that a faulted scenario run is deterministic —
+/// serial == parallel, f64-bit-identically — degrades delivery without
+/// silently losing a single message, and terminates by draining its event
+/// queue instead of hanging.
 #[test]
 fn degradation_file_is_deterministic_and_degrades_gracefully() {
     use cocnet::sim::StopReason;
@@ -162,13 +115,11 @@ fn degradation_file_is_deterministic_and_degrades_gracefully() {
     }
 }
 
-/// The committed `torus_sweep.json` is the declarative twin of the first
-/// non-tree registry entry: four 4×4 torus clusters under an m=4 ICN2
-/// tree. The twin comparison above already pins file == registry; this
-/// pins the determinism contract of the torus backend itself — the sweep
-/// is f64-bit-identical across the serial and cluster-sharded engines,
-/// and (being sim-only) the spec is outside the analytical model's
-/// coverage.
+/// The committed `torus_sweep.json` is the first non-tree registry entry:
+/// four 4×4 torus clusters under an m=4 ICN2 tree. This pins the
+/// determinism contract of the torus backend itself — the sweep is
+/// f64-bit-identical across the serial and cluster-sharded engines, and
+/// (being sim-only) the spec is outside the analytical model's coverage.
 #[test]
 fn torus_file_is_bit_identical_across_engines() {
     use cocnet::model::{coverage, ModelCoverage};
@@ -220,11 +171,11 @@ fn torus_file_is_bit_identical_across_engines() {
 
 /// The committed `org_scale.json` is the standalone 2048-endpoint profile
 /// of the *custom* `org_scale` registry entry (its sweep axis is org
-/// size, not rate, so there is no declarative twin). It pins the route-
-/// interning guarantee end to end: the class-keyed table (the file's
-/// explicit `"interning": "Classed"`) and the eager all-pairs oracle
-/// produce f64-bit-identical simulation output on an organization an
-/// order of magnitude larger than the golden-regression specs.
+/// size, not rate). It pins the route-interning guarantee end to end:
+/// the class-keyed table (the file's explicit `"interning": "Classed"`)
+/// and the eager all-pairs oracle produce f64-bit-identical simulation
+/// output on an organization an order of magnitude larger than the
+/// golden-regression specs.
 #[test]
 fn org_scale_file_runs_bit_identical_across_intern_modes() {
     use cocnet::sim::InternMode;

@@ -7,16 +7,16 @@
 use cocnet::model::ModelOptions;
 use cocnet::prelude::*;
 use cocnet::presets;
-use cocnet::registry::figures::{fig3, fig4, fig5, fig6, fig7_series};
+use cocnet::registry::{self, figures::fig7_series};
+
+/// A figure's registry entry, parsed from its committed scenario file.
+fn fig(name: &str) -> Scenario {
+    registry::find(name).and_then(|e| e.scenario()).unwrap()
+}
 
 /// The registry's Figs. 3–6 by name.
 fn all_figures() -> [(&'static str, Scenario); 4] {
-    [
-        ("fig3", fig3()),
-        ("fig4", fig4()),
-        ("fig5", fig5()),
-        ("fig6", fig6()),
-    ]
+    ["fig3", "fig4", "fig5", "fig6"].map(|name| (name, fig(name)))
 }
 
 /// A simulation config small enough for a test, quick-mode-shaped
@@ -107,7 +107,7 @@ fn table_paths_still_hold() {
 
 #[test]
 fn parallel_sweep_bit_identical_to_serial_reference() {
-    let scenario = tiny(fig5(), 3).with_replications(2);
+    let scenario = tiny(fig("fig5"), 3).with_replications(2);
     let par = scenario.run_sim();
     let ser = scenario.run_sim_serial();
     assert_eq!(par, ser);
@@ -132,7 +132,7 @@ fn parallel_sweep_faster_on_multicore() {
         return;
     }
     // A sweep with plenty of independent jobs relative to the core count.
-    let scenario = tiny(fig5(), 8);
+    let scenario = tiny(fig("fig5"), 8);
     let t0 = std::time::Instant::now();
     let ser = scenario.run_sim_serial();
     let serial_time = t0.elapsed();
