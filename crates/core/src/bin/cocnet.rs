@@ -21,9 +21,14 @@
 //!                                                     point adaptively until the
 //!                                                     latency CI is within X;
 //!                                                     --shards runs the cluster-
-//!                                                     sharded parallel engine —
-//!                                                     results are bit-identical,
-//!                                                     only speed changes)
+//!                                                     sharded parallel engine,
+//!                                                     meant to change only
+//!                                                     speed; measured, it is
+//!                                                     17-40x slower on 2 vCPUs
+//!                                                     and at org_1120, λ=3e-4,
+//!                                                     seeds 3 and 5 stop one
+//!                                                     event from the serial
+//!                                                     run; see ROADMAP item 1)
 //!
 //! spec flags:
 //!   --org 1120|544          a Table 1 organization (default: 544), or

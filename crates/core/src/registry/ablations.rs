@@ -278,7 +278,7 @@ pub fn coupling_modes(opts: &RunOpts) {
             ..base.clone()
         };
         let r = run_simulation(&spec, &w, Pattern::Uniform, &cfg);
-        if r.completed {
+        if r.has_latency() {
             format!("{:.2}", r.latency.mean)
         } else {
             "incomplete".into()

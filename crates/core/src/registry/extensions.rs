@@ -53,7 +53,7 @@ pub fn buffer_depth(opts: &RunOpts) {
             ..base.clone()
         };
         let r = run_simulation_flit_built(&built, &wl, Pattern::Uniform, &cfg);
-        if r.completed {
+        if r.has_latency() {
             format!("{:.2}", r.latency.mean)
         } else {
             "incomplete".into()
@@ -126,7 +126,7 @@ pub fn bursty(opts: &RunOpts) {
         let mean = r.latency.mean;
         table.push_row([
             format!("{duty:.2}"),
-            if r.completed {
+            if r.has_latency() {
                 format!("{mean:.2}")
             } else {
                 "incomplete".into()

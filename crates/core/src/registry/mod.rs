@@ -66,9 +66,9 @@ impl std::fmt::Display for Group {
     }
 }
 
-/// Options of `cocnet run`. Each flag is honoured where it makes sense
-/// for the entry being run; entries ignore flags that cannot apply to
-/// them (e.g. `--points` on a table).
+/// Options of `cocnet run`. An entry reads only the flags its registry
+/// row lists ([`Entry::reads`]), and [`run`] refuses any other (e.g.
+/// `--points` on a table) rather than ignore it.
 #[derive(Debug, Clone, Default)]
 pub struct RunOpts {
     /// Scaled-down simulation populations for a fast smoke run.
@@ -93,13 +93,16 @@ pub struct RunOpts {
     pub rate: Option<f64>,
     /// Intra-run sharding override (`--shards off|auto|<k>`): partitions
     /// the worm event loop by cluster with conservative lookahead sync.
-    /// Never changes results — sharded runs are bit-identical to serial.
+    /// Meant to change only speed; measured, some seeds stop one event
+    /// from the serial run, and on 2 vCPUs it runs 17–40× slower (see
+    /// [`ShardMode`] and ROADMAP item 1).
     pub shards: Option<ShardMode>,
     /// Static fault injection: fail this fraction of links (drawn
     /// deterministically from the schedule's `fault_seed`) in every
-    /// simulation the entry runs (`--fail-links 0.1`). Two entries keep
-    /// their own schedules: `degradation`, whose sweep axis is the failed
-    /// fraction, and `org_scale`, which times fault-free builds.
+    /// simulation the entry runs (`--fail-links 0.1`). Two simulating
+    /// entries keep their own schedules and refuse it: `degradation`,
+    /// whose sweep axis is the failed fraction, and `org_scale`, which
+    /// times fault-free builds.
     pub fail_links: Option<f64>,
     /// Route-interning mode override (`--interning classed|eager`):
     /// classed (the default) materializes routes lazily per equivalence
@@ -193,6 +196,26 @@ impl RunOpts {
         Ok(opts)
     }
 
+    /// The flags these options set, by name, in usage order.
+    pub fn given(&self) -> impl Iterator<Item = &'static str> {
+        [
+            ("--quick", self.quick),
+            ("--json", self.json),
+            ("--no-sim", self.no_sim),
+            ("--points", self.points.is_some()),
+            ("--replications", self.replications.is_some()),
+            ("--rel-ci", self.rel_ci.is_some()),
+            ("--max-replications", self.max_replications.is_some()),
+            ("--out", self.out.is_some()),
+            ("--rate", self.rate.is_some()),
+            ("--shards", self.shards.is_some()),
+            ("--fail-links", self.fail_links.is_some()),
+            ("--interning", self.interning.is_some()),
+        ]
+        .into_iter()
+        .filter_map(|(flag, set)| set.then_some(flag))
+    }
+
     /// The flag transformation of a simulation config: `--quick` caps the
     /// population sizes at the historical 2k/20k/2k smoke values, then
     /// `--shards`, `--fail-links` and `--interning` apply; everything else
@@ -220,6 +243,34 @@ impl RunOpts {
         cfg
     }
 }
+
+/// The flags every scenario reads — a declarative entry or a scenario
+/// file: all but `--rate`, since a scenario sweeps its own rate grid.
+pub const SCENARIO: &[&str] = &[
+    "--quick",
+    "--json",
+    "--no-sim",
+    "--points",
+    "--replications",
+    "--rel-ci",
+    "--max-replications",
+    "--out",
+    "--shards",
+    "--fail-links",
+    "--interning",
+];
+
+/// The flags a custom entry's worm-engine runs read through [`scaled`].
+const SIMULATES: &[&str] = &["--quick", "--shards", "--fail-links", "--interning"];
+
+/// The same plus `--rate`: the single-run diagnostics.
+const SIMULATES_AT_RATE: &[&str] = &[
+    "--quick",
+    "--rate",
+    "--shards",
+    "--fail-links",
+    "--interning",
+];
 
 fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
     s.parse()
@@ -318,6 +369,9 @@ pub struct Entry {
     pub summary: &'static str,
     /// Execution behind the name.
     pub kind: Kind,
+    /// The `cocnet run` flags the run reads ([`SCENARIO`] for a
+    /// declarative entry); [`run`] refuses any other.
+    pub reads: &'static [&'static str],
 }
 
 impl Entry {
@@ -346,6 +400,7 @@ pub static ENTRIES: &[Entry] = &[
         paper_ref: "Fig. 3",
         summary: "N=1120, M=32: latency vs load, analysis + simulation, Lm=256/512",
         kind: committed!("fig3"),
+        reads: SCENARIO,
     },
     Entry {
         name: "fig4",
@@ -353,6 +408,7 @@ pub static ENTRIES: &[Entry] = &[
         paper_ref: "Fig. 4",
         summary: "N=1120, M=64: latency vs load, analysis + simulation, Lm=256/512",
         kind: committed!("fig4"),
+        reads: SCENARIO,
     },
     Entry {
         name: "fig5",
@@ -360,6 +416,7 @@ pub static ENTRIES: &[Entry] = &[
         paper_ref: "Fig. 5",
         summary: "N=544, M=32: latency vs load, analysis + simulation, Lm=256/512",
         kind: committed!("fig5"),
+        reads: SCENARIO,
     },
     Entry {
         name: "fig6",
@@ -367,6 +424,7 @@ pub static ENTRIES: &[Entry] = &[
         paper_ref: "Fig. 6",
         summary: "N=544, M=64: latency vs load, analysis + simulation, Lm=256/512",
         kind: committed!("fig6"),
+        reads: SCENARIO,
     },
     Entry {
         name: "fig7",
@@ -374,6 +432,7 @@ pub static ENTRIES: &[Entry] = &[
         paper_ref: "Fig. 7",
         summary: "ICN2 bandwidth +20% design-space study (analysis only)",
         kind: Kind::Custom(figures::fig7),
+        reads: &["--json", "--points"],
     },
     Entry {
         name: "fig5_local",
@@ -381,6 +440,7 @@ pub static ENTRIES: &[Entry] = &[
         paper_ref: "-",
         summary: "Fig. 5 under cluster-local traffic (psi=0.8) — declarative extension",
         kind: committed!("fig5_local"),
+        reads: SCENARIO,
     },
     Entry {
         name: "fig3_perpoint",
@@ -388,6 +448,7 @@ pub static ENTRIES: &[Entry] = &[
         paper_ref: "-",
         summary: "Fig. 3 with per-point seeds and 3 replications — declarative extension",
         kind: committed!("fig3_perpoint"),
+        reads: SCENARIO,
     },
     Entry {
         name: "fig5_precision",
@@ -395,6 +456,7 @@ pub static ENTRIES: &[Entry] = &[
         paper_ref: "-",
         summary: "Fig. 5 with a 5% relative-CI target — adaptive replications per point",
         kind: committed!("fig5_precision"),
+        reads: SCENARIO,
     },
     Entry {
         name: "table1",
@@ -402,6 +464,7 @@ pub static ENTRIES: &[Entry] = &[
         paper_ref: "Table 1",
         summary: "the two validated system organizations, node algebra checked",
         kind: Kind::Custom(tables::table1),
+        reads: &[],
     },
     Entry {
         name: "table2",
@@ -409,6 +472,7 @@ pub static ENTRIES: &[Entry] = &[
         paper_ref: "Table 2",
         summary: "network characteristics + derived per-flit service times",
         kind: Kind::Custom(tables::table2),
+        reads: &[],
     },
     Entry {
         name: "validation",
@@ -416,6 +480,7 @@ pub static ENTRIES: &[Entry] = &[
         paper_ref: "§4",
         summary: "model vs simulation error across rates, intra/inter split",
         kind: Kind::Custom(validation::validation),
+        reads: SIMULATES,
     },
     Entry {
         name: "baseline",
@@ -423,6 +488,7 @@ pub static ENTRIES: &[Entry] = &[
         paper_ref: "§1",
         summary: "flat homogeneous queueing baseline vs hierarchical model vs sim",
         kind: Kind::Custom(validation::baseline),
+        reads: SIMULATES,
     },
     Entry {
         name: "engine_agreement",
@@ -430,6 +496,7 @@ pub static ENTRIES: &[Entry] = &[
         paper_ref: "§4",
         summary: "worm engine vs flit-level reference (deliberately serial)",
         kind: Kind::Custom(validation::engine_agreement),
+        reads: SIMULATES,
     },
     Entry {
         name: "ablation_relax",
@@ -437,6 +504,7 @@ pub static ENTRIES: &[Entry] = &[
         paper_ref: "Eqs. 27-28",
         summary: "the relaxing factor delta: model with/without vs simulation",
         kind: Kind::Custom(ablations::ablation_relax),
+        reads: SIMULATES,
     },
     Entry {
         name: "ablation_routing",
@@ -444,6 +512,7 @@ pub static ENTRIES: &[Entry] = &[
         paper_ref: "Eq. 10",
         summary: "Up*/Down* ascent policy under skewed destination mass",
         kind: Kind::Custom(ablations::ablation_routing),
+        reads: SIMULATES,
     },
     Entry {
         name: "ablation_variance",
@@ -451,6 +520,7 @@ pub static ENTRIES: &[Entry] = &[
         paper_ref: "Eqs. 17/36",
         summary: "Draper-Ghosh service-variance approximation vs sigma²=0",
         kind: Kind::Custom(ablations::ablation_variance),
+        reads: &[],
     },
     Entry {
         name: "coupling_modes",
@@ -458,6 +528,7 @@ pub static ENTRIES: &[Entry] = &[
         paper_ref: "Eq. 20 vs 36-37",
         summary: "concentrator coupling: cut-through / virtual-ct / store&forward",
         kind: Kind::Custom(ablations::coupling_modes),
+        reads: SIMULATES,
     },
     Entry {
         name: "buffer_depth",
@@ -465,6 +536,8 @@ pub static ENTRIES: &[Entry] = &[
         paper_ref: "assumption 6",
         summary: "flit-buffer-depth sweep in the flit-level engine",
         kind: Kind::Custom(extensions::buffer_depth),
+        // The flit engine has no sharded form.
+        reads: &["--quick", "--fail-links", "--interning"],
     },
     Entry {
         name: "bursty",
@@ -472,6 +545,7 @@ pub static ENTRIES: &[Entry] = &[
         paper_ref: "§5",
         summary: "interrupted-Poisson traffic at fixed mean rate (duty sweep)",
         kind: Kind::Custom(extensions::bursty),
+        reads: SIMULATES,
     },
     Entry {
         name: "nonuniform",
@@ -479,6 +553,7 @@ pub static ENTRIES: &[Entry] = &[
         paper_ref: "§5",
         summary: "cluster-locality sweep: generalized model vs simulation",
         kind: Kind::Custom(extensions::nonuniform),
+        reads: SIMULATES,
     },
     Entry {
         name: "scaling",
@@ -486,6 +561,7 @@ pub static ENTRIES: &[Entry] = &[
         paper_ref: "-",
         summary: "cluster-count scaling: latency and saturation vs system size",
         kind: Kind::Custom(extensions::scaling),
+        reads: &[],
     },
     Entry {
         name: "degradation",
@@ -493,6 +569,8 @@ pub static ENTRIES: &[Entry] = &[
         paper_ref: "-",
         summary: "graceful degradation: latency and delivered fraction vs failed-link fraction",
         kind: Kind::Custom(extensions::degradation),
+        // Each run sets its own failed fraction, the sweep axis.
+        reads: &["--quick", "--shards", "--interning"],
     },
     Entry {
         name: "torus_sweep",
@@ -500,6 +578,7 @@ pub static ENTRIES: &[Entry] = &[
         paper_ref: "-",
         summary: "4x 4x4-torus clusters under an m=4 ICN2 tree: sim-only latency vs load",
         kind: committed!("torus_sweep"),
+        reads: SCENARIO,
     },
     Entry {
         name: "hotspots",
@@ -507,6 +586,7 @@ pub static ENTRIES: &[Entry] = &[
         paper_ref: "§4",
         summary: "hottest channels of one run (ICN2 bottleneck evidence)",
         kind: Kind::Custom(diagnostics::hotspots),
+        reads: SIMULATES_AT_RATE,
     },
     Entry {
         name: "utilization",
@@ -514,6 +594,7 @@ pub static ENTRIES: &[Entry] = &[
         paper_ref: "§4",
         summary: "predicted vs measured channel utilisation per network class",
         kind: Kind::Custom(diagnostics::utilization),
+        reads: SIMULATES_AT_RATE,
     },
     Entry {
         name: "breakdown",
@@ -521,6 +602,7 @@ pub static ENTRIES: &[Entry] = &[
         paper_ref: "Eqs. 4/39",
         summary: "latency decomposition: where the time goes as load grows",
         kind: Kind::Custom(diagnostics::breakdown),
+        reads: &[],
     },
     Entry {
         name: "pairwise",
@@ -528,6 +610,7 @@ pub static ENTRIES: &[Entry] = &[
         paper_ref: "Eq. 32",
         summary: "pairwise inter-cluster latency matrix by cluster class",
         kind: Kind::Custom(diagnostics::pairwise),
+        reads: &[],
     },
     Entry {
         name: "org_scale",
@@ -536,6 +619,8 @@ pub static ENTRIES: &[Entry] = &[
         summary:
             "route-interning scale sweep: build ms / table bytes / events/sec, 1k to 10^6 endpoints",
         kind: Kind::Custom(scale::org_scale),
+        // It times fault-free builds in both interning modes.
+        reads: &["--quick", "--json", "--shards"],
     },
 ];
 
@@ -567,34 +652,48 @@ impl std::fmt::Display for RunError {
     }
 }
 
-/// Executes one entry under the given options.
+/// Executes one entry under the given options, after refusing any flag
+/// the entry does not read ([`Entry::reads`]).
 pub fn run(entry: &Entry, opts: &RunOpts) -> Result<(), RunError> {
     match entry.kind {
-        Kind::Declarative(_) => run_scenario(&entry.scenario().expect("declarative"), opts),
+        Kind::Declarative(_) => {
+            refuse_unread(&format!("entry {}", entry.name), entry.reads, opts)?;
+            run_scenario(&entry.scenario().expect("declarative"), opts)
+        }
         Kind::Custom(f) => {
-            // Machine output is only defined for the generic series shape;
-            // succeeding while printing a human table would hand a parser
-            // garbage with exit code 0.
-            if opts.out.is_some() {
-                return Err(RunError::Usage(format!(
-                    "{} is a custom entry: --out json|csv applies only to declarative \
-                     scenarios (use --json where the entry supports it)",
-                    entry.name
-                )));
-            }
-            // Likewise adaptive replication control: a silently ignored
-            // precision flag is a benchmark run with the wrong statistics.
-            if opts.rel_ci.is_some() || opts.max_replications.is_some() {
-                return Err(RunError::Usage(format!(
-                    "{} is a custom entry: --rel-ci/--max-replications apply only to \
-                     declarative scenarios",
-                    entry.name
-                )));
-            }
+            refuse_unread(&format!("custom entry {}", entry.name), entry.reads, opts)?;
             f(opts);
             Ok(())
         }
     }
+}
+
+/// Refuses the first flag `opts` sets that `reads` does not list, naming
+/// it, what `target` reads and which runs read it: a flag silently
+/// ignored is a run with other parameters than the command line says
+/// (machine output over a human table, a precision target never applied).
+fn refuse_unread(target: &str, reads: &[&str], opts: &RunOpts) -> Result<(), RunError> {
+    let Some(flag) = opts.given().find(|f| !reads.contains(f)) else {
+        return Ok(());
+    };
+    let reads = if reads.is_empty() {
+        "no flag".into()
+    } else {
+        reads.join(" ")
+    };
+    let customs = ENTRIES
+        .iter()
+        .filter(|e| matches!(e.kind, Kind::Custom(_)) && e.reads.contains(&flag));
+    let readers: Vec<&str> = SCENARIO
+        .contains(&flag)
+        .then_some("every scenario")
+        .into_iter()
+        .chain(customs.map(|e| e.name))
+        .collect();
+    Err(RunError::Usage(format!(
+        "{target} does not read {flag} (it reads {reads}); {flag} is read by {}",
+        readers.join(", ")
+    )))
 }
 
 /// The analytical series of a scenario, or an empty set when the spec uses
@@ -616,14 +715,8 @@ fn model_series(scenario: &Scenario) -> Vec<cocnet_stats::Series> {
 /// writer. This is the single execution path behind every `Declarative`
 /// entry *and* every user-authored scenario file.
 pub fn run_scenario(scenario: &Scenario, opts: &RunOpts) -> Result<(), RunError> {
+    refuse_unread(&format!("scenario {:?}", scenario.name), SCENARIO, opts)?;
     let mut scenario = scenario.clone();
-    if opts.rate.is_some() {
-        return Err(RunError::Usage(format!(
-            "scenario {:?}: --rate sets the one rate of the hotspots and utilization \
-             entries; a scenario sweeps its `rates` grid (use --points to re-grid it)",
-            scenario.name
-        )));
-    }
     if let Some(points) = opts.points {
         match &scenario.rates {
             crate::runner::RateGrid::Range { .. } => {

@@ -26,10 +26,6 @@ use cocnet_workloads::Pattern;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-/// Largest `sim.histogram` bin count a scenario may ask for: the sinks
-/// allocate every bin up front.
-const MAX_HISTOGRAM_BINS: usize = 1 << 24;
-
 /// Largest number of latency samples a scenario may ask the sinks to
 /// keep (`sim.measured` under `sim.collect_percentiles`, `sim.warmup +
 /// sim.measured` under `sim.audit_warmup`): they reserve room for every
@@ -274,9 +270,11 @@ pub struct AdaptivePoint {
     /// Whether the point met its precision target (as opposed to tripping
     /// `max_replications` or saturating).
     pub converged: bool,
-    /// Whether a replication failed to deliver its measured population
-    /// (saturation) — such points stop immediately: more replications of
-    /// a saturated configuration cannot converge.
+    /// Whether a replication measured no latency — it hit the event cap
+    /// (saturation) or recorded no message (see
+    /// [`SimResults::has_latency`]). Such points stop immediately (more
+    /// replications of a saturated configuration cannot converge) and
+    /// stay off the simulation series.
     pub saturated: bool,
     /// Replications whose MSER-5 warm-up audit flagged a too-short
     /// warm-up (0 unless `sim.audit_warmup` is set).
@@ -349,9 +347,12 @@ pub struct PointSim {
 }
 
 impl PointSim {
-    /// Whether every replication delivered its measured population.
-    pub fn completed(&self) -> bool {
-        self.runs.iter().all(|r| r.completed)
+    /// Whether every replication measured a latency
+    /// ([`SimResults::has_latency`]), which puts the point on the
+    /// simulation series: a run that drained because faults cut off part
+    /// of its measured population counts, a saturated one does not.
+    pub fn has_latency(&self) -> bool {
+        self.runs.iter().all(SimResults::has_latency)
     }
 
     /// Cross-replication summary (mean of means, CI) over the
@@ -579,19 +580,6 @@ impl Scenario {
         if self.sim.max_events == 0 {
             return Err("sim: max_events of 0 can never terminate a run".into());
         }
-        if let Some((hi, bins)) = self.sim.histogram {
-            if bins == 0 || !(hi.is_finite() && hi > 0.0) {
-                return Err(format!(
-                    "sim.histogram: needs at least 1 bin and a finite upper bound > 0 \
-                     (got [{hi}, {bins}])"
-                ));
-            }
-            if bins > MAX_HISTOGRAM_BINS {
-                return Err(format!(
-                    "sim.histogram: at most {MAX_HISTOGRAM_BINS} bins (got {bins})"
-                ));
-            }
-        }
         let sim = &self.sim;
         if sim
             .warmup
@@ -652,10 +640,11 @@ impl Scenario {
     }
 
     /// The simulation series: one per workload, each point the mean over
-    /// the point's replications. Points whose replications fail to
-    /// complete (saturation) are omitted, mirroring how the paper's
-    /// simulation points stop at saturation. All (workload × rate ×
-    /// replication) runs execute concurrently on the rayon pool.
+    /// the point's replications. Points with a replication that measured
+    /// no latency (saturation) are omitted, mirroring how the paper's
+    /// simulation points stop at saturation; see [`PointSim::has_latency`].
+    /// All (workload × rate × replication) runs execute concurrently on
+    /// the rayon pool.
     pub fn run_sim(&self) -> Vec<Series> {
         self.sim_series(&self.run_sim_detailed())
     }
@@ -859,7 +848,7 @@ impl Scenario {
             // order.
             for (job, result) in jobs.iter().zip(&results) {
                 let st = &mut state[flat(job.workload, job.point)];
-                if !result.completed {
+                if !result.has_latency() {
                     st.saturated = true;
                 }
                 st.acc.absorb(result);
@@ -940,7 +929,7 @@ impl Scenario {
             .map(|(entry, points)| {
                 let mut series = Series::new(format!("Simulation ({})", entry.label));
                 for point in points {
-                    if point.completed() {
+                    if point.has_latency() {
                         series.push(point.rate, point.summary().mean);
                     }
                 }
@@ -1207,6 +1196,34 @@ mod tests {
             assert!(p.lo <= p.y && p.y <= p.hi);
             assert!(p.replications >= 2);
         }
+    }
+
+    #[test]
+    fn faulted_points_keep_their_simulation_means() {
+        // A static fault that cuts off some pairs leaves part of the
+        // measured population unreachable, so every run drains instead of
+        // completing. Each still measured the messages it delivered: the
+        // fixed-mode series keeps every point at its replications' mean,
+        // and the adaptive runner neither calls the points saturated nor
+        // drops them from its series.
+        let mut s = scenario().with_grid(6e-4, 2).with_replications(2);
+        s.sim.faults.link_fraction = 0.1;
+        let detailed = s.run_sim_detailed();
+        let series = s.sim_series(&detailed);
+        assert_eq!(series[0].points.len(), 2);
+        for (point, plotted) in detailed[0].iter().zip(&series[0].points) {
+            for r in &point.runs {
+                assert_eq!(r.stop, cocnet_sim::StopReason::Drained);
+                assert!(!r.completed && r.unreachable > 0);
+            }
+            assert_eq!(plotted.y, point.summary().mean);
+            assert!(plotted.y.is_finite() && plotted.y > 0.0);
+        }
+        let mut s = adaptive_scenario(0.5, 4);
+        s.sim.faults.link_fraction = 0.1;
+        let detailed = s.run_sim_adaptive();
+        assert!(detailed[0].iter().all(|p| !p.saturated));
+        assert_eq!(s.adaptive_series(&detailed)[0].points.len(), 2);
     }
 
     #[test]

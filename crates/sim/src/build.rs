@@ -15,8 +15,8 @@
 
 use crate::config::{FaultSchedule, InternMode, SimConfig};
 use cocnet_topology::{
-    AnyTopology, AscentPolicy, ChannelId, FaultSet, NetworkCharacteristics, SystemSpec, TopoSpec,
-    Topology, TopologyError, TorusShape,
+    AnyTopology, AscentPolicy, ChannelId, FaultSet, NetworkCharacteristics, RouteMode, SystemSpec,
+    TopoSpec, Topology, TopologyError, TorusShape,
 };
 use rand::Rng;
 use std::collections::HashMap;
@@ -231,8 +231,8 @@ impl GraphFaults {
     }
 }
 
-/// One wormhole segment of a deterministic route, as the route stores
-/// intern it.
+/// One wormhole segment of a route: what the route stores intern, and
+/// what an adaptive draw builds.
 #[derive(Debug, Clone, Copy)]
 enum Leg {
     /// ECN1 ascent of a flat source node to its exit root.
@@ -525,22 +525,35 @@ impl NetLayout {
     }
 
     /// Routes `leg` around the static faults into `out` and returns the
-    /// index of its network. A leg the faults disconnect leaves `out`
-    /// empty (every route has at least one channel, so an empty segment
-    /// means a dead one). Disconnection is not an error — the stores
-    /// intern the segment empty, and the engines account its messages as
-    /// unreachable — but any other route failure is.
-    fn route_leg(&self, leg: Leg, out: &mut Vec<ChannelId>) -> Result<u32, BuildError> {
-        let p = self.policy;
+    /// index of its network: the one place that knows a leg's graph,
+    /// network and faults. `digits` are the drawn up-ports of an adaptive
+    /// route, empty for a deterministic one; they shape the legs that
+    /// climb (an ECN1 ascent, an ICN2 crossing, a whole ICN1 route),
+    /// which prefer them and avoid the faults the same way. A descent is
+    /// destination-determined and a class-shared tail is deterministic,
+    /// so both ignore them.
+    ///
+    /// A leg the faults disconnect leaves `out` empty (every route has at
+    /// least one channel, so an empty segment means a dead one).
+    /// Disconnection is not an error — the stores intern the segment
+    /// empty, and the engines account its messages as unreachable — but
+    /// any other route failure is.
+    fn route_leg(
+        &self,
+        leg: Leg,
+        digits: &[u32],
+        out: &mut Vec<ChannelId>,
+    ) -> Result<u32, BuildError> {
+        let (p, mode) = (self.policy, RouteMode::Adaptive { digits });
         let f = &self.faults;
         let (r, net, context) = match leg {
             Leg::Up(src) => {
                 let (ci, li) = self.locate(src);
-                let r = self.ecn1[ci].route_exit_into(li, p, Some(&f.ecn1[ci]), out);
+                let r = self.ecn1[ci].route_exit_into(li, p, mode, Some(&f.ecn1[ci]), out);
                 (r, self.ecn1_net(ci), "ECN1 ascent")
             }
             Leg::Cross(ci, cj) => {
-                let r = self.icn2.route_into(ci, cj, p, Some(&f.icn2), out);
+                let r = self.icn2.route_into(ci, cj, p, mode, Some(&f.icn2), out);
                 (r, self.icn2_net(), "ICN2 crossing")
             }
             Leg::Down(dst) => {
@@ -553,7 +566,7 @@ impl NetLayout {
                 let r = if tail {
                     g.route_tail_into(li, lj, p, faults, out)
                 } else {
-                    g.route_into(li, lj, p, faults, out)
+                    g.route_into(li, lj, p, mode, faults, out)
                 };
                 (r, ci as u32, "ICN1 intra")
             }
@@ -821,7 +834,7 @@ impl TableBuilder {
         let mut m = SegMeta::default();
         let mut dead = false;
         if let Some(leg) = leg {
-            let id = net.route_leg(leg, &mut self.scratch)?;
+            let id = net.route_leg(leg, &[], &mut self.scratch)?;
             dead = self.scratch.is_empty();
             m = net.fold_seg(m, &self.scratch, id, |g| self.chans.push(g));
         }
@@ -1240,7 +1253,7 @@ impl ClassedTable {
         };
         // A validated spec fails a route only by fault disconnection,
         // which leaves the route empty and the record dead.
-        let net = self.net.route_leg(leg, &mut scratch);
+        let net = self.net.route_leg(leg, &[], &mut scratch);
         let net = net.unwrap_or_else(|e| panic!("{e}"));
         m = self.net.fold_seg(m, &scratch, net, |g| {
             self.chans.set(st.chan_len, g);
@@ -1290,7 +1303,7 @@ impl ClassedTable {
             ..SegMeta::default()
         };
         let tail = true;
-        let icn1 = net.route_leg(Leg::Intra { ci, li, lj, tail }, &mut scratch);
+        let icn1 = net.route_leg(Leg::Intra { ci, li, lj, tail }, &[], &mut scratch);
         m.net = icn1.unwrap_or_else(|e| panic!("{e}"));
         if !scratch.is_empty() {
             assert!(
@@ -1487,8 +1500,9 @@ impl RouteTable {
     /// Whether static faults disconnected the (src, dst) pair: some
     /// segment of its deterministic route has no fault-free Up*/Down*
     /// path. `false` for every pair of a zero-fault build (one branch).
-    /// The answer also covers adaptive routing — adaptive ascents explore
-    /// a subset of the same path space the fault-aware search exhausts.
+    /// The answer also covers adaptive routing: an adaptive route runs the
+    /// same complete search from its drawn up-ports, so it reaches
+    /// exactly the pairs a deterministic one reaches.
     #[inline]
     pub fn is_unreachable(&self, src: usize, dst: usize) -> bool {
         match self {
@@ -1766,36 +1780,38 @@ impl BuiltSystem {
     /// # Panics
     /// Panics if `src == dst` (patterns never produce self-traffic).
     pub fn segments_for(&self, src: usize, dst: usize) -> Vec<Segment> {
+        self.segments(src, dst, &[], &[])
+    }
+
+    /// The fault-free segments of `src → dst`, the source network's
+    /// ascent preferring the up-ports `up` and the ICN2 crossing `cross`
+    /// (both empty for the deterministic route), routed straight through
+    /// [`Topology`]: the reference the route stores are held to.
+    fn segments(&self, src: usize, dst: usize, up: &[u32], cross: &[u32]) -> Vec<Segment> {
         assert_ne!(src, dst, "self-traffic is excluded by assumption 2");
-        let (ci, li) = (
-            self.net.node_cluster[src] as usize,
-            self.net.node_local[src] as usize,
-        );
-        let (cj, lj) = (
-            self.net.node_cluster[dst] as usize,
-            self.net.node_local[dst] as usize,
-        );
+        let net = &*self.net;
+        let ((ci, li), (cj, lj)) = (net.locate(src), net.locate(dst));
         let seg = |route: &[ChannelId], off: u32| Segment {
             chans: route.iter().map(|c| off + c.0).collect(),
         };
-        let net = &*self.net;
-        let mut scratch: Vec<ChannelId> = Vec::new();
+        let (p, mut scratch) = (net.policy, Vec::new());
+        let mode = |digits| RouteMode::Adaptive { digits };
         if ci == cj {
             net.icn1[ci]
-                .route_into(li, lj, net.policy, None, &mut scratch)
+                .route_into(li, lj, p, mode(up), None, &mut scratch)
                 .expect("valid local ids");
             return vec![seg(&scratch, net.first(ci as u32))];
         }
         net.ecn1[ci]
-            .route_exit_into(li, net.policy, None, &mut scratch)
+            .route_exit_into(li, p, mode(up), None, &mut scratch)
             .expect("valid local id");
         let up = seg(&scratch, net.first(net.ecn1_net(ci)));
         net.icn2
-            .route_into(ci, cj, net.policy, None, &mut scratch)
+            .route_into(ci, cj, p, mode(cross), None, &mut scratch)
             .expect("valid cluster ids");
         let cross = seg(&scratch, net.first(net.icn2_net()));
         net.ecn1[cj]
-            .route_entry_into(lj, net.policy, None, &mut scratch)
+            .route_entry_into(lj, p, None, &mut scratch)
             .expect("valid local id");
         let down = seg(&scratch, net.first(net.ecn1_net(cj)));
         vec![up, cross, down]
@@ -1827,54 +1843,29 @@ impl BuiltSystem {
     /// ascent digits — the oblivious-adaptive routing variant (paper ref
     /// \[7\] contrasts adaptive wormhole routing with the deterministic
     /// scheme the model assumes). Descent stays destination-determined.
+    /// The fault-free reference for [`AdaptiveRouteCache::draw`].
     pub fn segments_for_adaptive<R: Rng + ?Sized>(
         &self,
         src: usize,
         dst: usize,
         rng: &mut R,
     ) -> Vec<Segment> {
-        assert_ne!(src, dst, "self-traffic is excluded by assumption 2");
         let k = self.spec.m / 2;
         let mut digits =
             |len: u32| -> Vec<u32> { (0..len).map(|_| rng.random_range(0..k)).collect() };
-        let (ci, li) = (
-            self.net.node_cluster[src] as usize,
-            self.net.node_local[src] as usize,
-        );
-        let (cj, lj) = (
-            self.net.node_cluster[dst] as usize,
-            self.net.node_local[dst] as usize,
-        );
-        let seg = |route: &[ChannelId], off: u32| Segment {
-            chans: route.iter().map(|c| off + c.0).collect(),
+        let (ci, cj) = (self.cluster_of(src), self.cluster_of(dst));
+        let up = digits(self.spec.clusters[ci].n.saturating_sub(1));
+        let cross = if ci == cj {
+            Vec::new()
+        } else {
+            digits(
+                self.spec
+                    .icn2_height()
+                    .expect("validated")
+                    .saturating_sub(1),
+            )
         };
-        let net = &*self.net;
-        let mut scratch: Vec<ChannelId> = Vec::new();
-        if ci == cj {
-            let n = self.spec.clusters[ci].n;
-            let d = digits(n.saturating_sub(1));
-            net.icn1[ci]
-                .route_adaptive_into(li, lj, &d, &mut scratch)
-                .expect("valid local ids");
-            return vec![seg(&scratch, net.first(ci as u32))];
-        }
-        let n_i = self.spec.clusters[ci].n;
-        let n_c = self.spec.icn2_height().expect("validated");
-        let d_up = digits(n_i.saturating_sub(1));
-        net.ecn1[ci]
-            .route_exit_adaptive_into(li, &d_up, &mut scratch)
-            .expect("valid local id");
-        let up = seg(&scratch, net.first(net.ecn1_net(ci)));
-        let d_cross = digits(n_c.saturating_sub(1));
-        net.icn2
-            .route_adaptive_into(ci, cj, &d_cross, &mut scratch)
-            .expect("valid cluster ids");
-        let cross = seg(&scratch, net.first(net.icn2_net()));
-        net.ecn1[cj]
-            .route_entry_into(lj, net.policy, None, &mut scratch)
-            .expect("valid local id");
-        let down = seg(&scratch, net.first(net.ecn1_net(cj)));
-        vec![up, cross, down]
+        self.segments(src, dst, &up, &cross)
     }
 }
 
@@ -1936,8 +1927,19 @@ impl AdaptiveRouteCache {
     /// it), reusing that entry's buffers. The draws are exactly those of
     /// [`BuiltSystem::segments_for_adaptive`] — `n_i − 1` digits for the
     /// source network's ascent, then `n_c − 1` for the ICN2 crossing of an
-    /// inter-cluster pair — and so are the channels; each segment's
-    /// metadata comes from the same fold as the interned table's.
+    /// inter-cluster pair — and so, on a fault-free build, are the
+    /// channels; each segment's metadata comes from the same fold as the
+    /// interned table's.
+    ///
+    /// Each leg is routed by `NetLayout::route_leg`, the one place that
+    /// knows a leg's graph, network and static faults, so the drawn
+    /// digits are the preferred up-ports of the same search a
+    /// deterministic route runs: under static faults the ascent, the ICN2
+    /// crossing and the descent all avoid the failed links, taking the
+    /// first surviving ascent the search reaches from the drawn one (the
+    /// drawn up-port first at each level). The caller writes off
+    /// unreachable pairs first ([`RouteTable::is_unreachable`]); every
+    /// other pair has a surviving path on every leg.
     pub fn draw<R: Rng + ?Sized>(
         &mut self,
         built: &BuiltSystem,
@@ -1960,7 +1962,7 @@ impl AdaptiveRouteCache {
         self.digits.clear();
         self.digits
             .extend((0..up + cross).map(|_| rng.random_range(0..k)));
-        let (d_up, d_cross) = self.digits.split_at(up as usize);
+        let (up, cross) = self.digits.split_at(up as usize);
 
         let idx = idx as usize;
         if idx >= self.routes.len() {
@@ -1970,7 +1972,11 @@ impl AdaptiveRouteCache {
         route.chans.clear();
         route.segs = [SegMeta::default(); 3];
         let out = &mut self.local;
-        let mut append = |k: usize, id: u32, out: &[ChannelId]| {
+        let mut append = |k: usize, leg: Leg, digits: &[u32]| {
+            let id = net
+                .route_leg(leg, digits, out)
+                .expect("a built system routes its own nodes");
+            debug_assert!(!out.is_empty(), "{leg:?} of a reachable pair survives");
             let start = SegMeta {
                 start: route.chans.len() as u64,
                 ..SegMeta::default()
@@ -1978,25 +1984,19 @@ impl AdaptiveRouteCache {
             route.segs[k] = net.fold_seg(start, out, id, |g| route.chans.push(g));
         };
         if ci == cj {
-            net.icn1[ci]
-                .route_adaptive_into(li, lj, d_up, out)
-                .expect("valid local ids");
-            append(0, ci as u32, out);
+            let intra = Leg::Intra {
+                ci,
+                li,
+                lj,
+                tail: false,
+            };
+            append(0, intra, up);
             route.nsegs = 1;
             return;
         }
-        net.ecn1[ci]
-            .route_exit_adaptive_into(li, d_up, out)
-            .expect("valid local id");
-        append(0, net.ecn1_net(ci), out);
-        net.icn2
-            .route_adaptive_into(ci, cj, d_cross, out)
-            .expect("valid cluster ids");
-        append(1, net.icn2_net(), out);
-        net.ecn1[cj]
-            .route_entry_into(lj, net.policy, None, out)
-            .expect("valid local id");
-        append(2, net.ecn1_net(cj), out);
+        append(0, Leg::Up(src), up);
+        append(1, Leg::Cross(ci, cj), cross);
+        append(2, Leg::Down(dst), &[]);
         route.nsegs = 3;
     }
 }
@@ -2004,7 +2004,7 @@ impl AdaptiveRouteCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cocnet_topology::{ClusterSpec, NetworkCharacteristics};
+    use cocnet_topology::{ClusterSpec, Endpoint, NetworkCharacteristics};
 
     fn spec() -> SystemSpec {
         let net1 = NetworkCharacteristics::new(500.0, 0.01, 0.02).unwrap();
@@ -2250,6 +2250,89 @@ mod tests {
         assert!(!chans.contains(&up));
         assert!(!chans.contains(&(up ^ 1)));
         assert!(!chans.is_empty());
+    }
+
+    #[test]
+    fn adaptive_draws_avoid_static_faults_and_chain() {
+        // Eight m=4, n=3 clusters under a two-level ICN2: every leg of an
+        // adaptive route has up-ports to draw. On a faulted build, every
+        // route `draw` builds for a reachable pair avoids the static mask
+        // on all three legs and chains from the source to the destination
+        // through each network; the same draws on the fault-free build
+        // show that the faults did cut drawn paths.
+        use rand::SeedableRng;
+        let net1 = NetworkCharacteristics::new(500.0, 0.01, 0.02).unwrap();
+        let c = ClusterSpec {
+            n: 3,
+            icn1: net1,
+            ecn1: net1,
+            topology: Default::default(),
+        };
+        let s = SystemSpec::new(4, vec![c; 8], net1).unwrap();
+        let faults = FaultSchedule {
+            link_fraction: 0.1,
+            ..Default::default()
+        };
+        let b = BuiltSystem::try_build_with(&s, 256.0, AscentPolicy::default(), &faults).unwrap();
+        let b0 = BuiltSystem::build(&s, 256.0);
+        let failed = b.static_failed();
+        assert!(failed.iter().any(|&f| f));
+        let net = &*b.net;
+        let graph = |id: u32| -> &AnyTopology {
+            let (c, id) = (net.icn1.len(), id as usize);
+            match id {
+                i if i < c => &net.icn1[i],
+                i if i < 2 * c => &net.ecn1[i - c],
+                _ => &net.icn2,
+            }
+        };
+        let (mut cache, mut cache0) =
+            (AdaptiveRouteCache::default(), AdaptiveRouteCache::default());
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let mut rng0 = rand::rngs::StdRng::seed_from_u64(3);
+        let (mut drawn, mut rerouted) = (0u32, 0u32);
+        for src in 0..b.total_nodes() {
+            for dst in 0..b.total_nodes() {
+                if src == dst || b.route_table().is_unreachable(src, dst) {
+                    continue;
+                }
+                cache.draw(&b, 0, src, dst, &mut rng);
+                cache0.draw(&b0, 0, src, dst, &mut rng0);
+                let (route, route0) = (cache.route(0), cache0.route(0));
+                drawn += 1;
+                rerouted += (route.chans != route0.chans) as u32;
+                assert!(route.chans.iter().all(|&c| !failed[c as usize]));
+                let ((ci, li), (cj, lj)) = (net.locate(src), net.locate(dst));
+                let ends = |seg: usize| {
+                    let m = route.segs[seg];
+                    let g = graph(m.net);
+                    let chans = &route.chans[m.start as usize..(m.start + m.len as u64) as usize];
+                    let descs: Vec<_> = chans
+                        .iter()
+                        .map(|&c| g.channel(ChannelId(c - net.first(m.net))))
+                        .collect();
+                    assert!(
+                        descs.windows(2).all(|w| w[0].to == w[1].from),
+                        "{src}->{dst}"
+                    );
+                    (descs[0].from, descs.last().unwrap().to)
+                };
+                let node = |i: usize| Endpoint::Node(i as u32);
+                if ci == cj {
+                    assert_eq!(route.nsegs, 1);
+                    assert_eq!(ends(0), (node(li), node(lj)), "{src}->{dst}");
+                    continue;
+                }
+                assert_eq!(route.nsegs, 3);
+                let ((up_from, _), (_, down_to)) = (ends(0), ends(2));
+                assert_eq!((up_from, down_to), (node(li), node(lj)), "{src}->{dst}");
+                assert_eq!(ends(1), (node(ci), node(cj)), "{src}->{dst}");
+            }
+        }
+        assert!(
+            drawn > 0 && rerouted > 0,
+            "{rerouted} of {drawn} draws rerouted"
+        );
     }
 
     #[test]

@@ -44,10 +44,15 @@ pub enum Coupling {
 /// `Auto` and `N(k)` partition the loop into per-cluster shards plus one
 /// ICN2 hub shard, synchronized conservatively on the inter-cluster
 /// channel crossing time (see the README's "Intra-run sharding" section).
-/// Sharded runs are bit-identical to the serial engine; the mode only
-/// changes wall-clock cost, like [`InternMode`]. Scenario files select
-/// it with `"sim": {"shards": "Auto"}` or `{"shards": {"N": 4}}`; the CLI
-/// with `--shards off|auto|<k>`.
+/// The mode is meant to change only wall-clock cost, like [`InternMode`],
+/// and the goldens pin sharded runs bit-identical to the serial engine.
+/// Measured, neither holds everywhere. At org_1120, λ = 3e-4, seeds 3
+/// and 5 of 1..=15 stop one event apart from the serial run
+/// (`events_processed`, and for seed 3 `delivered_total`;
+/// perfbench/README). On 2 vCPUs four traced runs gave a speedup over
+/// serial of 0.025–0.058, i.e. 17–40× slower. ROADMAP item 1 retires
+/// the engine. Scenario files select it with `"sim": {"shards": "Auto"}`
+/// or `{"shards": {"N": 4}}`; the CLI with `--shards off|auto|<k>`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ShardMode {
     /// Serial event loop (default; the reference engine).
@@ -347,8 +352,6 @@ pub struct SimConfig {
     /// processed events. A saturated network never delivers its measured
     /// population, so an un-capped run would never terminate.
     pub max_events: u64,
-    /// Optional latency histogram: `(upper_bound, bins)`.
-    pub histogram: Option<(f64, usize)>,
     /// Network-boundary coupling mode (see [`Coupling`]).
     pub coupling: Coupling,
     /// Flit-buffer depth per channel, used by the flit-level engine.
@@ -373,9 +376,10 @@ pub struct SimConfig {
     pub audit_warmup: bool,
     /// Fault injection (see [`FaultSchedule`]); inert by default.
     pub faults: FaultSchedule,
-    /// Intra-run sharding of the worm engine (see [`ShardMode`]). Never
-    /// changes results — sharded runs are bit-identical to serial — only
-    /// wall-clock cost. Off by default; the flit engine ignores it.
+    /// Intra-run sharding of the worm engine. Meant to change only
+    /// wall-clock cost; [`ShardMode`] records the seeds whose stop it
+    /// moves by one event and its measured slowdown. Off by default; the
+    /// flit engine ignores it.
     pub shards: ShardMode,
     /// Route-table interning strategy (see [`InternMode`]). Never changes
     /// results — class-keyed tables are bit-identical to the eager oracle —
@@ -391,7 +395,6 @@ impl Default for SimConfig {
             drain: 10_000,
             seed: 0x5eed_c0c0,
             max_events: 500_000_000,
-            histogram: None,
             coupling: Coupling::default(),
             flit_buffer_depth: 1,
             trace_messages: 0,
@@ -415,7 +418,6 @@ impl SimConfig {
             drain: 1_000,
             seed,
             max_events: 100_000_000,
-            histogram: None,
             coupling: Coupling::default(),
             flit_buffer_depth: 1,
             trace_messages: 0,

@@ -868,7 +868,6 @@ mod tests {
             drain: 200,
             seed,
             max_events: 20_000_000,
-            histogram: None,
             coupling: Coupling::default(),
             flit_buffer_depth: 1,
             trace_messages: 0,
@@ -986,18 +985,6 @@ mod tests {
         let heavy = run_simulation(&spec(), &wl(5e-2), Pattern::Uniform, &tiny_cfg(5));
         assert!(light.completed && heavy.completed);
         assert!(heavy.latency.mean > 10.0 * light.latency.mean);
-    }
-
-    #[test]
-    fn histogram_collects_all_recorded() {
-        let cfg = SimConfig {
-            histogram: Some((10_000.0, 100)),
-            ..tiny_cfg(6)
-        };
-        let r = run_simulation(&spec(), &wl(1e-4), Pattern::Uniform, &cfg);
-        let h = r.histogram.unwrap();
-        assert_eq!(h.total(), r.delivered_recorded);
-        assert_eq!(h.underflow(), 0);
     }
 
     #[test]
@@ -1518,6 +1505,36 @@ mod tests {
         assert_eq!(a.retransmits, b.retransmits);
         assert_eq!(a.unreachable, b.unreachable);
         assert_eq!(a.delivered_total, b.delivered_total);
+    }
+
+    #[test]
+    fn static_faults_drop_nothing_on_either_route_kind() {
+        // Every route avoids the static mask at build time — an adaptive
+        // one from its drawn up-ports — so a static-only schedule drops
+        // and retransmits nothing: messages are delivered or written off
+        // as unreachable at generation.
+        let net = NetworkCharacteristics::new(500.0, 0.01, 0.02).unwrap();
+        let c = ClusterSpec {
+            n: 3,
+            icn1: net,
+            ecn1: net,
+            topology: Default::default(),
+        };
+        let spec = SystemSpec::new(4, vec![c; 8], net).unwrap();
+        let wl = wl(2e-4);
+        for adaptive_routing in [false, true] {
+            let mut cfg = tiny_cfg(5);
+            cfg.adaptive_routing = adaptive_routing;
+            cfg.faults.link_fraction = 0.1;
+            let r = run_simulation(&spec, &wl, Pattern::Uniform, &cfg);
+            assert_eq!(
+                (r.dropped, r.retransmits),
+                (0, 0),
+                "adaptive {adaptive_routing}"
+            );
+            assert!(r.unreachable > 0, "10% of the links cut some pairs");
+            assert_eq!(r.generated, r.delivered_total + r.unreachable);
+        }
     }
 
     #[test]

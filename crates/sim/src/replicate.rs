@@ -20,7 +20,8 @@ pub struct ReplicationSummary {
     pub mean: f64,
     /// 95 % confidence interval over the replication means.
     pub ci95: ConfidenceInterval,
-    /// Per-replication mean latencies, in seed order.
+    /// Per-replication mean latencies, in seed order, of the replications
+    /// that have one ([`SimResults::has_latency`]).
     pub replication_means: Vec<f64>,
     /// Number of replications that completed.
     pub completed: usize,
@@ -62,17 +63,22 @@ impl ReplicationAccumulator {
         Self::default()
     }
 
-    /// Absorbs one replication's results. Incomplete runs (event-cap
-    /// aborts, i.e. saturation) count as attempted but contribute no mean,
-    /// exactly as in [`summarize`].
+    /// Absorbs one replication's results. A run with no latency (an
+    /// event-cap abort, i.e. saturation, or no recorded message; see
+    /// [`SimResults::has_latency`]) counts as attempted but contributes no
+    /// mean, exactly as in [`summarize`]. A run that drained with part of
+    /// its measured population cut off by faults contributes the mean of
+    /// the measured messages it delivered.
     pub fn absorb(&mut self, r: &SimResults) {
         self.attempted += 1;
         if r.warmup_audit.is_some_and(|a| a.exceeds()) {
             self.warmup_flagged += 1;
         }
-        if r.completed {
+        if r.has_latency() {
             self.stats.push(r.latency.mean);
             self.means.push(r.latency.mean);
+        }
+        if r.completed {
             self.completed += 1;
         }
     }
@@ -99,7 +105,8 @@ impl ReplicationAccumulator {
         self.warmup_flagged
     }
 
-    /// Running mean of the completed replications' mean latencies.
+    /// Running mean of the absorbed replications' mean latencies (those
+    /// with one).
     pub fn mean(&self) -> f64 {
         self.stats.mean()
     }

@@ -6,7 +6,7 @@
 //!
 //! * `Counters` — the run's event and message counts, one `Copy` set;
 //! * `Sinks` — the latency statistics (overall, intra, inter, per
-//!   cluster, histogram, percentiles and the warm-up audit), fed one
+//!   cluster, percentiles and the warm-up audit), fed one
 //!   `Delivery` at a time and finished into [`SimResults`];
 //! * `delivery_order` — the canonical order in which same-instant
 //!   deliveries reach the sinks;
@@ -18,7 +18,7 @@
 
 use crate::config::SimConfig;
 use crate::trace::MessageTrace;
-use cocnet_stats::{mser5, Histogram, OnlineStats, Percentiles, Summary};
+use cocnet_stats::{mser5, OnlineStats, Percentiles, Summary};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 
@@ -107,13 +107,14 @@ pub struct SimResults {
     /// Recorded messages delivered (equals the configured `measured` count
     /// when `completed`).
     pub delivered_recorded: u64,
-    /// Whether the run delivered its full measured population. `false`
-    /// means the event cap was hit first — in practice, saturation.
+    /// Whether the run delivered its full measured population (`stop` is
+    /// [`StopReason::MeasuredComplete`]). `false` when the run hit the
+    /// event cap — in practice, saturation — or drained with part of its
+    /// measured population cut off by faults; [`SimResults::has_latency`]
+    /// tells the two apart.
     pub completed: bool,
     /// Simulation clock at termination.
     pub sim_time: f64,
-    /// Optional latency histogram.
-    pub histogram: Option<Histogram>,
     /// Cumulative busy time per global channel; divide by `sim_time` for
     /// utilisation. Indexed like [`crate::BuiltSystem`]'s channel table.
     pub channel_busy: Vec<f64>,
@@ -165,6 +166,14 @@ impl SimResults {
         } else {
             self.inter.count as f64 / total as f64
         }
+    }
+
+    /// Whether the run measured a latency: it recorded at least one
+    /// message and did not stop at the event cap (saturation). A run that
+    /// drained with part of its measured population cut off by faults has
+    /// one: the mean over the measured messages it delivered.
+    pub fn has_latency(&self) -> bool {
+        self.stop != StopReason::EventCap && self.delivered_recorded > 0
     }
 
     /// Fraction of generated messages that were fully delivered — the
@@ -257,7 +266,6 @@ pub(crate) struct Sinks {
     intra: OnlineStats,
     inter: OnlineStats,
     per_cluster: Vec<OnlineStats>,
-    histogram: Option<Histogram>,
     /// Raw samples for exact percentiles (when enabled).
     percentiles: Option<Percentiles>,
     /// Delivery-ordered latencies of the warm-up + measured populations,
@@ -269,17 +277,13 @@ pub(crate) struct Sinks {
 
 impl Sinks {
     /// Empty sinks for a run of `cfg` over `clusters` clusters; the
-    /// histogram, percentile and audit sinks exist only when `cfg` asks
-    /// for them.
+    /// percentile and audit sinks exist only when `cfg` asks for them.
     pub(crate) fn new(cfg: &SimConfig, clusters: usize) -> Self {
         Sinks {
             latency: OnlineStats::new(),
             intra: OnlineStats::new(),
             inter: OnlineStats::new(),
             per_cluster: vec![OnlineStats::new(); clusters],
-            histogram: cfg
-                .histogram
-                .map(|(hi, bins)| Histogram::new(0.0, hi, bins)),
             percentiles: cfg
                 .collect_percentiles
                 .then(|| Percentiles::with_capacity(cfg.measured as usize)),
@@ -312,9 +316,6 @@ impl Sinks {
                 self.inter.push(d.latency);
             }
             self.per_cluster[d.src_cluster as usize].push(d.latency);
-            if let Some(h) = &mut self.histogram {
-                h.record(d.latency);
-            }
             if let Some(p) = &mut self.percentiles {
                 p.record(d.latency);
             }
@@ -348,7 +349,6 @@ impl Sinks {
             delivered_recorded: self.recorded(),
             completed: stop == StopReason::MeasuredComplete,
             sim_time,
-            histogram: self.histogram,
             channel_busy,
             traces: Vec::new(),
             percentiles,

@@ -2,7 +2,7 @@
 //!
 //! For modest sample counts (unit tests, small validation runs) it is often
 //! simplest to retain the raw samples and compute exact order statistics;
-//! this complements the streaming [`crate::Histogram`] used for big runs.
+//! this complements the streaming, fixed-bin [`crate::Histogram`].
 
 use serde::{Deserialize, Serialize};
 

@@ -133,10 +133,11 @@ proptest! {
 
 // ---- constructed-sequence tests (deterministic, no proptest) ---------------
 //
-// The adaptive runner's stopping rule leans on `mser`/`mser5` (warm-up
-// audits) and `BatchMeans::lag1_autocorrelation` (batch-length
-// diagnostics); these tests pin their behaviour on sequences with known
-// structure: AR(1)-style positively/negatively correlated streams and a
+// The warm-up audit runs `mser5` on every audited run; the adaptive
+// runner's stopping rule is the CI over replication means and reads
+// neither that nor `BatchMeans::lag1_autocorrelation` (the batch-length
+// diagnostic). These tests pin both on sequences with known structure:
+// AR(1)-style positively/negatively correlated streams and a
 // transient-then-stationary stream with a known truncation point.
 
 /// Deterministic noise in [-0.5, 0.5): a multiplicative-congruential

@@ -27,7 +27,7 @@
 //! [`Graph::reverse`] is just `id ^ 1`.
 
 use crate::error::TopologyError;
-use crate::topo::Topology;
+use crate::topo::{RouteMode, Topology};
 use crate::tree::MPortNTree;
 use serde::{Deserialize, Serialize};
 
@@ -148,14 +148,13 @@ impl FaultSet {
 
 /// Shared inputs of the fault-avoiding DFS helpers
 /// ([`Graph::search_avoiding`] / [`Graph::descend_avoiding`]), bundled so
-/// the recursion carries one reference instead of six arguments.
-struct AvoidCtx<'a> {
+/// the recursion carries one reference instead of five arguments.
+struct AvoidCtx<'a, P> {
     /// The ascending node: the source of a node-to-node or to-root route.
     src: usize,
-    /// Node shaping the preferred ascent digits — the destination for
-    /// node-to-node routes, the source for to-root routes.
-    shape: usize,
-    policy: AscentPolicy,
+    /// The preferred up-port when ascending from each level (see
+    /// [`Graph::up_digit`]).
+    prefer: P,
     faults: &'a FaultSet,
     /// Level the ascent must reach before descending (node-to-node) or
     /// terminating (to-root).
@@ -167,9 +166,8 @@ struct AvoidCtx<'a> {
 /// An m-port n-tree with all channels materialised.
 ///
 /// Routing lives on the [`Topology`] trait, which this type implements:
-/// one method per route form, each deterministic one taking the failed
-/// links to route around, and the consolidated
-/// [`crate::topo::RouteQuery`] entrypoint:
+/// one method per route form, each taking the failed links to route
+/// around, and the consolidated [`crate::topo::RouteQuery`] entrypoint:
 ///
 /// ```
 /// use cocnet_topology::{
@@ -193,9 +191,15 @@ struct AvoidCtx<'a> {
 /// let mut faults = FaultSet::new();
 /// faults.fail_link(route[1]);
 /// let mut detour = Vec::new();
-/// g.route_into(0, 7, AscentPolicy::default(), Some(&faults), &mut detour)?;
+/// let q = RouteQuery { faults: Some(&faults), ..q };
+/// g.route_query(&q, &mut detour)?;
 /// assert_eq!(detour.len(), 4);
 /// assert_ne!(detour[1], route[1]);
+/// // An adaptive route prefers its drawn up-port and avoids the faults
+/// // the same way: the drawn port 1 is down here too.
+/// let drawn = RouteQuery { mode: RouteMode::Adaptive { digits: &[1] }, ..q };
+/// assert_eq!(g.route_query(&drawn, &mut route)?, 2);
+/// assert_eq!(route, detour);
 /// # Ok::<(), cocnet_topology::TopologyError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -316,22 +320,26 @@ impl Graph {
         ChannelId((self.fabric + 2 * (s * self.pow[1] + u as usize)) as u32)
     }
 
-    /// The deterministic up-port digit used when ascending from level `l`
-    /// (1-based) toward a path shaped by node `shape` (the destination for
-    /// node-to-node routes).
+    /// The preferred up-port when ascending from level `l` (1-based)
+    /// toward a path shaped by node `shape` (the destination for
+    /// node-to-node routes, the source for exits): the caller's drawn
+    /// digit for that hop where `digits` has one (an adaptive route),
+    /// else the policy's, reduced mod `m/2` either way.
     ///
-    /// The ascent reads the label's *trailing* digits (`p_n` first), in the
-    /// spirit of Lin's multiple-LID / d-mod-k schemes: labels that share a
-    /// long prefix (and therefore must share descent digits) still fan out
-    /// across different ancestors, which keeps root load balanced even when
-    /// the destination distribution is skewed toward one subtree. Trailing
-    /// digits all have radix `m/2`, so the value is always a valid up-port.
-    /// The mirror policy reads `p_{n−l}` instead, folded into `m/2`.
+    /// The default policy reads the label's *trailing* digits (`p_n`
+    /// first), in the spirit of Lin's multiple-LID / d-mod-k schemes:
+    /// labels that share a long prefix (and therefore must share descent
+    /// digits) still fan out across different ancestors, which keeps root
+    /// load balanced even when the destination distribution is skewed
+    /// toward one subtree. Trailing digits all have radix `m/2`, so the
+    /// value is always a valid up-port. The mirror policy reads `p_{n−l}`
+    /// instead, folded into `m/2`.
     #[inline]
-    fn up_digit(&self, shape: usize, l: u32, policy: AscentPolicy) -> u32 {
-        let digit = match policy {
-            AscentPolicy::TrailingDigits => shape / self.pow[l as usize - 1],
-            AscentPolicy::MirrorDescent => shape / self.pow[l as usize],
+    fn up_digit(&self, shape: usize, l: u32, policy: AscentPolicy, digits: &[u32]) -> u32 {
+        let digit = match (digits.get(l as usize - 1), policy) {
+            (Some(&d), _) => d as usize,
+            (None, AscentPolicy::TrailingDigits) => shape / self.pow[l as usize - 1],
+            (None, AscentPolicy::MirrorDescent) => shape / self.pow[l as usize],
         };
         (digit % self.pow[1]) as u32
     }
@@ -379,7 +387,7 @@ impl Graph {
         &self,
         l: u32,
         ups: usize,
-        ctx: &AvoidCtx<'_>,
+        ctx: &AvoidCtx<'_, impl Fn(u32) -> u32>,
         out: &mut Vec<ChannelId>,
     ) -> bool {
         if l == ctx.target {
@@ -390,7 +398,7 @@ impl Graph {
         }
         let k = self.tree.k();
         let s = self.switch_id(l, ctx.src, ups);
-        let preferred = self.up_digit(ctx.shape, l, ctx.policy);
+        let preferred = (ctx.prefer)(l);
         let order = std::iter::once(preferred).chain((0..k).filter(|&u| u != preferred));
         for u in order {
             let ch = self.up_channel(s, u);
@@ -414,7 +422,7 @@ impl Graph {
         &self,
         ups: usize,
         dst: usize,
-        ctx: &AvoidCtx<'_>,
+        ctx: &AvoidCtx<'_, impl Fn(u32) -> u32>,
         out: &mut Vec<ChannelId>,
     ) -> bool {
         let mark = out.len();
@@ -428,16 +436,17 @@ impl Graph {
         true
     }
 
-    /// The Up*/Down* route `src → dst` avoiding `faults`, with its
-    /// injection channel when `inject` (the full route) or without it (the
-    /// class-shared tail, whose caller checks the injection per source).
-    /// Injection and ejection have no alternative, so a failed one
-    /// disconnects the pair regardless of the switch fabric.
+    /// The Up*/Down* route `src → dst` avoiding `faults`, ascending from
+    /// level `l` through up-port `prefer(l)` wherever that survives, with
+    /// its injection channel when `inject` (the full route) or without it
+    /// (the class-shared tail, whose caller checks the injection per
+    /// source). Injection and ejection have no alternative, so a failed
+    /// one disconnects the pair regardless of the switch fabric.
     fn up_down(
         &self,
         src: usize,
         dst: usize,
-        policy: AscentPolicy,
+        prefer: impl Fn(u32) -> u32,
         faults: Option<&FaultSet>,
         inject: bool,
         out: &mut Vec<ChannelId>,
@@ -452,15 +461,14 @@ impl Graph {
             out.push(inj);
         }
         let Some(faults) = faults.filter(|f| !f.is_empty()) else {
-            let ups = self.ascend(src, h, |l| self.up_digit(dst, l, policy), out);
+            let ups = self.ascend(src, h, prefer, out);
             self.descend(dst, h, ups, out);
             debug_assert_eq!(out.len(), 2 * h as usize - !inject as usize);
             return Ok(h);
         };
         let ctx = AvoidCtx {
             src,
-            shape: dst,
-            policy,
+            prefer,
             faults,
             target: h,
             dst: Some(dst),
@@ -537,11 +545,11 @@ impl Graph {
     }
 }
 
-/// The tree backend: deterministic Up*/Down* routes (fault-avoiding when
-/// given faults), their adaptive forms, and the leaf-switch route
-/// classes. Every route clears `out` first and reuses its capacity, which
-/// is what keeps route-table interning and per-message adaptive routing
-/// off the allocator.
+/// The tree backend: Up*/Down* routes (fault-avoiding when given faults;
+/// adaptive when the mode supplies the ascent's up-ports) and the
+/// leaf-switch route classes. Every route clears `out` first and reuses
+/// its capacity, which is what keeps route-table interning and
+/// per-message adaptive routing off the allocator.
 impl Topology for Graph {
     fn backend_name(&self) -> &'static str {
         "tree"
@@ -563,28 +571,37 @@ impl Topology for Graph {
         self.validate()
     }
 
-    /// Deterministic Up*/Down* route between two distinct nodes: `h`
-    /// up-links to the NCA (up-ports chosen from the destination address),
-    /// then `h` down-links following the destination digits. Returns the
-    /// NCA level `h`; the route is empty when `src == dst`.
+    /// Up*/Down* route between two distinct nodes: `h` up-links to the
+    /// NCA, then `h` down-links following the destination digits. Returns
+    /// the NCA level `h`; the route is empty when `src == dst`. The
+    /// up-ports are the policy's digits of the destination address, or,
+    /// in [`RouteMode::Adaptive`], the caller's digits, one per ascent hop
+    /// (typically drawn uniformly per message, which models the oblivious
+    /// flavour of adaptive wormhole routing, paper ref \[7\], without
+    /// making this crate depend on an RNG).
     ///
     /// Under a non-empty fault set a deterministic depth-first search
-    /// explores every alternate ascent — the policy-preferred up-port
-    /// first, then the remaining digits in ascending order — covering all
+    /// explores every alternate ascent — the preferred up-port first, then
+    /// the remaining digits in ascending order — covering all
     /// `(m/2)^{h−1}` NCA candidates at level `h`. That search is
     /// *complete* for Up*/Down* in this label algebra: a turn above the
     /// NCA would descend back through the very switches (and
     /// tandem-failing links) the ascent used, so it can never rescue a
-    /// pair with no fault-free level-`h` turn.
+    /// pair with no fault-free level-`h` turn. So an adaptive route
+    /// reaches exactly the pairs a deterministic one does: its digits only
+    /// pick the first candidate.
     fn route_into(
         &self,
         src: usize,
         dst: usize,
         policy: AscentPolicy,
+        mode: RouteMode<'_>,
         faults: Option<&FaultSet>,
         out: &mut Vec<ChannelId>,
     ) -> Result<u32, TopologyError> {
-        self.up_down(src, dst, policy, faults, true, out)
+        let digits = mode.digits();
+        let prefer = |l| self.up_digit(dst, l, policy, digits);
+        self.up_down(src, dst, prefer, faults, true, out)
     }
 
     /// The **route tail** of `src → dst`: the route minus its injection
@@ -606,21 +623,24 @@ impl Topology for Graph {
         faults: Option<&FaultSet>,
         out: &mut Vec<ChannelId>,
     ) -> Result<u32, TopologyError> {
-        self.up_down(src, dst, policy, faults, false, out)
+        let prefer = |l| self.up_digit(dst, l, policy, &[]);
+        self.up_down(src, dst, prefer, faults, false, out)
     }
 
-    /// Route from a node up to its deterministic exit root (used by
-    /// inter-cluster messages leaving through an ECN1 tree): `n` links.
+    /// Route from a node up to its exit root (used by inter-cluster
+    /// messages leaving through an ECN1 tree): `n` links.
     ///
-    /// The root choice is a function of the *source* address, spreading the
-    /// exit traffic of different nodes across the `(m/2)^{n−1}` roots.
-    /// Under faults the ascent may end at *any* root, preferring the
-    /// deterministic exit root's up-ports at every level; a node every
-    /// ascent of which is cut reports `Disconnected` with `dst: None`.
+    /// The deterministic root choice is a function of the *source*
+    /// address, spreading the exit traffic of different nodes across the
+    /// `(m/2)^{n−1}` roots; an adaptive route climbs through its drawn
+    /// up-ports instead. Under faults the ascent may end at *any* root,
+    /// preferring those up-ports at every level; a node every ascent of
+    /// which is cut reports `Disconnected` with `dst: None`.
     fn route_exit_into(
         &self,
         src: usize,
         policy: AscentPolicy,
+        mode: RouteMode<'_>,
         faults: Option<&FaultSet>,
         out: &mut Vec<ChannelId>,
     ) -> Result<u32, TopologyError> {
@@ -629,14 +649,15 @@ impl Topology for Graph {
         let src = self.tree.check_node(src)?;
         let inj = ChannelId(2 * src as u32);
         out.push(inj);
+        let digits = mode.digits();
+        let prefer = |l| self.up_digit(src, l, policy, digits);
         let Some(faults) = faults.filter(|f| !f.is_empty()) else {
-            self.ascend(src, n, |l| self.up_digit(src, l, policy), out);
+            self.ascend(src, n, prefer, out);
             return Ok(n);
         };
         let ctx = AvoidCtx {
             src,
-            shape: src,
-            policy,
+            prefer,
             faults,
             target: n,
             dst: None,
@@ -646,57 +667,6 @@ impl Topology for Graph {
         }
         out.clear();
         Err(TopologyError::Disconnected { src, dst: None })
-    }
-
-    /// Adaptive Up*/Down* route: like [`Topology::route_into`] but the
-    /// ascent up-ports are taken from `digits` (one digit in `0..m/2` per
-    /// ascent hop, `h−1` of them at most), as supplied by the caller —
-    /// typically sampled uniformly per message, which models the oblivious
-    /// flavour of adaptive wormhole routing (paper ref \[7\]) without
-    /// making this crate depend on an RNG.
-    ///
-    /// Missing digits fall back to the deterministic policy; excess digits
-    /// are ignored. Descent is fixed by the destination as always.
-    fn route_adaptive_into(
-        &self,
-        src: usize,
-        dst: usize,
-        digits: &[u32],
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        out.clear();
-        let h = self.tree.nca_level(src, dst)?;
-        if h == 0 {
-            return Ok(0);
-        }
-        out.push(ChannelId(2 * src as u32));
-        let digit = |l: u32| match digits.get((l - 1) as usize) {
-            Some(&d) => d % self.tree.k(),
-            None => self.up_digit(dst, l, AscentPolicy::TrailingDigits),
-        };
-        let ups = self.ascend(src, h, digit, out);
-        self.descend(dst, h, ups, out);
-        Ok(h)
-    }
-
-    /// Adaptive exit route: ascent digits supplied by the caller (missing
-    /// ones fall back to the deterministic policy).
-    fn route_exit_adaptive_into(
-        &self,
-        src: usize,
-        digits: &[u32],
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        out.clear();
-        let n = self.tree.n();
-        let src = self.tree.check_node(src)?;
-        out.push(ChannelId(2 * src as u32));
-        let digit = |l: u32| match digits.get((l - 1) as usize) {
-            Some(&d) => d % self.tree.k(),
-            None => self.up_digit(src, l, AscentPolicy::TrailingDigits),
-        };
-        self.ascend(src, n, digit, out);
-        Ok(n)
     }
 
     fn num_route_classes(&self) -> usize {
@@ -729,6 +699,9 @@ pub(crate) mod tests {
     use super::*;
     use crate::topo::{RouteMode, RouteQuery};
 
+    /// The deterministic route mode, for brevity.
+    const DET: RouteMode<'static> = RouteMode::Deterministic;
+
     fn graph(m: u32, n: u32) -> Graph {
         Graph::build(MPortNTree::new(m, n).unwrap())
     }
@@ -737,7 +710,7 @@ pub(crate) mod tests {
     fn route(g: &Graph, src: usize, dst: usize) -> (Vec<ChannelId>, u32) {
         let mut out = Vec::new();
         let h = g
-            .route_into(src, dst, AscentPolicy::default(), None, &mut out)
+            .route_into(src, dst, AscentPolicy::default(), DET, None, &mut out)
             .unwrap();
         (out, h)
     }
@@ -756,10 +729,21 @@ pub(crate) mod tests {
         (out, h)
     }
 
+    /// The default-policy deterministic route `src → dst` around `faults`.
+    fn avoiding(
+        g: &Graph,
+        src: usize,
+        dst: usize,
+        faults: &FaultSet,
+        out: &mut Vec<ChannelId>,
+    ) -> Result<u32, TopologyError> {
+        g.route_into(src, dst, AscentPolicy::default(), DET, Some(faults), out)
+    }
+
     /// The deterministic default-policy exit route of `src`, up to a root.
     fn exit(g: &Graph, src: usize) -> Vec<ChannelId> {
         let mut out = Vec::new();
-        g.route_exit_into(src, AscentPolicy::default(), None, &mut out)
+        g.route_exit_into(src, AscentPolicy::default(), DET, None, &mut out)
             .unwrap();
         out
     }
@@ -965,24 +949,27 @@ pub(crate) mod tests {
             assert_eq!(form(&mut buf).unwrap(), h);
             assert_eq!(buf, fresh);
         };
+        let modes = [DET, RouteMode::Adaptive { digits: &[3, 1] }];
         for (src, dst) in [(0usize, 127usize), (5, 9), (64, 1), (3, 3)] {
             for f in [None, Some(&faults)] {
-                check(&|out| g.route_into(src, dst, policy, f, out));
+                for mode in modes {
+                    check(&|out| g.route_into(src, dst, policy, mode, f, out));
+                }
                 check(&|out| g.route_tail_into(src, dst, policy, f, out));
             }
-            check(&|out| g.route_adaptive_into(src, dst, &[3, 1], out));
         }
         for src in [0usize, 31, 77] {
             for f in [None, Some(&faults)] {
-                check(&|out| g.route_exit_into(src, policy, f, out));
+                for mode in modes {
+                    check(&|out| g.route_exit_into(src, policy, mode, f, out));
+                }
                 check(&|out| g.route_entry_into(src, policy, f, out));
             }
-            check(&|out| g.route_exit_adaptive_into(src, &[1, 2], out));
         }
-        g.route_into(0, 127, policy, Some(&faults), &mut buf)
+        g.route_into(0, 127, policy, DET, Some(&faults), &mut buf)
             .unwrap();
         assert_ne!(buf, route(&g, 0, 127).0, "the fault set reroutes 0 -> 127");
-        g.route_exit_into(0, policy, Some(&faults), &mut buf)
+        g.route_exit_into(0, policy, DET, Some(&faults), &mut buf)
             .unwrap();
         assert_ne!(buf, exit(&g, 0), "the fault set reroutes 0's exit");
     }
@@ -1042,10 +1029,10 @@ pub(crate) mod tests {
         for policy in [AscentPolicy::TrailingDigits, AscentPolicy::MirrorDescent] {
             for src in 0..nodes {
                 for dst in 0..nodes {
-                    assert_empty_is_none(|f, out| g.route_into(src, dst, policy, f, out));
+                    assert_empty_is_none(|f, out| g.route_into(src, dst, policy, DET, f, out));
                     assert_empty_is_none(|f, out| g.route_tail_into(src, dst, policy, f, out));
                 }
-                assert_empty_is_none(|f, out| g.route_exit_into(src, policy, f, out));
+                assert_empty_is_none(|f, out| g.route_exit_into(src, policy, DET, f, out));
                 assert_empty_is_none(|f, out| g.route_entry_into(src, policy, f, out));
             }
         }
@@ -1065,7 +1052,9 @@ pub(crate) mod tests {
                 let mut rep_tail = Vec::new();
                 for src in 0..t.num_nodes() {
                     for dst in 0..t.num_nodes() {
-                        let h1 = g.route_into(src, dst, policy, None, &mut full).unwrap();
+                        let h1 = g
+                            .route_into(src, dst, policy, DET, None, &mut full)
+                            .unwrap();
                         let h2 = g
                             .route_tail_into(src, dst, policy, None, &mut tail)
                             .unwrap();
@@ -1100,9 +1089,7 @@ pub(crate) mod tests {
         // A failed trunk link reroutes the tail exactly like the full route.
         let mut faults = FaultSet::new();
         faults.fail_link(base[1]);
-        let h = g
-            .route_into(src, dst, AscentPolicy::default(), Some(&faults), &mut full)
-            .unwrap();
+        let h = avoiding(&g, src, dst, &faults, &mut full).unwrap();
         let ht = g
             .route_tail_into(src, dst, AscentPolicy::default(), Some(&faults), &mut tail)
             .unwrap();
@@ -1112,15 +1099,7 @@ pub(crate) mod tests {
         // member with the dead injection link is demoted.
         let mut inj_fault = FaultSet::new();
         inj_fault.fail_link(base[0]);
-        assert!(g
-            .route_into(
-                src,
-                dst,
-                AscentPolicy::default(),
-                Some(&inj_fault),
-                &mut full
-            )
-            .is_err());
+        assert!(avoiding(&g, src, dst, &inj_fault, &mut full).is_err());
         let ht = g
             .route_tail_into(
                 src,
@@ -1152,9 +1131,7 @@ pub(crate) mod tests {
         let mut faults = FaultSet::new();
         faults.fail_link(base[1]); // the preferred first up-link
         let mut out = Vec::new();
-        let h = g
-            .route_into(src, dst, AscentPolicy::default(), Some(&faults), &mut out)
-            .unwrap();
+        let h = avoiding(&g, src, dst, &faults, &mut out).unwrap();
         assert_eq!(h, 2, "an alternate level-2 ascent must exist");
         assert_ne!(out, base);
         assert_valid_avoiding_route(&g, src, dst, &out, &faults);
@@ -1181,15 +1158,11 @@ pub(crate) mod tests {
         let mut out = Vec::new();
         let mut faults = FaultSet::new();
         faults.fail_link(via_a[1]); // ascent into NCA A
-        let h = g
-            .route_into(src, dst, AscentPolicy::default(), Some(&faults), &mut out)
-            .unwrap();
+        let h = avoiding(&g, src, dst, &faults, &mut out).unwrap();
         assert_eq!(h, 2, "one cut ascent still leaves NCA B");
         assert_valid_avoiding_route(&g, src, dst, &out, &faults);
         faults.fail_link(via_b[2]); // descent out of NCA B
-        let err = g
-            .route_into(src, dst, AscentPolicy::default(), Some(&faults), &mut out)
-            .unwrap_err();
+        let err = avoiding(&g, src, dst, &faults, &mut out).unwrap_err();
         assert_eq!(
             err,
             TopologyError::Disconnected {
@@ -1208,9 +1181,7 @@ pub(crate) mod tests {
         for cut in [base[0], *base.last().unwrap()] {
             let mut faults = FaultSet::new();
             faults.fail_link(cut);
-            let err = g
-                .route_into(src, dst, AscentPolicy::default(), Some(&faults), &mut out)
-                .unwrap_err();
+            let err = avoiding(&g, src, dst, &faults, &mut out).unwrap_err();
             assert_eq!(
                 err,
                 TopologyError::Disconnected {
@@ -1234,9 +1205,7 @@ pub(crate) mod tests {
         let mut faults = FaultSet::new();
         faults.fail_switch(&g, leaf);
         let mut out = Vec::new();
-        let err = g
-            .route_into(0, 7, AscentPolicy::default(), Some(&faults), &mut out)
-            .unwrap_err();
+        let err = avoiding(&g, 0, 7, &faults, &mut out).unwrap_err();
         assert_eq!(
             err,
             TopologyError::Disconnected {
@@ -1244,9 +1213,7 @@ pub(crate) mod tests {
                 dst: Some(7)
             }
         );
-        let h = g
-            .route_into(4, 7, AscentPolicy::default(), Some(&faults), &mut out)
-            .unwrap();
+        let h = avoiding(&g, 4, 7, &faults, &mut out).unwrap();
         assert!(h > 0);
         assert_valid_avoiding_route(&g, 4, 7, &out, &faults);
     }
@@ -1259,7 +1226,7 @@ pub(crate) mod tests {
         faults.fail_link(base[1]);
         let mut out = Vec::new();
         let n = g
-            .route_exit_into(0, AscentPolicy::default(), Some(&faults), &mut out)
+            .route_exit_into(0, AscentPolicy::default(), DET, Some(&faults), &mut out)
             .unwrap();
         assert_eq!(n, 2);
         assert_ne!(out, base);
@@ -1289,7 +1256,7 @@ pub(crate) mod tests {
             }
         }
         let err = g
-            .route_exit_into(0, AscentPolicy::default(), Some(&faults), &mut out)
+            .route_exit_into(0, AscentPolicy::default(), DET, Some(&faults), &mut out)
             .unwrap_err();
         assert_eq!(err, TopologyError::Disconnected { src: 0, dst: None });
     }
@@ -1311,7 +1278,7 @@ pub(crate) mod tests {
                 if src == dst {
                     continue;
                 }
-                match g.route_into(src, dst, AscentPolicy::default(), Some(&faults), &mut out) {
+                match avoiding(&g, src, dst, &faults, &mut out) {
                     Ok(_) => {
                         ok += 1;
                         assert_valid_avoiding_route(&g, src, dst, &out, &faults);

@@ -3,13 +3,17 @@
 //!
 //! * [`Topology`] — the allocation-free routing trait every backend
 //!   implements, writing into a caller-supplied `&mut Vec<ChannelId>`:
-//!   one method per route form (node to node, its class-shared tail, exit,
-//!   entry, and the two adaptive forms), each deterministic form taking
-//!   the faults to avoid as an `Option<&FaultSet>`, plus the route-class
-//!   algebra the lazy route-interning table relies on. The tree backend's
-//!   implementation lives with [`Graph`], the torus's with [`Torus`].
-//! * [`RouteQuery`] / [`RouteMode`] — the single consolidated entrypoint
-//!   that dispatches one request to the matching route form.
+//!   one method per route form (node to node, its class-shared tail, exit
+//!   and entry), each taking the faults to avoid as an
+//!   `Option<&FaultSet>`, plus the route-class algebra the lazy
+//!   route-interning table relies on. The node-to-node and exit forms also
+//!   take a [`RouteMode`]: an adaptive route is the same fault-avoiding
+//!   search, started from the caller's drawn digits instead of the
+//!   policy's. The tree backend's implementation lives with [`Graph`], the
+//!   torus's with [`Torus`].
+//! * [`RouteQuery`] / [`RouteMode`] — the single consolidated entrypoint:
+//!   one node-to-node request, deterministic or adaptive, with or without
+//!   faults.
 //! * [`TopoSpec`] / [`TorusShape`] — the serialisable
 //!   `{"kind": "tree" | "torus", ...}` configuration block grown by
 //!   [`crate::ClusterSpec`] / [`crate::SystemSpec`], defaulting to `tree`
@@ -29,13 +33,26 @@ pub enum RouteMode<'a> {
     /// The backend's deterministic route (Up*/Down* on a tree,
     /// dimension-order on a torus).
     Deterministic,
-    /// The backend's adaptive variant, shaped by caller-supplied digits
-    /// (interpreted per backend; surplus digits are ignored, missing ones
-    /// fall back to the deterministic choice).
+    /// The backend's adaptive variant: the caller-supplied digits are the
+    /// preferred choices of the same search the deterministic route runs
+    /// (the ascent up-ports on a tree, the first dimension of the order on
+    /// a torus, whose exit has no adaptive form). Surplus digits are
+    /// ignored, missing ones fall back to the deterministic choice, and
+    /// faults are avoided exactly as for a deterministic route.
     Adaptive {
         /// The free routing digits, drawn by the caller.
         digits: &'a [u32],
     },
+}
+
+impl<'a> RouteMode<'a> {
+    /// The caller's digits: none for a deterministic route.
+    pub fn digits(self) -> &'a [u32] {
+        match self {
+            RouteMode::Deterministic => &[],
+            RouteMode::Adaptive { digits } => digits,
+        }
+    }
 }
 
 /// One consolidated route request: deterministic or adaptive, with or
@@ -61,13 +78,16 @@ pub struct RouteQuery<'a> {
 /// The route methods are allocation-free: they clear and fill a
 /// caller-supplied `&mut Vec<ChannelId>` and return a backend-specific
 /// route *level* (the NCA level `h` on a tree, where a node-to-node route
-/// has `2h` channels; the switch-hop count on a torus). Each
-/// deterministic form takes the failed links to route around as
-/// `faults`, as [`RouteQuery::faults`] does: `None` or an empty set gives
-/// the fault-free route, and a pair no fault-free path joins reports
-/// [`TopologyError::Disconnected`] with `out` left empty. The entry route
-/// is provided (the exit route, reversed), and so is
-/// [`Topology::route_query`], the one entrypoint that dispatches a
+/// has `2h` channels; the switch-hop count on a torus). Each form takes
+/// the failed links to route around as `faults`, as [`RouteQuery::faults`]
+/// does: `None` or an empty set gives the fault-free route, and a pair no
+/// fault-free path joins reports [`TopologyError::Disconnected`] with
+/// `out` left empty. The node-to-node and exit forms take a [`RouteMode`]
+/// too: its digits only reorder the candidates the search tries, so a
+/// fault-free adaptive route is the path its digits name, and an adaptive
+/// request reaches exactly the pairs a deterministic one reaches. The
+/// entry route is provided (the exit route, reversed), and so is
+/// [`Topology::route_query`], the one entrypoint that answers a
 /// [`RouteQuery`].
 ///
 /// # Channel-layout contract
@@ -109,24 +129,26 @@ pub trait Topology {
     /// Checks the structural invariants of the built channel graph.
     fn validate(&self) -> Result<(), TopologyError>;
 
-    // ---- deterministic routes ----------------------------------------------
+    // ---- routes ------------------------------------------------------------
 
-    /// Deterministic route from `src` to `dst` avoiding `faults` (empty
-    /// for `src == dst`); returns the route level.
+    /// Route from `src` to `dst` avoiding `faults` (empty for
+    /// `src == dst`), preferring `mode`'s digits where it has them;
+    /// returns the route level.
     fn route_into(
         &self,
         src: usize,
         dst: usize,
         policy: AscentPolicy,
+        mode: RouteMode<'_>,
         faults: Option<&FaultSet>,
         out: &mut Vec<ChannelId>,
     ) -> Result<u32, TopologyError>;
 
-    /// [`Topology::route_into`] minus its injection channel — the part
-    /// shared by every source of the same route class (see the trait
-    /// docs). It ignores faults on the injection channel, which kill one
-    /// source rather than the class, so the caller checks those per
-    /// source.
+    /// The deterministic [`Topology::route_into`] minus its injection
+    /// channel — the part shared by every source of the same route class
+    /// (see the trait docs). It ignores faults on the injection channel,
+    /// which kill one source rather than the class, so the caller checks
+    /// those per source.
     fn route_tail_into(
         &self,
         src: usize,
@@ -136,14 +158,15 @@ pub trait Topology {
         out: &mut Vec<ChannelId>,
     ) -> Result<u32, TopologyError>;
 
-    /// Deterministic exit route avoiding `faults`: from node `src` to the
-    /// backend's egress point (a root switch on a tree, the gateway
-    /// hyperplane on a torus), where a concentrator/dispatcher picks the
-    /// message up.
+    /// Exit route avoiding `faults`, preferring `mode`'s digits where it
+    /// has them: from node `src` to the backend's egress point (a root
+    /// switch on a tree, the gateway hyperplane on a torus), where a
+    /// concentrator/dispatcher picks the message up.
     fn route_exit_into(
         &self,
         src: usize,
         policy: AscentPolicy,
+        mode: RouteMode<'_>,
         faults: Option<&FaultSet>,
         out: &mut Vec<ChannelId>,
     ) -> Result<u32, TopologyError>;
@@ -160,41 +183,12 @@ pub trait Topology {
         faults: Option<&FaultSet>,
         out: &mut Vec<ChannelId>,
     ) -> Result<u32, TopologyError> {
-        let level = self.route_exit_into(dst, policy, faults, out)?;
+        let level = self.route_exit_into(dst, policy, RouteMode::Deterministic, faults, out)?;
         out.reverse();
         for c in out.iter_mut() {
             *c = self.reverse(*c);
         }
         Ok(level)
-    }
-
-    // ---- adaptive routes ---------------------------------------------------
-
-    /// Adaptive route shaped by caller-supplied digits (interpreted per
-    /// backend; surplus digits are ignored, missing ones fall back to the
-    /// deterministic choice).
-    fn route_adaptive_into(
-        &self,
-        src: usize,
-        dst: usize,
-        digits: &[u32],
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError>;
-
-    /// Adaptive exit route shaped by caller-supplied digits. Backends
-    /// without adaptive exits (the torus) report
-    /// [`TopologyError::UnsupportedByBackend`], which is the default.
-    fn route_exit_adaptive_into(
-        &self,
-        src: usize,
-        digits: &[u32],
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        let _ = (src, digits, &out);
-        Err(TopologyError::UnsupportedByBackend {
-            backend: self.backend_name(),
-            what: "adaptive exit digits",
-        })
     }
 
     // ---- route-class algebra (lazy interning) ------------------------------
@@ -218,25 +212,15 @@ pub trait Topology {
 
     // ---- consolidated entrypoint -------------------------------------------
 
-    /// The single route entrypoint: dispatches a [`RouteQuery`] to the
-    /// matching route form. Adaptive routing combined with a non-empty
-    /// fault set is not offered by any backend and reports
-    /// [`TopologyError::UnsupportedByBackend`].
+    /// The single route entrypoint: answers a [`RouteQuery`], in every
+    /// [`RouteMode`], with or without faults, by
+    /// [`Topology::route_into`].
     fn route_query(
         &self,
         q: &RouteQuery<'_>,
         out: &mut Vec<ChannelId>,
     ) -> Result<u32, TopologyError> {
-        match q.mode {
-            RouteMode::Deterministic => self.route_into(q.src, q.dst, q.policy, q.faults, out),
-            RouteMode::Adaptive { .. } if q.faults.is_some_and(|f| !f.is_empty()) => {
-                Err(TopologyError::UnsupportedByBackend {
-                    backend: self.backend_name(),
-                    what: "adaptive routing combined with fault avoidance",
-                })
-            }
-            RouteMode::Adaptive { digits } => self.route_adaptive_into(q.src, q.dst, digits, out),
-        }
+        self.route_into(q.src, q.dst, q.policy, q.mode, q.faults, out)
     }
 }
 
@@ -432,10 +416,11 @@ impl Topology for AnyTopology {
         src: usize,
         dst: usize,
         policy: AscentPolicy,
+        mode: RouteMode<'_>,
         faults: Option<&FaultSet>,
         out: &mut Vec<ChannelId>,
     ) -> Result<u32, TopologyError> {
-        dispatch!(self, t => Topology::route_into(t, src, dst, policy, faults, out))
+        dispatch!(self, t => Topology::route_into(t, src, dst, policy, mode, faults, out))
     }
 
     fn route_tail_into(
@@ -453,29 +438,11 @@ impl Topology for AnyTopology {
         &self,
         src: usize,
         policy: AscentPolicy,
+        mode: RouteMode<'_>,
         faults: Option<&FaultSet>,
         out: &mut Vec<ChannelId>,
     ) -> Result<u32, TopologyError> {
-        dispatch!(self, t => Topology::route_exit_into(t, src, policy, faults, out))
-    }
-
-    fn route_adaptive_into(
-        &self,
-        src: usize,
-        dst: usize,
-        digits: &[u32],
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        dispatch!(self, t => Topology::route_adaptive_into(t, src, dst, digits, out))
-    }
-
-    fn route_exit_adaptive_into(
-        &self,
-        src: usize,
-        digits: &[u32],
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        dispatch!(self, t => Topology::route_exit_adaptive_into(t, src, digits, out))
+        dispatch!(self, t => Topology::route_exit_into(t, src, policy, mode, faults, out))
     }
 
     fn num_route_classes(&self) -> usize {
@@ -507,18 +474,19 @@ mod tests {
     #[test]
     fn route_query_dispatches_to_each_form() {
         let g = Graph::build(MPortNTree::new(4, 2).unwrap());
+        let policy = AscentPolicy::TrailingDigits;
         let mut out = Vec::new();
         let mut expect = Vec::new();
 
         let q = RouteQuery {
             src: 0,
             dst: 5,
-            policy: AscentPolicy::TrailingDigits,
+            policy,
             faults: None,
             mode: RouteMode::Deterministic,
         };
         g.route_query(&q, &mut out).unwrap();
-        g.route_into(0, 5, AscentPolicy::TrailingDigits, None, &mut expect)
+        g.route_into(0, 5, policy, RouteMode::Deterministic, None, &mut expect)
             .unwrap();
         assert_eq!(out, expect);
 
@@ -531,26 +499,46 @@ mod tests {
         assert_eq!(out, expect, "empty fault set is byte-identical");
 
         let digits = [1u32, 0];
+        let adaptive = RouteMode::Adaptive { digits: &digits };
         let q = RouteQuery {
             faults: None,
-            mode: RouteMode::Adaptive { digits: &digits },
+            mode: adaptive,
             ..q
         };
         g.route_query(&q, &mut out).unwrap();
-        g.route_adaptive_into(0, 5, &digits, &mut expect).unwrap();
+        g.route_into(0, 5, policy, adaptive, None, &mut expect)
+            .unwrap();
         assert_eq!(out, expect);
+        let drawn = out.clone();
 
+        // Under faults the adaptive query routes around them: its drawn
+        // up-link is down, so it climbs through the other one.
         let mut faults = FaultSet::new();
-        faults.fail_link(ChannelId(0));
+        faults.fail_link(drawn[1]);
         let q = RouteQuery {
             faults: Some(&faults),
-            mode: RouteMode::Adaptive { digits: &digits },
             ..q
         };
-        assert!(matches!(
-            g.route_query(&q, &mut out),
-            Err(TopologyError::UnsupportedByBackend { .. })
-        ));
+        assert_eq!(g.route_query(&q, &mut out), Ok(2));
+        assert_ne!(out, drawn);
+        assert!(out.iter().all(|&c| !faults.is_failed(c)));
+        // A dead injection link disconnects the pair in either mode.
+        let mut faults = faults.clone();
+        faults.fail_link(ChannelId(0));
+        for mode in [adaptive, RouteMode::Deterministic] {
+            let q = RouteQuery {
+                faults: Some(&faults),
+                mode,
+                ..q
+            };
+            assert_eq!(
+                g.route_query(&q, &mut out),
+                Err(TopologyError::Disconnected {
+                    src: 0,
+                    dst: Some(5)
+                })
+            );
+        }
     }
 
     #[test]

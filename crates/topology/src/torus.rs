@@ -4,10 +4,11 @@
 //! routers along each dimension with wrap-around. Routing is classic
 //! deterministic dimension-order (DOR): correct one coordinate at a time,
 //! in ascending dimension order, always around the shorter side of the
-//! ring (ties go the positive direction). The adaptive variant lets one
-//! caller-supplied digit rotate the dimension order; the fault-avoiding
-//! variant searches the bounded candidate family of (dimension rotation ×
-//! per-dimension direction flip) minimal-or-wrapped paths.
+//! ring (ties go the positive direction). An adaptive route's first
+//! caller-supplied digit picks the dimension the order starts at. Under
+//! faults every route searches the bounded candidate family of
+//! (dimension rotation × per-dimension direction flip) minimal-or-wrapped
+//! paths, rotations in order from that starting dimension.
 //!
 //! The channel numbering honours the layout contract of
 //! [`crate::topo::Topology`]: node↔router pairs first (`2·i` injection,
@@ -17,7 +18,7 @@
 
 use crate::error::TopologyError;
 use crate::graph::{AscentPolicy, ChannelDesc, ChannelId, ChannelKind, Endpoint, FaultSet};
-use crate::topo::{Topology, TorusShape};
+use crate::topo::{RouteMode, Topology, TorusShape};
 
 /// A 2D/3D torus with all channels materialised.
 #[derive(Debug, Clone)]
@@ -184,13 +185,16 @@ impl Torus {
     /// The route `src → dst` avoiding `faults`, with its injection channel
     /// when `inject` (the full route) or without it (the tail, whose
     /// caller checks the injection per source). The first candidate is
-    /// the DOR route; under faults the rest of the bounded family
-    /// (dimension rotation × per-dimension direction flip) follows.
-    /// Injection and ejection have no alternative.
+    /// the DOR route correcting dimension `first` first (0 for the
+    /// deterministic route); under faults the rest of the bounded family
+    /// (dimension rotation × per-dimension direction flip) follows, the
+    /// rotations in order from `first`. Injection and ejection have no
+    /// alternative.
     fn dor_route(
         &self,
         src: usize,
         dst: usize,
+        first: usize,
         faults: Option<&FaultSet>,
         inject: bool,
         out: &mut Vec<ChannelId>,
@@ -211,7 +215,8 @@ impl Torus {
             }
             let base = out.len();
             let ndims = self.shape.ndims();
-            for rotation in 0..ndims {
+            for r in 0..ndims {
+                let rotation = (first + r) % ndims;
                 for flip_mask in 0..(1u32 << ndims) {
                     out.truncate(base);
                     let hops = self.dor_steps(src, dst, rotation, flip_mask, out);
@@ -229,11 +234,12 @@ impl Torus {
         })
     }
 
-    fn rotation_of(&self, digits: &[u32]) -> usize {
-        digits
+    /// The dimension a route in `mode` corrects first: the adaptive
+    /// route's first digit (mod the dimension count), else 0.
+    fn first_dim(&self, mode: RouteMode<'_>) -> usize {
+        mode.digits()
             .first()
-            .map(|&x| x as usize % self.shape.ndims())
-            .unwrap_or(0)
+            .map_or(0, |&x| x as usize % self.shape.ndims())
     }
 }
 
@@ -294,10 +300,11 @@ impl Topology for Torus {
         src: usize,
         dst: usize,
         _policy: AscentPolicy,
+        mode: RouteMode<'_>,
         faults: Option<&FaultSet>,
         out: &mut Vec<ChannelId>,
     ) -> Result<u32, TopologyError> {
-        self.dor_route(src, dst, faults, true, out)
+        self.dor_route(src, dst, self.first_dim(mode), faults, true, out)
     }
 
     fn route_tail_into(
@@ -308,24 +315,33 @@ impl Topology for Torus {
         faults: Option<&FaultSet>,
         out: &mut Vec<ChannelId>,
     ) -> Result<u32, TopologyError> {
-        self.dor_route(src, dst, faults, false, out)
+        self.dor_route(src, dst, 0, faults, false, out)
     }
 
+    /// Only dimension 0 moves toward the gateway plane, so an exit has no
+    /// dimension order for an adaptive digit to rotate: adaptive digits
+    /// report [`TopologyError::UnsupportedByBackend`].
     fn route_exit_into(
         &self,
         src: usize,
         _policy: AscentPolicy,
+        mode: RouteMode<'_>,
         faults: Option<&FaultSet>,
         out: &mut Vec<ChannelId>,
     ) -> Result<u32, TopologyError> {
+        if !mode.digits().is_empty() {
+            return Err(TopologyError::UnsupportedByBackend {
+                backend: self.backend_name(),
+                what: "adaptive exit digits",
+            });
+        }
         self.check_node(src)?;
         out.clear();
         let faults = faults.filter(|f| !f.is_empty());
         if !faults.is_some_and(|f| f.is_failed(self.inject(src))) {
             out.push(self.inject(src));
             let gateway = self.gateway_of(src);
-            // Only dimension 0 moves toward the gateway plane, so the
-            // candidate family is just the two ring directions.
+            // The candidate family is just the two ring directions.
             for flip_mask in [0u32, 1] {
                 out.truncate(1);
                 let hops = self.dor_steps(src, gateway, 0, flip_mask, out);
@@ -336,25 +352,6 @@ impl Topology for Torus {
             out.clear();
         }
         Err(TopologyError::Disconnected { src, dst: None })
-    }
-
-    fn route_adaptive_into(
-        &self,
-        src: usize,
-        dst: usize,
-        digits: &[u32],
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        self.check_node(src)?;
-        self.check_node(dst)?;
-        out.clear();
-        if src == dst {
-            return Ok(0);
-        }
-        out.push(self.inject(src));
-        let hops = self.dor_steps(src, dst, self.rotation_of(digits), 0, out);
-        out.push(self.eject(dst));
-        Ok(hops)
     }
 
     fn num_route_classes(&self) -> usize {
@@ -384,6 +381,9 @@ impl Topology for Torus {
 mod tests {
     use super::*;
     use crate::graph::tests::assert_empty_is_none;
+
+    /// The deterministic route mode, for brevity.
+    const DET: RouteMode<'static> = RouteMode::Deterministic;
 
     fn torus(dims: &[u32]) -> Torus {
         Torus::build(TorusShape::new(dims).unwrap())
@@ -440,12 +440,12 @@ mod tests {
                         continue;
                     }
                     let hops = t
-                        .route_into(src, dst, AscentPolicy::TrailingDigits, None, &mut out)
+                        .route_into(src, dst, AscentPolicy::TrailingDigits, DET, None, &mut out)
                         .unwrap();
                     assert_eq!(hops, min_hops(&t, src, dst), "{dims:?} {src}->{dst}");
                     assert_eq!(out.len() as u32, hops + 2, "inject + hops + eject");
                     assert_connected(&t, src, dst, &out);
-                    t.route_into(src, dst, AscentPolicy::MirrorDescent, None, &mut again)
+                    t.route_into(src, dst, AscentPolicy::MirrorDescent, DET, None, &mut again)
                         .unwrap();
                     assert_eq!(out, again, "policy is irrelevant on a torus");
                 }
@@ -458,13 +458,13 @@ mod tests {
         let t = torus(&[4, 4]);
         let mut out = vec![ChannelId(99)];
         assert_eq!(
-            t.route_into(7, 7, AscentPolicy::TrailingDigits, None, &mut out)
+            t.route_into(7, 7, AscentPolicy::TrailingDigits, DET, None, &mut out)
                 .unwrap(),
             0
         );
         assert!(out.is_empty());
         assert!(t
-            .route_into(0, 16, AscentPolicy::TrailingDigits, None, &mut out)
+            .route_into(0, 16, AscentPolicy::TrailingDigits, DET, None, &mut out)
             .is_err());
     }
 
@@ -475,21 +475,21 @@ mod tests {
         let t = torus(&[5, 2]);
         let mut out = Vec::new();
         let hops = t
-            .route_into(0, 4, AscentPolicy::TrailingDigits, None, &mut out)
+            .route_into(0, 4, AscentPolicy::TrailingDigits, DET, None, &mut out)
             .unwrap();
         assert_eq!(hops, 1);
         assert_eq!(t.channel(out[1]).from, Endpoint::Switch(0));
         assert_eq!(t.channel(out[1]).to, Endpoint::Switch(4));
         // 0 -> 2 goes forward: distance 2 beats the 3-hop wrap.
         let hops = t
-            .route_into(0, 2, AscentPolicy::TrailingDigits, None, &mut out)
+            .route_into(0, 2, AscentPolicy::TrailingDigits, DET, None, &mut out)
             .unwrap();
         assert_eq!(hops, 2);
         assert_eq!(t.channel(out[1]).to, Endpoint::Switch(1));
         // Even extent ties go the positive direction: 0 -> 2 on a 4-ring.
         let t = torus(&[4, 2]);
         let hops = t
-            .route_into(0, 2, AscentPolicy::TrailingDigits, None, &mut out)
+            .route_into(0, 2, AscentPolicy::TrailingDigits, DET, None, &mut out)
             .unwrap();
         assert_eq!(hops, 2);
         assert_eq!(t.channel(out[1]).to, Endpoint::Switch(1));
@@ -507,18 +507,23 @@ mod tests {
                     continue;
                 }
                 let det_hops = t
-                    .route_into(src, dst, AscentPolicy::TrailingDigits, None, &mut det)
+                    .route_into(src, dst, AscentPolicy::TrailingDigits, DET, None, &mut det)
                     .unwrap();
+                let adaptive = |digits: &[u32], out: &mut Vec<ChannelId>| {
+                    let mode = RouteMode::Adaptive { digits };
+                    t.route_into(src, dst, AscentPolicy::TrailingDigits, mode, None, out)
+                        .unwrap()
+                };
                 for digit in 0u32..7 {
-                    let hops = t.route_adaptive_into(src, dst, &[digit], &mut adp).unwrap();
+                    let hops = adaptive(&[digit], &mut adp);
                     assert_eq!(hops, det_hops, "rotation keeps routes minimal");
                     assert_connected(&t, src, dst, &adp);
                 }
                 // No digits at all falls back to the deterministic route.
-                t.route_adaptive_into(src, dst, &[], &mut adp).unwrap();
+                adaptive(&[], &mut adp);
                 assert_eq!(adp, det);
                 // Digit 0 (rotation 0) is the deterministic order too.
-                t.route_adaptive_into(src, dst, &[0], &mut adp).unwrap();
+                adaptive(&[0], &mut adp);
                 assert_eq!(adp, det);
             }
         }
@@ -530,10 +535,10 @@ mod tests {
         let policy = AscentPolicy::TrailingDigits;
         for src in 0..Topology::num_nodes(&t) {
             for dst in 0..Topology::num_nodes(&t) {
-                assert_empty_is_none(|f, out| t.route_into(src, dst, policy, f, out));
+                assert_empty_is_none(|f, out| t.route_into(src, dst, policy, DET, f, out));
                 assert_empty_is_none(|f, out| t.route_tail_into(src, dst, policy, f, out));
             }
-            assert_empty_is_none(|f, out| t.route_exit_into(src, policy, f, out));
+            assert_empty_is_none(|f, out| t.route_exit_into(src, policy, DET, f, out));
             assert_empty_is_none(|f, out| t.route_entry_into(src, policy, f, out));
         }
     }
@@ -541,22 +546,27 @@ mod tests {
     #[test]
     fn avoiding_reroutes_around_failed_ring_link() {
         let t = torus(&[4, 4]);
+        let p = AscentPolicy::TrailingDigits;
         let mut det = Vec::new();
-        t.route_into(0, 2, AscentPolicy::TrailingDigits, None, &mut det)
-            .unwrap();
+        t.route_into(0, 2, p, DET, None, &mut det).unwrap();
         // Fail the first ring link of the deterministic route (det[1]).
+        // Every mode searches the same family, an adaptive one from its
+        // own rotation, so each routes around it.
         let mut faults = FaultSet::new();
         faults.fail_link(det[1]);
         let mut out = Vec::new();
-        t.route_into(0, 2, AscentPolicy::TrailingDigits, Some(&faults), &mut out)
-            .unwrap();
-        assert_connected(&t, 0, 2, &out);
-        assert!(out.iter().all(|&c| !faults.is_failed(c)));
+        for digits in [&[][..], &[0], &[1]] {
+            let mode = RouteMode::Adaptive { digits };
+            t.route_into(0, 2, p, mode, Some(&faults), &mut out)
+                .unwrap();
+            assert_connected(&t, 0, 2, &out);
+            assert!(out.iter().all(|&c| !faults.is_failed(c)));
+        }
         // A failed injection channel has no alternative.
         let mut faults = FaultSet::new();
         faults.fail_link(ChannelId(0));
         assert!(matches!(
-            t.route_into(0, 2, AscentPolicy::TrailingDigits, Some(&faults), &mut out),
+            t.route_into(0, 2, p, DET, Some(&faults), &mut out),
             Err(TopologyError::Disconnected {
                 src: 0,
                 dst: Some(2)
@@ -570,7 +580,7 @@ mod tests {
         let (mut exit, mut entry) = (Vec::new(), Vec::new());
         for v in 0..Topology::num_nodes(&t) {
             let a = t
-                .route_exit_into(v, AscentPolicy::TrailingDigits, None, &mut exit)
+                .route_exit_into(v, AscentPolicy::TrailingDigits, DET, None, &mut exit)
                 .unwrap();
             let b = t
                 .route_entry_into(v, AscentPolicy::TrailingDigits, None, &mut entry)
@@ -601,7 +611,7 @@ mod tests {
         let (mut full, mut tail) = (Vec::new(), Vec::new());
         for src in 0..n {
             for dst in 0..n {
-                t.route_into(src, dst, AscentPolicy::TrailingDigits, None, &mut full)
+                t.route_into(src, dst, AscentPolicy::TrailingDigits, DET, None, &mut full)
                     .unwrap();
                 t.route_tail_into(src, dst, AscentPolicy::TrailingDigits, None, &mut tail)
                     .unwrap();
@@ -631,8 +641,9 @@ mod tests {
     fn adaptive_exit_digits_are_unsupported() {
         let t = torus(&[4, 4]);
         let mut out = Vec::new();
+        let mode = RouteMode::Adaptive { digits: &[1] };
         assert!(matches!(
-            t.route_exit_adaptive_into(3, &[1], &mut out),
+            t.route_exit_into(3, AscentPolicy::TrailingDigits, mode, None, &mut out),
             Err(TopologyError::UnsupportedByBackend {
                 backend: "torus",
                 ..

@@ -6,14 +6,15 @@
 //! channel id) and routes by walking `Vec`-backed [`SwitchLabel`]s. The
 //! tests compare it with [`Graph`] on every channel descriptor and, for
 //! every (src, dst) pair of every tree up to [`MAX_NODES`], on every route
-//! form: full, tail, exit, entry, adaptive with supplied digits, and
+//! form: full, tail, exit and entry, deterministic and adaptive (supplied
+//! digits as the search's preferred up-ports), fault-free and
 //! fault-avoiding under seeded random fault sets (`Disconnected` results
 //! included), for both ascent policies. Out-of-range ids must return the
 //! same errors.
 
 use cocnet_topology::{
     AscentPolicy, ChannelId, ChannelKind, Endpoint, FaultSet, Graph, MPortNTree, NodeLabel,
-    SwitchLabel, Topology, TopologyError,
+    RouteMode, RouteQuery, SwitchLabel, Topology, TopologyError,
 };
 use std::collections::HashMap;
 
@@ -30,10 +31,35 @@ struct LabelRouter {
     lookup: HashMap<(Endpoint, Endpoint), ChannelId>,
 }
 
+/// Where an ascent's up-ports come from: the supplied digit for a hop
+/// where there is one (an adaptive route), else the policy's.
+#[derive(Debug, Clone, Copy)]
+struct Prefer<'a> {
+    policy: AscentPolicy,
+    digits: &'a [u32],
+}
+
+impl Prefer<'_> {
+    /// A deterministic route's preference.
+    fn policy(policy: AscentPolicy) -> Self {
+        Prefer {
+            policy,
+            digits: &[],
+        }
+    }
+
+    /// The mode [`Graph`] takes for the same preference.
+    fn mode(&self) -> RouteMode<'_> {
+        RouteMode::Adaptive {
+            digits: self.digits,
+        }
+    }
+}
+
 /// Shared inputs of the avoiding search (the label router's `AvoidCtx`).
 struct AvoidCtx<'a> {
     shape: &'a NodeLabel,
-    policy: AscentPolicy,
+    prefer: Prefer<'a>,
     faults: &'a FaultSet,
     n: u32,
     target: u32,
@@ -132,11 +158,12 @@ impl LabelRouter {
         Endpoint::Switch(self.switch_index[label])
     }
 
-    fn up_digit(&self, shape: &NodeLabel, l: u32, policy: AscentPolicy) -> u32 {
+    fn up_digit(&self, shape: &NodeLabel, l: u32, prefer: Prefer<'_>) -> u32 {
         let n = self.tree.n() as usize;
-        match policy {
-            AscentPolicy::TrailingDigits => shape.digits[n - l as usize],
-            AscentPolicy::MirrorDescent => shape.digits[n - l as usize - 1] % self.tree.k(),
+        match (prefer.digits.get(l as usize - 1), prefer.policy) {
+            (Some(&d), _) => d % self.tree.k(),
+            (None, AscentPolicy::TrailingDigits) => shape.digits[n - l as usize],
+            (None, AscentPolicy::MirrorDescent) => shape.digits[n - l as usize - 1] % self.tree.k(),
         }
     }
 
@@ -178,7 +205,7 @@ impl LabelRouter {
         &self,
         src: usize,
         dst: usize,
-        policy: AscentPolicy,
+        prefer: Prefer<'_>,
         inject: bool,
         out: &mut Vec<ChannelId>,
     ) -> Result<u32, TopologyError> {
@@ -188,7 +215,7 @@ impl LabelRouter {
             return Ok(0);
         }
         let dst_label = self.tree.node_label(dst)?;
-        let digit = |l| self.up_digit(&dst_label, l, policy);
+        let digit = |l| self.up_digit(&dst_label, l, prefer);
         self.walk(src, h, inject, digit, Some((dst, &dst_label)), out);
         Ok(h)
     }
@@ -196,49 +223,12 @@ impl LabelRouter {
     fn exit(
         &self,
         src: usize,
-        policy: AscentPolicy,
+        prefer: Prefer<'_>,
         out: &mut Vec<ChannelId>,
     ) -> Result<u32, TopologyError> {
         out.clear();
         let src_label = self.tree.node_label(src)?;
-        let digit = |l| self.up_digit(&src_label, l, policy);
-        self.walk(src, self.tree.n(), true, digit, None, out);
-        Ok(self.tree.n())
-    }
-
-    fn adaptive(
-        &self,
-        src: usize,
-        dst: usize,
-        digits: &[u32],
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        out.clear();
-        let h = self.nca_level(src, dst)?;
-        if h == 0 {
-            return Ok(0);
-        }
-        let dst_label = self.tree.node_label(dst)?;
-        let digit = |l: u32| match digits.get((l - 1) as usize) {
-            Some(&d) => d % self.tree.k(),
-            None => self.up_digit(&dst_label, l, AscentPolicy::TrailingDigits),
-        };
-        self.walk(src, h, true, digit, Some((dst, &dst_label)), out);
-        Ok(h)
-    }
-
-    fn exit_adaptive(
-        &self,
-        src: usize,
-        digits: &[u32],
-        out: &mut Vec<ChannelId>,
-    ) -> Result<u32, TopologyError> {
-        out.clear();
-        let src_label = self.tree.node_label(src)?;
-        let digit = |l: u32| match digits.get((l - 1) as usize) {
-            Some(&d) => d % self.tree.k(),
-            None => self.up_digit(&src_label, l, AscentPolicy::TrailingDigits),
-        };
+        let digit = |l| self.up_digit(&src_label, l, prefer);
         self.walk(src, self.tree.n(), true, digit, None, out);
         Ok(self.tree.n())
     }
@@ -257,7 +247,7 @@ impl LabelRouter {
                 None => true,
             };
         }
-        let preferred = self.up_digit(ctx.shape, l, ctx.policy);
+        let preferred = self.up_digit(ctx.shape, l, ctx.prefer);
         let order =
             std::iter::once(preferred).chain((0..self.tree.k()).filter(|&u| u != preferred));
         for u in order {
@@ -308,13 +298,13 @@ impl LabelRouter {
         &self,
         src: usize,
         dst: usize,
-        policy: AscentPolicy,
+        prefer: Prefer<'_>,
         faults: &FaultSet,
         inject: bool,
         out: &mut Vec<ChannelId>,
     ) -> Result<u32, TopologyError> {
         if faults.is_empty() {
-            return self.route(src, dst, policy, inject, out);
+            return self.route(src, dst, prefer, inject, out);
         }
         out.clear();
         let h = self.nca_level(src, dst)?;
@@ -339,7 +329,7 @@ impl LabelRouter {
         }
         let ctx = AvoidCtx {
             shape: &dst_label,
-            policy,
+            prefer,
             faults,
             n: self.tree.n(),
             target: h,
@@ -359,12 +349,12 @@ impl LabelRouter {
     fn exit_avoiding(
         &self,
         src: usize,
-        policy: AscentPolicy,
+        prefer: Prefer<'_>,
         faults: &FaultSet,
         out: &mut Vec<ChannelId>,
     ) -> Result<u32, TopologyError> {
         if faults.is_empty() {
-            return self.exit(src, policy, out);
+            return self.exit(src, prefer, out);
         }
         out.clear();
         let n = self.tree.n();
@@ -377,7 +367,7 @@ impl LabelRouter {
         }
         let ctx = AvoidCtx {
             shape: &src_label,
-            policy,
+            prefer,
             faults,
             n,
             target: n,
@@ -427,6 +417,15 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Draws the digits of one adaptive route into `digits`. They run past
+/// the radix (reduced mod m/2), and some draws supply fewer than the
+/// ascent needs (the policy fills the rest).
+fn draw(state: &mut u64, t: MPortNTree, digits: &mut Vec<u32>) {
+    let len = splitmix(state) as usize % t.n() as usize;
+    digits.clear();
+    digits.extend((0..len).map(|_| (splitmix(state) % 64) as u32));
+}
+
 /// Asserts that both routers gave the same result and the same channels;
 /// `what` names the case (formatted only on failure).
 #[track_caller]
@@ -474,27 +473,29 @@ fn channel_layout_matches_the_label_build() {
 
 #[test]
 fn deterministic_routes_match_on_every_pair() {
+    let det = RouteMode::Deterministic;
     let (mut a, mut b) = (Vec::new(), Vec::new());
     for t in shapes() {
         let (g, o) = (Graph::build(t), LabelRouter::build(t));
         let nodes = t.num_nodes();
         for policy in POLICIES {
+            let prefer = Prefer::policy(policy);
             for src in 0..nodes {
                 for dst in 0..nodes {
                     let tag = (t, policy, src, dst);
                     assert_eq!(t.nca_level(src, dst), o.nca_level(src, dst), "{tag:?}");
-                    let want = o.route(src, dst, policy, true, &mut a);
-                    let got = g.route_into(src, dst, policy, None, &mut b);
+                    let want = o.route(src, dst, prefer, true, &mut a);
+                    let got = g.route_into(src, dst, policy, det, None, &mut b);
                     same(("full", tag), (want, &a), (got, &b));
-                    let want = o.route(src, dst, policy, false, &mut a);
+                    let want = o.route(src, dst, prefer, false, &mut a);
                     let got = g.route_tail_into(src, dst, policy, None, &mut b);
                     same(("tail", tag), (want, &a), (got, &b));
                 }
                 let tag = (t, policy, src);
-                let want = o.exit(src, policy, &mut a);
-                let got = g.route_exit_into(src, policy, None, &mut b);
+                let want = o.exit(src, prefer, &mut a);
+                let got = g.route_exit_into(src, policy, det, None, &mut b);
                 same(("exit", tag), (want, &a), (got, &b));
-                let want = mirrored(o.exit(src, policy, &mut a), &mut a);
+                let want = mirrored(o.exit(src, prefer, &mut a), &mut a);
                 let got = g.route_entry_into(src, policy, None, &mut b);
                 same(("entry", tag), (want, &a), (got, &b));
             }
@@ -510,32 +511,57 @@ fn adaptive_routes_match_on_every_pair() {
     for t in shapes() {
         let (g, o) = (Graph::build(t), LabelRouter::build(t));
         let nodes = t.num_nodes();
-        // Digits run past the radix (reduced mod m/2), and some draws
-        // supply fewer than the ascent needs (the policy fills the rest).
-        let mut draw = |digits: &mut Vec<u32>| {
-            let len = splitmix(&mut state) as usize % t.n() as usize;
-            digits.clear();
-            digits.extend((0..len).map(|_| (splitmix(&mut state) % 64) as u32));
-        };
-        for src in 0..nodes {
-            for dst in 0..nodes {
-                draw(&mut digits);
-                let want = o.adaptive(src, dst, &digits, &mut a);
-                let got = g.route_adaptive_into(src, dst, &digits, &mut b);
-                same(("adaptive", t, src, dst, &digits), (want, &a), (got, &b));
+        for policy in POLICIES {
+            for src in 0..nodes {
+                for dst in 0..nodes {
+                    draw(&mut state, t, &mut digits);
+                    let prefer = Prefer {
+                        policy,
+                        digits: &digits,
+                    };
+                    let want = o.route(src, dst, prefer, true, &mut a);
+                    let q = RouteQuery {
+                        src,
+                        dst,
+                        policy,
+                        faults: None,
+                        mode: prefer.mode(),
+                    };
+                    let got = g.route_query(&q, &mut b);
+                    same(
+                        ("adaptive", t, policy, src, dst, &digits),
+                        (want, &a),
+                        (got, &b),
+                    );
+                }
+                draw(&mut state, t, &mut digits);
+                let prefer = Prefer {
+                    policy,
+                    digits: &digits,
+                };
+                let want = o.exit(src, prefer, &mut a);
+                let got = g.route_exit_into(src, policy, prefer.mode(), None, &mut b);
+                same(
+                    ("exit adaptive", t, policy, src, &digits),
+                    (want, &a),
+                    (got, &b),
+                );
             }
-            draw(&mut digits);
-            let want = o.exit_adaptive(src, &digits, &mut a);
-            let got = g.route_exit_adaptive_into(src, &digits, &mut b);
-            same(("exit adaptive", t, src, &digits), (want, &a), (got, &b));
         }
     }
 }
 
 #[test]
 fn avoiding_routes_match_under_random_fault_sets() {
-    let (mut a, mut b) = (Vec::new(), Vec::new());
-    let (mut routed, mut cut) = (0u64, 0u64);
+    // Deterministic and adaptive alike: an adaptive route's drawn digits
+    // are the oracle search's preferred up-ports, so it must find the
+    // surviving route (or the `Disconnected`) the label router finds from
+    // that preference.
+    let det = RouteMode::Deterministic;
+    let (mut a, mut b, mut drawn) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut routed, mut cut, mut rerouted) = (0u64, 0u64, 0u64);
+    let mut draws = 0xfa_17;
+    let mut digits = Vec::new();
     for t in shapes() {
         let (g, o) = (Graph::build(t), LabelRouter::build(t));
         let nodes = t.num_nodes();
@@ -550,94 +576,131 @@ fn avoiding_routes_match_under_random_fault_sets() {
                 }
             }
             for policy in POLICIES {
+                let prefer = Prefer::policy(policy);
                 for src in 0..nodes {
                     for dst in 0..nodes {
                         let tag = (t, p, policy, src, dst);
-                        let want = o.route_avoiding(src, dst, policy, &faults, true, &mut a);
-                        let got = g.route_into(src, dst, policy, Some(&faults), &mut b);
+                        let want = o.route_avoiding(src, dst, prefer, &faults, true, &mut a);
+                        let got = g.route_into(src, dst, policy, det, Some(&faults), &mut b);
                         match &want {
                             Ok(_) => routed += 1,
                             Err(_) => cut += 1,
                         }
                         same(("avoiding", tag), (want, &a), (got, &b));
-                        let want = o.route_avoiding(src, dst, policy, &faults, false, &mut a);
+                        let want = o.route_avoiding(src, dst, prefer, &faults, false, &mut a);
                         let got = g.route_tail_into(src, dst, policy, Some(&faults), &mut b);
                         same(("tail avoiding", tag), (want, &a), (got, &b));
+                        draw(&mut draws, t, &mut digits);
+                        let drew = Prefer {
+                            policy,
+                            digits: &digits,
+                        };
+                        let want = o.route_avoiding(src, dst, drew, &faults, true, &mut a);
+                        let got =
+                            g.route_into(src, dst, policy, drew.mode(), Some(&faults), &mut b);
+                        if want.is_ok() {
+                            g.route_into(src, dst, policy, drew.mode(), None, &mut drawn)
+                                .unwrap();
+                            rerouted += (drawn != a) as u64;
+                        }
+                        same(("adaptive avoiding", tag, &digits), (want, &a), (got, &b));
                     }
                     let tag = (t, p, policy, src);
-                    let want = o.exit_avoiding(src, policy, &faults, &mut a);
-                    let got = g.route_exit_into(src, policy, Some(&faults), &mut b);
+                    let want = o.exit_avoiding(src, prefer, &faults, &mut a);
+                    let got = g.route_exit_into(src, policy, det, Some(&faults), &mut b);
                     same(("exit avoiding", tag), (want, &a), (got, &b));
-                    let want = o.exit_avoiding(src, policy, &faults, &mut a);
+                    let want = o.exit_avoiding(src, prefer, &faults, &mut a);
                     let want = mirrored(want, &mut a);
                     let got = g.route_entry_into(src, policy, Some(&faults), &mut b);
                     same(("entry avoiding", tag), (want, &a), (got, &b));
+                    draw(&mut draws, t, &mut digits);
+                    let drew = Prefer {
+                        policy,
+                        digits: &digits,
+                    };
+                    let want = o.exit_avoiding(src, drew, &faults, &mut a);
+                    let got = g.route_exit_into(src, policy, drew.mode(), Some(&faults), &mut b);
+                    same(
+                        ("exit adaptive avoiding", tag, &digits),
+                        (want, &a),
+                        (got, &b),
+                    );
                 }
             }
         }
     }
     assert!(
-        routed > 0 && cut > 0,
-        "fault sets must both reroute and cut"
+        routed > 0 && cut > 0 && rerouted > 0,
+        "fault sets must reroute, cut pairs off, and cut drawn paths a detour survives"
     );
 }
 
 #[test]
 fn out_of_range_ids_return_the_same_errors() {
     let (mut a, mut b) = (Vec::new(), Vec::new());
+    let det = RouteMode::Deterministic;
     for t in shapes() {
         let (g, o) = (Graph::build(t), LabelRouter::build(t));
         let nodes = t.num_nodes();
         let mut faults = FaultSet::new();
         faults.fail_link(ChannelId(0));
         let policy = AscentPolicy::default();
+        let prefer = Prefer::policy(policy);
+        let drawn = Prefer {
+            policy,
+            digits: &[1],
+        };
         for (src, dst) in [(nodes, 0), (0, nodes), (nodes, nodes + 1), (usize::MAX, 0)] {
             let tag = (t, src, dst);
-            let want = o.route(src, dst, policy, true, &mut a);
+            let want = o.route(src, dst, prefer, true, &mut a);
             assert!(matches!(want, Err(TopologyError::NodeOutOfRange { .. })));
             same(
                 tag,
                 (want, &a),
-                (g.route_into(src, dst, policy, None, &mut b), &b),
+                (g.route_into(src, dst, policy, det, None, &mut b), &b),
             );
-            let want = o.route(src, dst, policy, false, &mut a);
+            let want = o.route(src, dst, prefer, false, &mut a);
             same(
                 tag,
                 (want, &a),
                 (g.route_tail_into(src, dst, policy, None, &mut b), &b),
             );
-            let want = o.adaptive(src, dst, &[1], &mut a);
-            let got = g.route_adaptive_into(src, dst, &[1], &mut b);
+            let want = o.route(src, dst, drawn, true, &mut a);
+            let got = g.route_into(src, dst, policy, drawn.mode(), None, &mut b);
             same(tag, (want, &a), (got, &b));
-            let want = o.route_avoiding(src, dst, policy, &faults, true, &mut a);
-            let got = g.route_into(src, dst, policy, Some(&faults), &mut b);
-            same(tag, (want, &a), (got, &b));
-            let want = o.route_avoiding(src, dst, policy, &faults, false, &mut a);
+            for prefer in [prefer, drawn] {
+                let want = o.route_avoiding(src, dst, prefer, &faults, true, &mut a);
+                let got = g.route_into(src, dst, policy, prefer.mode(), Some(&faults), &mut b);
+                same(tag, (want, &a), (got, &b));
+            }
+            let want = o.route_avoiding(src, dst, prefer, &faults, false, &mut a);
             let got = g.route_tail_into(src, dst, policy, Some(&faults), &mut b);
             same(tag, (want, &a), (got, &b));
         }
         for src in [nodes, usize::MAX] {
             let tag = (t, src);
-            let want = o.exit(src, policy, &mut a);
+            let want = o.exit(src, prefer, &mut a);
             assert!(matches!(want, Err(TopologyError::NodeOutOfRange { .. })));
             same(
                 tag,
                 (want, &a),
-                (g.route_exit_into(src, policy, None, &mut b), &b),
+                (g.route_exit_into(src, policy, det, None, &mut b), &b),
             );
-            let want = o.exit(src, policy, &mut a);
+            let want = o.exit(src, prefer, &mut a);
             same(
                 tag,
                 (want, &a),
                 (g.route_entry_into(src, policy, None, &mut b), &b),
             );
-            let want = o.exit_adaptive(src, &[0], &mut a);
-            let got = g.route_exit_adaptive_into(src, &[0], &mut b);
+            let want = o.exit(src, drawn, &mut a);
+            let got = g.route_exit_into(src, policy, drawn.mode(), None, &mut b);
             same(tag, (want, &a), (got, &b));
-            let want = o.exit_avoiding(src, policy, &faults, &mut a);
-            let got = g.route_exit_into(src, policy, Some(&faults), &mut b);
-            same(tag, (want, &a), (got, &b));
-            let want = o.exit_avoiding(src, policy, &faults, &mut a);
+            for prefer in [prefer, drawn] {
+                let want = o.exit_avoiding(src, prefer, &faults, &mut a);
+                let got = g.route_exit_into(src, policy, prefer.mode(), Some(&faults), &mut b);
+                same(tag, (want, &a), (got, &b));
+            }
+            let want = o.exit_avoiding(src, prefer, &faults, &mut a);
             let got = g.route_entry_into(src, policy, Some(&faults), &mut b);
             same(tag, (want, &a), (got, &b));
         }

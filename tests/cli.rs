@@ -273,29 +273,35 @@ fn validate_subcommand_accepts_committed_dir_and_rejects_typos() {
 
 #[test]
 fn bad_histograms_are_typed_errors() {
-    // A `sim.histogram` with no bins, more bins than the sinks may
-    // allocate, or an upper bound that is not a finite positive number
-    // fails validation, naming the field, in both `validate` and `run`,
-    // instead of panicking (or aborting on allocation) inside the sinks.
+    // No run reads a latency histogram, so `sim.histogram` is not a
+    // field: a file that still names it, with any value the retired knob
+    // took, fails validation with the typed unknown-field error naming
+    // it, in both `validate` and `run`, instead of being silently ignored.
     let text = std::fs::read_to_string(scenarios_dir().join("fig5.json")).unwrap();
-    assert!(text.contains("\"histogram\": null"), "fixture edit failed");
-    let bad_values = [
-        "[100.0, 0]",
-        "[-5.0, 10]",
-        "[0.0, 10]",
-        "[100.0, 1000000000000000]",
-    ];
-    for (i, bad) in bad_values.iter().enumerate() {
+    assert!(
+        !text.contains("histogram"),
+        "committed files do not name it"
+    );
+    for (i, value) in ["null", "[500.0, 32]", "[100.0, 0]"].iter().enumerate() {
         let path = std::env::temp_dir().join(format!("cocnet_cli_bad_histogram_{i}.json"));
-        let edited = text.replacen("\"histogram\": null", &format!("\"histogram\": {bad}"), 1);
+        let edited = text.replacen(
+            "\"sim\": {",
+            &format!("\"sim\": {{\n    \"histogram\": {value},"),
+            1,
+        );
+        assert_ne!(edited, text, "fixture edit failed");
         std::fs::write(&path, edited).unwrap();
         let file = path.to_str().unwrap();
         let (stdout, stderr, code) = run_code(&["validate", file]);
-        assert_eq!(code, Some(1), "validate {bad}: {stdout} {stderr}");
-        assert!(stdout.contains("sim.histogram"), "validate {bad}: {stdout}");
+        assert_eq!(code, Some(1), "validate {value}: {stdout} {stderr}");
+        assert!(
+            stdout.contains("unknown field"),
+            "validate {value}: {stdout}"
+        );
+        assert!(stdout.contains("histogram"), "validate {value}: {stdout}");
         let (_, stderr, code) = run_code(&["run", file, "--quick", "--points", "1"]);
-        assert_eq!(code, Some(1), "run {bad}: {stderr}");
-        assert!(stderr.contains("sim.histogram"), "run {bad}: {stderr}");
+        assert_eq!(code, Some(1), "run {value}: {stderr}");
+        assert!(stderr.contains("histogram"), "run {value}: {stderr}");
         std::fs::remove_file(&path).unwrap();
     }
 }
@@ -615,6 +621,76 @@ fn rate_flag_on_a_scenario_is_a_usage_error() {
             assert!(stderr.contains(name), "{target}: {name}: {stderr}");
         }
     }
+}
+
+#[test]
+fn every_entry_refuses_the_flags_it_does_not_read() {
+    // Each registry entry lists the flags its run reads; any other flag
+    // exits 2 before anything runs, naming the flag and the entry. A flag
+    // the entry reads is passed beside one it does not, so the refusal
+    // names only the unread one and no simulation starts.
+    use cocnet::registry::{self, RunOpts, SCENARIO};
+    let flags: [&[&str]; 12] = [
+        &["--quick"],
+        &["--json"],
+        &["--no-sim"],
+        &["--points", "3"],
+        &["--replications", "2"],
+        &["--rel-ci", "0.2"],
+        &["--max-replications", "4"],
+        &["--out", "csv"],
+        &["--rate", "3e-4"],
+        &["--shards", "auto"],
+        &["--fail-links", "0.1"],
+        &["--interning", "eager"],
+    ];
+    let args = |name: &str| *flags.iter().find(|f| f[0] == name).unwrap();
+    for flag in flags {
+        let opts = RunOpts::parse(&flag.iter().map(|a| a.to_string()).collect::<Vec<_>>());
+        assert_eq!(opts.unwrap().given().collect::<Vec<_>>(), [flag[0]]);
+    }
+    for entry in registry::all() {
+        assert!(entry.reads.iter().all(|r| flags.iter().any(|f| f[0] == *r)));
+        let unread = flags
+            .iter()
+            .map(|f| f[0])
+            .find(|f| !entry.reads.contains(f));
+        let unread = unread.expect("every entry refuses some flag");
+        for flag in flags {
+            let refused = if entry.reads.contains(&flag[0]) {
+                unread
+            } else {
+                flag[0]
+            };
+            let mut argv = vec!["run", entry.name];
+            argv.extend(flag);
+            if refused != flag[0] {
+                argv.extend(args(refused));
+            }
+            let (stdout, stderr, code) = run_code(&argv);
+            assert_eq!(code, Some(2), "{argv:?}: {stderr}");
+            assert!(stdout.is_empty(), "{argv:?} ran: {stdout}");
+            let named = format!("entry {} does not read {refused} ", entry.name);
+            assert!(stderr.contains(&named), "{argv:?}: {stderr}");
+        }
+    }
+    // What each kind of run reads: a scenario everything but the one
+    // rate of the single-run diagnostics; a table nothing; the sweeps over
+    // their own fault schedules, or on the flit engine, less.
+    let reads = |name: &str| registry::find(name).unwrap().reads;
+    for entry in registry::all().iter().filter(|e| e.scenario().is_some()) {
+        assert_eq!(entry.reads, SCENARIO, "{}", entry.name);
+    }
+    assert!(!SCENARIO.contains(&"--rate") && reads("hotspots").contains(&"--rate"));
+    assert!(reads("table1").is_empty());
+    assert!(!reads("degradation").contains(&"--fail-links"));
+    assert!(!reads("org_scale").contains(&"--interning"));
+    assert!(!reads("buffer_depth").contains(&"--shards"));
+    // The same rule covers a scenario file.
+    let file = scenarios_dir().join("fig5.json");
+    let (stdout, stderr, code) = run_code(&["run", file.to_str().unwrap(), "--rate", "3e-4"]);
+    assert_eq!((code, stdout.as_str()), (Some(2), ""), "{stderr}");
+    assert!(stderr.contains("does not read --rate"), "{stderr}");
 }
 
 #[test]

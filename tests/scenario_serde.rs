@@ -66,7 +66,7 @@ fn sim_config_round_trip_default_and_unknown() {
     let cfg = SimConfig {
         seed: 7,
         coupling: Coupling::StoreAndForward,
-        histogram: Some((500.0, 32)),
+        collect_percentiles: true,
         ..SimConfig::default()
     };
     assert_eq!(round_trip(&cfg), cfg);

@@ -122,8 +122,14 @@ fn exit_roots_cover_all_roots_in_paper_trees() {
         let mut seen = std::collections::HashSet::new();
         let mut r = Vec::new();
         for src in 0..g.tree().num_nodes() {
-            g.route_exit_into(src, AscentPolicy::default(), None, &mut r)
-                .unwrap();
+            g.route_exit_into(
+                src,
+                AscentPolicy::default(),
+                RouteMode::Deterministic,
+                None,
+                &mut r,
+            )
+            .unwrap();
             if let Endpoint::Switch(s) = g.channel(*r.last().unwrap()).to {
                 seen.insert(s);
             }
