@@ -48,7 +48,7 @@ use cocnet::model::{
 };
 use cocnet::presets;
 use cocnet::registry::{self, RunError, RunOpts};
-use cocnet::runner::Scenario;
+use cocnet::runner::{Scenario, MAX_SWEEP_RUNS};
 use cocnet::sim::{run_simulation, SimConfig};
 use cocnet::stats::{scatter, Series, Table};
 use cocnet::topology::{ClusterSpec, SystemSpec};
@@ -292,6 +292,10 @@ fn cmd_sweep(flags: &HashMap<String, String>) {
     }
     if points == 0 {
         eprintln!("--points must be >= 1");
+        exit(2);
+    }
+    if points > MAX_SWEEP_RUNS {
+        eprintln!("--points must be <= {MAX_SWEEP_RUNS} (got {points})");
         exit(2);
     }
     let rates: Vec<f64> = (1..=points)

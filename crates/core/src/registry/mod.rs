@@ -28,7 +28,7 @@ use crate::report::{
     render_figure, render_figure_ci, render_machine, render_machine_ci, to_json, to_json_ci,
     OutputFormat,
 };
-use crate::runner::Scenario;
+use crate::runner::{Scenario, MAX_SWEEP_RUNS};
 use cocnet_sim::{InternMode, ShardMode, SimConfig};
 use cocnet_topology::{ClusterSpec, SystemSpec};
 use cocnet_workloads::presets;
@@ -164,20 +164,25 @@ impl RunOpts {
         }
         // Zero overrides would silently degenerate list-grid scenarios
         // (a range grid at least fails validation); reject them here so
-        // both grid kinds behave the same.
-        if opts.points == Some(0) {
-            return Err("--points must be >= 1".into());
-        }
-        if opts.replications == Some(0) {
-            return Err("--replications must be >= 1".into());
+        // both grid kinds behave the same. Oversized ones are refused
+        // before any entry sizes a sweep by them.
+        for (flag, count) in [
+            ("--points", opts.points),
+            ("--replications", opts.replications),
+            ("--max-replications", opts.max_replications),
+        ] {
+            match count {
+                Some(0) => return Err(format!("{flag} must be >= 1")),
+                Some(n) if n > MAX_SWEEP_RUNS => {
+                    return Err(format!("{flag} must be <= {MAX_SWEEP_RUNS} (got {n})"))
+                }
+                _ => {}
+            }
         }
         if let Some(rel) = opts.rel_ci {
             if !(rel.is_finite() && rel > 0.0) {
                 return Err(format!("--rel-ci must be finite and > 0 (got {rel})"));
             }
-        }
-        if opts.max_replications == Some(0) {
-            return Err("--max-replications must be >= 1".into());
         }
         if let Some(rate) = opts.rate {
             // The simulator cannot run without traffic: reject here rather

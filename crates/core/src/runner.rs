@@ -32,6 +32,13 @@ use serde::{Deserialize, Serialize};
 /// sample, 8 bytes each, before the run starts.
 const MAX_RESERVED_SAMPLES: u64 = 1 << 28;
 
+/// Largest sweep a scenario file or a `cocnet` flag may ask for: at most
+/// this many rates, and at most this many simulation runs (`workloads ×
+/// rates × max(replications, precision.max_replications)`). The runner
+/// lists a sweep's runs before it starts one, so a larger sweep would
+/// abort on that allocation rather than fail validation.
+pub const MAX_SWEEP_RUNS: usize = 1 << 20;
+
 /// How per-job seeds are derived from `sim.seed`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum Seeding {
@@ -501,7 +508,8 @@ impl Scenario {
 
     /// Checks every invariant a deserialized scenario file must satisfy
     /// before it can execute: a valid system and workloads, a non-empty
-    /// positive finite rate grid, at least one replication, pattern
+    /// positive finite rate grid, at least one replication, a sweep within
+    /// [`MAX_SWEEP_RUNS`] rates and runs, pattern
     /// parameters in range, and a terminating simulation config. The
     /// builder methods cannot construct most of these violations; `cocnet
     /// validate` and `cocnet run <file>` call this on every loaded file.
@@ -528,6 +536,34 @@ impl Scenario {
             if steps == 0 {
                 return Err("rates: range needs at least one step".into());
             }
+        }
+        // From the grid's length alone: resolving an oversized range would
+        // allocate it.
+        let points = self.rates.len();
+        if points > MAX_SWEEP_RUNS {
+            let field = match self.rates {
+                RateGrid::List(_) => "rates",
+                RateGrid::Range { .. } => "rates.steps",
+            };
+            return Err(format!(
+                "{field}: at most {MAX_SWEEP_RUNS} rates in a sweep (got {points})"
+            ));
+        }
+        let (field, replications) = match &self.precision {
+            Some(p) if p.max_replications > self.replications => {
+                ("precision.max_replications", p.max_replications)
+            }
+            _ => ("replications", self.replications),
+        };
+        let workloads = self.workloads.len();
+        let runs = workloads
+            .checked_mul(points)
+            .and_then(|n| n.checked_mul(replications));
+        if runs.is_none_or(|n| n > MAX_SWEEP_RUNS) {
+            return Err(format!(
+                "{field}: at most {MAX_SWEEP_RUNS} runs in a sweep, workloads x rates x \
+                 {field} (got {workloads} x {points} x {replications})"
+            ));
         }
         let rates = self.rates.values();
         if rates.is_empty() {

@@ -29,13 +29,6 @@ pub enum ModelCoverage {
     },
 }
 
-impl ModelCoverage {
-    /// Whether the model fully covers the spec.
-    pub fn is_full(&self) -> bool {
-        matches!(self, ModelCoverage::Full)
-    }
-}
-
 /// Classifies `spec` by model coverage (see [`ModelCoverage`]).
 pub fn coverage(spec: &SystemSpec) -> ModelCoverage {
     for (i, c) in spec.clusters.iter().enumerate() {
@@ -329,7 +322,6 @@ mod tests {
         use cocnet_topology::{TopoSpec, TorusShape};
         let tree = spec(4, &[1, 1, 2, 2]);
         assert_eq!(coverage(&tree), ModelCoverage::Full);
-        assert!(coverage(&tree).is_full());
 
         let mut mixed = tree.clone();
         mixed.clusters[1].n = 0;

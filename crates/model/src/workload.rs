@@ -54,11 +54,6 @@ impl Workload {
     pub fn with_rate(&self, lambda_g: f64) -> Self {
         Self { lambda_g, ..*self }
     }
-
-    /// Message length in bytes (`M · d_m`).
-    pub fn message_bytes(&self) -> f64 {
-        self.msg_flits as f64 * self.flit_bytes
-    }
 }
 
 #[cfg(test)]
@@ -85,6 +80,5 @@ mod tests {
         let wl = Workload::new(1e-4, 32, 256.0).unwrap();
         assert_eq!(wl.with_rate(2e-4).lambda_g, 2e-4);
         assert_eq!(wl.with_rate(2e-4).msg_flits, 32);
-        assert_eq!(wl.message_bytes(), 8192.0);
     }
 }

@@ -154,6 +154,10 @@ macro_rules! ser_signed {
 }
 ser_signed!(i8, i16, i32, i64, isize);
 
+/// `2^64`, exact in an `f64`: the least float an unsigned field rejects,
+/// so the `as u64` below never saturates.
+const U64_END: f64 = 18_446_744_073_709_551_616.0;
+
 macro_rules! ser_unsigned {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
@@ -168,7 +172,10 @@ macro_rules! ser_unsigned {
                     Value::U64(n) => n,
                     Value::I64(n) => u64::try_from(n)
                         .map_err(|_| DeError(format!("integer {n} out of range")))?,
-                    Value::F64(n) if n.fract() == 0.0 && (0.0..1.9e19).contains(&n) => n as u64,
+                    Value::F64(n) if n.fract() == 0.0 && (0.0..U64_END).contains(&n) => n as u64,
+                    Value::F64(n) if n.fract() == 0.0 => {
+                        return Err(DeError(format!("integer {n:.0} out of range")))
+                    }
                     ref other => return Err(DeError::expected("integer", other)),
                 };
                 <$t>::try_from(wide).map_err(|_| DeError(format!("integer {wide} out of range")))
@@ -379,5 +386,17 @@ mod tests {
         assert!(err.to_string().contains("expected integer"));
         let err = de_field::<u32>(&Value::Obj(vec![]), "Spec", "m").unwrap_err();
         assert!(err.to_string().contains("missing field"));
+    }
+
+    #[test]
+    fn float_integers_at_or_above_2_pow_64_are_errors() {
+        assert!(u64::from_value(&Value::F64(U64_END)).is_err());
+        let err = u64::from_value(&Value::F64(1.89e19)).unwrap_err();
+        assert!(err.to_string().contains("out of range"), "{err}");
+        assert!(usize::from_value(&Value::F64(1.89e19)).is_err());
+        assert_eq!(
+            u64::from_value(&Value::F64(1.8e19)).unwrap(),
+            18_000_000_000_000_000_000
+        );
     }
 }

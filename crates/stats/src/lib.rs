@@ -2,10 +2,11 @@
 //! experiment harness.
 //!
 //! The crate is deliberately dependency-light: everything here is plain
-//! numerics — streaming moments ([`online::OnlineStats`]), fixed-width
-//! histograms ([`histogram::Histogram`]), confidence intervals
-//! ([`ci::mean_confidence_interval`]), sweep series containers
-//! ([`series::Series`]) and ASCII table rendering ([`table::Table`]).
+//! numerics — streaming moments ([`online::OnlineStats`]), exact
+//! percentiles ([`percentile::Percentiles`]), confidence intervals
+//! ([`ci::mean_confidence_interval`]), warm-up truncation
+//! ([`warmup::mser5`]), sweep series containers ([`series::Series`]) and
+//! ASCII table rendering ([`table::Table`]).
 //!
 //! All accumulators are deterministic: feeding the same samples in the same
 //! order always produces bit-identical results, which the simulator's
@@ -14,10 +15,7 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod batch;
 pub mod ci;
-pub mod error;
-pub mod histogram;
 pub mod online;
 pub mod percentile;
 pub mod plot;
@@ -27,10 +25,7 @@ pub mod summary;
 pub mod table;
 pub mod warmup;
 
-pub use batch::BatchMeans;
 pub use ci::{mean_confidence_interval, ConfidenceInterval};
-pub use error::{mean_absolute_percentage_error, relative_error};
-pub use histogram::Histogram;
 pub use online::OnlineStats;
 pub use percentile::Percentiles;
 pub use plot::scatter;

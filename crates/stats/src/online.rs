@@ -77,15 +77,6 @@ impl OnlineStats {
         }
     }
 
-    /// Population variance (`n` denominator); `0.0` when empty.
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
     /// Sample standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
@@ -108,19 +99,6 @@ impl OnlineStats {
     /// Largest sample seen; `−∞` when empty.
     pub fn max(&self) -> f64 {
         self.max
-    }
-
-    /// Two-sided confidence interval for the mean at `level` (see
-    /// [`crate::mean_confidence_interval`] for the level handling).
-    pub fn confidence_interval(&self, level: f64) -> crate::ConfidenceInterval {
-        crate::mean_confidence_interval(self, level)
-    }
-
-    /// Whether the mean estimate already satisfies `target` — the
-    /// convergence test of a sequential-stopping loop over i.i.d. samples
-    /// (for autocorrelated streams use [`crate::BatchMeans::meets`]).
-    pub fn meets(&self, target: &crate::Precision) -> bool {
-        target.met_by(&self.confidence_interval(target.level))
     }
 
     /// Merges another accumulator into this one (parallel reduction).

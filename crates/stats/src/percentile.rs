@@ -1,8 +1,7 @@
 //! Exact percentile computation over retained samples.
 //!
 //! For modest sample counts (unit tests, small validation runs) it is often
-//! simplest to retain the raw samples and compute exact order statistics;
-//! this complements the streaming, fixed-bin [`crate::Histogram`].
+//! simplest to retain the raw samples and compute exact order statistics.
 
 use serde::{Deserialize, Serialize};
 

@@ -1,13 +1,12 @@
 //! Precision targets for sequential (adaptive) estimation.
 //!
 //! Sequential-stopping practice treats statistical precision as a *target*
-//! rather than a hope: keep adding independent replications (or batches)
-//! until the confidence interval around the estimate is tight enough, then
-//! stop. A [`Precision`] names that stopping rule — a maximum CI
-//! half-width, relative to the mean or absolute, at a confidence level —
-//! and [`Precision::met_by`] is the convergence test every accumulator in
-//! this crate can be checked against ([`crate::OnlineStats::meets`],
-//! [`crate::BatchMeans::meets`]).
+//! rather than a hope: keep adding independent replications until the
+//! confidence interval around the estimate is tight enough, then stop. A
+//! [`Precision`] names that stopping rule — a maximum CI half-width,
+//! relative to the mean or absolute, at a confidence level — and
+//! [`Precision::met_by`] is its convergence test, which the simulator's
+//! replication accumulator applies to the interval over replication means.
 
 use crate::ci::ConfidenceInterval;
 use serde::{Deserialize, Serialize};

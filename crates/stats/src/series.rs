@@ -88,22 +88,6 @@ impl Series {
         }
         None
     }
-
-    /// The x at which `y` first crosses `threshold` (linear interpolation
-    /// between the bracketing points); `None` if it never does.
-    pub fn first_crossing(&self, threshold: f64) -> Option<f64> {
-        for w in self.points.windows(2) {
-            let (a, b) = (w[0], w[1]);
-            if a.y < threshold && b.y >= threshold {
-                let t = (threshold - a.y) / (b.y - a.y);
-                return Some(a.x + t * (b.x - a.x));
-            }
-        }
-        self.points
-            .first()
-            .filter(|p| p.y >= threshold)
-            .map(|p| p.x)
-    }
 }
 
 /// One data point of a CI-bearing sweep: the estimate plus the interval
@@ -213,20 +197,6 @@ mod tests {
         assert_eq!(se.interpolate(2.0), Some(4.0));
         assert_eq!(se.interpolate(-0.1), None);
         assert_eq!(se.interpolate(2.1), None);
-    }
-
-    #[test]
-    fn first_crossing_interpolates() {
-        let se = s(&[(0.0, 0.0), (1.0, 10.0)]);
-        let x = se.first_crossing(5.0).unwrap();
-        assert!((x - 0.5).abs() < 1e-12);
-        assert_eq!(se.first_crossing(100.0), None);
-    }
-
-    #[test]
-    fn first_crossing_when_already_above() {
-        let se = s(&[(0.5, 7.0), (1.0, 9.0)]);
-        assert_eq!(se.first_crossing(5.0), Some(0.5));
     }
 
     #[test]

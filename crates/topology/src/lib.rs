@@ -26,7 +26,6 @@
 pub mod error;
 pub mod graph;
 pub mod labels;
-pub mod metrics;
 pub mod netchar;
 pub mod system;
 pub mod topo;
@@ -36,7 +35,6 @@ pub mod tree;
 pub use error::TopologyError;
 pub use graph::{AscentPolicy, ChannelId, ChannelKind, Endpoint, FaultSet, Graph};
 pub use labels::{NodeLabel, SwitchLabel};
-pub use metrics::TreeMetrics;
 pub use netchar::NetworkCharacteristics;
 pub use system::{ClusterSpec, SystemSpec};
 pub use topo::{AnyTopology, RouteMode, RouteQuery, TopoSpec, Topology, TorusShape};

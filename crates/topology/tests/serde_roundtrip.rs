@@ -4,7 +4,6 @@
 
 use cocnet_topology::{
     ClusterSpec, MPortNTree, NetworkCharacteristics, NodeLabel, SwitchLabel, SystemSpec,
-    TreeMetrics,
 };
 
 fn netchar(bw: f64) -> NetworkCharacteristics {
@@ -106,11 +105,4 @@ fn tree_and_labels_round_trip() {
     };
     let back: SwitchLabel = serde_json::from_str(&serde_json::to_string(&sw).unwrap()).unwrap();
     assert_eq!(sw, back);
-}
-
-#[test]
-fn metrics_round_trip() {
-    let m = TreeMetrics::compute(&MPortNTree::new(4, 3).unwrap());
-    let back: TreeMetrics = serde_json::from_str(&serde_json::to_string(&m).unwrap()).unwrap();
-    assert_eq!(m, back);
 }

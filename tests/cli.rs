@@ -308,16 +308,27 @@ fn bad_histograms_are_typed_errors() {
 
 #[test]
 fn oversized_populations_are_typed_errors() {
-    // Populations whose count overflows, or whose latency samples the
-    // sinks would reserve up front beyond their cap, fail validation
-    // naming the field, in both `validate` and `run`: never a wrapped
-    // count that records nothing, never an aborted allocation.
+    // Populations and sweeps whose count overflows, or whose latency
+    // samples or runs would be allocated up front beyond their cap, fail
+    // validation naming the field, in both `validate` and `run`: never a
+    // wrapped or clamped count, never an aborted allocation. Integers past
+    // u64::MAX reach the parser as floats and must not clamp either.
     let text = std::fs::read_to_string(scenarios_dir().join("fig5.json")).unwrap();
     let huge_measured = ("\"measured\": 100000", "\"measured\": 1000000000000000");
+    let steps = |to: &'static str| ("\"steps\": 10", to);
+    let range = "\"rates\": {\n    \"start\": 0.0,\n    \"stop\": 0.001,\n    \"steps\": 10\n  }";
     let cases = [
         (
             "sim.warmup",
             vec![("\"warmup\": 10000", "\"warmup\": 18446744073709551615")],
+        ),
+        (
+            "warmup",
+            vec![("\"warmup\": 10000", "\"warmup\": 18446744073709551616")],
+        ),
+        (
+            "seed",
+            vec![("\"seed\": 2006", "\"seed\": 18900000000000000000")],
         ),
         (
             "sim.measured",
@@ -336,6 +347,24 @@ fn oversized_populations_are_typed_errors() {
                 ("\"audit_warmup\": false", "\"audit_warmup\": true"),
             ],
         ),
+        ("rates.steps", vec![steps("\"steps\": 2305843009213693952")]),
+        ("rates.steps", vec![steps("\"steps\": 1125899906842624")]),
+        ("steps", vec![steps("\"steps\": 18446744073709551616")]),
+        (
+            "replications",
+            vec![
+                (range, "\"rates\": [1e-4]"),
+                ("\"replications\": 1", "\"replications\": 1125899906842624"),
+            ],
+        ),
+        (
+            "precision.max_replications",
+            vec![(
+                "\"precision\": null",
+                "\"precision\": {\"rel_ci\": 0.05, \"min_replications\": 1125899906842624, \
+                 \"max_replications\": 1125899906842624}",
+            )],
+        ),
     ];
     for (i, (field, edits)) in cases.iter().enumerate() {
         let mut edited = text.clone();
@@ -349,10 +378,40 @@ fn oversized_populations_are_typed_errors() {
         let (stdout, stderr, code) = run_code(&["validate", file]);
         assert_eq!(code, Some(1), "validate {edits:?}: {stdout} {stderr}");
         assert!(stdout.contains(field), "validate {edits:?}: {stdout}");
-        let (_, stderr, code) = run_code(&["run", file, "--points", "1"]);
+        // `--points 1` keeps a wrongly accepted run small, but it re-grids
+        // a range, so the cases that edit the range's steps run without it.
+        let regrids = edits.iter().any(|(_, to)| to.contains("steps"));
+        let args = [
+            &["run", file][..],
+            if regrids { &[] } else { &["--points", "1"] },
+        ]
+        .concat();
+        let (_, stderr, code) = run_code(&args);
         assert_eq!(code, Some(1), "run {edits:?}: {stderr}");
         assert!(stderr.contains(field), "run {edits:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "run {edits:?}: {stderr}");
         std::fs::remove_file(&path).unwrap();
+    }
+    // The same sizes given as flags are usage errors naming the flag.
+    let huge = (1u64 << 50).to_string();
+    for args in [
+        &["run", "fig5", "--points", &huge, "--no-sim"][..],
+        &["run", "fig5", "--quick", "--replications", &huge],
+        &[
+            "run",
+            "fig5_precision",
+            "--quick",
+            "--max-replications",
+            &huge,
+        ],
+        &["run", "fig7", "--points", &huge],
+        &["sweep", "--points", &huge],
+    ] {
+        let (stdout, stderr, code) = run_code(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
+        let flag = args[args.iter().position(|&a| a == huge).unwrap() - 1];
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
     }
 }
 

@@ -359,3 +359,102 @@ fn validate_catches_broken_scenarios() {
 
     base.validate().unwrap();
 }
+
+#[test]
+fn unsigned_fields_reject_integers_past_u64_max() {
+    // 1.89e19 is past u64::MAX, so the JSON parser reads it as a float: the
+    // seed field must refuse it by name, not clamp it to u64::MAX.
+    let mut s = scenario();
+    s.sim.seed = 7;
+    let json = serde_json::to_string_pretty(&s).unwrap();
+    let edited = json.replacen(r#""seed": 7,"#, r#""seed": 18900000000000000000,"#, 1);
+    assert_ne!(edited, json, "the scenario serialises its seed");
+    let err = serde_json::from_str::<Scenario>(&edited).unwrap_err();
+    assert!(err.to_string().contains("seed"), "{err}");
+}
+
+/// Where each distinct key path's first numeric literal sits, in document
+/// order. A key path elides array positions (`spec.clusters.n`); a
+/// location keeps them, one child index per level.
+fn numeric_paths(
+    v: &serde::Value,
+    path: &str,
+    at: &mut Vec<usize>,
+    out: &mut Vec<(String, Vec<usize>)>,
+) {
+    let children: Vec<(String, &serde::Value)> = match v {
+        serde::Value::I64(_) | serde::Value::U64(_) | serde::Value::F64(_) => {
+            if out.iter().all(|(seen, _)| seen != path) {
+                out.push((path.to_string(), at.clone()));
+            }
+            return;
+        }
+        serde::Value::Obj(fields) => fields
+            .iter()
+            .map(|(key, child)| (format!("{path}.{key}"), child))
+            .collect(),
+        serde::Value::Arr(items) => items
+            .iter()
+            .map(|child| (path.to_string(), child))
+            .collect(),
+        _ => return,
+    };
+    for (i, (child_path, child)) in children.into_iter().enumerate() {
+        at.push(i);
+        numeric_paths(child, &child_path, at, out);
+        at.pop();
+    }
+}
+
+#[test]
+fn edited_committed_scenarios_fail_typed_never_panic() {
+    // Each committed file, with one numeric literal per distinct key path
+    // swapped for each edge value below, either fails to parse or parses
+    // to a scenario that `validate()` accepts or refuses: never a panic,
+    // never an aborted allocation, and never an unsigned field the parser
+    // clamped to u64::MAX.
+    let edges = "-1 0 1.5 1e400 1e-320 65536 4294967296 1125899906842624 18446744073709551616";
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
+    let (mut cases, mut failures) = (0, Vec::new());
+    for file in std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path()) {
+        if file.extension().is_none_or(|ext| ext != "json") {
+            continue;
+        }
+        let value: serde::Value = serde_json::from_str(&std::fs::read_to_string(&file).unwrap())
+            .unwrap_or_else(|e| panic!("{}: {e}", file.display()));
+        let mut located = Vec::new();
+        numeric_paths(&value, "", &mut Vec::new(), &mut located);
+        for (path, at) in &located {
+            // A string marks the literal, so the edge goes in as JSON text.
+            let mut marked = value.clone();
+            let leaf = at.iter().fold(&mut marked, |v, &i| match v {
+                serde::Value::Obj(fields) => &mut fields[i].1,
+                serde::Value::Arr(items) => &mut items[i],
+                _ => unreachable!("a location runs through objects and arrays"),
+            });
+            *leaf = serde::Value::Str("@edge".into());
+            let template = serde_json::to_string(&marked).unwrap();
+            for edge in edges.split(' ') {
+                cases += 1;
+                let json = template.replacen("\"@edge\"", edge, 1);
+                let outcome = std::panic::catch_unwind(|| {
+                    serde_json::from_str::<Scenario>(&json).map(|s| {
+                        let _ = s.validate();
+                        serde_json::to_string(&s).unwrap()
+                    })
+                });
+                let case = format!("{} {path} = {edge}", file.display());
+                match outcome {
+                    Err(_) => failures.push(format!("{case}: panicked")),
+                    Ok(Ok(back)) if back.contains("18446744073709551615") => {
+                        failures.push(format!("{case}: clamped to u64::MAX"))
+                    }
+                    Ok(_) => {}
+                }
+            }
+        }
+    }
+    // 265 distinct key paths over the ten committed files.
+    assert_eq!(cases, 265 * 9, "edited cases");
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
