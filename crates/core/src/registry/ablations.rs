@@ -109,6 +109,7 @@ pub fn ablation_routing(opts: &RunOpts) {
             measured: 20_000,
             drain: 2_000,
             seed: 9,
+            collect_channel_busy: true,
             ..SimConfig::default()
         },
         opts,

@@ -26,6 +26,7 @@ pub fn hotspots(opts: &RunOpts) {
             drain: 2_000,
             seed: 7,
             max_events: 2_000_000_000,
+            collect_channel_busy: true,
             ..SimConfig::default()
         },
         opts,
@@ -79,6 +80,7 @@ pub fn utilization(opts: &RunOpts) {
             measured: 20_000,
             drain: 2_000,
             seed: 3,
+            collect_channel_busy: true,
             ..SimConfig::default()
         },
         opts,

@@ -368,6 +368,13 @@ pub struct SimConfig {
     /// Retain raw latency samples and report exact p50/p95/p99 (both
     /// engines; costs one `f64` per measured message).
     pub collect_percentiles: bool,
+    /// Keep per-channel busy time and report it as
+    /// [`SimResults::channel_busy`] (every engine; costs two `f64` per
+    /// channel of the system). Off, the vector is empty, and the worm
+    /// engine keeps no state sized by the channel count.
+    ///
+    /// [`SimResults::channel_busy`]: crate::SimResults::channel_busy
+    pub collect_channel_busy: bool,
     /// Record the delivery-ordered latency stream of the warm-up +
     /// measured populations and run an MSER-5 warm-up audit over it
     /// ([`crate::WarmupAudit`]): the run is flagged when the detected
@@ -400,6 +407,7 @@ impl Default for SimConfig {
             trace_messages: 0,
             adaptive_routing: false,
             collect_percentiles: false,
+            collect_channel_busy: false,
             audit_warmup: false,
             faults: FaultSchedule::default(),
             shards: ShardMode::default(),
@@ -423,6 +431,7 @@ impl SimConfig {
             trace_messages: 0,
             adaptive_routing: false,
             collect_percentiles: false,
+            collect_channel_busy: false,
             audit_warmup: false,
             faults: FaultSchedule::default(),
             shards: ShardMode::default(),

@@ -44,10 +44,15 @@
 //!   slot onto a free list, so the live-message footprint is bounded by
 //!   the peak in-flight population (reported as
 //!   [`SimResults::peak_live_msgs`]), not by the run length;
-//! * the event lists retain their capacity, and each channel is an 8-byte
-//!   record whose FIFO of waiting headers links through the message slab
-//!   — no per-channel allocation at all — so a warmed-up loop performs no
-//!   allocator calls;
+//! * the event lists retain their capacity, and only a *held* channel has
+//!   an arbitration record: a 12-byte entry in the held-channel table
+//!   (`held.rs`), whose FIFO of waiting headers links through the message
+//!   slab. The table grows only while it fills up to the run's held-set
+//!   peak, then keeps its capacity, so a warmed-up loop performs no
+//!   allocator calls, and nothing in the engine is sized by the channel
+//!   count (the live fault mask aside, which timed faults need);
+//! * per-channel busy time ([`SimResults::channel_busy`]) is kept only
+//!   when the run asks for it ([`SimConfig::collect_channel_busy`]);
 //! * a channel's transfer time is read from its network's two times
 //!   (`t_cn`, `t_cs`), through the network its message's current segment
 //!   records ([`SegMeta::net`]): O(1), and no per-channel table of times
@@ -68,10 +73,12 @@
 //! [`AdaptiveRouteCache`]: crate::build::AdaptiveRouteCache
 //! [`SimResults::peak_live_msgs`]: crate::results::SimResults::peak_live_msgs
 //! [`SegMeta::net`]: crate::build::SegMeta::net
+//! [`SimResults::channel_busy`]: crate::results::SimResults::channel_busy
 
 use crate::build::{AdaptiveRouteCache, BuiltSystem, NetTimes, RouteRef, RouteTable, SegMeta};
 use crate::config::{Coupling, FaultMask, SimConfig};
 use crate::events::{ArrivalBand, EventQueue, Merged, Scheduler};
+use crate::held::{HeldChans, HELD, WAITER};
 use crate::results::{delivery_order, BusyTime, Counters, Delivery, SimResults, Sinks, StopReason};
 use crate::trace::{MessageTrace, TraceEvent, TraceEventKind};
 use cocnet_model::Workload;
@@ -107,28 +114,6 @@ enum EventKind {
         msg: u32,
     },
 }
-
-/// One channel's arbitration record: `[head, tail]` of its FIFO of
-/// waiting headers. `head` is [`FREE`], [`HELD`] (held, nobody waiting) or
-/// the first waiter's slab slot plus [`WAITER`]; `tail` is the last
-/// waiter's, offset alike and meaningful only while someone waits.
-/// Waiters link through [`Msg::next`] and leave only from the front
-/// (granted, or dropped at the grant when the channel failed meanwhile).
-/// The channel's transfer time is its network's, read through the
-/// current segment of the message crossing it.
-///
-/// A plain integer array, so the per-run vector of records is allocated
-/// zeroed (all [`FREE`]) and the channels no message touches never become
-/// resident.
-type Chan = [u32; 2];
-
-/// `head` of a channel no message holds.
-const FREE: u32 = 0;
-/// `head` of a held channel nobody waits for; also the [`Msg::next`] of
-/// the last waiter.
-const HELD: u32 = 1;
-/// Offset of a slab slot stored in a FIFO link.
-const WAITER: u32 = 2;
 
 /// One in-flight message: a slab slot's worth of `Copy` state. The route
 /// itself lives in the interned table (or the adaptive route store); the
@@ -167,7 +152,9 @@ struct Msg {
     /// Completed transmission attempts that hit a failed channel.
     attempt: u32,
     /// While the header waits for a channel: the next waiter's slot plus
-    /// [`WAITER`], or [`HELD`] for the last one (see [`Chan`]).
+    /// [`WAITER`], or [`HELD`] for the last one (see [`Held`]).
+    ///
+    /// [`Held`]: crate::held::Held
     next: u32,
 }
 
@@ -216,7 +203,9 @@ struct Simulator<'a, const TRACE: bool> {
     rng: StdRng,
     /// The future-event list: events of messages in flight only.
     queue: EventQueue<EventKind>,
-    chans: Vec<Chan>,
+    /// Arbitration records of the held channels; a channel without one is
+    /// free.
+    held: HeldChans,
     /// Message slab; `free` holds the slots of delivered messages.
     msgs: Vec<Msg>,
     free: Vec<u32>,
@@ -229,7 +218,8 @@ struct Simulator<'a, const TRACE: bool> {
     recorded_done: u64,
     counters: Counters,
     faults: FaultMask,
-    busy: BusyTime,
+    /// Per-channel busy time, when the run asks for it.
+    busy: Option<BusyTime>,
     sinks: Sinks,
     /// Traces of the first `cfg.trace_messages` messages.
     traces: Vec<MessageTrace>,
@@ -267,7 +257,7 @@ impl<'a, const TRACE: bool> Simulator<'a, TRACE> {
             layout: cluster_offsets(built.spec()),
             rng: StdRng::seed_from_u64(cfg.seed),
             queue: EventQueue::new(),
-            chans: vec![[FREE; 2]; built.num_channels()],
+            held: HeldChans::default(),
             msgs: Vec::new(),
             free: Vec::new(),
             route_cache: AdaptiveRouteCache::default(),
@@ -275,7 +265,9 @@ impl<'a, const TRACE: bool> Simulator<'a, TRACE> {
             recorded_done: 0,
             counters: Counters::default(),
             faults: FaultMask::new(built, &cfg.faults),
-            busy: BusyTime::new(built.num_channels()),
+            busy: cfg
+                .collect_channel_busy
+                .then(|| BusyTime::new(built.num_channels())),
             sinks: Sinks::new(&cfg, built.spec().num_clusters()),
             traces: Vec::new(),
             deliveries: Vec::new(),
@@ -398,8 +390,10 @@ impl<'a, const TRACE: bool> Simulator<'a, TRACE> {
 
     /// The run's results, once [`Self::simulate`] has returned.
     fn results(self, stop: StopReason) -> SimResults {
-        let chans = &self.chans;
-        let busy = self.busy.finish(self.now, |c| chans[c][0] != FREE);
+        let held = self.held.iter().map(|&[chan, ..]| chan);
+        let busy = self
+            .busy
+            .map_or_else(Vec::new, |busy| busy.finish(self.now, held));
         let mut r = self
             .sinks
             .finish(self.counters, stop, self.now, busy, self.msgs.len() as u64);
@@ -582,25 +576,28 @@ impl<'a, const TRACE: bool> Simulator<'a, TRACE> {
             self.drop_msg(msg_id, chan, t);
             return;
         }
-        let c = &mut self.chans[chan as usize];
-        if c[0] != FREE {
+        let slot = self.held.find(chan);
+        if self.held.is_held(slot) {
             // Join the FIFO as its last waiter.
             let link = msg_id + WAITER;
             self.msgs[msg_id as usize].next = HELD;
-            if c[0] == HELD {
-                *c = [link, link];
+            let [_, head, tail] = self.held.get_mut(slot);
+            if *head == HELD {
+                *head = link;
             } else {
-                self.msgs[(c[1] - WAITER) as usize].next = link;
-                c[1] = link;
+                self.msgs[(*tail - WAITER) as usize].next = link;
             }
+            *tail = link;
             if TRACE {
                 let trace_id = self.msgs[msg_id as usize].trace_id;
                 self.trace(trace_id, t, TraceEventKind::Blocked { chan });
             }
         } else {
-            c[0] = HELD;
+            self.held.insert(slot, [chan, HELD, 0]);
             let cross = self.cross_time(msg_id, chan);
-            self.busy.grant(chan, t);
+            if let Some(busy) = &mut self.busy {
+                busy.grant(chan, t);
+            }
             self.queue
                 .schedule(t + cross, EventKind::Advance { msg: msg_id });
             if TRACE {
@@ -715,15 +712,15 @@ impl<'a, const TRACE: bool> Simulator<'a, TRACE> {
     }
 
     fn on_release(&mut self, chan: u32, t: f64) {
-        self.busy.accrue(chan, t);
-        debug_assert_ne!(
-            self.chans[chan as usize][0], FREE,
-            "releasing a free channel"
-        );
+        if let Some(busy) = &mut self.busy {
+            busy.accrue(chan, t);
+        }
+        let slot = self.held.find(chan);
+        debug_assert!(self.held.is_held(slot), "releasing a free channel");
         loop {
-            let head = &mut self.chans[chan as usize][0];
+            let head = &mut self.held.get_mut(slot)[1];
             if *head == HELD {
-                *head = FREE;
+                self.held.remove(slot);
                 return;
             }
             // Pop the first waiter: its link is the new head.
@@ -739,7 +736,9 @@ impl<'a, const TRACE: bool> Simulator<'a, TRACE> {
             // Grant to the next waiting header, which waits in its current
             // segment; the channel stays busy.
             let cross = self.cross_time(next, chan);
-            self.busy.grant(chan, t);
+            if let Some(busy) = &mut self.busy {
+                busy.grant(chan, t);
+            }
             self.queue
                 .schedule(t + cross, EventKind::Advance { msg: next });
             if TRACE {
@@ -873,6 +872,7 @@ mod tests {
             trace_messages: 0,
             adaptive_routing: false,
             collect_percentiles: false,
+            collect_channel_busy: false,
             audit_warmup: false,
             faults: crate::config::FaultSchedule::default(),
             shards: crate::config::ShardMode::Off,
@@ -1330,11 +1330,11 @@ mod tests {
     }
 
     #[test]
-    fn channel_record_is_eight_bytes_and_msg_stays_small() {
-        // The per-channel state is two FIFO links, and the link each
-        // waiter carries must not grow the message record; the network a
-        // segment records sits in what was `SegMeta`'s padding.
-        assert_eq!(std::mem::size_of::<Chan>(), 8);
+    fn held_channel_record_is_twelve_bytes_and_msg_stays_small() {
+        // A held channel's state is its id and two FIFO links, and the
+        // link each waiter carries must not grow the message record; the
+        // network a segment records sits in what was `SegMeta`'s padding.
+        assert_eq!(std::mem::size_of::<crate::held::Held>(), 12);
         assert_eq!(std::mem::size_of::<SegMeta>(), 32);
         let msg = std::mem::size_of::<Msg>();
         assert!(msg <= 88, "Msg grew to {msg} bytes");
@@ -1349,16 +1349,34 @@ mod tests {
         let cfg = SimConfig {
             warmup: 0,
             drain: 0,
+            collect_channel_busy: true,
             ..tiny_cfg(22)
         };
-        let r = run_simulation(&spec(), &wl(8e-4), Pattern::Uniform, &cfg);
+        let built = BuiltSystem::build(&spec(), 256.0);
+        let r = run_simulation_built(&built, &wl(8e-4), Pattern::Uniform, &cfg);
         assert!(r.completed);
+        assert_eq!(r.channel_busy.len(), built.num_channels());
         for &b in &r.channel_busy {
             assert!(b >= 0.0);
             assert!(b <= r.sim_time * (1.0 + 1e-9));
         }
         let total: f64 = r.channel_busy.iter().sum();
         assert!(total > 0.0);
+        // A run that does not ask gets an empty vector, and the same
+        // results otherwise.
+        let plain = SimConfig {
+            collect_channel_busy: false,
+            ..cfg
+        };
+        let plain = run_simulation_built(&built, &wl(8e-4), Pattern::Uniform, &plain);
+        assert!(plain.channel_busy.is_empty());
+        assert_eq!(
+            SimResults {
+                channel_busy: Vec::new(),
+                ..r
+            },
+            plain
+        );
     }
 
     /// The injection channel of node 0's interned routes: failing it cuts

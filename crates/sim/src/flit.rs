@@ -219,8 +219,13 @@ impl<'a> FlitSimulator<'a> {
                 break;
             }
         }
-        let chans = &self.chans;
-        let busy = self.busy.finish(self.now, |c| chans[c].owner.is_some());
+        let busy = if self.cfg.collect_channel_busy {
+            let chans = &self.chans;
+            let open = (0..chans.len() as u32).filter(|&c| chans[c as usize].owner.is_some());
+            self.busy.finish(self.now, open)
+        } else {
+            Vec::new()
+        };
         self.sinks
             .finish(self.counters, stop, self.now, busy, self.msgs.len() as u64)
     }

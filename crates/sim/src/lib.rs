@@ -35,6 +35,7 @@ pub mod config;
 pub mod engine;
 pub mod events;
 pub mod flit;
+mod held;
 pub mod replicate;
 pub mod results;
 pub mod shard;

@@ -11,7 +11,10 @@
 //! * `delivery_order` — the canonical order in which same-instant
 //!   deliveries reach the sinks;
 //! * `BusyTime` — per-channel busy time, including the end-of-run flush
-//!   of intervals still open.
+//!   of intervals still open, kept only when a run asks for it
+//!   ([`SimConfig::collect_channel_busy`]).
+//!
+//! [`SimConfig::collect_channel_busy`]: crate::SimConfig::collect_channel_busy
 //!
 //! The live fault mask, the other piece the engines share, sits beside
 //! the fault schedule in [`crate::config`].
@@ -115,8 +118,13 @@ pub struct SimResults {
     pub completed: bool,
     /// Simulation clock at termination.
     pub sim_time: f64,
-    /// Cumulative busy time per global channel; divide by `sim_time` for
-    /// utilisation. Indexed like [`crate::BuiltSystem`]'s channel table.
+    /// Cumulative busy time per global channel when
+    /// [`SimConfig::collect_channel_busy`] was set (every engine; empty
+    /// otherwise). Divide by `sim_time` for utilisation. Indexed like
+    /// [`crate::BuiltSystem`]'s channel table; a channel still held at the
+    /// stop counts as busy up to `sim_time`.
+    ///
+    /// [`SimConfig::collect_channel_busy`]: crate::SimConfig::collect_channel_busy
     pub channel_busy: Vec<f64>,
     /// Event traces of the first `trace_messages` generated messages
     /// (worm engine only; empty when tracing is off).
@@ -127,8 +135,12 @@ pub struct SimResults {
     /// MSER-5 warm-up audit when `audit_warmup` was set and the run
     /// delivered enough messages to scan (see [`WarmupAudit`]).
     pub warmup_audit: Option<WarmupAudit>,
-    /// Total events the engine processed (one heap pop each) — the
-    /// numerator of the events/sec throughput metric.
+    /// Total events the engine processed — the numerator of the
+    /// events/sec throughput metric, and what `max_events` caps. Every
+    /// network and fault event counts once, and so does every node
+    /// arrival, including those that fire after the whole population has
+    /// been generated: the worm engine pops arrivals from its arrival
+    /// band, the other engines from their future-event list.
     pub events_processed: u64,
     /// High-water mark of the message slab: the peak number of
     /// concurrently live messages. Delivered slots are recycled, so this —
@@ -194,7 +206,7 @@ impl SimResults {
 pub(crate) struct Counters {
     /// Messages generated, warm-up and drain included.
     pub(crate) generated: u64,
-    /// Events popped from the future-event list.
+    /// Events popped from the future-event list or the arrival band.
     pub(crate) events_processed: u64,
     /// Messages fully delivered, recorded or not.
     pub(crate) delivered_total: u64,
@@ -406,14 +418,13 @@ impl BusyTime {
         self.since[chan as usize] = since;
     }
 
-    /// The per-channel totals at the end of a run. Channels that `open`
-    /// reports as still held have an open interval; it is closed here at
+    /// The per-channel totals at the end of a run. The channels in `open`,
+    /// each still held, have an open interval; it is closed here at
     /// `t_end`, so utilisation is not undercounted.
-    pub(crate) fn finish(mut self, t_end: f64, open: impl Fn(usize) -> bool) -> Vec<f64> {
-        for chan in 0..self.total.len() {
-            if open(chan) {
-                self.total[chan] += t_end - self.since[chan];
-            }
+    pub(crate) fn finish(mut self, t_end: f64, open: impl IntoIterator<Item = u32>) -> Vec<f64> {
+        for chan in open {
+            let chan = chan as usize;
+            self.total[chan] += t_end - self.since[chan];
         }
         self.total
     }

@@ -1086,8 +1086,9 @@ fn shard_finalize(s: &mut ShardSim<'_>, mode: &FinalizeMode) -> ShardFinal {
     // Close the open busy interval of every still-busy owned channel at
     // the run's final clock, exactly like the serial epilogue.
     let (part, id, chans) = (s.part, s.id, &s.chans);
-    let busy_total =
-        std::mem::take(&mut s.busy).finish(t_sim, |c| part.chan_shard[c] == id && chans[c].busy);
+    let open = (0..chans.len() as u32)
+        .filter(|&c| part.chan_shard[c as usize] == id && chans[c as usize].busy);
+    let busy_total = std::mem::take(&mut s.busy).finish(t_sim, open);
     ShardFinal {
         counters: s.counters,
         busy_total,
@@ -1257,8 +1258,10 @@ fn lookahead(built: &BuiltSystem, cfg: &SimConfig) -> f64 {
     d
 }
 
-/// Merges the shards' final contributions into the run's results.
+/// Merges the shards' final contributions into the run's results; the
+/// per-channel busy times only if `cfg` asks for them.
 fn assemble(
+    cfg: &SimConfig,
     part: &Partition,
     sinks: Sinks,
     finals: Vec<ShardFinal>,
@@ -1266,9 +1269,13 @@ fn assemble(
     t_sim: f64,
     stop: StopReason,
 ) -> SimResults {
-    let busy = (0..part.chan_shard.len())
-        .map(|c| finals[part.chan_shard[c] as usize].busy_total[c])
-        .collect();
+    let busy = if cfg.collect_channel_busy {
+        (0..part.chan_shard.len())
+            .map(|c| finals[part.chan_shard[c] as usize].busy_total[c])
+            .collect()
+    } else {
+        Vec::new()
+    };
     let mut counters = Counters::default();
     for f in &finals {
         counters += f.counters;
@@ -1297,6 +1304,7 @@ fn run_loop(
             // Every queue, pending transfer and inbox is empty: drained.
             let finals = pool.finalize(FinalizeMode::Drain { t_sim: last_pop });
             return assemble(
+                cfg,
                 part,
                 sinks,
                 finals,
@@ -1370,6 +1378,7 @@ fn run_loop(
                         t_sim: t_stop,
                     });
                     return assemble(
+                        cfg,
                         part,
                         sinks,
                         finals,
@@ -1422,6 +1431,7 @@ fn run_loop(
             }
             let finals = pool.finalize(FinalizeMode::Exact { jcuts, t_sim });
             return assemble(
+                cfg,
                 part,
                 sinks,
                 finals,
@@ -1576,18 +1586,21 @@ mod tests {
         Workload::new(rate, 32, 256.0).unwrap()
     }
 
+    /// A short run of `spec()` that reports per-channel busy time, so the
+    /// comparisons below cover it.
     fn cfg(seed: u64) -> SimConfig {
         SimConfig {
             warmup: 200,
             measured: 2_000,
             drain: 200,
             seed,
+            collect_channel_busy: true,
             ..SimConfig::default()
         }
     }
 
-    /// Field-by-field bit-equality, `peak_live_msgs` excluded (documented
-    /// as shard-local).
+    /// Field-by-field bit-equality of two runs of `spec()`,
+    /// `peak_live_msgs` excluded (documented as shard-local).
     fn assert_bit_identical(serial: &SimResults, sharded: &SimResults, label: &str) {
         assert_eq!(serial.latency, sharded.latency, "{label}: latency");
         assert_eq!(serial.intra, sharded.intra, "{label}: intra");
@@ -1609,11 +1622,10 @@ mod tests {
             serial.sim_time,
             sharded.sim_time
         );
-        assert_eq!(
-            serial.channel_busy.len(),
-            sharded.channel_busy.len(),
-            "{label}: channel count"
-        );
+        let channels = BuiltSystem::build(&spec(), 256.0).num_channels();
+        for r in [serial, sharded] {
+            assert_eq!(r.channel_busy.len(), channels, "{label}: channel count");
+        }
         for (c, (a, b)) in serial
             .channel_busy
             .iter()

@@ -69,24 +69,6 @@ impl MPortNTree {
         (2 * self.n as usize - 1) * (self.k() as usize).pow(self.n - 1)
     }
 
-    /// Number of switches at `level ∈ 1..=n`: `(m/2)^{n−1}` at the root
-    /// level, `m(m/2)^{n−2}` elsewhere.
-    pub fn switches_at_level(&self, level: u32) -> usize {
-        assert!(
-            (1..=self.n).contains(&level),
-            "level {level} out of 1..={}",
-            self.n
-        );
-        let k = self.k() as usize;
-        if level == self.n {
-            k.pow(self.n - 1)
-        } else {
-            // Levels below the root all have m·(m/2)^{n−2} switches. When
-            // n == 1 the only level is the root, so this branch needs n ≥ 2.
-            self.m as usize * k.pow(self.n - 2)
-        }
-    }
-
     /// Number of leaf switches: `m(m/2)^{n−2}` for `n ≥ 2`; a single-level
     /// tree has exactly one switch, which is leaf and root at once.
     pub fn num_leaf_switches(&self) -> usize {
@@ -238,6 +220,24 @@ impl MPortNTree {
 mod tests {
     use super::*;
 
+    /// Number of switches of `t` at `level ∈ 1..=n`: `(m/2)^{n−1}` at the
+    /// root level, `m(m/2)^{n−2}` elsewhere.
+    fn switches_at_level(t: &MPortNTree, level: u32) -> usize {
+        assert!(
+            (1..=t.n).contains(&level),
+            "level {level} out of 1..={}",
+            t.n
+        );
+        let k = t.k() as usize;
+        if level == t.n {
+            k.pow(t.n - 1)
+        } else {
+            // Levels below the root all have m·(m/2)^{n−2} switches. When
+            // n == 1 the only level is the root, so this branch needs n ≥ 2.
+            t.m as usize * k.pow(t.n - 2)
+        }
+    }
+
     #[test]
     fn paper_organizations_node_counts() {
         // Table 1 building blocks: m=8 with n=1,2,3 and m=4 with n=3,4,5.
@@ -268,7 +268,7 @@ mod tests {
                 "m={m} n={n}"
             );
             // Per-level counts must sum to the total.
-            let by_level: usize = (1..=n).map(|l| t.switches_at_level(l)).sum();
+            let by_level: usize = (1..=n).map(|l| switches_at_level(&t, l)).sum();
             assert_eq!(by_level, t.num_switches(), "m={m} n={n}");
         }
     }

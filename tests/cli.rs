@@ -769,6 +769,63 @@ fn fail_links_reaches_the_custom_entries_runs() {
 }
 
 #[test]
+fn busy_time_readers_ask_for_it() {
+    // Per-channel busy time is kept only when a run asks for it, so a
+    // reader that forgot to ask would print empty or all-zero tables.
+    let (stdout, stderr, ok) = run(&["run", "hotspots", "--quick"]);
+    assert!(ok, "{stderr}");
+    let utils: Vec<f64> = stdout
+        .lines()
+        .filter_map(|l| l.trim().strip_prefix("util="))
+        .map(|l| l.split_whitespace().next().unwrap().parse().unwrap())
+        .collect();
+    assert_eq!(utils.len(), 15, "{stdout}");
+    assert!(utils.iter().all(|&u| u > 0.0), "{stdout}");
+
+    // One row per network class: name, height, then the simulated mean
+    // and max utilisation. Every ECN1 and ICN2 class carries traffic; at
+    // this population no intra-cluster message lands in an n=1 cluster,
+    // so ICN1 is asked for one busy class.
+    let (stdout, stderr, ok) = run(&["run", "utilization", "--quick"]);
+    assert!(ok, "{stderr}");
+    for net in ["ICN1", "ECN1", "ICN2"] {
+        let busy: Vec<bool> = stdout
+            .lines()
+            .filter(|l| l.starts_with(net))
+            .map(|l| {
+                let cells: Vec<&str> = l.split_whitespace().collect();
+                let (mean, max): (f64, f64) =
+                    (cells[2].parse().unwrap(), cells[3].parse().unwrap());
+                mean > 0.0 && max > 0.0
+            })
+            .collect();
+        assert!(!busy.is_empty(), "no {net} class: {stdout}");
+        if net == "ICN1" {
+            assert!(busy.contains(&true), "{net}: {stdout}");
+        } else {
+            assert!(!busy.contains(&false), "{net}: {stdout}");
+        }
+    }
+
+    // Rate, then latency and max ICN2 utilisation per routing policy.
+    let (stdout, stderr, ok) = run(&["run", "ablation_routing", "--quick"]);
+    assert!(ok, "{stderr}");
+    let rows: Vec<Vec<f64>> = stdout
+        .lines()
+        .filter(|l| l.starts_with(|c: char| c.is_ascii_digit()))
+        .map(|l| l.split_whitespace().map(|c| c.parse().unwrap()).collect())
+        .collect();
+    assert_eq!(rows.len(), 4, "{stdout}");
+    for row in rows {
+        assert_eq!(row.len(), 7, "{stdout}");
+        assert!(
+            [row[2], row[4], row[6]].iter().all(|&u| u > 0.0),
+            "{stdout}"
+        );
+    }
+}
+
+#[test]
 fn run_subcommand_table_entry_matches_binary_output() {
     // The `table1` entry through the CLI prints the paper's Table 1.
     let (stdout, _, ok) = run(&["run", "table1"]);

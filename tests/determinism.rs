@@ -34,10 +34,13 @@ fn simulation_bit_identical_for_same_seed() {
         measured: 5_000,
         drain: 500,
         seed: 99,
+        collect_channel_busy: true,
         ..SimConfig::default()
     };
     let a = run_simulation(&spec(), &wl, Pattern::Uniform, &cfg);
     let b = run_simulation(&spec(), &wl, Pattern::Uniform, &cfg);
+    let channels = cocnet::sim::BuiltSystem::build(&spec(), wl.flit_bytes).num_channels();
+    assert_eq!(a.channel_busy.len(), channels);
     assert_eq!(a.latency, b.latency);
     assert_eq!(a.intra, b.intra);
     assert_eq!(a.inter, b.inter);

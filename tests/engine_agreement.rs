@@ -91,11 +91,17 @@ fn flit_engine_utilisation_accounting_is_consistent() {
     // must be visibly utilised in both engines.
     let s = spec(4, &[1, 1, 2, 2]);
     let wl = Workload::new(3e-3, 32, 256.0).unwrap();
+    let cfg = SimConfig {
+        collect_channel_busy: true,
+        ..cfg(4)
+    };
+    let channels = cocnet::sim::BuiltSystem::build(&s, wl.flit_bytes).num_channels();
     for r in [
-        run_simulation(&s, &wl, Pattern::Uniform, &cfg(4)),
-        run_simulation_flit(&s, &wl, Pattern::Uniform, &cfg(4)),
+        run_simulation(&s, &wl, Pattern::Uniform, &cfg),
+        run_simulation_flit(&s, &wl, Pattern::Uniform, &cfg),
     ] {
         assert!(r.completed);
+        assert_eq!(r.channel_busy.len(), channels);
         let max_util = r
             .channel_busy
             .iter()

@@ -6,16 +6,25 @@
 
 use cocnet::prelude::*;
 use cocnet::presets;
-use cocnet::sim::{run_simulation, ShardMode, SimResults};
+use cocnet::sim::{run_simulation, BuiltSystem, ShardMode, SimResults};
 
+/// A run that reports per-channel busy time, so the comparisons below
+/// cover it.
 fn base_cfg(seed: u64) -> SimConfig {
     SimConfig {
         warmup: 500,
         measured: 5_000,
         drain: 500,
         seed,
+        collect_channel_busy: true,
         ..SimConfig::default()
     }
+}
+
+/// Channels of `spec`'s built system: the length of a `channel_busy`
+/// that was asked for.
+fn num_channels(spec: &SystemSpec) -> usize {
+    BuiltSystem::build(spec, 256.0).num_channels()
 }
 
 /// Full-struct equality with the one documented exception: the slab
@@ -38,6 +47,7 @@ fn paper_organization_sharded_bit_identical() {
     let wl = presets::wl_m32_l256().with_rate(1e-4);
     let serial = run_simulation(&spec, &wl, Pattern::Uniform, &base_cfg(2024));
     assert!(serial.completed);
+    assert_eq!(serial.channel_busy.len(), num_channels(&spec));
     for shards in [ShardMode::Auto, ShardMode::N(4)] {
         let sharded = run_simulation(
             &spec,
@@ -88,7 +98,8 @@ fn aggregation_fields_merge_index_stably() {
             "cluster {ci} mean drifted"
         );
     }
-    assert_eq!(serial.channel_busy.len(), sharded.channel_busy.len());
+    assert_eq!(serial.channel_busy.len(), num_channels(&spec));
+    assert_eq!(sharded.channel_busy.len(), num_channels(&spec));
     for (c, (a, b)) in serial
         .channel_busy
         .iter()
@@ -159,7 +170,6 @@ fn fig5_scale_runs_hit_real_ties_and_stay_bit_identical() {
     // at the scale where that order actually gets exercised, one
     // lightly-loaded point and one contended point.
     use cocnet::sim::run_simulation_built;
-    use cocnet::sim::BuiltSystem;
     let spec = presets::org_544();
     let cfg = SimConfig {
         warmup: 2_000,
@@ -167,6 +177,7 @@ fn fig5_scale_runs_hit_real_ties_and_stay_bit_identical() {
         drain: 2_000,
         seed: 2006,
         max_events: 500_000_000,
+        collect_channel_busy: true,
         ..SimConfig::default()
     };
     let wl = Workload::new(0.0, 32, 256.0).unwrap().with_rate(0.0);
@@ -183,6 +194,7 @@ fn fig5_scale_runs_hit_real_ties_and_stay_bit_identical() {
                 ..cfg.clone()
             },
         );
+        assert_eq!(serial.channel_busy.len(), built.num_channels());
         assert_identical_modulo_peak(&serial, &sharded, &format!("fig5-scale rate {rate:e}"));
     }
 }

@@ -3,7 +3,7 @@
 //! conservation, reproducibility, sane latency bounds, busy-time sanity.
 
 use cocnet::prelude::*;
-use cocnet::sim::{run_simulation_flit, ShardMode};
+use cocnet::sim::{run_simulation_flit, BuiltSystem, ShardMode};
 use proptest::prelude::*;
 
 /// Random small-but-valid system: m ∈ {4, 8}, tree-sized cluster count,
@@ -31,14 +31,23 @@ fn arb_system() -> impl Strategy<Value = SystemSpec> {
         })
 }
 
+/// A short run that reports per-channel busy time, so the checks below
+/// cover it.
 fn quick_cfg(seed: u64) -> SimConfig {
     SimConfig {
         warmup: 100,
         measured: 1_000,
         drain: 100,
         seed,
+        collect_channel_busy: true,
         ..SimConfig::default()
     }
+}
+
+/// Channels of `spec`'s built system: the length of a `channel_busy`
+/// that was asked for.
+fn num_channels(spec: &SystemSpec) -> usize {
+    BuiltSystem::build(spec, 256.0).num_channels()
 }
 
 /// Event budget of a flit-engine run in `conservation_and_bounds`: about
@@ -64,7 +73,8 @@ fn check_conservation_and_bounds(spec: &SystemSpec, m_flits: u32, r: &SimResults
         .min(spec.icn2.t_cn(256.0));
     prop_assert!(r.latency.min >= (m_flits as f64 - 1.0) * min_t);
 
-    // Busy fractions within [0, 1].
+    // Busy fractions within [0, 1], for every channel.
+    prop_assert_eq!(r.channel_busy.len(), num_channels(spec));
     for &b in &r.channel_busy {
         prop_assert!(b >= 0.0);
         prop_assert!(b <= r.sim_time * (1.0 + 1e-9));
@@ -113,6 +123,7 @@ proptest! {
         let b = run_simulation(&spec, &wl, Pattern::Uniform, &quick_cfg(seed));
         prop_assert_eq!(a.latency, b.latency);
         prop_assert_eq!(a.sim_time, b.sim_time);
+        prop_assert_eq!(a.channel_busy.len(), num_channels(&spec));
         prop_assert_eq!(a.channel_busy, b.channel_busy);
     }
 
