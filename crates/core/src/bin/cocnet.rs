@@ -41,7 +41,9 @@
 //! sweep flags:  --max-rate λ  --points P
 //! ```
 //!
-//! Every subcommand rejects a flag it does not read (exit 2).
+//! Every subcommand rejects a flag it does not read (exit 2), and `run`
+//! one it would ignore beside another: `--json` with `--out`, or a
+//! simulation flag with `--no-sim`.
 
 use cocnet::model::{
     evaluate_with_profile, saturation_point, sweep, ModelOptions, OutgoingProfile, Workload,
@@ -420,7 +422,10 @@ fn cmd_validate(path: &str) {
                 scenario.name,
                 scenario.workloads.len(),
                 scenario.rates.len(),
-                scenario.replications,
+                match scenario.precision {
+                    Some(p) => format!("{}-{}", p.min_replications, p.max_replications),
+                    None => scenario.replications.to_string(),
+                },
             ),
             Err(e) => {
                 println!("FAIL  {e}");

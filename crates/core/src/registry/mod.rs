@@ -28,7 +28,7 @@ use crate::report::{
     render_figure, render_figure_ci, render_machine, render_machine_ci, to_json, to_json_ci,
     OutputFormat,
 };
-use crate::runner::{Scenario, MAX_SWEEP_RUNS};
+use crate::runner::{PointSim, Scenario, MAX_SWEEP_RUNS};
 use cocnet_sim::{InternMode, ShardMode, SimConfig};
 use cocnet_topology::{ClusterSpec, SystemSpec};
 use cocnet_workloads::presets;
@@ -83,6 +83,7 @@ pub struct RunOpts {
     pub replications: Option<usize>,
     /// Relative CI half-width target: switches a declarative scenario to
     /// adaptive replication control (or overrides its `precision.rel_ci`).
+    /// A scenario with a fixed count above one refuses it.
     pub rel_ci: Option<f64>,
     /// Override the adaptive replication cap (`precision.max_replications`).
     pub max_replications: Option<usize>,
@@ -715,12 +716,35 @@ fn model_series(scenario: &Scenario) -> Vec<cocnet_stats::Series> {
     }
 }
 
+/// Refuses a flag a scenario run would ignore beside another: `--json`
+/// beside `--out`, which prints only machine output, and beside
+/// `--no-sim` any flag that shapes the simulation it skips.
+fn refuse_ignored(opts: &RunOpts) -> Result<(), RunError> {
+    if opts.json && opts.out.is_some() {
+        return Err(RunError::Usage(
+            "--json adds JSON after the tables, and --out prints only machine output: \
+             pass one of them"
+                .into(),
+        ));
+    }
+    // What a `--no-sim` run still reads: the grid and the writers.
+    const ANALYSIS: &[&str] = &["--no-sim", "--points", "--json", "--out"];
+    match opts.given().find(|f| opts.no_sim && !ANALYSIS.contains(f)) {
+        Some(flag) => Err(RunError::Usage(format!(
+            "{flag} shapes the simulation, which --no-sim skips: pass one of them"
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Executes a declarative scenario: the analytical series, the simulation
-/// series over the rayon pool (unless `--no-sim`), and the unified output
-/// writer. This is the single execution path behind every `Declarative`
-/// entry *and* every user-authored scenario file.
+/// sweep over the rayon pool (unless `--no-sim`), and the unified output
+/// writer — the CI-bearing one for a precision scenario. This is the
+/// single execution path behind every `Declarative` entry *and* every
+/// user-authored scenario file.
 pub fn run_scenario(scenario: &Scenario, opts: &RunOpts) -> Result<(), RunError> {
     refuse_unread(&format!("scenario {:?}", scenario.name), SCENARIO, opts)?;
+    refuse_ignored(opts)?;
     let mut scenario = scenario.clone();
     if let Some(points) = opts.points {
         match &scenario.rates {
@@ -741,6 +765,13 @@ pub fn run_scenario(scenario: &Scenario, opts: &RunOpts) -> Result<(), RunError>
         }
     }
     if let Some(rel) = opts.rel_ci {
+        if scenario.replications != 1 {
+            return Err(RunError::Usage(format!(
+                "scenario {:?}: --rel-ci sets a precision target, which conflicts with the \
+                 scenario's fixed {} replications; drop --rel-ci or edit the file",
+                scenario.name, scenario.replications
+            )));
+        }
         let mut precision = scenario.precision.unwrap_or_default();
         precision.rel_ci = Some(rel);
         scenario.precision = Some(precision);
@@ -772,40 +803,75 @@ pub fn run_scenario(scenario: &Scenario, opts: &RunOpts) -> Result<(), RunError>
         .validate()
         .map_err(|e| RunError::Invalid(format!("scenario {:?}: {e}", scenario.name)))?;
 
-    // Precision-driven scenarios take the adaptive path: CI-bearing
-    // simulation series and writers. Fixed-replication scenarios keep the
-    // historical (byte-identical) output below.
-    if scenario.precision.is_some() && !opts.no_sim {
-        run_scenario_adaptive(&scenario, opts);
+    let analysis = model_series(&scenario);
+    let detailed = if opts.no_sim {
+        Vec::new()
+    } else {
+        sweep(&scenario)
+    };
+    let mut plotted = analysis.clone();
+    // A precision run prints each simulated point with its CI and spend.
+    let (figure, machine, json) = match scenario.precision.filter(|_| !opts.no_sim) {
+        Some(precision) => {
+            let simulation = scenario.ci_series(&detailed, &precision);
+            plotted.extend(simulation.iter().map(cocnet_stats::CiSeries::mean_series));
+            (
+                render_figure_ci(&scenario.name, &analysis, &simulation),
+                opts.out
+                    .map(|format| render_machine_ci(&analysis, &simulation, format)),
+                opts.json.then(|| to_json_ci(&analysis, &simulation)),
+            )
+        }
+        None => {
+            plotted.extend(scenario.sim_series(&detailed));
+            (
+                render_figure(&scenario.name, &plotted),
+                opts.out.map(|format| render_machine(&plotted, format)),
+                opts.json.then(|| to_json(&plotted)),
+            )
+        }
+    };
+    if let Some(machine) = machine {
+        print!("{machine}");
         return Ok(());
     }
-
-    let mut series = model_series(&scenario);
-    let mut detailed = Vec::new();
-    if !opts.no_sim {
-        let start = std::time::Instant::now();
-        detailed = scenario.run_sim_detailed();
-        let jobs = scenario.workloads.len() * scenario.rates.len() * scenario.replications;
-        eprintln!(
-            "[sweep: {jobs} simulations in {:.2?} ({} threads)]",
-            start.elapsed(),
-            rayon::current_num_threads(),
-        );
-        series.extend(scenario.sim_series(&detailed));
-    }
-    if let Some(format) = opts.out {
-        print!("{}", render_machine(&series, format));
-        return Ok(());
-    }
-    println!("{}", render_figure(&scenario.name, &series));
-    println!("{}", cocnet_stats::scatter(&series, 64, 20));
+    println!("{figure}");
+    println!("{}", cocnet_stats::scatter(&plotted, 64, 20));
     if !scenario.sim.faults.is_inert() && !detailed.is_empty() {
         println!("{}", fault_report(&scenario, &detailed));
     }
-    if opts.json {
-        println!("{}", to_json(&series));
+    if let Some(json) = json {
+        println!("{json}");
     }
     Ok(())
+}
+
+/// Runs a scenario's simulation sweep, then reports on stderr what it
+/// spent and how many runs the MSER-5 warm-up audit flagged.
+fn sweep(scenario: &Scenario) -> Vec<Vec<PointSim>> {
+    let start = std::time::Instant::now();
+    let detailed = scenario.run_sim_detailed();
+    let elapsed = start.elapsed();
+    let threads = rayon::current_num_threads();
+    let points: Vec<&PointSim> = detailed.iter().flatten().collect();
+    let runs: usize = points.iter().map(|point| point.runs.len()).sum();
+    match &scenario.precision {
+        None => eprintln!("[sweep: {runs} simulations in {elapsed:.2?} ({threads} threads)]"),
+        Some(precision) => eprintln!(
+            "[adaptive sweep: {runs} simulations over {} points ({} converged) \
+             in {elapsed:.2?} ({threads} threads)]",
+            points.len(),
+            points.iter().filter(|p| p.converged(precision)).count(),
+        ),
+    }
+    let flagged: usize = points.iter().map(|point| point.warmup_flagged()).sum();
+    if flagged > 0 {
+        eprintln!(
+            "[warning: the MSER-5 audit flagged {flagged} replication(s) whose transient \
+             outlasted the configured warm-up — consider raising sim.warmup]"
+        );
+    }
+    detailed
 }
 
 /// Fault-accounting table for a faulted scenario run: one row per
@@ -813,7 +879,7 @@ pub fn run_scenario(scenario: &Scenario, opts: &RunOpts) -> Result<(), RunError>
 /// drop/retry/write-off counters — the graceful-degradation view the
 /// latency series alone cannot show (undelivered messages have no
 /// latency).
-fn fault_report(scenario: &Scenario, detailed: &[Vec<crate::runner::PointSim>]) -> String {
+fn fault_report(scenario: &Scenario, detailed: &[Vec<PointSim>]) -> String {
     let mut table = cocnet_stats::Table::new([
         "workload",
         "rate",
@@ -837,53 +903,6 @@ fn fault_report(scenario: &Scenario, detailed: &[Vec<crate::runner::PointSim>]) 
         }
     }
     format!("fault accounting (per sweep point):\n{}", table.render())
-}
-
-/// The adaptive arm of [`run_scenario`]: waves of replications per point
-/// until the precision target converges, then the CI-bearing writers.
-fn run_scenario_adaptive(scenario: &Scenario, opts: &RunOpts) {
-    let analysis = model_series(scenario);
-    let start = std::time::Instant::now();
-    let detailed = scenario.run_sim_adaptive();
-    let spent: usize = detailed
-        .iter()
-        .flatten()
-        .map(|point| point.replications())
-        .sum();
-    let converged = detailed.iter().flatten().filter(|p| p.converged).count();
-    let points = detailed.iter().map(Vec::len).sum::<usize>();
-    eprintln!(
-        "[adaptive sweep: {spent} simulations over {points} points ({converged} converged) \
-         in {:.2?} ({} threads)]",
-        start.elapsed(),
-        rayon::current_num_threads(),
-    );
-    let flagged: usize = detailed
-        .iter()
-        .flatten()
-        .map(|point| point.warmup_flagged)
-        .sum();
-    if flagged > 0 {
-        eprintln!(
-            "[warning: the MSER-5 audit flagged {flagged} replication(s) whose transient \
-             outlasted the configured warm-up — consider raising sim.warmup]"
-        );
-    }
-    let simulation = scenario.adaptive_series(&detailed);
-    if let Some(format) = opts.out {
-        print!("{}", render_machine_ci(&analysis, &simulation, format));
-        return;
-    }
-    println!(
-        "{}",
-        render_figure_ci(&scenario.name, &analysis, &simulation)
-    );
-    let mut scatter_series = analysis.clone();
-    scatter_series.extend(simulation.iter().map(cocnet_stats::CiSeries::mean_series));
-    println!("{}", cocnet_stats::scatter(&scatter_series, 64, 20));
-    if opts.json {
-        println!("{}", to_json_ci(&analysis, &simulation));
-    }
 }
 
 #[cfg(test)]

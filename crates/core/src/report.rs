@@ -4,11 +4,14 @@
 //! the unified output writer behind `cocnet run … --out json|csv` and
 //! its `--json` flag.
 //!
-//! Two writer families share the layout: the plain one over [`Series`]
-//! (fixed-replication scenarios, unchanged output since the registry
-//! refactor) and the CI-bearing one over [`CiSeries`] (precision-driven
-//! scenarios: every simulation point carries its confidence interval and
-//! the replications it cost).
+//! Two writer families share the layout, one per kind of scenario. Both
+//! print what the one sweep loop
+//! ([`crate::runner::Scenario::run_sim_detailed`]) returned, and a
+//! scenario's `precision` picks the family: the plain one over [`Series`]
+//! (fixed-replication scenarios, and any `--no-sim` run) and the
+//! CI-bearing one over [`CiSeries`] (precision-driven scenarios: every
+//! simulation point carries its confidence interval and the replications
+//! it cost). They stay two because their bytes differ.
 
 use cocnet_stats::{CiSeries, Series, Table};
 use serde::{Deserialize, Serialize};

@@ -3,22 +3,33 @@
 //! entry that sweeps load and by the CLI.
 //!
 //! A `Scenario` names the whole experiment — system spec, workloads,
-//! traffic pattern, sweep grid, replication count, model options,
+//! traffic pattern, sweep grid, replication budget, model options,
 //! simulation config — and the runner fans every (workload × rate ×
 //! replication) simulation out over the thread pool.
 //!
+//! # One sweep loop
+//!
+//! [`Scenario::run_sim_detailed`] runs a sweep in waves. A fixed scenario
+//! is one wave of `replications` runs per point. A scenario with a
+//! [`PrecisionSpec`] starts each point with `min_replications` runs and
+//! adds waves until the CI over the point's replication means meets the
+//! target or `max_replications` trips. Either way each point ends as a
+//! [`PointSim`] holding every run spent on it.
+//!
 //! # Determinism
 //!
-//! Parallel execution is bit-identical to serial execution: each job's
-//! seed is a pure function of the scenario ([`Seeding`]), and results are
-//! reassembled in job order regardless of completion order.
-//! [`Scenario::run_sim_serial`] is the same job list evaluated with a
-//! plain loop — the equality is pinned by `tests/scenario_smoke.rs`.
+//! Parallel execution is bit-identical to serial execution: replication
+//! `r` of a point runs at seed `point_seed + r` ([`Seeding`]) in both
+//! modes, a wave's results are reassembled in job order regardless of
+//! completion order, and stopping is decided only between waves.
+//! [`Scenario::run_sim_detailed_serial`] is the same loop on a plain
+//! iterator — the equality is pinned by `tests/scenario_smoke.rs` and
+//! `tests/adaptive.rs`.
 
 use cocnet_model::{sweep, ModelOptions, Workload};
 use cocnet_sim::{
     run_simulation_built, summarize, validate_budgets, validate_faults, BuiltSystem,
-    ReplicationAccumulator, ReplicationSummary, SimConfig, SimResults,
+    ReplicationSummary, SimConfig, SimResults,
 };
 use cocnet_stats::{CiPoint, CiSeries, ConfidenceInterval, Precision, Series};
 use cocnet_topology::SystemSpec;
@@ -34,9 +45,10 @@ const MAX_RESERVED_SAMPLES: u64 = 1 << 28;
 
 /// Largest sweep a scenario file or a `cocnet` flag may ask for: at most
 /// this many rates, and at most this many simulation runs (`workloads ×
-/// rates × max(replications, precision.max_replications)`). The runner
-/// lists a sweep's runs before it starts one, so a larger sweep would
-/// abort on that allocation rather than fail validation.
+/// rates ×` the per-point cap: `replications`, or a precision scenario's
+/// `precision.max_replications`). The runner lists a wave's runs before
+/// it starts one, so a larger sweep would abort on that allocation rather
+/// than fail validation.
 pub const MAX_SWEEP_RUNS: usize = 1 << 20;
 
 /// How per-job seeds are derived from `sim.seed`.
@@ -190,7 +202,7 @@ fn default_replications() -> usize {
 /// With a `precision`, a scenario stops running a fixed number of
 /// replications per sweep point: the runner adds replications in
 /// deterministic waves until the confidence interval over the replication
-/// means is tight enough ([`Scenario::run_sim_adaptive`]), or the
+/// means is tight enough ([`Scenario::run_sim_detailed`]), or the
 /// `max_replications` cap trips. `rel_ci`/`abs_ci` mirror
 /// [`cocnet_stats::Precision`]'s relative/absolute half-width bounds; at
 /// least one must be set.
@@ -260,41 +272,6 @@ impl PrecisionSpec {
     }
 }
 
-/// One sweep point's outcome under adaptive replication control: the
-/// cross-replication summary plus how the stopping rule ended.
-#[derive(Debug, Clone)]
-pub struct AdaptivePoint {
-    /// Traffic generation rate of this point.
-    pub rate: f64,
-    /// Base seed the point's replications started from (replication `r`
-    /// ran at `seed + r`, exactly as in fixed mode).
-    pub seed: u64,
-    /// Summary over every replication spent, in seed order.
-    pub summary: ReplicationSummary,
-    /// Confidence interval over the replication means at the precision
-    /// target's level (the interval the stopping decision was made on).
-    pub ci: ConfidenceInterval,
-    /// Whether the point met its precision target (as opposed to tripping
-    /// `max_replications` or saturating).
-    pub converged: bool,
-    /// Whether a replication measured no latency — it hit the event cap
-    /// (saturation) or recorded no message (see
-    /// [`SimResults::has_latency`]). Such points stop immediately (more
-    /// replications of a saturated configuration cannot converge) and
-    /// stay off the simulation series.
-    pub saturated: bool,
-    /// Replications whose MSER-5 warm-up audit flagged a too-short
-    /// warm-up (0 unless `sim.audit_warmup` is set).
-    pub warmup_flagged: usize,
-}
-
-impl AdaptivePoint {
-    /// Replications actually spent on this point.
-    pub fn replications(&self) -> usize {
-        self.summary.attempted
-    }
-}
-
 /// One fully specified experiment: everything needed to regenerate a
 /// latency-vs-load figure (or any rate sweep) from both the analytical
 /// model and the simulator.
@@ -319,14 +296,15 @@ pub struct Scenario {
     pub pattern: Pattern,
     /// The sweep grid: traffic generation rates, in plot order.
     pub rates: RateGrid,
-    /// Independent replications per sweep point (≥ 1, default 1). Ignored
-    /// by the adaptive path when `precision` is set.
+    /// Independent replications per sweep point (≥ 1, default 1). A
+    /// scenario with a `precision` leaves it at 1: its budget per point is
+    /// `precision.min_replications` to `precision.max_replications`.
     #[serde(default = "default_replications")]
     pub replications: usize,
-    /// Optional precision target: when set, `cocnet run` replicates each
-    /// point adaptively until the latency CI meets the target (see
+    /// Optional precision target: when set, the runner replicates each
+    /// point in waves until the latency CI meets the target (see
     /// [`PrecisionSpec`]); when absent, the scenario runs exactly
-    /// `replications` per point as always.
+    /// `replications` per point.
     #[serde(default)]
     pub precision: Option<PrecisionSpec>,
     /// Seed-derivation policy (default: the historical shared seed).
@@ -340,10 +318,12 @@ pub struct Scenario {
     pub sim: SimConfig,
 }
 
-/// One sweep point's simulation outcome: the raw per-replication results
-/// plus the rate they were run at. Detailed enough for entries that
-/// report more than the mean (intra/inter splits, channel utilisation).
-#[derive(Debug, Clone)]
+/// One sweep point's simulation outcome: every run spent on it, in seed
+/// order (replication `r` ran at `seed + r`), plus the rate they ran at.
+/// Detailed enough for entries that report more than the mean
+/// (intra/inter splits, channel utilisation, fault accounting), and for a
+/// precision scenario's CI and spend.
+#[derive(Debug, Clone, PartialEq)]
 pub struct PointSim {
     /// Traffic generation rate of this point.
     pub rate: f64,
@@ -357,15 +337,41 @@ impl PointSim {
     /// Whether every replication measured a latency
     /// ([`SimResults::has_latency`]), which puts the point on the
     /// simulation series: a run that drained because faults cut off part
-    /// of its measured population counts, a saturated one does not.
+    /// of its measured population counts, a saturated one does not. A
+    /// point without one is saturated, and precision waves stop at it.
     pub fn has_latency(&self) -> bool {
         self.runs.iter().all(SimResults::has_latency)
     }
 
-    /// Cross-replication summary (mean of means, CI) over the
-    /// replications in seed order, as [`summarize`] merges them.
+    /// Cross-replication summary (mean of means) over the replications in
+    /// seed order, as [`summarize`] merges them.
     pub fn summary(&self) -> ReplicationSummary {
-        summarize(&self.runs, self.runs.len())
+        summarize(&self.runs)
+    }
+
+    /// Confidence interval over the replication means at `level`.
+    pub fn ci(&self, level: f64) -> ConfidenceInterval {
+        self.summary().ci(level)
+    }
+
+    /// Whether the point met `precision`'s target: it measured a latency,
+    /// spent at least `min_replications`, and its CI at the target's level
+    /// is within the bounds. The sweep loop stops a point as soon as this
+    /// holds, so an unconverged point saturated or tripped the cap.
+    pub fn converged(&self, precision: &PrecisionSpec) -> bool {
+        self.has_latency()
+            && self.runs.len() >= precision.min_replications
+            && precision.target().met_by(&self.ci(precision.level))
+    }
+
+    /// Replications whose MSER-5 warm-up audit flagged a transient
+    /// outlasting the configured warm-up (0 unless `sim.audit_warmup` is
+    /// set).
+    pub fn warmup_flagged(&self) -> usize {
+        self.runs
+            .iter()
+            .filter(|r| r.warmup_audit.is_some_and(|a| a.exceeds()))
+            .count()
     }
 
     /// The first replication's full results (convenient when
@@ -401,12 +407,11 @@ impl PointSim {
     }
 }
 
-/// A single schedulable unit: one simulation run.
+/// A single schedulable unit: one simulation run of a wave.
 #[derive(Debug, Clone, Copy)]
 struct Job {
     workload: usize,
     point: usize,
-    replication: usize,
     rate: f64,
     seed: u64,
 }
@@ -484,8 +489,8 @@ impl Scenario {
         self
     }
 
-    /// Sets the precision target, switching `cocnet run` (and
-    /// [`Scenario::run_sim_adaptive`]) to adaptive replication control.
+    /// Sets the precision target, switching the sweep loop from a fixed
+    /// replication count to precision waves.
     pub fn with_precision(mut self, precision: PrecisionSpec) -> Self {
         self.precision = Some(precision);
         self
@@ -508,7 +513,8 @@ impl Scenario {
 
     /// Checks every invariant a deserialized scenario file must satisfy
     /// before it can execute: a valid system and workloads, a non-empty
-    /// positive finite rate grid, at least one replication, a sweep within
+    /// positive finite rate grid, at least one replication (exactly one
+    /// beside a `precision`, which sets its own budget), a sweep within
     /// [`MAX_SWEEP_RUNS`] rates and runs, pattern
     /// parameters in range, and a terminating simulation config. The
     /// builder methods cannot construct most of these violations; `cocnet
@@ -549,12 +555,19 @@ impl Scenario {
                 "{field}: at most {MAX_SWEEP_RUNS} rates in a sweep (got {points})"
             ));
         }
-        let (field, replications) = match &self.precision {
-            Some(p) if p.max_replications > self.replications => {
-                ("precision.max_replications", p.max_replications)
-            }
-            _ => ("replications", self.replications),
+        if self.precision.is_some() && self.replications != 1 {
+            return Err(format!(
+                "replications: a precision scenario spends precision.min_replications to \
+                 precision.max_replications per point; leave replications at 1 (got {})",
+                self.replications
+            ));
+        }
+        let field = match self.precision {
+            Some(_) => "precision.max_replications",
+            None => "replications",
         };
+        // The cap the sweep loop itself stops at.
+        let replications = self.max_replications();
         let workloads = self.workloads.len();
         let runs = workloads
             .checked_mul(points)
@@ -679,60 +692,96 @@ impl Scenario {
     /// the point's replications. Points with a replication that measured
     /// no latency (saturation) are omitted, mirroring how the paper's
     /// simulation points stop at saturation; see [`PointSim::has_latency`].
-    /// All (workload × rate × replication) runs execute concurrently on
-    /// the rayon pool.
+    /// Each wave's (workload × rate × replication) runs execute
+    /// concurrently on the rayon pool.
     pub fn run_sim(&self) -> Vec<Series> {
         self.sim_series(&self.run_sim_detailed())
     }
 
-    /// Serial reference for [`Scenario::run_sim`]: the identical job list evaluated
-    /// with a plain loop. Exists for determinism tests and for measuring
-    /// the parallel speedup; results are bit-identical to [`Scenario::run_sim`].
-    pub fn run_sim_serial(&self) -> Vec<Series> {
-        self.sim_series(&self.run_sim_detailed_serial())
-    }
-
-    /// Full per-point results (per workload, in grid order), run in
-    /// parallel. Use this instead of [`Scenario::run_sim`] when an entry needs
-    /// more than the latency mean.
+    /// Full per-point results (per workload, in grid order) from the sweep
+    /// loop, each wave's runs in parallel on the rayon pool. Use this
+    /// instead of [`Scenario::run_sim`] when an entry needs more than the
+    /// latency mean.
     pub fn run_sim_detailed(&self) -> Vec<Vec<PointSim>> {
-        let rates = self.rates.values();
-        let jobs = self.jobs(&rates);
-        let builts = self.build_all();
-        let results: Vec<SimResults> = jobs
-            .par_iter()
-            .map(|job| self.run_job(&builts, job))
-            .collect();
-        self.assemble(&rates, &jobs, results)
+        self.run_waves(false)
     }
 
-    /// Serial reference for [`Scenario::run_sim_detailed`]; bit-identical results.
+    /// Serial reference for [`Scenario::run_sim_detailed`]: the same loop
+    /// on a plain iterator, for determinism tests and for measuring the
+    /// parallel speedup; bit-identical results.
     pub fn run_sim_detailed_serial(&self) -> Vec<Vec<PointSim>> {
-        let rates = self.rates.values();
-        let jobs = self.jobs(&rates);
-        let builts = self.build_all();
-        let results: Vec<SimResults> = jobs.iter().map(|job| self.run_job(&builts, job)).collect();
-        self.assemble(&rates, &jobs, results)
+        self.run_waves(true)
     }
 
-    /// The flattened job list, in (workload, point, replication) order.
-    fn jobs(&self, rates: &[f64]) -> Vec<Job> {
-        let mut jobs = Vec::with_capacity(self.workloads.len() * rates.len() * self.replications);
-        for w in 0..self.workloads.len() {
-            for (p, &rate) in rates.iter().enumerate() {
-                let base = self.point_seed(w, p);
-                for r in 0..self.replications {
-                    jobs.push(Job {
+    /// The most runs the sweep loop spends on one point: `replications`,
+    /// or a precision scenario's `max_replications`.
+    fn max_replications(&self) -> usize {
+        self.precision
+            .map_or(self.replications, |p| p.max_replications)
+    }
+
+    /// How many runs `point` gets in the next wave: a fixed scenario's
+    /// `replications` in the first and none after; a precision scenario's
+    /// `min_replications` in the first, then `wave` more until the point
+    /// converges, saturates or reaches `max_replications`.
+    fn next_wave(&self, point: &PointSim) -> usize {
+        let have = point.runs.len();
+        let want = match &self.precision {
+            None => self.replications,
+            Some(p) if have == 0 => p.min_replications,
+            // More runs of a saturated point cannot converge.
+            Some(p) if !point.has_latency() || point.converged(p) => 0,
+            Some(p) => p.wave,
+        };
+        want.min(self.max_replications().saturating_sub(have))
+    }
+
+    /// The sweep loop: plans every point's next wave, runs it, and lands
+    /// its results in job order before planning the next, so the schedule
+    /// never depends on completion order.
+    fn run_waves(&self, serial: bool) -> Vec<Vec<PointSim>> {
+        let builts = self.build_all();
+        let rates = self.rates.values();
+        let mut points: Vec<Vec<PointSim>> = (0..self.workloads.len())
+            .map(|w| {
+                rates
+                    .iter()
+                    .enumerate()
+                    .map(|(p, &rate)| PointSim {
+                        rate,
+                        seed: self.point_seed(w, p),
+                        runs: Vec::new(),
+                    })
+                    .collect()
+            })
+            .collect();
+        loop {
+            // In (workload, point, replication) order.
+            let mut jobs = Vec::new();
+            for (w, row) in points.iter().enumerate() {
+                for (p, point) in row.iter().enumerate() {
+                    let have = point.runs.len();
+                    jobs.extend((have..have + self.next_wave(point)).map(|r| Job {
                         workload: w,
                         point: p,
-                        replication: r,
-                        rate,
-                        seed: base.wrapping_add(r as u64),
-                    });
+                        rate: point.rate,
+                        seed: point.seed.wrapping_add(r as u64),
+                    }));
                 }
             }
+            if jobs.is_empty() {
+                return points;
+            }
+            let run = |job: &Job| self.run_job(&builts, job);
+            let results: Vec<SimResults> = if serial {
+                jobs.iter().map(run).collect()
+            } else {
+                jobs.par_iter().map(run).collect()
+            };
+            for (job, result) in jobs.iter().zip(results) {
+                points[job.workload][job.point].runs.push(result);
+            }
         }
-        jobs
     }
 
     /// One built system per workload (flit size differs per workload);
@@ -760,195 +809,32 @@ impl Scenario {
         )
     }
 
-    /// Groups flat job results back into per-workload, per-point buckets.
-    fn assemble(
+    /// Builds the CI-bearing `Simulation (…)` series of a precision
+    /// scenario: one [`CiSeries`] per workload at `precision.level`, each
+    /// point with its CI, spend and convergence; saturated points are
+    /// omitted, as in [`Scenario::sim_series`].
+    pub fn ci_series(
         &self,
-        rates: &[f64],
-        jobs: &[Job],
-        results: Vec<SimResults>,
-    ) -> Vec<Vec<PointSim>> {
-        let mut out: Vec<Vec<PointSim>> = (0..self.workloads.len())
-            .map(|w| {
-                (0..rates.len())
-                    .map(|p| PointSim {
-                        rate: rates[p],
-                        seed: self.point_seed(w, p),
-                        runs: Vec::with_capacity(self.replications),
-                    })
-                    .collect()
-            })
-            .collect();
-        for (job, result) in jobs.iter().zip(results) {
-            debug_assert_eq!(out[job.workload][job.point].runs.len(), job.replication);
-            out[job.workload][job.point].runs.push(result);
-        }
-        out
-    }
-
-    /// Adaptive (precision-driven) simulation: per sweep point, runs
-    /// replications in deterministic waves on the rayon pool until the
-    /// latency CI over the replication means meets the scenario's
-    /// [`PrecisionSpec`] or its `max_replications` cap trips, and records
-    /// how many replications each point actually spent.
-    ///
-    /// # Determinism
-    ///
-    /// Replication `r` of a point runs at seed `point_seed + r` — exactly
-    /// the fixed-mode seed schedule — and a wave's results are absorbed in
-    /// job order before any stopping decision is made, so the converged
-    /// result is a pure function of the scenario: independent of core
-    /// count and bit-identical to [`Scenario::run_sim_adaptive_serial`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the scenario has no `precision` (callers decide the
-    /// mode; [`crate::registry::run_scenario`] dispatches on the field).
-    pub fn run_sim_adaptive(&self) -> Vec<Vec<AdaptivePoint>> {
-        self.run_adaptive_impl(false)
-    }
-
-    /// Serial reference for [`Scenario::run_sim_adaptive`]: the identical
-    /// wave schedule evaluated with a plain loop; bit-identical results.
-    pub fn run_sim_adaptive_serial(&self) -> Vec<Vec<AdaptivePoint>> {
-        self.run_adaptive_impl(true)
-    }
-
-    fn run_adaptive_impl(&self, serial: bool) -> Vec<Vec<AdaptivePoint>> {
-        let spec = self
-            .precision
-            .expect("adaptive run needs Scenario.precision");
-        let target = spec.target();
-        let rates = self.rates.values();
-        let builts = self.build_all();
-
-        /// Per-point wave state.
-        struct St {
-            acc: ReplicationAccumulator,
-            converged: bool,
-            saturated: bool,
-            stop: bool,
-        }
-        let mut state: Vec<St> = (0..self.workloads.len() * rates.len())
-            .map(|_| St {
-                acc: ReplicationAccumulator::new(),
-                converged: false,
-                saturated: false,
-                stop: false,
-            })
-            .collect();
-        let flat = |w: usize, p: usize| w * rates.len() + p;
-
-        loop {
-            // Schedule the wave: every still-running point contributes its
-            // next replication indices (the first wave seeds each point
-            // with `min_replications`, later waves add `wave` more, capped
-            // at `max_replications`).
-            let mut jobs = Vec::new();
-            for w in 0..self.workloads.len() {
-                for (p, &rate) in rates.iter().enumerate() {
-                    let st = &state[flat(w, p)];
-                    if st.stop {
-                        continue;
-                    }
-                    let have = st.acc.attempted();
-                    let want = if have == 0 {
-                        spec.min_replications
-                    } else {
-                        spec.wave
-                    }
-                    .min(spec.max_replications - have);
-                    let base = self.point_seed(w, p);
-                    for r in have..have + want {
-                        jobs.push(Job {
-                            workload: w,
-                            point: p,
-                            replication: r,
-                            rate,
-                            seed: base.wrapping_add(r as u64),
-                        });
-                    }
-                }
-            }
-            if jobs.is_empty() {
-                break;
-            }
-            let results: Vec<SimResults> = if serial {
-                jobs.iter().map(|job| self.run_job(&builts, job)).collect()
-            } else {
-                jobs.par_iter()
-                    .map(|job| self.run_job(&builts, job))
-                    .collect()
-            };
-            // Absorb the whole wave in job order, then decide stopping —
-            // never mid-wave, so the schedule is independent of completion
-            // order.
-            for (job, result) in jobs.iter().zip(&results) {
-                let st = &mut state[flat(job.workload, job.point)];
-                if !result.has_latency() {
-                    st.saturated = true;
-                }
-                st.acc.absorb(result);
-            }
-            for st in &mut state {
-                if st.stop {
-                    continue;
-                }
-                if st.saturated {
-                    // Replicating a saturated configuration cannot
-                    // converge; stop spending cores on it.
-                    st.stop = true;
-                } else if st.acc.attempted() >= spec.min_replications && st.acc.meets(&target) {
-                    st.converged = true;
-                    st.stop = true;
-                } else if st.acc.attempted() >= spec.max_replications {
-                    st.stop = true;
-                }
-            }
-        }
-
-        (0..self.workloads.len())
-            .map(|w| {
-                rates
-                    .iter()
-                    .enumerate()
-                    .map(|(p, &rate)| {
-                        let st = &state[flat(w, p)];
-                        AdaptivePoint {
-                            rate,
-                            seed: self.point_seed(w, p),
-                            summary: st.acc.summary(),
-                            ci: st.acc.ci(spec.level),
-                            converged: st.converged,
-                            saturated: st.saturated,
-                            warmup_flagged: st.acc.warmup_flagged(),
-                        }
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Builds the CI-bearing `Simulation (…)` series from adaptive
-    /// results: one [`CiSeries`] per workload, saturated points omitted
-    /// (mirroring how fixed-mode series stop at saturation).
-    pub fn adaptive_series(&self, detailed: &[Vec<AdaptivePoint>]) -> Vec<CiSeries> {
-        let level = self.precision.map(|p| p.level).unwrap_or(0.95);
+        detailed: &[Vec<PointSim>],
+        precision: &PrecisionSpec,
+    ) -> Vec<CiSeries> {
         self.workloads
             .iter()
             .zip(detailed)
             .map(|(entry, points)| {
-                let mut series = CiSeries::new(format!("Simulation ({})", entry.label), level);
-                for point in points {
-                    if !point.saturated {
-                        series.push(CiPoint {
-                            x: point.rate,
-                            y: point.summary.mean,
-                            lo: point.ci.lo(),
-                            hi: point.ci.hi(),
-                            replications: point.summary.attempted,
-                            converged: point.converged,
-                        });
-                    }
+                let mut series =
+                    CiSeries::new(format!("Simulation ({})", entry.label), precision.level);
+                for point in points.iter().filter(|p| p.has_latency()) {
+                    let summary = point.summary();
+                    let ci = summary.ci(precision.level);
+                    series.push(CiPoint {
+                        x: point.rate,
+                        y: summary.mean,
+                        lo: ci.lo(),
+                        hi: ci.hi(),
+                        replications: point.runs.len(),
+                        converged: point.converged(precision),
+                    });
                 }
                 series
             })
@@ -1099,7 +985,7 @@ mod tests {
                 run_simulation_built(&built, &wl, Pattern::Uniform, &cfg)
             })
             .collect();
-        let reference = summarize(&runs, 3);
+        let reference = summarize(&runs);
         let got = detailed[0][0].summary();
         assert_eq!(got.replication_means, reference.replication_means);
         assert_eq!(got.mean, reference.mean);
@@ -1181,6 +1067,10 @@ mod tests {
         assert!(bad.validate().is_err());
         let good = scenario().with_precision(rel);
         assert!(good.validate().is_ok());
+        // A precision target sets the budget; a fixed count beside it would
+        // be silently overruled.
+        let err = good.with_replications(3).validate().unwrap_err();
+        assert!(err.starts_with("replications:"), "{err}");
     }
 
     fn adaptive_scenario(rel: f64, max: usize) -> Scenario {
@@ -1196,35 +1086,31 @@ mod tests {
     #[test]
     fn adaptive_parallel_equals_serial_bitwise() {
         let s = adaptive_scenario(0.1, 12);
-        let par = s.run_sim_adaptive();
-        let ser = s.run_sim_adaptive_serial();
-        assert_eq!(par.len(), ser.len());
-        for (pw, sw) in par.iter().zip(&ser) {
-            assert_eq!(pw.len(), sw.len());
-            for (pp, sp) in pw.iter().zip(sw) {
-                assert_eq!(pp.seed, sp.seed);
-                assert_eq!(pp.replications(), sp.replications());
-                assert_eq!(pp.converged, sp.converged);
-                assert_eq!(pp.summary.replication_means, sp.summary.replication_means);
-                assert_eq!(pp.summary.mean, sp.summary.mean);
-                assert_eq!(pp.ci, sp.ci);
-            }
+        let par = s.run_sim_detailed();
+        assert_eq!(par, s.run_sim_detailed_serial());
+        // Every point spent at least its first wave, and stopped where the
+        // loop says it should.
+        let p = s.precision.unwrap();
+        for point in par.iter().flatten() {
+            assert!(point.runs.len() >= p.min_replications);
+            assert!(point.converged(&p) || point.runs.len() == p.max_replications);
         }
     }
 
     #[test]
     fn adaptive_converges_within_target_and_reports_spend() {
         let s = adaptive_scenario(0.2, 16);
-        let detailed = s.run_sim_adaptive();
+        let p = s.precision.unwrap();
+        let detailed = s.run_sim_detailed();
         for point in &detailed[0] {
-            assert!(!point.saturated);
-            assert!(point.converged, "rate {} did not converge", point.rate);
-            assert!(point.replications() >= 2);
-            assert!(point.replications() <= 16);
-            assert!(point.ci.half_width / point.summary.mean <= 0.2);
+            assert!(point.has_latency());
+            assert!(point.converged(&p), "rate {} did not converge", point.rate);
+            assert!(point.runs.len() >= 2);
+            assert!(point.runs.len() <= 16);
+            assert!(point.ci(0.95).half_width / point.summary().mean <= 0.2);
         }
         // The CI series carries the spend through to the report layer.
-        let series = s.adaptive_series(&detailed);
+        let series = s.ci_series(&detailed, &p);
         assert_eq!(series.len(), 1);
         assert_eq!(series[0].level, 0.95);
         assert!(series[0].all_converged());
@@ -1240,8 +1126,8 @@ mod tests {
         // measured population unreachable, so every run drains instead of
         // completing. Each still measured the messages it delivered: the
         // fixed-mode series keeps every point at its replications' mean,
-        // and the adaptive runner neither calls the points saturated nor
-        // drops them from its series.
+        // and a precision run neither calls the points saturated nor drops
+        // them from its series.
         let mut s = scenario().with_grid(6e-4, 2).with_replications(2);
         s.sim.faults.link_fraction = 0.1;
         let detailed = s.run_sim_detailed();
@@ -1257,9 +1143,10 @@ mod tests {
         }
         let mut s = adaptive_scenario(0.5, 4);
         s.sim.faults.link_fraction = 0.1;
-        let detailed = s.run_sim_adaptive();
-        assert!(detailed[0].iter().all(|p| !p.saturated));
-        assert_eq!(s.adaptive_series(&detailed)[0].points.len(), 2);
+        let detailed = s.run_sim_detailed();
+        assert!(detailed[0].iter().all(PointSim::has_latency));
+        let series = s.ci_series(&detailed, &s.precision.unwrap());
+        assert_eq!(series[0].points.len(), 2);
     }
 
     #[test]
@@ -1267,10 +1154,10 @@ mod tests {
         // A 0.01% relative target cannot be met in 4 replications: every
         // point must stop at the cap, unconverged.
         let s = adaptive_scenario(1e-4, 4);
-        let detailed = s.run_sim_adaptive();
+        let detailed = s.run_sim_detailed();
         for point in &detailed[0] {
-            assert!(!point.converged);
-            assert_eq!(point.replications(), 4);
+            assert!(!point.converged(&s.precision.unwrap()));
+            assert_eq!(point.runs.len(), 4);
         }
     }
 
@@ -1280,13 +1167,9 @@ mod tests {
         // fixed-mode seeds, so adaptive results are comparable with (and
         // reproducible as) fixed runs.
         let s = adaptive_scenario(0.2, 8);
-        let detailed = s.run_sim_adaptive();
-        let spent = detailed[0][0].replications();
-        let fixed = s.clone().with_replications(spent);
-        let fixed_detailed = fixed.run_sim_detailed();
-        assert_eq!(
-            detailed[0][0].summary.replication_means,
-            fixed_detailed[0][0].summary().replication_means
-        );
+        let detailed = s.run_sim_detailed();
+        let mut fixed = s.clone().with_replications(detailed[0][0].runs.len());
+        fixed.precision = None;
+        assert_eq!(detailed[0][0], fixed.run_sim_detailed()[0][0]);
     }
 }

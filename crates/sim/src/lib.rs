@@ -51,6 +51,6 @@ pub use config::{
 pub use engine::{run_simulation, run_simulation_arrivals, run_simulation_built};
 pub use events::{ArrivalBand, CalendarQueue, EventQueue, Merged, Scheduler, Timed};
 pub use flit::{run_simulation_flit, run_simulation_flit_built};
-pub use replicate::{summarize, ReplicationAccumulator, ReplicationSummary};
+pub use replicate::{summarize, ReplicationSummary};
 pub use results::{SimResults, StopReason, WarmupAudit};
 pub use trace::{MessageTrace, TraceEvent, TraceEventKind};

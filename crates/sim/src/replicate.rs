@@ -7,10 +7,12 @@
 //! the paper's figures should report — is the mean of independent
 //! replications with a CI over the replication means. The runs themselves
 //! are scheduled by the caller (the `cocnet` scenario runner runs them in
-//! parallel, seeds `s, s+1, …`); this module merges their results.
+//! parallel waves, seeds `s, s+1, …`); this module merges their results,
+//! and [`ReplicationSummary::ci`] is the interval a precision target is
+//! tested on.
 
 use crate::results::SimResults;
-use cocnet_stats::{mean_confidence_interval, ConfidenceInterval, OnlineStats, Precision};
+use cocnet_stats::{mean_confidence_interval, ConfidenceInterval, OnlineStats};
 use serde::{Deserialize, Serialize};
 
 /// Summary over independent replications of one configuration.
@@ -18,8 +20,6 @@ use serde::{Deserialize, Serialize};
 pub struct ReplicationSummary {
     /// Mean of the per-replication mean latencies.
     pub mean: f64,
-    /// 95 % confidence interval over the replication means.
-    pub ci95: ConfidenceInterval,
     /// Per-replication mean latencies, in seed order, of the replications
     /// that have one ([`SimResults::has_latency`]).
     pub replication_means: Vec<f64>,
@@ -34,117 +34,43 @@ impl ReplicationSummary {
     pub fn all_completed(&self) -> bool {
         self.completed == self.attempted
     }
-}
 
-/// Incremental replication merging: absorbs per-replication
-/// [`SimResults`] one at a time and serves the running cross-replication
-/// estimate — mean, CI at any level, convergence against a
-/// [`Precision`] target — without retaining the results themselves.
-///
-/// Absorbing a result slice in order and calling [`summary`] is
-/// bit-identical to [`summarize`] over the same slice (the batch path is
-/// implemented on top of this accumulator), which is what lets the
-/// adaptive runner grow a point's replication set wave by wave while
-/// fixed-replication scenarios keep their historical output.
-///
-/// [`summary`]: ReplicationAccumulator::summary
-#[derive(Debug, Clone, Default)]
-pub struct ReplicationAccumulator {
-    stats: OnlineStats,
-    means: Vec<f64>,
-    completed: usize,
-    attempted: usize,
-    warmup_flagged: usize,
-}
-
-impl ReplicationAccumulator {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Absorbs one replication's results. A run with no latency (an
-    /// event-cap abort, i.e. saturation, or no recorded message; see
-    /// [`SimResults::has_latency`]) counts as attempted but contributes no
-    /// mean, exactly as in [`summarize`]. A run that drained with part of
-    /// its measured population cut off by faults contributes the mean of
-    /// the measured messages it delivered.
-    pub fn absorb(&mut self, r: &SimResults) {
-        self.attempted += 1;
-        if r.warmup_audit.is_some_and(|a| a.exceeds()) {
-            self.warmup_flagged += 1;
-        }
-        if r.has_latency() {
-            self.stats.push(r.latency.mean);
-            self.means.push(r.latency.mean);
-        }
-        if r.completed {
-            self.completed += 1;
-        }
-    }
-
-    /// Replications absorbed so far.
-    pub fn attempted(&self) -> usize {
-        self.attempted
-    }
-
-    /// Absorbed replications that delivered their measured population.
-    pub fn completed(&self) -> usize {
-        self.completed
-    }
-
-    /// Whether every absorbed replication completed.
-    pub fn all_completed(&self) -> bool {
-        self.completed == self.attempted
-    }
-
-    /// Absorbed replications whose MSER-5 warm-up audit flagged a
-    /// transient outlasting the configured warm-up (always 0 when runs
-    /// were not audited).
-    pub fn warmup_flagged(&self) -> usize {
-        self.warmup_flagged
-    }
-
-    /// Running mean of the absorbed replications' mean latencies (those
-    /// with one).
-    pub fn mean(&self) -> f64 {
-        self.stats.mean()
-    }
-
-    /// Confidence interval over the replication means at `level`.
+    /// Confidence interval over the replication means at `level`
+    /// (infinitely wide below two means).
     pub fn ci(&self, level: f64) -> ConfidenceInterval {
-        mean_confidence_interval(&self.stats, level)
+        mean_confidence_interval(&stats_of(&self.replication_means), level)
     }
+}
 
-    /// Whether the cross-replication estimate already satisfies `target`
-    /// — the adaptive runner's stopping test.
-    pub fn meets(&self, target: &Precision) -> bool {
-        target.met_by(&self.ci(target.level))
+/// The running statistics of `means`, pushed in order: [`summarize`]'s
+/// mean and [`ReplicationSummary::ci`] both read them, so the two agree
+/// to the bit.
+fn stats_of(means: &[f64]) -> OnlineStats {
+    let mut stats = OnlineStats::new();
+    for &mean in means {
+        stats.push(mean);
     }
-
-    /// The summary over everything absorbed so far — bit-identical to
-    /// [`summarize`] over the same results in the same order.
-    pub fn summary(&self) -> ReplicationSummary {
-        ReplicationSummary {
-            mean: self.stats.mean(),
-            ci95: self.ci(0.95),
-            replication_means: self.means.clone(),
-            completed: self.completed,
-            attempted: self.attempted,
-        }
-    }
+    stats
 }
 
 /// Merges per-replication results, in seed order, into a
-/// [`ReplicationSummary`].
-pub fn summarize(results: &[SimResults], attempted: usize) -> ReplicationSummary {
-    let mut acc = ReplicationAccumulator::new();
-    for r in results {
-        acc.absorb(r);
+/// [`ReplicationSummary`]. A run with no latency (an event-cap abort, i.e.
+/// saturation, or no recorded message; see [`SimResults::has_latency`])
+/// counts as attempted but contributes no mean. A run that drained with
+/// part of its measured population cut off by faults contributes the
+/// mean of the measured messages it delivered.
+pub fn summarize(results: &[SimResults]) -> ReplicationSummary {
+    let replication_means: Vec<f64> = results
+        .iter()
+        .filter(|r| r.has_latency())
+        .map(|r| r.latency.mean)
+        .collect();
+    ReplicationSummary {
+        mean: stats_of(&replication_means).mean(),
+        replication_means,
+        completed: results.iter().filter(|r| r.completed).count(),
+        attempted: results.len(),
     }
-    let mut summary = acc.summary();
-    summary.attempted = attempted;
-    summary
 }
 
 #[cfg(test)]
@@ -199,7 +125,7 @@ mod tests {
     }
 
     fn replicate(wl: &Workload, replications: u64) -> ReplicationSummary {
-        summarize(&runs(wl, replications, false), replications as usize)
+        summarize(&runs(wl, replications, false))
     }
 
     #[test]
@@ -221,10 +147,10 @@ mod tests {
     fn parallel_replications_bit_identical_to_serial() {
         let wl = Workload::new(2e-4, 16, 256.0).unwrap();
         let serial = replicate(&wl, 6);
-        let parallel = summarize(&runs(&wl, 6, true), 6);
+        let parallel = summarize(&runs(&wl, 6, true));
         assert_eq!(serial.replication_means, parallel.replication_means);
         assert_eq!(serial.mean, parallel.mean);
-        assert_eq!(serial.ci95, parallel.ci95);
+        assert_eq!(serial.ci(0.95), parallel.ci(0.95));
         assert_eq!(serial.completed, parallel.completed);
     }
 
@@ -233,7 +159,7 @@ mod tests {
         let wl = Workload::new(2e-4, 16, 256.0).unwrap();
         let small = replicate(&wl, 3);
         let large = replicate(&wl, 8);
-        assert!(large.ci95.half_width < small.ci95.half_width);
+        assert!(large.ci(0.95).half_width < small.ci(0.95).half_width);
     }
 
     #[test]
@@ -259,7 +185,7 @@ mod tests {
         let r_ok = sinks.finish(counters, StopReason::MeasuredComplete, 1.0, Vec::new(), 1);
         let mut r_bad = r_ok.clone();
         r_bad.completed = false;
-        let s = summarize(&[r_ok, r_bad], 2);
+        let s = summarize(&[r_ok, r_bad]);
         assert_eq!(s.completed, 1);
         assert_eq!(s.attempted, 2);
         assert!(!s.all_completed());
@@ -267,56 +193,24 @@ mod tests {
     }
 
     #[test]
-    fn accumulator_matches_batch_summarize_bitwise() {
-        let wl = Workload::new(2e-4, 16, 256.0).unwrap();
-        let results = runs(&wl, 5, false);
-        let batch = summarize(&results, 5);
-        let mut acc = ReplicationAccumulator::new();
-        for (absorbed, r) in results.iter().enumerate() {
-            acc.absorb(r);
-            assert_eq!(acc.attempted(), absorbed + 1);
-        }
-        let incremental = acc.summary();
-        assert_eq!(incremental.mean, batch.mean);
-        assert_eq!(incremental.ci95, batch.ci95);
-        assert_eq!(incremental.replication_means, batch.replication_means);
-        assert_eq!(incremental.completed, batch.completed);
-        assert_eq!(incremental.attempted, batch.attempted);
-        assert!(acc.all_completed());
-        assert_eq!(acc.warmup_flagged(), 0);
-    }
-
-    #[test]
-    fn accumulator_convergence_tightens_with_replications() {
+    fn ci_at_level_converges_as_replications_grow() {
         use cocnet_stats::Precision;
         let wl = Workload::new(2e-4, 16, 256.0).unwrap();
-        let built = BuiltSystem::build(&spec(), wl.flit_bytes);
-        let mut acc = ReplicationAccumulator::new();
+        let results = runs(&wl, 8, false);
         // A loose 20 % relative target: unmet with one replication
         // (infinite half-width), met once a few independent means agree.
         let target = Precision::relative(0.2, 0.95);
-        let mut converged_at = None;
-        for r in 0..8u64 {
-            let run_cfg = SimConfig {
-                seed: cfg().seed.wrapping_add(r),
-                ..cfg()
-            };
-            acc.absorb(&run_simulation_built(
-                &built,
-                &wl,
-                Pattern::Uniform,
-                &run_cfg,
-            ));
-            if r == 0 {
-                assert!(!acc.meets(&target), "one replication can never converge");
-            }
-            if converged_at.is_none() && acc.meets(&target) {
-                converged_at = Some(acc.attempted());
-            }
-        }
-        let spent = converged_at.expect("a 20% target converges within 8 replications");
+        let meets = |k: usize| target.met_by(&summarize(&results[..k]).ci(target.level));
+        assert!(!meets(1), "one replication can never converge");
+        let spent = (1..=8)
+            .find(|&k| meets(k))
+            .expect("a 20% target converges within 8 replications");
         assert!(spent >= 2);
-        // The CI the decision was made on is the one reported.
-        assert!(acc.ci(0.95).half_width / acc.mean() <= 0.2);
+        // The interval is rebuilt from the means in seed order, so it is
+        // centred on the summary's own mean to the bit.
+        let s = summarize(&results[..spent]);
+        let ci = s.ci(0.95);
+        assert_eq!(ci.mean.to_bits(), s.mean.to_bits());
+        assert!(ci.half_width / s.mean <= 0.2);
     }
 }

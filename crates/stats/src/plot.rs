@@ -38,7 +38,11 @@ pub fn scatter(series: &[Series], width: usize, height: usize) -> String {
     // Zero-origin y (latency plots), padded ranges.
     y_lo = y_lo.min(0.0);
     if (x_hi - x_lo).abs() < f64::EPSILON {
-        x_hi = x_lo + 1.0;
+        // A lone x sits mid-axis in a window as wide as its magnitude, so
+        // the tick labels stay on the data's scale (1.0 wide at x = 0).
+        let half = if x_lo == 0.0 { 0.5 } else { x_lo.abs() / 2.0 };
+        x_lo -= half;
+        x_hi += half;
     }
     if (y_hi - y_lo).abs() < f64::EPSILON {
         y_hi = y_lo + 1.0;
@@ -143,5 +147,25 @@ mod tests {
         let a = s("p", &[(5.0, 5.0)]);
         let text = scatter(&[a], 16, 8);
         assert!(text.matches('o').count() >= 1);
+    }
+
+    #[test]
+    fn single_x_axis_keeps_the_data_scale() {
+        // One rate, two series: the axis spans [λ/2, 3λ/2], not [λ, λ + 1],
+        // and the points sit mid-plot.
+        let a = s("a", &[(1e-3, 50.0)]);
+        let b = s("b", &[(1e-3, 100.0)]);
+        let text = scatter(&[a, b], 16, 8);
+        let axis = text.lines().find(|l| l.contains("e-")).unwrap();
+        assert!(
+            axis.contains("5.000e-4") && axis.contains("1.500e-3"),
+            "{axis}"
+        );
+        let column = |glyph: char| {
+            let row = text.lines().find(|l| l.contains(glyph)).unwrap();
+            row.find(glyph).unwrap() - row.find('|').unwrap() - 1
+        };
+        assert_eq!(column('o'), 8);
+        assert_eq!(column('x'), 8);
     }
 }

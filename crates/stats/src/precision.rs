@@ -5,8 +5,8 @@
 //! confidence interval around the estimate is tight enough, then stop. A
 //! [`Precision`] names that stopping rule — a maximum CI half-width,
 //! relative to the mean or absolute, at a confidence level — and
-//! [`Precision::met_by`] is its convergence test, which the simulator's
-//! replication accumulator applies to the interval over replication means.
+//! [`Precision::met_by`] is its convergence test, which the scenario
+//! runner applies to the interval over a sweep point's replication means.
 
 use crate::ci::ConfidenceInterval;
 use serde::{Deserialize, Serialize};

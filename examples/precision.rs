@@ -43,7 +43,10 @@ fn main() {
         });
     scenario.validate().expect("scenario validates");
 
-    let detailed = scenario.run_sim_adaptive();
+    // The one sweep loop: a precision scenario adds waves per point until
+    // it converges, saturates or reaches the cap.
+    let precision = scenario.precision.expect("the scenario sets a target");
+    let detailed = scenario.run_sim_detailed();
     let mut table = Table::new([
         "rate",
         "mean latency",
@@ -53,22 +56,23 @@ fn main() {
         "converged",
     ]);
     for point in &detailed[0] {
+        let ci = point.ci(precision.level);
         table.push_row([
             format!("{:.2e}", point.rate),
-            format!("{:.2}", point.summary.mean),
-            format!("{:.2}", point.ci.lo()),
-            format!("{:.2}", point.ci.hi()),
-            point.replications().to_string(),
-            if point.saturated {
-                "saturated".into()
+            format!("{:.2}", point.summary().mean),
+            format!("{:.2}", ci.lo()),
+            format!("{:.2}", ci.hi()),
+            point.runs.len().to_string(),
+            if point.has_latency() {
+                point.converged(&precision).to_string()
             } else {
-                point.converged.to_string()
+                "saturated".into()
             },
         ]);
     }
     println!("{}", table.render());
 
-    let spent: usize = detailed[0].iter().map(|p| p.replications()).sum();
+    let spent: usize = detailed[0].iter().map(|p| p.runs.len()).sum();
     let fixed_cost = detailed[0].len() * 12;
     println!(
         "adaptive control spent {spent} simulations where a fixed worst-case \

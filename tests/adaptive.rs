@@ -1,11 +1,15 @@
 //! End-to-end tests of precision-driven (adaptive) replication control:
 //! determinism across execution strategies, convergence guarantees, the
-//! fixed-mode equivalence contract, and the CI-bearing series plumbing.
+//! fixed-mode equivalence contract, and the CI-bearing series plumbing —
+//! on hand-picked scenarios and, for the one sweep loop both modes share,
+//! on generated ones.
 
 use cocnet::registry::small_spec_48;
 use cocnet::runner::{PrecisionSpec, Scenario, Seeding};
 use cocnet::sim::SimConfig;
 use cocnet_model::Workload;
+use cocnet_topology::{ClusterSpec, NetworkCharacteristics, SystemSpec};
+use proptest::prelude::*;
 
 fn demo_sim(seed: u64) -> SimConfig {
     SimConfig {
@@ -39,26 +43,20 @@ fn adaptive_scenario(rel: f64, max_replications: usize) -> Scenario {
 #[test]
 fn adaptive_parallel_bit_identical_to_serial() {
     let s = adaptive_scenario(0.1, 10);
-    let par = s.run_sim_adaptive();
-    let ser = s.run_sim_adaptive_serial();
-    assert_eq!(par.len(), ser.len());
-    for (pw, sw) in par.iter().zip(&ser) {
-        for (pp, sp) in pw.iter().zip(sw) {
-            assert_eq!(pp.replications(), sp.replications());
-            assert_eq!(pp.converged, sp.converged);
-            assert_eq!(pp.saturated, sp.saturated);
-            assert_eq!(pp.summary.replication_means, sp.summary.replication_means);
-            assert_eq!(pp.summary.mean.to_bits(), sp.summary.mean.to_bits());
-            assert_eq!(pp.ci.half_width.to_bits(), sp.ci.half_width.to_bits());
-        }
+    let p = s.precision.unwrap();
+    let par = s.run_sim_detailed();
+    let ser = s.run_sim_detailed_serial();
+    assert_eq!(par, ser);
+    for (pp, sp) in par.iter().flatten().zip(ser.iter().flatten()) {
+        assert_eq!(pp.converged(&p), sp.converged(&p));
+        assert_eq!(pp.summary().mean.to_bits(), sp.summary().mean.to_bits());
+        assert_eq!(
+            pp.ci(0.95).half_width.to_bits(),
+            sp.ci(0.95).half_width.to_bits()
+        );
     }
     // And the whole thing is reproducible run to run.
-    let again = s.run_sim_adaptive();
-    for (aw, pw) in again.iter().zip(&par) {
-        for (ap, pp) in aw.iter().zip(pw) {
-            assert_eq!(ap.summary.replication_means, pp.summary.replication_means);
-        }
-    }
+    assert_eq!(s.run_sim_detailed(), par);
 }
 
 /// A reachable target provably converges: every non-saturated point
@@ -66,21 +64,21 @@ fn adaptive_parallel_bit_identical_to_serial() {
 #[test]
 fn converged_points_meet_their_declared_target() {
     let s = adaptive_scenario(0.15, 16);
-    let detailed = s.run_sim_adaptive();
+    let detailed = s.run_sim_detailed();
     let mut converged = 0;
     for point in detailed.iter().flatten() {
-        if point.converged {
+        if point.converged(&s.precision.unwrap()) {
             converged += 1;
+            let (ci, mean) = (point.ci(0.95), point.summary().mean);
             assert!(
-                point.ci.half_width <= 0.15 * point.summary.mean,
-                "rate {}: half-width {} exceeds 15% of mean {}",
+                ci.half_width <= 0.15 * mean,
+                "rate {}: half-width {} exceeds 15% of mean {mean}",
                 point.rate,
-                point.ci.half_width,
-                point.summary.mean
+                ci.half_width,
             );
-            assert!(point.replications() >= 2);
+            assert!(point.runs.len() >= 2);
         }
-        assert!(point.replications() <= 16);
+        assert!(point.runs.len() <= 16);
     }
     assert!(converged > 0, "no point converged at a 15% target");
 }
@@ -90,9 +88,9 @@ fn converged_points_meet_their_declared_target() {
 #[test]
 fn impossible_target_trips_the_cap() {
     let s = adaptive_scenario(1e-6, 4);
-    for point in s.run_sim_adaptive().iter().flatten() {
-        assert!(!point.converged);
-        assert_eq!(point.replications(), 4);
+    for point in s.run_sim_detailed().iter().flatten() {
+        assert!(!point.converged(&s.precision.unwrap()));
+        assert_eq!(point.runs.len(), 4);
     }
 }
 
@@ -102,18 +100,14 @@ fn impossible_target_trips_the_cap() {
 #[test]
 fn adaptive_spend_replays_as_a_fixed_run() {
     let s = adaptive_scenario(0.1, 8);
-    let adaptive = s.run_sim_adaptive();
+    let adaptive = s.run_sim_detailed();
     for (w, points) in adaptive.iter().enumerate() {
         for (p, point) in points.iter().enumerate() {
             let mut fixed = s.clone();
             fixed.precision = None;
-            fixed.replications = point.replications();
+            fixed.replications = point.runs.len();
             let fixed_detailed = fixed.run_sim_detailed();
-            assert_eq!(
-                point.summary.replication_means,
-                fixed_detailed[w][p].summary().replication_means,
-                "workload {w} point {p}"
-            );
+            assert_eq!(*point, fixed_detailed[w][p], "workload {w} point {p}");
         }
     }
 }
@@ -128,15 +122,15 @@ fn adaptive_series_and_serde_round_trip() {
     assert_eq!(back.precision, s.precision);
     back.validate().unwrap();
 
-    let detailed = s.run_sim_adaptive();
-    let series = s.adaptive_series(&detailed);
+    let detailed = s.run_sim_detailed();
+    let series = s.ci_series(&detailed, &s.precision.unwrap());
     assert_eq!(series.len(), 1);
     assert_eq!(series[0].level, 0.95);
     for (ci_point, point) in series[0].points.iter().zip(&detailed[0]) {
-        assert_eq!(ci_point.y, point.summary.mean);
-        assert_eq!(ci_point.lo, point.ci.lo());
-        assert_eq!(ci_point.hi, point.ci.hi());
-        assert_eq!(ci_point.replications, point.replications());
+        assert_eq!(ci_point.y, point.summary().mean);
+        assert_eq!(ci_point.lo, point.ci(0.95).lo());
+        assert_eq!(ci_point.hi, point.ci(0.95).hi());
+        assert_eq!(ci_point.replications, point.runs.len());
     }
 
     // A scenario file declaring `precision` parses and validates with no
@@ -171,11 +165,10 @@ fn adaptive_series_and_serde_round_trip() {
     assert!(err.to_string().contains("rel_cl"), "{err}");
 }
 
-/// Warm-up auditing threads through the adaptive accumulator: a scenario
-/// with no warm-up at heavy load flags replications.
+/// Warm-up auditing threads through to the sweep points: a scenario with
+/// no warm-up at heavy load flags replications.
 #[test]
 fn warmup_audit_counts_surface_per_point() {
-    use cocnet_topology::{ClusterSpec, NetworkCharacteristics, SystemSpec};
     // The 6-node system of the engine's own audit test, at the same
     // near-saturation load: with no warm-up the measured stream starts in
     // the transient, so MSER-5 must flag it.
@@ -200,13 +193,104 @@ fn warmup_audit_counts_surface_per_point() {
         .with_sim(demo_sim(18));
     s.sim.audit_warmup = true;
     s.sim.warmup = 0;
-    let detailed = s.run_sim_adaptive();
+    let detailed = s.run_sim_detailed();
     let point = &detailed[0][0];
     assert!(
-        point.warmup_flagged > 0,
+        point.warmup_flagged() > 0,
         "zero warm-up at near-saturation load must be flagged \
          ({} replications, 0 flagged)",
-        point.replications()
+        point.runs.len()
     );
-    assert!(point.warmup_flagged <= point.replications());
+    assert!(point.warmup_flagged() <= point.runs.len());
+}
+
+/// A small tree system in the shape of `sim_properties`' `arb_system`:
+/// m ∈ {4, 8} clusters under one ICN2 level, cluster heights ≤ 2,
+/// Table 2-ish networks with random bandwidths.
+fn arb_system() -> impl Strategy<Value = SystemSpec> {
+    (0u32..2, 1u32..=2, 100.0f64..1000.0, 100.0f64..1000.0).prop_map(|(mi, height, bw1, bw2)| {
+        let m = [4u32, 8][mi as usize];
+        let net1 = NetworkCharacteristics::new(bw1, 0.01, 0.02).unwrap();
+        let net2 = NetworkCharacteristics::new(bw2, 0.05, 0.01).unwrap();
+        let cluster = ClusterSpec {
+            n: height,
+            icn1: net1,
+            ecn1: net2,
+            topology: Default::default(),
+        };
+        SystemSpec::new(m, vec![cluster; m as usize], net1).unwrap()
+    })
+}
+
+/// A replication budget: a fixed count of 1–3, or a precision target
+/// whose cap is at most 6.
+fn arb_budget() -> impl Strategy<Value = (usize, Option<PrecisionSpec>)> {
+    (
+        0u32..2,
+        1usize..=3,
+        2usize..=4,
+        0usize..=2,
+        1usize..=3,
+        0.005f64..0.1,
+    )
+        .prop_map(|(kind, replications, min, extra, wave, rel)| match kind {
+            0 => (replications, None),
+            _ => (
+                1,
+                Some(PrecisionSpec {
+                    rel_ci: Some(rel),
+                    min_replications: min,
+                    max_replications: min + extra,
+                    wave,
+                    ..PrecisionSpec::default()
+                }),
+            ),
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The one sweep loop on generated scenarios: the parallel loop equals
+    /// its serial twin field by field, and a precision point's first wave
+    /// is the fixed-mode sweep at the same seeds.
+    #[test]
+    fn one_sweep_loop_holds_on_generated_scenarios(
+        spec in arb_system(),
+        rates in prop::collection::vec(2e-5f64..3e-4, 1..4),
+        budget in arb_budget(),
+        seed in 0u64..1000,
+        per_point in 0u32..2,
+    ) {
+        let (replications, precision) = budget;
+        let seeding = [Seeding::Shared, Seeding::PerPoint][per_point as usize];
+        let mut s = Scenario::new("generated", spec)
+            .with_workload("Lm=256", Workload::new(0.0, 8, 256.0).unwrap())
+            .with_rates(rates)
+            .with_seeding(seeding)
+            .with_replications(replications)
+            .with_sim(SimConfig {
+                warmup: 50,
+                measured: 300,
+                drain: 50,
+                seed,
+                // A saturated corner gives up quickly.
+                max_events: 200_000,
+                ..SimConfig::default()
+            });
+        s.precision = precision;
+        prop_assert!(s.validate().is_ok());
+        let detailed = s.run_sim_detailed();
+        prop_assert_eq!(&detailed, &s.run_sim_detailed_serial());
+        if let Some(p) = precision {
+            let mut fixed = s.clone();
+            fixed.precision = None;
+            fixed.replications = p.min_replications;
+            let fixed = fixed.run_sim_detailed();
+            for (point, first) in detailed.iter().flatten().zip(fixed.iter().flatten()) {
+                prop_assert_eq!((point.rate, point.seed), (first.rate, first.seed));
+                prop_assert_eq!(&point.runs[..p.min_replications], &first.runs[..]);
+            }
+        }
+    }
 }

@@ -652,6 +652,149 @@ fn run_subcommand_rejects_misused_precision_flags() {
 }
 
 #[test]
+fn run_subcommand_refuses_flags_it_would_ignore() {
+    // `--json` beside `--out`, which prints only machine output, and a
+    // simulation flag beside `--no-sim` would each change nothing: both
+    // are usage errors naming the flag, before anything runs.
+    let mut cases = vec![(vec!["--out", "csv", "--json"], "--json")];
+    for flag in [
+        &["--quick"][..],
+        &["--replications", "2"],
+        &["--rel-ci", "0.2"],
+        &["--max-replications", "4"],
+        &["--shards", "auto"],
+        &["--fail-links", "0.1"],
+        &["--interning", "eager"],
+    ] {
+        cases.push((flag.to_vec(), flag[0]));
+    }
+    for (flags, named) in cases {
+        let args = [&["run", "fig5", "--no-sim", "--points", "2"][..], &flags].concat();
+        let (stdout, stderr, code) = run_code(&args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
+        assert!(stderr.contains(named), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn precision_scenarios_budget_their_own_replications() {
+    // A precision scenario spends min_replications to max_replications per
+    // point: `validate` shows that budget, and a fixed count beside it is
+    // refused rather than silently overruled by the cap.
+    let dir = scenarios_dir();
+    let committed = dir.join("fig5_precision.json");
+    let (stdout, _, ok) = run(&["validate", committed.to_str().unwrap()]);
+    assert!(ok, "{stdout}");
+    assert!(stdout.contains("x 2-16 reps)"), "{stdout}");
+    let text = std::fs::read_to_string(&committed).unwrap();
+    let edited = text
+        .replacen("\"replications\": 1", "\"replications\": 7", 1)
+        .replacen("\"max_replications\": 16", "\"max_replications\": 3", 1);
+    assert!(edited.contains("\"replications\": 7") && edited.contains("\"max_replications\": 3"));
+    let path = std::env::temp_dir().join("cocnet_cli_precision_replications.json");
+    std::fs::write(&path, edited).unwrap();
+    let file = path.to_str().unwrap();
+    let (stdout, stderr, code) = run_code(&["validate", file]);
+    assert_eq!(code, Some(1), "{stdout} {stderr}");
+    assert!(stdout.contains(": replications: "), "{stdout}");
+    let (_, stderr, code) = run_code(&["run", file, "--quick", "--points", "1"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains(": replications: "), "{stderr}");
+    std::fs::remove_file(&path).unwrap();
+    // Forcing a target onto a scenario of 3 fixed replications conflicts
+    // in the same way.
+    let args = [
+        "run",
+        "fig3_perpoint",
+        "--quick",
+        "--points",
+        "1",
+        "--rel-ci",
+        "0.2",
+    ];
+    let (stdout, stderr, code) = run_code(&args);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(
+        stderr.contains("--rel-ci") && stderr.contains("3 replications"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn faulted_precision_runs_print_fault_accounting() {
+    // Fixed and precision scenarios share one sweep loop and one report:
+    // a faulted precision run prints the fault-accounting table too.
+    let text = std::fs::read_to_string(scenarios_dir().join("degradation.json")).unwrap();
+    let mut edited = text.clone();
+    for (from, to) in [
+        (
+            "\"precision\": null",
+            "\"precision\": {\"rel_ci\": 0.2, \"max_replications\": 4}",
+        ),
+        ("\"warmup\": 2000", "\"warmup\": 200"),
+        ("\"measured\": 20000", "\"measured\": 2000"),
+        ("\"drain\": 2000", "\"drain\": 200"),
+    ] {
+        assert!(edited.contains(from), "fixture edit failed: {from}");
+        edited = edited.replacen(from, to, 1);
+    }
+    let path = std::env::temp_dir().join("cocnet_cli_faulted_precision.json");
+    std::fs::write(&path, edited).unwrap();
+    let (stdout, stderr, ok) = run(&["run", path.to_str().unwrap(), "--points", "2"]);
+    assert!(ok, "stdout: {stdout}\nstderr: {stderr}");
+    assert!(stdout.contains("ci lo"), "{stdout}");
+    assert!(stdout.contains("fault accounting"), "{stdout}");
+    assert!(stderr.contains("adaptive sweep"), "{stderr}");
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn audited_fixed_runs_warn_about_a_short_warm_up() {
+    // A fixed scenario that audits its warm-up reports what the audit
+    // flagged, as a precision one does: with no warm-up near saturation
+    // the measured stream starts in the transient, and stderr says so.
+    let net = |bw: f64, nl: f64, sl: f64| {
+        format!(r#"{{"bandwidth": {bw}, "network_latency": {nl}, "switch_latency": {sl}}}"#)
+    };
+    let cluster = |n: u32| {
+        format!(
+            r#"{{"n": {n}, "icn1": {}, "ecn1": {}}}"#,
+            net(500.0, 0.01, 0.02),
+            net(250.0, 0.05, 0.01)
+        )
+    };
+    let json = format!(
+        r#"{{
+            "name": "audited fixed scenario",
+            "spec": {{"m": 4, "clusters": [{}, {}, {}, {}], "icn2": {}}},
+            "workloads": [
+                {{"label": "Lm=256", "workload": {{"lambda_g": 0.0, "msg_flits": 32, "flit_bytes": 256.0}}}}
+            ],
+            "rates": [8e-4],
+            "replications": 4,
+            "sim": {{"warmup": 0, "measured": 2000, "drain": 200, "seed": 18, "audit_warmup": true}}
+        }}"#,
+        cluster(1),
+        cluster(1),
+        cluster(2),
+        cluster(2),
+        net(500.0, 0.01, 0.02)
+    );
+    let path = std::env::temp_dir().join("cocnet_cli_audited_fixed.json");
+    std::fs::write(&path, &json).unwrap();
+    let (stdout, stderr, ok) = run(&["run", path.to_str().unwrap()]);
+    assert!(ok, "stdout: {stdout}\nstderr: {stderr}");
+    assert!(stderr.contains("MSER-5 audit flagged"), "{stderr}");
+    assert!(
+        !stdout.contains("MSER-5"),
+        "the warning belongs on stderr: {stdout}"
+    );
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
 fn run_subcommand_rejects_the_retired_scheduler_flag() {
     // The engines run on one future-event list, so there is no backend
     // to pick, and the sweep's thread count comes from the pool

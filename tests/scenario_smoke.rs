@@ -31,6 +31,12 @@ fn tiny_sim() -> SimConfig {
     }
 }
 
+/// The simulation series of the serial sweep loop, the reference the
+/// parallel [`Scenario::run_sim`] must equal bit for bit.
+fn serial_series(scenario: &Scenario) -> Vec<Series> {
+    scenario.sim_series(&scenario.run_sim_detailed_serial())
+}
+
 /// A figure scenario re-gridded to `points` rates under [`tiny_sim`].
 fn tiny(scenario: Scenario, points: usize) -> Scenario {
     let mut scenario = scenario.with_sim(tiny_sim());
@@ -109,12 +115,12 @@ fn table_paths_still_hold() {
 fn parallel_sweep_bit_identical_to_serial_reference() {
     let scenario = tiny(fig("fig5"), 3).with_replications(2);
     let par = scenario.run_sim();
-    let ser = scenario.run_sim_serial();
+    let ser = serial_series(&scenario);
     assert_eq!(par, ser);
 
     // And with per-point seeding, which new studies should prefer.
     let scenario = scenario.with_seeding(Seeding::PerPoint);
-    assert_eq!(scenario.run_sim(), scenario.run_sim_serial());
+    assert_eq!(scenario.run_sim(), serial_series(&scenario));
 }
 
 #[test]
@@ -134,7 +140,7 @@ fn parallel_sweep_faster_on_multicore() {
     // A sweep with plenty of independent jobs relative to the core count.
     let scenario = tiny(fig("fig5"), 8);
     let t0 = std::time::Instant::now();
-    let ser = scenario.run_sim_serial();
+    let ser = serial_series(&scenario);
     let serial_time = t0.elapsed();
     let t1 = std::time::Instant::now();
     let par = scenario.run_sim();
