@@ -350,7 +350,13 @@ pub struct SimConfig {
     pub seed: u64,
     /// Safety valve: abort (with `completed = false`) after this many
     /// processed events. A saturated network never delivers its measured
-    /// population, so an un-capped run would never terminate.
+    /// population, so an un-capped run would never terminate. The count
+    /// is [`SimResults::events_processed`]'s, so the worm engine's
+    /// deferred no-op events count toward the cap, and a capped run stops
+    /// at the event, clock and busy time where popping every event stops
+    /// it.
+    ///
+    /// [`SimResults::events_processed`]: crate::SimResults::events_processed
     pub max_events: u64,
     /// Network-boundary coupling mode (see [`Coupling`]).
     pub coupling: Coupling,

@@ -1,6 +1,6 @@
 //! The discrete-event wormhole engine.
 //!
-//! Three event kinds drive the simulation:
+//! These event kinds drive the simulation:
 //!
 //! * a node's arrival — its Poisson process fires: build the message,
 //!   inject it into its first channel's FIFO, and draw the next arrival
@@ -9,7 +9,12 @@
 //!   request the next channel (possibly across a segment boundary), or
 //!   complete delivery;
 //! * `Release(chan)` — a message's tail fully crossed a channel: hand the
-//!   channel to the next queued message, or mark it free.
+//!   channel to the next queued message, or mark it free;
+//! * `Request(msg)` — a header that had to wait at a network boundary
+//!   (store-and-forward buffering, or the virtual cut-through start)
+//!   requests its next channel;
+//! * `Fault(link)` — a timed fault-schedule entry fails or repairs a link;
+//! * `Retransmit(msg)` — a dropped message's retry timeout expired.
 //!
 //! Each node's pending arrival waits in an *arrival band* beside the
 //! future-event list, so the list holds only network events (those of
@@ -27,6 +32,36 @@
 //!
 //! The future-event list is a binary heap ([`EventQueue`]); see
 //! [`crate::events`] for why no other list is offered.
+//!
+//! # Deferred no-op events
+//!
+//! Two kinds of event change nothing when they fire but a count, and the
+//! engine keeps them off the list:
+//!
+//! * a **release nobody waits for** — at a segment's end, and when a
+//!   dropped message gives back its channels, each release takes its
+//!   sequence number where scheduling it would, but if nobody waits for
+//!   the channel, its `(time, seq)` key is kept with the channel's held
+//!   record (`held.rs`) instead of pushed. A later request for the channel
+//!   compares that key with the key of the event it handles: a release
+//!   keyed before it has happened, so it is resolved (counted, busy time
+//!   accrued at its own time) and the channel granted; a later one goes
+//!   onto the list under its own key, and the requester waits for it, so
+//!   the hand-off happens exactly where popping every release would make
+//!   it. Before the held table would double, the releases keyed before
+//!   the current event are purged;
+//! * an **arrival after the last generation** — once the whole population
+//!   is generated, every arrival left in the band would return at once,
+//!   so the loop stops popping the band.
+//!
+//! Everything [`SimResults`] reports stays what popping every event would
+//! give, bit for bit: [`SimResults::events_processed`] counts each
+//! deferred event once, where the eager loop would have popped it. When
+//! the run stops, the deferred events keyed before the stopping event are
+//! counted and resolved; a drained run resolves all of them and ends at
+//! the latest, as the eager loop's last pop would. Once the event cap
+//! could fall among the deferred events, the engine stops deferring, so
+//! the loop stops at the cap exactly where the eager loop does.
 //!
 //! # No-allocation invariant
 //!
@@ -72,13 +107,14 @@
 //! [`RouteTable`]: crate::build::RouteTable
 //! [`AdaptiveRouteCache`]: crate::build::AdaptiveRouteCache
 //! [`SimResults::peak_live_msgs`]: crate::results::SimResults::peak_live_msgs
+//! [`SimResults::events_processed`]: crate::results::SimResults::events_processed
 //! [`SegMeta::net`]: crate::build::SegMeta::net
 //! [`SimResults::channel_busy`]: crate::results::SimResults::channel_busy
 
 use crate::build::{AdaptiveRouteCache, BuiltSystem, NetTimes, RouteRef, RouteTable, SegMeta};
 use crate::config::{Coupling, FaultMask, SimConfig};
-use crate::events::{ArrivalBand, EventQueue, Merged, Scheduler};
-use crate::held::{HeldChans, HELD, WAITER};
+use crate::events::{key_lt, ArrivalBand, EventQueue, Merged, Scheduler};
+use crate::held::{HeldChans, FREE, HELD, PENDING, WAITER};
 use crate::results::{delivery_order, BusyTime, Counters, Delivery, SimResults, Sinks, StopReason};
 use crate::trace::{MessageTrace, TraceEvent, TraceEventKind};
 use cocnet_model::Workload;
@@ -197,15 +233,24 @@ struct Simulator<'a, const TRACE: bool> {
     /// sequence counter: the first arrivals in a sorted cursor, later
     /// draws in a heap.
     arrival_band: ArrivalBand<u32>,
+    /// The arrivals left in the band once the population is generated
+    /// while deferring: each is a no-op, so the loop no longer pops them,
+    /// and they are counted where they would have popped.
+    spent_arrivals: ArrivalBand<u32>,
     pattern: Pattern,
     /// The node layout destination draws read (see [`cluster_offsets`]).
     layout: Vec<usize>,
     rng: StdRng,
     /// The future-event list: events of messages in flight only.
     queue: EventQueue<EventKind>,
-    /// Arbitration records of the held channels; a channel without one is
-    /// free.
+    /// Arbitration records of the held channels, with the releases
+    /// deferred beside the list; a channel without a record is free.
     held: HeldChans,
+    /// Whether no-op events are kept off the list (see the module doc);
+    /// false once the event cap could fall among them.
+    deferring: bool,
+    /// `(time, seq)` of the event being handled.
+    key: (f64, u64),
     /// Message slab; `free` holds the slots of delivered messages.
     msgs: Vec<Msg>,
     free: Vec<u32>,
@@ -253,11 +298,14 @@ impl<'a, const TRACE: bool> Simulator<'a, TRACE> {
             nets: built.net_times(),
             arrivals: ArrivalStreams::new(arrival, built.total_nodes()),
             arrival_band: ArrivalBand::default(),
+            spent_arrivals: ArrivalBand::default(),
             pattern,
             layout: cluster_offsets(built.spec()),
             rng: StdRng::seed_from_u64(cfg.seed),
             queue: EventQueue::new(),
             held: HeldChans::default(),
+            deferring: true,
+            key: (f64::NEG_INFINITY, 0),
             msgs: Vec::new(),
             free: Vec::new(),
             route_cache: AdaptiveRouteCache::default(),
@@ -351,16 +399,27 @@ impl<'a, const TRACE: bool> Simulator<'a, TRACE> {
     /// delivery to the sinks; returns why the loop stopped.
     fn simulate(&mut self) -> StopReason {
         self.prime();
-        // If the loop exits any other way, the queue ran dry: every
-        // message was delivered or written off — graceful degradation,
-        // not a hang.
-        let mut stop = StopReason::Drained;
-        while let Some(next) = self.arrival_band.pop_merged(&mut self.queue) {
-            let t = next.time();
+        let stop = loop {
+            // Counting every deferred event before the next one could pass
+            // the cap: from here on every event goes through the list.
+            if self.deferring
+                && self.counters.events_processed + self.deferred() >= self.cfg.max_events
+            {
+                self.stop_deferring();
+            }
+            let Some(next) = self.arrival_band.pop_merged(&mut self.queue) else {
+                // The list ran dry: every message was delivered or written
+                // off — graceful degradation, not a hang. The deferred
+                // events would pop last, so the run ends at the latest.
+                let last_spent = self.spent_arrivals.max_time().unwrap_or(f64::NEG_INFINITY);
+                let last_release = self.resolve_deferred_before((f64::INFINITY, u64::MAX));
+                self.now = self.now.max(last_spent).max(last_release);
+                break StopReason::Drained;
+            };
+            let (t, seq) = next.key();
             self.counters.events_processed += 1;
             if self.counters.events_processed > self.cfg.max_events {
-                stop = StopReason::EventCap;
-                break;
+                break StopReason::EventCap;
             }
             debug_assert!(t >= self.now - 1e-9, "time must not run backwards");
             // Every buffered delivery popped before this instant: no later
@@ -369,6 +428,7 @@ impl<'a, const TRACE: bool> Simulator<'a, TRACE> {
                 self.flush_deliveries();
             }
             self.now = t;
+            self.key = (t, seq);
             match next {
                 Merged::Band(ev) => self.on_generate(ev.kind, t),
                 Merged::Queue(ev) => match ev.kind {
@@ -380,12 +440,57 @@ impl<'a, const TRACE: bool> Simulator<'a, TRACE> {
                 },
             }
             if self.recorded_done >= self.cfg.measured {
-                stop = StopReason::MeasuredComplete;
-                break;
+                self.resolve_deferred_before(self.key);
+                break StopReason::MeasuredComplete;
             }
-        }
+        };
         self.flush_deliveries();
         stop
+    }
+
+    /// Number of deferred events: pending releases and spent arrivals.
+    #[inline]
+    fn deferred(&self) -> u64 {
+        (self.held.pending_len() + self.spent_arrivals.len()) as u64
+    }
+
+    /// Counts and resolves the deferred events keyed before `key`, which
+    /// popping every event would have popped by now: a pending release
+    /// accrues its channel's busy time at its own time and frees the
+    /// channel, and a spent arrival is taken from its band. Returns the
+    /// latest release time among them (−∞ if none).
+    ///
+    /// No cap check is needed: the loop stops deferring before the count
+    /// of every event popped or deferred could reach the cap.
+    fn resolve_deferred_before(&mut self, key: (f64, u64)) -> f64 {
+        let (counters, busy) = (&mut self.counters, &mut self.busy);
+        let mut latest = f64::NEG_INFINITY;
+        self.held.purge_before(key, |r| {
+            resolve_release(counters, busy, r.chan, r.free_at);
+            latest = latest.max(r.free_at);
+        });
+        self.counters.events_processed += self.spent_arrivals.take_before(key) as u64;
+        latest
+    }
+
+    /// Stops deferring, once the event cap could fall among the deferred
+    /// events: those keyed before the last handled event are resolved, the
+    /// later releases go onto the list under their own keys, the spent
+    /// arrivals back into the band the loop pops, and later releases are
+    /// scheduled at once. The loop then pops every event, so it stops at
+    /// the cap exactly where the eager loop stops.
+    fn stop_deferring(&mut self) {
+        self.resolve_deferred_before(self.key);
+        let queue = &mut self.queue;
+        self.held.take_all_pending(|r| {
+            queue.schedule_reserved(r.free_at, r.seq, EventKind::Release { chan: r.chan });
+        });
+        if !self.spent_arrivals.is_empty() {
+            // Nothing is drawn once the population is generated, so the
+            // band the loop pops is empty.
+            self.arrival_band = std::mem::take(&mut self.spent_arrivals);
+        }
+        self.deferring = false;
     }
 
     /// The run's results, once [`Self::simulate`] has returned.
@@ -437,7 +542,7 @@ impl<'a, const TRACE: bool> Simulator<'a, TRACE> {
         self.trace(m.trace_id, t, TraceEventKind::Dropped { chan });
         for k in 0..m.idx {
             let held = self.seg_chan(msg_id, k as u32);
-            self.queue.schedule(t, EventKind::Release { chan: held });
+            self.schedule_release(held, t);
         }
         if m.attempt + 1 >= self.cfg.faults.max_attempts {
             self.counters.unreachable += 1;
@@ -492,9 +597,7 @@ impl<'a, const TRACE: bool> Simulator<'a, TRACE> {
             // going so the node's later destinations still get traffic.
             self.counters.generated += 1;
             self.counters.unreachable += 1;
-            if self.counters.generated < self.cfg.total_messages() {
-                self.schedule_arrival(node, t);
-            }
+            self.next_arrival(node, t);
             return;
         }
         let generated = self.counters.generated;
@@ -554,9 +657,17 @@ impl<'a, const TRACE: bool> Simulator<'a, TRACE> {
             },
         );
         self.request_current(slot, t);
-        // Keep generating until the population is complete.
+        self.next_arrival(node, t);
+    }
+
+    /// Keeps `node` generating until the population is complete. From
+    /// then on every arrival left in the band is a no-op, so while
+    /// deferring they are set aside as spent.
+    fn next_arrival(&mut self, node: u32, t: f64) {
         if self.counters.generated < self.cfg.total_messages() {
             self.schedule_arrival(node, t);
+        } else if self.deferring {
+            self.spent_arrivals = std::mem::take(&mut self.arrival_band);
         }
     }
 
@@ -577,7 +688,15 @@ impl<'a, const TRACE: bool> Simulator<'a, TRACE> {
             return;
         }
         let slot = self.held.find(chan);
-        if self.held.is_held(slot) {
+        let waits = match self.held.head(slot) {
+            FREE => {
+                self.hold(slot, chan);
+                false
+            }
+            PENDING => self.settle_pending(slot, chan),
+            _ => true,
+        };
+        if waits {
             // Join the FIFO as its last waiter.
             let link = msg_id + WAITER;
             self.msgs[msg_id as usize].next = HELD;
@@ -593,7 +712,6 @@ impl<'a, const TRACE: bool> Simulator<'a, TRACE> {
                 self.trace(trace_id, t, TraceEventKind::Blocked { chan });
             }
         } else {
-            self.held.insert(slot, [chan, HELD, 0]);
             let cross = self.cross_time(msg_id, chan);
             if let Some(busy) = &mut self.busy {
                 busy.grant(chan, t);
@@ -605,6 +723,56 @@ impl<'a, const TRACE: bool> Simulator<'a, TRACE> {
                 self.trace(trace_id, t, TraceEventKind::Acquired { chan });
             }
         }
+    }
+
+    /// Gives the free channel `chan` a record in `slot`, the empty slot
+    /// [`HeldChans::find`] returned for it. Before the table would double,
+    /// the releases keyed before the event being handled are resolved,
+    /// which frees their channels' records.
+    #[inline]
+    fn hold(&mut self, mut slot: usize, chan: u32) {
+        if self.held.is_full() {
+            let (key, counters, busy) = (self.key, &mut self.counters, &mut self.busy);
+            self.held.make_room(key, |r| {
+                resolve_release(counters, busy, r.chan, r.free_at);
+            });
+            slot = self.held.find(chan);
+        }
+        self.held.insert(slot, [chan, HELD, 0]);
+    }
+
+    /// A request meets the pending release of `chan` (in `slot`). If the
+    /// release is keyed before the event being handled, it has happened:
+    /// it is resolved, and the channel is free, its record now the
+    /// requester's. Otherwise the release goes onto the list under its own
+    /// key. Returns whether the requester must wait for it.
+    fn settle_pending(&mut self, slot: usize, chan: u32) -> bool {
+        let (free_at, seq) = self.held.take_pending(slot);
+        if key_lt((free_at, seq), self.key) {
+            resolve_release(&mut self.counters, &mut self.busy, chan, free_at);
+            false
+        } else {
+            self.queue
+                .schedule_reserved(free_at, seq, EventKind::Release { chan });
+            true
+        }
+    }
+
+    /// Schedules `chan`'s release at `free_at`, numbered where `schedule`
+    /// would number it. While deferring, a release nobody waits for is
+    /// kept with the channel's record instead of on the list.
+    #[inline]
+    fn schedule_release(&mut self, chan: u32, free_at: f64) {
+        let seq = self.queue.reserve_seq();
+        if self.deferring {
+            let slot = self.held.find(chan);
+            if self.held.head(slot) == HELD {
+                self.held.defer(slot, free_at, seq);
+                return;
+            }
+        }
+        self.queue
+            .schedule_reserved(free_at, seq, EventKind::Release { chan });
     }
 
     fn on_advance(&mut self, msg_id: u32, t: f64) {
@@ -638,7 +806,7 @@ impl<'a, const TRACE: bool> Simulator<'a, TRACE> {
         for k in (0..m.cur.len).rev() {
             let chan = self.seg_chan(msg_id, k);
             let release = (finish - suffix).max(t);
-            self.queue.schedule(release, EventKind::Release { chan });
+            self.schedule_release(chan, release);
             suffix += times.time(chan);
         }
 
@@ -717,6 +885,7 @@ impl<'a, const TRACE: bool> Simulator<'a, TRACE> {
         }
         let slot = self.held.find(chan);
         debug_assert!(self.held.is_held(slot), "releasing a free channel");
+        debug_assert_ne!(self.held.head(slot), PENDING, "a deferred release popped");
         loop {
             let head = &mut self.held.get_mut(slot)[1];
             if *head == HELD {
@@ -747,6 +916,16 @@ impl<'a, const TRACE: bool> Simulator<'a, TRACE> {
             }
             return;
         }
+    }
+}
+
+/// Counts a deferred release where popping it would have counted it, and
+/// ends its channel's busy interval at the release's own time.
+#[inline]
+fn resolve_release(counters: &mut Counters, busy: &mut Option<BusyTime>, chan: u32, free_at: f64) {
+    counters.events_processed += 1;
+    if let Some(busy) = busy {
+        busy.accrue(chan, free_at);
     }
 }
 
@@ -1327,6 +1506,37 @@ mod tests {
             sim.deliveries.capacity(),
             sim.recorded_done
         );
+    }
+
+    #[test]
+    fn held_table_and_pending_releases_follow_the_live_traffic() {
+        // Deferred releases keep their channels' records until a request
+        // or a purge resolves them, and a purge runs before the table
+        // would double; so on org_544 up to past its knee the table and
+        // the slab of pending releases stay a small fraction of the
+        // system's 9 568 channels, however many of them a run touches.
+        let built = BuiltSystem::build(&cocnet_workloads::presets::org_544(), 256.0);
+        for rate in [2e-4, 5e-4, 8e-4] {
+            let cfg = SimConfig {
+                measured: 20_000,
+                ..tiny_cfg(24)
+            };
+            let mut sim = Simulator::<false>::new(
+                &built,
+                &wl(rate),
+                Pattern::Uniform,
+                cfg,
+                ArrivalSpec::Poisson { rate },
+            );
+            assert_eq!(sim.simulate(), StopReason::MeasuredComplete);
+            let (capacity, slab) = (sim.held.capacity(), sim.held.slab_len());
+            assert!(
+                capacity <= 1_024,
+                "λ = {rate}: {capacity} slots for {} channels",
+                built.num_channels()
+            );
+            assert!(slab <= capacity / 2, "λ = {rate}: slab of {slab}");
+        }
     }
 
     #[test]

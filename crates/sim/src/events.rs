@@ -27,7 +27,9 @@
 //! is earlier, so the split pops in exactly the order one scheduler
 //! holding every event would. The worm engine keeps each node's pending
 //! arrival there, which leaves the scheduler holding only the events of
-//! messages in flight.
+//! messages in flight. It also keeps each release nobody waits for beside
+//! the list, numbered by [`Scheduler::reserve_seq`], and pushes it under
+//! the key it reserved only once a request must wait for it.
 //!
 //! The heap backend retains its capacity across pushes and pops, so a
 //! warmed-up loop never touches the allocator; the calendar reuses its
@@ -78,7 +80,7 @@ fn earlier<K>(a: &Timed<K>, b: &Timed<K>) -> bool {
 
 /// Whether the `(time, seq)` key `a` pops before `b`.
 #[inline]
-fn key_lt(a: (f64, u64), b: (f64, u64)) -> bool {
+pub(crate) fn key_lt(a: (f64, u64), b: (f64, u64)) -> bool {
     a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).is_lt()
 }
 
@@ -172,6 +174,19 @@ impl<K> Scheduler<K> for EventQueue<K> {
     }
 }
 
+impl<K> EventQueue<K> {
+    /// Schedules `kind` under the key `(time, seq)`, whose sequence number
+    /// an earlier [`Scheduler::reserve_seq`] took: the event pops exactly
+    /// where scheduling it then would have popped it. The worm engine
+    /// keeps a release nobody waits for beside the list and pushes it here
+    /// once a request must wait for it.
+    #[inline]
+    pub(crate) fn schedule_reserved(&mut self, time: f64, seq: u64, kind: K) {
+        debug_assert!(seq < self.seq, "the sequence number was reserved");
+        self.heap.push(Timed { time, seq, kind });
+    }
+}
+
 /// Events kept beside an [`EventQueue`] rather than in it, merged back by
 /// `(time, seq)` at pop time.
 ///
@@ -229,12 +244,12 @@ pub enum Merged<A, K> {
 }
 
 impl<A, K> Merged<A, K> {
-    /// Time of the popped event.
+    /// `(time, seq)` of the popped event.
     #[inline]
-    pub fn time(&self) -> f64 {
+    pub fn key(&self) -> (f64, u64) {
         match self {
-            Merged::Band(ev) => ev.time,
-            Merged::Queue(ev) => ev.time,
+            Merged::Band(ev) => (ev.time, ev.seq),
+            Merged::Queue(ev) => (ev.time, ev.seq),
         }
     }
 }
@@ -330,6 +345,33 @@ impl<A: Copy> ArrivalBand<A> {
     /// Whether the band is empty.
     pub fn is_empty(&self) -> bool {
         self.next == self.primed.len() && self.heap.is_empty()
+    }
+
+    /// Number of pending arrivals.
+    pub fn len(&self) -> usize {
+        self.primed.len() - self.next + self.heap.len()
+    }
+
+    /// Time of the latest pending arrival; `None` when the band is empty.
+    pub fn max_time(&self) -> Option<f64> {
+        let cursor = self.primed[self.next..].last().map(|p| p.time);
+        let heap = self.heap.iter().map(|ev| ev.time);
+        heap.chain(cursor).max_by(f64::total_cmp)
+    }
+
+    /// Removes the pending arrivals keyed before `key` by `(time, seq)`
+    /// and returns how many it removed: a binary search of the sorted
+    /// cursor and a scan of the re-draw heap. The worm engine stops
+    /// popping the band once its population is generated, since each
+    /// arrival left is then a no-op, and counts them here instead.
+    pub fn take_before(&mut self, key: (f64, u64)) -> usize {
+        let base = self.base;
+        let due = self.primed[self.next..]
+            .partition_point(|p| key_lt((p.time, base + u64::from(p.off)), key));
+        self.next += due;
+        let heap = self.heap.len();
+        self.heap.retain(|ev| !key_lt((ev.time, ev.seq), key));
+        due + heap - self.heap.len()
     }
 }
 

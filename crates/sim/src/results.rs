@@ -139,8 +139,11 @@ pub struct SimResults {
     /// events/sec throughput metric, and what `max_events` caps. Every
     /// network and fault event counts once, and so does every node
     /// arrival, including those that fire after the whole population has
-    /// been generated: the worm engine pops arrivals from its arrival
-    /// band, the other engines from their future-event list.
+    /// been generated. Every channel release counts too, including one
+    /// nobody waits for. The worm engine resolves those releases, and the
+    /// arrivals after the last generation, beside its future-event list
+    /// (see [`crate::engine`]) and counts each where popping it would
+    /// have, so every engine reports the same count for the same run.
     pub events_processed: u64,
     /// High-water mark of the message slab: the peak number of
     /// concurrently live messages. Delivered slots are recycled, so this —
@@ -206,7 +209,8 @@ impl SimResults {
 pub(crate) struct Counters {
     /// Messages generated, warm-up and drain included.
     pub(crate) generated: u64,
-    /// Events popped from the future-event list or the arrival band.
+    /// Events popped from the future-event list or the arrival band, or
+    /// resolved beside them where they would have popped.
     pub(crate) events_processed: u64,
     /// Messages fully delivered, recorded or not.
     pub(crate) delivered_total: u64,

@@ -19,7 +19,8 @@
 //! [`ArrivalBand`] merged by `(time, seq)`, pop identically — with a
 //! handful of nodes, where re-drawn arrivals mix with primed ones from
 //! the start, and with a bulk of nodes, where most pops stream from the
-//! band's sorted cursor.
+//! band's sorted cursor. Another holds the band's count, latest time and
+//! `take_before` to one heap of the same arrivals.
 
 use cocnet_sim::{ArrivalBand, CalendarQueue, EventQueue, Merged, Scheduler, Timed};
 use proptest::prelude::*;
@@ -248,6 +249,105 @@ proptest! {
     fn arrival_band_merge_pops_like_one_heap(ops in arb_ops()) {
         assert_split_matches_single(5, &ops);
         assert_split_matches_single(257, &ops);
+    }
+}
+
+/// One operation on an arrival band beside an empty queue.
+#[derive(Debug, Clone, Copy)]
+enum BandOp {
+    /// Pop the earliest arrival; its node draws its next one.
+    Pop(f64),
+    /// Take the arrivals keyed before a time on the grid past `now` and a
+    /// sequence cut at the given fraction of the numbers taken so far.
+    TakeBefore(f64, f64),
+}
+
+fn arb_band_ops() -> impl Strategy<Value = Vec<BandOp>> {
+    prop::collection::vec(
+        (0u32..4, 0.0f64..1.0, 0.0f64..1.0).prop_map(|(kind, a, b)| match kind {
+            0 => BandOp::TakeBefore(a, b),
+            _ => BandOp::Pop(a),
+        }),
+        1..120,
+    )
+}
+
+/// Runs `ops` on an [`ArrivalBand`] and on one heap holding the same
+/// arrivals under the same keys, and asserts after every step that the
+/// band's count, latest time and `take_before` agree with the heap's,
+/// and that both pop the same stream.
+fn assert_band_counts_like_one_heap(nodes: u32, ops: &[BandOp]) {
+    use std::collections::BinaryHeap;
+    let mut queue = EventQueue::<u32>::new();
+    let mut band = ArrivalBand::<u32>::default();
+    let mut heap = BinaryHeap::new();
+    let first = |node: u32| grid((node * 7 % nodes) as f64 / nodes as f64);
+    // A fresh queue numbers the primed arrivals 0, 1, … in node order.
+    band.prime(&mut queue, (0..nodes).map(|node| (first(node), node)));
+    for node in 0..nodes {
+        heap.push(Timed {
+            time: first(node),
+            seq: u64::from(node),
+            kind: node,
+        });
+    }
+    let mut seq = u64::from(nodes);
+    let mut now = 0.0f64;
+    let check = |band: &ArrivalBand<u32>, heap: &BinaryHeap<Timed<u32>>| {
+        assert_eq!(band.len(), heap.len(), "count diverged");
+        assert_eq!(band.is_empty(), heap.is_empty());
+        let latest = heap.iter().map(|ev| ev.time).max_by(f64::total_cmp);
+        assert_eq!(
+            band.max_time().map(f64::to_bits),
+            latest.map(f64::to_bits),
+            "latest time diverged"
+        );
+    };
+    for &op in ops {
+        match op {
+            BandOp::Pop(raw) => {
+                let popped = band.pop_merged(&mut queue).map(|m| match m {
+                    Merged::Band(ev) => ev,
+                    Merged::Queue(_) => panic!("the queue beside the band is empty"),
+                });
+                let expected = heap.pop();
+                assert_eq!(
+                    popped.map(|ev| (ev.time.to_bits(), ev.seq, ev.kind)),
+                    expected.map(|ev| (ev.time.to_bits(), ev.seq, ev.kind)),
+                    "pop diverged"
+                );
+                if let Some(ev) = popped {
+                    now = ev.time;
+                    let time = now + grid(raw);
+                    band.schedule(&mut queue, time, ev.kind);
+                    heap.push(Timed {
+                        time,
+                        seq,
+                        kind: ev.kind,
+                    });
+                    seq += 1;
+                }
+            }
+            BandOp::TakeBefore(a, b) => {
+                let key = (now + grid(a), (b * seq as f64) as u64);
+                let before =
+                    |ev: &Timed<u32>| ev.time.total_cmp(&key.0).then(ev.seq.cmp(&key.1)).is_lt();
+                let due = heap.iter().filter(|ev| before(ev)).count();
+                heap.retain(|ev| !before(ev));
+                assert_eq!(band.take_before(key), due, "take_before diverged");
+            }
+        }
+        check(&band, &heap);
+    }
+    assert_eq!(band.take_before((f64::INFINITY, u64::MAX)), heap.len());
+    assert!(band.is_empty() && band.max_time().is_none());
+}
+
+proptest! {
+    #[test]
+    fn arrival_band_counts_like_one_heap(ops in arb_band_ops()) {
+        assert_band_counts_like_one_heap(5, &ops);
+        assert_band_counts_like_one_heap(257, &ops);
     }
 }
 

@@ -8,13 +8,20 @@
 //! route table that `cfg.interning` names, so the eager pass below runs on
 //! the eager table itself.
 //!
+//! A second table pins, on the serial engine, where runs stop near their
+//! end: a drained faulted run and a `drain: 0` run, uncapped and with
+//! their event caps a few events short of the end.
+//!
 //! If a change legitimately alters simulation semantics (not just its
 //! implementation), regenerate the constants with
 //! `cargo test --release -p cocnet --test golden_regression -- --ignored --nocapture`
 //! and say so loudly in the PR.
 
 use cocnet::prelude::*;
-use cocnet::sim::{run_simulation_flit, Coupling, InternMode, ShardMode};
+use cocnet::sim::{
+    run_simulation_built, run_simulation_flit, BuiltSystem, Coupling, FaultAction, FaultEvent,
+    InternMode, ShardMode, StopReason,
+};
 
 fn hetero_spec() -> SystemSpec {
     let net1 = NetworkCharacteristics::new(500.0, 0.01, 0.02).unwrap();
@@ -287,4 +294,218 @@ fn eager_interning_oracle_matches_the_same_goldens() {
     assert_matches_golden();
     SHARDS.with(|s| s.set(ShardMode::Off));
     INTERN.with(|i| i.set(InternMode::Classed));
+}
+
+/// The stops a run can reach near its end: org_544 under the Lm = 512
+/// workload at λ = 7e-4, with busy time on. `faulted` fails the injection
+/// links of two nodes and repairs one, with three attempts per message,
+/// so written-off messages leave its measured population short and the
+/// run drains. `drain0` has no drain population, so it stops at its
+/// measured count while the tail of its traffic still flows and its
+/// remaining arrivals are due. Each also runs with its event cap 1, 2, 7,
+/// 30 and 300 events short of its uncapped end: a cap among the last
+/// events of a run must stop it where popping every event one by one
+/// stops it, with the same clock and the same busy time.
+fn stop_observations() -> Vec<(String, cocnet::sim::SimResults)> {
+    let spec = cocnet::presets::org_544();
+    let wl = cocnet::presets::wl_m32_l512().with_rate(7e-4);
+    let built = BuiltSystem::build(&spec, wl.flit_bytes);
+    let routes = built.route_table();
+    let injection = |src: usize, dst: usize| {
+        routes.chan_at(routes.seg_meta(routes.route_ref(src, dst), 0).start)
+    };
+    let base = SimConfig {
+        warmup: 300,
+        measured: 3_000,
+        drain: 300,
+        seed: 11,
+        collect_channel_busy: true,
+        ..SimConfig::default()
+    };
+    let mut faulted = base.clone();
+    faulted.faults.events = vec![
+        FaultEvent {
+            time: 0.0,
+            link: injection(0, 300),
+            action: FaultAction::Fail,
+        },
+        FaultEvent {
+            time: 500.0,
+            link: injection(17, 400),
+            action: FaultAction::Fail,
+        },
+        FaultEvent {
+            time: 9_000.0,
+            link: injection(0, 300),
+            action: FaultAction::Repair,
+        },
+    ];
+    faulted.faults.max_attempts = 3;
+    faulted.faults.retry_timeout = 200.0;
+    faulted.faults.max_timeout = 800.0;
+    let drain0 = SimConfig { drain: 0, ..base };
+    let mut out = Vec::new();
+    for (name, cfg, end) in [
+        ("faulted", faulted, FAULTED_END),
+        ("drain0", drain0, DRAIN0_END),
+    ] {
+        let run = |cfg: &SimConfig| run_simulation_built(&built, &wl, Pattern::Uniform, cfg);
+        out.push((name.to_string(), run(&cfg)));
+        for short in [1, 2, 7, 30, 300] {
+            let capped = SimConfig {
+                max_events: end - short,
+                ..cfg.clone()
+            };
+            out.push((format!("{name}, cap {short} short"), run(&capped)));
+        }
+    }
+    out
+}
+
+/// Events the uncapped `faulted` and `drain0` runs of
+/// [`stop_observations`] process.
+const FAULTED_END: u64 = 104_273;
+const DRAIN0_END: u64 = 95_353;
+
+/// One pinned stop: why the run stopped, after how many events, its
+/// clock, and the sum of its per-channel busy time.
+struct StopGolden {
+    name: &'static str,
+    stop: StopReason,
+    events: u64,
+    sim_time_bits: u64,
+    busy_bits: u64,
+}
+
+/// Regenerates [`STOP_GOLDEN`]; run with `-- --ignored --nocapture`.
+#[test]
+#[ignore]
+fn print_stop_golden_values() {
+    for (name, r) in stop_observations() {
+        let busy: f64 = r.channel_busy.iter().sum();
+        println!(
+            "    StopGolden {{ name: \"{name}\", stop: StopReason::{:?}, events: {}, sim_time_bits: 0x{:016x}, busy_bits: 0x{:016x} }},",
+            r.stop,
+            r.events_processed,
+            r.sim_time.to_bits(),
+            busy.to_bits(),
+        );
+    }
+}
+
+const STOP_GOLDEN: &[StopGolden] = &[
+    // Captured from the engine that popped every event, via
+    // `print_stop_golden_values`.
+    StopGolden {
+        name: "faulted",
+        stop: StopReason::Drained,
+        events: 104273,
+        sim_time_bits: 0x40d56f2e91fd1fdb,
+        busy_bits: 0x4144fa317be758e5,
+    },
+    StopGolden {
+        name: "faulted, cap 1 short",
+        stop: StopReason::EventCap,
+        events: 104273,
+        sim_time_bits: 0x40d56eecb6da4ef6,
+        busy_bits: 0x4144fa30f8311343,
+    },
+    StopGolden {
+        name: "faulted, cap 2 short",
+        stop: StopReason::EventCap,
+        events: 104272,
+        sim_time_bits: 0x40d56ea9e5f4eeb4,
+        busy_bits: 0x4144fa2feced7dc2,
+    },
+    StopGolden {
+        name: "faulted, cap 7 short",
+        stop: StopReason::EventCap,
+        events: 104267,
+        sim_time_bits: 0x40d56d1be1dc5b3e,
+        busy_bits: 0x4144fa1f5f1a8c18,
+    },
+    StopGolden {
+        name: "faulted, cap 30 short",
+        stop: StopReason::EventCap,
+        events: 104244,
+        sim_time_bits: 0x40d4feb10094ad27,
+        busy_bits: 0x4144f92148936116,
+    },
+    StopGolden {
+        name: "faulted, cap 300 short",
+        stop: StopReason::EventCap,
+        events: 103974,
+        sim_time_bits: 0x40d4891fd9ab3447,
+        busy_bits: 0x4144ec9708936117,
+    },
+    StopGolden {
+        name: "drain0",
+        stop: StopReason::MeasuredComplete,
+        events: 95353,
+        sim_time_bits: 0x40d35ceab4e44d78,
+        busy_bits: 0x414334e8040821ce,
+    },
+    StopGolden {
+        name: "drain0, cap 1 short",
+        stop: StopReason::EventCap,
+        events: 95353,
+        sim_time_bits: 0x40d35ccfd39c9f63,
+        busy_bits: 0x414334e5b4abf8d9,
+    },
+    StopGolden {
+        name: "drain0, cap 2 short",
+        stop: StopReason::EventCap,
+        events: 95352,
+        sim_time_bits: 0x40d35c6608dc1c51,
+        busy_bits: 0x414334dbc9a9ec90,
+    },
+    StopGolden {
+        name: "drain0, cap 7 short",
+        stop: StopReason::EventCap,
+        events: 95347,
+        sim_time_bits: 0x40d35b44b0cbba03,
+        busy_bits: 0x414334c144ed8210,
+    },
+    StopGolden {
+        name: "drain0, cap 30 short",
+        stop: StopReason::EventCap,
+        events: 95324,
+        sim_time_bits: 0x40d35241cf840bee,
+        busy_bits: 0x414333c611fbd814,
+    },
+    StopGolden {
+        name: "drain0, cap 300 short",
+        stop: StopReason::EventCap,
+        events: 95054,
+        sim_time_bits: 0x40d2dedfc33a5181,
+        busy_bits: 0x4143262e1570947f,
+    },
+];
+
+#[test]
+fn stops_near_the_end_of_a_run_bit_identical_to_the_eager_engine() {
+    let observed = stop_observations();
+    assert_eq!(observed.len(), STOP_GOLDEN.len());
+    for (g, (name, r)) in STOP_GOLDEN.iter().zip(&observed) {
+        assert_eq!(g.name, name, "case order changed");
+        let busy: f64 = r.channel_busy.iter().sum();
+        assert_eq!(
+            (r.stop, r.events_processed),
+            (g.stop, g.events),
+            "{name}: stop drifted"
+        );
+        assert_eq!(
+            r.sim_time.to_bits(),
+            g.sim_time_bits,
+            "{name}: sim_time drifted ({} vs expected {})",
+            r.sim_time,
+            f64::from_bits(g.sim_time_bits),
+        );
+        assert_eq!(
+            busy.to_bits(),
+            g.busy_bits,
+            "{name}: busy time drifted ({busy} vs expected {})",
+            f64::from_bits(g.busy_bits),
+        );
+    }
 }
